@@ -40,7 +40,7 @@ from gate_utils import publish
 
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.geometry import DramGeometry
-from repro.serve import ServeConfig, SimdramService
+from repro.serve import SimdramService
 from repro.serve.router import ReplicaRouter
 
 GATE_NAME = "scale_out"
@@ -90,12 +90,14 @@ def serve_replicated(n_replicas: int, requests: list[tuple]) -> dict:
     manifest = list(KERNELS)
     with ReplicaRouter(n_replicas, config=module_config(),
                        manifest=manifest) as router, \
-            SimdramService(router,
-                           ServeConfig(max_wait_s=0.001)) as service:
+            SimdramService(router) as service:
         start = time.perf_counter()
-        handles = [service.submit(op, a, b, width=width,
-                                  tenant=f"user{i % 8}")
-                   for i, (op, width, a, b) in enumerate(requests)]
+        # Corked: the dispatch count and the placement sequence are
+        # those of the whole burst, whatever the thread scheduling.
+        with service.hold():
+            handles = [service.submit(op, a, b, width=width,
+                                      tenant=f"user{i % 8}")
+                       for i, (op, width, a, b) in enumerate(requests)]
         n_correct = sum(
             bool(np.array_equal(
                 handle.result(timeout=600) & ((1 << width) - 1),
@@ -141,8 +143,7 @@ def kill_drill() -> dict:
 
     with ReplicaRouter(2, config=module_config(),
                        manifest=list(KERNELS)) as router, \
-            SimdramService(router,
-                           ServeConfig(max_wait_s=0.001)) as service:
+            SimdramService(router) as service:
         handles = [service.submit(op, a, b, width=width)
                    for op, width, a, b in requests]
         victim = 0

@@ -20,12 +20,24 @@ twice:
 
 Both modes verify every request's result and report the *modeled*
 makespan (simulated DRAM command latency plus channel I/O, the same
-clock the cluster benchmarks use).  The **gate** (exit code 1)
-requires packed serving to reach at least ``--min-speedup`` (default
-3x) the baseline's modeled throughput, and the packer to report at
-least ``--min-occupancy`` (default 50%) mean lane occupancy.  Results
-publish under the ``"serve"`` gate of the shared ``bench_ci.json``
-(see :mod:`gate_utils`).
+clock the cluster benchmarks use).  The burst is submitted under
+``service.hold()``, so the packed run is one dispatch of 64 requests
+whatever the thread scheduling.  The **gate** (exit code 1) requires
+packed serving to reach at least ``--min-speedup`` (default 3x) the
+baseline's modeled throughput, and the packer to report at least
+``--min-occupancy`` (default 50%) mean lane occupancy.
+
+A third, wall-clock check keeps the flush policy honest: 50 **lone**
+requests (one outstanding at a time, nothing to pack with) through the
+service, interleaved with the same requests dispatched straight on the
+cluster.  The median served latency may be at most
+``--max-lone-latency-ratio`` (default 3x) the median direct latency —
+a same-run A/B, so the bound does not depend on the machine.  A
+service that parks lone requests behind a timer fails it (the 5 ms
+timer-first policy measured about 9.5x).
+
+Results publish under the ``"serve"`` gate of the shared
+``bench_ci.json`` (see :mod:`gate_utils`).
 
 Usage::
 
@@ -51,6 +63,7 @@ GATE_NAME = "serve"
 GATE_OP = "add"
 GATE_WIDTH = 8
 N_REQUESTS = 64
+N_LONE = 50
 COLS = 32
 BANKS = 2  # 64 SIMD lanes per module: one full pack = 64 requests
 
@@ -67,13 +80,15 @@ def serve_requests(pack: bool) -> dict:
                 for _ in range(N_REQUESTS)]
 
     with SimdramCluster(1, config=module_config()) as cluster:
-        config = ServeConfig(pack=pack, max_wait_s=0.5)
+        config = ServeConfig(pack=pack)
         with SimdramService(cluster, config=config) as service:
             service.warmup([(GATE_OP, GATE_WIDTH)])
             start = time.perf_counter()
-            handles = [service.submit(GATE_OP, a, b, width=GATE_WIDTH,
-                                      tenant=f"user{i % 8}")
-                       for i, (a, b) in enumerate(operands)]
+            with service.hold():
+                handles = [service.submit(GATE_OP, a, b,
+                                          width=GATE_WIDTH,
+                                          tenant=f"user{i % 8}")
+                           for i, (a, b) in enumerate(operands)]
             n_correct = sum(
                 bool(np.array_equal(handle.result(timeout=300),
                                     (a + b) % 256))
@@ -108,11 +123,60 @@ def serve_requests(pack: bool) -> dict:
     return entry
 
 
-def run_gate(min_speedup: float = 3.0,
-             min_occupancy: float = 0.5) -> dict:
-    """Run both modes; returns the section for bench_ci.json."""
+def lone_requests() -> dict:
+    """Wall A/B: lone requests through the service vs the same
+    requests dispatched directly on the cluster, interleaved so that
+    machine noise lands on both sides alike."""
+    rng = np.random.default_rng(37)
+    operands = [(rng.integers(0, 256, 1), rng.integers(0, 256, 1))
+                for _ in range(N_LONE)]
+
+    def timed(call) -> float:
+        start = time.perf_counter()
+        call()
+        return time.perf_counter() - start
+
+    with SimdramCluster(1, config=module_config()) as cluster, \
+            SimdramService(cluster) as service:
+        service.warmup([(GATE_OP, GATE_WIDTH)])
+
+        def served(a, b):
+            service.submit(GATE_OP, a, b,
+                           width=GATE_WIDTH).result(timeout=300)
+
+        def direct(a, b):
+            cluster.map(GATE_OP, a, b, width=GATE_WIDTH)
+
+        for a, b in operands[:5]:   # both paths warm
+            served(a, b)
+            direct(a, b)
+        served_s, direct_s = [], []
+        for a, b in operands:
+            served_s.append(timed(lambda: served(a, b)))
+            direct_s.append(timed(lambda: direct(a, b)))
+        flushes = service.stats()["packing"]["flushes"]
+
+    entry = {
+        "requests": N_LONE,
+        "served_median_ms": float(np.median(served_s)) * 1e3,
+        "direct_median_ms": float(np.median(direct_s)) * 1e3,
+        "flushes": flushes,
+    }
+    entry["ratio"] = (entry["served_median_ms"]
+                      / entry["direct_median_ms"])
+    print(f"lone    : served {entry['served_median_ms']:.3f} ms vs "
+          f"direct {entry['direct_median_ms']:.3f} ms median "
+          f"({entry['ratio']:.2f}x), flushes {flushes}")
+    return entry
+
+
+def run_gate(min_speedup: float = 3.0, min_occupancy: float = 0.5,
+             max_lone_latency_ratio: float = 3.0) -> dict:
+    """Run both modes and the lone-request A/B; returns the section
+    for bench_ci.json."""
     packed = serve_requests(pack=True)
     unpacked = serve_requests(pack=False)
+    lone = lone_requests()
 
     speedup = (packed["requests_per_us"]
                / unpacked["requests_per_us"])
@@ -120,19 +184,27 @@ def run_gate(min_speedup: float = 3.0,
     correct = (packed["correct"] == N_REQUESTS
                and unpacked["correct"] == N_REQUESTS)
     gate_pass = (speedup >= min_speedup
-                 and occupancy >= min_occupancy and correct)
+                 and occupancy >= min_occupancy and correct
+                 and packed["dispatches"] == 1
+                 and lone["ratio"] <= max_lone_latency_ratio
+                 and lone["flushes"]["timer"] == 0)
     return {
         "kernel": GATE_OP,
         "element_width": GATE_WIDTH,
         "concurrent_requests": N_REQUESTS,
         "packed": packed,
         "unpacked": unpacked,
+        "lone_request": lone,
         "gate": {
             "kernel": GATE_OP,
             "required_speedup": min_speedup,
             "measured_speedup": speedup,
             "required_occupancy": min_occupancy,
             "measured_occupancy": occupancy,
+            # Lower is better, so not a measured_* key (bench_history
+            # reads those as higher-is-better).
+            "max_lone_latency_ratio": max_lone_latency_ratio,
+            "lone_latency_ratio": lone["ratio"],
             "correct": correct,
             "pass": gate_pass,
             "detail": (f"lane-packed serving of {N_REQUESTS} "
@@ -141,7 +213,13 @@ def run_gate(min_speedup: float = 3.0,
                        f"modeled throughput (required: "
                        f"{min_speedup:.1f}x) at "
                        f"{occupancy:.0%} lane occupancy (required: "
-                       f"{min_occupancy:.0%})"),
+                       f"{min_occupancy:.0%}) in "
+                       f"{packed['dispatches']} dispatch(es) "
+                       f"(required: 1); a lone request takes "
+                       f"{lone['ratio']:.2f}x a direct dispatch "
+                       f"(allowed: {max_lone_latency_ratio:.1f}x) "
+                       f"with {lone['flushes']['timer']} timer "
+                       f"flushes (allowed: 0)"),
         },
     }
 
@@ -156,9 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-occupancy", type=float, default=0.5,
                         help="required mean lane occupancy of packed "
                              "dispatches")
+    parser.add_argument("--max-lone-latency-ratio", type=float,
+                        default=3.0,
+                        help="allowed median latency of a lone served "
+                             "request over the same request dispatched "
+                             "directly on the cluster (same run)")
     args = parser.parse_args(argv)
     return publish(args.output, GATE_NAME,
-                   run_gate(args.min_speedup, args.min_occupancy))
+                   run_gate(args.min_speedup, args.min_occupancy,
+                            args.max_lone_latency_ratio))
 
 
 if __name__ == "__main__":

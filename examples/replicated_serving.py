@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from repro import DramGeometry, SimdramConfig
-from repro.serve import ServeConfig, SimdramService
+from repro.serve import SimdramService
 from repro.serve.router import ReplicaRouter
 
 WIDTH = 8
@@ -53,8 +53,10 @@ def main() -> int:
 
     manifest = [(op, WIDTH) for op in OPS]
     with ReplicaRouter(3, config=config, manifest=manifest) as router, \
-            SimdramService(router,
-                           ServeConfig(max_wait_s=0.001)) as service:
+            SimdramService(router) as service:
+        # No batching window to tune: a pack goes out as soon as a
+        # replica can take it (fewer than two outstanding per live
+        # replica), and groups fill while the replicas are busy.
         handles = [service.submit(op, a, b, width=WIDTH)
                    for op, a, b in requests]
 

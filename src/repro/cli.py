@@ -185,24 +185,27 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
             [(op, width) for op in catalog_ops] + [(brighten, width)])
 
         handles = []
-        for i in range(args.requests):
-            tenant = list(tenants)[i % len(tenants)]
-            n = int(rng.integers(1, args.max_request_lanes + 1))
-            if i % 4 == 3:
-                px = rng.integers(0, 1 << width, n)
-                golden = np.asarray(expr.golden(
-                    brighten, {"px": px}, width))
-                handle = service.submit(brighten, feeds={"px": px},
-                                        width=width, tenant=tenant)
-            else:
-                op = catalog_ops[i % len(catalog_ops)]
-                spec = get_operation(op)
-                vecs = [rng.integers(0, 1 << w, n)
-                        for w in spec.in_widths(width)]
-                golden = np.asarray(spec.golden(vecs, width))
-                handle = service.submit(op, *vecs, width=width,
-                                        tenant=tenant)
-            handles.append((handle, golden))
+        # The burst arrives corked, as if from concurrent clients:
+        # it packs the same way on every run.
+        with service.hold():
+            for i in range(args.requests):
+                tenant = list(tenants)[i % len(tenants)]
+                n = int(rng.integers(1, args.max_request_lanes + 1))
+                if i % 4 == 3:
+                    px = rng.integers(0, 1 << width, n)
+                    golden = np.asarray(expr.golden(
+                        brighten, {"px": px}, width))
+                    handle = service.submit(brighten, feeds={"px": px},
+                                            width=width, tenant=tenant)
+                else:
+                    op = catalog_ops[i % len(catalog_ops)]
+                    spec = get_operation(op)
+                    vecs = [rng.integers(0, 1 << w, n)
+                            for w in spec.in_widths(width)]
+                    golden = np.asarray(spec.golden(vecs, width))
+                    handle = service.submit(op, *vecs, width=width,
+                                            tenant=tenant)
+                handles.append((handle, golden))
 
         n_ok = 0
         for handle, golden in handles:
@@ -222,6 +225,8 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
         ("lane occupancy", f"{packing['lane_occupancy']:.0%}"),
         ("packing efficiency",
          f"{packing['packing_efficiency']:.0%} dispatches saved"),
+        ("flushes", ", ".join(f"{reason} {count}" for reason, count
+                              in packing["flushes"].items())),
         ("latency p50 / p99 (ms)",
          f"{latency['p50']:.2f} / {latency['p99']:.2f}"),
         ("spills / fills",
@@ -648,8 +653,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--modules", type=int, default=2)
     serve_parser.add_argument("--width", type=int, default=8)
     serve_parser.add_argument("--max-wait-ms", type=float, default=20.0,
-                              help="batching window before a partial "
-                                   "pack group flushes")
+                              help="upper bound on a partial pack "
+                                   "group's wait while the target is "
+                                   "busy (a group normally flushes as "
+                                   "soon as the queues are empty and "
+                                   "the target is ready)")
     serve_parser.add_argument("--cols", type=int, default=64)
     serve_parser.add_argument("--data-rows", type=int, default=256)
     serve_parser.add_argument("--banks", type=int, default=2)
@@ -670,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc_parser.add_argument("--kill-one", action="store_true",
                            help="SIGKILL one replica mid-flight to "
                                 "demonstrate failover")
-    sc_parser.add_argument("--max-wait-ms", type=float, default=1.0)
+    sc_parser.add_argument("--max-wait-ms", type=float, default=1.0,
+                           help="upper bound on a partial pack group's "
+                                "wait while every replica is busy")
     sc_parser.add_argument("--cols", type=int, default=32)
     sc_parser.add_argument("--data-rows", type=int, default=256)
     sc_parser.add_argument("--banks", type=int, default=2)

@@ -71,6 +71,10 @@ def _serving_lines(stats: dict) -> "list[str]":
         % (bar(pack.get("lane_occupancy", 0.0)),
            100.0 * pack.get("lane_occupancy", 0.0),
            pack.get("dispatches", 0)))
+    flushes = pack.get("flushes")
+    if flushes:
+        lines.append("flushes   " + "  ".join(
+            "%s %d" % item for item in flushes.items()))
     tenants = stats.get("tenants", {})
     for tenant in sorted(tenants):
         counters = tenants[tenant]

@@ -774,10 +774,15 @@ class ReplicaSet:
             closing = self._closing
             if not any(self._jobs.values()):
                 self._drained.notify_all()
-        try:
-            replica.conn.close()
-        except OSError:
-            pass
+        # Under the send lock: a sender that had already read the pipe's
+        # descriptor would otherwise write its message to whatever file
+        # is opened next under that number — the payload segment of the
+        # first job re-homed below, whose leading operands it overwrote.
+        with replica._send_lock:
+            try:
+                replica.conn.close()
+            except OSError:
+                pass
         # Recover the black box: a crashed child never shipped its
         # ring home, but its continuously-rewritten spill file is on
         # disk.  (A cleanly stopped child removed the file; adoption

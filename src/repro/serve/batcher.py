@@ -17,10 +17,14 @@ closes that gap:
   time, concatenates their operand vectors per slot and records each
   request's ``[lo, hi)`` lane slice, so the dispatcher can scatter the
   packed result back to individual handles.
-* :class:`LanePacker` holds one open group per pack key and implements
-  the flush policy: a group flushes as soon as its lanes reach
-  ``max_lanes`` (a full dispatch) or when its oldest request has
-  waited ``max_wait_s`` (bounded latency for sparse traffic).
+* :class:`LanePacker` holds one open group per pack key, oldest first.
+  It hands a group back the moment its lanes reach ``max_lanes`` (a
+  full dispatch) and otherwise only answers two questions for the
+  service's flush rule: which open group is the oldest
+  (:meth:`LanePacker.take_oldest`) and when ``max_wait_s`` — the upper
+  bound on a group's wait while the target stays busy — runs out for
+  it (:meth:`LanePacker.next_deadline`).  *When* to flush is the
+  service's decision (:meth:`SimdramService._next_flush`).
 
 The batcher is pure bookkeeping — single-threaded by design (the
 service's worker owns it) and independent of the dispatch target.
@@ -28,7 +32,6 @@ service's worker owns it) and independent of the dispatch target.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -39,6 +42,7 @@ from repro.core.fuse import MAX_FUSED_INPUTS, kernel_identity
 from repro.core.operations import get_operation
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
+from repro.obs import clock
 from repro.obs.tracing import NOOP_SPAN
 
 if TYPE_CHECKING:
@@ -219,7 +223,7 @@ class PackGroup:
 
 
 class LanePacker:
-    """Open pack groups and the max-lanes / max-wait flush policy.
+    """Open pack groups, oldest first (see module docstring).
 
     Owned by the service's single worker thread; not itself locked.
     """
@@ -233,6 +237,8 @@ class LanePacker:
                 f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_lanes = max_lanes
         self.max_wait_s = max_wait_s
+        #: Insertion-ordered, and a group's ``created_at`` is taken
+        #: when it is inserted: the first entry is the oldest group.
         self._groups: dict[PackKey, PackGroup] = {}
 
     @property
@@ -247,36 +253,30 @@ class LanePacker:
             now: float | None = None) -> PackGroup | None:
         """Admit one prepared request; returns the group if it is now
         full (caller dispatches it immediately)."""
-        if now is None:
-            now = time.monotonic()
         group = self._groups.get(request.key)
         if group is None:
             group = self._groups[request.key] = PackGroup(
-                key=request.key, created_at=now)
+                key=request.key,
+                created_at=clock.now() if now is None else now)
         group.add(request)
         if group.total_lanes >= self.max_lanes:
             return self._groups.pop(request.key)
         return None
 
-    def take(self, key: PackKey) -> PackGroup | None:
-        """Force-remove one open group (immediate flush)."""
-        return self._groups.pop(key, None)
-
-    def due(self, now: float) -> list[PackGroup]:
-        """Pop every group whose oldest request exceeded ``max_wait_s``."""
-        ready = [key for key, group in self._groups.items()
-                 if now - group.created_at >= self.max_wait_s]
-        return [self._groups.pop(key) for key in ready]
+    def take_oldest(self) -> PackGroup | None:
+        """Pop the open group that has waited longest."""
+        key = next(iter(self._groups), None)
+        return None if key is None else self._groups.pop(key)
 
     def next_deadline(self) -> float | None:
-        """Monotonic time the earliest open group must flush by."""
-        if not self._groups:
-            return None
-        return min(group.created_at for group in self._groups.values()) \
-            + self.max_wait_s
+        """Time (``obs.clock``) by which the oldest open group must
+        flush even if the target never becomes ready."""
+        oldest = next(iter(self._groups.values()), None)
+        return (None if oldest is None
+                else oldest.created_at + self.max_wait_s)
 
     def drain(self) -> list[PackGroup]:
-        """Pop every open group (service shutdown / explicit flush)."""
+        """Pop every open group (the crash guard fails them)."""
         groups = list(self._groups.values())
         self._groups.clear()
         return groups

@@ -11,7 +11,9 @@ collects everything an operator watches on a serving box:
 * **packing** — how well the lane packer amortizes dispatches:
   requests per dispatch, *lane occupancy* (lanes carried per dispatch
   over the lanes it could have carried) and *packing efficiency*
-  (fraction of dispatches saved versus one-dispatch-per-request);
+  (fraction of dispatches saved versus one-dispatch-per-request),
+  and what decided each flush (``flushes``: full / ready / timer /
+  explicit);
 * **spill counts** — paging traffic observed under the serving path
   (filled in by ``service.stats()`` from the cluster's pagers);
 * **replicas** — when the service dispatches through a
@@ -51,6 +53,10 @@ import numpy as np
 #: Latency samples kept for the percentile estimates.  Old samples
 #: fall off, so long-running services report *recent* tail latency.
 RESERVOIR = 8192
+
+#: Why a pack group was flushed; the label set of
+#: ``repro_serve_flushes_total`` (every reason is always present).
+FLUSH_REASONS = ("full", "ready", "timer", "explicit")
 
 
 def percentile(samples: list[float], q: float,
@@ -120,6 +126,11 @@ class ServeMetrics:
         self._occupancy_sum = 0.0
         #: Packed dispatches that failed and were retried sequentially.
         self.n_sequential_fallbacks = 0
+        #: Pack-group flushes by what decided them (the service's one
+        #: flush decision point): the group filled, the queues were
+        #: empty and the target ready, ``max_wait_s`` ran out, or a
+        #: ``flush()``/``close()`` forced it.
+        self._flushes = dict.fromkeys(FLUSH_REASONS, 0)
         #: Replica deaths observed / requests re-queued onto survivors.
         self.n_replica_deaths = 0
         self.n_failover_requeues = 0
@@ -187,6 +198,10 @@ class ServeMetrics:
         with self._lock:
             self.n_sequential_fallbacks += 1
 
+    def record_flush(self, reason: str) -> None:
+        with self._lock:
+            self._flushes[reason] += 1
+
     def record_failover(self, replica: int, n_requeued: int) -> None:
         """One replica died with ``n_requeued`` dispatches in flight
         (each re-submitted to a survivor by the router)."""
@@ -246,6 +261,7 @@ class ServeMetrics:
             self.lanes_dispatched = 0
             self._occupancy_sum = 0.0
             self.n_sequential_fallbacks = 0
+            self._flushes = dict.fromkeys(FLUSH_REASONS, 0)
             self.n_replica_deaths = 0
             self.n_failover_requeues = 0
             self.n_with_deadline = 0
@@ -330,6 +346,7 @@ class ServeMetrics:
                     "packing_efficiency": (
                         1.0 - dispatches / packed if packed else 0.0),
                     "sequential_fallbacks": self.n_sequential_fallbacks,
+                    "flushes": dict(self._flushes),
                 },
                 "failover": {
                     "replica_deaths": self.n_replica_deaths,

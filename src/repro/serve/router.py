@@ -29,7 +29,8 @@ replica crashes:
   :class:`~repro.errors.ReplicaError`.
 
 The router implements the service's asynchronous dispatch-target
-protocol (``submit_pack`` + completion callback + ``barrier``), so
+protocol (``submit_pack`` + completion callback + ``ready`` +
+``barrier``), so
 ``SimdramService(ReplicaRouter(4))`` is a drop-in scale-out of
 ``SimdramService(cluster)``.
 """
@@ -160,6 +161,17 @@ class ReplicaRouter:
             self._outstanding -= 1
             if self._outstanding == 0:
                 self._idle.notify_all()
+
+    def ready(self) -> bool:
+        """Whether another pack should be sent now: fewer than two per
+        live replica are outstanding (one executing, one in the pipe).
+        Past that a new pack would only queue behind them, so the
+        service keeps its groups open and they fill instead.  Every
+        completion reaches the service's worker through the handles it
+        resolves, which is when the worker asks again.  Lock-free: the
+        worker calls this under its own condition."""
+        return self._outstanding < 2 * max(
+            1, len(self.replicas.alive_ids()))
 
     def barrier(self, timeout: float | None = None) -> bool:
         """Wait until every submitted pack has called back."""

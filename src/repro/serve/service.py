@@ -22,9 +22,16 @@ Around the packer sits the production machinery:
   tenant cannot starve the rest; on a cluster the dispatches then flow
   through the runtime's :class:`~repro.runtime.scheduler.JobScheduler`
   like any other job;
-* **flush policy** — a group dispatches when it reaches ``max_lanes``
-  or when its oldest request has waited ``max_wait_s``
-  (:class:`~repro.serve.batcher.LanePacker`);
+* **flush policy** — work-conserving, like the paper's control unit
+  that starts a ``bbop`` the moment it is issued: a group dispatches
+  when it reaches ``max_lanes``, and otherwise the oldest open group
+  dispatches as soon as no admitted request is waiting in a tenant
+  queue and the target can take a dispatch (``target.ready()``).
+  Batching therefore comes from the target being busy, not from a
+  clock; ``max_wait_s`` is only the upper bound on a group's wait
+  while that never happens (:meth:`SimdramService._next_flush` is the
+  single decision point).  :meth:`SimdramService.hold` corks the
+  queues so that a burst packs deterministically;
 * **failure isolation** — a request that fails validation fails its
   own handle only; if a *packed* dispatch raises, the group is retried
   sequentially so one poisoned request cannot corrupt co-packed
@@ -54,6 +61,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +78,7 @@ from repro.errors import (
 )
 from repro.exec.engines import ExecutionEngine, get_engine
 from repro.lazy.tensor import LazyTensor
+from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder, postmortem
 from repro.obs.metrics import MetricsRegistry, Sample, get_registry
 from repro.obs.pmu import get_pmu
@@ -92,7 +101,12 @@ from repro.serve.metrics import RequestEnergyModel, ServeMetrics
 class ServeConfig:
     """Tuning knobs of one :class:`SimdramService`."""
 
-    #: A pack group flushes when its oldest request waited this long.
+    #: Upper bound on a pack group's wait while the target is busy: an
+    #: open group normally flushes as soon as the tenant queues are
+    #: empty and the target is ready, and only a group that never sees
+    #: that moment (a rare kernel under a backlog that never drains,
+    #: an async target that stays not-ready) flushes on this timer —
+    #: after the requests already queued at that moment are admitted.
     max_wait_s: float = 0.005
     #: A pack group flushes when its lanes reach this many; ``None``
     #: defaults to the target's total SIMD lane capacity.
@@ -214,11 +228,21 @@ class _RawRequest:
 # ---------------------------------------------------------------------------
 # dispatch targets: one tiny interface over module and cluster
 # ---------------------------------------------------------------------------
-class _ModuleTarget:
+class _InProcessTarget:
+    """What the module and cluster targets share: the worker thread
+    *is* the executor, so a dispatch runs to completion inside
+    ``map_op``/``map_expr`` and the target can always take the next."""
+
+    is_async = False
+
+    def ready(self) -> bool:
+        return True
+
+
+class _ModuleTarget(_InProcessTarget):
     """Serve on a single :class:`~repro.Simdram` module."""
 
     is_cluster = False
-    is_async = False
 
     def __init__(self, sim) -> None:
         self.sim = sim
@@ -270,12 +294,11 @@ class _ModuleTarget:
         return self.sim.kernel_cache_size
 
 
-class _ClusterTarget:
+class _ClusterTarget(_InProcessTarget):
     """Serve on a :class:`~repro.SimdramCluster` (sharded dispatch
     through the runtime's job scheduler, paging included)."""
 
     is_cluster = True
-    is_async = False
 
     def __init__(self, cluster) -> None:
         self.cluster = cluster
@@ -406,11 +429,20 @@ class SimdramService:
         self._unresolved: set[int] = set()
         self._last_accepted_id = -1
         #: Cutoff id of every thread currently blocked in
-        #: :meth:`flush`.  While any exist, the worker force-drains
-        #: the packer as soon as no *covered* request (id <= cutoff)
-        #: is still queued — late enough that covered requests pack
-        #: together, early enough that none lingers behind max_wait.
+        #: :meth:`flush`.  While any exist, the worker flushes open
+        #: groups as soon as no *covered* request (id <= cutoff) is
+        #: still queued — late enough that covered requests pack
+        #: together, early enough that none lingers behind a busy
+        #: target.
         self._flush_cutoffs: list[int] = []
+        #: Depth of open :meth:`hold` blocks (the cork).
+        self._held = 0
+        #: Requests that were queued when the worker last took stock
+        #: and are not admitted yet (worker-thread confined).  The
+        #: ``max_wait_s`` timer is consulted only at zero: a request
+        #: submitted before a group's time ran out must not miss that
+        #: group because the worker was busy dispatching.
+        self._backlog = 0
         #: The request the worker is processing right now (crash-guard
         #: bookkeeping; worker-thread confined except under ``_cond``).
         self._current: _RawRequest | None = None
@@ -571,7 +603,8 @@ class SimdramService:
             # would transiently show completed > submitted).
             self.metrics.record_submit(
                 tenant, lanes, has_deadline=slo_deadline is not None)
-            self._cond.notify_all()
+            if not self._corked():
+                self._cond.notify_all()
         get_flight_recorder().record(
             "serve.admit", request=handle.request_id, tenant=tenant,
             lanes=lanes, deadline_s=deadline_s)
@@ -627,6 +660,38 @@ class SimdramService:
             finally:
                 self._flush_cutoffs.remove(cutoff)
                 self._cond.notify_all()
+
+    @contextmanager
+    def hold(self):
+        """Cork the tenant queues: inside the block ``submit`` accepts
+        and enqueues as usual but the worker pops nothing; on exit it
+        drains the queues in weighted-fair order, packs, and flushes by
+        the ordinary rule.  A burst submitted under ``hold()`` therefore
+        packs the same way every time — full groups at ``max_lanes``,
+        one final partial group per kernel — whatever the thread
+        scheduling (tests and modeled benchmarks assert pack
+        composition this way, not with a long ``max_wait_s``).
+
+        Holds nest.  The cork never blocks progress: ``flush()``,
+        ``close()`` and a full admission queue (``max_queue``) each
+        override it, so a blocking ``submit`` under ``hold()`` cannot
+        deadlock.
+        """
+        with self._cond:
+            self._held += 1
+        try:
+            yield self
+        finally:
+            with self._cond:
+                self._held -= 1
+                self._cond.notify_all()
+
+    def _corked(self) -> bool:
+        """Whether :meth:`hold` keeps the worker from popping right
+        now (call under ``_cond``)."""
+        return bool(self._held and not self._closing
+                    and not self._flush_cutoffs
+                    and len(self._unresolved) < self.config.max_queue)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Wait until every accepted request has resolved (success or
@@ -756,6 +821,10 @@ class SimdramService:
                 ("sequential_fallbacks", pack["sequential_fallbacks"])):
             out.append(Sample("repro_serve_pack_" + name, value, (),
                               "counter", "lane-packer dispatch totals"))
+        for reason, count in pack["flushes"].items():
+            out.append(Sample("repro_serve_flushes_total", count,
+                              (("reason", reason),), "counter",
+                              "pack-group flushes by what decided them"))
         out.append(Sample("repro_serve_lane_occupancy",
                           pack["lane_occupancy"], (), "gauge",
                           "mean lanes carried / flush capacity"))
@@ -836,6 +905,8 @@ class SimdramService:
     def _pop_locked(self) -> _RawRequest | None:
         """Weighted-fair pop: the tenant queue with the least virtual
         time goes first; its time advances by ``lanes / weight``.
+        ``None`` when nothing is queued or the queues are corked
+        (:meth:`hold`).
 
         ``_queues`` only holds tenants with requests waiting — a
         queue that empties is reclaimed together with its virtual
@@ -843,7 +914,7 @@ class SimdramService:
         high-cardinality tenant ids never grow the per-pop scan or
         the service's memory.
         """
-        if not self._queues:
+        if not self._queues or self._corked():
             return None
         tenant = min(self._queues,
                      key=lambda t: self._vtime.get(t, 0.0))
@@ -933,71 +1004,96 @@ class SimdramService:
             raise
 
     def _worker_loop(self) -> None:
+        """Admit one queued request, then flush at most one group, and
+        look again — so a request that arrives while a group is being
+        dispatched still joins the groups that remain."""
         while True:
-            raw = None
-            stop = False
             with self._cond:
-                while True:
-                    raw = self._pop_locked()
-                    if raw is not None:
-                        break
-                    now = time.monotonic()
+                raw = self._pop_locked()
+                if raw is not None and self._backlog == 0:
+                    # Take stock: this request and all queued behind it.
+                    self._backlog = 1 + sum(
+                        len(queue) for queue in self._queues.values())
+                flush = None if raw is not None else self._next_flush()
+                if raw is None and flush is None:
+                    if self._closing and not self._queues:
+                        break  # nothing queued, nothing open
+                    # Every change to what _next_flush reads — a
+                    # submit, a completion (which is what flips an
+                    # async target's ready()), flush(), close(), the
+                    # end of a hold() — notifies this condition; the
+                    # timeout only serves the max_wait_s bound.
                     deadline = self._packer.next_deadline()
-                    if deadline is not None and now >= deadline:
-                        break
-                    if (self._flush_cutoffs
-                            and self._packer.pending_requests):
-                        break  # flush pending: dispatch immediately
-                    if self._closing:
-                        stop = True
-                        break
-                    # max(0, ·): a deadline that just passed must poll,
-                    # not wait forever (negative = infinite underneath).
                     self._cond.wait(
                         None if deadline is None
-                        else max(0.0, deadline - now))
-
+                        else max(0.0, deadline - clock.now()))
+                    continue
             if raw is not None:
                 self._current = raw
-                self._admit(raw)
+                full = self._admit(raw)
                 self._current = None
-                self._flush_due(everything=self._flush_ready())
-                continue
-            if stop:
-                for group in self._packer.drain():
-                    self._dispatch(group)
-                if self._target.is_async:
-                    # Replica dispatches resolve on router threads;
-                    # close() promises every accepted request resolves
-                    # before the worker is joined.
-                    self._target.barrier()
-                return
-            self._flush_due(everything=self._flush_ready())
+                self._backlog -= 1
+                flush = self._next_flush(full)
+            if flush is not None:
+                group, reason = flush
+                self.metrics.record_flush(reason)
+                self._dispatch(group)
+        if self._target.is_async:
+            # Replica dispatches resolve on router threads; close()
+            # promises every accepted request resolves before the
+            # worker is joined.
+            self._target.barrier()
 
-    def _flush_ready(self) -> bool:
-        """True when a flush is waiting and every request it covers
-        has left the tenant queues — the moment to force-drain the
-        packer.  Not earlier (covered requests still queued must get
-        their chance to pack together), not later (a covered request
-        in a partial group must not linger behind max_wait).
+    def _next_flush(self, full: PackGroup | None = None
+                    ) -> "tuple[PackGroup, str] | None":
+        """The one flush decision point, for every kind of target:
+        which open group to dispatch now, and why — or ``None``.
 
-        Only queue *heads* are inspected (O(tenants), not
-        O(backlog)): per-tenant queues are FIFO, so an older covered
-        request sits at the front.  Two submitters racing into one
-        queue can briefly hide a covered request behind a newer id;
-        the next pop re-checks, so the drain is only delayed by an
-        admit, never lost.
+        * ``full`` — the request just admitted filled its group;
+        * ``explicit`` — a :meth:`flush` is waiting (or the service is
+          closing) and every request it covers has left the tenant
+          queues: not earlier, so covered requests still pack together;
+        * ``ready`` — the work-conserving rule: no admitted request is
+          waiting in a tenant queue and the target can take a dispatch,
+          so holding the oldest group back would only add latency;
+        * ``timer`` — the oldest group has waited ``max_wait_s`` and
+          neither of the above came (a backlog that never drains, a
+          target that stays busy).  Consulted once the requests that
+          were already queued have been admitted (``_backlog``), so
+          whatever was submitted in time still rides along.
+
+        One group per call, oldest first; the worker looks at the
+        queues again before asking for the next.
         """
+        if full is not None:
+            return full, "full"
+        deadline = self._packer.next_deadline()
+        if deadline is None:
+            return None  # no open group
         with self._cond:
-            cutoff = max(self._flush_cutoffs, default=-1)
-            if cutoff < 0:
-                return False
-            return not any(
-                queue[0].handle.request_id <= cutoff
-                for queue in self._queues.values() if queue)
+            # Only queue *heads* are inspected (O(tenants), not
+            # O(backlog)): per-tenant queues are FIFO, so an older
+            # covered request sits at the front.  Two submitters
+            # racing into one queue can briefly hide a covered request
+            # behind a newer id; the next pop re-checks, so the flush
+            # is only delayed by an admit, never lost.
+            cutoff = (float("inf") if self._closing
+                      else max(self._flush_cutoffs, default=-1))
+            if cutoff >= 0 and not any(
+                    queue[0].handle.request_id <= cutoff
+                    for queue in self._queues.values()):
+                reason = "explicit"
+            elif not self._queues and self._target.ready():
+                reason = "ready"
+            elif self._backlog == 0 and clock.now() >= deadline:
+                reason = "timer"
+            else:
+                return None
+        return self._packer.take_oldest(), reason
 
-    def _admit(self, raw: _RawRequest) -> None:
-        """Prepare one raw request and pack (or directly dispatch) it."""
+    def _admit(self, raw: _RawRequest) -> PackGroup | None:
+        """Prepare one raw request and pack (or, with ``pack=False``,
+        directly dispatch) it; returns the group it filled, if any."""
         raw.admit_span.finish()  # queue wait ends here
         if (self.config.slo_aware and self.config.shed_lapsed
                 and raw.deadline is not None
@@ -1008,7 +1104,7 @@ class SimdramService:
             self._fail_request(raw.handle, raw.tenant, DeadlineExceeded(
                 f"request #{raw.handle.request_id} shed: deadline "
                 f"lapsed before admission"))
-            return
+            return None
         try:
             request = prepare(
                 raw.handle, raw.op_or_root, raw.operands, raw.feeds,
@@ -1016,7 +1112,7 @@ class SimdramService:
                 self._target.backend, raw.submitted_at)
         except Exception as error:  # noqa: BLE001 - fails its handle only
             self._fail_request(raw.handle, raw.tenant, error)
-            return
+            return None
         request.span = raw.handle.span
         request.deadline = raw.deadline
         if request.span.recording:
@@ -1026,21 +1122,11 @@ class SimdramService:
                 engine=request.key[1])
         raw.handle.n_elements = request.n_elements
         if not self.config.pack:
-            group = PackGroup(key=request.key,
-                              created_at=time.monotonic())
+            group = PackGroup(key=request.key, created_at=clock.now())
             group.add(request)
             self._dispatch(group)
-            return
-        full = self._packer.add(request)
-        if full is not None:
-            self._dispatch(full)
-
-    def _flush_due(self, everything: bool) -> None:
-        now = time.monotonic()
-        groups = (self._packer.drain() if everything
-                  else self._packer.due(now))
-        for group in groups:
-            self._dispatch(group)
+            return None
+        return self._packer.add(request)
 
     # ------------------------------------------------------------------
     # dispatch and scatter

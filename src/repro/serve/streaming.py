@@ -35,7 +35,12 @@ energy accumulates over the steps into
 
 All submissions into the service happen on one dedicated pump thread
 — never on the thread resolving a step's handle (a service worker or
-router thread), which must not block on admission control.
+router thread), which must not block on admission control.  The pump
+corks the service (:meth:`SimdramService.hold`) around each burst of
+events it finds waiting, so the steps one dispatch resolved together
+re-enter the packer together instead of racing the worker one by one;
+:meth:`StreamingServer.hold` extends the same cork to a batch of new
+streams.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -216,6 +222,20 @@ class StreamingServer:
         self._events.put(("start", stream, None))
         return stream
 
+    @contextmanager
+    def hold(self):
+        """Cork the wrapped service until the pump has submitted the
+        first step of every stream started inside the block, so those
+        steps pack the same way every time (the streaming counterpart
+        of :meth:`SimdramService.hold`)."""
+        with self.service.hold():
+            yield self
+            caught_up = threading.Event()
+            self._events.put(("sync", caught_up, None))
+            # A pump that close() already stopped will never answer.
+            while not caught_up.wait(0.05) and self._pump.is_alive():
+                pass
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -251,18 +271,31 @@ class StreamingServer:
     def _run(self) -> None:
         while True:
             event = self._events.get()
+            # One cork per burst: everything already waiting is
+            # submitted before the service's worker pops any of it.
+            with self.service.hold():
+                while event is not None:
+                    self._handle(*event)
+                    try:
+                        event = self._events.get_nowait()
+                    except queue.Empty:
+                        break
             if event is None:
                 return
-            kind, stream, handle = event
-            try:
-                if kind == "start":
-                    self._on_start(stream)
-                else:
-                    self._on_step_done(stream, handle)
-            except BaseException as error:  # noqa: BLE001 - never hang
-                # A pump failure must not strand callers blocked on
-                # stream handles: the stream that triggered it fails.
-                self._resolve(stream, error=error)
+
+    def _handle(self, kind: str, stream, handle) -> None:
+        if kind == "sync":
+            stream.set()  # a hold() waiting for the pump to catch up
+            return
+        try:
+            if kind == "start":
+                self._on_start(stream)
+            else:
+                self._on_step_done(stream, handle)
+        except BaseException as error:  # noqa: BLE001 - never hang
+            # A pump failure must not strand callers blocked on
+            # stream handles: the stream that triggered it fails.
+            self._resolve(stream, error=error)
 
     def _on_start(self, stream: StreamHandle) -> None:
         if not self.drain_between_steps:

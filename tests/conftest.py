@@ -11,6 +11,7 @@ import hypothesis_profiles  # noqa: F401
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.dram.subarray import Subarray
+from repro.obs import clock
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +40,22 @@ def pytest_runtest_makereport(item, call):
     if path:
         report.sections.append(
             ("flight recorder", f"postmortem written to {path}"))
+
+
+@pytest.fixture
+def fake_clock():
+    """Freeze ``repro.obs.clock`` and yield ``advance(dt)``; the real
+    clock is restored afterwards."""
+    state = {"t": 100.0}
+
+    def advance(dt: float) -> None:
+        state["t"] += dt
+
+    clock.set_source(lambda: state["t"])
+    try:
+        yield advance
+    finally:
+        clock.set_source(None)
 
 
 @pytest.fixture

@@ -121,6 +121,7 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "repro top · steady:steady" in out
         assert "serving   submitted" in out
+        assert "flushes   full " in out and "  timer 0  " in out
         assert "pmu m" in out and "bank 0" in out
         assert "none firing (4 rules armed)" in out
 

@@ -407,14 +407,13 @@ class TestServeEngines:
     def test_packing_keys_by_resolved_engine_name(self):
         """Same kernel at different engines must not share a pack."""
         sim = _make_sim()
-        with SimdramService(
-                sim, ServeConfig(max_lanes=64,
-                                 max_wait_s=30.0)) as service:
-            h1 = service.submit("add", [1], [2], width=8,
-                                engine="compiled")
-            h2 = service.submit("add", [3], [4], width=8,
-                                engine="vectorized")
-            service.flush()
+        with SimdramService(sim,
+                            ServeConfig(max_lanes=64)) as service:
+            with service.hold():   # both queued: they could share
+                h1 = service.submit("add", [1], [2], width=8,
+                                    engine="compiled")
+                h2 = service.submit("add", [3], [4], width=8,
+                                    engine="vectorized")
             assert np.array_equal(h1.result(60), [3])
             assert np.array_equal(h2.result(60), [7])
             assert service.stats()["packing"]["dispatches"] == 2

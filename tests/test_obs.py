@@ -44,21 +44,6 @@ def small_config() -> SimdramConfig:
         cols=32, data_rows=512, banks=2))
 
 
-@pytest.fixture
-def fake_clock():
-    """Install a manually-stepped clock; restore the real one after."""
-    state = {"t": 100.0}
-
-    def advance(dt: float) -> None:
-        state["t"] += dt
-
-    clock.set_source(lambda: state["t"])
-    try:
-        yield advance
-    finally:
-        clock.set_source(None)
-
-
 class TestClock:
     def test_now_is_monotonic_nondecreasing(self):
         a = clock.now()

@@ -16,24 +16,9 @@ import pytest
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.commands import CommandStats
 from repro.dram.geometry import DramGeometry
-from repro.obs import clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.pmu import DevicePmu, get_pmu
 from repro.runtime import SimdramCluster
-
-
-@pytest.fixture
-def fake_clock():
-    state = {"t": 100.0}
-
-    def advance(dt: float) -> None:
-        state["t"] += dt
-
-    clock.set_source(lambda: state["t"])
-    try:
-        yield advance
-    finally:
-        clock.set_source(None)
 
 
 def one_dispatch_delta() -> CommandStats:

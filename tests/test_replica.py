@@ -188,6 +188,53 @@ class TestReplicaDeath:
             # sabotaged); reap it so close() doesn't wait out a join.
             replicas.kill(0)
 
+    def test_mark_dead_waits_for_a_send_in_progress(self):
+        """Regression: ``_mark_dead`` closed the pipe while another
+        thread was inside ``send`` with the descriptor already read;
+        the failover that follows opens the re-homed job's payload
+        segment under the same number, and the late write put a
+        pickled message over its first operands (the kill drill
+        returned a wrong result about once in forty runs)."""
+
+        class SlowPipe:
+            """The victim's pipe, with ``send`` held open."""
+
+            def __init__(self, conn):
+                self.conn = conn
+                self.sending = threading.Event()
+                self.finish = threading.Event()
+                self.closed_mid_send = None
+
+            def send(self, message):
+                self.sending.set()
+                assert self.finish.wait(30)
+                self.sending.clear()
+
+            def close(self):
+                self.closed_mid_send = self.sending.is_set()
+                self.conn.close()
+
+            def recv(self):
+                return self.conn.recv()
+
+        with ReplicaSet(1, config=small_config()) as replicas:
+            victim = replicas.replicas[0]
+            pipe = victim.conn = SlowPipe(victim.conn)
+            sender = threading.Thread(
+                target=victim.send, args=(("ping", 0),))
+            burier = threading.Thread(
+                target=replicas._mark_dead, args=(victim,))
+            sender.start()
+            assert pipe.sending.wait(30)
+            burier.start()
+            burier.join(0.1)
+            waited = burier.is_alive()
+            pipe.finish.set()
+            sender.join(30)
+            burier.join(30)
+            assert waited and pipe.closed_mid_send is False
+            replicas.kill(0)   # reap the sabotaged handle's process
+
 
 # ---------------------------------------------------------------------------
 # router placement (no processes: fake replica set)
@@ -260,6 +307,24 @@ class TestRouterPlacement:
         fake.loads = {preferred: 5, other: 0}
         assert router.place(self.KEY_A) == other
         assert router.n_rebalanced == 1
+
+    def test_ready_while_under_two_packs_per_live_replica(self):
+        """The service's flush rule asks ``ready()``: one pack
+        executing and one in the pipe per live replica is the limit;
+        a death lowers it, and with no replica left a pack goes
+        straight through to fail fast instead of waiting."""
+        fake = _FakeReplicas([0, 1], {0: 0, 1: 0})
+        router = ReplicaRouter(fake)
+        for outstanding, ready in ((0, True), (3, True), (4, False)):
+            router._outstanding = outstanding
+            assert router.ready() is ready
+        fake._alive = [1]
+        router._outstanding = 2
+        assert not router.ready()
+        router._settle()                 # a completion frees a slot
+        assert router.ready()
+        fake._alive = []
+        assert router.ready()
 
     def test_no_live_replica_raises(self):
         router = ReplicaRouter(_FakeReplicas([], {}))
@@ -357,11 +422,11 @@ class TestReplicatedService:
 
     def test_service_close_resolves_everything(self):
         with ReplicaRouter(1, config=small_config()) as router:
-            service = SimdramService(router,
-                                     ServeConfig(max_wait_s=30.0))
-            handles = [service.submit("add", [i], [i], width=8)
-                       for i in range(4)]
-            service.close()
+            service = SimdramService(router)
+            with service.hold():   # still queued when close() comes
+                handles = [service.submit("add", [i], [i], width=8)
+                           for i in range(4)]
+                service.close()
             for i, handle in enumerate(handles):
                 assert handle.done()
                 assert np.array_equal(handle.result(0), [2 * i])

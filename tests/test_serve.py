@@ -10,6 +10,7 @@ own handle without corrupting any co-packed result.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -67,13 +68,20 @@ class TestLanePacker:
         assert len(packer.drain()) == 3
 
     def test_due_by_max_wait(self):
+        """The oldest open group goes first, and ``next_deadline`` is
+        when ``max_wait_s`` runs out for it."""
         packer = LanePacker(max_lanes=100, max_wait_s=1.0)
+        assert packer.next_deadline() is None
+        assert packer.take_oldest() is None
         packer.add(self._request("add", 2), now=0.0)
         packer.add(self._request("min", 2), now=0.5)
+        packer.add(self._request("add", 1), now=0.7)  # joins the oldest
         assert packer.next_deadline() == pytest.approx(1.0)
-        due = packer.due(now=1.1)
-        assert len(due) == 1 and due[0].requests[0].op_name == "add"
-        assert packer.due(now=1.6)[0].requests[0].op_name == "min"
+        oldest = packer.take_oldest()
+        assert [r.op_name for r in oldest.requests] == ["add", "add"]
+        assert packer.next_deadline() == pytest.approx(1.5)
+        assert packer.take_oldest().requests[0].op_name == "min"
+        assert packer.next_deadline() is None
 
     def test_pack_slices_cover_all_lanes(self):
         packer = LanePacker(max_lanes=100, max_wait_s=100.0)
@@ -193,36 +201,38 @@ class TestServeDifferential:
             closer = target
 
         try:
-            with SimdramService(
-                    target,
-                    ServeConfig(max_wait_s=30.0)) as service:
+            with SimdramService(target) as service:
                 cases = []
                 poisoned = []
-                for width in WIDTHS:
-                    for i, (kind, op_or_root, vectors) in enumerate(
-                            _mixed_requests(rng, width)):
-                        if kind == "op":
-                            handle = service.submit(
-                                op_or_root, *vectors, width=width,
-                                tenant=f"tenant{i % 3}")
-                        else:
-                            names = list(expr.analyze(
-                                op_or_root, width).input_widths)
-                            handle = service.submit(
-                                op_or_root,
-                                feeds=dict(zip(names, vectors)),
-                                width=width)
-                        cases.append((handle, kind, op_or_root,
-                                      vectors, width))
-                    # Mid-batch poison: wrong feed name, detected at
-                    # prepare time on the worker — co-packed requests
-                    # must be unaffected.
-                    poisoned.append(service.submit(
-                        brighten_expr(),
-                        feeds={"x": rng.integers(0, 4, 2),
-                               "bogus": rng.integers(0, 4, 2)},
-                        width=width))
-                service.flush()
+                # Corked, so the burst packs the same way every
+                # run — one group per (kernel, width) — whatever
+                # the thread scheduling.
+                with service.hold():
+                    for width in WIDTHS:
+                        for i, (kind, op_or_root, vectors) in enumerate(
+                                _mixed_requests(rng, width)):
+                            if kind == "op":
+                                handle = service.submit(
+                                    op_or_root, *vectors, width=width,
+                                    tenant=f"tenant{i % 3}")
+                            else:
+                                names = list(expr.analyze(
+                                    op_or_root, width).input_widths)
+                                handle = service.submit(
+                                    op_or_root,
+                                    feeds=dict(zip(names, vectors)),
+                                    width=width)
+                            cases.append((handle, kind, op_or_root,
+                                          vectors, width))
+                        # Mid-batch poison: wrong feed name, detected at
+                        # prepare time on the worker — co-packed requests
+                        # must be unaffected.
+                        poisoned.append(service.submit(
+                            brighten_expr(),
+                            feeds={"x": rng.integers(0, 4, 2),
+                                   "bogus": rng.integers(0, 4, 2)},
+                            width=width))
+                service.drain(60)
 
                 for handle, kind, op_or_root, vectors, width in cases:
                     golden = _sequential_reference(
@@ -239,10 +249,10 @@ class TestServeDifferential:
                 assert stats["requests"]["failed"] == len(poisoned)
                 assert (stats["requests"]["completed"]
                         == len(cases))
-                # Packing actually happened: far fewer dispatches
-                # than requests.
+                # Exactly one dispatch per (kernel, width): add, min
+                # and the fused expression at each of the widths.
                 packing = stats["packing"]
-                assert packing["dispatches"] < len(cases)
+                assert packing["dispatches"] == 3 * len(WIDTHS)
                 assert packing["packed_requests"] == len(cases)
                 assert packing["requests_per_dispatch"] > 2
         finally:
@@ -270,9 +280,7 @@ class TestServeDifferential:
                             device=lazy.device(eval_target))
             engine_result = ((px + 7) * 2).numpy()
 
-            with SimdramService(
-                    serve_target,
-                    ServeConfig(max_wait_s=0.01)) as service:
+            with SimdramService(serve_target) as service:
                 px2 = lazy.array(values, width=8,
                                  device=lazy.device(serve_target))
                 served = service.submit((px2 + 7) * 2).result(60)
@@ -290,8 +298,7 @@ class TestSequentialFallback:
         """A packed dispatch that raises falls back to per-request
         execution: only the poisoned request fails its handle."""
         sim = Simdram(small_config(), seed=2)
-        with SimdramService(sim,
-                            ServeConfig(max_wait_s=30.0)) as service:
+        with SimdramService(sim) as service:
             target = service._target
             real_map = target.map_op
             poison_n = 3   # the only request with 3 lanes
@@ -302,10 +309,12 @@ class TestSequentialFallback:
                 return real_map(op_name, vectors, width, engine)
 
             target.map_op = flaky_map
-            good_a = service.submit("add", [1], [2], width=8)
-            bad = service.submit("add", [1, 2, 3], [4, 5, 6], width=8)
-            good_b = service.submit("add", [9], [10], width=8)
-            service.flush()
+            with service.hold():   # all three in one pack
+                good_a = service.submit("add", [1], [2], width=8)
+                bad = service.submit("add", [1, 2, 3], [4, 5, 6],
+                                     width=8)
+                good_b = service.submit("add", [9], [10], width=8)
+            service.drain(60)
 
             assert np.array_equal(good_a.result(60), [3])
             assert np.array_equal(good_b.result(60), [19])
@@ -317,11 +326,15 @@ class TestSequentialFallback:
             assert stats["requests"]["failed"] == 1
             assert stats["requests"]["completed"] == 2
 
-    def test_worker_crash_fails_pending_handles(self):
+    def test_worker_crash_fails_pending_handles(self, monkeypatch):
         """An unexpected batcher failure must fail pending handles
-        instead of stranding callers (and close must still work)."""
+        instead of stranding callers (and close must still work).  The
+        crash guard re-raises on the worker thread so the failure is
+        loud; the test takes delivery of that exception itself."""
+        surfaced = []
+        monkeypatch.setattr(threading, "excepthook", surfaced.append)
         sim = Simdram(small_config(), seed=2)
-        service = SimdramService(sim, ServeConfig(max_wait_s=30.0))
+        service = SimdramService(sim)
         try:
             def exploding_add(*args, **kwargs):
                 raise RuntimeError("batcher bug")
@@ -333,21 +346,26 @@ class TestSequentialFallback:
             service.flush()   # must not hang on a dead worker
         finally:
             service.close()
+        (crash,) = surfaced
+        assert crash.thread is service._worker
+        assert "batcher bug" in str(crash.exc_value)
 
     def test_fallback_disabled_fails_whole_group(self):
         sim = Simdram(small_config(), seed=2)
         with SimdramService(
-                sim, ServeConfig(max_wait_s=30.0,
-                                 fallback_sequential=False)) as service:
+                sim,
+                ServeConfig(fallback_sequential=False)) as service:
             target = service._target
 
             def broken_map(op_name, vectors, width, engine):
                 raise OperationError("device down")
 
             target.map_op = broken_map
-            handles = [service.submit("add", [i], [i], width=8)
-                       for i in range(3)]
-            service.flush()
+            with service.hold():
+                handles = [service.submit("add", [i], [i], width=8)
+                           for i in range(3)]
+            service.drain(60)
+            assert service.stats()["packing"]["sequential_fallbacks"] == 0
             for handle in handles:
                 with pytest.raises(OperationError, match="device down"):
                     handle.result(60)
@@ -356,30 +374,53 @@ class TestSequentialFallback:
 # ---------------------------------------------------------------------------
 # admission control and lifecycle
 # ---------------------------------------------------------------------------
+def _block_dispatches(service):
+    """Make the service's dispatches wait inside the target until the
+    test sets ``release`` — an accepted request that is deterministically
+    unresolved, without any timer.  Returns ``(entered, release)``."""
+    entered, release = threading.Event(), threading.Event()
+    real_map = service._target.map_op
+
+    def blocked_map(*args, **kwargs):
+        entered.set()
+        assert release.wait(60)
+        return real_map(*args, **kwargs)
+
+    service._target.map_op = blocked_map
+    return entered, release
+
+
 class TestAdmission:
     def test_nonblocking_reject_when_full(self):
         sim = Simdram(small_config(), seed=1)
-        service = SimdramService(
-            sim, ServeConfig(max_queue=1, max_wait_s=30.0))
-        try:
-            service.submit("add", [1], [2], width=8)
-            with pytest.raises(AdmissionError, match="queue full"):
-                service.submit("add", [3], [4], width=8, block=False)
-            assert service.stats()["requests"]["rejected"] == 1
-        finally:
-            service.close()
+        with SimdramService(sim, ServeConfig(max_queue=1)) as service:
+            entered, release = _block_dispatches(service)
+            first = service.submit("add", [1], [2], width=8)
+            assert entered.wait(60)
+            try:
+                with pytest.raises(AdmissionError, match="queue full"):
+                    service.submit("add", [3], [4], width=8,
+                                   block=False)
+                assert service.stats()["requests"]["rejected"] == 1
+            finally:
+                release.set()
+            assert np.array_equal(first.result(60), [3])
 
     def test_blocking_timeout(self):
+        """A blocking submit gives up after ``timeout`` while the
+        queue stays full."""
         sim = Simdram(small_config(), seed=1)
-        service = SimdramService(
-            sim, ServeConfig(max_queue=1, max_wait_s=30.0))
-        try:
-            service.submit("add", [1], [2], width=8)
-            with pytest.raises(AdmissionError, match="timed out"):
-                service.submit("add", [3], [4], width=8,
-                               timeout=0.05)
-        finally:
-            service.close()
+        with SimdramService(sim, ServeConfig(max_queue=1)) as service:
+            entered, release = _block_dispatches(service)
+            first = service.submit("add", [1], [2], width=8)
+            assert entered.wait(60)
+            try:
+                with pytest.raises(AdmissionError, match="timed out"):
+                    service.submit("add", [3], [4], width=8,
+                                   timeout=0.05)
+            finally:
+                release.set()
+            assert np.array_equal(first.result(60), [3])
 
     def test_submit_after_close_rejected(self):
         sim = Simdram(small_config(), seed=1)
@@ -391,9 +432,10 @@ class TestAdmission:
     def test_close_resolves_pending_requests(self):
         """Close flushes open pack groups instead of dropping them."""
         sim = Simdram(small_config(), seed=1)
-        service = SimdramService(sim, ServeConfig(max_wait_s=30.0))
-        handle = service.submit("add", [5], [6], width=8)
-        service.close()
+        service = SimdramService(sim)
+        with service.hold():   # still queued when close() is called
+            handle = service.submit("add", [5], [6], width=8)
+            service.close()
         assert np.array_equal(handle.result(timeout=60), [11])
 
     def test_close_is_idempotent_and_concurrent(self):
@@ -416,8 +458,7 @@ class TestAdmission:
         stop = threading.Event()
         submitted = []
 
-        with SimdramService(sim,
-                            ServeConfig(max_wait_s=30.0)) as service:
+        with SimdramService(sim) as service:
             mine = [service.submit("add", [i], [i], width=8,
                                    tenant="checkpointer")
                     for i in range(4)]
@@ -435,7 +476,7 @@ class TestAdmission:
                 service.flush()
                 elapsed = time.monotonic() - start
                 # All of the checkpointer's pre-flush requests are
-                # resolved, long before the 30 s max_wait window.
+                # resolved while the noisy tenant keeps submitting.
                 assert all(handle.done() for handle in mine)
                 assert elapsed < 10.0
                 for i, handle in enumerate(mine):
@@ -465,8 +506,7 @@ class TestAdmission:
         outcomes: list = []
         lock = threading.Lock()
         with SimdramService(
-                sim, ServeConfig(max_queue=2,
-                                 max_wait_s=0.0005)) as service:
+                sim, ServeConfig(max_queue=2)) as service:
             def spam():
                 for _ in range(per_thread):
                     try:
@@ -491,6 +531,354 @@ class TestAdmission:
         for handle in outcomes:
             if handle is not None:
                 assert np.array_equal(handle.result(60), [3])
+
+
+# ---------------------------------------------------------------------------
+# the flush rule: work-conserving, max_wait_s only as the upper bound
+# ---------------------------------------------------------------------------
+def _count_resolutions(handles) -> list[int]:
+    """One counter per handle, bumped by its done-callback."""
+    counts = [0] * len(handles)
+
+    def bump(index):
+        counts[index] += 1
+
+    for index, handle in enumerate(handles):
+        handle.add_done_callback(lambda _h, index=index: bump(index))
+    return counts
+
+
+class _HandDrivenTarget:
+    """An asynchronous dispatch target the test completes by hand.
+
+    Takes one pack at a time (``ready()`` is false while one is
+    outstanding); :meth:`complete_one` runs the oldest outstanding pack
+    on the wrapped in-process target and fires its callback from the
+    calling thread, the way a router thread would."""
+
+    is_async = True
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._packs: list = []
+        self._idle = threading.Condition()
+        self.accepted = threading.Semaphore(0)
+        self.ready_calls = 0
+
+    def __getattr__(self, name):   # lanes, backend, paging_stats, ...
+        return getattr(self._inner, name)
+
+    def ready(self) -> bool:
+        self.ready_calls += 1
+        return not self._packs
+
+    def submit_pack(self, request, vectors, lanes, on_done) -> None:
+        self._packs.append((request, vectors, on_done))
+        self.accepted.release()
+
+    def complete_one(self) -> None:
+        request, vectors, on_done = self._packs.pop(0)
+        out = self._inner.map_op(request.op_name, vectors,
+                                 request.width, request.engine)
+        on_done(out, None, None)
+        with self._idle:
+            self._idle.notify_all()
+
+    def barrier(self, timeout=None) -> bool:
+        with self._idle:
+            return self._idle.wait_for(lambda: not self._packs, timeout)
+
+
+class TestFlushRule:
+    def test_lone_request_does_not_wait_for_the_timer(self):
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim,
+                            ServeConfig(max_wait_s=30.0)) as service:
+            handle = service.submit("add", [1], [2], width=8)
+            assert np.array_equal(handle.result(timeout=2), [3])
+            assert service.stats()["packing"]["flushes"] == {
+                "full": 0, "ready": 1, "timer": 0, "explicit": 0}
+
+    def test_closed_loop_of_lone_requests_never_uses_the_timer(self):
+        """One outstanding request at a time (the ``serve_solo``
+        shape): every flush is a ``ready`` flush."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim) as service:
+            for i in range(20):
+                op = ("add", "min")[i % 2]
+                service.submit(op, [i], [1], width=8).result(timeout=2)
+            flushes = service.stats()["packing"]["flushes"]
+            assert flushes == {"full": 0, "ready": 20, "timer": 0,
+                               "explicit": 0}
+            assert 'repro_serve_flushes_total{reason="ready"} 20' \
+                in service.prometheus()
+
+    def test_held_burst_packs_into_full_groups(self):
+        """3x capacity lanes submitted under hold(): exactly three
+        dispatches, each full, every result bit-exact."""
+        sim = Simdram(small_config(), seed=1)
+        rng = np.random.default_rng(3)
+        sizes = (3, 5, 8, 4, 1, 3)          # 24 lanes = 3 x 8
+        with SimdramService(sim, ServeConfig(max_lanes=8)) as service:
+            with service.hold():
+                cases = []
+                for n in sizes:
+                    a = rng.integers(0, 256, n)
+                    b = rng.integers(0, 256, n)
+                    cases.append((a, b, service.submit("add", a, b,
+                                                       width=8)))
+                assert not any(h.done() for _, _, h in cases)
+            for a, b, handle in cases:
+                assert np.array_equal(handle.result(60), (a + b) % 256)
+            packing = service.stats()["packing"]
+            assert packing["dispatches"] == 3
+            assert packing["lane_occupancy"] == pytest.approx(1.0)
+            assert packing["flushes"]["full"] == 3
+
+    def test_hold_yields_to_a_full_queue(self):
+        """A blocking submit under hold() cannot deadlock: a queue at
+        max_queue uncorks itself."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim, ServeConfig(max_queue=2)) as service:
+            with service.hold():
+                handles = [service.submit("add", [i], [i], width=8,
+                                          timeout=30)
+                           for i in range(5)]
+            for i, handle in enumerate(handles):
+                assert np.array_equal(handle.result(60), [2 * i])
+
+    def test_rare_kernel_flushes_within_max_wait_under_backlog(
+            self, fake_clock):
+        """Starvation bound: while a producer keeps the queues
+        non-empty the ``ready`` rule never fires, and a rare kernel's
+        group goes out when ``max_wait_s`` runs out — not before."""
+        sim = Simdram(small_config(), seed=1)
+        config = ServeConfig(max_lanes=4, max_wait_s=1.0)
+        with SimdramService(sim, config) as service:
+            real_map = service._target.map_op
+            feeding = threading.Event()
+            feeding.set()
+            dispatches = []
+            backlog_seen = threading.Event()
+
+            def feeding_map(op_name, vectors, width, engine):
+                # The producer: each dispatch of the common kernel
+                # leaves a full group's worth of new requests in the
+                # queue before it returns, so the worker never finds
+                # the queues empty.
+                if op_name == "add" and feeding.is_set():
+                    for _ in range(4):
+                        service.submit("add", [1], [2], width=8)
+                    dispatches.append(op_name)
+                    if len(dispatches) >= 25:
+                        backlog_seen.set()
+                return real_map(op_name, vectors, width, engine)
+
+            service._target.map_op = feeding_map
+            with service.hold():
+                rare = service.submit("min", [7], [9], width=8)
+                for _ in range(5):
+                    service.submit("add", [1], [2], width=8)
+            assert backlog_seen.wait(60)
+            assert not rare.done()       # 25 dispatches went past it
+            fake_clock(config.max_wait_s)
+            assert np.array_equal(rare.result(60), [7])
+            feeding.clear()
+            assert service.drain(60)
+            flushes = service.stats()["packing"]["flushes"]
+            assert flushes["timer"] == 1
+            assert flushes["full"] >= 25
+
+    def test_busy_async_target_holds_groups_until_a_completion(self):
+        """``ready()`` false keeps groups open (they fill meanwhile);
+        the completion that flips it wakes the worker — no polling."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim,
+                            ServeConfig(max_wait_s=30.0)) as service:
+            target = _HandDrivenTarget(service._target)
+            service._target = target
+            first = service.submit("add", [1], [2], width=8)
+            assert target.accepted.acquire(timeout=60)  # sent at once
+            second = service.submit("min", [3], [4], width=8)
+            third = service.submit("min", [5], [6], width=8)
+            deadline = time.monotonic() + 60
+            while (service.stats()["queue"]["queued"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            # Both are admitted, the target is busy: nothing is sent,
+            # and the worker sleeps instead of asking again.
+            time.sleep(0.05)
+            calls = target.ready_calls
+            time.sleep(0.1)
+            assert target.ready_calls == calls
+            assert not target.accepted.acquire(blocking=False)
+            assert not second.done()
+
+            target.complete_one()
+            assert np.array_equal(first.result(60), [3])
+            assert target.accepted.acquire(timeout=2)   # woken by it
+            target.complete_one()
+            assert np.array_equal(second.result(60), [3])
+            assert np.array_equal(third.result(60), [5])
+            packing = service.stats()["packing"]
+            assert packing["dispatches"] == 2   # the two mins shared one
+            assert packing["flushes"] == {"full": 0, "ready": 2,
+                                          "timer": 0, "explicit": 0}
+
+    def test_busy_async_target_is_bounded_by_max_wait(self, fake_clock):
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim,
+                            ServeConfig(max_wait_s=5.0)) as service:
+            target = _HandDrivenTarget(service._target)
+            service._target = target
+            first = service.submit("add", [1], [2], width=8)
+            assert target.accepted.acquire(timeout=60)
+            second = service.submit("min", [3], [4], width=8)
+            deadline = time.monotonic() + 60
+            while (service.stats()["queue"]["queued"]
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert not target.accepted.acquire(timeout=0.05)
+            fake_clock(5.0)
+            with service._cond:           # a wake-up, any wake-up
+                service._cond.notify_all()
+            assert target.accepted.acquire(timeout=60)
+            target.complete_one()
+            target.complete_one()
+            assert np.array_equal(first.result(60), [3])
+            assert np.array_equal(second.result(60), [3])
+            assert service.stats()["packing"]["flushes"]["timer"] == 1
+
+    def test_hold_and_submit_race_stress(self):
+        """More submitters than cores, a tiny GIL switch interval,
+        bursts going in and out of hold() while others submit freely:
+        every handle resolves exactly once with the right value and
+        every dispatch is accounted to a flush reason."""
+        import sys
+        sim = Simdram(small_config(), seed=1)
+        n_threads, per_thread = 6, 40
+        handles: list = [None] * (n_threads * per_thread)
+        errors: list = []
+
+        def submitter(thread_index: int, service) -> None:
+            try:
+                for burst in range(per_thread // 4):
+                    base = thread_index * per_thread + burst * 4
+                    cork = (service.hold() if (burst + thread_index) % 2
+                            else contextlib.nullcontext())
+                    with cork:
+                        for k in range(4):
+                            i = base + k
+                            handles[i] = service.submit(
+                                ("add", "min")[i % 2], [i % 100], [3],
+                                width=8, tenant=f"t{thread_index}",
+                                timeout=60)
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SimdramService(sim, ServeConfig(max_queue=32,
+                                                 max_lanes=8)) as service:
+                threads = [threading.Thread(target=submitter,
+                                            args=(t, service))
+                           for t in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                counts = _count_resolutions(handles)
+                assert service.drain(120)
+                stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        for i, handle in enumerate(handles):
+            want = (i % 100) + 3 if i % 2 == 0 else min(i % 100, 3)
+            assert np.array_equal(handle.result(0), [want])
+        assert counts == [1] * len(handles)
+        assert service._held == 0
+        assert stats["requests"]["completed"] == len(handles)
+        assert stats["requests"]["in_flight"] == 0
+        assert sum(stats["packing"]["flushes"].values()) \
+            == stats["packing"]["dispatches"]
+
+    def test_flush_resolves_every_handle_exactly_once(self):
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim,
+                            ServeConfig(max_wait_s=30.0)) as service:
+            with service.hold():
+                handles = [service.submit(("add", "min", "max")[i % 3],
+                                          [i], [1], width=8)
+                           for i in range(9)]
+                counts = _count_resolutions(handles)
+                service.flush()           # overrides the cork
+                assert all(handle.done() for handle in handles)
+            service.flush()               # nothing left: returns
+            stats = service.stats()
+        assert counts == [1] * 9
+        assert stats["requests"]["completed"] == 9
+        assert stats["requests"]["in_flight"] == 0
+        assert stats["packing"]["flushes"]["explicit"] == 3
+
+    def test_close_resolves_every_handle_exactly_once(self):
+        sim = Simdram(small_config(), seed=1)
+        service = SimdramService(sim, ServeConfig(max_wait_s=30.0))
+        target = _HandDrivenTarget(service._target)
+        service._target = target
+        blocker = service.submit("add", [0], [0], width=8)
+        assert target.accepted.acquire(timeout=60)
+        # Queued, packed-but-open and in-flight, all at once.
+        handles = [blocker] + [
+            service.submit(("add", "min")[i % 2], [i], [1], width=8)
+            for i in range(6)]
+        counts = _count_resolutions(handles)
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        target.complete_one()             # the blocker
+        deadline = time.monotonic() + 60
+        while closer.is_alive() and time.monotonic() < deadline:
+            if target.accepted.acquire(timeout=0.01):
+                target.complete_one()
+        closer.join(60)
+        assert not closer.is_alive()
+        assert counts == [1] * 7
+        assert all(handle.exception(0) is None for handle in handles)
+
+    def test_crash_resolves_every_handle_exactly_once(self, monkeypatch):
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        sim = Simdram(small_config(), seed=1)
+        service = SimdramService(sim, ServeConfig(max_wait_s=30.0))
+        try:
+            real_add = service._packer.add
+            seen = []
+
+            def add_then_explode(request, now=None):
+                seen.append(request)
+                if len(seen) == 3:
+                    raise RuntimeError("batcher bug")
+                return real_add(request, now)
+
+            service._packer.add = add_then_explode
+            with service.hold():
+                # Two reach open groups, the third crashes the worker
+                # while it is being processed, two are still queued.
+                handles = [service.submit(("add", "min")[i % 2], [i],
+                                          [1], width=8)
+                           for i in range(5)]
+                counts = _count_resolutions(handles)
+            for handle in handles:
+                with pytest.raises(RuntimeError, match="batcher bug"):
+                    handle.result(60)
+            service.flush()               # must not hang
+        finally:
+            service.close()
+        assert counts == [1] * 5
+        stats = service.stats()
+        assert stats["requests"]["failed"] == 5
+        assert stats["requests"]["in_flight"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +926,8 @@ class TestFairScheduling:
         tenants leave no per-tenant state behind (high-cardinality
         tenant ids must not grow the scheduler)."""
         sim = Simdram(small_config(), seed=1)
-        with SimdramService(sim, ServeConfig(max_wait_s=0.001),
-                            tenants={"a": 1.0, "b": 1.0}) as service:
+        with SimdramService(
+                sim, tenants={"a": 1.0, "b": 1.0}) as service:
             for _ in range(4):
                 service.submit("add", [1], [2], tenant="a").result(60)
             service.submit("add", [1], [2], tenant="b").result(60)
@@ -577,15 +965,16 @@ class TestWarmupAndMetrics:
         """8 single-lane requests into an 8-lane service: exactly one
         dispatch at 100% occupancy."""
         sim = Simdram(small_config(), seed=1)
-        with SimdramService(
-                sim, ServeConfig(max_lanes=8,
-                                 max_wait_s=30.0)) as service:
-            handles = [service.submit("add", [i], [i], width=8)
-                       for i in range(8)]
+        with SimdramService(sim, ServeConfig(max_lanes=8)) as service:
+            with service.hold():
+                handles = [service.submit("add", [i], [i], width=8)
+                           for i in range(8)]
             for i, handle in enumerate(handles):
                 assert np.array_equal(handle.result(60), [2 * i])
             packing = service.stats()["packing"]
             assert packing["dispatches"] == 1
+            assert packing["flushes"] == {"full": 1, "ready": 0,
+                                          "timer": 0, "explicit": 0}
             assert packing["requests_per_dispatch"] == 8
             assert packing["lane_occupancy"] == pytest.approx(1.0)
             assert packing["packing_efficiency"] == pytest.approx(

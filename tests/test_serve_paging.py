@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.runtime import SimdramCluster
-from repro.serve import ServeConfig, SimdramService
+from repro.serve import SimdramService
 
 WIDTH = 8
 COLS = 32
@@ -45,17 +45,15 @@ class TestServePagingCounters:
             cluster.synchronize()
             assert cluster.paging_stats().n_spills == 0
 
-            with SimdramService(
-                    cluster,
-                    ServeConfig(max_wait_s=30.0)) as service:
+            with SimdramService(cluster) as service:
                 requests = []
-                for _ in range(4):
-                    a = rng.integers(0, 256, 16)
-                    b = rng.integers(0, 256, 16)
-                    requests.append(
-                        (service.submit("add", a, b, width=WIDTH),
-                         (a + b) % 256))
-                service.flush()
+                with service.hold():   # one pack of four
+                    for _ in range(4):
+                        a = rng.integers(0, 256, 16)
+                        b = rng.integers(0, 256, 16)
+                        requests.append(
+                            (service.submit("add", a, b, width=WIDTH),
+                             (a + b) % 256))
                 for handle, golden in requests:
                     assert np.array_equal(handle.result(60), golden)
 
@@ -93,13 +91,10 @@ class TestServePagingCounters:
         with tiny_cluster(data_rows=512) as cluster:
             residents = [cluster.tensor(rng.integers(0, 256, LANES),
                                         WIDTH) for _ in range(6)]
-            with SimdramService(
-                    cluster,
-                    ServeConfig(max_wait_s=30.0)) as service:
+            with SimdramService(cluster) as service:
                 a = rng.integers(0, 256, 16)
                 b = rng.integers(0, 256, 16)
                 handle = service.submit("add", a, b, width=WIDTH)
-                service.flush()
                 assert np.array_equal(handle.result(60),
                                       (a + b) % 256)
                 paging = service.stats()["paging"]

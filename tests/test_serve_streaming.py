@@ -23,7 +23,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.runtime import SimdramCluster
 from repro.serve import (
-    ServeConfig,
     SimdramService,
     StreamingServer,
     affine_relu_step,
@@ -45,8 +44,8 @@ def cluster():
 
 
 def make_service(cluster, tracer=None) -> SimdramService:
-    return SimdramService(cluster, ServeConfig(max_wait_s=0.002),
-                          tracer=tracer, registry=MetricsRegistry())
+    return SimdramService(cluster, tracer=tracer,
+                          registry=MetricsRegistry())
 
 
 def _stagger(wave, min_steps=2, timeout=30.0):
@@ -71,13 +70,17 @@ class TestContinuousBatching:
                 StreamingServer(service) as server:
             service.warmup([(step, WIDTH)])
             service.metrics.reset()
-            wave1 = [server.submit(step, x0, n_steps=n_steps,
-                                   width=WIDTH, feeds={"w": weights})
-                     for x0 in inputs[:n_streams]]
+            # Each wave arrives corked: its first steps share one
+            # dispatch whatever the thread scheduling.
+            with server.hold():
+                wave1 = [server.submit(step, x0, n_steps=n_steps,
+                                       width=WIDTH, feeds={"w": weights})
+                         for x0 in inputs[:n_streams]]
             _stagger(wave1)
-            wave2 = [server.submit(step, x0, n_steps=n_steps,
-                                   width=WIDTH, feeds={"w": weights})
-                     for x0 in inputs[n_streams:]]
+            with server.hold():
+                wave2 = [server.submit(step, x0, n_steps=n_steps,
+                                       width=WIDTH, feeds={"w": weights})
+                         for x0 in inputs[n_streams:]]
             for handle, x0 in zip(wave1 + wave2, inputs):
                 assert np.array_equal(
                     handle.result(120),
@@ -88,8 +91,33 @@ class TestContinuousBatching:
         total_steps = 2 * n_streams * n_steps
         assert stats["requests"]["completed"] == total_steps
         # Continuous batching: steps of concurrent streams share
-        # dispatches instead of going out one by one.
-        assert stats["packing"]["dispatches"] < total_steps
+        # dispatches instead of going out one by one — at the very
+        # least each wave's first step, which went out as one pack.
+        assert stats["packing"]["dispatches"] \
+            <= total_steps - 2 * (n_streams - 1)
+
+    def test_hold_packs_a_wave_into_one_dispatch(self, cluster):
+        """Streams started under ``server.hold()`` take their first
+        step together: the cork stays in until the pump has submitted
+        every one of them."""
+        step = affine_relu_step()
+        rng = np.random.default_rng(2)
+        inputs = [rng.integers(1, 100, 8) for _ in range(6)]
+        weights = rng.integers(0, 4, 8)
+        with make_service(cluster) as service, \
+                StreamingServer(service) as server:
+            with server.hold():
+                wave = [server.submit(step, x0, n_steps=1, width=WIDTH,
+                                      feeds={"w": weights})
+                        for x0 in inputs]
+                assert not any(handle.done() for handle in wave)
+            for handle, x0 in zip(wave, inputs):
+                assert np.array_equal(
+                    handle.result(120),
+                    stream_golden(step, x0, 1, {"w": weights}, WIDTH))
+            packing = service.stats()["packing"]
+        assert packing["dispatches"] == 1
+        assert packing["packed_requests"] == len(inputs)
 
     def test_drain_mode_bit_exact_with_mixed_depths(self, cluster):
         """Lockstep generations stay correct even when the streams of
