@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run every CI benchmark gate and publish one unified report.
 
-The single entry point the CI benchmark job calls.  Executes all nine
+The single entry point the CI benchmark job calls.  Executes all ten
 regression gates —
 
 * ``vectorized`` — batched execution engine >= 5x the per-bank
@@ -29,6 +29,9 @@ regression gates —
 * ``slo`` — SLO-aware admission >= 1.5x FIFO goodput under 2x
   overload, and continuous batching of staggered multi-step streams
   >= 1.3x the drain-between-steps modeled throughput (``bench_slo``);
+* ``compile`` — host time per emitted µOp of ``div@32`` <= 1.3x that
+  of ``div@8``, and of ``mul@32`` <= 1.4x that of ``mul@8``: Step 2
+  is linear in the operation's size (``bench_compile``);
 
 — merges their sections into one schema-versioned ``bench_ci.json``
 (see :mod:`gate_utils` for the layout) and exits nonzero listing
@@ -49,6 +52,7 @@ import traceback
 
 import bench_ci_smoke
 import bench_cluster
+import bench_compile
 import bench_compiled
 import bench_fusion
 import bench_lazy
@@ -70,6 +74,7 @@ GATES = (
     ("scale_out", bench_scale_out),
     ("obs", bench_obs),
     ("slo", bench_slo),
+    ("compile", bench_compile),
 )
 
 

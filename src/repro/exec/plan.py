@@ -47,7 +47,7 @@ from repro.dram.subarray import WORDLINE_PLANE, majority3
 from repro.errors import AddressError, CommandError, ExecutionError
 from repro.exec.layout import RowLayout
 from repro.uprog.program import MicroProgram
-from repro.uprog.uops import UAap, UAp
+from repro.uprog.uops import UAap, UAp, URow
 
 
 class StepKind(enum.IntEnum):
@@ -266,7 +266,16 @@ def compile_plan(program: MicroProgram, layout: RowLayout,
     """
     layout.check(program, geometry)
 
-    def resolve(urow) -> RowAddress:
+    # A µProgram touches few distinct rows and repeats (src, dst) pairs
+    # (every TRA, every operand reload), so both lookups are memoized
+    # for the duration of this call.
+    resolved: dict[URow, RowAddress] = {}
+    classified: dict[tuple[RowAddress, RowAddress | None], PlanStep] = {}
+
+    def resolve(urow: URow) -> RowAddress:
+        address = resolved.get(urow)
+        if address is not None:
+            return address
         address = layout.resolve(urow)
         # The per-bank path bounds-checks data rows per activation; the
         # plan front-loads the same check (same error, at compile time).
@@ -275,19 +284,26 @@ def compile_plan(program: MicroProgram, layout: RowLayout,
             raise AddressError(
                 f"data row {address.index} out of range "
                 f"[0, {geometry.data_rows})")
+        resolved[urow] = address
         return address
+
+    def classify(src: RowAddress, dst: RowAddress | None) -> PlanStep:
+        step = classified.get((src, dst))
+        if step is None:
+            step = classified[src, dst] = _classify(src, dst)
+        return step
 
     steps: list[PlanStep] = []
     stats = CommandStats()
     for uop in program.uops:
         if isinstance(uop, UAp):
             addr = resolve(uop.addr)
-            steps.append(_classify(addr, None))
+            steps.append(classify(addr, None))
             stats.record_ap(addr.n_wordlines)
         elif isinstance(uop, UAap):
             src = resolve(uop.src)
             dst = resolve(uop.dst)
-            steps.append(_classify(src, dst))
+            steps.append(classify(src, dst))
             stats.record_aap(src.n_wordlines, dst.n_wordlines)
         else:
             raise ExecutionError(f"unknown µOp {uop!r}")

@@ -52,6 +52,8 @@ class Mig:
         self._hash: dict[tuple[Ref, Ref, Ref], int] = {}
         self._outputs: list[tuple[str, Ref]] = []
         self._output_names: set[str] = set()
+        #: Memo of :meth:`live_nodes`; dropped when the graph changes.
+        self._live: list[int] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -124,6 +126,7 @@ class Mig:
             self._input_names.append(None)
             node = len(self._children) - 1
             self._hash[children] = node
+            self._live = None
         return Ref(node, False)
 
     def and_(self, a: Ref, b: Ref) -> Ref:
@@ -147,6 +150,7 @@ class Mig:
             raise SynthesisError(f"duplicate output name {name!r}")
         self._output_names.add(name)
         self._outputs.append((name, ref))
+        self._live = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -171,7 +175,10 @@ class Mig:
         return self._input_names[node] is not None
 
     def live_nodes(self) -> list[int]:
-        """MAJ nodes reachable from the outputs, in topological order."""
+        """MAJ nodes reachable from the outputs, in topological order
+        (a fresh list each call; the traversal itself is memoized)."""
+        if self._live is not None:
+            return list(self._live)
         order: list[int] = []
         seen: set[int] = set()
         stack = [ref.node for _, ref in self._outputs]
@@ -191,7 +198,8 @@ class Mig:
                 continue
             visit.append((node, True))
             visit.extend((ref.node, False) for ref in children)
-        return order
+        self._live = order
+        return list(order)
 
     @property
     def n_nodes(self) -> int:

@@ -74,13 +74,11 @@ def optimize(mig: Mig) -> tuple[Mig, OptimizeStats]:
     passes = 0
     previous_nodes = None
     while passes < _MAX_PASSES:
-        candidate = rebuild(current)
+        current = rebuild(current)
         passes += 1
-        if candidate.n_nodes == previous_nodes:
-            current = candidate
+        if current.n_nodes == previous_nodes:
             break
-        previous_nodes = candidate.n_nodes
-        current = candidate
+        previous_nodes = current.n_nodes
 
     stats = OptimizeStats(
         nodes_before=nodes_before,

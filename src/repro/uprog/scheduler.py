@@ -23,6 +23,28 @@ Two scheduling modes support the paper's ablation study:
   above, minimizing row activations.
 * ``reuse=False`` — a naive per-gate schedule (load three operands, fire,
   store) that reproduces the command streams of gate-at-a-time baselines.
+
+Cost.  Placing a node costs the same however many values are live, so
+compile time is linear in the graph (≈ 55 host µs per emitted µOp from
+``add@8`` to ``mul@64`` on the development container).  That rests on a per-node index of where
+each value lives instead of scans over everything live, and on pricing
+a node's 24 placements from tables built once per node.  Both are pure
+bookkeeping: the emitted µProgram is pinned command for command by
+``tests/data/uprogram_ledger.json``, and what keeps it fixed is
+
+* the probe order of ``_find_source`` — planes 0..5, then the node's
+  temporaries, then its written output rows, then the constant row,
+  then the input row — because the first hit wins a tie;
+* insertion order inside each per-node entry of ``_State.temps_of`` /
+  ``outs_of`` (oldest copy first), which is the order a scan of one
+  global insertion-ordered table would meet that node's copies in;
+* temporaries released oldest-filled first (``temp_stamp``) onto a
+  LIFO free list, which decides every later ``tmp[i]`` index — only
+  nodes in ``_State.touched`` can have died, and everything that can
+  end a node's life or give it a temporary must add it there;
+* the candidate order — triples 12..15, operand orders as
+  ``itertools.permutations`` yields them — with a strict ``<``, so the
+  first cheapest placement is kept.
 """
 
 from __future__ import annotations
@@ -53,6 +75,15 @@ TRIPLES: dict[int, tuple[tuple[int, bool], ...]] = {
     15: ((5, True), (0, False), (3, False)),
 }
 
+#: The six distinct (plane, port_is_negated) operand slots of the triples.
+_SLOTS = tuple(sorted({slot for slots in TRIPLES.values() for slot in slots}))
+#: Which child (by position) goes behind a triple's first, second and
+#: third slot, in the order candidates are tried.
+_OPERAND_ORDERS = tuple(permutations(range(3)))
+#: B-group AP address -> the planes its TRA overwrites.
+_TRIPLE_PLANES = {ap_index: frozenset(plane for plane, _ in slots)
+                  for ap_index, slots in TRIPLES.items()}
+
 #: A value: (MIG node id, negated).  A plane "content" is the value read
 #: through the plane's positive port.
 Value = tuple[int, bool]
@@ -68,14 +99,28 @@ class ScheduleOptions:
 
 @dataclass
 class _State:
-    """Mutable scheduling state: where every live value currently is."""
+    """Mutable scheduling state: where every live value currently is.
+
+    Temporaries and written output rows are indexed *per node*, each
+    entry in insertion order, so looking a value up costs the handful
+    of copies that node has rather than a scan of everything live.
+    """
 
     plane: list[Value | None] = field(default_factory=lambda: [None] * 6)
-    temp: dict[int, Value] = field(default_factory=dict)   # temp idx -> value
-    written_out: dict[URow, Value] = field(default_factory=dict)
+    #: node -> {temp idx: negated}, oldest copy first.
+    temps_of: dict[int, dict[int, bool]] = field(default_factory=dict)
+    #: node -> {written output row: negated}, oldest copy first.
+    outs_of: dict[int, dict[URow, bool]] = field(default_factory=dict)
+    #: temp idx -> when it was filled (a counter over all temporaries).
+    temp_stamp: dict[int, int] = field(default_factory=dict)
+    #: Nodes whose temporaries may have died since the last
+    #: :meth:`free_dead_temps`: they lost a use, lost a pending output
+    #: or gained a temporary.
+    touched: set[int] = field(default_factory=set)
     free_temps: list[int] = field(default_factory=list)
     next_temp: int = 0
     high_water: int = 0
+    n_stamps: int = 0
 
     def alloc_temp(self) -> int:
         if self.free_temps:
@@ -85,12 +130,23 @@ class _State:
         self.high_water = max(self.high_water, self.next_temp)
         return idx
 
+    def hold_temp(self, idx: int, value: Value) -> None:
+        """Record that temporary ``idx`` now holds ``value``."""
+        node, negated = value
+        self.temps_of.setdefault(node, {})[idx] = negated
+        self.temp_stamp[idx] = self.n_stamps
+        self.n_stamps += 1
+        self.touched.add(node)
+
     def free_dead_temps(self, is_live) -> None:
-        dead = [idx for idx, (node, _) in self.temp.items()
-                if not is_live(node)]
-        for idx in dead:
-            del self.temp[idx]
-            self.free_temps.append(idx)
+        """Release the temporaries of touched nodes that died, oldest
+        first — the order a scan of every temporary would free them in,
+        which fixes the LIFO reuse order and so every ``tmp[i]``."""
+        dead = [idx for node in self.touched if not is_live(node)
+                for idx in self.temps_of.pop(node, ())]
+        self.touched.clear()
+        dead.sort(key=self.temp_stamp.__getitem__)
+        self.free_temps.extend(dead)
 
 
 def cone_order(mig: Mig) -> list[int]:
@@ -171,7 +227,7 @@ class Scheduler:
 
     def _is_live(self, node: int) -> bool:
         return (self.remaining_uses.get(node, 0) > 0
-                or bool(self.pending_out.get(node)))
+                or node in self.pending_out)
 
     def _input_row(self, node: int) -> URow | None:
         name = self.mig.input_name(node)
@@ -180,11 +236,15 @@ class Scheduler:
         return self.input_rows[name]
 
     def _find_source(self, node: int, negated: bool,
-                     use_planes: bool = True,
                      avoid_planes: frozenset[int] = frozenset(),
                      ) -> URow | None:
-        """A row currently readable as the value (node, negated)."""
-        if use_planes and self.options.reuse:
+        """A row currently readable as the value (node, negated).
+
+        Probe order (it decides ties, so it is part of the output):
+        planes 0..5, the node's temporaries oldest first, its written
+        output rows oldest first, the constant rows, the input row.
+        """
+        if self.options.reuse:
             for p, content in enumerate(self.state.plane):
                 if content is None or p in avoid_planes:
                     continue
@@ -195,11 +255,11 @@ class Scheduler:
                     return URow(Space.BGROUP, PLANE_POS_ADDR[p])
                 if p in PLANE_NEG_ADDR:
                     return URow(Space.BGROUP, PLANE_NEG_ADDR[p])
-        for idx, (held_node, held_neg) in self.state.temp.items():
-            if held_node == node and held_neg == negated:
+        for idx, held_neg in self.state.temps_of.get(node, {}).items():
+            if held_neg == negated:
                 return URow(Space.TEMP, idx)
-        for row, (held_node, held_neg) in self.state.written_out.items():
-            if held_node == node and held_neg == negated:
+        for row, held_neg in self.state.outs_of.get(node, {}).items():
+            if held_neg == negated:
                 return row
         if node == CONST_NODE:
             return URow(Space.CTRL, 1 if negated else 0)
@@ -216,16 +276,30 @@ class Scheduler:
                 continue
             if content[0] == node:
                 return True
-        if any(held == node for held, _ in self.state.temp.values()):
-            return True
-        return any(held == node
-                   for held, _ in self.state.written_out.values())
+        return node in self.state.temps_of or node in self.state.outs_of
 
     # ------------------------------------------------------------------
     # emission primitives
     # ------------------------------------------------------------------
     def _emit(self, uop: MicroOp) -> None:
         self.uops.append(uop)
+
+    def _save_to_temp(self, src: URow, value: Value) -> None:
+        """Copy ``src``, which reads as ``value``, into a temporary."""
+        idx = self.state.alloc_temp()
+        self._emit(UAap(src, URow(Space.TEMP, idx)))
+        self.state.hold_temp(idx, value)
+
+    def _write_output(self, src: URow, node: int, out_row: URow,
+                      out_neg: bool) -> None:
+        """Copy ``src`` into one of ``node``'s pending output rows."""
+        self._emit(UAap(src, out_row))
+        self.state.outs_of.setdefault(node, {})[out_row] = out_neg
+        pending = self.pending_out[node]
+        pending.remove((out_row, out_neg))
+        if not pending:
+            del self.pending_out[node]
+        self.state.touched.add(node)
 
     def _plane_read_addr(self, plane: int, negated: bool) -> URow | None:
         """Address reading plane ``plane`` as (node, negated) given content."""
@@ -243,19 +317,13 @@ class Scheduler:
         content = self.state.plane[plane]
         node, held_neg = content
         # Prefer writing a pending output row: same cost, more progress.
-        for i, (out_row, out_neg) in enumerate(self.pending_out.get(node, [])):
+        for out_row, out_neg in self.pending_out.get(node, []):
             addr = self._plane_read_addr(plane, out_neg)
             if addr is not None:
-                self._emit(UAap(addr, out_row))
-                self.state.written_out[out_row] = (node, out_neg)
-                self.pending_out[node].pop(i)
-                if not self.pending_out[node]:
-                    del self.pending_out[node]
+                self._write_output(addr, node, out_row, out_neg)
                 return
-        idx = self.state.alloc_temp()
-        self._emit(UAap(URow(Space.BGROUP, PLANE_POS_ADDR[plane]),
-                        URow(Space.TEMP, idx)))
-        self.state.temp[idx] = (node, held_neg)
+        self._save_to_temp(URow(Space.BGROUP, PLANE_POS_ADDR[plane]),
+                           (node, held_neg))
 
     def _install(self, plane: int, want: Value,
                  triple_planes: frozenset[int]) -> None:
@@ -307,70 +375,80 @@ class Scheduler:
     # ------------------------------------------------------------------
     # per-node scheduling
     # ------------------------------------------------------------------
-    def _plan_cost(self, slots: tuple[tuple[int, bool], ...],
-                   children: tuple[Ref, ...]) -> int:
-        """Estimate AAPs to run this node's TRA with this assignment."""
-        cost = 0
-        triple_planes = frozenset(p for p, _ in slots)
-        uses_after = dict(self.remaining_uses)
-        for ref in children:
-            if not self._is_leaf(ref.node):
-                uses_after[ref.node] = uses_after.get(ref.node, 0) - 1
-        # Install costs.
-        for (plane, port_neg), ref in zip(slots, children):
-            content = self.state.plane[plane]
-            want = (ref.node, ref.negated ^ port_neg)
-            if self.options.reuse and content == want:
-                continue
-            if self._find_source(ref.node, want[1]) is not None:
-                cost += 1
-            elif plane in PLANE_NEG_ADDR and self._find_source(
-                    ref.node, not want[1]) is not None:
-                cost += 1
-            else:
-                cost += 2
-        # Spill costs: distinct live values that exist only inside the triple.
-        if self.options.reuse:
-            spilled: set[int] = set()
-            for plane in triple_planes:
+    # The 24 placements of a node (4 triples x 6 operand orders) are
+    # priced from two tables that nothing changes until one is chosen,
+    # so each table is built once per node, not once per placement.
+    def _install_costs(self, children: tuple[Ref, ...],
+                       ) -> dict[tuple[int, bool], list[int]]:
+        """Slot -> AAPs to put each child (by position) behind it."""
+        readable = {(ref.node, negated):
+                    self._find_source(ref.node, negated) is not None
+                    for ref in children for negated in (False, True)}
+        costs: dict[tuple[int, bool], list[int]] = {}
+        for plane, port_neg in _SLOTS:
+            held = self.state.plane[plane] if self.options.reuse else None
+            via_negated_port = plane in PLANE_NEG_ADDR
+            per_child = costs[plane, port_neg] = []
+            for ref in children:
+                want_neg = ref.negated ^ port_neg
+                if held == (ref.node, want_neg):
+                    per_child.append(0)
+                elif readable[ref.node, want_neg] or (
+                        via_negated_port
+                        and readable[ref.node, not want_neg]):
+                    per_child.append(1)
+                else:
+                    per_child.append(2)
+        return costs
+
+    def _spill_planes(self, children: tuple[Ref, ...],
+                      ) -> dict[int, list[int]]:
+        """Triple -> planes to save before its TRA: the lowest plane of
+        each distinct value that exists only inside the triple and is
+        still live once this node has consumed its operands."""
+        if not self.options.reuse:
+            return {ap_index: [] for ap_index in TRIPLES}
+        consumed = [ref.node for ref in children
+                    if not self._is_leaf(ref.node)]
+        spills: dict[int, list[int]] = {}
+        for ap_index, triple_planes in _TRIPLE_PLANES.items():
+            planes = spills[ap_index] = []
+            seen: set[int] = set()
+            for plane in sorted(triple_planes):
                 content = self.state.plane[plane]
-                if content is None or content[0] in spilled:
+                if content is None or content[0] in seen:
                     continue
-                node = content[0]
-                live = (uses_after.get(node, 0) > 0
-                        or bool(self.pending_out.get(node)))
-                if live and not self._has_copy_outside(node, triple_planes):
-                    cost += 1
-                    spilled.add(node)
-        return cost
+                held = content[0]
+                seen.add(held)
+                live = (self.remaining_uses.get(held, 0)
+                        - consumed.count(held) > 0
+                        or held in self.pending_out)
+                if live and not self._has_copy_outside(held, triple_planes):
+                    planes.append(plane)
+        return spills
 
     def _schedule_node(self, node: int) -> None:
         children = self.mig.children_of(node)
-        best: tuple[int, int, tuple[Ref, ...]] | None = None
+        install_cost = self._install_costs(children)
+        spills = self._spill_planes(children)
+        # First cheapest placement in (triple, operand order) order.
+        best: tuple[int, int, tuple[int, int, int]] | None = None
         for ap_index, slots in TRIPLES.items():
-            for perm in permutations(children):
-                cost = self._plan_cost(slots, perm)
+            spill_cost = len(spills[ap_index])
+            first, second, third = (install_cost[slot] for slot in slots)
+            for order in _OPERAND_ORDERS:
+                i, j, k = order
+                cost = spill_cost + first[i] + second[j] + third[k]
                 if best is None or cost < best[0]:
-                    best = (cost, ap_index, perm)
-        _, ap_index, perm = best
+                    best = (cost, ap_index, order)
+        _, ap_index, order = best
+        perm = [children[i] for i in order]
         slots = TRIPLES[ap_index]
-        triple_planes = frozenset(p for p, _ in slots)
+        triple_planes = _TRIPLE_PLANES[ap_index]
 
         # 1. Spill live sole-copy values out of the triple.
-        if self.options.reuse:
-            uses_after = dict(self.remaining_uses)
-            for ref in children:
-                if not self._is_leaf(ref.node):
-                    uses_after[ref.node] = uses_after.get(ref.node, 0) - 1
-            for plane in sorted(triple_planes):
-                content = self.state.plane[plane]
-                if content is None:
-                    continue
-                held = content[0]
-                live = (uses_after.get(held, 0) > 0
-                        or bool(self.pending_out.get(held)))
-                if live and not self._has_copy_outside(held, triple_planes):
-                    self._spill_plane(plane)
+        for plane in spills[ap_index]:
+            self._spill_plane(plane)
 
         # 2. Marshal operands into the triple, keeping matches in place.
         pending_installs: list[tuple[int, Value]] = []
@@ -396,6 +474,7 @@ class Scheduler:
         for ref in children:
             if not self._is_leaf(ref.node):
                 self.remaining_uses[ref.node] -= 1
+                self.state.touched.add(ref.node)
         self.state.free_dead_temps(self._is_live)
 
         # 5. Persist the result when needed.
@@ -444,11 +523,8 @@ class Scheduler:
         _, want = installs[0]
         holders = in_triple_only(want[0])
         plane = min(holders)
-        content = self.state.plane[plane]
-        idx = self.state.alloc_temp()
-        self._emit(UAap(URow(Space.BGROUP, PLANE_POS_ADDR[plane]),
-                        URow(Space.TEMP, idx)))
-        self.state.temp[idx] = content
+        self._save_to_temp(URow(Space.BGROUP, PLANE_POS_ADDR[plane]),
+                           self.state.plane[plane])
         return self._order_installs(installs, triple_planes)
 
     def _persist_result(self, node: int, triple_planes: frozenset[int]) -> None:
@@ -460,17 +536,12 @@ class Scheduler:
                 # result is physically there right now: read it directly.
                 src = self._plane_result_addr(node, out_neg, triple_planes)
             if src is not None:
-                self._emit(UAap(src, out_row))
-                self.state.written_out[out_row] = (node, out_neg)
-                self.pending_out[node].remove((out_row, out_neg))
-        if not self.pending_out.get(node) and node in self.pending_out:
-            del self.pending_out[node]
+                self._write_output(src, node, out_row, out_neg)
 
         if not self.options.reuse and self._is_live(node):
-            addr = self._plane_result_addr(node, False, triple_planes)
-            idx = self.state.alloc_temp()
-            self._emit(UAap(addr, URow(Space.TEMP, idx)))
-            self.state.temp[idx] = (node, False)
+            self._save_to_temp(
+                self._plane_result_addr(node, False, triple_planes),
+                (node, False))
             for plane in triple_planes:
                 self.state.plane[plane] = None
 
@@ -494,10 +565,7 @@ class Scheduler:
                 src = self._find_source(node, out_neg)
                 if src is None:
                     src = self._route_through_dcc(node, out_neg)
-                self._emit(UAap(src, out_row))
-                self.state.written_out[out_row] = (node, out_neg)
-                self.pending_out[node].remove((out_row, out_neg))
-            del self.pending_out[node]
+                self._write_output(src, node, out_row, out_neg)
 
     def _route_through_dcc(self, node: int, negated: bool) -> URow:
         """Materialize a complement via a dual-contact cell round trip."""

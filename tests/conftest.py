@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,16 @@ def sim() -> Simdram:
     config = SimdramConfig(
         geometry=DramGeometry.sim_small(cols=64, data_rows=768, banks=2))
     return Simdram(config, seed=7)
+
+
+def stable_seed(*parts) -> int:
+    """A 32-bit generator seed that is the same in every process.
+
+    ``hash()`` of anything containing a ``str`` is salted per process
+    (``PYTHONHASHSEED``), so a seed built from it draws different
+    operands on every run and a failure cannot be replayed.
+    """
+    return zlib.crc32(repr(parts).encode())
 
 
 def rand_bits(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -156,6 +156,29 @@ class TestPlanCompilation:
         plan = compile_plan(program, layout, GEOMETRY)
         assert plan.per_bank_stats == program.stats()
 
+    @pytest.mark.parametrize("op_name, width", [("mul", 8), ("div", 8),
+                                                ("if_else", 16)])
+    def test_memoized_steps_equal_classifying_every_uop(self, op_name,
+                                                        width):
+        """compile_plan memoizes row resolution and classification per
+        call; the plan must be what doing both for every µOp gives."""
+        from repro.core.compiler import compile_operation
+        from repro.exec.plan import _classify
+        program = compile_operation(get_operation(op_name), width)
+        layout = RowLayout({Space.INPUT0: 0, Space.INPUT1: 40,
+                            Space.INPUT2: 80, Space.OUTPUT: 120,
+                            Space.TEMP: 160})
+        geometry = DramGeometry.sim_small(cols=8, data_rows=400)
+        plan = compile_plan(program, layout, geometry)
+        expected = [
+            _classify(layout.resolve(uop.addr), None)
+            if isinstance(uop, UAp)
+            else _classify(layout.resolve(uop.src), layout.resolve(uop.dst))
+            for uop in program.uops]
+        assert plan.steps == expected
+        assert len(set(map(id, plan.steps))) < len(plan.steps)  # shared
+        assert plan.per_bank_stats == program.stats()
+
     def test_layout_violation_rejected_at_compile(self):
         from repro.errors import AllocationError
         layout = RowLayout({Space.INPUT0: 0, Space.INPUT1: 1,

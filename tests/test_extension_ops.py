@@ -9,6 +9,8 @@ from repro.errors import AllocationError, OperationError
 from repro.exec.tracker import ObjectTracker
 from repro.isa.instructions import OPCODES
 
+from tests.conftest import stable_seed
+
 EXTENSION_OPS = ("ne", "lt", "le", "gt_u", "add_sat")
 
 
@@ -35,7 +37,7 @@ class TestExtensionCatalog:
 @pytest.mark.parametrize("op_name", EXTENSION_OPS)
 @pytest.mark.parametrize("backend", ("simdram", "ambit"))
 def test_extension_op_end_to_end(sim, op_name, backend):
-    rng = np.random.default_rng(hash((op_name, backend)) % 2**32)
+    rng = np.random.default_rng(stable_seed(op_name, backend))
     spec = get_operation(op_name)
     a_host = rng.integers(0, 256, 50)
     b_host = rng.integers(0, 256, 50)

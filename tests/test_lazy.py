@@ -36,6 +36,8 @@ from repro.runtime import SimdramCluster
 from repro.util.bitops import to_unsigned
 from test_fusion_differential import dags, read_unsigned
 
+from tests.conftest import stable_seed
+
 WIDTHS = (4, 8, 16)
 
 _SHARED_SIM: Simdram | None = None
@@ -160,7 +162,7 @@ class TestLazyCatalog:
         sim = shared_sim()
         device = lazy.device(sim)
         spec = get_operation(op_name)
-        rng = np.random.default_rng(hash((op_name, width)) % 2**32)
+        rng = np.random.default_rng(stable_seed(op_name, width))
         n = sim.module.lanes
         feeds = [rng.integers(0, 1 << in_width, n)
                  for in_width in spec.in_widths(width)]
@@ -558,7 +560,7 @@ class TestNightlySweeps:
             for op_name in sorted(CATALOG):
                 spec = get_operation(op_name)
                 rng = np.random.default_rng(
-                    hash((op_name, width, "nightly")) % 2**32)
+                    stable_seed(op_name, width, "nightly"))
                 feeds = [rng.integers(0, 1 << in_width, n)
                          for in_width in spec.in_widths(width)]
                 sources = [lazy.array(v, width=in_width, device=device)

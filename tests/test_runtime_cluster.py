@@ -20,7 +20,7 @@ from repro.core.operations import CATALOG, get_operation
 from repro.dram.geometry import DramGeometry
 from repro.runtime import SimdramCluster
 
-from tests.conftest import edge_and_random_values
+from tests.conftest import edge_and_random_values, stable_seed
 
 WIDTHS = (4, 8, 16)
 N_ELEMENTS = 44  # 3 shards over 2 modules; 3 batches on the reference
@@ -34,7 +34,7 @@ def small_config(data_rows: int = 512) -> SimdramConfig:
 def operand_vectors(op_name: str, width: int,
                     n: int = N_ELEMENTS) -> list[np.ndarray]:
     spec = get_operation(op_name)
-    rng = np.random.default_rng(hash((op_name, width)) % 2**32)
+    rng = np.random.default_rng(stable_seed(op_name, width))
     return [edge_and_random_values(rng, in_width, n)
             for in_width in spec.in_widths(width)]
 

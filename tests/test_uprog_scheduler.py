@@ -265,3 +265,87 @@ class TestTempAccounting:
         from repro.core.compiler import build_mig
         nodes = build_mig(spec, 8).n_nodes
         assert program.n_temp_rows < nodes / 2
+
+
+N_INPUTS = 4  # rows per operand of the synthetic scaling graph
+
+
+def late_consumer_mig(n: int) -> Mig:
+    """``n`` chained values, each read again only after the whole chain
+    exists and in reverse order — so about ``n`` of them are live at
+    once, whatever order the nodes are scheduled in."""
+    m = Mig()
+    a = [m.input(f"a{i}") for i in range(N_INPUTS)]
+    b = [m.input(f"b{i}") for i in range(N_INPUTS)]
+    chain = [m.and_(a[0], b[0])]
+    for i in range(1, n):
+        chain.append(m.maj(chain[-1], a[i % N_INPUTS], ~b[i % N_INPUTS]))
+    acc = chain[-1]
+    for i in range(n - 2, -1, -1):
+        acc = m.maj(acc, ~chain[i], a[(i + 1) % N_INPUTS])
+    m.set_output("y0", acc)
+    return m
+
+
+class TestScaling:
+    def probe_work(self, monkeypatch, mig):
+        """Schedule ``mig`` counting the location probes and the entries
+        each one may walk; returns (program, outputs, calls and items
+        per MIG node)."""
+        from repro.uprog.scheduler import Scheduler
+        counts = {"calls": 0, "items": 0}
+
+        def counted(real):
+            def probe(self, node, *args, **kwargs):
+                state = self.state
+                counts["calls"] += 1
+                counts["items"] += (len(state.plane)
+                                    + len(state.temps_of.get(node, ()))
+                                    + len(state.outs_of.get(node, ())))
+                return real(self, node, *args, **kwargs)
+            return probe
+
+        with monkeypatch.context() as patch:
+            for name in ("_find_source", "_has_copy_outside"):
+                patch.setattr(Scheduler, name,
+                              counted(getattr(Scheduler, name)))
+            rng = np.random.default_rng(5)
+            inputs = [[rng.integers(0, 2, 16).astype(bool)
+                       for _ in range(N_INPUTS)] for _ in range(2)]
+            program, outputs = run_mig(mig, N_INPUTS, N_INPUTS, 1,
+                                       *inputs, seed=3)
+        expected = mig.evaluate(
+            {f"{prefix}{i}": bits for prefix, rows in zip("ab", inputs)
+             for i, bits in enumerate(rows)})
+        assert np.array_equal(outputs[0], expected["y0"])
+        # schedule() runs the graph under up to two node orders.
+        return program, {key: value / mig.n_nodes
+                         for key, value in counts.items()}
+
+    def test_probe_work_per_node_is_flat_in_live_values(self, monkeypatch):
+        small, large = late_consumer_mig(40), late_consumer_mig(160)
+        assert large.n_nodes >= 3.9 * small.n_nodes
+        program_s, work_s = self.probe_work(monkeypatch, small)
+        program_l, work_l = self.probe_work(monkeypatch, large)
+        # The graph really does keep ~4x as many values live ...
+        assert program_s.n_temp_rows >= 30
+        assert program_l.n_temp_rows >= 3.9 * program_s.n_temp_rows
+        # ... and a node still costs the same to place.
+        assert work_l["calls"] <= 1.25 * work_s["calls"]
+        assert work_l["items"] <= 1.25 * work_s["items"]
+
+    def test_live_nodes_memo_is_not_shared_with_callers(self):
+        m = Mig()
+        a, b, c = m.input("a0"), m.input("b0"), m.input("c0")
+        first = m.and_(a, b)
+        m.set_output("y0", first)
+        order = m.live_nodes()
+        assert order == [first.node]
+        order.append(12345)  # a caller scribbling on its copy
+        assert m.live_nodes() == [first.node]
+        assert m.live_nodes() is not m.live_nodes()
+        second = m.maj(first, ~b, c)
+        assert m.live_nodes() == [first.node]  # built, not yet an output
+        m.set_output("y1", second)
+        assert m.live_nodes() == [first.node, second.node]
+        assert m.n_nodes == 2

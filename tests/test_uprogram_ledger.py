@@ -1,0 +1,117 @@
+"""µProgram ledger: every compiled command stream, pinned by hash.
+
+``tests/data/uprogram_ledger.json`` holds one row per kernel — the
+sha256 of its µOps (one ``str(uop)`` per line) plus the AAP / AP / temp
+row counts (the per-operation activation column of the paper's Table 2
+comparison).  The test recompiles every kernel and compares, so any
+edit to Step 1 or Step 2 that changes a single emitted command — a
+different tie-break in the scheduler, a temp row handed out in another
+order — fails here by name.
+
+An *intended* change to the compiler's output regenerates the file::
+
+    PYTHONPATH=src python tests/test_uprogram_ledger.py --regen
+
+and the diff of the JSON is the review artifact.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+from repro.apps.brightness import brightness_expr
+from repro.apps.cnn import madd_expr, madd_relu_expr
+from repro.core import expr as E
+from repro.core.compiler import compile_operation
+from repro.core.fuse import compile_expr, compile_multi
+from repro.core.operations import PAPER_OPERATIONS, get_operation
+from repro.serve.streaming import affine_relu_step
+from repro.uprog.program import MicroProgram
+from repro.uprog.scheduler import ScheduleOptions
+
+LEDGER_PATH = Path(__file__).parent / "data" / "uprogram_ledger.json"
+
+_EXPRS = {
+    "brightness_expr(40)": brightness_expr(40),
+    "madd_expr(3)": madd_expr(3),
+    "madd_relu_expr(-3)": madd_relu_expr(-3),
+    "affine_relu_step(3)": affine_relu_step(3),
+}
+
+
+def _catalog(op_name: str, width: int, backend: str,
+             options: ScheduleOptions | None = None,
+             ) -> Callable[[], MicroProgram]:
+    return lambda: compile_operation(get_operation(op_name), width,
+                                     backend=backend, options=options)
+
+
+def _two_roots() -> MicroProgram:
+    x, y = E.inp("x"), E.inp("y")
+    return compile_multi({"total": E.add(x, y), "delta": E.sub(x, y)},
+                         16).program
+
+
+def ledger_kernels() -> dict[str, Callable[[], MicroProgram]]:
+    """Ledger key -> thunk compiling that kernel from scratch."""
+    kernels: dict[str, Callable[[], MicroProgram]] = {}
+    for backend in ("simdram", "ambit"):
+        for op_name in PAPER_OPERATIONS:
+            for width in (8, 16, 32):
+                kernels[f"{backend}/{op_name}/{width}"] = _catalog(
+                    op_name, width, backend)
+    for label, options in (("reuse=False", ScheduleOptions(reuse=False)),
+                           ("peephole=False",
+                            ScheduleOptions(peephole=False))):
+        for op_name in PAPER_OPERATIONS:
+            for width in (8, 16):
+                kernels[f"simdram/{op_name}/{width}/{label}"] = _catalog(
+                    op_name, width, "simdram", options)
+    for label, root in _EXPRS.items():
+        kernels[f"expr/{label}/16"] = (
+            lambda root=root: compile_expr(root, 16).program)
+    kernels["multi/total=x+y,delta=x-y/16"] = _two_roots
+    return kernels
+
+
+def ledger_row(program: MicroProgram) -> dict[str, object]:
+    text = "\n".join(str(uop) for uop in program.uops)
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+            "n_aap": program.n_aap, "n_ap": program.n_ap,
+            "n_temp_rows": program.n_temp_rows}
+
+
+_KERNELS = ledger_kernels()
+
+
+@pytest.fixture(scope="module")
+def ledger() -> dict[str, dict[str, object]]:
+    return json.loads(LEDGER_PATH.read_text())
+
+
+def test_ledger_covers_exactly_the_kernel_set(ledger):
+    assert sorted(ledger) == sorted(_KERNELS)
+
+
+@pytest.mark.parametrize("key", list(_KERNELS))
+def test_uprogram_matches_ledger(ledger, key):
+    assert ledger_row(_KERNELS[key]()) == ledger[key]
+
+
+def regenerate() -> None:
+    rows = {key: ledger_row(build()) for key, build in _KERNELS.items()}
+    LEDGER_PATH.parent.mkdir(exist_ok=True)
+    LEDGER_PATH.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(rows)} rows to {LEDGER_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: python tests/test_uprogram_ledger.py --regen")
+    regenerate()
