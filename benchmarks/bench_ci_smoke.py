@@ -60,7 +60,7 @@ def prepare(sim: Simdram, op_name: str, width: int):
     import numpy as np
 
     spec = get_operation(op_name)
-    program = sim.compile(op_name, width)
+    program = sim.compile(op_name, width).program
     rng = np.random.default_rng(99)
     operands = [
         sim.array(rng.integers(0, 1 << in_width, sim.module.lanes),

@@ -91,7 +91,7 @@ def check_bit_exact(sim: Simdram, root, engines: list[str]) -> None:
 def prepare(sim: Simdram, root):
     """Compile the fused kernel and bind a row layout, exactly as a
     batched dispatch would; returns (program, layout)."""
-    kernel = sim.compile_expr(root, WIDTH)
+    kernel = sim.compile(root, WIDTH)
     rng = np.random.default_rng(99)
     operands = [
         sim.array(rng.integers(0, 1 << w, sim.module.lanes), w)

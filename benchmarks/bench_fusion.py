@@ -149,8 +149,9 @@ def bench_cnn(sim: Simdram) -> dict:
     assert np.array_equal(read_unsigned(sim, unfused_out), golden), \
         "unfused cnn != golden"
 
-    kernel = sim.compile_expr(root, 8)
-    unfused_programs = [sim.compile(op, 8) for op in ("mul", "add", "relu")]
+    kernel = sim.compile(root, 8)
+    unfused_programs = [sim.compile(op, 8).program
+                        for op in ("mul", "add", "relu")]
     entry = {
         "kernel": GATE_KERNEL,
         "element_width": 8,

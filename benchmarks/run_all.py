@@ -37,7 +37,10 @@ regression gates —
 (see :mod:`gate_utils` for the layout) and exits nonzero listing
 **every** failed gate, not just the first.  A gate that crashes is
 recorded as failed with the exception, and the remaining gates still
-run.
+run.  The report also carries ``gates.size`` — the non-blank,
+non-comment line count of ``src/repro`` — so the code-size trajectory
+travels in the same artifact as the gates (a plain number, not a
+``measured_*`` key: ``bench_history`` reads those as higher-is-better).
 
 Usage::
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from pathlib import Path
 
 import bench_ci_smoke
 import bench_cluster
@@ -60,7 +64,7 @@ import bench_obs
 import bench_scale_out
 import bench_serve
 import bench_slo
-from gate_utils import merge_gate
+from gate_utils import merge_gate, publish
 
 #: (gate name, module) in execution order; each module's run_gate()
 #: carries its own default threshold.
@@ -76,6 +80,21 @@ GATES = (
     ("slo", bench_slo),
     ("compile", bench_compile),
 )
+
+
+SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def source_size(root: Path = SOURCE_ROOT) -> dict:
+    """The ``size`` section: lines of library code that are neither
+    blank nor a comment, and the files holding them."""
+    files = sorted(root.rglob("*.py"))
+    lines = sum(
+        1 for path in files for line in path.read_text().splitlines()
+        if line.strip() and not line.lstrip().startswith("#"))
+    return {"src_lines": lines, "src_files": len(files),
+            "gate": {"pass": True,
+                     "detail": f"{lines} lines in {len(files)} files"}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,6 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         if not gate["pass"]:
             failed.append(name)
 
+    publish(args.output, "size", source_size())
     print(f"wrote {args.output} "
           f"({len(GATES) - len(failed)}/{len(GATES)} gates passed)")
     if failed:

@@ -53,14 +53,14 @@ def main() -> None:
         [a_host, b_host], 8))
     print("clamp_add(200 elements): results match the golden model")
 
-    program = sim.compile("clamp_add", 8)
+    program = sim.compile("clamp_add", 8).program
     print(f"\ncompiled µProgram: {program.n_aap} AAPs + {program.n_ap} APs, "
           f"{program.n_temp_rows} temp rows")
     print("first µOps of the generated program:")
     print(program.listing(max_ops=10))
 
     # The fused op beats the 3-op sequence it replaces:
-    three_op = sum(sim.compile(op, 8).n_commands
+    three_op = sum(sim.compile(op, 8).program.n_commands
                    for op in ("add", "gt", "if_else"))
     print(f"\nfused: {program.n_commands} commands vs "
           f"{three_op} for separate add+gt+if_else")

@@ -34,7 +34,7 @@ def main() -> None:
         out = sim.run(op, a, b)
         result = out.to_numpy()
         assert np.array_equal(result, golden), f"{op} mismatch!"
-        program = sim.compile(op, 8)
+        program = sim.compile(op, 8).program
         print(f"{op:9s} | OK           | {program.n_aap:4d}+{program.n_ap:<4d}"
               f"    | {sim.last_latency_ns() / 1e3:6.1f}us"
               f" | {sim.last_energy_nj() / 1e3:6.2f}uJ")

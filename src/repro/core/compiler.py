@@ -8,37 +8,25 @@
 * **Step 2** — allocate operands/temporaries to row spaces and schedule
   the MIG into an AAP/AP µProgram (:mod:`repro.uprog`).
 
-Step 3 (execution) is performed by the control unit at ``bbop`` time
-(:mod:`repro.exec`).  The ``backend`` argument selects the substrate
-style: ``"simdram"`` compiles the MAJ/NOT form, ``"ambit"`` compiles the
-same operation lowered to 2-input AND/OR (+NOT) gates only, which is the
-paper's main PIM baseline.
+Both steps live in :func:`repro.core.fuse.compile_kernel`, the one
+compile body behind every kind of kernel; this module keeps the
+per-operation entry points.  Step 3 (execution) is performed by the
+control unit at ``bbop`` time (:mod:`repro.exec`).  The ``backend``
+argument selects the substrate style (see
+:data:`repro.core.operations.BACKENDS`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.operations import OperationSpec, get_operation
-from repro.errors import OperationError
+from repro.core import fuse
+from repro.core.expr import Expr
+from repro.core.operations import OperationSpec, backend_style
 from repro.logic.mig import Mig
 from repro.logic.optimize import optimize
-from repro.uprog.program import MicroProgram, OperandSpec
-from repro.uprog.scheduler import ScheduleOptions, schedule
-from repro.uprog.uops import INPUT_SPACES, Space, URow
-
-BACKENDS = ("simdram", "ambit")
-
-_BACKEND_STYLE = {"simdram": "maj", "ambit": "classic"}
-
-
-def backend_style(backend: str) -> str:
-    """Map a backend name to its circuit style."""
-    try:
-        return _BACKEND_STYLE[backend]
-    except KeyError:
-        raise OperationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}") from None
+from repro.uprog.program import MicroProgram
+from repro.uprog.scheduler import ScheduleOptions
 
 
 def build_mig(spec: OperationSpec, width: int, backend: str = "simdram",
@@ -57,49 +45,25 @@ def compile_operation(spec: OperationSpec, width: int,
                       optimize_mig: bool = True) -> MicroProgram:
     """Steps 1+2: produce the µProgram for one operation at one width.
 
-    The Ambit baseline defaults to *naive* scheduling (``reuse=False``):
-    real Ambit replays a fixed command sequence per bulk gate — three
-    operand loads and a fused TRA-copy — with no inter-gate B-group
-    reuse.  Exploiting reuse to minimize activations is precisely what
-    SIMDRAM's Step 2 contributes, so only the SIMDRAM backend gets it.
-    Pass ``options`` explicitly to override (used by the ablation bench).
+    A catalog operation is the one-node expression applying it to its
+    canonical leaves, so this is :func:`repro.core.fuse.compile_kernel`
+    on ``spec`` (which need not be registered), keeping the µProgram.
     """
-    if options is None and backend == "ambit":
-        options = ScheduleOptions(reuse=False)
-    mig = build_mig(spec, width, backend, optimize_mig)
-
-    input_rows: dict[str, URow] = {}
-    input_specs: list[OperandSpec] = []
-    for operand_index, (prefix, in_width) in enumerate(
-            zip(spec.operand_names(), spec.in_widths(width))):
-        space = INPUT_SPACES[operand_index]
-        input_specs.append(OperandSpec(space, in_width))
-        for bit in range(in_width):
-            input_rows[f"{prefix}{bit}"] = URow(space, bit)
-
-    out_width = spec.out_width(width)
-    output_rows = {f"y{i}": URow(Space.OUTPUT, i) for i in range(out_width)}
-
-    return schedule(
-        mig,
-        op_name=spec.name,
-        backend=backend,
-        element_width=width,
-        input_specs=input_specs,
-        output_spec=OperandSpec(Space.OUTPUT, out_width),
-        input_rows=input_rows,
-        output_rows=output_rows,
-        options=options,
-    )
+    return fuse.compile_kernel(spec, width, backend, options,
+                               optimize_mig).program
 
 
 @lru_cache(maxsize=512)
-def compile_cached(op_name: str, width: int,
+def compile_cached(op: "str | Expr", width: int,
                    backend: str = "simdram") -> MicroProgram:
-    """Memoized :func:`compile_operation` with default options.
+    """Memoized µProgram of a kernel compiled with default options.
 
-    µProgram compilation is deterministic, so the evaluation harness and
-    application models share one compiled program per (op, width,
-    backend) — exactly like the control unit's scratchpad at boot.
+    µProgram compilation is deterministic, so the evaluation harness,
+    the application models and the replica router's energy metering
+    (the one serving tier that holds no kernels of its own) share one
+    compiled program per (kernel, width, backend) — exactly like the
+    control unit's scratchpad at boot.  ``Simdram``/``SimdramCluster``
+    never consult it: their caches compile under their own
+    configuration.
     """
-    return compile_operation(get_operation(op_name), width, backend=backend)
+    return fuse.compile_kernel(op, width, backend).program

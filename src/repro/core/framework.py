@@ -1,15 +1,26 @@
 """The end-to-end SIMDRAM framework facade.
 
 :class:`Simdram` wires together every layer of the reproduction the way
-the paper's Figure 1 wires the real system:
+the paper's Figure 1 wires the real system, and there is **one path**
+through it for every computation — a catalog operation, a fused
+expression DAG, several roots at once:
 
-1. operations are compiled (Step 1+2) on first use and their µPrograms
-   installed into the control unit's scratchpad;
+1. :meth:`Simdram.compile` turns the source into a
+   :class:`~repro.core.fuse.Kernel` (Steps 1+2, once per
+   :func:`~repro.core.fuse.kernel_identity`) and installs its µProgram
+   into the control unit's scratchpad; :meth:`Simdram.adopt` installs a
+   kernel compiled elsewhere (a cluster compiles once for all members);
 2. host arrays enter DRAM through the transposition unit into vertical
    row blocks managed by the allocator;
-3. a ``bbop`` instruction is formed, encoded/decoded through the ISA, and
-   dispatched to the control unit, which replays the µProgram across the
-   participating banks (Step 3).
+3. the kernel's operands are checked, its rows reserved and bound to a
+   :class:`~repro.exec.layout.RowLayout`, a ``bbop`` instruction is
+   formed, encoded/decoded through the ISA, and the control unit
+   replays the µProgram across the participating banks (Step 3).
+
+``run``/``run_expr``/``run_multi`` (DRAM-resident operands) and
+``map``/``map_expr`` (host vectors of any length) are doors onto that
+path: each normalises ``(op, positional | feeds)`` to ``(kernel,
+operands in slot order)`` and dispatches.
 
 Typical use::
 
@@ -27,17 +38,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.compiler import compile_operation
-from repro.core.expr import Expr, dag_hash
-from repro.core.fuse import FusedKernel, MultiKernel, multi_digest
-from repro.core.fuse import compile_expr as _compile_expr
-from repro.core.fuse import compile_multi as _compile_multi
+from repro.core import fuse
+from repro.core.expr import Expr
+from repro.core.fuse import (
+    Kernel,
+    KernelSource,
+    kernel_identity,
+    resident_width,
+    same_length,
+)
 from repro.core.operations import (
     CATALOG,
     BuildFn,
     GoldenFn,
     OperationSpec,
-    get_operation,
     register_operation,
 )
 from repro.dram.bank import DramModule
@@ -46,7 +60,7 @@ from repro.dram.energy import DramEnergy
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTiming
 from repro.errors import ExecutionError, OperationError
-from repro.exec.control_unit import ControlUnit, ProgramKey
+from repro.exec.control_unit import ControlUnit
 from repro.exec.engines import ExecutionEngine
 from repro.exec.layout import RowLayout
 from repro.exec.memory import RowBlock, VerticalAllocator
@@ -54,7 +68,6 @@ from repro.exec.tracker import ObjectTracker
 from repro.exec.transposition import TranspositionUnit
 from repro.isa.instructions import BbopInstruction, bbop, bbop_trsp_init
 from repro.obs.tracing import span as obs_span
-from repro.uprog.program import MicroProgram
 from repro.uprog.scheduler import ScheduleOptions
 from repro.uprog.uops import INPUT_SPACES, Space
 
@@ -69,6 +82,23 @@ class SimdramConfig:
     schedule: ScheduleOptions = field(default_factory=ScheduleOptions)
     optimize_mig: bool = True
     backend: str = "simdram"  # default substrate for compiled operations
+
+
+def compile_for(config: SimdramConfig, op: KernelSource, width: int,
+                backend: str) -> Kernel:
+    """Steps 1+2 under a system's configuration — what a module's and a
+    cluster's ``compile`` run on a cache miss.  Consults no cache."""
+    # The configured schedule options describe *SIMDRAM's* Step-2
+    # scheduler; the Ambit baseline keeps its own default (fixed
+    # per-gate sequences, see compile_kernel).
+    options = config.schedule if backend == "simdram" else None
+    # Both reach fuse.compile_kernel; entering through the public name
+    # that matches the source keeps the compile visible to a profiler
+    # wrapping those names (benchmarks/e2e tells first maps by it).
+    compile_ = (fuse.compile_multi if isinstance(op, dict)
+                else fuse.compile_expr)
+    return compile_(op, width, backend=backend, options=options,
+                    optimize_mig=config.optimize_mig)
 
 
 class SimdramArray:
@@ -135,11 +165,8 @@ class Simdram:
                                             self.config.energy)
         self.tracker = ObjectTracker(capacity=4096)
         self._allocator = VerticalAllocator(self.config.geometry)
-        self._programs: dict[tuple[str, int, str], MicroProgram] = {}
-        #: Fused-kernel cache: (DAG hash, width, backend) -> FusedKernel.
-        self._fused: dict[tuple[str, int, str], FusedKernel] = {}
-        #: Multi-root kernel cache: (joint hash, width, backend).
-        self._multi: dict[tuple[str, int, str], MultiKernel] = {}
+        #: The kernel cache: ``kernel_identity`` -> installed Kernel.
+        self._kernels: dict[tuple[str, int, str], Kernel] = {}
         #: Stats of the most recent :meth:`run` call.
         self.last_stats: CommandStats | None = None
         #: Instruction log (every bbop issued), for tests/inspection.
@@ -148,101 +175,39 @@ class Simdram:
     # ------------------------------------------------------------------
     # operation management
     # ------------------------------------------------------------------
-    def compile(self, op_name: str, width: int,
-                backend: str | None = None) -> MicroProgram:
-        """Compile (steps 1+2) and install an operation's µProgram."""
-        backend = backend or self.config.backend
-        key = (op_name, width, backend)
-        program = self._programs.get(key)
-        if program is None:
-            spec = get_operation(op_name)
-            # The configured schedule options describe *SIMDRAM's* Step-2
-            # scheduler; the Ambit baseline keeps its own default (fixed
-            # per-gate sequences, see compile_operation).
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            program = compile_operation(
-                spec, width, backend=backend, options=options,
-                optimize_mig=self.config.optimize_mig)
-            self.control.install(program)
-            self._programs[key] = program
-        return program
+    def compile(self, op: KernelSource, width: int,
+                backend: str | None = None) -> Kernel:
+        """Compile (Steps 1+2) and install a kernel, once.
 
-    def compile_expr(self, root: Expr, width: int,
-                     backend: str | None = None) -> FusedKernel:
-        """Compile an expression DAG into one fused µProgram (cached).
-
-        The cache key is the DAG's stable content hash plus the element
-        width and backend, so structurally identical pipelines share one
-        compiled kernel — and, downstream, one control-unit
-        :class:`~repro.exec.plan.ExecutionPlan` per row layout.
+        ``op`` is a catalog operation name, an :class:`Expr` DAG, or a
+        ``{name: Expr}`` mapping of roots computed by one multi-output
+        µProgram.  The cache key is the kernel's
+        :func:`~repro.core.fuse.kernel_identity` — a catalog name, or
+        the DAG's stable content hash — plus the element width and
+        backend, so structurally identical pipelines share one compiled
+        kernel and, downstream, one control-unit
+        :class:`~repro.exec.plan.ExecutionPlan` per row layout; a
+        catalog operation reached by name and as the one-node ``Expr``
+        over its canonical leaves is one entry.
         """
         backend = backend or self.config.backend
-        key = (dag_hash(root), width, backend)
-        kernel = self._fused.get(key)
+        kernel = self._kernels.get(kernel_identity(op, width, backend))
         if kernel is None:
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            kernel = _compile_expr(
-                root, width, backend=backend, options=options,
-                optimize_mig=self.config.optimize_mig)
-            self.control.install(kernel.program)
-            self._fused[key] = kernel
+            kernel = compile_for(self.config, op, width, backend)
+            self.adopt(kernel)
         return kernel
 
-    def compile_multi(self, roots: dict[str, Expr], width: int,
-                      backend: str | None = None) -> MultiKernel:
-        """Compile several roots into one multi-output µProgram (cached).
-
-        The cache key is the joint content hash of the named roots plus
-        the element width and backend, exactly like
-        :meth:`compile_expr` for single-root kernels.
-        """
-        backend = backend or self.config.backend
-        key = (multi_digest(roots), width, backend)
-        kernel = self._multi.get(key)
-        if kernel is None:
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            kernel = _compile_multi(
-                roots, width, backend=backend, options=options,
-                optimize_mig=self.config.optimize_mig)
-            self.control.install(kernel.program)
-            self._multi[key] = kernel
-        return kernel
-
-    def adopt_program(self, program: MicroProgram,
-                      backend: str | None = None) -> None:
-        """Install an externally compiled µProgram into this module.
+    def adopt(self, kernel: Kernel) -> None:
+        """Install an already compiled kernel into this module.
 
         µPrograms are symbolic (geometry-independent), so a cluster
-        compiles each operation once and adopts the same program into
-        every member module's scratchpad instead of re-running steps
-        1+2 per module.  No-op if an identical program is installed.
+        compiles each kernel once and every member module adopts the
+        same record instead of re-running Steps 1+2.  No-op if this
+        very kernel is installed.
         """
-        backend = backend or program.backend
-        key = (program.op_name, program.element_width, backend)
-        if self._programs.get(key) is not program:
-            self.control.install(program)
-            self._programs[key] = program
-
-    def adopt_kernel(self, cache_key: tuple[str, int, str],
-                     kernel: FusedKernel) -> None:
-        """Install an externally compiled fused kernel (see
-        :meth:`adopt_program`); ``cache_key`` is ``(dag_hash, width,
-        backend)``, matching :meth:`compile_expr`'s cache."""
-        if self._fused.get(cache_key) is not kernel:
+        if self._kernels.get(kernel.key) is not kernel:
             self.control.install(kernel.program)
-            self._fused[cache_key] = kernel
-
-    def adopt_multi(self, cache_key: tuple[str, int, str],
-                    kernel: MultiKernel) -> None:
-        """Install an externally compiled multi-root kernel (see
-        :meth:`adopt_program`); ``cache_key`` is ``(joint hash, width,
-        backend)``, matching :meth:`compile_multi`'s cache."""
-        if self._multi.get(cache_key) is not kernel:
-            self.control.install(kernel.program)
-            self._multi[cache_key] = kernel
+            self._kernels[kernel.key] = kernel
 
     def register_operation(self, name: str, arity: int, build: BuildFn,
                            golden: GoldenFn, category: str = "user",
@@ -259,42 +224,59 @@ class Simdram:
 
     @property
     def kernel_cache_size(self) -> int:
-        """Compiled kernels cached on this module (catalog µPrograms,
-        fused single-root and multi-root kernels, plus the compiled
-        executors engines have memoized on cached execution plans) —
+        """Compiled kernels cached on this module plus the compiled
+        executors engines have memoized on cached execution plans —
         the telemetry the lazy engine and the serving layer report."""
-        return (len(self._programs) + len(self._fused)
-                + len(self._multi) + self.control.compiled_cache_size())
+        return len(self._kernels) + self.control.compiled_cache_size()
 
-    def warm_executor(self, program: MicroProgram,
-                      input_widths: "tuple[int, ...] | list[int]",
-                      out_width: int,
-                      engine: "str | ExecutionEngine" = "auto",
-                      ) -> None:
+    @contextlib.contextmanager
+    def _bound_rows(self, kernel: Kernel,
+                    in_blocks: "list[RowBlock] | None" = None,
+                    out_block: RowBlock | None = None):
+        """Reserve the rows ``kernel`` needs and bind them to a
+        :class:`RowLayout` — the one binding behind ``run``, ``map``
+        and :meth:`warm_executor`.
+
+        Blocks the caller already owns (resident operands, an output
+        array) are bound as given; the rest are reserved first-fit in
+        the order operands, output, temporaries, and released on exit
+        — also when the body raises, so a failed execution never leaks
+        scratch rows.  Yields ``(in_blocks, out_block, layout)``.
+        """
+        reserved: list[RowBlock] = []
+
+        def reserve(width: int) -> RowBlock:
+            reserved.append(self._allocator.alloc(width))
+            return reserved[-1]
+
+        try:
+            if in_blocks is None:
+                in_blocks = [reserve(w) for w in kernel.input_widths]
+            if out_block is None:
+                out_block = reserve(kernel.out_width)
+            bases = {Space.OUTPUT: out_block.base}
+            for space, block in zip(INPUT_SPACES, in_blocks):
+                bases[space] = block.base
+            if kernel.program.n_temp_rows:
+                bases[Space.TEMP] = reserve(kernel.program.n_temp_rows).base
+            yield in_blocks, out_block, RowLayout(bases)
+        finally:
+            for block in reversed(reserved):
+                self._allocator.free(block)
+
+    def warm_executor(self, kernel: Kernel,
+                      engine: "str | ExecutionEngine" = "auto") -> None:
         """Precompile the control unit's plan *and* the engine's
         compiled executor for the row layout a batched dispatch will
         use, without touching DRAM state.
 
-        Mirrors :meth:`_map_batches`' block reservations (same widths,
-        same order, first-fit) so a subsequent :meth:`map` /
-        :meth:`map_expr` on an idle allocator binds the identical
+        Binds rows exactly as :meth:`map` does, so a subsequent
+        ``map`` on an idle allocator binds the identical
         :class:`RowLayout` and hits the warmed cache entries — the
         serve layer's manifest warmup relies on this.
         """
-        with contextlib.ExitStack() as stack:
-            in_blocks = [stack.enter_context(self._allocator.reserve(w))
-                         for w in input_widths]
-            out_block = stack.enter_context(
-                self._allocator.reserve(out_width))
-            temp_block = (stack.enter_context(
-                self._allocator.reserve(program.n_temp_rows))
-                if program.n_temp_rows else None)
-            bases = {Space.OUTPUT: out_block.base}
-            for space, block in zip(INPUT_SPACES, in_blocks):
-                bases[space] = block.base
-            if temp_block is not None:
-                bases[Space.TEMP] = temp_block.base
-            self.control.warm_plan(program, RowLayout(bases),
+        with self._bound_rows(kernel) as (_, _, layout):
+            self.control.warm_plan(kernel.program, layout,
                                    self.module.geometry, engine)
 
     # ------------------------------------------------------------------
@@ -462,145 +444,83 @@ class Simdram:
     # ------------------------------------------------------------------
     # execution (Step 3)
     # ------------------------------------------------------------------
-    def run(self, op_name: str, *operands: SimdramArray,
-            backend: str | None = None,
-            engine: "str | ExecutionEngine" = "auto") -> SimdramArray:
-        """Execute an operation over DRAM-resident operands.
+    def _issue(self, kernel: Kernel, in_blocks: "list[RowBlock]",
+               out_block: RowBlock, layout: RowLayout, n_elements: int,
+               engine: "str | ExecutionEngine") -> None:
+        """One ``bbop``: form the instruction, round-trip it through
+        the binary ISA encoding (as the memory controller would receive
+        it), and replay the kernel's installed µProgram on every bank
+        in lockstep."""
+        program = kernel.program
+        self.issued.append(BbopInstruction.decode(bbop(
+            program.op_name, dst=out_block.base,
+            srcs=[block.base for block in in_blocks],
+            n_elements=n_elements,
+            element_width=program.element_width).encode()))
+        with obs_span("engine.execute", op=program.op_name,
+                      width=program.element_width, n_elements=n_elements,
+                      engine=str(getattr(engine, "name", engine))):
+            self.last_stats = self.control.execute_on_module(
+                program, self.module, layout, engine=engine)
 
-        Forms the ``bbop`` instruction, round-trips it through the binary
-        ISA encoding (as the memory controller would receive it), and
-        replays the installed µProgram on every bank in lockstep.
+    def _run(self, op: KernelSource, positional: tuple,
+             feeds: "dict[str, SimdramArray] | None", width: int | None,
+             backend: str | None, engine: "str | ExecutionEngine",
+             ) -> tuple[Kernel, SimdramArray]:
+        """The one resident-operand dispatch: compile (or look up) the
+        kernel, bind and check the operands, allocate the packed
+        output, issue.  A failing execution releases its temporary
+        block *and* the output allocation instead of leaking them."""
+        if width is None:
+            width = resident_width(positional, feeds)
+        kernel = self.compile(op, width, backend)
+        operands = kernel.bind(positional, feeds)
+        for operand in operands:
+            # The control unit only computes on announced vertical
+            # objects: the tracker catches stale base rows, and
+            # check_resident then catches freed handles whose rows were
+            # re-allocated (the tracker would find the new occupant).
+            self.tracker.lookup(operand.block.base)
+        n_elements = kernel.check_resident(operands)
+        out = self.empty(n_elements, kernel.out_width, signed=kernel.signed)
+        try:
+            blocks = [operand.block for operand in operands]
+            with self._bound_rows(kernel, blocks, out.block) as (_, _, layout):
+                self._issue(kernel, blocks, out.block, layout, n_elements,
+                            engine)
+        except BaseException:
+            out.free()
+            raise
+        return kernel, out
+
+    def run(self, op: "str | Expr", *operands: SimdramArray,
+            feeds: "dict[str, SimdramArray] | None" = None,
+            width: int | None = None, backend: str | None = None,
+            engine: "str | ExecutionEngine" = "auto") -> SimdramArray:
+        """Execute a kernel over DRAM-resident operands — positional,
+        in operand-slot order, or bound by leaf name via ``feeds``.
+        The pipeline width defaults to the one the operands imply
+        (:func:`~repro.core.fuse.resident_width`).
 
         ``engine`` is an execution-engine registry name or an
         :class:`~repro.exec.engines.ExecutionEngine` instance (see
         :func:`repro.exec.engines.list_engines`); ``"auto"`` picks the
         best available plan-based engine unless tracing or fault
-        injection forces the per-bank slow path.  Scratch rows are
-        reserved with a
-        ``try``/``finally`` guarantee: a failing execution releases its
-        temporary block *and* the output allocation instead of leaking
-        them.
+        injection forces the per-bank slow path.
         """
-        spec = get_operation(op_name)
-        if len(operands) != spec.arity:
-            raise OperationError(
-                f"{op_name} takes {spec.arity} operands, "
-                f"got {len(operands)}")
-        width = operands[-1].width
-        expected_widths = spec.in_widths(width)
-        for i, (operand, expected) in enumerate(zip(operands,
-                                                    expected_widths)):
-            if operand.width != expected:
-                raise OperationError(
-                    f"{op_name} operand {i} must be {expected}-bit, "
-                    f"got {operand.width}-bit")
-        n_elements = operands[0].n_elements
-        if any(o.n_elements != n_elements for o in operands):
-            raise OperationError(
-                f"{op_name}: operand lengths differ: "
-                f"{[o.n_elements for o in operands]}")
-        for operand in operands:
-            # The control unit only computes on announced vertical
-            # objects; the tracker catches stale base rows, and
-            # require_live catches freed handles whose rows were
-            # re-allocated (the tracker would find the new occupant).
-            self.tracker.lookup(operand.block.base)
-            operand.require_live()
+        return self._run(op, operands, feeds, width, backend, engine)[1]
 
-        program = self.compile(op_name, width, backend)
-        out = self.empty(n_elements, spec.out_width(width),
-                         signed=spec.signed)
-        return self._dispatch(program, operands, out, n_elements,
-                              engine=engine)
-
-    def _dispatch(self, program: MicroProgram,
-                  operands: tuple[SimdramArray, ...], out: SimdramArray,
-                  n_elements: int,
-                  engine: "str | ExecutionEngine") -> SimdramArray:
-        """Issue one installed µProgram over DRAM-resident operands.
-
-        Forms the ``bbop`` instruction, round-trips it through the
-        binary ISA encoding, reserves the program's scratch rows and
-        replays it on every bank.  A failing execution releases its
-        temporary block *and* the output allocation instead of leaking
-        them.
-        """
-        try:
-            temp_reservation = (
-                self._allocator.reserve(program.n_temp_rows)
-                if program.n_temp_rows else contextlib.nullcontext(None))
-            with temp_reservation as temp_block:
-                # Form, encode and decode the bbop instruction (ISA
-                # round trip).
-                instruction = BbopInstruction.decode(bbop(
-                    program.op_name, dst=out.block.base,
-                    srcs=[o.block.base for o in operands],
-                    n_elements=n_elements,
-                    element_width=program.element_width).encode())
-                self.issued.append(instruction)
-
-                bases = {Space.OUTPUT: instruction.dst}
-                instr_srcs = (instruction.src0, instruction.src1,
-                              instruction.src2)
-                for space, base in zip(INPUT_SPACES,
-                                       instr_srcs[:len(operands)]):
-                    bases[space] = base
-                if temp_block is not None:
-                    bases[Space.TEMP] = temp_block.base
-                layout = RowLayout(bases)
-
-                key = ProgramKey(program.op_name, program.element_width,
-                                 program.backend)
-                with obs_span("engine.execute", op=program.op_name,
-                              width=program.element_width,
-                              engine=str(getattr(engine, "name", engine))):
-                    self.last_stats = self.control.execute_on_module(
-                        self.control.lookup(key), self.module, layout,
-                        engine=engine)
-        except BaseException:
-            out.free()
-            raise
-        return out
-
-    def run_expr(self, root: Expr, feeds: dict[str, SimdramArray],
+    def run_expr(self, root: "str | Expr", feeds: dict[str, SimdramArray],
                  *, width: int | None = None, backend: str | None = None,
                  engine: "str | ExecutionEngine" = "auto") -> SimdramArray:
         """Execute a whole expression DAG as **one** fused µProgram.
 
-        ``feeds`` binds every input leaf of ``root`` to a DRAM-resident
-        array.  The pipeline width defaults to the widest operand (pass
-        ``width`` explicitly for pipelines whose operands are all
-        narrower than the element width, e.g. an ``if_else`` fed only
-        1-bit arrays).  Intermediate values never touch named row
+        :meth:`run` with every input leaf of ``root`` bound by name to
+        a DRAM-resident array.  Intermediate values never touch named row
         blocks: the whole DAG replays as a single command stream with
         one output allocation and one temp reservation.
         """
-        if width is None:
-            if not feeds:
-                raise OperationError(
-                    "run_expr needs at least one input array")
-            width = max(array.width for array in feeds.values())
-        kernel = self.compile_expr(root, width, backend)
-        self._check_feed_names(kernel, feeds)
-        operands = tuple(feeds[name] for name in kernel.input_names)
-        for name, operand, expected in zip(kernel.input_names, operands,
-                                           kernel.input_widths):
-            if operand.width != expected:
-                raise OperationError(
-                    f"fused input {name!r} must be {expected}-bit, "
-                    f"got {operand.width}-bit")
-        n_elements = operands[0].n_elements
-        if any(o.n_elements != n_elements for o in operands):
-            raise OperationError(
-                f"fused expression: operand lengths differ: "
-                f"{[o.n_elements for o in operands]}")
-        for operand in operands:
-            self.tracker.lookup(operand.block.base)
-            operand.require_live()
-        out = self.empty(n_elements, kernel.out_width,
-                         signed=kernel.signed)
-        return self._dispatch(kernel.program, operands, out, n_elements,
-                              engine=engine)
+        return self._run(root, (), feeds, width, backend, engine)[1]
 
     def run_multi(self, roots: dict[str, Expr],
                   feeds: dict[str, SimdramArray], *,
@@ -616,222 +536,90 @@ class Simdram:
         signedness).  Shared subexpressions between roots are computed
         once — the stitched circuit dedups them structurally.
         """
-        if not roots:
-            raise OperationError("run_multi needs at least one root")
-        if width is None:
-            if not feeds:
-                raise OperationError(
-                    "run_multi needs at least one input array")
-            width = max(array.width for array in feeds.values())
-        kernel = self.compile_multi(roots, width, backend)
-        return self.run_multi_kernel(kernel, feeds, engine=engine)
-
-    def run_multi_kernel(self, kernel: MultiKernel,
-                         feeds: dict[str, SimdramArray], *,
-                         engine: "str | ExecutionEngine" = "auto") -> dict[str, np.ndarray]:
-        """Dispatch an already-compiled :class:`MultiKernel` (the entry
-        the cluster runtime uses after :meth:`adopt_multi`)."""
-        self._check_feed_names(kernel, feeds)
-        operands = tuple(feeds[name] for name in kernel.input_names)
-        for name, operand, expected in zip(kernel.input_names, operands,
-                                           kernel.input_widths):
-            if operand.width != expected:
-                raise OperationError(
-                    f"fused input {name!r} must be {expected}-bit, "
-                    f"got {operand.width}-bit")
-        n_elements = operands[0].n_elements
-        if any(o.n_elements != n_elements for o in operands):
-            raise OperationError(
-                f"fused expression: operand lengths differ: "
-                f"{[o.n_elements for o in operands]}")
-        for operand in operands:
-            self.tracker.lookup(operand.block.base)
-            operand.require_live()
-
-        program = kernel.program
-        results: dict[str, np.ndarray] = {}
-        with contextlib.ExitStack() as stack:
-            out_block = stack.enter_context(
-                self._allocator.reserve(kernel.total_out_width))
-            temp_block = (stack.enter_context(
-                self._allocator.reserve(program.n_temp_rows))
-                if program.n_temp_rows else None)
-            self._announce(out_block, n_elements, out_block.width)
-            stack.callback(self.tracker.release, out_block.base)
-
-            instruction = BbopInstruction.decode(bbop(
-                program.op_name, dst=out_block.base,
-                srcs=[o.block.base for o in operands],
-                n_elements=n_elements,
-                element_width=program.element_width).encode())
-            self.issued.append(instruction)
-
-            bases = {Space.OUTPUT: out_block.base}
-            instr_srcs = (instruction.src0, instruction.src1,
-                          instruction.src2)
-            for space, base in zip(INPUT_SPACES,
-                                   instr_srcs[:len(operands)]):
-                bases[space] = base
-            if temp_block is not None:
-                bases[Space.TEMP] = temp_block.base
-            layout = RowLayout(bases)
-            with obs_span("engine.execute", op=program.op_name,
-                          width=program.element_width,
-                          engine=str(getattr(engine, "name", engine))):
-                self.last_stats = self.control.execute_on_module(
-                    program, self.module, layout, engine=engine)
-
-            for name, (offset, out_width) in kernel.slices.items():
-                view = RowBlock(out_block.base + offset, out_width)
-                results[name] = self.transposer.vertical_to_host(
-                    self.module, view, n_elements, out_width,
-                    signed=kernel.signed[name])
-        return results
-
-    @staticmethod
-    def _check_feed_names(kernel: "FusedKernel | MultiKernel",
-                          feeds: dict) -> None:
-        missing = set(kernel.input_names) - set(feeds)
-        extra = set(feeds) - set(kernel.input_names)
-        if missing or extra:
-            raise OperationError(
-                f"fused expression inputs are {sorted(kernel.input_names)}"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
+        kernel, out = self._run(roots, (), feeds, width, backend, engine)
+        try:
+            return {
+                output.name: self.transposer.vertical_to_host(
+                    self.module,
+                    RowBlock(out.block.base + output.offset, output.width),
+                    out.n_elements, output.width, signed=output.signed)
+                for output in kernel.outputs}
+        finally:
+            out.free()
 
     # ------------------------------------------------------------------
     # streaming execution over host vectors of any length
     # ------------------------------------------------------------------
-    def map(self, op_name: str, *host_operands, width: int = 8,
-            backend: str | None = None,
-            engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
-        """Run an operation over host vectors of arbitrary length.
+    def _map(self, op: "str | Expr", positional: tuple,
+             feeds: "dict | None", width: int, backend: str | None,
+             engine: "str | ExecutionEngine") -> np.ndarray:
+        """The one host-vector dispatch.
 
         Vectors longer than the module's SIMD lanes are processed in
         lane-sized batches, the paper's execution model for large
         inputs.  The operand, output and temporary row blocks are
-        allocated *once* and reused across batches (each batch's
+        reserved *once* and reused across batches (each batch's
         transpose-in overwrites every row of every operand block), so
         per-batch work is transpose-in, replay, transpose-out — no
         alloc/free churn, and the control unit's plan cache hits on
         every batch after the first because the row layout is stable.
         All rows are released when the sweep finishes or fails.
-
-        ``width`` is the element width in bits; operands with a
-        fixed-width interface (e.g. ``if_else``'s 1-bit select) are
-        sized per the operation's spec automatically.  Host values are
-        encoded as ``width``-bit two's complement on the way in, so
-        negative inputs work with the signed operations directly; the
-        result's signedness follows the operation's spec.
         """
-        spec = get_operation(op_name)
-        if len(host_operands) != spec.arity:
-            raise OperationError(
-                f"{op_name} takes {spec.arity} operands, "
-                f"got {len(host_operands)}")
-        vectors = [np.asarray(values) for values in host_operands]
-        n_total = len(vectors[0])
-        if any(len(v) != n_total for v in vectors):
-            raise OperationError(
-                f"{op_name}: operand lengths differ: "
-                f"{[len(v) for v in vectors]}")
-        if n_total == 0:
-            raise OperationError("map needs at least one element")
-
-        program = self.compile(op_name, width, backend)
-        return self._map_batches(program, vectors, spec.in_widths(width),
-                                 spec.out_width(width), spec.signed,
-                                 engine)
-
-    def _map_batches(self, program: MicroProgram,
-                     vectors: list["np.ndarray"],
-                     input_widths: "tuple[int, ...] | list[int]",
-                     out_width: int, signed: bool,
-                     engine: "str | ExecutionEngine") -> np.ndarray:
-        """The shared batching loop of :meth:`map` and :meth:`map_expr`.
-
-        Reserves the operand/output/temporary row blocks *once* and
-        reuses them across lane-sized batches, so per-batch work is
-        transpose-in, replay, transpose-out and the control unit's plan
-        cache hits from batch 2 on.  All rows are released when the
-        sweep finishes or fails (the PR-1 leak-class guarantee lives
-        here, in exactly one place).
-        """
-        n_total = len(vectors[0])
+        kernel = self.compile(op, width, backend)
+        vectors = [np.asarray(values)
+                   for values in kernel.bind(positional, feeds)]
+        n_total = same_length(kernel.op_name, [len(v) for v in vectors])
         lanes = self.module.lanes
+        out_width = kernel.out_width
 
         chunks = []
         with contextlib.ExitStack() as stack:
-            in_blocks = [stack.enter_context(self._allocator.reserve(w))
-                         for w in input_widths]
-            out_block = stack.enter_context(
-                self._allocator.reserve(out_width))
-            temp_block = (stack.enter_context(
-                self._allocator.reserve(program.n_temp_rows))
-                if program.n_temp_rows else None)
+            in_blocks, out_block, layout = stack.enter_context(
+                self._bound_rows(kernel))
             # Announce each reused vertical object once (bbop_trsp_init),
             # not once per batch, and drop it from the tracker on exit.
             for block in (*in_blocks, out_block):
                 self._announce(block, min(lanes, n_total), block.width)
                 stack.callback(self.tracker.release, block.base)
 
-            bases = {Space.OUTPUT: out_block.base}
-            for space, block in zip(INPUT_SPACES, in_blocks):
-                bases[space] = block.base
-            if temp_block is not None:
-                bases[Space.TEMP] = temp_block.base
-            layout = RowLayout(bases)
-
             for start in range(0, n_total, lanes):
                 stop = min(start + lanes, n_total)
-                for values, block, in_width in zip(vectors, in_blocks,
-                                                   input_widths):
+                for values, block in zip(vectors, in_blocks):
                     self.transposer.host_to_vertical(
-                        self.module, block, values[start:stop], in_width)
-                instruction = BbopInstruction.decode(bbop(
-                    program.op_name, dst=out_block.base,
-                    srcs=[block.base for block in in_blocks],
-                    n_elements=stop - start,
-                    element_width=program.element_width).encode())
-                self.issued.append(instruction)
-                with obs_span("engine.execute", op=program.op_name,
-                              width=program.element_width,
-                              n_elements=stop - start,
-                              engine=str(getattr(engine, "name", engine))):
-                    self.last_stats = self.control.execute_on_module(
-                        program, self.module, layout, engine=engine)
+                        self.module, block, values[start:stop], block.width)
+                self._issue(kernel, in_blocks, out_block, layout,
+                            stop - start, engine)
                 chunks.append(self.transposer.vertical_to_host(
                     self.module, out_block, stop - start, out_width,
-                    signed=signed))
+                    signed=kernel.signed))
         return np.concatenate(chunks)
 
-    def map_expr(self, root: Expr, feeds: dict[str, "np.ndarray"],
+    def map(self, op: "str | Expr", *host_operands,
+            feeds: "dict | None" = None, width: int = 8,
+            backend: str | None = None,
+            engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
+        """Run a kernel over host vectors of arbitrary length —
+        positional, in operand-slot order, or bound by leaf name via
+        ``feeds``.
+
+        ``width`` is the element width in bits; operands with a
+        fixed-width interface (e.g. ``if_else``'s 1-bit select) are
+        sized per the operation's spec automatically.  Host values are
+        encoded as two's complement at each slot's width on the way
+        in, so negative inputs work with the signed operations
+        directly; the result's signedness follows the root operation's
+        spec.
+        """
+        return self._map(op, host_operands, feeds, width, backend, engine)
+
+    def map_expr(self, root: "str | Expr", feeds: dict[str, "np.ndarray"],
                  *, width: int = 8, backend: str | None = None,
                  engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
-        """Run a fused expression DAG over host vectors of any length.
-
-        The fused analogue of :meth:`map`: vectors longer than the
-        module's SIMD lanes are processed in lane-sized batches, with
-        the operand, output and temporary row blocks allocated *once*
-        and reused across batches.  Because the whole DAG is one
-        µProgram, each batch is transpose-in, one replay, transpose-out
-        — no per-operation intermediates exist at all.  Host values are
-        encoded as two's complement at each leaf's width; the result's
-        signedness follows the root operation's spec.
-        """
-        kernel = self.compile_expr(root, width, backend)
-        self._check_feed_names(kernel, feeds)
-        vectors = [np.asarray(feeds[name]) for name in kernel.input_names]
-        n_total = len(vectors[0])
-        if any(len(v) != n_total for v in vectors):
-            raise OperationError(
-                f"fused expression: operand lengths differ: "
-                f"{[len(v) for v in vectors]}")
-        if n_total == 0:
-            raise OperationError("map_expr needs at least one element")
-        return self._map_batches(kernel.program, vectors,
-                                 kernel.input_widths, kernel.out_width,
-                                 kernel.signed, engine)
+        """:meth:`map` with the vectors bound by leaf name.  Because
+        the whole DAG is one µProgram, each batch is transpose-in, one
+        replay, transpose-out — no per-operation intermediates exist
+        at all."""
+        return self._map(root, (), feeds, width, backend, engine)
 
     # ------------------------------------------------------------------
     # measurement helpers

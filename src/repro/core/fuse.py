@@ -1,46 +1,62 @@
-"""The fusion compiler: one µProgram for a whole expression DAG.
+"""The kernel compiler: one µProgram for any computation.
 
-Where :func:`repro.core.compiler.compile_operation` compiles a single
-catalog operation, this module compiles an :class:`~repro.core.expr.Expr`
-DAG end to end:
+The paper's framework has one pipeline for "any arbitrary and complex
+operation": circuit -> MIG (Step 1) -> row allocation + µProgram
+(Step 2) -> ``bbop`` replay (Step 3).  This module is Steps 1+2 for
+every kind of source the library accepts — there is one compile body,
+:func:`compile_kernel`, and one compiled record, :class:`Kernel`:
 
-1. every operation's gate-level circuit is instantiated into **one**
-   shared :class:`~repro.logic.circuit.Circuit`, each operation's output
-   bits wired directly as the next operation's input nets (constants
-   become constant nets and fold away);
-2. the stitched circuit becomes a single MIG and is optimized *across*
-   operation boundaries — Step 1 sees the whole pipeline;
-3. the existing Step-2 :class:`~repro.uprog.scheduler.Scheduler` then
-   allocates rows for the whole graph in one pass, so intermediate
-   values live in B-group planes and compiler temporaries with
-   cross-operation temp-row reuse and dead-temp freeing — they never
-   touch named row blocks, never transpose, never allocate per step.
+* a **catalog operation** (a name, or an
+  :class:`~repro.core.operations.OperationSpec`) is the one-node
+  :class:`~repro.core.expr.Expr` applying it to its canonical leaves
+  ``a``, ``b``, ``c``;
+* an **expression DAG** has every operation's gate-level circuit
+  instantiated into one shared :class:`~repro.logic.circuit.Circuit`,
+  each operation's output bits wired directly as the next operation's
+  input nets (constants become constant nets and fold away);
+* a **named set of roots** is the same thing with N outputs packed
+  contiguously into the OUTPUT space (shared subgraphs stitched once).
 
-The resulting :class:`FusedKernel` behaves exactly like a catalog
-µProgram at Step 3: it binds up to three input spaces (the ``bbop``
-instruction carries three source addresses), one output space and a
-temp region; the control unit caches its
-:class:`~repro.exec.plan.ExecutionPlan` keyed on the DAG hash.
+The stitched circuit becomes a single MIG, optimized *across*
+operation boundaries, and the Step-2
+:class:`~repro.uprog.scheduler.Scheduler` allocates rows for the whole
+graph in one pass, so intermediate values live in B-group planes and
+compiler temporaries — they never touch named row blocks, never
+transpose, never allocate per step.
+
+At Step 3 every kernel looks the same: up to three input spaces (the
+``bbop`` instruction carries three source addresses), one output space
+and a temp region.  :func:`kernel_identity` names a kernel — a catalog
+name, or ``fused_<content hash>`` — and that name is the opcode, the
+cache key on :class:`~repro.Simdram` and
+:class:`~repro.SimdramCluster`, the control unit's
+:class:`~repro.exec.control_unit.ProgramKey`, the PMU's attribution
+key and the serving layer's pack key.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.compiler import backend_style
 from repro.core.expr import (
     KIND_CONST,
+    KIND_INPUT,
     KIND_OP,
     Expr,
     analyze,
     dag_hash,
-    n_ops,
+    inp,
     post_order,
 )
-from repro.core.operations import get_operation
+from repro.core.operations import (
+    OperationSpec,
+    backend_style,
+    get_operation,
+)
 from repro.errors import OperationError
 from repro.isa.instructions import register_opcode
 from repro.logic.circuit import Circuit, Net
@@ -54,86 +70,238 @@ from repro.util.bitops import to_unsigned
 #: The bbop instruction carries at most this many source base addresses.
 MAX_FUSED_INPUTS = len(INPUT_SPACES)
 
-#: Operand-slot prefixes, matching compile_operation's row naming.
+#: Circuit-input prefix of each operand slot; also the canonical leaf
+#: names of a catalog operation (``OperationSpec.operand_names``).
 _SLOT_PREFIXES = ("a", "b", "c")
 
+#: What a kernel can be compiled from.
+KernelSource = str | OperationSpec | Expr | dict[str, Expr]
 
-@dataclass(frozen=True)
-class FusedKernel:
-    """A compiled expression DAG: one µProgram plus its interface."""
 
-    program: MicroProgram
-    root: Expr
-    width: int                        # pipeline element width
-    backend: str
-    dag_hash: str
-    input_names: tuple[str, ...]      # leaf names, operand-slot order
-    input_widths: tuple[int, ...]     # bit width of each operand slot
-    out_width: int
-    signed: bool                      # root operation's signedness
-    n_ops: int                        # catalog operations stitched
+class Output(NamedTuple):
+    """One result of a kernel: a bit slice of its packed OUTPUT space."""
 
-    @property
-    def op_name(self) -> str:
-        return self.program.op_name
+    name: str
+    offset: int       # first bit row inside the OUTPUT block
+    width: int        # bit rows
+    signed: bool      # the root operation's result signedness
 
 
 @dataclass(frozen=True)
-class MultiKernel:
-    """A compiled multi-root expression DAG: one µProgram, N outputs.
+class Kernel:
+    """A compiled computation: one µProgram plus its interface.
 
-    The multi-output analogue of :class:`FusedKernel`: all roots share
-    one input pool (at most three leaves) and one packed OUTPUT space;
-    ``slices`` gives each root's ``(bit offset, width)`` inside the
-    output block, so one dispatch computes every root at once.
+    ``input_names``/``input_widths`` give the operand slots in ``bbop``
+    source order (for a catalog operation the leaves are ``a``, ``b``,
+    ``c``); ``outputs`` lists each result's slice of the OUTPUT block,
+    in the order the roots were given.  A catalog operation or a single
+    expression has one output named ``y``.
     """
 
     program: MicroProgram
-    roots: tuple[tuple[str, Expr], ...]   # (name, root), given order
-    width: int                            # pipeline element width
+    width: int                        # pipeline element width
     backend: str
-    digest: str                           # joint content hash
-    input_names: tuple[str, ...]          # leaf names, operand-slot order
-    input_widths: tuple[int, ...]         # bit width of each operand slot
-    slices: dict[str, tuple[int, int]]    # root name -> (bit offset, width)
-    out_widths: dict[str, int]            # root name -> output bit width
-    signed: dict[str, bool]               # root name -> result signedness
+    input_names: tuple[str, ...]
+    input_widths: tuple[int, ...]
+    outputs: tuple[Output, ...]
 
     @property
     def op_name(self) -> str:
         return self.program.op_name
 
     @property
-    def total_out_width(self) -> int:
-        """Bits of the packed OUTPUT space (all roots contiguous)."""
-        return sum(self.out_widths.values())
+    def key(self) -> tuple[str, int, str]:
+        """The kernel's :func:`kernel_identity`."""
+        return (self.program.op_name, self.width, self.backend)
+
+    @property
+    def out_width(self) -> int:
+        """Bits of the packed OUTPUT space (all outputs contiguous)."""
+        return self.program.output.width
+
+    @property
+    def signed(self) -> bool:
+        """Result signedness of the (first) output."""
+        return self.outputs[0].signed
+
+    def bind(self, positional: Sequence, feeds: "dict | None" = None
+             ) -> tuple:
+        """Operands in slot order, from positional operands or a
+        leaf-name binding (see :func:`bind_operands`)."""
+        return bind_operands(self.op_name, self.input_names, positional,
+                             feeds)
+
+    def check_resident(self, operands: Sequence) -> int:
+        """Validate DRAM-resident operands (arrays or tensors, in slot
+        order): live, of each slot's width, equally long.  Returns the
+        element count."""
+        for name, operand, expected in zip(self.input_names, operands,
+                                           self.input_widths):
+            operand.require_live()
+            if operand.width != expected:
+                raise OperationError(
+                    f"{self.op_name} input {name!r} must be "
+                    f"{expected}-bit, got {operand.width}-bit")
+        return same_length(self.op_name,
+                           [operand.n_elements for operand in operands])
 
 
+def bind_operands(what: str, names: Sequence[str], positional: Sequence,
+                  feeds: "dict | None") -> tuple:
+    """Operands in kernel-input order — the one place every entry point
+    (``run``/``map``/``submit`` on a module, a cluster or the service)
+    turns ``positional | feeds`` into slots.
+
+    Positional operands bind in slot order and must match the slot
+    count; ``feeds`` binds by leaf name and must name every leaf and
+    nothing else.
+    """
+    if feeds is None:
+        if len(positional) != len(names):
+            raise OperationError(
+                f"{what} takes {len(names)} operands, "
+                f"got {len(positional)}")
+        return tuple(positional)
+    if positional:
+        raise OperationError(
+            f"{what}: bind operands positionally or via feeds=, "
+            f"not both")
+    if len(feeds) != len(names) or any(n not in feeds for n in names):
+        missing = set(names) - set(feeds)
+        extra = set(feeds) - set(names)
+        raise OperationError(
+            f"{what} inputs are {sorted(names)}"
+            + (f"; missing {sorted(missing)}" if missing else "")
+            + (f"; unexpected {sorted(extra)}" if extra else ""))
+    return tuple(feeds[name] for name in names)
+
+
+def resident_width(positional: Sequence, feeds: "dict | None") -> int:
+    """The pipeline width DRAM-resident operands imply when the caller
+    names none: the last positional operand's (an operation's fixed
+    narrow slots, e.g. ``if_else``'s select, come first), or the widest
+    of a named binding (pass ``width`` explicitly for pipelines whose
+    operands are all narrower than the element width)."""
+    operands = positional if feeds is None else tuple(feeds.values())
+    if not operands:
+        raise OperationError("an execution needs at least one operand")
+    if feeds is None:
+        return operands[-1].width
+    return max(operand.width for operand in operands)
+
+
+def same_length(what: str, lengths: Sequence[int]) -> int:
+    """The common operand length (elements); raises when they differ
+    or there is nothing to compute on."""
+    if any(n != lengths[0] for n in lengths):
+        raise OperationError(
+            f"{what}: operand lengths differ: {list(lengths)}")
+    if lengths[0] == 0:
+        raise OperationError(f"{what} needs at least one element")
+    return lengths[0]
+
+
+# ---------------------------------------------------------------------------
+# naming: what kernel does a source denote?
+# ---------------------------------------------------------------------------
 def fused_op_name(digest: str) -> str:
-    """The µProgram/bbop name of a fused kernel, from its DAG hash."""
+    """The µProgram/bbop name of a fused kernel, from its content hash."""
     return f"fused_{digest}"
 
 
-def kernel_identity(op_or_root: "str | Expr", width: int,
+def multi_digest(roots: dict[str, Expr]) -> str:
+    """Joint content hash of a named multi-root DAG."""
+    token = "+".join(f"{name}:{dag_hash(root)}"
+                     for name, root in sorted(roots.items()))
+    return hashlib.sha256(token.encode()).hexdigest()[:16]
+
+
+def catalog_name(root: Expr) -> "str | None":
+    """The operation ``root`` *is*, when it is exactly one operation
+    applied to its canonical leaves (``add(inp("a"), inp("b"))`` is
+    ``"add"``); ``None`` for any other DAG.  Structural, no hashing."""
+    if root.kind != KIND_OP:
+        return None
+    leaves = root.children
+    if any(leaf.kind != KIND_INPUT or leaf.name != prefix
+           for leaf, prefix in zip(leaves, _SLOT_PREFIXES)):
+        return None
+    return root.op
+
+
+def _resolve(op: KernelSource):
+    """``(µProgram name, source hash, named roots, spec lookup)`` of a
+    kernel source — the naming rule behind :func:`kernel_identity` and
+    the first thing :func:`compile_kernel` does."""
+    if isinstance(op, dict):
+        if not op:
+            raise OperationError("a kernel needs at least one root")
+        digest = multi_digest(op)
+        return fused_op_name(digest), digest, op, get_operation
+    if isinstance(op, Expr):
+        name = catalog_name(op)
+        if name is None:
+            digest = dag_hash(op)
+            return fused_op_name(digest), digest, {"y": op}, get_operation
+        op = name
+    spec = op if isinstance(op, OperationSpec) else get_operation(str(op))
+    # Built directly, not through expr.op: an unregistered spec (the
+    # Ambit bulk operations) compiles too.
+    root = Expr(KIND_OP, op=spec.name,
+                children=tuple(map(inp, spec.operand_names())))
+    return spec.name, None, {"y": root}, {spec.name: spec}.__getitem__
+
+
+def kernel_identity(op: "str | Expr | dict[str, Expr]", width: int,
                     backend: str = "simdram") -> tuple[str, int, str]:
     """Canonical identity of the kernel a dispatch will execute.
 
-    Catalog operations are identified by name, expression DAGs by
-    their stable content hash — the same keys the framework's
-    program/kernel caches use.  Two requests with equal identities
-    replay the *same* µProgram over the same operand interface, so
-    they may share one wide dispatch with their lanes concatenated;
-    this is the compatibility predicate the serving layer's lane
-    packer batches on.
+    A catalog operation — given by name, or as the :class:`Expr`
+    applying it to its canonical leaves — is identified by its name;
+    any other DAG by its stable content hash.  Two requests with equal
+    identities replay the *same* µProgram over the same operand
+    interface, so the framework caches on it and the serving layer's
+    lane packer batches on it.  A name is an O(1) answer: no
+    ``Expr`` is built or hashed.
     """
-    if isinstance(op_or_root, Expr):
-        return (fused_op_name(dag_hash(op_or_root)), width, backend)
-    return (str(op_or_root), width, backend)
+    if isinstance(op, str):
+        return (op, width, backend)
+    return (_resolve(op)[0], width, backend)
 
 
+def kernel_inputs(op: KernelSource, width: int) -> dict[str, int]:
+    """Leaf name -> operand bit width of the kernel ``op`` denotes at
+    ``width``, in operand-slot order — its validated interface, without
+    compiling it.  :func:`compile_kernel` builds the kernel's interface
+    from this, and the serving layer validates requests against it."""
+    if isinstance(op, (str, OperationSpec)):
+        spec = op if isinstance(op, OperationSpec) else get_operation(op)
+        if width < 1:
+            raise OperationError(f"width must be >= 1, got {width}")
+        return dict(zip(spec.operand_names(), spec.in_widths(width)))
+    inputs: dict[str, int] = {}
+    for root in (op.values() if isinstance(op, dict) else (op,)):
+        for leaf, w in analyze(root, width).input_widths.items():
+            known = inputs.setdefault(leaf, w)
+            if known != w:
+                raise OperationError(
+                    f"input {leaf!r} is consumed at {known}-bit and "
+                    f"{w}-bit widths across roots")
+    if len(inputs) > MAX_FUSED_INPUTS:
+        raise OperationError(
+            f"fused expression binds {len(inputs)} distinct inputs "
+            f"{sorted(inputs)}; the bbop instruction carries at "
+            f"most {MAX_FUSED_INPUTS} source addresses (fold broadcast "
+            f"values into expr.const leaves)")
+    return inputs
+
+
+# ---------------------------------------------------------------------------
+# Steps 1+2
+# ---------------------------------------------------------------------------
 def _stitch_root(circuit: Circuit, root: Expr, width: int,
-                 input_widths: dict[str, int], style: str,
-                 slot_of: dict[str, int]) -> list[Net]:
+                 inputs: dict[str, int], style: str,
+                 spec_of) -> list[Net]:
     """Stitch one DAG into the shared circuit; returns the root's nets.
 
     Each operation's circuit factory receives its children's *output
@@ -144,6 +312,7 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     const value may feed consumers of different widths); the circuit's
     structural hashing dedups subgraphs shared between roots.
     """
+    slot_of = {name: i for i, name in enumerate(inputs)}
     bits: dict[Expr, list[Net]] = {}
 
     def bits_of(node: Expr) -> list[Net]:
@@ -152,7 +321,7 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
             return cached
         prefix = _SLOT_PREFIXES[slot_of[node.name]]
         nets = [circuit.input(f"{prefix}{i}")
-                for i in range(input_widths[node.name])]
+                for i in range(inputs[node.name])]
         bits[node] = nets
         return nets
 
@@ -163,7 +332,7 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     for node in post_order(root):
         if node.kind != KIND_OP:
             continue
-        spec = get_operation(node.op)
+        spec = spec_of(node.op)
         args = [const_nets(child.value, w) if child.kind == KIND_CONST
                 else bits_of(child)
                 for child, w in zip(node.children, spec.in_widths(width))]
@@ -177,144 +346,77 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     return bits[root]
 
 
-def _input_interface(input_widths: dict[str, int],
-                     ) -> tuple[list[OperandSpec], dict[str, URow]]:
-    """Operand specs and symbolic row bindings for the input leaves."""
-    input_rows: dict[str, URow] = {}
-    input_specs: list[OperandSpec] = []
-    for slot, (_, in_width) in enumerate(input_widths.items()):
-        space = INPUT_SPACES[slot]
-        input_specs.append(OperandSpec(space, in_width))
-        for bit in range(in_width):
-            input_rows[f"{_SLOT_PREFIXES[slot]}{bit}"] = URow(space, bit)
-    return input_specs, input_rows
+def compile_kernel(op: KernelSource, width: int, backend: str = "simdram",
+                   options: ScheduleOptions | None = None,
+                   optimize_mig: bool = True) -> Kernel:
+    """Steps 1+2 for any kernel source — the one compile body.
 
-
-def _check_input_count(input_widths: dict[str, int]) -> None:
-    if len(input_widths) > MAX_FUSED_INPUTS:
-        raise OperationError(
-            f"fused expression binds {len(input_widths)} distinct inputs "
-            f"{sorted(input_widths)}; the bbop instruction carries at "
-            f"most {MAX_FUSED_INPUTS} source addresses (fold broadcast "
-            f"values into expr.const leaves)")
-
-
-def compile_expr(root: Expr, width: int, backend: str = "simdram",
-                 options: ScheduleOptions | None = None,
-                 optimize_mig: bool = True) -> FusedKernel:
-    """Compile an expression DAG into one fused µProgram.
-
-    Mirrors :func:`~repro.core.compiler.compile_operation` (including
-    the Ambit baseline's naive default schedule) but runs Steps 1+2 on
-    the stitched whole-pipeline graph.
+    Stitches every root into one circuit, converts it to a MIG,
+    optimizes it across operation boundaries and schedules the whole
+    graph into one µProgram.  The Ambit baseline defaults to *naive*
+    scheduling (``reuse=False``): real Ambit replays a fixed command
+    sequence per bulk gate — three operand loads and a fused TRA-copy —
+    with no inter-gate B-group reuse.  Exploiting reuse to minimize
+    activations is precisely what SIMDRAM's Step 2 contributes, so only
+    the SIMDRAM backend gets it.  Pass ``options`` explicitly to
+    override (used by the ablation bench).
     """
-    analysis = analyze(root, width)
-    _check_input_count(analysis.input_widths)
+    name, source_hash, roots, spec_of = _resolve(op)
+    inputs = kernel_inputs(op, width)
     if options is None and backend == "ambit":
         options = ScheduleOptions(reuse=False)
-
-    circuit = Circuit()
-    slot_of = {name: i for i, name in enumerate(analysis.input_widths)}
-    nets = _stitch_root(circuit, root, width, analysis.input_widths,
-                        backend_style(backend), slot_of)
-    for i, net in enumerate(nets):
-        circuit.set_output(f"y{i}", net)
-
-    mig = Mig.from_circuit(circuit)
-    if optimize_mig:
-        mig, _ = optimize(mig)
-
-    input_specs, input_rows = _input_interface(analysis.input_widths)
-    digest = dag_hash(root)
-    name = fused_op_name(digest)
-    program, _ = schedule_stitched(
-        mig, op_name=name, backend=backend, element_width=width,
-        input_specs=input_specs, input_rows=input_rows,
-        output_groups=[("y", [f"y{i}" for i in range(analysis.out_width)])],
-        options=options, source_hash=digest)
-    # Fused kernels are issued through the same bbop ISA as catalog
-    # operations; give the kernel an opcode on first compilation.
-    register_opcode(name)
-    return FusedKernel(
-        program=program, root=root, width=width, backend=backend,
-        dag_hash=digest,
-        input_names=tuple(analysis.input_widths),
-        input_widths=tuple(analysis.input_widths.values()),
-        out_width=analysis.out_width, signed=analysis.signed,
-        n_ops=n_ops(root))
-
-
-def compile_multi(roots: dict[str, Expr], width: int,
-                  backend: str = "simdram",
-                  options: ScheduleOptions | None = None,
-                  optimize_mig: bool = True) -> MultiKernel:
-    """Compile several root expressions into one multi-output µProgram.
-
-    All roots draw from one shared pool of at most three input leaves
-    (with consistent widths); shared subgraphs between roots are
-    stitched once (the circuit's structural hashing dedups them).  The
-    outputs are packed contiguously into the OUTPUT space; the returned
-    :class:`MultiKernel` records each root's ``(bit offset, width)``
-    slice.  This is the multi-root entry used by
-    :meth:`Simdram.run_multi` and the lazy frontend's
-    ``evaluate_all``.
-    """
-    if not roots:
-        raise OperationError("compile_multi needs at least one root")
-    if options is None and backend == "ambit":
-        options = ScheduleOptions(reuse=False)
-
-    analyses = {name: analyze(root, width) for name, root in roots.items()}
-    input_widths: dict[str, int] = {}
-    for analysis in analyses.values():
-        for leaf, w in analysis.input_widths.items():
-            known = input_widths.setdefault(leaf, w)
-            if known != w:
-                raise OperationError(
-                    f"input {leaf!r} is consumed at {known}-bit and "
-                    f"{w}-bit widths across roots")
-    _check_input_count(input_widths)
 
     circuit = Circuit()
     style = backend_style(backend)
-    slot_of = {name: i for i, name in enumerate(input_widths)}
     output_groups: list[tuple[str, list[str]]] = []
-    for out_name, analysis in analyses.items():
-        nets = _stitch_root(circuit, analysis.root, width, input_widths,
-                            style, slot_of)
-        bit_names = []
-        for i, net in enumerate(nets):
-            bit_name = f"{out_name}_{i}"
+    for out_name, root in roots.items():
+        nets = _stitch_root(circuit, root, width, inputs, style, spec_of)
+        bit_names = [f"{out_name}_{i}" for i in range(len(nets))]
+        for bit_name, net in zip(bit_names, nets):
             circuit.set_output(bit_name, net)
-            bit_names.append(bit_name)
         output_groups.append((out_name, bit_names))
 
     mig = Mig.from_circuit(circuit)
     if optimize_mig:
         mig, _ = optimize(mig)
 
-    input_specs, input_rows = _input_interface(input_widths)
-    digest = multi_digest(roots)
-    name = fused_op_name(digest)
+    input_rows: dict[str, URow] = {}
+    input_specs: list[OperandSpec] = []
+    for prefix, space, in_width in zip(_SLOT_PREFIXES, INPUT_SPACES,
+                                       inputs.values()):
+        input_specs.append(OperandSpec(space, in_width))
+        for bit in range(in_width):
+            input_rows[f"{prefix}{bit}"] = URow(space, bit)
     program, slices = schedule_stitched(
         mig, op_name=name, backend=backend, element_width=width,
         input_specs=input_specs, input_rows=input_rows,
-        output_groups=output_groups, options=options, source_hash=digest)
-    register_opcode(name)
-    return MultiKernel(
-        program=program, roots=tuple(roots.items()), width=width,
-        backend=backend, digest=digest,
-        input_names=tuple(input_widths),
-        input_widths=tuple(input_widths.values()),
-        slices=slices,
-        out_widths={name: analysis.out_width
-                    for name, analysis in analyses.items()},
-        signed={name: analysis.signed
-                for name, analysis in analyses.items()})
+        output_groups=output_groups, options=options,
+        source_hash=source_hash)
+    if source_hash is not None:
+        # Fused kernels are issued through the same bbop ISA as catalog
+        # operations; give the kernel an opcode on first compilation.
+        register_opcode(name)
+    return Kernel(
+        program=program, width=width, backend=backend,
+        input_names=tuple(inputs), input_widths=tuple(inputs.values()),
+        outputs=tuple(
+            Output(out_name, *slices[out_name], spec_of(root.op).signed)
+            for out_name, root in roots.items()))
 
 
-def multi_digest(roots: dict[str, Expr]) -> str:
-    """Joint content hash of a named multi-root DAG (the cache key)."""
-    token = "+".join(f"{name}:{dag_hash(root)}"
-                     for name, root in sorted(roots.items()))
-    return hashlib.sha256(token.encode()).hexdigest()[:16]
+def compile_expr(root: "str | Expr", width: int, backend: str = "simdram",
+                 options: ScheduleOptions | None = None,
+                 optimize_mig: bool = True) -> Kernel:
+    """:func:`compile_kernel` of a single-output kernel: an expression
+    DAG, or a catalog operation by name."""
+    return compile_kernel(root, width, backend, options, optimize_mig)
+
+
+def compile_multi(roots: dict[str, Expr], width: int,
+                  backend: str = "simdram",
+                  options: ScheduleOptions | None = None,
+                  optimize_mig: bool = True) -> Kernel:
+    """:func:`compile_kernel` of several named roots: one µProgram, N
+    outputs.  All roots draw from one shared pool of at most three
+    input leaves (with consistent widths)."""
+    return compile_kernel(roots, width, backend, options, optimize_mig)

@@ -31,6 +31,23 @@ from repro.logic.circuit import Circuit, GateType, Net
 from repro.logic import library
 from repro.util.bitops import mask_for_width, to_signed, to_unsigned
 
+#: Substrates a kernel can be compiled for, and the circuit style of each:
+#: ``"simdram"`` compiles the MAJ/NOT form, ``"ambit"`` the same operation
+#: lowered to 2-input AND/OR (+NOT) gates only (the paper's PIM baseline).
+BACKENDS = ("simdram", "ambit")
+
+_BACKEND_STYLE = {"simdram": "maj", "ambit": "classic"}
+
+
+def backend_style(backend: str) -> str:
+    """Map a backend name to its circuit style."""
+    try:
+        return _BACKEND_STYLE[backend]
+    except KeyError:
+        raise OperationError(
+            f"backend must be one of {BACKENDS}, got {backend!r}") from None
+
+
 #: Circuit factory signature: (circuit, operand bit lists, style) -> output bits.
 BuildFn = Callable[[Circuit, list[list[Net]], str], list[Net]]
 #: Golden model signature: (unsigned-encoded inputs, element width) -> output.

@@ -17,8 +17,7 @@ turns the captured DAG into real SIMDRAM work:
    one kernel, zero intermediates.
 3. **Fusion + caching** — every segment compiles through
    :mod:`repro.core.fuse` and is cached by DAG content hash on the
-   underlying device (:meth:`Simdram.compile_expr` /
-   :meth:`Simdram.compile_multi` and the cluster equivalents), so
+   underlying device (:meth:`Simdram.compile` and the cluster's), so
    repeated evaluations of structurally identical pipelines reuse both
    the µProgram and, downstream, the control unit's execution plan.
 4. **Dispatch** — roots requested together are packed into multi-output

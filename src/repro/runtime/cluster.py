@@ -1,18 +1,18 @@
 """``SimdramCluster``: N independent SIMDRAM modules behind one API.
 
-The cluster is the runtime's facade.  It mirrors the single-module
-:class:`~repro.Simdram` programming interface — ``run`` over the
-catalog, ``run_expr`` over fused expression DAGs, ``map`` streaming
-over host vectors — but operands are :class:`DeviceTensor` objects
-sharded across the member modules, operations dispatch per shard to
-the module already holding it, and every operation goes through the
-:class:`~repro.runtime.scheduler.JobScheduler`, so ``submit`` gives the
-same semantics asynchronously.
-
-Compilation happens once per (operation, width, backend) at the cluster
-level; every module *adopts* the same µProgram into its control unit,
-and each module's plan/kernel caches then work exactly as in the
-single-module system.
+The cluster is the runtime's facade.  It offers the single-module
+:class:`~repro.Simdram` programming interface — ``run``/``run_expr``/
+``run_multi`` over resident operands, ``map``/``map_expr`` streaming
+over host vectors, every door taking a catalog name, an ``Expr`` DAG
+or (``run_multi``) a set of roots — but operands are
+:class:`DeviceTensor` objects sharded across the member modules, and
+there is one path behind the doors: :meth:`SimdramCluster.compile`
+produces the :class:`~repro.core.fuse.Kernel` once at the cluster
+level, the operands are bound and checked against it, and one job per
+shard goes through the :class:`~repro.runtime.scheduler.JobScheduler`
+to the module already holding the shard, which *adopts* the kernel
+into its control unit and dispatches it exactly as the single-module
+system would.  ``submit`` gives the same semantics asynchronously.
 
 Each module also keeps a modeled busy-time clock (command latency plus
 channel I/O for transposition and paging, in simulated nanoseconds).
@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.compiler import compile_operation
-from repro.core.expr import Expr, dag_hash
-from repro.core.framework import Simdram, SimdramConfig
-from repro.core.fuse import FusedKernel, MultiKernel, multi_digest
-from repro.core.fuse import compile_expr as _compile_expr
-from repro.core.fuse import compile_multi as _compile_multi
-from repro.core.operations import get_operation
+from repro.core.expr import Expr
+from repro.core.framework import Simdram, SimdramConfig, compile_for
+from repro.core.fuse import (
+    Kernel,
+    KernelSource,
+    kernel_identity,
+    resident_width,
+    same_length,
+)
 from repro.dram.commands import CommandStats
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
@@ -44,7 +45,6 @@ from repro.obs.tracing import span as obs_span
 from repro.runtime.paging import PagingManager
 from repro.runtime.scheduler import JobScheduler, Subtask
 from repro.runtime.tensor import DeviceTensor, TensorShard, plan_shards
-from repro.uprog.program import MicroProgram
 
 
 @dataclass
@@ -90,9 +90,9 @@ class SimdramCluster:
         ]
         self.pagers = [PagingManager(sim) for sim in self.modules]
         self.scheduler = JobScheduler(n_modules)
-        self._programs: dict[tuple[str, int, str], MicroProgram] = {}
-        self._kernels: dict[tuple[str, int, str], FusedKernel] = {}
-        self._multis: dict[tuple[str, int, str], MultiKernel] = {}
+        #: The kernel cache: ``kernel_identity`` -> Kernel, compiled once
+        #: for every member module.
+        self._kernels: dict[tuple[str, int, str], Kernel] = {}
         #: Modeled busy time per module, simulated nanoseconds.  Only
         #: the module's own worker thread writes its entry.
         self.busy_ns = [0.0] * n_modules
@@ -115,89 +115,39 @@ class SimdramCluster:
 
     @property
     def kernel_cache_size(self) -> int:
-        """Compiled kernels cached at the cluster level (catalog
-        µPrograms, fused single-root and multi-root kernels)."""
-        return (len(self._programs) + len(self._kernels)
-                + len(self._multis))
+        """Kernels compiled at the cluster level."""
+        return len(self._kernels)
 
     # ------------------------------------------------------------------
     # cluster-level compilation (shared across modules)
     # ------------------------------------------------------------------
-    def compile(self, op_name: str, width: int,
-                backend: str | None = None) -> MicroProgram:
-        """Compile once; member modules adopt the program on dispatch."""
+    def compile(self, op: KernelSource, width: int,
+                backend: str | None = None) -> Kernel:
+        """Compile once (see :meth:`Simdram.compile`); member modules
+        adopt the kernel on dispatch."""
         backend = backend or self.config.backend
-        key = (op_name, width, backend)
-        program = self._programs.get(key)
-        if program is None:
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            program = compile_operation(
-                get_operation(op_name), width, backend=backend,
-                options=options, optimize_mig=self.config.optimize_mig)
-            self._programs[key] = program
-        return program
-
-    def compile_expr(self, root: Expr, width: int,
-                     backend: str | None = None
-                     ) -> tuple[tuple[str, int, str], FusedKernel]:
-        """Compile a fused kernel once; returns its cache key too (the
-        key modules adopt it under)."""
-        backend = backend or self.config.backend
-        key = (dag_hash(root), width, backend)
+        key = kernel_identity(op, width, backend)
         kernel = self._kernels.get(key)
         if kernel is None:
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            kernel = _compile_expr(
-                root, width, backend=backend, options=options,
-                optimize_mig=self.config.optimize_mig)
-            self._kernels[key] = kernel
-        return key, kernel
+            kernel = self._kernels[key] = compile_for(
+                self.config, op, width, backend)
+        return kernel
 
-    def compile_multi(self, roots: dict[str, Expr], width: int,
-                      backend: str | None = None
-                      ) -> tuple[tuple[str, int, str], MultiKernel]:
-        """Compile a multi-root kernel once; returns its cache key too
-        (the key modules adopt it under)."""
-        backend = backend or self.config.backend
-        key = (multi_digest(roots), width, backend)
-        kernel = self._multis.get(key)
-        if kernel is None:
-            options = (self.config.schedule if backend == "simdram"
-                       else None)
-            kernel = _compile_multi(
-                roots, width, backend=backend, options=options,
-                optimize_mig=self.config.optimize_mig)
-            self._multis[key] = kernel
-        return key, kernel
-
-    def warm(self, op_or_root: "str | Expr", width: int,
+    def warm(self, op: KernelSource, width: int,
              engine: "str | ExecutionEngine" = "auto") -> None:
         """Precompile one kernel on every member module.
 
-        Compiles the operation (or fused ``Expr`` DAG) once at the
-        cluster level, has every module adopt it, and warms each
-        module's execution plan plus the engine's compiled executor
-        against the row layout a batched dispatch binds — the serving
-        layer's manifest warmup, and the replica tier's spawn-time
-        cache fill, both go through here.
+        Compiles it once at the cluster level, has every module adopt
+        it, and warms each module's execution plan plus the engine's
+        compiled executor against the row layout a batched dispatch
+        binds — the serving layer's manifest warmup, and the replica
+        tier's spawn-time cache fill, both go through here.
         """
         engine = get_engine(engine)
-        if isinstance(op_or_root, Expr):
-            key, kernel = self.compile_expr(op_or_root, width)
-            for sim in self.modules:
-                sim.adopt_kernel(key, kernel)
-                sim.warm_executor(kernel.program, kernel.input_widths,
-                                  kernel.out_width, engine)
-        else:
-            name = str(op_or_root)
-            program = self.compile(name, width)
-            spec = get_operation(name)
-            for sim in self.modules:
-                sim.adopt_program(program)
-                sim.warm_executor(program, spec.in_widths(width),
-                                  spec.out_width(width), engine)
+        kernel = self.compile(op, width)
+        for sim in self.modules:
+            sim.adopt(kernel)
+            sim.warm_executor(kernel, engine)
 
     # ------------------------------------------------------------------
     # modeled time accounting (worker-thread confined per module)
@@ -336,17 +286,92 @@ class SimdramCluster:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
+    def _submit(self, op: KernelSource, tensors: tuple,
+                feeds: "dict[str, DeviceTensor] | None",
+                width: int | None, backend: str | None,
+                engine: ExecutionEngine, gather: bool = False):
+        """The one resident-operand path: compile (or look up) the
+        kernel, bind and check the operand tensors, and queue one job
+        per shard on the module holding it.
+
+        Each shard job faults its operands in, pins everything the
+        dispatch touches, has the module adopt the kernel and runs it
+        there.  By default the packed result stays resident as the
+        shards of a new output tensor and ``(future, tensor)`` is
+        returned; with ``gather`` every output's slice is read back
+        per shard instead and the future resolves to ``{output name:
+        host vector}``.
+        """
+        if width is None:
+            width = resident_width(tensors, feeds)
+        kernel = self.compile(op, width, backend)
+        operands = kernel.bind(tensors, feeds)
+        kernel.check_resident(operands)
+        sharding = operands[0].sharding()
+        if any(t.sharding() != sharding for t in operands):
+            raise OperationError(
+                f"{kernel.op_name}: operands are sharded differently; "
+                "create them on the same cluster with the same length")
+        out = None if gather else DeviceTensor(
+            self, [TensorShard(s.module_index, s.offset, s.n_elements,
+                               kernel.out_width, kernel.signed)
+                   for s in operands[0].shards],
+            operands[0].n_elements, kernel.out_width, kernel.signed)
+        label = f"{kernel.op_name}@{width}"
+
+        def run_shard(index: int):
+            in_shards = [t.shards[index] for t in operands]
+            out_shard = None if gather else out.shards[index]
+            module_index = in_shards[0].module_index
+            sim, pager = self.modules[module_index], self.pagers[module_index]
+            before = sim.module.total_stats()
+            with obs_span("cluster.dispatch", module=module_index,
+                          label=label), \
+                    pager.pinning(in_shards if gather
+                                  else [*in_shards, out_shard]):
+                for shard in in_shards:
+                    pager.ensure_resident(shard)
+                sim.adopt(kernel)
+                run = sim.run_multi if gather else sim.run_expr
+                result = run(op, dict(zip(kernel.input_names,
+                                          (s.array for s in in_shards))),
+                             width=width, backend=kernel.backend,
+                             engine=engine)
+                if not gather:
+                    out_shard.array = result
+                    pager.register(out_shard)
+            self._account(module_index, before)
+            return result if gather else None
+
+        def merge(parts: list[dict[str, np.ndarray]]
+                  ) -> dict[str, np.ndarray]:
+            return {output.name: np.concatenate(
+                        [part[output.name] for part in parts])
+                    for output in kernel.outputs}
+
+        subtasks: list[Subtask] = [
+            (shard.module_index, (lambda i=index: run_shard(i)))
+            for index, shard in enumerate(operands[0].shards)
+        ]
+        # Operands may repeat (e.g. run("add", a, a)); dedupe reads.
+        reads = list({id(t): t for t in operands}.values())
+        future = self.scheduler.submit(
+            subtasks, reads=reads, writes=[] if gather else [out],
+            finalizer=merge if gather else None, label=label)
+        return future, out
+
     def submit(self, op: "str | Expr", *tensors: DeviceTensor,
                feeds: dict[str, DeviceTensor] | None = None,
                width: int | None = None, backend: str | None = None,
                engine: "str | ExecutionEngine" = "auto") -> JobHandle:
-        """Queue an operation; returns immediately with a handle.
+        """Queue a kernel; returns immediately with a handle.
 
-        ``op`` is a catalog operation name (positional ``tensors``
-        operands) or an :class:`Expr` DAG (``feeds`` binding).  The
-        output tensor is usable as an operand of further submissions
-        right away — the scheduler serializes dependent jobs and runs
-        independent ones concurrently across modules.
+        ``op`` is a catalog operation name or an :class:`Expr` DAG;
+        operands are positional ``tensors`` in operand-slot order or a
+        leaf-name ``feeds`` binding.  The output tensor is usable as an
+        operand of further submissions right away — the scheduler
+        serializes dependent jobs and runs independent ones
+        concurrently across modules.
 
         ``engine`` (a registry name or an
         :class:`~repro.exec.engines.ExecutionEngine`) is resolved once
@@ -354,33 +379,25 @@ class SimdramCluster:
         every shard closure.
         """
         engine = get_engine(engine)
-        if isinstance(op, Expr):
-            if tensors:
-                raise OperationError(
-                    "expression jobs bind operands via feeds=")
-            return self._submit_expr(op, feeds or {}, width=width,
-                                     backend=backend, engine=engine)
-        if feeds is not None:
-            raise OperationError(
-                "catalog operations take positional operands")
-        return self._submit_run(op, tensors, backend=backend,
-                                engine=engine)
+        future, out = self._submit(op, tensors, feeds, width, backend,
+                                   engine)
+        return JobHandle(future, out, engine)
 
-    def run(self, op_name: str, *operands: DeviceTensor,
-            backend: str | None = None,
+    def run(self, op: "str | Expr", *operands: DeviceTensor,
+            feeds: dict[str, DeviceTensor] | None = None,
+            width: int | None = None, backend: str | None = None,
             engine: "str | ExecutionEngine" = "auto") -> DeviceTensor:
-        """Synchronous :meth:`submit` over the catalog: waits for the
-        sharded execution and returns the output tensor."""
-        return self._submit_run(op_name, operands, backend=backend,
-                                engine=get_engine(engine)).result()
+        """Synchronous :meth:`submit`: waits for the sharded execution
+        and returns the output tensor."""
+        return self.submit(op, *operands, feeds=feeds, width=width,
+                           backend=backend, engine=engine).result()
 
-    def run_expr(self, root: Expr, feeds: dict[str, DeviceTensor],
+    def run_expr(self, root: "str | Expr", feeds: dict[str, DeviceTensor],
                  *, width: int | None = None, backend: str | None = None,
                  engine: "str | ExecutionEngine" = "auto") -> DeviceTensor:
-        """Synchronous fused-expression execution across the cluster."""
-        return self._submit_expr(root, feeds, width=width,
-                                 backend=backend,
-                                 engine=get_engine(engine)).result()
+        """:meth:`run` with the operands bound by leaf name."""
+        return self.submit(root, feeds=feeds, width=width,
+                           backend=backend, engine=engine).result()
 
     def run_multi(self, roots: dict[str, Expr],
                   feeds: dict[str, DeviceTensor], *,
@@ -389,268 +406,26 @@ class SimdramCluster:
                   ) -> dict[str, np.ndarray]:
         """Sharded :meth:`Simdram.run_multi`: one multi-output fused
         dispatch per shard, each root's slices gathered back to host.
-
-        All roots share at most three DRAM-resident input tensors; the
-        kernel is compiled once at the cluster level and adopted by
-        every participating module.  Returns root name -> host vector.
-        """
-        engine = get_engine(engine)
-        if not roots:
-            raise OperationError("run_multi needs at least one root")
-        if not feeds:
-            raise OperationError("run_multi needs at least one tensor")
-        for tensor in feeds.values():
-            tensor.require_live()
-        if width is None:
-            width = max(t.width for t in feeds.values())
-        key, kernel = self.compile_multi(roots, width, backend)
-        names = list(kernel.input_names)
-        missing = set(names) - set(feeds)
-        extra = set(feeds) - set(names)
-        if missing or extra:
-            raise OperationError(
-                f"fused expression inputs are {sorted(names)}"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
-        operands = tuple(feeds[name] for name in names)
-        for name, tensor, expected in zip(names, operands,
-                                          kernel.input_widths):
-            if tensor.width != expected:
-                raise OperationError(
-                    f"fused input {name!r} must be {expected}-bit, "
-                    f"got {tensor.width}-bit")
-        self._aligned_shards(operands, "fused multi expression")
-
-        def run_shard(index: int) -> dict[str, np.ndarray]:
-            in_shards = [t.shards[index] for t in operands]
-            module_index = in_shards[0].module_index
-            sim = self.modules[module_index]
-            pager = self.pagers[module_index]
-            before = sim.module.total_stats()
-            with obs_span("cluster.dispatch", module=module_index,
-                          label=f"multi@{width}"), pager.pinning(in_shards):
-                for shard in in_shards:
-                    pager.ensure_resident(shard)
-                sim.adopt_multi(key, kernel)
-                chunk = sim.run_multi_kernel(
-                    kernel,
-                    dict(zip(names, (s.array for s in in_shards))),
-                    engine=engine)
-            self._account(module_index, before)
-            return chunk
-
-        def merge(parts: list[dict[str, np.ndarray]]
-                  ) -> dict[str, np.ndarray]:
-            return {name: np.concatenate([part[name] for part in parts])
-                    for name in kernel.slices}
-
-        subtasks: list[Subtask] = [
-            (shard.module_index, (lambda i=index: run_shard(i)))
-            for index, shard in enumerate(operands[0].shards)
-        ]
-        reads = list({id(t): t for t in operands}.values())
-        future = self.scheduler.submit(subtasks, reads=reads,
-                                       finalizer=merge,
-                                       label=f"multi@{width}")
+        Returns root name -> host vector."""
+        future, _ = self._submit(roots, (), feeds, width, backend,
+                                 get_engine(engine), gather=True)
         return future.result()
-
-    def _aligned_shards(self, operands: Sequence[DeviceTensor],
-                        what: str) -> None:
-        lengths = [t.n_elements for t in operands]
-        if any(n != lengths[0] for n in lengths):
-            raise OperationError(
-                f"{what}: operand lengths differ: {lengths}")
-        layout = operands[0].sharding()
-        if any(t.sharding() != layout for t in operands):
-            raise OperationError(
-                f"{what}: operands are sharded differently; create "
-                "them on the same cluster with the same length")
-
-    def _submit_run(self, op_name: str,
-                    operands: tuple[DeviceTensor, ...],
-                    backend: str | None,
-                    engine: ExecutionEngine) -> JobHandle:
-        spec = get_operation(op_name)
-        if len(operands) != spec.arity:
-            raise OperationError(
-                f"{op_name} takes {spec.arity} operands, "
-                f"got {len(operands)}")
-        for tensor in operands:
-            tensor.require_live()
-        width = operands[-1].width
-        for i, (tensor, expected) in enumerate(
-                zip(operands, spec.in_widths(width))):
-            if tensor.width != expected:
-                raise OperationError(
-                    f"{op_name} operand {i} must be {expected}-bit, "
-                    f"got {tensor.width}-bit")
-        self._aligned_shards(operands, op_name)
-        program = self.compile(op_name, width, backend)
-        out = self._empty_like(operands[0], spec.out_width(width),
-                               spec.signed)
-
-        def run_shard(index: int) -> None:
-            sim = self.modules[out.shards[index].module_index]
-
-            def execute(arrays):
-                sim.adopt_program(program)
-                return sim.run(op_name, *arrays, backend=backend,
-                               engine=engine)
-
-            self._run_on_module(
-                sim, [t.shards[index] for t in operands],
-                out.shards[index], execute)
-
-        return self._submit_shard_jobs(out, operands, run_shard,
-                                       label=f"{op_name}@{width}",
-                                       engine=engine)
-
-    def _submit_expr(self, root: Expr, feeds: dict[str, DeviceTensor],
-                     width: int | None, backend: str | None,
-                     engine: ExecutionEngine) -> JobHandle:
-        if not feeds:
-            raise OperationError(
-                "run_expr needs at least one input tensor")
-        for tensor in feeds.values():
-            tensor.require_live()
-        if width is None:
-            width = max(t.width for t in feeds.values())
-        key, kernel = self.compile_expr(root, width, backend)
-        names = list(kernel.input_names)
-        missing = set(names) - set(feeds)
-        extra = set(feeds) - set(names)
-        if missing or extra:
-            raise OperationError(
-                f"fused expression inputs are {sorted(names)}"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
-        operands = tuple(feeds[name] for name in names)
-        for name, tensor, expected in zip(names, operands,
-                                          kernel.input_widths):
-            if tensor.width != expected:
-                raise OperationError(
-                    f"fused input {name!r} must be {expected}-bit, "
-                    f"got {tensor.width}-bit")
-        self._aligned_shards(operands, "fused expression")
-        out = self._empty_like(operands[0], kernel.out_width,
-                               kernel.signed)
-
-        def run_shard(index: int) -> None:
-            sim = self.modules[out.shards[index].module_index]
-
-            def execute(arrays):
-                sim.adopt_kernel(key, kernel)
-                return sim.run_expr(root, dict(zip(names, arrays)),
-                                    width=width, backend=backend,
-                                    engine=engine)
-
-            self._run_on_module(
-                sim, [t.shards[index] for t in operands],
-                out.shards[index], execute)
-
-        return self._submit_shard_jobs(out, operands, run_shard,
-                                       label=f"expr@{width}",
-                                       engine=engine)
-
-    def _empty_like(self, template: DeviceTensor, width: int,
-                    signed: bool) -> DeviceTensor:
-        shards = [TensorShard(s.module_index, s.offset, s.n_elements,
-                              width, signed)
-                  for s in template.shards]
-        return DeviceTensor(self, shards, template.n_elements, width,
-                            signed)
-
-    def _run_on_module(self, sim: Simdram,
-                       in_shards: list[TensorShard],
-                       out_shard: TensorShard, execute) -> None:
-        """Shared per-shard body: fault operands in, pin everything the
-        operation touches, execute, adopt the output into the pager."""
-        module_index = out_shard.module_index
-        pager = self.pagers[module_index]
-        before = sim.module.total_stats()
-        with obs_span("cluster.dispatch", module=module_index), \
-                pager.pinning([*in_shards, out_shard]):
-            for shard in in_shards:
-                pager.ensure_resident(shard)
-            result = execute([shard.array for shard in in_shards])
-            result.signed = out_shard.signed
-            out_shard.array = result
-            pager.register(out_shard)
-        self._account(module_index, before)
-
-    def _submit_shard_jobs(self, out: DeviceTensor,
-                           operands: Sequence[DeviceTensor],
-                           run_shard, label: str,
-                           engine: "ExecutionEngine | None" = None,
-                           ) -> JobHandle:
-        subtasks: list[Subtask] = [
-            (shard.module_index, (lambda i=index: run_shard(i)))
-            for index, shard in enumerate(out.shards)
-        ]
-        # Operands may repeat (e.g. run("add", a, a)); dedupe reads.
-        reads = list({id(t): t for t in operands}.values())
-        future = self.scheduler.submit(subtasks, reads=reads,
-                                       writes=[out], label=label)
-        return JobHandle(future, out, engine)
 
     # ------------------------------------------------------------------
     # streaming execution over host vectors of any length
     # ------------------------------------------------------------------
-    def map(self, op_name: str, *host_operands, width: int = 8,
-            backend: str | None = None,
-            engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
-        """Sharded :meth:`Simdram.map`: host vectors are split into
+    def _map(self, op: "str | Expr", positional: tuple,
+             feeds: "dict | None", width: int, backend: str | None,
+             engine: "str | ExecutionEngine") -> np.ndarray:
+        """The one host-vector path: host vectors are split into
         contiguous per-module chunks that stream through all modules
         concurrently; each module batches its chunk exactly like the
         single-module path, so plan caches hit from batch 2 on."""
         engine = get_engine(engine)
-        spec = get_operation(op_name)
-        if len(host_operands) != spec.arity:
-            raise OperationError(
-                f"{op_name} takes {spec.arity} operands, "
-                f"got {len(host_operands)}")
-        vectors = [np.asarray(v) for v in host_operands]
-        program = self.compile(op_name, width, backend)
-        return self._map_sharded(
-            vectors,
-            lambda sim, chunks: sim.map(op_name, *chunks, width=width,
-                                        backend=backend, engine=engine),
-            program, f"map:{op_name}@{width}")
-
-    def map_expr(self, root: Expr, feeds: dict[str, np.ndarray], *,
-                 width: int = 8, backend: str | None = None,
-                 engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
-        """Sharded :meth:`Simdram.map_expr` (fused streaming)."""
-        engine = get_engine(engine)
-        key, kernel = self.compile_expr(root, width, backend)
-        names = list(kernel.input_names)
-        missing = set(names) - set(feeds)
-        extra = set(feeds) - set(names)
-        if missing or extra:
-            raise OperationError(
-                f"fused expression inputs are {sorted(names)}"
-                + (f"; missing {sorted(missing)}" if missing else "")
-                + (f"; unexpected {sorted(extra)}" if extra else ""))
-        vectors = [np.asarray(feeds[name]) for name in names]
-
-        def run_chunk(sim: Simdram, chunks: list[np.ndarray]):
-            sim.adopt_kernel(key, kernel)
-            return sim.map_expr(root, dict(zip(names, chunks)),
-                                width=width, backend=backend,
-                                engine=engine)
-
-        return self._map_sharded(vectors, run_chunk, kernel.program,
-                                 f"map_expr@{width}")
-
-    def _map_sharded(self, vectors: list[np.ndarray], run_chunk,
-                     program: MicroProgram, label: str) -> np.ndarray:
-        n_total = len(vectors[0])
-        if any(len(v) != n_total for v in vectors):
-            raise OperationError(
-                f"map: operand lengths differ: "
-                f"{[len(v) for v in vectors]}")
-        if n_total == 0:
-            raise OperationError("map needs at least one element")
+        kernel = self.compile(op, width, backend)
+        vectors = [np.asarray(v) for v in kernel.bind(positional, feeds)]
+        n_total = same_length(kernel.op_name, [len(v) for v in vectors])
+        label = f"map:{kernel.op_name}@{width}"
         # Contiguous split, one chunk per module, remainder spread over
         # the leading modules; empty chunks are skipped.
         base, rem = divmod(n_total, self.n_modules)
@@ -661,11 +436,13 @@ class SimdramCluster:
         def run_module(module_index: int) -> np.ndarray:
             lo, hi = bounds[module_index], bounds[module_index + 1]
             sim = self.modules[module_index]
-            sim.adopt_program(program)
+            sim.adopt(kernel)
             before = sim.module.total_stats()
             with obs_span("cluster.dispatch", module=module_index,
                           label=label, n_elements=hi - lo):
-                chunk = run_chunk(sim, [v[lo:hi] for v in vectors])
+                chunk = sim.map(op, *(v[lo:hi] for v in vectors),
+                                width=width, backend=kernel.backend,
+                                engine=engine)
             self._account(module_index, before)
             return chunk
 
@@ -678,6 +455,19 @@ class SimdramCluster:
                                        finalizer=np.concatenate,
                                        label=label)
         return future.result()
+
+    def map(self, op: "str | Expr", *host_operands,
+            feeds: "dict | None" = None, width: int = 8,
+            backend: str | None = None,
+            engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
+        """Sharded :meth:`Simdram.map`."""
+        return self._map(op, host_operands, feeds, width, backend, engine)
+
+    def map_expr(self, root: "str | Expr", feeds: dict[str, np.ndarray], *,
+                 width: int = 8, backend: str | None = None,
+                 engine: "str | ExecutionEngine" = "auto") -> np.ndarray:
+        """Sharded :meth:`Simdram.map_expr`."""
+        return self._map(root, (), feeds, width, backend, engine)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -64,10 +64,12 @@ SlotMeta = tuple[int, tuple[int, ...], str]
 class WorkDescriptor:
     """One dispatch, in the form that crosses the process boundary.
 
-    ``kind`` is ``"op"`` (catalog operation, positional slots) or
-    ``"expr"`` (fused DAG; ``slot_names`` binds the payload vectors to
-    leaf names).  ``engine`` is an execution-engine *registry name* —
-    the replica resolves it locally.
+    The wire format names the kernel as ``kind`` ``"op"`` + ``op_name``
+    (a catalog operation) or ``"expr"`` + ``root`` (a fused DAG) —
+    read it through :attr:`op` — and binds the payload vectors by leaf
+    name when ``slot_names`` is given, positionally (operand-slot
+    order) otherwise.  ``engine`` is an execution-engine *registry
+    name* — the replica resolves it locally.
     """
 
     kind: str
@@ -85,9 +87,24 @@ class WorkDescriptor:
     #: while its replica died is shed instead of re-homed.
     deadline: float | None = None
 
+    @classmethod
+    def of(cls, op: "str | Expr", width: int, engine: str,
+           deadline: float | None = None) -> "WorkDescriptor":
+        """The descriptor of a dispatch of ``op`` over vectors in
+        operand-slot order."""
+        named = isinstance(op, str)
+        return cls(kind="op" if named else "expr",
+                   op_name=op if named else None,
+                   root=None if named else op, slot_names=(),
+                   width=width, engine=engine, deadline=deadline)
+
+    @property
+    def op(self) -> "str | Expr":
+        return self.op_name if self.kind == "op" else self.root
+
     def label(self) -> str:
-        return (self.op_name if self.kind == "op"
-                else f"expr@{self.width}")
+        op = self.op
+        return op if isinstance(op, str) else f"expr@{self.width}"
 
 
 @dataclass
@@ -331,15 +348,12 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                     from repro.exec.engines import get_engine
                     engine = get_engine(desc.engine)
                     with use_span(job_span):
-                        if desc.kind == "op":
-                            out = cluster.map(desc.op_name, *vectors,
-                                              width=desc.width,
-                                              engine=engine)
-                        else:
-                            out = cluster.map_expr(
-                                desc.root,
-                                dict(zip(desc.slot_names, vectors)),
-                                width=desc.width, engine=engine)
+                        named = bool(desc.slot_names)
+                        out = cluster.map(
+                            desc.op, *(() if named else vectors),
+                            feeds=(dict(zip(desc.slot_names, vectors))
+                                   if named else None),
+                            width=desc.width, engine=engine)
                     out_shm, out_metas = _share_vectors([out])
                     info = _replica_info(cluster)
                     if job_span.recording:

@@ -6,13 +6,15 @@ many *small* independent requests — a few lanes each.  Dispatching
 each request alone wastes almost the whole subarray.  The batcher
 closes that gap:
 
-* :func:`prepare` normalizes one request (catalog op, ``Expr``, or a
-  captured lazy graph) into a :class:`PreparedRequest` carrying its
-  **pack key** — the kernel identity from
-  :func:`repro.core.fuse.kernel_identity` plus the execution engine.
-  Requests with equal pack keys replay the *same* µProgram over the
-  same operand interface, so their lanes may be concatenated into one
-  wide dispatch.
+* :func:`prepare` normalizes one request (a catalog op by name, an
+  ``Expr``, or a captured lazy graph lowered to one) into a
+  :class:`PreparedRequest`: the kernel source, the operand vectors in
+  the kernel's slot order, and the **pack key** — the kernel identity
+  from :func:`repro.core.fuse.kernel_identity` plus the execution
+  engine.  Requests with equal pack keys replay the *same* µProgram
+  over the same operand interface, so their lanes may be concatenated
+  into one wide dispatch — a by-name request and the equivalent
+  one-node ``Expr`` request included.
 * :class:`PackGroup` accumulates compatible requests and, at flush
   time, concatenates their operand vectors per slot and records each
   request's ``[lo, hi)`` lane slice, so the dispatcher can scatter the
@@ -37,9 +39,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.expr import Expr, analyze
-from repro.core.fuse import MAX_FUSED_INPUTS, kernel_identity
-from repro.core.operations import get_operation
+from repro.core.expr import Expr
+from repro.core.fuse import (
+    bind_operands,
+    kernel_identity,
+    kernel_inputs,
+    same_length,
+)
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
 from repro.obs import clock
@@ -55,20 +61,14 @@ PackKey = tuple[tuple[str, int, str], str]
 
 @dataclass
 class PreparedRequest:
-    """One validated request, normalized to slot vectors.
-
-    ``kind`` is ``"op"`` (catalog operation, positional slots) or
-    ``"expr"`` (fused DAG; ``slot_names`` binds vectors to leaf names).
-    Lazy-graph requests are lowered to ``"expr"`` before they get here.
-    """
+    """One validated request: a kernel source plus its operand vectors
+    in the kernel's slot order.  Lazy-graph requests are lowered to an
+    ``Expr`` before they get here."""
 
     handle: "ServeHandle"
     tenant: str
     key: PackKey
-    kind: str
-    op_name: str | None
-    root: Expr | None
-    slot_names: tuple[str, ...]
+    op: "str | Expr"
     vectors: list[np.ndarray]
     n_elements: int
     width: int
@@ -86,12 +86,8 @@ class PreparedRequest:
     #: Set by the service after :func:`prepare`, like the spans.
     deadline: float | None = None
 
-    def feeds(self) -> dict[str, np.ndarray]:
-        """Name -> vector binding for ``"expr"`` requests."""
-        return dict(zip(self.slot_names, self.vectors))
 
-
-def prepare(handle: "ServeHandle", op_or_root: "str | Expr",
+def prepare(handle: "ServeHandle", op: "str | Expr",
             operands: Sequence, feeds: dict | None, width: int,
             tenant: str, engine: ExecutionEngine, backend: str,
             submitted_at: float) -> PreparedRequest:
@@ -108,17 +104,19 @@ def prepare(handle: "ServeHandle", op_or_root: "str | Expr",
     (the service resolves at submission and passes the instance).
     """
     engine = get_engine(engine)
-    if isinstance(op_or_root, Expr):
-        if operands:
-            raise OperationError(
-                "expression requests bind operands via feeds=")
-        return _prepare_expr(handle, op_or_root, feeds or {}, width,
-                             tenant, engine, backend, submitted_at)
-    if feeds is not None:
-        raise OperationError(
-            "catalog requests take positional operands")
-    return _prepare_op(handle, str(op_or_root), operands, width,
-                       tenant, engine, backend, submitted_at)
+    if not isinstance(op, Expr):
+        op = str(op)
+    identity = kernel_identity(op, width, backend)
+    names = tuple(kernel_inputs(op, width))  # validates op + structure
+    vectors = [
+        _as_vector(value, f"{identity[0]} input {name!r}")
+        for name, value in zip(
+            names, bind_operands(identity[0], names, operands, feeds))]
+    return PreparedRequest(
+        handle=handle, tenant=tenant, key=(identity, engine.name), op=op,
+        vectors=vectors,
+        n_elements=same_length(identity[0], [len(v) for v in vectors]),
+        width=width, engine=engine, submitted_at=submitted_at)
 
 
 def _as_vector(value, what: str) -> np.ndarray:
@@ -126,68 +124,13 @@ def _as_vector(value, what: str) -> np.ndarray:
     if vector.ndim != 1:
         raise OperationError(f"{what} must be a 1-D vector, "
                              f"got shape {vector.shape}")
-    if len(vector) == 0:
+    if len(vector) == 0:  # before the dtype check: ``[]`` is float64
         raise OperationError(f"{what} needs at least one element")
     if not np.issubdtype(vector.dtype, np.integer):
         raise OperationError(
             f"{what}: SIMDRAM operates on integer vectors, "
             f"got {vector.dtype}")
     return vector
-
-
-def _check_lengths(vectors: list[np.ndarray], what: str) -> int:
-    lengths = [len(v) for v in vectors]
-    if any(n != lengths[0] for n in lengths):
-        raise OperationError(f"{what}: operand lengths differ: {lengths}")
-    return lengths[0]
-
-
-def _prepare_op(handle, op_name: str, operands: Sequence, width: int,
-                tenant: str, engine: ExecutionEngine, backend: str,
-                submitted_at: float) -> PreparedRequest:
-    spec = get_operation(op_name)
-    if len(operands) != spec.arity:
-        raise OperationError(
-            f"{op_name} takes {spec.arity} operands, "
-            f"got {len(operands)}")
-    if width < 1:
-        raise OperationError(f"width must be >= 1, got {width}")
-    vectors = [_as_vector(v, f"{op_name} operand {i}")
-               for i, v in enumerate(operands)]
-    n = _check_lengths(vectors, op_name)
-    return PreparedRequest(
-        handle=handle, tenant=tenant,
-        key=(kernel_identity(op_name, width, backend), engine.name),
-        kind="op", op_name=op_name, root=None, slot_names=(),
-        vectors=vectors, n_elements=n, width=width, engine=engine,
-        submitted_at=submitted_at)
-
-
-def _prepare_expr(handle, root: Expr, feeds: dict, width: int,
-                  tenant: str, engine: ExecutionEngine, backend: str,
-                  submitted_at: float) -> PreparedRequest:
-    analysis = analyze(root, width)   # validates widths + structure
-    names = tuple(analysis.input_widths)
-    if len(names) > MAX_FUSED_INPUTS:
-        raise OperationError(
-            f"request binds {len(names)} distinct inputs; one dispatch "
-            f"carries at most {MAX_FUSED_INPUTS} source addresses")
-    missing = set(names) - set(feeds)
-    extra = set(feeds) - set(names)
-    if missing or extra:
-        raise OperationError(
-            f"expression inputs are {sorted(names)}"
-            + (f"; missing {sorted(missing)}" if missing else "")
-            + (f"; unexpected {sorted(extra)}" if extra else ""))
-    vectors = [_as_vector(feeds[name], f"feed {name!r}")
-               for name in names]
-    n = _check_lengths(vectors, "expression request")
-    return PreparedRequest(
-        handle=handle, tenant=tenant,
-        key=(kernel_identity(root, width, backend), engine.name),
-        kind="expr", op_name=None, root=root, slot_names=names,
-        vectors=vectors, n_elements=n, width=width, engine=engine,
-        submitted_at=submitted_at)
 
 
 @dataclass

@@ -364,16 +364,17 @@ class ServeMetrics:
 class RequestEnergyModel:
     """Modeled DRAM joules per served request.
 
-    Folds the perf layer's energy model into the serving path: a
-    request's kernel (the pack key's ``(identity, engine)``) compiles
-    to one µProgram whose nanojoule cost under the paper's DDR4-2400
-    module (:meth:`~repro.perf.model.PimSystemModel.paper`) is a pure
-    function of the command stream, so it is computed once per pack
-    key and cached.  Per-element energy is bank-count invariant (the
-    ``measure()`` contract), so a request's bill is simply
-    ``nJ/element × n_elements`` regardless of how the packer grouped
-    it.  Pricing failures return ``None`` instead of raising — energy
-    metering must never fail a request.
+    Folds the perf layer's energy model into the serving path: a pack
+    key's kernel is one µProgram whose nanojoule cost under the paper's
+    DDR4-2400 module (:meth:`~repro.perf.model.PimSystemModel.paper`)
+    is a pure function of the command stream, so it is computed once
+    per pack key and cached.  Per-element energy is bank-count
+    invariant (the ``measure()`` contract), so a request's bill is
+    simply ``nJ/element × n_elements`` regardless of how the packer
+    grouped it.  The model prices the µProgram it is handed — the one
+    the dispatch target actually runs — and never compiles.  Pricing
+    failures return ``None`` instead of raising — energy metering must
+    never fail a request.
     """
 
     def __init__(self, system=None) -> None:
@@ -382,39 +383,22 @@ class RequestEnergyModel:
         self._lock = threading.Lock()
         self._nj_per_element: dict = {}
 
-    def _price_key(self, request) -> "float | None":
-        identity = request.key[0]
-        backend = identity[2]
-        if request.kind == "op":
-            from repro.core.compiler import compile_cached
-            program = compile_cached(request.op_name, request.width,
-                                     backend)
-        elif request.root is not None:
-            from repro.core import fuse
-            program = fuse.compile_expr(request.root, request.width,
-                                        backend).program
-        else:
-            return None
-        system = self._system
-        nj = program.energy_nj(system.timing, system.geometry,
-                               system.energy)
-        return nj / system.geometry.cols
+    def nj_per_element(self, key, program_of) -> "float | None":
+        """Modeled nanojoules per element of pack key ``key``.
 
-    def nj_per_request(self, request) -> "float | None":
-        """Modeled nanojoules for one :class:`PreparedRequest`, or
-        ``None`` when the kernel cannot be priced (e.g. a traced
-        module with no recompilable program)."""
-        key = request.key
+        ``program_of()`` fetches the key's µProgram and is called only
+        the first time the key is seen; ``None`` when it cannot (e.g.
+        the target has no such kernel).
+        """
         with self._lock:
             if key in self._nj_per_element:
-                per_element = self._nj_per_element[key]
-                return (None if per_element is None
-                        else per_element * request.n_elements)
+                return self._nj_per_element[key]
         try:
-            per_element = self._price_key(request)
+            system = self._system
+            per_element = program_of().energy_nj(
+                system.timing, system.geometry,
+                system.energy) / system.geometry.cols
         except Exception:  # noqa: BLE001 - metering must not fail serving
             per_element = None
         with self._lock:
-            self._nj_per_element.setdefault(key, per_element)
-        return (None if per_element is None
-                else per_element * request.n_elements)
+            return self._nj_per_element.setdefault(key, per_element)

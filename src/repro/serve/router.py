@@ -45,6 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.compiler import compile_cached
 from repro.errors import DeadlineExceeded, ReplicaError
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.metrics import Sample
@@ -129,10 +130,8 @@ class ReplicaRouter:
         a router/replica thread when the dispatch resolves — after any
         transparent failover.
         """
-        desc = WorkDescriptor(
-            kind=request.kind, op_name=request.op_name,
-            root=request.root, slot_names=tuple(request.slot_names),
-            width=request.width, engine=request.engine.name,
+        desc = WorkDescriptor.of(
+            request.op, request.width, request.engine.name,
             deadline=getattr(request, "deadline", None))
         with self._lock:
             self._outstanding += 1
@@ -178,6 +177,12 @@ class ReplicaRouter:
         with self._lock:
             return self._idle.wait_for(
                 lambda: self._outstanding == 0, timeout)
+
+    def program(self, op, width: int):
+        """The µProgram the energy model prices for ``op``.  The parent
+        holds no kernels — they live in the replica processes — so it
+        compiles one, memoized process-wide, with default options."""
+        return compile_cached(op, width, self.backend)
 
     def warm(self, op_or_root, width: int, engine) -> None:
         """Broadcast one kernel to every live replica's caches (the

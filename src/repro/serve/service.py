@@ -69,7 +69,6 @@ import numpy as np
 
 from repro.core.expr import Expr
 from repro.core.fuse import kernel_identity
-from repro.core.operations import get_operation
 from repro.dram.commands import CommandStats
 from repro.errors import (
     AdmissionError,
@@ -95,6 +94,7 @@ from repro.serve.batcher import (
     prepare,
 )
 from repro.serve.metrics import RequestEnergyModel, ServeMetrics
+from repro.uprog.program import MicroProgram
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,32 @@ class _RawRequest:
 # ---------------------------------------------------------------------------
 class _InProcessTarget:
     """What the module and cluster targets share: the worker thread
-    *is* the executor, so a dispatch runs to completion inside
-    ``map_op``/``map_expr`` and the target can always take the next."""
+    *is* the executor, so a dispatch runs to completion inside ``map``
+    and the target can always take the next; and the wrapped system
+    holds every kernel it runs, so ``program`` is a cache hit on any
+    kernel that has been warmed or dispatched."""
 
     is_async = False
 
+    def __init__(self, system) -> None:
+        self.system = system
+
     def ready(self) -> bool:
         return True
+
+    @property
+    def backend(self) -> str:
+        return self.system.config.backend
+
+    def map(self, op: "str | Expr", vectors: list[np.ndarray],
+            width: int, engine: ExecutionEngine) -> np.ndarray:
+        return self.system.map(op, *vectors, width=width, engine=engine)
+
+    def program(self, op: "str | Expr", width: int) -> MicroProgram:
+        return self.system.compile(op, width).program
+
+    def kernel_cache_size(self) -> int:
+        return self.system.kernel_cache_size
 
 
 class _ModuleTarget(_InProcessTarget):
@@ -244,54 +263,19 @@ class _ModuleTarget(_InProcessTarget):
 
     is_cluster = False
 
-    def __init__(self, sim) -> None:
-        self.sim = sim
-
     @property
     def lanes(self) -> int:
-        return self.sim.module.lanes
+        return self.system.module.lanes
 
-    @property
-    def backend(self) -> str:
-        return self.sim.config.backend
-
-    def map_op(self, op_name: str, vectors: list[np.ndarray],
-               width: int, engine: ExecutionEngine) -> np.ndarray:
-        return self.sim.map(op_name, *vectors, width=width,
-                            engine=engine)
-
-    def map_expr(self, root: Expr, feeds: dict, width: int,
-                 engine: ExecutionEngine) -> np.ndarray:
-        return self.sim.map_expr(root, feeds, width=width,
-                                 engine=engine)
-
-    def compile_op(self, op_name: str, width: int) -> None:
-        self.sim.compile(op_name, width)
-
-    def compile_expr(self, root: Expr, width: int) -> None:
-        self.sim.compile_expr(root, width)
-
-    def warm(self, op_or_root, width: int,
+    def warm(self, op: "str | Expr", width: int,
              engine: ExecutionEngine) -> None:
-        if isinstance(op_or_root, Expr):
-            kernel = self.sim.compile_expr(op_or_root, width)
-            self.sim.warm_executor(kernel.program, kernel.input_widths,
-                                   kernel.out_width, engine)
-        else:
-            name = str(op_or_root)
-            program = self.sim.compile(name, width)
-            spec = get_operation(name)
-            self.sim.warm_executor(program, spec.in_widths(width),
-                                   spec.out_width(width), engine)
+        self.system.warm_executor(self.system.compile(op, width), engine)
 
     def paging_stats(self) -> CommandStats:
         return CommandStats()
 
     def busy_ns(self) -> float | None:
         return None
-
-    def kernel_cache_size(self) -> int:
-        return self.sim.kernel_cache_size
 
 
 class _ClusterTarget(_InProcessTarget):
@@ -300,45 +284,19 @@ class _ClusterTarget(_InProcessTarget):
 
     is_cluster = True
 
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-
     @property
     def lanes(self) -> int:
-        return self.cluster.lanes
+        return self.system.lanes
 
-    @property
-    def backend(self) -> str:
-        return self.cluster.config.backend
-
-    def map_op(self, op_name: str, vectors: list[np.ndarray],
-               width: int, engine: ExecutionEngine) -> np.ndarray:
-        return self.cluster.map(op_name, *vectors, width=width,
-                                engine=engine)
-
-    def map_expr(self, root: Expr, feeds: dict, width: int,
-                 engine: ExecutionEngine) -> np.ndarray:
-        return self.cluster.map_expr(root, feeds, width=width,
-                                     engine=engine)
-
-    def compile_op(self, op_name: str, width: int) -> None:
-        self.cluster.compile(op_name, width)
-
-    def compile_expr(self, root: Expr, width: int) -> None:
-        self.cluster.compile_expr(root, width)
-
-    def warm(self, op_or_root, width: int,
+    def warm(self, op: "str | Expr", width: int,
              engine: ExecutionEngine) -> None:
-        self.cluster.warm(op_or_root, width, engine)
+        self.system.warm(op, width, engine)
 
     def paging_stats(self) -> CommandStats:
-        return self.cluster.paging_stats()
+        return self.system.paging_stats()
 
     def busy_ns(self) -> float | None:
-        return self.cluster.makespan_ns()
-
-    def kernel_cache_size(self) -> int:
-        return self.cluster.kernel_cache_size
+        return self.system.makespan_ns()
 
 
 def _wrap_target(target):
@@ -744,17 +702,23 @@ class SimdramService:
         kernel compiles into the target's caches (on a cluster, every
         module adopts it), *and* its execution plan plus the service's
         configured engine's compiled executor are warmed against the
-        row layout a packed dispatch will bind — so the first real
-        request replays a fully warm pipeline instead of paying
-        Steps 1+2 or codegen inline.  Returns a summary dict.
+        row layout a packed dispatch will bind, *and* its modeled
+        energy is priced — so the first real request replays a fully
+        warm pipeline instead of paying Steps 1+2 or codegen inline,
+        on the dispatch or on the completion path.  Returns a summary
+        dict.
         """
         start = time.perf_counter()
         engine = get_engine(self.config.engine)
         kernels: list[list] = []
-        for op_or_root, width in manifest:
-            self._target.warm(op_or_root, width, engine)
-            identity = kernel_identity(op_or_root, width,
-                                       self._target.backend)
+        for op, width in manifest:
+            self._target.warm(op, width, engine)
+            identity = kernel_identity(op, width, self._target.backend)
+            # Priced here, off the request path: the first completion
+            # of this kernel finds its nJ/element already tabulated.
+            self._energy.nj_per_element(
+                (identity, engine.name),
+                lambda: self._target.program(op, width))
             kernels.append([identity[0], width])
         return {"kernels": kernels,
                 "n_kernels": len(kernels),
@@ -1133,12 +1097,8 @@ class SimdramService:
     # ------------------------------------------------------------------
     def _execute(self, request: PreparedRequest,
                  vectors: list[np.ndarray]) -> np.ndarray:
-        if request.kind == "op":
-            return self._target.map_op(request.op_name, vectors,
-                                       request.width, request.engine)
-        return self._target.map_expr(
-            request.root, dict(zip(request.slot_names, vectors)),
-            request.width, request.engine)
+        return self._target.map(request.op, vectors, request.width,
+                                request.engine)
 
     def _dispatch(self, group: PackGroup) -> None:
         """One shared wide dispatch; scatter slices to the handles.
@@ -1326,7 +1286,14 @@ class SimdramService:
         now = time.monotonic()
         on_time = (None if request.deadline is None
                    else now <= request.deadline)
-        energy_nj = self._energy.nj_per_request(request)
+        # The target prices the kernel it ran: in-process targets hold
+        # it (a cache hit), only the replica router compiles — once per
+        # pack key, or never when warmup() already priced it.
+        per_element = self._energy.nj_per_element(
+            request.key,
+            lambda: self._target.program(request.op, request.width))
+        energy_nj = (None if per_element is None
+                     else per_element * request.n_elements)
         request.handle.on_time = on_time
         request.handle.energy_nj = energy_nj
         request.handle._future.set_result(values)

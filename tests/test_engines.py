@@ -369,9 +369,9 @@ class TestCompiledCacheAccounting:
 
     def test_warm_executor_precompiles(self):
         sim = _make_sim()
-        program = sim.compile("add", 8)
+        kernel = sim.compile("add", 8)
         before = sim.control.compiled_cache_size()
-        sim.warm_executor(program, (8, 8), 8, engine="compiled")
+        sim.warm_executor(kernel, engine="compiled")
         assert sim.control.compiled_cache_size() == before + 1
         # The warmed layout is the one map() binds: no new compiles.
         sim.map("add", [1, 2, 3], [4, 5, 6], width=8,

@@ -11,11 +11,14 @@ tests cover plan compilation/caching, the trace/fault forced fallback,
 and allocator balance on failing executions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tests.conftest import edge_and_random_values
 from repro.core.framework import Simdram, SimdramConfig
+from repro.core.fuse import Kernel
 from repro.core.operations import CATALOG, get_operation
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import b_row, data_row
@@ -34,9 +37,9 @@ BACKENDS = ("simdram", "ambit")
 FAST_ENGINES = tuple(name for name in list_engines(available_only=True)
                      if name != "per_bank")
 
-#: Compiled µPrograms shared across both engines' systems (compilation
+#: Compiled kernels shared across both engines' systems (compilation
 #: is deterministic and by far the most expensive part of the sweep).
-_PROGRAMS: dict[tuple[str, int, str], MicroProgram] = {}
+_KERNELS: dict[tuple[str, int, str], Kernel] = {}
 
 
 def _make_sim() -> Simdram:
@@ -48,13 +51,11 @@ def _sim_with_program(op_name: str, width: int, backend: str) -> Simdram:
     compiled µProgram pre-installed."""
     sim = _make_sim()
     key = (op_name, width, backend)
-    program = _PROGRAMS.get(key)
-    if program is None:
-        program = sim.compile(op_name, width, backend)
-        _PROGRAMS[key] = program
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        _KERNELS[key] = sim.compile(op_name, width, backend)
     else:
-        sim._programs[key] = program
-        sim.control.install(program)
+        sim.adopt(kernel)
     return sim
 
 
@@ -262,13 +263,13 @@ class TestPlanCache:
         assert np.array_equal(out.to_numpy(), [4, 2, 4])
         # Replace the installed add-µProgram with sub's command stream
         # under add's key (contents differ, key identical).
-        sub = sim.compile("sub", 8)
+        sub = sim.compile("sub", 8).program
         forged = MicroProgram(
             op_name="add", backend=sub.backend, element_width=8,
             inputs=sub.inputs, output=sub.output, uops=sub.uops,
             n_temp_rows=sub.n_temp_rows)
-        sim.control.install(forged)
-        sim._programs[("add", 8, sim.config.backend)] = forged
+        sim.adopt(dataclasses.replace(sim.compile("add", 8),
+                                      program=forged))
         out2 = sim.run("add", a, b)
         assert np.array_equal(out2.to_numpy(), [2, 254, 254])  # a - b
 

@@ -171,7 +171,7 @@ def run_sequential(sim: Simdram, root, arrays, width: int):
             out = sim.run(node.op, *operands)
             created.append(out)
             values[node] = out
-            programs.append(sim.compile(node.op, width))
+            programs.append(sim.compile(node.op, width).program)
         result = read_unsigned(sim, values[root])
     finally:
         for arr in created:
@@ -213,7 +213,7 @@ def differential_check(sim: Simdram, root, width: int,
         assert np.array_equal(sequential, golden), \
             f"sequential != golden for {root!r} @ {width}"
 
-        kernel = sim.compile_expr(root, width)
+        kernel = sim.compile(root, width)
         if n_ops(root) >= 2:
             # Fusion's structural claim: strictly fewer row copies into
             # and out of named operand row blocks...
@@ -316,8 +316,9 @@ class TestAcceptancePipeline:
     def test_fewer_operand_copies_and_zero_intermediate_transposes(
             self, sim16):
         sim = sim16
-        kernel = sim.compile_expr(mad_relu_root(), 8)
-        unfused = [sim.compile(op, 8) for op in ("mul", "add", "relu")]
+        kernel = sim.compile(mad_relu_root(), 8)
+        unfused = [sim.compile(op, 8).program
+                   for op in ("mul", "add", "relu")]
         assert kernel.program.n_operand_copies < sum(
             p.n_operand_copies for p in unfused)
 
@@ -342,8 +343,8 @@ class TestAcceptancePipeline:
         measurably cheaper command stream than the generic pipeline."""
         sim = sim16
         root = E.relu(E.add(E.mul(E.inp("x"), E.const(37)), E.inp("b")))
-        kernel = sim.compile_expr(root, 8)
-        unfused = sum(sim.compile(op, 8).n_commands
+        kernel = sim.compile(root, 8)
+        unfused = sum(sim.compile(op, 8).program.n_commands
                       for op in ("mul", "add", "relu"))
         assert kernel.program.n_commands * 3 < unfused * 2  # >= 1.5x
 
@@ -351,14 +352,13 @@ class TestAcceptancePipeline:
 class TestFusedKernelIdentity:
     def test_compile_cache_hits_on_structural_equality(self):
         sim = shared_sim()
-        k1 = sim.compile_expr(mad_relu_root(), 8)
-        k2 = sim.compile_expr(mad_relu_root(), 8)
+        k1 = sim.compile(mad_relu_root(), 8)
+        k2 = sim.compile(mad_relu_root(), 8)
         assert k1 is k2
 
     def test_dag_hash_stable_and_recorded(self):
         root = mad_relu_root()
         kernel = compile_expr(root, 4)
-        assert kernel.dag_hash == dag_hash(root)
         assert kernel.program.source_hash == dag_hash(root)
         assert kernel.op_name == f"fused_{dag_hash(root)}"
 
@@ -388,9 +388,12 @@ class TestMultiOutputStitching:
         x, y = E.inp("x"), E.inp("y")
         roots = {"total": E.add(x, y), "delta": E.sub(x, y)}
         kernel = compile_multi(roots, width)
-        program, slices = kernel.program, kernel.slices
-        assert kernel.total_out_width == 16
-        assert kernel.signed == {"total": False, "delta": False}
+        program = kernel.program
+        slices = {out.name: (out.offset, out.width)
+                  for out in kernel.outputs}
+        assert kernel.out_width == 16
+        assert {out.name: out.signed for out in kernel.outputs} == {
+            "total": False, "delta": False}
         assert set(slices) == {"total", "delta"}
         widths = {name: w for name, (_, w) in slices.items()}
         assert widths == {"total": 8, "delta": 8}

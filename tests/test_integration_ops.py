@@ -121,8 +121,8 @@ def test_simdram_beats_ambit_on_command_counts():
     sim = make_sim()
     wins = 0
     for op_name in PAPER_OPERATIONS:
-        simdram = sim.compile(op_name, 8, backend="simdram")
-        ambit = sim.compile(op_name, 8, backend="ambit")
+        simdram = sim.compile(op_name, 8, backend="simdram").program
+        ambit = sim.compile(op_name, 8, backend="ambit").program
         assert simdram.n_commands <= ambit.n_commands, op_name
         if simdram.n_commands < ambit.n_commands:
             wins += 1

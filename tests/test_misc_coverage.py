@@ -103,7 +103,7 @@ class TestCrossLayerConsistency:
         a = sim.array(np.arange(10), 8)
         b = sim.array(np.arange(10), 8)
         sim.run("sub", a, b)
-        program = sim.compile("sub", 8)
+        program = sim.compile("sub", 8).program
         banks = sim.config.geometry.banks
         assert sim.last_stats.n_aap == program.n_aap * banks
         assert sim.last_stats.n_ap == program.n_ap * banks

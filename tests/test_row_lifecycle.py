@@ -64,7 +64,7 @@ class TestRunExprLifecycle:
         """The issue's injected failure: one operand at the wrong bit
         width must reject the dispatch without consuming any rows."""
         sim = make_sim()
-        sim.compile_expr(mad_relu(), 8)  # compile ok; execution must not
+        sim.compile(mad_relu(), 8)  # compile ok; execution must not
         feeds = {"x": sim.array([1, 2], 8), "w": sim.array([3, 4], 4),
                  "b": sim.array([5, 6], 8)}
         with Balance(sim):
@@ -99,7 +99,7 @@ class TestRunExprLifecycle:
         """A fault after the output/temp reservations (the historical
         PR-1 leak point) must still balance."""
         sim = make_sim()
-        sim.compile_expr(mad_relu(), 8)
+        sim.compile(mad_relu(), 8)
         rng = np.random.default_rng(2)
         feeds = {name: sim.array(rng.integers(0, 256, 4), 8)
                  for name in ("x", "w", "b")}
@@ -142,7 +142,7 @@ class TestMapExprLifecycle:
     def test_failing_map_expr_releases_all_blocks(self):
         sim = make_sim()
         root = E.add(E.inp("x"), E.inp("y"))
-        sim.compile_expr(root, 8)
+        sim.compile(root, 8)
 
         def boom(*args, **kwargs):
             raise ExecutionError("injected mid-map failure")

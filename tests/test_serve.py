@@ -78,9 +78,9 @@ class TestLanePacker:
         packer.add(self._request("add", 1), now=0.7)  # joins the oldest
         assert packer.next_deadline() == pytest.approx(1.0)
         oldest = packer.take_oldest()
-        assert [r.op_name for r in oldest.requests] == ["add", "add"]
+        assert [r.op for r in oldest.requests] == ["add", "add"]
         assert packer.next_deadline() == pytest.approx(1.5)
-        assert packer.take_oldest().requests[0].op_name == "min"
+        assert packer.take_oldest().requests[0].op == "min"
         assert packer.next_deadline() is None
 
     def test_pack_slices_cover_all_lanes(self):
@@ -300,7 +300,7 @@ class TestSequentialFallback:
         sim = Simdram(small_config(), seed=2)
         with SimdramService(sim) as service:
             target = service._target
-            real_map = target.map_op
+            real_map = target.map
             poison_n = 3   # the only request with 3 lanes
 
             def flaky_map(op_name, vectors, width, engine):
@@ -308,7 +308,7 @@ class TestSequentialFallback:
                     raise OperationError("injected device fault")
                 return real_map(op_name, vectors, width, engine)
 
-            target.map_op = flaky_map
+            target.map = flaky_map
             with service.hold():   # all three in one pack
                 good_a = service.submit("add", [1], [2], width=8)
                 bad = service.submit("add", [1, 2, 3], [4, 5, 6],
@@ -360,7 +360,7 @@ class TestSequentialFallback:
             def broken_map(op_name, vectors, width, engine):
                 raise OperationError("device down")
 
-            target.map_op = broken_map
+            target.map = broken_map
             with service.hold():
                 handles = [service.submit("add", [i], [i], width=8)
                            for i in range(3)]
@@ -379,14 +379,14 @@ def _block_dispatches(service):
     test sets ``release`` — an accepted request that is deterministically
     unresolved, without any timer.  Returns ``(entered, release)``."""
     entered, release = threading.Event(), threading.Event()
-    real_map = service._target.map_op
+    real_map = service._target.map
 
     def blocked_map(*args, **kwargs):
         entered.set()
         assert release.wait(60)
         return real_map(*args, **kwargs)
 
-    service._target.map_op = blocked_map
+    service._target.map = blocked_map
     return entered, release
 
 
@@ -578,8 +578,8 @@ class _HandDrivenTarget:
 
     def complete_one(self) -> None:
         request, vectors, on_done = self._packs.pop(0)
-        out = self._inner.map_op(request.op_name, vectors,
-                                 request.width, request.engine)
+        out = self._inner.map(request.op, vectors,
+                              request.width, request.engine)
         on_done(out, None, None)
         with self._idle:
             self._idle.notify_all()
@@ -655,7 +655,7 @@ class TestFlushRule:
         sim = Simdram(small_config(), seed=1)
         config = ServeConfig(max_lanes=4, max_wait_s=1.0)
         with SimdramService(sim, config) as service:
-            real_map = service._target.map_op
+            real_map = service._target.map
             feeding = threading.Event()
             feeding.set()
             dispatches = []
@@ -674,7 +674,7 @@ class TestFlushRule:
                         backlog_seen.set()
                 return real_map(op_name, vectors, width, engine)
 
-            service._target.map_op = feeding_map
+            service._target.map = feeding_map
             with service.hold():
                 rare = service.submit("min", [7], [9], width=8)
                 for _ in range(5):

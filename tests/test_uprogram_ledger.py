@@ -29,6 +29,7 @@ from repro.apps.brightness import brightness_expr
 from repro.apps.cnn import madd_expr, madd_relu_expr
 from repro.core import expr as E
 from repro.core.compiler import compile_operation
+from repro.core.framework import Simdram, SimdramConfig
 from repro.core.fuse import compile_expr, compile_multi
 from repro.core.operations import PAPER_OPERATIONS, get_operation
 from repro.serve.streaming import affine_relu_step
@@ -43,6 +44,11 @@ _EXPRS = {
     "madd_relu_expr(-3)": madd_relu_expr(-3),
     "affine_relu_step(3)": affine_relu_step(3),
 }
+
+
+#: Ledger key -> ``(op, width, backend, options)`` of the catalog rows,
+#: so the same rows can be reached through a module's ``compile``.
+_CATALOG_ROWS: dict[str, tuple] = {}
 
 
 def _catalog(op_name: str, width: int, backend: str,
@@ -64,15 +70,17 @@ def ledger_kernels() -> dict[str, Callable[[], MicroProgram]]:
     for backend in ("simdram", "ambit"):
         for op_name in PAPER_OPERATIONS:
             for width in (8, 16, 32):
-                kernels[f"{backend}/{op_name}/{width}"] = _catalog(
-                    op_name, width, backend)
+                key = f"{backend}/{op_name}/{width}"
+                _CATALOG_ROWS[key] = (op_name, width, backend, None)
+                kernels[key] = _catalog(op_name, width, backend)
     for label, options in (("reuse=False", ScheduleOptions(reuse=False)),
                            ("peephole=False",
                             ScheduleOptions(peephole=False))):
         for op_name in PAPER_OPERATIONS:
             for width in (8, 16):
-                kernels[f"simdram/{op_name}/{width}/{label}"] = _catalog(
-                    op_name, width, "simdram", options)
+                key = f"simdram/{op_name}/{width}/{label}"
+                _CATALOG_ROWS[key] = (op_name, width, "simdram", options)
+                kernels[key] = _catalog(op_name, width, "simdram", options)
     for label, root in _EXPRS.items():
         kernels[f"expr/{label}/16"] = (
             lambda root=root: compile_expr(root, 16).program)
@@ -102,6 +110,17 @@ def test_ledger_covers_exactly_the_kernel_set(ledger):
 @pytest.mark.parametrize("key", list(_KERNELS))
 def test_uprogram_matches_ledger(ledger, key):
     assert ledger_row(_KERNELS[key]()) == ledger[key]
+
+
+@pytest.mark.parametrize("key", list(_CATALOG_ROWS))
+def test_module_compile_reaches_the_ledger_program(ledger, key):
+    """``Simdram.compile`` runs the same compile body under the
+    module's configuration: the kernel it caches is the pinned one."""
+    op_name, width, backend, options = _CATALOG_ROWS[key]
+    config = (SimdramConfig() if options is None
+              else SimdramConfig(schedule=options))
+    kernel = Simdram(config).compile(op_name, width, backend)
+    assert ledger_row(kernel.program) == ledger[key]
 
 
 def regenerate() -> None:
