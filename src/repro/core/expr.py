@@ -189,19 +189,26 @@ def dag_hash(root: Expr) -> str:
 
     Two structurally identical DAGs hash equally across processes, so
     the framework's fused-kernel cache and the control unit's
-    execution-plan cache both key on it.
+    execution-plan cache both key on it.  Memoized on the root (a
+    frozen value), so a request's kernel is hashed once however many
+    layers ask for its identity.
     """
-    digest: dict[Expr, str] = {}
-    for node in post_order(root):
-        if node.kind == KIND_INPUT:
-            token = f"i:{node.name}"
-        elif node.kind == KIND_CONST:
-            token = f"c:{node.value}"
-        else:
-            token = (f"o:{node.op}("
-                     + ",".join(digest[c] for c in node.children) + ")")
-        digest[node] = hashlib.sha256(token.encode()).hexdigest()[:16]
-    return digest[root]
+    cached = root.__dict__.get("_dag_hash")
+    if cached is None:
+        digest: dict[Expr, str] = {}
+        for node in post_order(root):
+            if node.kind == KIND_INPUT:
+                token = f"i:{node.name}"
+            elif node.kind == KIND_CONST:
+                token = f"c:{node.value}"
+            else:
+                token = (f"o:{node.op}("
+                         + ",".join(digest[c] for c in node.children)
+                         + ")")
+            digest[node] = hashlib.sha256(token.encode()).hexdigest()[:16]
+        cached = digest[root]
+        object.__setattr__(root, "_dag_hash", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------

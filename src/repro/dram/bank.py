@@ -15,7 +15,7 @@ from repro.dram.commands import CommandStats
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import RowAddress
 from repro.dram.subarray import N_B_PLANES, Subarray
-from repro.errors import GeometryError
+from repro.errors import AddressError, GeometryError
 from repro.obs.pmu import get_pmu
 
 
@@ -66,17 +66,21 @@ class DramModule:
             seq = np.random.SeedSequence(seed)
             rngs = [np.random.default_rng(s)
                     for s in seq.spawn(geometry.banks)]
-        # All banks' cells live in two stacked arrays; each subarray gets
-        # a per-bank view.  The vectorized execution engine operates on
-        # the stacks directly, the per-bank slow path goes through the
-        # subarray objects — both mutate the same memory.
+        # All banks' cells live in two packed arrays, row-major: a
+        # logical row striped over the first n banks is the contiguous
+        # byte string state[row, :n].  Each subarray gets its per-bank
+        # view; the plan-based engines and the transposition unit work
+        # on the stacks directly, the per-bank slow path goes through
+        # the subarray objects — all mutate the same memory.
         self._data_state = np.zeros(
-            (geometry.banks, geometry.data_rows, geometry.cols), dtype=bool)
+            (geometry.data_rows, geometry.banks, geometry.row_bytes),
+            dtype=np.uint8)
         self._b_state = np.zeros(
-            (geometry.banks, N_B_PLANES, geometry.cols), dtype=bool)
+            (N_B_PLANES, geometry.banks, geometry.row_bytes),
+            dtype=np.uint8)
         self.banks = [Bank(geometry, bank_id=i, trace=trace, rng=rngs[i],
-                           data_storage=self._data_state[i],
-                           b_storage=self._b_state[i])
+                           data_storage=self._data_state[:, i],
+                           b_storage=self._b_state[:, i])
                       for i in range(geometry.banks)]
         #: Device-PMU registration: per-bank counter rows for this
         #: module live under this id (see :mod:`repro.obs.pmu`).
@@ -115,12 +119,14 @@ class DramModule:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Stacked cell-state views for the first ``n_banks`` banks.
 
-        Returns ``(data, b_planes)`` of shapes ``(n, data_rows, cols)``
-        and ``(n, N_B_PLANES, cols)``.  These are *views*: mutating them
-        is exactly mutating the banks' subarrays.
+        Returns ``(data, b_planes)``, packed ``uint8`` of shapes
+        ``(data_rows, n, row_bytes)`` and ``(N_B_PLANES, n, row_bytes)``
+        (see :class:`~repro.dram.subarray.Subarray` for the bit order).
+        These are *views*: mutating them is exactly mutating the banks'
+        subarrays.
         """
         n = len(self._active(n_banks))
-        return self._data_state[:n], self._b_state[:n]
+        return self._data_state[:, :n], self._b_state[:, :n]
 
     def supports_vectorized(self, n_banks: int | None = None) -> bool:
         """Whether the stacked fast path is equivalent to the per-bank
@@ -169,3 +175,44 @@ class DramModule:
             out[i * cols:(i + 1) * cols] = bank.subarray.read_row(address)
         get_pmu().record_transposition(self.pmu_id, self.lanes)
         return out
+
+    # ------------------------------------------------------------------
+    # block access: what the transposition unit moves per operand
+    # ------------------------------------------------------------------
+    def _check_rows(self, base: int, n_rows: int) -> None:
+        if not 0 <= base <= base + n_rows <= self.geometry.data_rows:
+            raise AddressError(
+                f"data rows [{base}, {base + n_rows}) out of range "
+                f"[0, {self.geometry.data_rows})")
+
+    def write_rows(self, base: int, block: np.ndarray) -> None:
+        """Write packed D-group rows ``base..`` of every bank at once.
+
+        ``block`` is ``(n_rows, banks, row_bytes)`` ``uint8`` with zero
+        padding bits.  Accounted exactly as ``n_rows`` calls of
+        :meth:`write_striped`.
+        """
+        n_rows = len(block)
+        self._check_rows(base, n_rows)
+        self._data_state[base:base + n_rows] = block
+        for i, bank in enumerate(self.banks):
+            subarray = bank.subarray
+            if subarray._data.base is not self._data_state:  # swapped
+                subarray._data[base:base + n_rows] = block[:, i]
+            subarray.stats.host_bits_written += n_rows * self.geometry.cols
+        get_pmu().record_transposition(self.pmu_id, n_rows * self.lanes)
+
+    def read_rows(self, base: int, n_rows: int) -> np.ndarray:
+        """Read packed D-group rows ``base..`` of every bank at once, as
+        a fresh ``(n_rows, banks, row_bytes)`` ``uint8`` block.
+        Accounted exactly as ``n_rows`` calls of :meth:`read_striped`.
+        """
+        self._check_rows(base, n_rows)
+        block = self._data_state[base:base + n_rows].copy()
+        for i, bank in enumerate(self.banks):
+            subarray = bank.subarray
+            if subarray._data.base is not self._data_state:  # swapped
+                block[:, i] = subarray._data[base:base + n_rows]
+            subarray.stats.host_bits_read += n_rows * self.geometry.cols
+        get_pmu().record_transposition(self.pmu_id, n_rows * self.lanes)
+        return block

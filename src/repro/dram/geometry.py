@@ -64,8 +64,10 @@ class DramGeometry:
 
     @property
     def row_bytes(self) -> int:
-        """Size of one subarray row in bytes."""
-        return self.cols // 8
+        """Bytes one subarray row occupies, packed eight lanes to a byte
+        (the stride of the module's cell state; a last partial byte is
+        padded with zero bits)."""
+        return -(-self.cols // 8)
 
     def lanes(self, n_banks: int | None = None) -> int:
         """SIMD lanes available with ``n_banks`` banks computing in parallel."""

@@ -35,6 +35,7 @@ from repro.dram.rows import (
     Wordline,
 )
 from repro.errors import AddressError, CommandError
+from repro.util.bitops import pack_bits, packed_ones, unpack_bits
 
 #: Map each B-group wordline to (storage plane, True if non-inverting port).
 #: Shared with the vectorized execution-plan compiler
@@ -78,14 +79,21 @@ class Subarray:
             0.0 = ideal device).
         fault_rng: Generator driving fault injection (defaults to a
             fixed-seed generator when ``tra_fault_rate`` > 0).
-        data_storage: Optional external ``(data_rows, cols)`` bool array
-            to use as the D-group cell storage.  A :class:`DramModule`
-            passes per-bank views of one stacked ``(banks, rows, cols)``
-            array so the vectorized execution engine can operate on all
-            banks at once while this per-subarray model stays the
-            bit-identical slow path (the two share memory).
-        b_storage: Optional external ``(N_B_PLANES, cols)`` bool array
-            for the B-group cells, same contract as ``data_storage``.
+        data_storage: Optional external ``(data_rows, row_bytes)``
+            ``uint8`` array to use as the D-group cell storage.  A
+            :class:`DramModule` passes per-bank views of one stacked
+            ``(rows, banks, row_bytes)`` array so the plan-based engines
+            can operate on all banks at once while this per-subarray
+            model stays the bit-identical slow path (the two share
+            memory).
+        b_storage: Optional external ``(N_B_PLANES, row_bytes)``
+            ``uint8`` array for the B-group cells, same contract.
+
+    Cells are stored packed (:func:`~repro.util.bitops.pack_bits`: lane
+    ``c`` is bit ``c % 8`` of byte ``c // 8``) and every row's padding
+    bits stay zero — NOT is XOR with the all-lanes mask, never ``~``.
+    Rows cross the public API (:meth:`read_row`, :meth:`write_row`,
+    :meth:`peek`, :meth:`poke`) as boolean vectors of ``cols`` lanes.
     """
 
     def __init__(self, geometry: DramGeometry, trace: bool = False,
@@ -108,30 +116,34 @@ class Subarray:
         #: TRA bit flips injected so far (observability for tests).
         self.faults_injected = 0
         cols = geometry.cols
-        data_shape = (geometry.data_rows, cols)
-        b_shape = (N_B_PLANES, cols)
+        data_shape = (geometry.data_rows, geometry.row_bytes)
+        b_shape = (N_B_PLANES, geometry.row_bytes)
         if data_storage is None:
-            data_storage = np.empty(data_shape, dtype=bool)
+            data_storage = np.empty(data_shape, dtype=np.uint8)
         if b_storage is None:
-            b_storage = np.empty(b_shape, dtype=bool)
-        if data_storage.shape != data_shape or data_storage.dtype != bool:
+            b_storage = np.empty(b_shape, dtype=np.uint8)
+        if (data_storage.shape != data_shape
+                or data_storage.dtype != np.uint8):
             raise CommandError(
-                f"data_storage must be a bool array of shape {data_shape}, "
-                f"got {data_storage.dtype} {data_storage.shape}")
-        if b_storage.shape != b_shape or b_storage.dtype != bool:
+                f"data_storage must be a uint8 array of shape "
+                f"{data_shape}, got {data_storage.dtype} "
+                f"{data_storage.shape}")
+        if b_storage.shape != b_shape or b_storage.dtype != np.uint8:
             raise CommandError(
-                f"b_storage must be a bool array of shape {b_shape}, "
+                f"b_storage must be a uint8 array of shape {b_shape}, "
                 f"got {b_storage.dtype} {b_storage.shape}")
         self._data = data_storage
         self._b_planes = b_storage
+        #: Packed row with every lane set (what ``C1`` reads as).
+        self._ones = packed_ones(cols)
         if rng is None:
-            self._data[...] = False
-            self._b_planes[...] = False
+            self._data[...] = 0
+            self._b_planes[...] = 0
         else:
-            self._data[...] = rng.integers(
-                0, 2, size=data_shape).astype(bool)
-            self._b_planes[...] = rng.integers(
-                0, 2, size=b_shape).astype(bool)
+            self._data[...] = pack_bits(rng.integers(
+                0, 2, size=(geometry.data_rows, cols)).astype(bool))
+            self._b_planes[...] = pack_bits(rng.integers(
+                0, 2, size=(N_B_PLANES, cols)).astype(bool))
 
     @property
     def cols(self) -> int:
@@ -150,14 +162,15 @@ class Subarray:
     def _read_wordline(self, wordline: Wordline) -> np.ndarray:
         plane, positive = _WORDLINE_PLANE[wordline]
         value = self._b_planes[plane]
-        return value if positive else ~value
+        return value if positive else value ^ self._ones
 
     def _write_wordline(self, wordline: Wordline, value: np.ndarray) -> None:
         plane, positive = _WORDLINE_PLANE[wordline]
-        self._b_planes[plane] = value if positive else ~value
+        self._b_planes[plane] = value if positive else value ^ self._ones
 
     def _sense(self, address: RowAddress) -> np.ndarray:
-        """First activation of ``address``: sense amplifier contents.
+        """First activation of ``address``: sense amplifier contents
+        (a packed row).
 
         For a triple this performs the (destructive) TRA.  For a double it
         checks that charge sharing is deterministic.
@@ -166,8 +179,8 @@ class Subarray:
             self._check_data_index(address.index)
             return self._data[address.index].copy()
         if address.group is RowGroup.CTRL:
-            constant = bool(address.index)
-            return np.full(self.cols, constant, dtype=bool)
+            return (self._ones.copy() if address.index
+                    else np.zeros_like(self._ones))
 
         wordlines = address.wordlines()
         if len(wordlines) == 1:
@@ -186,13 +199,14 @@ class Subarray:
         if self.tra_fault_rate > 0.0:
             flips = self._fault_rng.random(self.cols) < self.tra_fault_rate
             self.faults_injected += int(flips.sum())
-            result = result ^ flips
+            result = result ^ pack_bits(flips)
         for wordline in wordlines:
             self._write_wordline(wordline, result)
         return result
 
     def _drive(self, address: RowAddress, value: np.ndarray) -> None:
-        """Second activation of an AAP: overwrite ``address`` with ``value``."""
+        """Second activation of an AAP: overwrite ``address`` with the
+        packed row ``value``."""
         if address.group is RowGroup.CTRL:
             raise CommandError(
                 f"C-group row {address} holds a hardwired constant and "
@@ -239,7 +253,7 @@ class Subarray:
                 f"host reads must target a single wordline, got {address}")
         value = self._sense(address)
         self.stats.host_bits_read += self.cols
-        return value
+        return unpack_bits(value, self.cols)
 
     def write_row(self, address: RowAddress, value: np.ndarray) -> None:
         """Write a full row through the normal datapath."""
@@ -251,7 +265,7 @@ class Subarray:
         if address.n_wordlines != 1:
             raise CommandError(
                 f"host writes must target a single wordline, got {address}")
-        self._drive(address, value)
+        self._drive(address, pack_bits(value))
         self.stats.host_bits_written += self.cols
 
     # ------------------------------------------------------------------
@@ -259,17 +273,12 @@ class Subarray:
     # ------------------------------------------------------------------
     def peek(self, address: RowAddress) -> np.ndarray:
         """Read a single-wordline row without timing/energy accounting."""
-        if address.group is RowGroup.DATA:
-            self._check_data_index(address.index)
-            return self._data[address.index].copy()
-        if address.group is RowGroup.CTRL:
-            return np.full(self.cols, bool(address.index), dtype=bool)
-        wordlines = address.wordlines()
-        if len(wordlines) != 1:
+        if address.n_wordlines != 1:
             raise CommandError(f"peek needs a single-wordline address, "
                                f"got {address}")
-        return self._read_wordline(wordlines[0]).copy()
+        return unpack_bits(self._sense(address), self.cols)
 
     def poke(self, address: RowAddress, value: np.ndarray) -> None:
         """Write a row without accounting (test setup only)."""
-        self._drive(address, np.asarray(value, dtype=bool))
+        self._drive(address, pack_bits(np.broadcast_to(
+            np.asarray(value, dtype=bool), (self.cols,))))

@@ -7,7 +7,6 @@ from repro.exec.engines import (
     AUTO,
     CompiledEngine,
     ExecutionEngine,
-    NumbaEngine,
     PerBankEngine,
     VectorizedEngine,
     get_engine,
@@ -29,7 +28,6 @@ __all__ = [
     "PerBankEngine",
     "VectorizedEngine",
     "CompiledEngine",
-    "NumbaEngine",
     "register_engine",
     "get_engine",
     "list_engines",

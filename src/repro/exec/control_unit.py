@@ -8,10 +8,10 @@ user (paper §3, step 3).
 
 Replay goes through the engine registry
 (:mod:`repro.exec.engines`): plan-based engines (``vectorized``,
-``compiled``, ``compiled-numba``) compile the µProgram + row layout
-into an :class:`~repro.exec.plan.ExecutionPlan` (cached here) and run
-an executor over the module's stacked cell state, all banks at once —
-the paper's lockstep broadcast.  The ``per_bank`` engine replays the
+``compiled``) compile the µProgram + row layout into an
+:class:`~repro.exec.plan.ExecutionPlan` (cached here) and run an
+executor over the module's stacked cell state, all banks at once — the
+paper's lockstep broadcast.  The ``per_bank`` engine replays the
 symbolic µOps bank by bank through each :class:`Subarray` — the traced
 / fault-injection slow path, bit-identical to the fast paths on
 success.  ``"auto"`` resolves per dispatch: the best available
@@ -201,9 +201,9 @@ class ControlUnit:
         """Broadcast a µProgram to ``n_banks`` banks in lockstep.
 
         ``engine`` is a registry name or :class:`ExecutionEngine`
-        instance.  Plan-based engines (``vectorized``, ``compiled``,
-        ``compiled-numba``) run a compiled :class:`ExecutionPlan` over
-        the stacked cell state of all participating banks at once;
+        instance.  Plan-based engines (``vectorized``, ``compiled``)
+        run a compiled :class:`ExecutionPlan` over the stacked cell
+        state of all participating banks at once;
         ``per_bank`` replays the µOps through each subarray in turn;
         ``"auto"`` (default) picks the best available plan-based
         engine whenever it is equivalent — i.e. no selected bank

@@ -32,25 +32,20 @@ Built-in engines
     only engine that is *not* ``vectorizable_only``.
 ``vectorized``
     Interprets the pre-classified :class:`ExecutionPlan` steps over the
-    stacked ``(banks, rows, cols)`` bool state, one numpy op per µOp.
+    stacked packed ``(rows, banks, row_bytes)`` state, one numpy
+    bitwise op per µOp.
 ``compiled``
     The codegen backend (the assassyn approach: frontend IR → generated
     simulator code).  :meth:`~CompiledEngine.compile` emits specialized
     Python source with the µOp loop fully unrolled and every row /
     plane index baked in, then runs it through ``compile()``/``exec``.
     Each DRAM row becomes a *local variable holding an arbitrary-width
-    Python integer* (one bit per SIMD lane across all banks), so a µOp
-    is one or two native bigint operations instead of an interpreted
-    numpy dispatch — the loop, the ``isinstance``/enum tests and the
-    numpy call overhead all disappear.  Bit-identical to ``vectorized``
-    on success (proven by the differential suites); portable, no
-    dependencies.
-``compiled-numba``
-    Same unrolled codegen, but lowered to packed ``uint64`` lane words
-    inside a ``numba.njit`` kernel.  Auto-detected: ``available()`` is
-    true only when :mod:`numba` imports.  Never chosen by ``"auto"``
-    (jitting a multi-thousand-statement kernel can cost seconds);
-    request it explicitly when the jit amortizes.
+    Python integer* — ``int.from_bytes`` of the row's packed bytes
+    across all banks, no pack stage — so a µOp is one or two native
+    bigint operations instead of an interpreted numpy dispatch — the
+    loop, the ``isinstance``/enum tests and the numpy call overhead
+    all disappear.  Bit-identical to ``vectorized`` on success (proven
+    by the differential suites); portable, no dependencies.
 
 Compiled executors are cached *on the plan* (`ExecutionPlan.executors`,
 keyed by engine name), which the control unit's plan cache keys by
@@ -62,7 +57,6 @@ eviction of a plan drops its executors with it.
 from __future__ import annotations
 
 import threading
-import warnings
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 import numpy as np
@@ -79,7 +73,6 @@ __all__ = [
     "PerBankEngine",
     "VectorizedEngine",
     "CompiledEngine",
-    "NumbaEngine",
     "register_engine",
     "get_engine",
     "list_engines",
@@ -87,7 +80,7 @@ __all__ = [
     "AUTO",
 ]
 
-#: An executor: mutates ``(data, b_planes)`` stacked bool state in place.
+#: An executor: mutates ``(data, b_planes)`` stacked packed state in place.
 Executor = Callable[[np.ndarray, np.ndarray], None]
 
 
@@ -124,25 +117,24 @@ class ExecutionEngine(Protocol):
 
 
 # ---------------------------------------------------------------------------
-# pack/unpack helpers shared by the codegen backends
+# row <-> bigint movement of the codegen backend
 # ---------------------------------------------------------------------------
-def _pack_rows(stack: np.ndarray, rows: tuple[int, ...],
-               n_bits: int) -> list[int]:
-    """Read ``stack[:, row, :]`` for each row into one Python int per
-    row — bit ``b*cols + c`` of the int is bank ``b``, column ``c``."""
+def _load_rows(state: np.ndarray, rows: tuple[int, ...]) -> list[int]:
+    """Read ``state[row]`` for each row as one Python int — one fused
+    gather; byte ``b * row_bytes + i`` of the int is bank ``b``, byte
+    ``i`` of the packed row."""
     if not rows:
         return []
-    # (banks, k, cols) -> (k, banks*cols); bit order must round-trip
-    # through _unpack_rows exactly, hence bitorder="little" throughout.
-    flat = np.ascontiguousarray(
-        stack[:, rows, :].transpose(1, 0, 2)).reshape(len(rows), n_bits)
-    packed = np.packbits(flat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    # ``[rows, ]``: a bare tuple would index three axes, not gather rows.
+    raw = state[rows, ].tobytes()
+    n_bytes = len(raw) // len(rows)
+    return [int.from_bytes(raw[start:start + n_bytes], "little")
+            for start in range(0, len(raw), n_bytes)]
 
 
-def _unpack_rows(stack: np.ndarray, rows: tuple[int, ...],
-                 values: tuple[int, ...], n_bits: int) -> None:
-    """Write packed integers back into ``stack[:, row, :]`` per row.
+def _store_rows(state: np.ndarray, rows: tuple[int, ...],
+                values: tuple[int, ...]) -> None:
+    """Write integers back into ``state[row]`` per row.
 
     One fused scatter for the whole writeback set — the executor's
     tail calls this once for data rows and once for B planes, keeping
@@ -151,41 +143,10 @@ def _unpack_rows(stack: np.ndarray, rows: tuple[int, ...],
     """
     if not rows:
         return
-    n_bytes = (n_bits + 7) // 8
-    raw = b"".join(value.to_bytes(n_bytes, "little")
-                   for value in values)
-    bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes),
-        axis=1, count=n_bits, bitorder="little")
-    stack[:, rows, :] = bits.reshape(
-        len(rows), stack.shape[0], stack.shape[2]
-    ).transpose(1, 0, 2).astype(bool)
-
-
-def _pack_words(stack: np.ndarray, rows: tuple[int, ...],
-                n_bits: int) -> np.ndarray:
-    """Pack rows into a ``(len(rows), n_words)`` uint64 lane-word array
-    (zero-padded to a 64-bit boundary)."""
-    n_words = (n_bits + 63) // 64
-    if not rows:
-        return np.zeros((0, n_words), dtype=np.uint64)
-    flat = np.zeros((len(rows), n_words * 64), dtype=np.uint8)
-    flat[:, :n_bits] = np.ascontiguousarray(
-        stack[:, rows, :].transpose(1, 0, 2)).reshape(len(rows), n_bits)
-    packed = np.packbits(flat, axis=1, bitorder="little")
-    return packed.view(np.uint64).copy()
-
-
-def _unpack_words(stack: np.ndarray, rows: tuple[int, ...],
-                  words: np.ndarray, n_bits: int) -> None:
-    """Scatter packed lane words back into ``stack[:, row, :]``."""
-    if not rows:
-        return
-    raw = words.view(np.uint8)
-    bits = np.unpackbits(raw, axis=1,
-                         bitorder="little")[:, :n_bits].astype(bool)
-    stack[:, rows, :] = bits.reshape(
-        len(rows), stack.shape[0], stack.shape[2]).transpose(1, 0, 2)
+    shape = (len(rows), *state.shape[1:])
+    n_bytes = shape[1] * shape[2]
+    raw = b"".join([value.to_bytes(n_bytes, "little") for value in values])
+    state[rows, ] = np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +200,9 @@ class CompiledEngine:
     """Generate and ``exec`` specialized Python source per plan.
 
     Every data row and B-group plane the plan touches becomes a local
-    variable holding one arbitrary-precision integer (bit ``b*cols+c``
-    = bank ``b``, column ``c``); the unrolled step sequence is emitted
+    variable holding one arbitrary-precision integer (the row's packed
+    bytes over the participating banks, little-endian, padding bits
+    zero); the unrolled step sequence is emitted
     as straight-line bigint expressions.  A try/finally writes the
     (partial) state back even when a step raises, mirroring the
     vectorized engine's advance-all-banks-step-by-step failure shape.
@@ -257,10 +219,11 @@ class CompiledEngine:
     def compile(self, plan: "ExecutionPlan") -> Executor:
         with obs_span("engine.compile", engine=self.name,
                       op=plan.op_name):
-            source, _rows, _written = generate_source(plan)
+            source = generate_source(plan)
             namespace = {
-                "_pack_rows": _pack_rows,
-                "_unpack_rows": _unpack_rows,
+                "_load_rows": _load_rows,
+                "_store_rows": _store_rows,
+                "_ROW_ONES": plan.row_ones.tobytes(),
             }
             code = compile(source, f"<plan:{plan.op_name}>", "exec")
             exec(code, namespace)  # noqa: S102 - our own generated source
@@ -272,91 +235,8 @@ class CompiledEngine:
         return f"<engine {self.name}>"
 
 
-class NumbaEngine:
-    """The same unrolled codegen, jitted by numba over uint64 words.
-
-    ``available()`` probes importability once; the engine registers
-    unconditionally so :func:`list_engines` documents it, but
-    ``"auto"`` and explicit requests skip/raise when numba is missing.
-    """
-
-    name = "compiled-numba"
-    vectorizable_only = True
-    executes_plans = True
-    #: Below ``compiled``: jitting a multi-thousand-statement kernel
-    #: costs seconds, so it must be requested explicitly.
-    priority = 20
-
-    def __init__(self) -> None:
-        self._numba = None
-        self._probed = False
-
-    def available(self) -> bool:
-        if not self._probed:
-            try:
-                import numba  # noqa: F401
-                self._numba = numba
-            except ImportError:
-                self._numba = None
-            self._probed = True
-        return self._numba is not None
-
-    def compile(self, plan: "ExecutionPlan") -> Executor:
-        if not self.available():
-            raise EngineError(
-                "engine 'compiled-numba' is unavailable: numba is not "
-                f"importable; available engines: "
-                f"{list_engines(available_only=True)}")
-        numba = self._numba
-        with obs_span("engine.compile", engine=self.name,
-                      op=plan.op_name):
-            source, data_rows, written = generate_numba_source(plan)
-            namespace = {"numba": numba, "np": np,
-                         "CommandError": _command_error()}
-            try:
-                code = compile(source, f"<numba-plan:{plan.op_name}>",
-                               "exec")
-                exec(code, namespace)  # noqa: S102 - our own source
-                kernel = numba.njit(cache=False)(namespace["_kernel"])
-            except Exception as error:  # pragma: no cover - numba
-                raise EngineError(
-                    f"numba compilation of plan {plan.op_name!r} failed: "
-                    f"{error!r}") from error
-        all_rows = tuple(data_rows)
-        written_rows = tuple(r for r in all_rows if r in written)
-        written_index = tuple(all_rows.index(r) for r in written_rows)
-        b_rows = tuple(range(N_B_PLANES))
-
-        def executor(data: np.ndarray, b_planes: np.ndarray) -> None:
-            n_bits = data.shape[0] * data.shape[2]
-            n_words = (n_bits + 63) // 64
-            mask = np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF))
-            if n_bits % 64:
-                mask[-1] = np.uint64((1 << (n_bits % 64)) - 1)
-            dwords = _pack_words(data, all_rows, n_bits)
-            bwords = _pack_words(b_planes, b_rows, n_bits)
-            try:
-                kernel(dwords, bwords, mask)
-            finally:
-                if written_rows:
-                    _unpack_words(data, written_rows,
-                                  dwords[list(written_index)], n_bits)
-                _unpack_words(b_planes, b_rows, bwords, n_bits)
-
-        executor.__source__ = source
-        return executor
-
-    def __repr__(self) -> str:
-        return f"<engine {self.name}>"
-
-
-def _command_error():
-    from repro.errors import CommandError
-    return CommandError
-
-
 # ---------------------------------------------------------------------------
-# code generation (shared analysis; two emitters)
+# code generation
 # ---------------------------------------------------------------------------
 def _plan_data_rows(plan: "ExecutionPlan") -> tuple[list[int], set[int]]:
     """All data-row indices a plan touches, and the written subset."""
@@ -374,52 +254,59 @@ def _plan_data_rows(plan: "ExecutionPlan") -> tuple[list[int], set[int]]:
     return sorted(touched), written
 
 
-def _emit_steps(plan: "ExecutionPlan", d, b, ones, raise_pair,
-                indent: str) -> list[str]:
-    """Emit one line-sequence per plan step.
+def _d(row: int) -> str:
+    return f"_d{row}"
 
-    ``d(row)`` / ``b(plane)`` name the row variables, ``ones`` is the
-    all-lanes-set mask expression, ``raise_pair(step)`` emits the
-    unequal-pair-activation raise; both emitters share this walk so the
-    two codegen backends cannot drift semantically.
-    """
+
+def _b(plane: int) -> str:
+    return f"_b{plane}"
+
+
+def _emit_steps(plan: "ExecutionPlan") -> list[str]:
+    """Emit one line-sequence per plan step, over the row variables
+    ``_d<row>`` / ``_b<plane>`` and the all-lanes mask ``_ones``."""
     from repro.exec.plan import StepKind
     K = StepKind
+    indent = "        "
     lines: list[str] = []
 
     def read_ref(ref) -> str:
         plane, positive = ref
-        return b(plane) if positive else f"({b(plane)} ^ {ones})"
+        return _b(plane) if positive else f"({_b(plane)} ^ _ones)"
 
     def write_refs(refs, value: str) -> None:
         for plane, positive in refs:
-            lines.append(f"{indent}{b(plane)} = "
-                         + (value if positive else f"{value} ^ {ones}"))
+            lines.append(f"{indent}{_b(plane)} = "
+                         + (value if positive else f"{value} ^ _ones"))
 
     for step in plan.steps:
         kind, src, dst = step.kind, step.src, step.dst
         if kind == K.COPY_DATA:
-            lines.append(f"{indent}{d(dst)} = {d(src)}")
+            lines.append(f"{indent}{_d(dst)} = {_d(src)}")
         elif kind == K.FILL_DATA:
-            lines.append(f"{indent}{d(dst)} = {ones if src else '_zero'}")
+            lines.append(f"{indent}{_d(dst)} = "
+                         f"{'_ones' if src else '_zero'}")
         elif kind == K.DATA_TO_B:
-            write_refs(dst, d(src))
+            write_refs(dst, _d(src))
         elif kind == K.FILL_B:
             for plane, positive in dst:
-                value = ones if (src == positive) else "_zero"
-                lines.append(f"{indent}{b(plane)} = {value}")
+                value = "_ones" if (src == positive) else "_zero"
+                lines.append(f"{indent}{_b(plane)} = {value}")
         elif kind == K.B_TO_DATA:
-            lines.append(f"{indent}{d(dst)} = {read_ref(src)}")
+            lines.append(f"{indent}{_d(dst)} = {read_ref(src)}")
         elif kind == K.B_TO_B:
             # Ints are immutable: snapshot once, no aliasing hazards.
             lines.append(f"{indent}_v = {read_ref(src)}")
             write_refs(dst, "_v")
         elif kind in (K.PAIR_TO_DATA, K.PAIR_TO_B):
+            message = (f"activating {step.src_addr} would charge-share "
+                       "two unequal rows; the sensed value is "
+                       "nondeterministic")
             lines.append(f"{indent}_v = {read_ref(src[0])}")
             lines.append(f"{indent}if _v != {read_ref(src[1])}:")
-            lines.append(f"{indent}    {raise_pair(step)}")
+            lines.append(f"{indent}    raise _CommandError({message!r})")
             if kind == K.PAIR_TO_DATA:
-                lines.append(f"{indent}{d(dst)} = _v")
+                lines.append(f"{indent}{_d(dst)} = _v")
             else:
                 write_refs(dst, "_v")
         else:  # TRA variants: majority of three, destructive restore
@@ -428,32 +315,18 @@ def _emit_steps(plan: "ExecutionPlan", d, b, ones, raise_pair,
                          f"| ({a0} & {a2})")
             write_refs(src, "_v")
             if kind == K.TRA_TO_DATA:
-                lines.append(f"{indent}{d(dst)} = _v")
+                lines.append(f"{indent}{_d(dst)} = _v")
             elif kind == K.TRA_TO_B:
                 write_refs(dst, "_v")
     return lines
 
 
-def generate_source(plan: "ExecutionPlan"
-                    ) -> tuple[str, list[int], set[int]]:
-    """Emit the bigint executor source for :class:`CompiledEngine`.
-
-    Returns ``(source, touched data rows, written data rows)``; the
-    source defines ``_executor(data, b_planes)``.
-    """
+def generate_source(plan: "ExecutionPlan") -> str:
+    """Emit the bigint executor source for :class:`CompiledEngine`; it
+    defines ``_executor(data, b_planes)``."""
     rows, written = _plan_data_rows(plan)
-    planes = list(range(N_B_PLANES))
-
-    def d(row: int) -> str:
-        return f"_d{row}"
-
-    def b(plane: int) -> str:
-        return f"_b{plane}"
-
-    def raise_pair(step) -> str:
-        message = (f"activating {step.src_addr} would charge-share two "
-                   "unequal rows; the sensed value is nondeterministic")
-        return f"raise _CommandError({message!r})"
+    planes = tuple(range(N_B_PLANES))
+    plane_names = ", ".join(_b(p) for p in planes)
 
     head = [
         f"# generated executor: {plan.op_name} "
@@ -461,81 +334,28 @@ def generate_source(plan: "ExecutionPlan"
         f"{plan.n_steps} steps)",
         "from repro.errors import CommandError as _CommandError",
         "def _executor(data, b_planes):",
-        "    _n = data.shape[0] * data.shape[2]",
-        "    _ones = (1 << _n) - 1",
+        "    _ones = int.from_bytes(_ROW_ONES * data.shape[1], 'little')",
         "    _zero = 0",
     ]
     if rows:
-        names = ", ".join(d(r) for r in rows)
+        names = ", ".join(_d(r) for r in rows)
         trailing = "," if len(rows) == 1 else ""
         head.append(f"    {names}{trailing} = "
-                    f"_pack_rows(data, {tuple(rows)!r}, _n)")
-    names = ", ".join(b(p) for p in planes)
-    head.append(f"    {names} = _pack_rows(b_planes, "
-                f"{tuple(planes)!r}, _n)")
+                    f"_load_rows(data, {tuple(rows)!r})")
+    head.append(f"    {plane_names} = _load_rows(b_planes, {planes!r})")
     head.append("    try:")
 
-    body = _emit_steps(plan, d, b, "_ones", raise_pair, "        ")
-    if not body:
-        body = ["        pass"]
+    body = _emit_steps(plan) or ["        pass"]
 
     tail = ["    finally:"]
-    written_rows = sorted(written)
+    written_rows = tuple(sorted(written))
     if written_rows:
-        values = ", ".join(d(r) for r in written_rows)
-        tail.append(f"        _unpack_rows(data, "
-                    f"{tuple(written_rows)!r}, ({values},), _n)")
-    values = ", ".join(b(p) for p in planes)
-    tail.append(f"        _unpack_rows(b_planes, "
-                f"{tuple(planes)!r}, ({values},), _n)")
-    return "\n".join(head + body + tail) + "\n", rows, written
-
-
-def generate_numba_source(plan: "ExecutionPlan"
-                          ) -> tuple[str, list[int], set[int]]:
-    """Emit the uint64-word kernel source for :class:`NumbaEngine`.
-
-    The kernel iterates lane words; each unrolled step is a scalar
-    uint64 expression.  Negation is ``x ^ m`` with the per-word valid
-    mask, so padding bits beyond the lane count stay zero and the
-    pair-equality check matches the other engines bit for bit.
-    """
-    rows, written = _plan_data_rows(plan)
-    index = {row: i for i, row in enumerate(rows)}
-
-    def d(row: int) -> str:
-        return f"_d{row}"
-
-    def b(plane: int) -> str:
-        return f"_b{plane}"
-
-    def raise_pair(step) -> str:
-        message = (f"activating {step.src_addr} would charge-share two "
-                   "unequal rows; the sensed value is nondeterministic")
-        return f"raise CommandError({message!r})"
-
-    head = [
-        f"# generated numba kernel: {plan.op_name} "
-        f"({plan.backend}, w{plan.element_width}, "
-        f"{plan.n_steps} steps)",
-        "def _kernel(dwords, bwords, mask):",
-        "    _zero = np.uint64(0)",
-        "    for _w in range(mask.shape[0]):",
-        "        _ones = mask[_w]",
-    ]
-    for row in rows:
-        head.append(f"        {d(row)} = dwords[{index[row]}, _w]")
-    for plane in range(N_B_PLANES):
-        head.append(f"        {b(plane)} = bwords[{plane}, _w]")
-
-    body = _emit_steps(plan, d, b, "_ones", raise_pair, "        ")
-
-    tail = []
-    for row in sorted(written):
-        tail.append(f"        dwords[{index[row]}, _w] = {d(row)}")
-    for plane in range(N_B_PLANES):
-        tail.append(f"        bwords[{plane}, _w] = {b(plane)}")
-    return "\n".join(head + body + tail) + "\n", rows, written
+        values = ", ".join(_d(r) for r in written_rows)
+        tail.append(f"        _store_rows(data, "
+                    f"{written_rows!r}, ({values},))")
+    tail.append(f"        _store_rows(b_planes, "
+                f"{planes!r}, ({plane_names},))")
+    return "\n".join(head + body + tail) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +363,6 @@ def generate_numba_source(plan: "ExecutionPlan"
 # ---------------------------------------------------------------------------
 _REGISTRY: dict[str, ExecutionEngine] = {}
 _REGISTRY_LOCK = threading.Lock()
-_WARNED_UNKNOWN = False
 
 
 class _AutoEngine:
@@ -615,13 +434,14 @@ def get_engine(spec: "str | ExecutionEngine") -> ExecutionEngine:
     """Resolve a registry name — or pass an engine instance through.
 
     ``"auto"`` returns the :data:`AUTO` selector.  An unknown string
-    emits a :class:`DeprecationWarning` once per process (the stringly
-    ``engine=`` parameter is legacy; registry names and instances are
-    the API) and raises :class:`~repro.errors.EngineError` naming
+    raises :class:`~repro.errors.EngineError` naming
     :func:`list_engines`.
     """
     if not isinstance(spec, str):
-        if isinstance(spec, ExecutionEngine):
+        # A registered instance needs no structural check — the
+        # Protocol isinstance costs more than a small dispatch.
+        if (spec is AUTO or _REGISTRY.get(getattr(spec, "name", None))
+                is spec or isinstance(spec, ExecutionEngine)):
             return spec
         raise EngineError(
             f"engine must be a registry name or an ExecutionEngine, "
@@ -631,15 +451,6 @@ def get_engine(spec: "str | ExecutionEngine") -> ExecutionEngine:
     with _REGISTRY_LOCK:
         engine = _REGISTRY.get(spec)
     if engine is None:
-        global _WARNED_UNKNOWN
-        if not _WARNED_UNKNOWN:
-            _WARNED_UNKNOWN = True
-            warnings.warn(
-                f"unknown engine string {spec!r}: the legacy engine= "
-                "string parameter resolves through the engine registry "
-                "now; use one of repro.exec.engines.list_engines() = "
-                f"{list_engines()} or pass an ExecutionEngine instance",
-                DeprecationWarning, stacklevel=2)
         raise EngineError(
             f"unknown engine {spec!r}; registered engines: "
             f"{list_engines()}")
@@ -682,4 +493,3 @@ def resolve_engine(spec: "str | ExecutionEngine",
 register_engine(PerBankEngine())
 register_engine(VectorizedEngine())
 register_engine(CompiledEngine())
-register_engine(NumbaEngine())

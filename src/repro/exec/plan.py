@@ -14,11 +14,11 @@ once per execution instead of once per (bank, µOp):
   dual-contact-cell legality checks up front, and precomputes the
   per-bank :class:`~repro.dram.commands.CommandStats` of one replay.
 * **Plan execution** (:meth:`ExecutionPlan.execute`) then runs the
-  pre-classified steps over the module's *stacked* cell state — bool
-  arrays of shape ``(banks, data_rows, cols)`` / ``(banks, planes,
-  cols)`` — so each µOp is one numpy operation across all banks at
-  once.  No ``isinstance``, no address resolution, no per-bank Python
-  loop in the hot path.
+  pre-classified steps over the module's *stacked* cell state — packed
+  ``uint8`` arrays of shape ``(data_rows, banks, row_bytes)`` /
+  ``(planes, banks, row_bytes)`` — so each µOp is one numpy bitwise
+  operation across all banks at once.  No ``isinstance``, no address
+  resolution, no per-bank Python loop in the hot path.
 
 Both executors mutate the same memory (the subarrays hold views of the
 stacks), and the differential test suite asserts they produce identical
@@ -47,6 +47,7 @@ from repro.dram.subarray import WORDLINE_PLANE, majority3
 from repro.errors import AddressError, CommandError, ExecutionError
 from repro.exec.layout import RowLayout
 from repro.uprog.program import MicroProgram
+from repro.util.bitops import packed_ones
 from repro.uprog.uops import UAap, UAp, URow
 
 
@@ -152,6 +153,9 @@ class ExecutionPlan:
     steps: list[PlanStep]
     #: Stats of one replay in one bank (identical for every bank).
     per_bank_stats: CommandStats
+    #: One bank's packed row with every lane set and zero padding: the
+    #: value of ``C1``, and the XOR operand that is NOT on packed rows.
+    row_ones: np.ndarray = field(compare=False, repr=False)
     #: Compiled executors keyed by engine name.  Engines lower the plan
     #: once and memoize here, so the callable lives and dies with the
     #: plan's cache entry (the control unit's plan cache already keys by
@@ -179,27 +183,24 @@ class ExecutionPlan:
         """Replay the plan on stacked cell state, all banks at once.
 
         Args:
-            data: ``(banks, data_rows, cols)`` bool array.
-            b_planes: ``(banks, N_B_PLANES, cols)`` bool array.
+            data: ``(data_rows, banks, row_bytes)`` packed array.
+            b_planes: ``(N_B_PLANES, banks, row_bytes)`` packed array.
         """
         K = StepKind
+        ones = self.row_ones
         for step in self.steps:
             kind, src, dst = step.kind, step.src, step.dst
             if kind == K.COPY_DATA:
-                data[:, dst] = data[:, src]
+                data[dst] = data[src]
             elif kind == K.FILL_DATA:
-                data[:, dst] = src
+                data[dst] = ones if src else 0
             elif kind == K.DATA_TO_B:
-                value = data[:, src]
-                for plane, positive in dst:
-                    b_planes[:, plane] = value if positive else ~value
+                self._write(b_planes, dst, data[src])
             elif kind == K.FILL_B:
                 for plane, positive in dst:
-                    b_planes[:, plane] = src == positive
+                    b_planes[plane] = ones if src == positive else 0
             elif kind == K.B_TO_DATA:
-                plane, positive = src
-                value = b_planes[:, plane]
-                data[:, dst] = value if positive else ~value
+                data[dst] = self._read(b_planes, src)
             elif kind == K.B_TO_B:
                 value = self._read(b_planes, src)
                 # The sense value must survive the writes, as the sense
@@ -211,7 +212,7 @@ class ExecutionPlan:
             elif kind in (K.PAIR_TO_DATA, K.PAIR_TO_B):
                 value = self._sense_pair(b_planes, step)
                 if kind == K.PAIR_TO_DATA:
-                    data[:, dst] = value
+                    data[dst] = value
                 else:
                     src_planes = {plane for plane, _ in src}
                     if any(plane in src_planes for plane, _ in dst):
@@ -220,21 +221,19 @@ class ExecutionPlan:
             else:  # TRA variants
                 result = self._tra(b_planes, src)
                 if kind == K.TRA_TO_DATA:
-                    data[:, dst] = result
+                    data[dst] = result
                 elif kind == K.TRA_TO_B:
                     self._write(b_planes, dst, result)
 
-    @staticmethod
-    def _read(b_planes: np.ndarray, ref: PlaneRef) -> np.ndarray:
+    def _read(self, b_planes: np.ndarray, ref: PlaneRef) -> np.ndarray:
         plane, positive = ref
-        value = b_planes[:, plane]
-        return value if positive else ~value
+        value = b_planes[plane]
+        return value if positive else value ^ self.row_ones
 
-    @staticmethod
-    def _write(b_planes: np.ndarray, refs: tuple[PlaneRef, ...],
+    def _write(self, b_planes: np.ndarray, refs: tuple[PlaneRef, ...],
                value: np.ndarray) -> None:
         for plane, positive in refs:
-            b_planes[:, plane] = value if positive else ~value
+            b_planes[plane] = value if positive else value ^ self.row_ones
 
     def _sense_pair(self, b_planes: np.ndarray,
                     step: PlanStep) -> np.ndarray:
@@ -310,4 +309,4 @@ def compile_plan(program: MicroProgram, layout: RowLayout,
     return ExecutionPlan(
         op_name=program.op_name, backend=program.backend,
         element_width=program.element_width, steps=steps,
-        per_bank_stats=stats)
+        per_bank_stats=stats, row_ones=packed_ones(geometry.cols))

@@ -23,11 +23,11 @@ import numpy as np
 from repro.dram.bank import DramModule
 from repro.dram.commands import CommandStats
 from repro.dram.energy import DramEnergy
-from repro.dram.rows import data_row
+from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTiming
 from repro.errors import OperationError
 from repro.exec.memory import RowBlock
-from repro.util.bitops import bits_to_ints, ints_to_bits, to_signed
+from repro.util.bitops import to_signed, transpose8x8
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,53 @@ class TranspositionCost:
     bytes_moved: int
     latency_ns: float
     energy_nj: float
+
+
+def _to_vertical(values: np.ndarray, width: int,
+                 geometry: DramGeometry) -> np.ndarray:
+    """Transpose integers into ``width`` packed rows striped over every
+    bank: a ``(width, banks, row_bytes)`` ``uint8`` block in the device's
+    cell format, lanes past ``len(values)`` zero.
+
+    Bit-for-bit :func:`repro.util.bitops.ints_to_bits` (the executable
+    specification) followed by packing, done as the paper's unit does
+    it: byte ``k`` of eight neighbouring elements is one 64-bit chunk,
+    and an 8x8 bit transpose turns it into a byte of each of the rows
+    ``8k .. 8k+7``.
+    """
+    banks, cols = geometry.banks, geometry.cols
+    # One int64 per lane, each bank padded to whole bytes of lanes.
+    words = np.zeros((banks, geometry.row_bytes * 8), dtype="<i8")
+    full, rest = divmod(len(values), cols)
+    words[:full, :cols] = values[:full * cols].reshape(full, cols)
+    if rest:
+        words[full, :rest] = values[full * cols:]
+    n_planes = -(-width // 8)
+    chunks = np.ascontiguousarray(
+        words.view(np.uint8).reshape(-1, 8)[:, :n_planes].T
+    ).view("<u8")                       # (byte plane, group of 8 lanes)
+    transpose8x8(chunks)
+    rows = chunks.view(np.uint8).reshape(n_planes, -1, 8).transpose(0, 2, 1)
+    return rows.reshape(n_planes * 8, banks, -1)[:width]
+
+
+def _to_horizontal(block: np.ndarray,
+                   geometry: DramGeometry) -> np.ndarray:
+    """Inverse of :func:`_to_vertical`: one ``int64`` per lane (the low
+    ``len(block)`` bits set) from a packed ``(width, banks, row_bytes)``
+    block — :func:`repro.util.bitops.bits_to_ints` on packed rows."""
+    width = len(block)
+    n_planes = -(-width // 8)
+    n_groups = geometry.banks * geometry.row_bytes
+    rows = np.zeros((n_planes * 8, n_groups), dtype=np.uint8)
+    rows[:width] = block.reshape(width, n_groups)
+    chunks = np.ascontiguousarray(
+        rows.reshape(n_planes, 8, n_groups).transpose(0, 2, 1)).view("<u8")
+    transpose8x8(chunks)
+    words = np.zeros((n_groups * 8, 8), dtype=np.uint8)
+    words[:, :n_planes] = chunks.view(np.uint8).reshape(n_planes, -1).T
+    return words.view("<i8").reshape(geometry.banks, -1)[
+        :, :geometry.cols].reshape(-1)
 
 
 class TranspositionUnit:
@@ -83,11 +130,8 @@ class TranspositionUnit:
         if len(values) > module.lanes:
             raise OperationError(
                 f"{len(values)} elements exceed {module.lanes} lanes")
-        padded = np.zeros(module.lanes, dtype=np.int64)
-        padded[:len(values)] = values
-        bits = ints_to_bits(padded, width)
-        for i in range(width):
-            module.write_striped(data_row(block.base + i), bits[i])
+        module.write_rows(block.base,
+                          _to_vertical(values, width, module.geometry))
 
     def vertical_to_host(self, module: DramModule, block: RowBlock,
                          n_elements: int, width: int,
@@ -99,10 +143,8 @@ class TranspositionUnit:
         if n_elements > module.lanes:
             raise OperationError(
                 f"{n_elements} elements exceed {module.lanes} lanes")
-        rows = [module.read_striped(data_row(block.base + i))
-                for i in range(width)]
-        values = bits_to_ints(np.stack(rows))
-        values = values[:n_elements]
+        values = _to_horizontal(module.read_rows(block.base, width),
+                                module.geometry)[:n_elements]
         if signed:
             return to_signed(values, width)
         return values

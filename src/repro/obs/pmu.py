@@ -10,8 +10,9 @@ bit-serial inner loops):
 
 * :meth:`DramModule.__init__ <repro.dram.bank.DramModule>` registers
   each module with the process-global PMU and tags it with a
-  ``pmu_id``; the module's striped-I/O paths (``write_striped`` /
-  ``read_striped`` — the transposition unit's data port) record
+  ``pmu_id``; the module's host-I/O paths (``write_rows`` /
+  ``read_rows`` — the transposition unit's data port — and the
+  row-at-a-time ``write_striped`` / ``read_striped``) record
   transposition traffic.
 * :meth:`ControlUnit.execute_on_module
   <repro.exec.control_unit.ControlUnit>` records one *dispatch

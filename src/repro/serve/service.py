@@ -488,8 +488,7 @@ class SimdramService:
                     self.metrics.record_reject(tenant)
                     raise AdmissionError("service is closed")
             op, feeds, width = op.device.export(op)
-        # Resolved once, here: an unknown legacy string raises (with a
-        # DeprecationWarning naming list_engines()) on the caller's
+        # Resolved once, here: an unknown name raises on the caller's
         # thread; the resolved instance rides the request object.
         engine = get_engine(self.config.engine if engine is None
                             else engine)

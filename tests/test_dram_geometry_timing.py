@@ -16,6 +16,13 @@ class TestGeometry:
         assert g.banks == 16
         assert g.row_bytes == 8192
 
+    @pytest.mark.parametrize("cols, row_bytes", [
+        (4, 1), (8, 1), (12, 2), (65536, 8192)])
+    def test_row_bytes_rounds_up_to_whole_bytes(self, cols, row_bytes):
+        """The stride of the packed cell state: a partial last byte
+        still occupies one (it used to be ``cols // 8``, 0 for 4)."""
+        assert DramGeometry(cols=cols).row_bytes == row_bytes
+
     def test_rows_include_reserved_groups(self):
         g = DramGeometry(data_rows=1014)
         assert g.rows_per_subarray == 1014 + N_BITWISE_ROWS + N_CONTROL_ROWS

@@ -19,11 +19,9 @@ from repro.core.expr import inp, op
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import EngineError, ExecutionError
-from repro.exec import engines as engines_mod
 from repro.exec.engines import (
     AUTO,
     CompiledEngine,
-    NumbaEngine,
     VectorizedEngine,
     get_engine,
     list_engines,
@@ -37,8 +35,7 @@ from repro.serve import ServeConfig, SimdramService
 
 GEOMETRY = DramGeometry.sim_small(cols=32, data_rows=512, banks=2)
 
-#: Engines runnable in this process (compiled-numba joins in the CI
-#: leg that installs numba).
+#: Engines runnable in this process.
 AVAILABLE = tuple(list_engines(available_only=True))
 
 
@@ -90,8 +87,7 @@ def fake_engine():
 class TestRegistry:
     def test_builtins_registered(self):
         names = list_engines()
-        for name in ("per_bank", "vectorized", "compiled",
-                     "compiled-numba"):
+        for name in ("per_bank", "vectorized", "compiled"):
             assert name in names
         assert "auto" not in names  # the resolver, not an engine
 
@@ -124,14 +120,10 @@ class TestRegistry:
         with pytest.raises(EngineError, match="registered engines"):
             get_engine("warp")
 
-    def test_unknown_string_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(engines_mod, "_WARNED_UNKNOWN", False)
-        with pytest.warns(DeprecationWarning, match="list_engines"):
-            with pytest.raises(EngineError):
-                get_engine("warp")
+    def test_unknown_string_never_warns(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second time: silent
-            with pytest.raises(EngineError):
+            warnings.simplefilter("error")
+            with pytest.raises(EngineError, match="registered engines"):
                 get_engine("warp")
 
     def test_auto_skips_unavailable(self, fake_engine):
@@ -150,16 +142,6 @@ class TestRegistry:
         fake_engine("ghost-engine", is_available=False)
         with pytest.raises(EngineError, match="unavailable"):
             resolve_engine("ghost-engine")
-
-    def test_numba_gated_by_importability(self):
-        engine = NumbaEngine()
-        try:
-            import numba  # noqa: F401
-            assert engine.available()
-        except ImportError:
-            assert not engine.available()
-            with pytest.raises(EngineError, match="numba"):
-                engine.compile(None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 bit-identical to the per-subarray slow path.
 
 Every catalog operation × element width {4, 8, 16} × both backends ×
-every available plan-based engine (vectorized, compiled, and
-compiled-numba where importable) is run on identically-seeded systems
-against the per-bank baseline; outputs, aggregate
+every available plan-based engine (vectorized, compiled) is run on
+identically-seeded systems against the per-bank baseline; outputs, aggregate
 :class:`CommandStats`, per-bank stats and the complete DRAM cell state
 (data rows *and* B-group planes) must match exactly.  The remaining
 tests cover plan compilation/caching, the trace/fault forced fallback,
@@ -20,6 +19,7 @@ from tests.conftest import edge_and_random_values
 from repro.core.framework import Simdram, SimdramConfig
 from repro.core.fuse import Kernel
 from repro.core.operations import CATALOG, get_operation
+from repro.dram.bank import DramModule
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import b_row, data_row
 from repro.errors import CommandError, ExecutionError
@@ -206,16 +206,21 @@ class TestPlanCompilation:
             uops=[UAap(URow(Space.BGROUP, 8), URow(Space.OUTPUT, 0))])
         plan = compile_plan(pair, layout, GEOMETRY)
         assert plan.steps[0].kind == StepKind.PAIR_TO_DATA
-        data = np.zeros((2, GEOMETRY.data_rows, GEOMETRY.cols), bool)
-        b_planes = np.zeros((2, 6, GEOMETRY.cols), bool)
-        b_planes[:, 0] = True  # T0 reads 1 ...
-        b_planes[:, 4] = True  # ... while DCC0N (negated port) reads 0
+        module = DramModule(GEOMETRY)
+        data, b_planes = module.vector_state()
+        ones = np.ones(GEOMETRY.cols, dtype=bool)
+        for bank in module.banks:
+            bank.subarray.poke(b_row(0), ones)  # T0 reads 1 ...
+            # ... while DCC0 holds 1, so DCC0N (negated port) reads 0
+            bank.subarray.poke(b_row(6), ones)
         with pytest.raises(CommandError):
             plan.execute(data, b_planes)
         # When the two reads agree, the same plan executes fine.
-        b_planes[:, 4] = False
+        for bank in module.banks:
+            bank.subarray.poke(b_row(6), ~ones)
         plan.execute(data, b_planes)
-        assert data[:, 1].all()
+        for bank in module.banks:
+            assert bank.subarray.peek(data_row(1)).all()
 
 
 class TestPlanCache:
@@ -314,14 +319,18 @@ class TestEngineSelection:
         """The stacked views and the per-bank subarrays share memory."""
         sim = _make_sim()
         data, b_planes = sim.module.vector_state()
+        assert data.dtype == b_planes.dtype == np.uint8
+        assert data.shape == (GEOMETRY.data_rows, GEOMETRY.banks,
+                              GEOMETRY.row_bytes)
+        assert b_planes.shape == (6, GEOMETRY.banks, GEOMETRY.row_bytes)
         sim.module.banks[1].subarray.poke(
             data_row(7), np.ones(GEOMETRY.cols, dtype=bool))
-        assert data[1, 7].all()
-        data[0, 3] = True
+        assert (data[7, 1] == 0xFF).all()
+        data[3, 0] = 0xFF
         assert sim.module.banks[0].subarray.peek(data_row(3)).all()
         sim.module.banks[0].subarray.poke(
             b_row(0), np.ones(GEOMETRY.cols, dtype=bool))
-        assert b_planes[0, 0].all()
+        assert (b_planes[0, 0] == 0xFF).all()
 
 
 class TestAllocatorBalance:

@@ -352,3 +352,29 @@ def test_warmed_kernels_are_never_compiled_again(clustered, monkeypatch):
     finally:
         if clustered:
             target.close()
+
+
+def test_a_dag_is_hashed_once_per_request(monkeypatch):
+    """The kernel's identity is asked for at the cluster, on each member
+    module and by the plan cache; the digest is computed once."""
+    root = E.relu(E.add(E.mul(E.inp("x"), E.inp("w")), E.const(3)))
+    n_nodes = len(E.post_order(root))
+    digests = []
+    real = E.hashlib.sha256
+
+    def counting(data):
+        digests.append(data)
+        return real(data)
+
+    monkeypatch.setattr(E.hashlib, "sha256", counting)
+    rng = np.random.default_rng(0)
+    x, w = rng.integers(0, 256, (2, 100))
+    with SimdramCluster(2, config=config()) as cluster:
+        assert np.array_equal(
+            cluster.map(root, feeds={"x": x, "w": w}, width=8),
+            E.golden(root, {"x": x, "w": w}, 8))
+        assert len(digests) == n_nodes
+        cluster.map(root, feeds={"x": x, "w": w}, width=8)
+        assert len(digests) == n_nodes
+    assert E.dag_hash(root) == E.dag_hash(
+        E.relu(E.add(E.mul(E.inp("x"), E.inp("w")), E.const(3))))

@@ -7,6 +7,10 @@ properties pin both halves of the unit:
 * functional: ``host_to_vertical`` then ``vertical_to_host`` is the
   identity for random unsigned and signed vectors, including odd
   element counts (partial lanes must zero-pad, not smear);
+* specification: both directions agree bit for bit with
+  ``util.bitops.ints_to_bits`` / ``bits_to_ints`` moved one row at a
+  time through ``write_striped`` / ``read_striped``, for every width
+  1-64 on geometries whose rows do and do not fill whole bytes;
 * cost model: :meth:`TranspositionUnit.transpose_cost` is monotone in
   ``n_elements`` and in ``width`` (more bits can never be cheaper),
   byte-exact (``ceil(bits / 8)``) and zero-latency only for nothing.
@@ -20,10 +24,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import Simdram, SimdramConfig
+from repro.dram.bank import DramModule
 from repro.dram.geometry import DramGeometry
-from repro.errors import OperationError
+from repro.dram.rows import data_row
+from repro.errors import AddressError, OperationError
+from repro.exec.memory import RowBlock
 from repro.exec.transposition import TranspositionUnit
-from repro.util.bitops import mask_for_width
+from repro.util.bitops import (
+    bits_to_ints,
+    ints_to_bits,
+    mask_for_width,
+    to_signed,
+)
 
 MAX_WIDTH = 16
 
@@ -91,6 +103,82 @@ class TestRoundTrip:
                 sim.module, block, sim.module.lanes, 8)
         assert np.array_equal(full[:3], [255, 255, 255])
         assert not full[3:].any()
+
+
+GEOMETRIES = [DramGeometry.sim_small(cols=cols, data_rows=80, banks=banks)
+              for cols in (4, 12, 32) for banks in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "geometry", GEOMETRIES, ids=lambda g: f"{g.cols}x{g.banks}")
+class TestAgainstSpecification:
+    """The block transposes against the executable specification:
+    ``ints_to_bits`` / ``bits_to_ints`` moved row by row."""
+
+    BASE = 5
+
+    @staticmethod
+    def _values(rng, n):
+        """Full-range int64 draws, so every width sees out-of-range
+        (and negative) values that must wrap to the low bits."""
+        values = rng.integers(-(1 << 63), (1 << 63) - 1, n,
+                              endpoint=True)
+        values[:3] = (-1, 0, 1)[:n]
+        return values
+
+    def test_host_to_vertical_matches_ints_to_bits(self, geometry):
+        rng = np.random.default_rng([geometry.cols, geometry.banks])
+        for width in range(1, 65):
+            module = DramModule(geometry, seed=width)  # stale bits
+            n = int(rng.integers(1, module.lanes + 1))  # odd, partial
+            values = self._values(rng, n)
+            TranspositionUnit().host_to_vertical(
+                module, RowBlock(self.BASE, width), values, width)
+            padded = np.zeros(module.lanes, dtype=np.int64)
+            padded[:n] = values
+            expected = ints_to_bits(padded, width)  # zero-pads the rest
+            for i in range(width):
+                assert np.array_equal(
+                    module.read_striped(data_row(self.BASE + i)),
+                    expected[i]), f"width {width}, row {i}"
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_vertical_to_host_matches_bits_to_ints(self, geometry, signed):
+        rng = np.random.default_rng([geometry.cols, geometry.banks])
+        module = DramModule(geometry)
+        for width in range(1, 65):
+            bits = rng.integers(0, 2, (width, module.lanes)).astype(bool)
+            for i in range(width):
+                module.write_striped(data_row(self.BASE + i), bits[i])
+            n = int(rng.integers(1, module.lanes + 1))
+            got = TranspositionUnit().vertical_to_host(
+                module, RowBlock(self.BASE, width), n, width,
+                signed=signed)
+            assert got.dtype == np.int64
+            assert np.array_equal(
+                got, bits_to_ints(bits, signed=signed)[:n]), \
+                f"width {width}"
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 33, 63, 64])
+    def test_round_trip_wraps_to_width(self, geometry, width):
+        rng = np.random.default_rng(width)
+        module = DramModule(geometry, seed=1)
+        values = self._values(rng, module.lanes)
+        unit, block = TranspositionUnit(), RowBlock(self.BASE, width)
+        unit.host_to_vertical(module, block, values, width)
+        assert np.array_equal(
+            unit.vertical_to_host(module, block, module.lanes, width,
+                                  signed=True),
+            to_signed(values, width))
+
+    def test_block_past_the_last_data_row_is_rejected(self, geometry):
+        module = DramModule(geometry)
+        block = RowBlock(geometry.data_rows - 4, 8)
+        with pytest.raises(AddressError):
+            TranspositionUnit().host_to_vertical(
+                module, block, np.arange(2), 8)
+        with pytest.raises(AddressError):
+            TranspositionUnit().vertical_to_host(module, block, 2, 8)
 
 
 class TestRoundTripErrors:
