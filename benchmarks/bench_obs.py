@@ -27,6 +27,11 @@ per-request time:
   tenant ``attribute``, plus the flight-recorder ``record`` calls the
   serve/cluster hooks emit) and require the sum under
   ``--max-pmu-flight-overhead`` (default 5%) of the per-request time.
+  A replica child additionally spills every event to its black-box
+  file; that ``record`` is timed on a full and on a nearly empty ring
+  and must cost the same (ratio <= 2) — the whole-ring rewrite this
+  replaced cost 300x more on a full ring and the 5% gate, which times
+  the unspilled case, never saw it.
 
 Component-level numerators against an in-situ denominator, rather
 than two wall-clock serve runs diffed against each other: the serve
@@ -47,7 +52,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -78,6 +85,11 @@ NOOP_ITERS = 200_000
 TREE_ITERS = 5_000
 PMU_ITERS = 20_000
 FLIGHT_ITERS = 50_000
+#: A spilled ``record`` must be O(1) in ring occupancy: events kept in
+#: the ring for the "nearly empty" sample, and the most a full ring's
+#: event may cost relative to it.
+SPILL_LOW_OCCUPANCY = 256
+MAX_SPILL_OCCUPANCY_RATIO = 2.0
 
 
 def module_config() -> SimdramConfig:
@@ -167,18 +179,30 @@ def time_pmu_request() -> float:
     return _best(loop, PMU_ITERS)
 
 
-def time_flight_event() -> float:
-    """Seconds per flight-recorder ``record`` call on a full ring (the
-    steady state: every append also evicts), without a spill file —
-    the in-process configuration every serve request hits."""
+def time_flight_event(spill_path: str | None = None,
+                      occupancy: int = 4096) -> float:
+    """Seconds per flight-recorder ``record`` call with up to
+    ``occupancy`` events in a 4096-event ring: full (the steady state:
+    every append also evicts), or kept below ``occupancy`` by clearing
+    the ring every that many events.  Without a spill file it is the
+    in-process configuration every serve request hits; with one, what
+    every event costs a replica child."""
     recorder = FlightRecorder(capacity=4096, source="bench")
+    if spill_path is not None:
+        recorder.configure_spill(spill_path)
 
     def loop(n: int) -> None:
-        for i in range(n):
-            recorder.record("bench.event", request=i,
-                            tenant="bench", lanes=LANES_PER_REQUEST)
+        for start in range(0, n, occupancy):
+            if occupancy < recorder.capacity:
+                recorder.clear()
+            for i in range(start, min(n, start + occupancy)):
+                recorder.record("bench.event", request=i,
+                                tenant="bench", lanes=LANES_PER_REQUEST)
 
-    return _best(loop, FLIGHT_ITERS)
+    try:
+        return _best(loop, FLIGHT_ITERS)
+    finally:
+        recorder.remove_spill()
 
 
 def serve_once(tracer: Tracer) -> float:
@@ -210,6 +234,13 @@ def run_gate(max_off_overhead: float = 0.02,
     tree_s = time_traced_request()
     pmu_s = time_pmu_request()
     flight_s = time_flight_event()
+    # The replica children's configuration: the same event with a
+    # spill file, which must cost the same whatever the ring holds.
+    with tempfile.TemporaryDirectory(prefix="bench-obs-") as spool:
+        spill = os.path.join(spool, "spill.json")
+        spilled_s = time_flight_event(spill)
+        spilled_low_s = time_flight_event(spill, SPILL_LOW_OCCUPANCY)
+    spill_ratio = spilled_s / spilled_low_s
 
     # Discarded warm-up: the first serve run of a process is markedly
     # faster (cold allocator arenas, caches) and would otherwise skew
@@ -226,7 +257,8 @@ def run_gate(max_off_overhead: float = 0.02,
 
     gate_pass = (off_overhead <= max_off_overhead
                  and on_overhead <= max_on_overhead
-                 and pmu_flight_overhead <= max_pmu_flight_overhead)
+                 and pmu_flight_overhead <= max_pmu_flight_overhead
+                 and spill_ratio <= MAX_SPILL_OCCUPANCY_RATIO)
     print(f"noop site: {noop_s * 1e9:7.1f} ns x {SITES_PER_REQUEST} "
           f"sites -> {off_overhead:.3%} of a "
           f"{per_request_s * 1e3:.2f} ms request")
@@ -235,6 +267,9 @@ def run_gate(max_off_overhead: float = 0.02,
     print(f"pmu hooks {pmu_s * 1e6:.2f} us + flight events "
           f"{FLIGHT_EVENTS_PER_REQUEST} x {flight_s * 1e9:.0f} ns "
           f"-> {pmu_flight_overhead:.3%} of a request (always on)")
+    print(f"spilled flight event: {spilled_s * 1e9:.0f} ns on a full "
+          f"ring, {spilled_low_s * 1e9:.0f} ns under "
+          f"{SPILL_LOW_OCCUPANCY} events -> ratio {spill_ratio:.2f}")
     print(f"serve wall (informational): "
           f"off {min(off_walls) * 1e3:.1f} ms, "
           f"on {min(on_walls) * 1e3:.1f} ms")
@@ -249,6 +284,8 @@ def run_gate(max_off_overhead: float = 0.02,
         "pmu_request_us": pmu_s * 1e6,
         "flight_event_ns": flight_s * 1e9,
         "flight_events_per_request": FLIGHT_EVENTS_PER_REQUEST,
+        "flight_event_spilled_ns": spilled_s * 1e9,
+        "flight_event_spilled_low_occupancy_ns": spilled_low_s * 1e9,
         "per_request_ms": per_request_s * 1e3,
         "wall_seconds_off": off_walls,
         "wall_seconds_on": on_walls,
@@ -259,6 +296,8 @@ def run_gate(max_off_overhead: float = 0.02,
             "measured_on_overhead": on_overhead,
             "required_pmu_flight_overhead": max_pmu_flight_overhead,
             "measured_pmu_flight_overhead": pmu_flight_overhead,
+            "required_spill_occupancy_ratio": MAX_SPILL_OCCUPANCY_RATIO,
+            "measured_spill_occupancy_ratio": spill_ratio,
             "pass": gate_pass,
             "detail": (f"tracing off costs {off_overhead:.3%} per "
                        f"request (required <= {max_off_overhead:.0%}); "
@@ -266,7 +305,11 @@ def run_gate(max_off_overhead: float = 0.02,
                        f"(required <= {max_on_overhead:.0%}); "
                        f"always-on PMU + flight recorder cost "
                        f"{pmu_flight_overhead:.3%} (required <= "
-                       f"{max_pmu_flight_overhead:.0%})"),
+                       f"{max_pmu_flight_overhead:.0%}); a spilled "
+                       f"flight event costs {spill_ratio:.2f}x as much "
+                       f"on a full ring as on a nearly empty one "
+                       f"(required <= "
+                       f"{MAX_SPILL_OCCUPANCY_RATIO:.1f}x)"),
         },
     }
 

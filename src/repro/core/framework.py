@@ -34,6 +34,7 @@ Typical use::
 from __future__ import annotations
 
 import contextlib
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,10 @@ class SimdramArray:
                 f"{self.status})")
 
 
+#: Length of :attr:`Simdram.issued`, the inspection log of recent bbops.
+ISSUED_LOG = 4096
+
+
 class Simdram:
     """End-to-end SIMDRAM system simulator and programming interface."""
 
@@ -169,8 +174,11 @@ class Simdram:
         self._kernels: dict[tuple[str, int, str], Kernel] = {}
         #: Stats of the most recent :meth:`run` call.
         self.last_stats: CommandStats | None = None
-        #: Instruction log (every bbop issued), for tests/inspection.
-        self.issued: list[BbopInstruction] = []
+        #: Instruction log for tests/inspection: the last
+        #: ``ISSUED_LOG`` bbops (a serving process issues four per map
+        #: for as long as it lives), and how many were issued in all.
+        self.issued: deque[BbopInstruction] = deque(maxlen=ISSUED_LOG)
+        self.n_issued = 0
 
     # ------------------------------------------------------------------
     # operation management
@@ -303,13 +311,17 @@ class Simdram:
         self._announce(block, n_elements, width)
         return SimdramArray(self, block, n_elements, width, signed)
 
+    def _log(self, instruction: BbopInstruction) -> None:
+        self.issued.append(instruction)
+        self.n_issued += 1
+
     def _announce(self, block: RowBlock, n_elements: int,
                   width: int) -> None:
         """Issue bbop_trsp_init so the transposition unit tracks the
         object (paper §4)."""
         instruction = BbopInstruction.decode(
             bbop_trsp_init(block.base, n_elements, width).encode())
-        self.issued.append(instruction)
+        self._log(instruction)
         self.tracker.register(block.base, n_elements, width)
 
     def read(self, array: SimdramArray) -> np.ndarray:
@@ -452,7 +464,7 @@ class Simdram:
         it), and replay the kernel's installed µProgram on every bank
         in lockstep."""
         program = kernel.program
-        self.issued.append(BbopInstruction.decode(bbop(
+        self._log(BbopInstruction.decode(bbop(
             program.op_name, dst=out_block.base,
             srcs=[block.base for block in in_blocks],
             n_elements=n_elements,

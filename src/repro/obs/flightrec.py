@@ -8,10 +8,10 @@ deque append per event; when something dies the ring is the black box.
 Cross-process story (the replica tier):
 
 * replica children configure a *spill file* via
-  :meth:`FlightRecorder.configure_spill`; every recorded event
-  rewrites it (atomic tmp+rename), so the file on disk is always the
-  child's current ring.  SIGKILL cannot be trapped — continuous
-  spilling is what makes the kill drill observable.
+  :meth:`FlightRecorder.configure_spill`: every recorded event is
+  appended to it as one JSON line through a handle that stays open
+  (format and compaction: see :func:`read_spill`).  SIGKILL cannot be
+  trapped — continuous spilling is what makes the kill drill observable.
 * on clean exit a child ships its ring home over the control pipe and
   removes the spill; the parent folds it in via
   :meth:`FlightRecorder.adopt_segment`.
@@ -26,6 +26,7 @@ artifact and the ``--postmortem`` output of the kill drill).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -38,12 +39,48 @@ from repro.obs import clock
 DEFAULT_CAPACITY = 4096
 
 
+# ---------------------------------------------------------------------------
+# The spill file: append-only JSONL.  One header line — ``source``,
+# ``pid``, ``capacity`` and ``n_before``, the events recorded before the
+# first line — then one line per event, each flushed to the kernel as
+# it is recorded (what a SIGKILL leaves behind; no fsync, this is a
+# process black box, not a power-loss journal).  An event therefore
+# costs one small write whatever the ring holds.  The file is rewritten
+# from the ring (tmp + ``os.replace``) only when it is new or would
+# pass twice the ring's capacity in event lines.  Values JSON cannot
+# render are written through ``str``.
+# ---------------------------------------------------------------------------
+def _spill_line(record: dict) -> bytes:
+    return json.dumps(record, default=str).encode("utf-8") + b"\n"
+
+
+def read_spill(path: str) -> "dict | None":
+    """Read a spill file back in :meth:`FlightRecorder.snapshot` form:
+    header + the last ``capacity`` events, a torn last line (the writer
+    died inside its ``write``) dropped.  ``None`` when the file is
+    missing or is not a spill file."""
+    try:
+        with open(path, "rb") as handle:
+            header, *lines = handle.read().split(b"\n")
+        lines.pop()  # b"" after a complete last line, else the torn one
+        header = json.loads(header)
+        events = [json.loads(line) for line in lines]
+        n_recorded = int(header["n_before"]) + len(events)
+        events = events[-int(header["capacity"]):]
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return {"source": header.get("source"), "pid": header.get("pid"),
+            "n_recorded": n_recorded,
+            "n_dropped": n_recorded - len(events), "events": events}
+
+
 class FlightRecorder:
     """Bounded ring buffer of structured events.
 
     ``record()`` is the hot path: one timestamp, one dict, one
-    lock-guarded append.  Everything else (snapshots, adoption,
-    dumps) is cold postmortem machinery.
+    lock-guarded append (and one appended line with a spill).
+    Everything else (snapshots, adoption, dumps) is cold postmortem
+    machinery.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -57,7 +94,14 @@ class FlightRecorder:
         self._segments: "dict[str, dict]" = {}
         self._spill_path: "str | None" = None
         self._spill_every = 1
-        self._since_spill = 0
+        # While a spill is configured: the ring's events as spill lines
+        # (same order, same eviction), how many of the newest are not
+        # in the file yet, the open append handle (``None`` until the
+        # first spill creates the file) and the event lines it holds.
+        self._lines: deque = deque(maxlen=self.capacity)
+        self._unspilled = 0
+        self._spill_file = None
+        self._spill_lines = 0
 
     # ------------------------------------------------------------------
     # hot path
@@ -71,17 +115,8 @@ class FlightRecorder:
         with self._lock:
             self._events.append(event)
             self.n_recorded += 1
-            spill = False
             if self._spill_path is not None:
-                self._since_spill += 1
-                if self._since_spill >= self._spill_every:
-                    self._since_spill = 0
-                    spill = True
-        if spill:
-            try:
-                self._write_spill()
-            except OSError:
-                pass
+                self._spill(event)
 
     @property
     def n_dropped(self) -> int:
@@ -96,38 +131,72 @@ class FlightRecorder:
         """Continuously mirror the ring to ``path`` — every ``every``
         events (1 == after each record, the crash-safe default)."""
         with self._lock:
+            self._close_spill_file()
             self._spill_path = path
-            self._spill_every = max(1, int(every))
-            self._since_spill = 0
+            # At least once per turn of the ring.
+            self._spill_every = min(max(1, int(every)), self.capacity)
+            self._lines = deque(map(_spill_line, self._events),
+                                maxlen=self.capacity)
+            self._unspilled = 0
 
-    def _write_spill(self) -> None:
-        path = self._spill_path
-        if path is None:
-            return
-        payload = self.snapshot()
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
+    def _spill(self, event: "dict | None" = None) -> None:
+        """Mirror ``event`` (call under ``_lock``; ``None`` forces the
+        waiting lines out).  Never raises: a failed write, or an event
+        not even ``str`` can render for JSON, is dropped and the next
+        spill starts the file over from the lines kept."""
+        try:
+            if event is not None:
+                self._lines.append(_spill_line(event))
+                self._unspilled += 1
+                if self._unspilled < self._spill_every:
+                    return
+            pending, self._unspilled = self._unspilled, 0
+            if (self._spill_file is not None and
+                    self._spill_lines + pending <= 2 * self.capacity):
+                self._spill_file.write(b"".join(
+                    self._lines[i] for i in range(-pending, 0)))
+                self._spill_file.flush()
+                self._spill_lines += pending
+                return
+            # New, or grown to twice the ring: rewrite from the ring.
+            header = {"source": self.source, "pid": os.getpid(),
+                      "capacity": self.capacity,
+                      "n_before": self.n_recorded - len(self._lines)}
+            tmp = f"{self._spill_path}.tmp-{os.getpid()}"
+            self._close_spill_file()
+            self._spill_file = open(tmp, "wb")
+            self._spill_file.write(
+                _spill_line(header) + b"".join(self._lines))
+            self._spill_file.flush()
+            os.replace(tmp, self._spill_path)
+            self._spill_lines = len(self._lines)
+        except (OSError, TypeError, ValueError):
+            self._close_spill_file()
+
+    def _close_spill_file(self) -> None:
+        handle, self._spill_file = self._spill_file, None
+        if handle is not None:
+            with contextlib.suppress(OSError):
+                handle.close()
 
     def spill_now(self) -> None:
         """Force a spill write (used right before risky sections)."""
-        if self._spill_path is not None:
-            try:
-                self._write_spill()
-            except OSError:
-                pass
+        with self._lock:
+            if self._spill_path is not None and (
+                    self._unspilled or self._spill_file is None):
+                self._spill()
 
     def remove_spill(self) -> None:
         """Delete the spill file (clean exit: the ring ships home over
         the pipe instead)."""
         with self._lock:
             path, self._spill_path = self._spill_path, None
+            self._close_spill_file()
+            self._lines.clear()
+            self._unspilled = 0
         if path is not None:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
 
     # ------------------------------------------------------------------
     # snapshots and segment adoption
@@ -160,10 +229,8 @@ class FlightRecorder:
                          source: "str | None" = None) -> bool:
         """Adopt a crashed process's spill file; ``False`` when the
         file is missing or unreadable."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
+        payload = read_spill(path)
+        if payload is None:
             return False
         self.adopt_segment(payload, source=source)
         return True
@@ -222,7 +289,10 @@ class FlightRecorder:
             self._events.clear()
             self._segments.clear()
             self.n_recorded = 0
-            self._since_spill = 0
+            # A configured spill starts over too: the next rewrites.
+            self._lines.clear()
+            self._unspilled = 0
+            self._close_spill_file()
 
 
 _GLOBAL_RECORDER = FlightRecorder()

@@ -12,11 +12,11 @@ process**, and gives the parent a thread-safe transport to them:
   :class:`~repro.core.expr.Expr` DAG, the pipeline width and the
   execution-engine registry name (engine *instances* never cross the
   boundary; each replica resolves the name against its own registry);
-* **tensor payloads** travel through POSIX shared memory
-  (:mod:`multiprocessing.shared_memory`): the parent copies the packed
-  operand vectors into one segment per dispatch, the replica maps them
-  as ndarrays with zero deserialization cost, and the result comes
-  back the same way;
+* **tensor payloads** travel through POSIX shared memory: one
+  long-lived :class:`Slab` per replica, created by the parent at spawn
+  — the parent writes a dispatch's operand vectors into a free slot of
+  it, the replica maps them as ndarrays with zero deserialization cost
+  and writes the result into the same slot (protocol above the class);
 * **health** is a heartbeat loop: a monitor thread pings every replica
   and watches process liveness; a broken pipe, a dead process or (when
   ``max_silent_s`` is set) a prolonged silence marks the replica dead,
@@ -34,6 +34,7 @@ survivor byte-for-byte — the property the failover drill gates on.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import os
@@ -45,7 +46,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.shared_memory import SharedMemory
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +57,7 @@ from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.tracing import NOOP_SPAN, Span, current_span, use_span
 
-#: (offset, shape, dtype string) of one vector inside a shared segment.
+#: (offset, shape, dtype string) of one vector inside a slab segment.
 SlotMeta = tuple[int, tuple[int, ...], str]
 
 
@@ -117,7 +118,10 @@ class PendingJob:
     vectors: list[np.ndarray]
     lanes: int
     future: Future
-    shm: "shared_memory.SharedMemory | None" = None
+    #: Where the payload sits while the job is in flight: the slab
+    #: generation and the slot in it (held until the job resolves).
+    slab: "Slab | None" = None
+    slot: int = -1
     #: Replica ids this job has already died on (failover audit trail).
     attempts: list[int] = field(default_factory=list)
     #: The job's ``replica.transport`` span: opened at submission,
@@ -127,81 +131,110 @@ class PendingJob:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory ndarray transport
+# shared-memory ndarray transport: one slab per replica
 #
-# Ownership protocol: the parent owns every ``unlink`` — it unlinks
-# payload segments once their job resolves and result segments after
-# copying them out.  CPython 3.11 registers a segment with the calling
-# process's resource tracker on *attach as well as create* (create-only
-# tracking arrived in 3.13), and every replica runs its *own* tracker
-# (:func:`_detach_resource_tracker` severs any inherited one), so every
-# process must balance its own books: a segment closed *without* being
-# unlinked in this process is explicitly unregistered via
-# :func:`_untrack`, while ``unlink`` unregisters as a side effect.
-# Crash safety falls out of the same rule: a replica SIGKILLed mid-job
-# still has its unsent result segment registered, so its tracker reaps
-# the file at process teardown, and the parent unlinks the payload.
+# A slab is two segments of equal shape, ``operands`` (parent writes,
+# replica reads) and ``results`` (replica writes, parent reads), each
+# ``n_slots`` slots of ``slot_bytes``.  A slot belongs to one job from
+# ``submit`` until that job resolves: the parent takes a free slot,
+# writes the job id and the operand vectors into it and names slab and
+# slot in the job message; the replica checks the id, computes, writes
+# the id and the result into the *same slot* of ``results``; the parent
+# checks the id again, copies the result out once and frees the slot.
+# A slot is therefore reused only after the replica has answered for
+# it, a replica's slabs die with it (``_mark_dead``), and the id in the
+# slot head means an answer is only ever read as the job that asked.
+#
+# Ownership: the parent creates every segment and is the only process
+# that unlinks one — when a generation is replaced and its last job has
+# resolved, and in ``_mark_dead``/``close``.  The replica only attaches
+# (by the names in the job message) and closes.  Nothing is created,
+# attached or unlinked per dispatch, so there is no per-dispatch
+# resource-tracker traffic and no books to balance: the replica shares
+# the parent's tracker (every start method hands it down), where its
+# attach re-registers a name the parent registered and the parent's
+# ``unlink`` unregisters.
+#
+# Growth: a payload larger than a slot, or a burst that finds no slot
+# free, makes the parent open a larger *generation* (new segments) and
+# retire the current one, which lives on until the jobs already in it
+# resolve.  Every job message names its generation, so the replica
+# switches by attaching what the message names — concurrent submitters
+# need no ordering between "new slab" and "job" on the pipe.
 # ---------------------------------------------------------------------------
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Drop this process's tracker registration for a segment whose
-    ``unlink`` another process owns (see the ownership protocol).
-    ``_name`` is the registered key (``name`` strips the leading
-    slash that POSIX registration keeps)."""
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - bookkeeping must never fail a job
-        pass
+#: Slots of a replica's first slab: the router keeps at most two packs
+#: per replica outstanding (``ReplicaRouter.ready``); failover and
+#: direct callers may hold more, and then the slab grows.
+SLAB_SLOTS = 4
+#: Bytes at the head of a slot holding the owning job's id.
+_TAG_BYTES = 8
 
 
-def _drop_segment(name: str) -> None:
-    """Unlink a segment whose job record is gone (failover race: the
-    original replica answered after the job was re-queued)."""
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        _untrack(shm)
-    shm.close()
-def _share_vectors(vectors: Sequence[np.ndarray]
-                   ) -> tuple[shared_memory.SharedMemory, list[SlotMeta]]:
-    """Copy vectors into one fresh shared segment; returns (shm, metas)."""
-    arrays = [np.ascontiguousarray(v) for v in vectors]
-    total = max(1, sum(a.nbytes for a in arrays))
-    shm = shared_memory.SharedMemory(create=True, size=total)
-    metas: list[SlotMeta] = []
-    offset = 0
-    for a in arrays:
-        view = np.ndarray(a.shape, dtype=a.dtype, buffer=shm.buf,
-                          offset=offset)
-        view[:] = a
-        metas.append((offset, a.shape, a.dtype.str))
-        offset += a.nbytes
-    return shm, metas
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // 8) * 8
 
 
-def _read_shared(name: str, metas: Sequence[SlotMeta],
-                 unlink: bool = False) -> list[np.ndarray]:
-    """Copy vectors out of a named segment (attach, copy, detach;
-    ``unlink=True`` additionally removes the segment — see the
-    ownership protocol above)."""
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        out = [np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf,
-                          offset=off).copy()
-               for off, shape, dt in metas]
-    finally:
-        if unlink:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                _untrack(shm)
+class Slab:
+    """One slab generation (protocol above).  The parent creates it
+    with a size; the replica attaches the ``wire`` a job names."""
+
+    def __init__(self, n_slots: int = 0, slot_bytes: int = 0,
+                 wire: "tuple[str, str, int] | None" = None) -> None:
+        if wire is None:
+            slot_bytes = _aligned(slot_bytes)
+            self.operands, self.results = (
+                SharedMemory(create=True, size=n_slots * slot_bytes)
+                for _ in range(2))
         else:
-            _untrack(shm)
-        shm.close()
-    return out
+            self.operands = SharedMemory(name=wire[0])
+            self.results = SharedMemory(name=wire[1])
+            slot_bytes = wire[2]
+        self.n_slots, self.slot_bytes = n_slots, slot_bytes
+        self.wire = (self.operands.name, self.results.name, slot_bytes)
+        # Parent side, under the ReplicaSet lock: the slots no job
+        # holds, and whether a larger generation has replaced this one
+        # (it then takes no new job and is unlinked when its last slot
+        # comes back).
+        self.free = list(range(n_slots))
+        self.retired = False
+
+    def write(self, shm: SharedMemory, slot: int, job_id: int,
+              vectors: Sequence[np.ndarray]) -> list[SlotMeta]:
+        """Tag ``slot`` of segment ``shm`` with ``job_id`` and copy
+        ``vectors`` in behind the tag; returns where each one went."""
+        base = slot * self.slot_bytes
+        offset, metas = base + _TAG_BYTES, []
+        for vector in vectors:
+            if offset + vector.nbytes > base + self.slot_bytes:
+                raise ReplicaError(f"job {job_id}: payload does not fit "
+                                   f"its {self.slot_bytes}-byte slot")
+            np.ndarray(vector.shape, dtype=vector.dtype, buffer=shm.buf,
+                       offset=offset)[...] = vector
+            metas.append((offset, vector.shape, vector.dtype.str))
+            offset += _aligned(vector.nbytes)
+        np.ndarray((), dtype=np.int64, buffer=shm.buf,
+                   offset=base)[...] = job_id
+        return metas
+
+    def read(self, shm: SharedMemory, slot: int, job_id: int,
+             metas: Sequence[SlotMeta]) -> list[np.ndarray]:
+        """Copy a job's vectors out of ``slot`` — if its tag still
+        says it is that job's."""
+        tag = int(np.ndarray((), dtype=np.int64, buffer=shm.buf,
+                             offset=slot * self.slot_bytes))
+        if tag != job_id:
+            raise ReplicaError(
+                f"slot holds job {tag}'s payload, not job {job_id}'s")
+        return [np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf,
+                           offset=offset).copy()
+                for offset, shape, dt in metas]
+
+    def close(self, unlink: bool = False) -> None:
+        for shm in (self.operands, self.results):
+            shm.close()
+            if unlink:
+                with contextlib.suppress(FileNotFoundError):
+                    shm.unlink()
 
 
 def _sendable(error: BaseException) -> BaseException:
@@ -244,25 +277,6 @@ def _replica_info(cluster) -> dict:
     }
 
 
-def _detach_resource_tracker() -> None:
-    """Give this replica a resource tracker of its own.  A forked child
-    may inherit the parent's tracker connection; the tracker's cache is
-    a plain set (no refcount), so the child's attach-side unregister
-    calls would wipe the parent's create-side registrations and the
-    parent's later ``unlink`` would double-remove.  Severing the
-    inherited connection makes every process's bookkeeping independent:
-    this replica's first shared-memory call spawns a fresh tracker."""
-    tracker = resource_tracker._resource_tracker
-    fd = getattr(tracker, "_fd", None)
-    tracker._fd = None
-    tracker._pid = None
-    if fd is not None:
-        try:
-            os.close(fd)
-        except OSError:
-            pass
-
-
 def _replica_main(replica_id: int, conn, n_modules: int, config,
                   manifest, seed: int | None,
                   spool_dir: "str | None" = None) -> None:
@@ -273,10 +287,9 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
-    _detach_resource_tracker()
     # Black box: this process's flight recorder continuously spills to
     # the parent's spool directory.  SIGKILL cannot be trapped, so the
-    # spill file — rewritten after every event — is what survives a
+    # spill file — one line appended per event — is what survives a
     # crash; on clean exit the ring ships home over the pipe instead.
     recorder = get_flight_recorder()
     recorder.source = f"replica-{replica_id}"
@@ -298,6 +311,7 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
         return
     recorder.record("replica.ready", replica=replica_id,
                     lanes=cluster.lanes, n_modules=n_modules)
+    slab = None  # this replica's mapping of the slab its jobs name
     with cluster:
         while True:
             try:
@@ -328,7 +342,7 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                 except Exception as error:  # noqa: BLE001
                     conn.send(("warm-error", token, _sendable(error)))
             elif tag == "job":
-                job_id, desc, shm_name, metas = message[1:]
+                job_id, desc, wire, slot, metas = message[1:]
                 recorder.record("replica.job", replica=replica_id,
                                 job_id=job_id, op=desc.label(),
                                 width=desc.width)
@@ -344,7 +358,13 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                             if getattr(desc, "traced", False)
                             else NOOP_SPAN)
                 try:
-                    vectors = _read_shared(shm_name, metas)
+                    if slab is not None and slab.wire != wire:
+                        slab.close()  # the parent opened a larger one
+                        slab = None
+                    if slab is None:
+                        slab = Slab(wire=wire)
+                    vectors = slab.read(slab.operands, slot, job_id,
+                                        metas)
                     from repro.exec.engines import get_engine
                     engine = get_engine(desc.engine)
                     with use_span(job_span):
@@ -354,18 +374,12 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
                             feeds=(dict(zip(desc.slot_names, vectors))
                                    if named else None),
                             width=desc.width, engine=engine)
-                    out_shm, out_metas = _share_vectors([out])
+                    (meta,) = slab.write(slab.results, slot, job_id,
+                                         [out])
                     info = _replica_info(cluster)
                     if job_span.recording:
                         info["span"] = job_span.finish().to_dict()
-                    conn.send(("result", job_id, out_shm.name,
-                               out_metas[0], info))
-                    # The parent unlinks after copying the result out;
-                    # untracking only after the send keeps the local
-                    # tracker as the safety net if this replica dies
-                    # before the parent learns the segment's name.
-                    _untrack(out_shm)
-                    out_shm.close()
+                    conn.send(("result", job_id, meta, info))
                     recorder.record("replica.job.done",
                                     replica=replica_id, job_id=job_id)
                 except Exception as error:  # noqa: BLE001 - fail the one job
@@ -385,13 +399,17 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
 class ReplicaHandle:
     """Parent-side view of one replica process."""
 
-    def __init__(self, replica_id: int, process, conn) -> None:
+    def __init__(self, replica_id: int, process, conn,
+                 slabs: Sequence[Slab] = ()) -> None:
         self.replica_id = replica_id
         self.process = process
         self.conn = conn
+        #: Live slab generations, oldest first; the last takes new
+        #: jobs, the others are retired and waiting for theirs.
+        self.slabs = list(slabs)
         self.alive = True
         self.info: dict = {}
-        self.last_pong = time.monotonic()
+        self.last_pong = clock.now()
         self.pings_sent = 0
         self.pongs_received = 0
         #: Heartbeat round-trip time: send time per outstanding ping
@@ -478,7 +496,14 @@ class ReplicaSet:
 
         ctx = multiprocessing.get_context(start_method)
         self.replicas: list[ReplicaHandle] = []
+        # One slot carries a full-width dispatch of a three-operand
+        # kernel on 64-bit host vectors; anything larger grows the slab.
+        slot_bytes = _TAG_BYTES + 3 * 8 * (
+            n_modules * self.config.geometry.lanes())
         for i in range(n_replicas):
+            # Before the fork, so that the child inherits the resource
+            # tracker the first segment starts.
+            slab = Slab(SLAB_SLOTS, slot_bytes)
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_replica_main, name=f"simdram-replica-{i}",
@@ -488,11 +513,12 @@ class ReplicaSet:
                 daemon=True)
             process.start()
             child_conn.close()  # keep exactly one parent-side end open
-            self.replicas.append(ReplicaHandle(i, process, parent_conn))
+            self.replicas.append(
+                ReplicaHandle(i, process, parent_conn, [slab]))
             self._jobs[i] = {}
 
         # All replicas boot concurrently; collect readiness afterwards.
-        deadline = time.monotonic() + spawn_timeout_s
+        deadline = clock.now() + spawn_timeout_s
         for replica in self.replicas:
             self._await_ready(replica, deadline)
 
@@ -514,13 +540,13 @@ class ReplicaSet:
 
     def _await_ready(self, replica: ReplicaHandle, deadline: float) -> None:
         while True:
-            if not replica.conn.poll(max(0.0, deadline - time.monotonic())):
+            if not replica.conn.poll(max(0.0, deadline - clock.now())):
                 self._abort_spawn(
                     f"replica {replica.replica_id} did not come up")
             message = replica.conn.recv()
             if message[0] == "ready":
                 replica.info = message[2]
-                replica.last_pong = time.monotonic()
+                replica.last_pong = clock.now()
                 return
             if message[0] == "spawn-error":
                 self._abort_spawn(
@@ -531,6 +557,8 @@ class ReplicaSet:
         for replica in self.replicas:
             if replica.process.is_alive():
                 replica.process.terminate()
+            for slab in replica.slabs:
+                slab.close(unlink=True)
         raise ReplicaError(reason)
 
     # ------------------------------------------------------------------
@@ -617,10 +645,13 @@ class ReplicaSet:
             if not replica.alive:
                 raise ReplicaError(
                     f"replica {replica_id} is dead")
-            job.shm, metas = _share_vectors(job.vectors)
+            self._take_slot(replica, job)
+            metas = job.slab.write(job.slab.operands, job.slot,
+                                   job.job_id, job.vectors)
             self._jobs[replica_id][job.job_id] = job
         try:
-            replica.send(("job", job.job_id, desc, job.shm.name, metas))
+            replica.send(("job", job.job_id, desc, job.slab.wire,
+                          job.slot, metas))
         except ReplicaError:
             # The send itself failed.  If the job is still registered,
             # this thread owns it: reclaim it and re-raise so the
@@ -630,34 +661,35 @@ class ReplicaSet:
             # would make the caller submit the job a *second* time.
             with self._lock:
                 owned = self._jobs[replica_id].pop(job.job_id, None)
-            self._mark_dead(replica)
+            self._mark_dead(replica)  # takes the slabs with it
             if owned is None:
                 return job.future
-            self._release_payload(job)
             job.span.finish(ReplicaError(
                 f"replica {replica_id} is unreachable"))
             raise
         return job.future
 
-    def _release_payload(self, job: PendingJob) -> None:
-        if job.shm is not None:
-            try:
-                job.shm.close()
-                job.shm.unlink()
-            except FileNotFoundError:
-                pass
-            job.shm = None
+    def _take_slot(self, replica: ReplicaHandle, job: PendingJob) -> None:
+        """Give ``job`` a slot of the replica's slab (under ``_lock``)
+        — of a new, larger generation when the current one cannot."""
+        slab = replica.slabs[-1]
+        # Operands back to back, or the result: a 64-bit word per element.
+        need = _TAG_BYTES + max(
+            sum(_aligned(v.nbytes) for v in job.vectors),
+            8 * max((v.size for v in job.vectors), default=1))
+        if need > slab.slot_bytes or not slab.free:
+            slab.retired = True
+            if len(slab.free) == slab.n_slots:  # nobody to wait for
+                slab.close(unlink=True)
+                replica.slabs.pop()
+            slab = Slab(slab.n_slots * (1 if slab.free else 2),
+                        max(need, slab.slot_bytes))
+            replica.slabs.append(slab)
+        job.slab, job.slot = slab, slab.free.pop()
 
     # ------------------------------------------------------------------
     # receive / health
     # ------------------------------------------------------------------
-    def _pop_job(self, replica_id: int, job_id: int) -> PendingJob | None:
-        with self._lock:
-            job = self._jobs[replica_id].pop(job_id, None)
-            if not any(self._jobs.values()):
-                self._drained.notify_all()
-        return job
-
     def _receive_loop(self, replica: ReplicaHandle) -> None:
         try:
             self._receive_messages(replica)
@@ -677,61 +709,19 @@ class ReplicaSet:
                 # closed the connection mid-recv (mirrors ``send``).
                 break
             tag = message[0]
-            if tag == "result":
-                job_id, shm_name, meta, info = message[1:]
-                # The replica's serialized span tree rides inside the
-                # info dict; pop it so ``replica.info`` stays telemetry.
-                shipped = info.pop("span", None)
-                info["replica_id"] = replica.replica_id
-                replica.info = info
-                replica.jobs_done += 1
-                job = self._pop_job(replica.replica_id, job_id)
-                if job is None:
-                    # Resolved elsewhere (failover raced) — still
-                    # remove the orphaned result segment.
-                    _drop_segment(shm_name)
-                    continue
-                if shipped is not None and job.span.recording:
-                    job.span.adopt(Span.from_dict(shipped))
-                try:
-                    (values,) = _read_shared(shm_name, [meta], unlink=True)
-                except Exception as error:  # noqa: BLE001
-                    self._release_payload(job)
-                    # Transport spans close *before* the future resolves
-                    # so completion callbacks see a finished tree.
-                    job.span.finish(error)
-                    job.future.set_exception(ReplicaError(
-                        f"result transport failed: {error}"))
-                else:
-                    self._release_payload(job)
-                    job.span.finish()
-                    job.future.set_result((values, info))
-            elif tag == "job-error":
-                job_id, error, info = message[1:]
-                shipped = info.pop("span", None)
-                replica.info = info
-                replica.jobs_done += 1
-                job = self._pop_job(replica.replica_id, job_id)
-                if job is not None:
-                    self._release_payload(job)
-                    if shipped is not None and job.span.recording:
-                        job.span.adopt(Span.from_dict(shipped))
-                    job.span.finish(error)
-                    job.future.set_exception(error)
+            if tag in ("result", "job-error"):
+                self._on_answer(replica, *message[1:])
             elif tag == "pong":
                 replica.note_pong(message[1])
                 replica.info = message[2]
                 replica.pongs_received += 1
-                replica.last_pong = time.monotonic()
-            elif tag == "warmed":
+                replica.last_pong = clock.now()
+            elif tag in ("warmed", "warm-error"):
                 future = self._controls.pop(
                     (replica.replica_id, message[1]), None)
-                if future is not None:
+                if future is not None and tag == "warmed":
                     future.set_result(message[2])
-            elif tag == "warm-error":
-                future = self._controls.pop(
-                    (replica.replica_id, message[1]), None)
-                if future is not None:
+                elif future is not None:
                     future.set_exception(message[2])
             elif tag == "stopped":
                 # Newer children attach their flight-recorder ring;
@@ -742,13 +732,57 @@ class ReplicaSet:
                         source=f"replica-{replica.replica_id}")
                 break
 
+    def _on_answer(self, replica: ReplicaHandle, job_id: int,
+                   answer: "SlotMeta | BaseException", info: dict) -> None:
+        """One ``result`` (``answer``: where in its slot) or
+        ``job-error`` (``answer``: the exception) message; dropped if
+        the job is not this replica's any more (failover re-homed it)."""
+        # The replica's serialized span tree rides inside the info
+        # dict; pop it so ``replica.info`` stays telemetry.
+        shipped = info.pop("span", None)
+        info["replica_id"] = replica.replica_id
+        replica.info = info
+        replica.jobs_done += 1
+        values = None
+        error = answer if isinstance(answer, BaseException) else None
+        # One lock hold from pop to copy-out: ``_mark_dead`` unmaps the
+        # slabs under the same lock.
+        with self._lock:
+            job = self._jobs[replica.replica_id].pop(job_id, None)
+            if job is not None:
+                slab = job.slab
+                if error is None:
+                    try:
+                        (values,) = slab.read(slab.results, job.slot,
+                                              job_id, [answer])
+                    except Exception as failure:  # noqa: BLE001
+                        error = ReplicaError(
+                            f"result transport failed: {failure}")
+                slab.free.append(job.slot)
+                if slab.retired and len(slab.free) == slab.n_slots:
+                    slab.close(unlink=True)  # its last job is back
+                    replica.slabs.remove(slab)
+            if not any(self._jobs.values()):
+                self._drained.notify_all()
+        if job is None:
+            return
+        if shipped is not None and job.span.recording:
+            job.span.adopt(Span.from_dict(shipped))
+        # Transport spans close *before* the future resolves so
+        # completion callbacks see a finished tree.
+        job.span.finish(error)
+        if error is not None:
+            job.future.set_exception(error)
+        else:
+            job.future.set_result((values, info))
+
     def _monitor_loop(self) -> None:
         while True:
             time.sleep(self.heartbeat_s)
             with self._lock:
                 if self._closing:
                     return
-            now = time.monotonic()
+            now = clock.now()
             for replica in self.replicas:
                 if not replica.alive:
                     continue
@@ -786,19 +820,24 @@ class ReplicaSet:
             control_futures = [self._controls.pop(key)
                                for key in controls]
             closing = self._closing
+            # The slabs die with the replica: whatever it still writes
+            # lands in memory nobody maps, and every collected job is
+            # re-sent from the parent's own copy of its payload.
+            for slab in replica.slabs:
+                slab.close(unlink=True)
+            replica.slabs.clear()
             if not any(self._jobs.values()):
                 self._drained.notify_all()
         # Under the send lock: a sender that had already read the pipe's
         # descriptor would otherwise write its message to whatever file
-        # is opened next under that number — the payload segment of the
-        # first job re-homed below, whose leading operands it overwrote.
+        # is opened next under that number.
         with replica._send_lock:
             try:
                 replica.conn.close()
             except OSError:
                 pass
         # Recover the black box: a crashed child never shipped its
-        # ring home, but its continuously-rewritten spill file is on
+        # ring home, but its continuously-appended spill file is on
         # disk.  (A cleanly stopped child removed the file; adoption
         # is simply a no-op then.)
         recorder = get_flight_recorder()
@@ -816,7 +855,6 @@ class ReplicaSet:
             f"replica {replica.replica_id} died "
             f"(pid {replica.process.pid})")
         for job in jobs:
-            self._release_payload(job)
             job.attempts.append(replica.replica_id)
             # Close the failed attempt's transport span now; the
             # router's failover path re-parents it under a ``retry``

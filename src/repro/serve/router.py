@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from bisect import bisect_right
 from typing import Callable, Sequence
 
@@ -47,6 +46,7 @@ import numpy as np
 
 from repro.core.compiler import compile_cached
 from repro.errors import DeadlineExceeded, ReplicaError
+from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.metrics import Sample
 from repro.obs.tracing import span as obs_span
@@ -293,7 +293,7 @@ class ReplicaRouter:
             # is shed, not re-homed — a survivor's lanes go to work
             # that can still be on time.  The retry span records the
             # budget either way, so post-mortems see how close it was.
-            remaining = job.desc.deadline - time.monotonic()
+            remaining = job.desc.deadline - clock.now()
             retry_span.set(deadline_remaining_s=remaining)
             if remaining <= 0:
                 retry_span.fail("deadline lapsed during failover")

@@ -28,7 +28,7 @@ Around the packer sits the production machinery:
   dispatches as soon as no admitted request is waiting in a tenant
   queue and the target can take a dispatch (``target.ready()``).
   Batching therefore comes from the target being busy, not from a
-  clock; ``max_wait_s`` is only the upper bound on a group's wait
+  clock; ``max_wait_s`` only bounds a group's wait at a ready target
   while that never happens (:meth:`SimdramService._next_flush` is the
   single decision point).  :meth:`SimdramService.hold` corks the
   queues so that a burst packs deterministically;
@@ -101,12 +101,13 @@ from repro.uprog.program import MicroProgram
 class ServeConfig:
     """Tuning knobs of one :class:`SimdramService`."""
 
-    #: Upper bound on a pack group's wait while the target is busy: an
-    #: open group normally flushes as soon as the tenant queues are
-    #: empty and the target is ready, and only a group that never sees
-    #: that moment (a rare kernel under a backlog that never drains,
-    #: an async target that stays not-ready) flushes on this timer —
-    #: after the requests already queued at that moment are admitted.
+    #: Upper bound on a pack group's wait once the target can take a
+    #: dispatch: an open group normally flushes as soon as the tenant
+    #: queues are empty and the target is ready, and only a group that
+    #: never sees that moment (a rare kernel under a backlog that
+    #: never drains) flushes on this timer — after the requests
+    #: already queued at that moment are admitted.  It never sends a
+    #: group to a target that is not ``ready()``.
     max_wait_s: float = 0.005
     #: A pack group flushes when its lanes reach this many; ``None``
     #: defaults to the target's total SIMD lane capacity.
@@ -977,7 +978,8 @@ class SimdramService:
                     # Take stock: this request and all queued behind it.
                     self._backlog = 1 + sum(
                         len(queue) for queue in self._queues.values())
-                flush = None if raw is not None else self._next_flush()
+                now = clock.now()
+                flush = None if raw is not None else self._next_flush(now)
                 if raw is None and flush is None:
                     if self._closing and not self._queues:
                         break  # nothing queued, nothing open
@@ -985,18 +987,22 @@ class SimdramService:
                     # submit, a completion (which is what flips an
                     # async target's ready()), flush(), close(), the
                     # end of a hold() — notifies this condition; the
-                    # timeout only serves the max_wait_s bound.
+                    # timeout only serves the max_wait_s bound.  A
+                    # deadline that had lapsed at ``now`` was just
+                    # refused for a reason no clock changes (the
+                    # target is busy): sleep until notified, a zero
+                    # timeout would spin on the CPU the target needs.
                     deadline = self._packer.next_deadline()
                     self._cond.wait(
-                        None if deadline is None
-                        else max(0.0, deadline - clock.now()))
+                        None if deadline is None or deadline <= now
+                        else deadline - now)
                     continue
             if raw is not None:
                 self._current = raw
                 full = self._admit(raw)
                 self._current = None
                 self._backlog -= 1
-                flush = self._next_flush(full)
+                flush = self._next_flush(clock.now(), full)
             if flush is not None:
                 group, reason = flush
                 self.metrics.record_flush(reason)
@@ -1007,7 +1013,7 @@ class SimdramService:
             # worker is joined.
             self._target.barrier()
 
-    def _next_flush(self, full: PackGroup | None = None
+    def _next_flush(self, now: float, full: PackGroup | None = None
                     ) -> "tuple[PackGroup, str] | None":
         """The one flush decision point, for every kind of target:
         which open group to dispatch now, and why — or ``None``.
@@ -1019,11 +1025,11 @@ class SimdramService:
         * ``ready`` — the work-conserving rule: no admitted request is
           waiting in a tenant queue and the target can take a dispatch,
           so holding the oldest group back would only add latency;
-        * ``timer`` — the oldest group has waited ``max_wait_s`` and
-          neither of the above came (a backlog that never drains, a
-          target that stays busy).  Consulted once the requests that
-          were already queued have been admitted (``_backlog``), so
-          whatever was submitted in time still rides along.
+        * ``timer`` — at ``now`` the oldest group has waited
+          ``max_wait_s``, the target is ready (a small group sent to a
+          busy one only queues there) and ``ready`` did not come: a
+          backlog that never drains, a held queue.  Consulted once the
+          requests already queued are admitted (``_backlog``).
 
         One group per call, oldest first; the worker looks at the
         queues again before asking for the next.
@@ -1048,7 +1054,8 @@ class SimdramService:
                 reason = "explicit"
             elif not self._queues and self._target.ready():
                 reason = "ready"
-            elif self._backlog == 0 and clock.now() >= deadline:
+            elif (self._backlog == 0 and now >= deadline
+                  and self._target.ready()):
                 reason = "timer"
             else:
                 return None
@@ -1119,11 +1126,7 @@ class SimdramService:
             with use_span(dispatch_span):
                 out = self._execute(requests[0], packed)
             dispatch_span.finish()
-            self.metrics.record_dispatch(
-                len(requests), group.total_lanes, self.capacity)
-            for request, (lo, hi) in zip(requests, slices):
-                self._graft_and_scatter(request, dispatch_span, lo, hi)
-                self._finish_request(request, out[lo:hi].copy())
+            self._scatter(group, slices, out, dispatch_span)
         except BaseException as error:  # noqa: BLE001 - see docstring
             dispatch_span.finish(error)
             self._graft_failure(requests, dispatch_span)
@@ -1139,6 +1142,19 @@ class SimdramService:
                                        error)
                 if not isinstance(error, Exception):
                     raise
+
+    def _scatter(self, group: PackGroup, slices, out: np.ndarray,
+                 dispatch_span, replica: int | None = None) -> None:
+        """Account one finished pack and resolve each of its requests
+        with its slice of the one result array (no copy per request)."""
+        self.metrics.record_dispatch(len(group.requests), group.total_lanes,
+                                     self.capacity, replica=replica)
+        for request, (lo, hi) in zip(group.requests, slices):
+            if request.span.recording:
+                if dispatch_span.recording:
+                    request.span.adopt(dispatch_span.copy_tree())
+                request.span.child("serve.scatter", lo=lo, hi=hi).finish()
+            self._finish_request(request, out[lo:hi])
 
     def _dispatch_sequentially(self,
                                requests: list[PreparedRequest]) -> None:
@@ -1171,7 +1187,7 @@ class SimdramService:
         Detached because the packed execution belongs to N request
         trees at once; at scatter time a deep copy of the finished
         dispatch subtree is grafted into each traced request
-        (:meth:`_graft_and_scatter`), so every request still reads as
+        (:meth:`_scatter`), so every request still reads as
         one self-contained tree."""
         requests = group.requests
         for request in requests:
@@ -1185,14 +1201,6 @@ class SimdramService:
         return self.tracer.start_detached(
             "serve.dispatch", kernel=key[0][0], engine=key[1],
             n_requests=len(requests), lanes=group.total_lanes)
-
-    def _graft_and_scatter(self, request: PreparedRequest,
-                           dispatch_span, lo: int, hi: int) -> None:
-        if not request.span.recording:
-            return
-        if dispatch_span.recording:
-            request.span.adopt(dispatch_span.copy_tree())
-        request.span.child("serve.scatter", lo=lo, hi=hi).finish()
 
     def _graft_failure(self, requests: list[PreparedRequest],
                        dispatch_span) -> None:
@@ -1241,12 +1249,7 @@ class SimdramService:
                         self._fail_request(request.handle,
                                            request.tenant, error)
                 return
-            self.metrics.record_dispatch(
-                len(requests), group.total_lanes, self.capacity,
-                replica=replica_id)
-            for request, (lo, hi) in zip(requests, slices):
-                self._graft_and_scatter(request, dispatch_span, lo, hi)
-                self._finish_request(request, out[lo:hi].copy())
+            self._scatter(group, slices, out, dispatch_span, replica_id)
 
         # Ambient during placement/transport: router.place and
         # replica.transport spans attach under the dispatch span.

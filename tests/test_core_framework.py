@@ -106,6 +106,19 @@ class TestFacade:
         assert sim.issued[-1].op == "add"
         assert sim.issued[-1].element_width == 8
 
+    def test_issued_log_is_bounded_and_counted(self, monkeypatch):
+        """A serving process issues four bbops per map for as long as
+        it lives: the log keeps the last few, the counter all."""
+        from repro.core import framework
+        monkeypatch.setattr(framework, "ISSUED_LOG", 6)
+        sim = Simdram(SimdramConfig(geometry=DramGeometry.sim_small(
+            cols=32, data_rows=256, banks=2)), seed=1)
+        for i in range(5):
+            assert list(sim.map("add", [i], [1], width=8)) == [i + 1]
+        assert sim.n_issued == 20           # 3 announces + 1 add, each
+        assert len(sim.issued) == 6
+        assert sim.issued[-1].op == "add"
+
     def test_wrong_arity_rejected(self, sim):
         a = sim.array([1], 8)
         with pytest.raises(OperationError):

@@ -20,7 +20,7 @@ from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import ReplicaError
 from repro.obs.flightrec import (FlightRecorder, get_flight_recorder,
-                                 postmortem)
+                                 postmortem, read_spill)
 from repro.runtime import SimdramCluster
 from repro.runtime.replica import ReplicaSet, WorkDescriptor
 from repro.serve import ServeConfig, SimdramService
@@ -73,16 +73,23 @@ class TestRing:
 
 
 class TestSpill:
-    def test_spill_rewritten_every_event(self, tmp_path):
+    def test_spill_appended_every_event(self, tmp_path):
         rec = FlightRecorder(capacity=8, source="child")
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rec.record("first")
-        assert json.loads(path.read_text())["n_recorded"] == 1
+        assert read_spill(str(path))["n_recorded"] == 1
         rec.record("second")
-        payload = json.loads(path.read_text())
-        assert payload["n_recorded"] == 2
+        payload = read_spill(str(path))
+        assert payload["source"] == "child"
+        assert payload["pid"] == os.getpid()
+        assert payload["n_recorded"] == 2 and payload["n_dropped"] == 0
         assert [e["kind"] for e in payload["events"]] == \
+            ["first", "second"]
+        # One header line, then one line per event, each valid JSON.
+        header, *lines = path.read_text().splitlines()
+        assert json.loads(header)["capacity"] == 8
+        assert [json.loads(line)["kind"] for line in lines] == \
             ["first", "second"]
 
     def test_spill_every_n(self, tmp_path):
@@ -93,7 +100,13 @@ class TestSpill:
         rec.record("b")
         assert not path.exists()
         rec.record("c")
-        assert json.loads(path.read_text())["n_recorded"] == 3
+        assert read_spill(str(path))["n_recorded"] == 3
+        rec.record("d")
+        rec.record("e")
+        assert read_spill(str(path))["n_recorded"] == 3
+        rec.record("f")             # the second batch is an append
+        assert [e["kind"] for e in read_spill(str(path))["events"]] \
+            == list("abcdef")
 
     def test_spill_now_and_remove(self, tmp_path):
         rec = FlightRecorder(capacity=8)
@@ -102,10 +115,13 @@ class TestSpill:
         rec.record("a")
         assert not path.exists()
         rec.spill_now()
-        assert path.exists()
+        assert read_spill(str(path))["n_recorded"] == 1
+        rec.record("b")
+        rec.spill_now()
+        assert read_spill(str(path))["n_recorded"] == 2
         rec.remove_spill()
         assert not path.exists()
-        rec.record("b")              # spilling is off after removal
+        rec.record("c")              # spilling is off after removal
         assert not path.exists()
 
     def test_broken_spill_path_never_raises(self):
@@ -113,6 +129,113 @@ class TestSpill:
         rec.configure_spill("/nonexistent-dir/nope/spill.json")
         rec.record("survives")
         assert rec.events()[-1]["kind"] == "survives"
+
+    def test_unserializable_field_never_raises(self, tmp_path):
+        """``record`` promises "never raises": a field JSON cannot
+        render goes through ``str``, and an event that defeats even
+        that (a tuple-keyed dict) is treated like a broken disk — it
+        stays in the ring and is missing from the file."""
+        rec = FlightRecorder(capacity=4)
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        rec.record("numpy", lanes=np.int64(3), shape=np.arange(2))
+        rec.record("hopeless", table={(1, 2): 3})
+        rec.record("after")
+        assert rec.events()[0]["lanes"] == 3     # the ring keeps values
+        assert [e["kind"] for e in rec.events()] == \
+            ["numpy", "hopeless", "after"]
+        payload = read_spill(str(path))
+        assert payload["events"][0]["lanes"] == "3"
+        assert [e["kind"] for e in payload["events"]] == \
+            ["numpy", "after"]
+        assert payload["n_recorded"] == 3 and payload["n_dropped"] == 1
+
+    def test_torn_last_line_is_dropped(self, tmp_path):
+        rec = FlightRecorder(capacity=8, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        for kind in ("a", "b", "c"):
+            rec.record(kind)
+        with open(path, "ab") as handle:     # SIGKILL inside a write
+            handle.write(b'{"t": 1.0, "kind": "to')
+        payload = read_spill(str(path))
+        assert [e["kind"] for e in payload["events"]] == ["a", "b", "c"]
+        assert payload["n_recorded"] == 3
+        parent = FlightRecorder(capacity=8)
+        assert parent.adopt_spill_file(str(path), source="replica-0")
+        assert parent.segments() == ["replica-0"]
+        # Torn inside the header (or not a spill at all): unreadable.
+        path.write_bytes(b'{"source": "chi')
+        assert read_spill(str(path)) is None
+        assert not parent.adopt_spill_file(str(path))
+        path.write_bytes(b'[1, 2]\n')
+        assert read_spill(str(path)) is None
+
+    def test_compaction_bounds_the_file(self, tmp_path):
+        """The file is rewritten from the ring before it passes
+        2 x capacity event lines, and the counts survive it."""
+        capacity = 8
+        rec = FlightRecorder(capacity=capacity, source="child")
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        rewrites, longest = 0, 0
+        inode = None
+        for i in range(5 * capacity + 3):
+            rec.record("e", i=i)
+            n_lines = len(path.read_bytes().splitlines())
+            longest = max(longest, n_lines)
+            if os.stat(path).st_ino != inode:
+                inode = os.stat(path).st_ino
+                rewrites += 1
+            payload = read_spill(str(path))
+            assert payload["n_recorded"] == i + 1
+            assert payload["n_dropped"] == max(0, i + 1 - capacity)
+            assert [e["i"] for e in payload["events"]] == list(
+                range(max(0, i + 1 - capacity), i + 1))
+        assert longest == 2 * capacity + 1
+        # Appends in between: a rewrite once per ~capacity events.
+        assert rewrites <= 5
+        assert not list(tmp_path.glob("*.tmp-*"))
+
+    def test_clear_starts_the_spill_over(self, tmp_path):
+        rec = FlightRecorder(capacity=8)
+        path = tmp_path / "spill.json"
+        rec.configure_spill(str(path))
+        rec.record("old")
+        rec.clear()
+        rec.record("new")
+        payload = read_spill(str(path))
+        assert payload["n_recorded"] == 1
+        assert [e["kind"] for e in payload["events"]] == ["new"]
+
+    def test_spilled_record_cost_is_flat_in_occupancy(self, tmp_path):
+        """The point of the append-only file: an event costs the same
+        with 10 events in the ring as with a full one (the whole-ring
+        rewrite it replaces cost 300x more at a full ring)."""
+        import time
+
+        def per_event(occupancy: int, n: int) -> float:
+            best = float("inf")
+            for attempt in range(3):
+                rec = FlightRecorder(capacity=4096)
+                for i in range(occupancy):
+                    rec.record("fill", i=i)
+                rec.configure_spill(
+                    str(tmp_path / f"spill-{occupancy}-{attempt}"))
+                rec.record("open")       # creates the file
+                start = time.perf_counter()
+                for i in range(n):
+                    rec.record("replica.job", replica=0, job_id=i,
+                               op="add", width=8)
+                best = min(best, time.perf_counter() - start)
+            return best / n
+
+        nearly_empty = per_event(10, 400)
+        # Longer than the ring, so the full ring's share of
+        # compactions is in the sample.
+        full = per_event(4096, 4200)
+        assert full <= 2 * nearly_empty
+        assert nearly_empty <= 2 * full
 
 
 class TestAdoptionAndDump:

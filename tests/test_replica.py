@@ -7,6 +7,7 @@ tested against a fake replica set (no processes at all).
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import Future
@@ -18,7 +19,8 @@ from repro.core import expr
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import ReplicaError
-from repro.runtime.replica import PendingJob, ReplicaSet, WorkDescriptor
+from repro.runtime.replica import (_TAG_BYTES, PendingJob, ReplicaSet,
+                                   WorkDescriptor)
 from repro.serve import ServeConfig, SimdramService
 from repro.serve.router import ReplicaRouter, _stable_hash
 
@@ -234,6 +236,188 @@ class TestReplicaDeath:
             burier.join(30)
             assert waited and pipe.closed_mid_send is False
             replicas.kill(0)   # reap the sabotaged handle's process
+
+
+# ---------------------------------------------------------------------------
+# slab transport
+# ---------------------------------------------------------------------------
+def shm_entries() -> set:
+    return set(os.listdir("/dev/shm"))
+
+
+def slab_names(replicas: ReplicaSet) -> set:
+    return {name for replica in replicas.replicas
+            for slab in replica.slabs for name in slab.wire[:2]}
+
+
+class TestSlabTransport:
+    def test_no_segment_is_created_per_dispatch(self):
+        """Two segments per replica from spawn to close: 200 dispatches
+        leave the set of ``/dev/shm`` entries exactly as they found it,
+        and ``close()`` leaves none."""
+        before = shm_entries()
+        rng = np.random.default_rng(2)
+        with ReplicaSet(2, config=small_config()) as replicas:
+            ours = shm_entries() - before
+            assert ours == slab_names(replicas) and len(ours) == 4
+            for i in range(200):
+                a = rng.integers(0, 128, 64)
+                b = rng.integers(0, 128, 64)
+                values, _ = replicas.submit(
+                    i % 2, add_desc(), [a, b], lanes=64).result(60)
+                assert np.array_equal(values, a + b)
+                assert shm_entries() - before == ours
+        assert shm_entries() - before == set()
+
+    def test_oversize_payload_grows_the_slab_and_round_trips(self):
+        """A payload larger than a slot (and a burst larger than the
+        ring) takes the same path: the slab is replaced by a larger
+        generation, the old one is unlinked once its jobs resolve."""
+        before = shm_entries()
+        rng = np.random.default_rng(3)
+        with ReplicaSet(1, config=small_config()) as replicas:
+            replica = replicas.replicas[0]
+            first = replica.slabs[-1]
+            a = rng.integers(0, 128, 5000)
+            b = rng.integers(0, 128, 5000)
+            assert a.nbytes > first.slot_bytes
+            values, _ = replicas.submit(
+                0, add_desc(), [a, b], lanes=64).result(60)
+            assert np.array_equal(values, (a + b) % 256)
+            grown, = replica.slabs
+            assert grown is not first
+            assert grown.slot_bytes >= a.nbytes + b.nbytes
+            assert shm_entries() - before == slab_names(replicas)
+            # More jobs in flight than slots: the ring doubles, mixed
+            # dtypes and sizes share it, every answer is its own.
+            cases = []
+            for i in range(3 * grown.n_slots):
+                x = rng.integers(0, 128, 1 + 37 * i).astype(
+                    (np.int64, np.uint8, np.int32)[i % 3])
+                y = rng.integers(0, 128, 1 + 37 * i)
+                cases.append((x, y, replicas.submit(
+                    0, add_desc(), [x, y], lanes=len(x))))
+            for x, y, future in cases:
+                values, _ = future.result(60)
+                assert np.array_equal(values, (x + y) % 256)
+            current, = replica.slabs      # retired generations are gone
+            assert current.n_slots > grown.n_slots
+            assert sorted(current.free) == list(range(current.n_slots))
+            assert shm_entries() - before == slab_names(replicas)
+        assert shm_entries() - before == set()
+
+    def test_late_answer_is_never_read_as_another_jobs_result(self):
+        """The PR 12 race, now by construction: an answer for a job
+        that is no longer the replica's is dropped, and a slot is only
+        read as the job its tag names."""
+        with ReplicaSet(1, config=small_config()) as replicas:
+            replica = replicas.replicas[0]
+            slab = replica.slabs[-1]
+            a = np.arange(8)
+            values, info = replicas.submit(
+                0, add_desc(), [a, a], lanes=8).result(60)
+            assert np.array_equal(values, 2 * a)
+            slot = slab.free[-1]          # the slot that job just left
+            meta = (slot * slab.slot_bytes + _TAG_BYTES, (8,),
+                    values.dtype.str)
+            # A newer job takes the same slot; the replica never hears
+            # of it, so the result slot still holds the old answer.
+            replica.send = lambda message: None
+            future = replicas.submit(0, add_desc(), [a + 1, a + 1],
+                                     lanes=8)
+            newer, = replicas._jobs[0].values()
+            assert newer.slot == slot
+            # The old job's answer arrives late: dropped, nothing freed.
+            replicas._on_answer(replica, newer.job_id - 1, meta,
+                                dict(info))
+            assert not future.done()
+            assert replicas.n_inflight(0) == 1
+            assert slot not in slab.free
+            # An answer claiming to be the newer job's, with the old
+            # job's bytes still in the slot: refused by the tag.
+            replicas._on_answer(replica, newer.job_id, meta, dict(info))
+            with pytest.raises(ReplicaError, match="slot holds job"):
+                future.result(0)
+            assert replicas.n_inflight(0) == 0
+            assert slot in slab.free
+
+    def test_concurrent_submitters_share_the_slabs(self):
+        """More submitter threads than cores, a tiny GIL switch
+        interval, payloads that keep outgrowing the slab while other
+        jobs are in flight: every answer is its own job's, and when
+        the dust settles each replica holds one generation with every
+        slot free."""
+        import sys
+        n_threads, per_thread = 6, 25
+        errors: list = []
+
+        def submitter(index: int, replicas: ReplicaSet) -> None:
+            rng = np.random.default_rng(index)
+            try:
+                pending = []
+                for k in range(per_thread):
+                    n = int(rng.integers(1, 40)) * (1 + 30 * (k % 5 == 4))
+                    a = rng.integers(0, 128, n)
+                    b = rng.integers(0, 128, n)
+                    pending.append((a, b, replicas.submit(
+                        (index + k) % 2, add_desc(), [a, b], lanes=n)))
+                for a, b, future in pending:
+                    values, _ = future.result(120)
+                    assert np.array_equal(values, (a + b) % 256)
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+
+        before = shm_entries()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ReplicaSet(2, config=small_config()) as replicas:
+                threads = [threading.Thread(target=submitter,
+                                            args=(t, replicas))
+                           for t in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(180)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                for replica in replicas.replicas:
+                    slab, = replica.slabs
+                    assert sorted(slab.free) == list(range(slab.n_slots))
+                assert shm_entries() - before == slab_names(replicas)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shm_entries() - before == set()
+
+    def test_kill_one_drill_300_bit_exact_and_slabs_unlinked(self):
+        before = shm_entries()
+        rng = np.random.default_rng(13)
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8), ("min", 8)]) as router, \
+                SimdramService(router) as service:
+            victim = router.replicas.replicas[0]
+            victim_names = {name for slab in victim.slabs
+                            for name in slab.wire[:2]}
+            assert victim_names <= shm_entries()
+            cases = []
+            for i in range(300):
+                a = rng.integers(0, 128, 16)
+                b = rng.integers(0, 128, 16)
+                cases.append((i % 2, a, b, service.submit(
+                    ("add", "min")[i % 2], a, b, width=8,
+                    tenant=f"t{i % 4}")))
+                if i == 150:
+                    router.kill(0)
+            for is_min, a, b, handle in cases:
+                want = np.minimum(a, b) if is_min else (a + b) % 256
+                assert np.array_equal(handle.result(120), want)
+            stats = service.stats()
+            assert stats["requests"]["completed"] == 300
+            assert stats["requests"]["failed"] == 0
+            assert stats["replica_tier"]["alive"] == [1]
+            assert victim.slabs == []
+            assert not victim_names & shm_entries()
+        assert shm_entries() - before == set()
 
 
 # ---------------------------------------------------------------------------

@@ -590,6 +590,13 @@ class _HandDrivenTarget:
 
 
 class TestFlushRule:
+    @staticmethod
+    def _wait_admitted(service) -> None:
+        deadline = time.monotonic() + 60
+        while (service.stats()["queue"]["queued"]
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+
     def test_lone_request_does_not_wait_for_the_timer(self):
         sim = Simdram(small_config(), seed=1)
         with SimdramService(sim,
@@ -701,10 +708,7 @@ class TestFlushRule:
             assert target.accepted.acquire(timeout=60)  # sent at once
             second = service.submit("min", [3], [4], width=8)
             third = service.submit("min", [5], [6], width=8)
-            deadline = time.monotonic() + 60
-            while (service.stats()["queue"]["queued"]
-                   and time.monotonic() < deadline):
-                time.sleep(0.001)
+            self._wait_admitted(service)
             # Both are admitted, the target is busy: nothing is sent,
             # and the worker sleeps instead of asking again.
             time.sleep(0.05)
@@ -725,7 +729,58 @@ class TestFlushRule:
             assert packing["flushes"] == {"full": 0, "ready": 2,
                                           "timer": 0, "explicit": 0}
 
-    def test_busy_async_target_is_bounded_by_max_wait(self, fake_clock):
+    def test_timer_does_not_fire_at_a_busy_target(self, fake_clock):
+        """``max_wait_s`` running out at a busy target sends nothing —
+        a small group would only queue behind the pack in flight — and
+        does not turn the worker into a poll loop: it makes one
+        ``_next_flush`` pass per notification and sleeps.  The group
+        leaves at the first completion after the deadline."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim,
+                            ServeConfig(max_wait_s=5.0)) as service:
+            target = _HandDrivenTarget(service._target)
+            service._target = target
+            passes = []
+            next_flush = service._next_flush
+
+            def counted(*args, **kwargs):
+                passes.append(1)
+                return next_flush(*args, **kwargs)
+
+            service._next_flush = counted
+            first = service.submit("add", [1], [2], width=8)
+            assert target.accepted.acquire(timeout=60)
+            second = service.submit("min", [3], [4], width=8)
+            self._wait_admitted(service)
+            fake_clock(5.0)                    # the deadline lapses
+            with service._cond:
+                service._cond.notify_all()
+            assert not target.accepted.acquire(timeout=0.05)
+            seen = len(passes)
+            time.sleep(0.1)                    # nobody notifies ...
+            assert len(passes) == seen         # ... nobody looks
+            with service._cond:
+                service._cond.notify_all()
+            time.sleep(0.05)
+            assert len(passes) <= seen + 1     # one pass per wake-up
+            assert not second.done()
+            assert service.stats()["packing"]["flushes"]["timer"] == 0
+
+            target.complete_one()              # first completion after
+            assert target.accepted.acquire(timeout=60)
+            target.complete_one()
+            assert np.array_equal(first.result(60), [3])
+            assert np.array_equal(second.result(60), [3])
+            assert service.stats()["packing"]["flushes"] == {
+                "full": 0, "ready": 2, "timer": 0, "explicit": 0}
+
+    @pytest.mark.parametrize("lapses_first", [True, False])
+    def test_timer_bounds_the_wait_once_the_target_is_ready(
+            self, fake_clock, lapses_first):
+        """A group is never held past ``max_wait_s`` at a target that
+        can take it: with the ``ready`` rule blocked by a held queue,
+        it goes out on the timer at whichever comes last — the
+        deadline, or the completion that frees the target."""
         sim = Simdram(small_config(), seed=1)
         with SimdramService(sim,
                             ServeConfig(max_wait_s=5.0)) as service:
@@ -734,20 +789,29 @@ class TestFlushRule:
             first = service.submit("add", [1], [2], width=8)
             assert target.accepted.acquire(timeout=60)
             second = service.submit("min", [3], [4], width=8)
-            deadline = time.monotonic() + 60
-            while (service.stats()["queue"]["queued"]
-                   and time.monotonic() < deadline):
-                time.sleep(0.001)
-            assert not target.accepted.acquire(timeout=0.05)
-            fake_clock(5.0)
-            with service._cond:           # a wake-up, any wake-up
-                service._cond.notify_all()
-            assert target.accepted.acquire(timeout=60)
+            self._wait_admitted(service)
+            with service.hold():
+                third = service.submit("max", [5], [6], width=8)
+                for step in ((fake_clock, target.complete_one)
+                             if lapses_first
+                             else (target.complete_one, fake_clock)):
+                    assert not target.accepted.acquire(timeout=0.05)
+                    if step is fake_clock:
+                        fake_clock(5.0)
+                        with service._cond:    # a wake-up, any wake-up
+                            service._cond.notify_all()
+                    else:
+                        step()
+                assert target.accepted.acquire(timeout=60)
+                assert service.stats()["packing"]["flushes"][
+                    "timer"] == 1
+                assert not third.done()        # still corked
             target.complete_one()
+            assert target.accepted.acquire(timeout=60)
             target.complete_one()
             assert np.array_equal(first.result(60), [3])
             assert np.array_equal(second.result(60), [3])
-            assert service.stats()["packing"]["flushes"]["timer"] == 1
+            assert np.array_equal(third.result(60), [6])
 
     def test_hold_and_submit_race_stress(self):
         """More submitters than cores, a tiny GIL switch interval,
