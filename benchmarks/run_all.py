@@ -40,7 +40,10 @@ recorded as failed with the exception, and the remaining gates still
 run.  The report also carries ``gates.size`` — the non-blank,
 non-comment line count of ``src/repro`` — so the code-size trajectory
 travels in the same artifact as the gates (a plain number, not a
-``measured_*`` key: ``bench_history`` reads those as higher-is-better).
+``measured_*`` key: ``bench_history`` reads those as higher-is-better)
+— and ``gates.uprog`` — total commands and temporary rows of the 48
+default ``simdram/*`` rows of ``tests/data/uprogram_ledger.json`` — so
+the quality of the compiled programs has a trajectory too.
 
 Usage::
 
@@ -50,6 +53,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import traceback
 from pathlib import Path
@@ -97,6 +101,25 @@ def source_size(root: Path = SOURCE_ROOT) -> dict:
                      "detail": f"{lines} lines in {len(files)} files"}}
 
 
+LEDGER_PATH = (Path(__file__).resolve().parent.parent
+               / "tests" / "data" / "uprogram_ledger.json")
+
+
+def uprogram_totals(ledger: Path = LEDGER_PATH) -> dict:
+    """The ``uprog`` section: what the 16 paper operations cost at 8, 16
+    and 32 bits on the default ``simdram`` backend, from the pinned
+    ledger (so it costs no compile)."""
+    rows = [row for key, row in json.loads(ledger.read_text()).items()
+            if key.startswith("simdram/") and key.count("/") == 2]
+    commands = sum(row["n_aap"] + row["n_ap"] for row in rows)
+    temp_rows = sum(row["n_temp_rows"] for row in rows)
+    return {"commands": commands, "temp_rows": temp_rows,
+            "kernels": len(rows),
+            "gate": {"pass": True,
+                     "detail": f"{commands} commands and {temp_rows} "
+                               f"temp rows over {len(rows)} kernels"}}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="bench_ci.json",
@@ -121,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
             failed.append(name)
 
     publish(args.output, "size", source_size())
+    publish(args.output, "uprog", uprogram_totals())
     print(f"wrote {args.output} "
           f"({len(GATES) - len(failed)}/{len(GATES)} gates passed)")
     if failed:

@@ -5,6 +5,7 @@ Examples::
     python -m repro ops                        # list the operation catalog
     python -m repro compile add 8              # show a µProgram
     python -m repro compile mul 16 --backend ambit --full
+    python -m repro explain add 8              # what the compiler did
     python -m repro compare add 32             # all platforms, one op
     python -m repro demo                       # end-to-end functional run
     python -m repro cluster --modules 4 --op add --n 4096
@@ -51,6 +52,48 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     print(program.listing(max_ops=None if args.full else 20))
     print(f"\nlatency: {program.latency_ns(timing) / 1e3:.2f} us per batch "
           f"of {DramGeometry.paper().cols} elements per bank")
+    return 0
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """One screen on what Steps 1 and 2 did to an operation, from the
+    report the compile left on the µProgram and the µOps themselves."""
+    from collections import Counter
+
+    from repro.uprog.uops import Space, UAp
+
+    program = compile_cached(args.op, args.width, args.backend)
+    report = program.report
+    print(f"{args.op} at {args.width} bits, {args.backend} backend: "
+          f"{program.n_aap} AAP + {program.n_ap} AP = "
+          f"{program.n_commands} commands, {program.n_temp_rows} temp rows")
+    print(f"\nStep 1  {report['gates']} gates")
+    stages = [(label, report[key]) for label, key in (
+        ("built", "mig_built"), ("optimized", "mig_optimized"),
+        ("XOR3 pass-through", "mig_passthrough")) if key in report]
+    print(format_table(["MIG", "MAJ nodes", "depth", "complemented edges"],
+                       [(label, *counts) for label, counts in stages]))
+    print("\nStep 2  node orders (commands, temp rows):")
+    for name, outcome in report["orders"].items():
+        kept = "  <- kept" if name == report["order_kept"] else ""
+        print(f"  {name:12s} {outcome}{kept}")
+    aaps = [op for op in program.uops if not isinstance(op, UAp)]
+    print(f"  sibling pairs: {report['pairs']} placed, "
+          f"{report['siblings']} nodes had a sibling; "
+          f"two-wordline installs: "
+          f"{sum(op.dst.n_wordlines == 2 for op in aaps)}")
+    print(f"  spills to temp rows: "
+          f"{sum(op.dst.space is Space.TEMP for op in aaps)}, reloads: "
+          f"{sum(op.src.space is Space.TEMP for op in aaps)}, "
+          f"DCC round trips: {report['dcc_round_trips']}, "
+          f"temp-row high-water: {program.n_temp_rows}")
+    flows = Counter(
+        "AP (TRA)" if isinstance(op, UAp) else
+        f"{op.src.space.value}{'*' if op.src.n_wordlines == 3 else ''}"
+        f" -> {op.dst.space.value}" for op in program.uops)
+    print("  µOps by source -> destination space (bg* = a TRA fused "
+          "with its copy-out):")
+    print("   " + ", ".join(f"{flow}: {n}" for flow, n in flows.most_common()))
     return 0
 
 
@@ -618,6 +661,13 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--full", action="store_true",
                                 help="print every µOp")
 
+    explain_parser = sub.add_parser(
+        "explain", help="show what Steps 1 and 2 did to one operation")
+    explain_parser.add_argument("op", choices=sorted(CATALOG))
+    explain_parser.add_argument("width", type=int)
+    explain_parser.add_argument("--backend", default="simdram",
+                                choices=("simdram", "ambit"))
+
     compare_parser = sub.add_parser(
         "compare", help="model one operation on all platforms")
     compare_parser.add_argument("op", choices=sorted(CATALOG))
@@ -768,6 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
 _HANDLERS = {
     "ops": _cmd_ops,
     "compile": _cmd_compile,
+    "explain": _cmd_explain,
     "compare": _cmd_compare,
     "demo": _cmd_demo,
     "cluster": _cmd_cluster,

@@ -36,6 +36,8 @@ key and the serving layer's pack key.
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -61,7 +63,7 @@ from repro.errors import OperationError
 from repro.isa.instructions import register_opcode
 from repro.logic.circuit import Circuit, Net
 from repro.logic.mig import Mig
-from repro.logic.optimize import optimize
+from repro.logic.optimize import optimize, xor3_passthrough
 from repro.uprog.program import MicroProgram, OperandSpec
 from repro.uprog.scheduler import ScheduleOptions, schedule_stitched
 from repro.uprog.uops import INPUT_SPACES, URow
@@ -346,6 +348,35 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     return bits[root]
 
 
+def _command_bound(mig: Mig) -> int:
+    """Commands no schedule of ``mig`` can do without: one TRA per MAJ
+    node, one AAP for every input bit row a live node reads (it has to
+    enter the B-group), one for every output that is not a MAJ result
+    (a MAJ root's copy-out can ride on its TRA).  Zero temporary rows."""
+    live = mig.live_nodes()
+    read = {ref.node for node in live for ref in mig.children_of(node)}
+    return (len(live) + sum(mig.is_input(node) for node in read)
+            + sum(mig.children_of(ref.node) is None
+                  for _, ref in mig.outputs))
+
+
+def _collector_paused(func):
+    """Steps 1 and 2 build and drop graph nodes and small tables by the
+    thousand and no reference cycles: the cycle collector only gets in
+    the way (a fifth of Step 2's time), so it rests for the call."""
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return wrapper
+
+
+@_collector_paused
 def compile_kernel(op: KernelSource, width: int, backend: str = "simdram",
                    options: ScheduleOptions | None = None,
                    optimize_mig: bool = True) -> Kernel:
@@ -377,8 +408,20 @@ def compile_kernel(op: KernelSource, width: int, backend: str = "simdram",
         output_groups.append((out_name, bit_names))
 
     mig = Mig.from_circuit(circuit)
+    step1: dict[str, object] = {"gates": circuit.n_gates}
     if optimize_mig:
-        mig, _ = optimize(mig)
+        mig, stats = optimize(mig)
+        step1["mig_built"] = (stats.nodes_before, stats.depth_before,
+                              stats.complemented_before)
+        step1["mig_optimized"] = (stats.nodes_after, stats.depth_after,
+                                  stats.complemented_after)
+        if options is None or options.reuse:
+            # Pays only when Step 2 keeps values in the compute rows.
+            reshaped = xor3_passthrough(mig)
+            step1["mig_passthrough"] = step1["mig_optimized"] if (
+                reshaped is mig) else (reshaped.n_nodes, reshaped.depth(),
+                                       reshaped.n_complemented_edges())
+            mig = reshaped
 
     input_rows: dict[str, URow] = {}
     input_specs: list[OperandSpec] = []
@@ -392,6 +435,7 @@ def compile_kernel(op: KernelSource, width: int, backend: str = "simdram",
         input_specs=input_specs, input_rows=input_rows,
         output_groups=output_groups, options=options,
         source_hash=source_hash)
+    program.report.update(step1, bound=_command_bound(mig))
     if source_hash is not None:
         # Fused kernels are issued through the same bbop ISA as catalog
         # operations; give the kernel an opcode on first compilation.

@@ -41,6 +41,10 @@ class Ref:
         return Ref(self.node, not self.negated)
 
 
+def _edge_key(ref: Ref) -> tuple[int, bool]:
+    return ref.node, ref.negated
+
+
 class Mig:
     """A majority-inverter graph with named inputs and outputs."""
 
@@ -84,39 +88,42 @@ class Mig:
 
     def maj(self, a: Ref, b: Ref, c: Ref) -> Ref:
         """Create (or simplify away) the majority of three edges."""
+        n_known = len(self._children)
         for ref in (a, b, c):
-            self._validate(ref)
-        # Majority axioms on every pair.
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            if x == y:
-                return x
-            if x == ~y:
-                return z
-        children = tuple(sorted((a, b, c)))
+            if not 0 <= ref.node < n_known:
+                raise SynthesisError(
+                    f"reference to unknown node {ref.node}")
+        # Majority axioms on every pair: two edges to one node are equal
+        # (the pair wins) or complementary (the third edge decides).
+        if a.node == b.node:
+            return a if a.negated == b.negated else c
+        if a.node == c.node:
+            return a if a.negated == c.negated else b
+        if b.node == c.node:
+            return b if b.negated == c.negated else a
+        children = tuple(sorted((a, b, c), key=_edge_key))
         # Redundant re-vote: M(x, y, [!]M(x, y, z)) simplification.
         simplified = self._fold_revote(children)
         if simplified is not None:
             return simplified
         # Self-duality: keep at most one complemented fanin edge.
-        n_negated = sum(ref.negated for ref in children)
-        if n_negated >= 2:
-            flipped = tuple(sorted(~ref for ref in children))
+        if a.negated + b.negated + c.negated >= 2:
+            flipped = tuple(Ref(ref.node, not ref.negated)
+                            for ref in children)
             return ~self._lookup(flipped)
         return self._lookup(children)
 
     def _fold_revote(self, children: tuple[Ref, Ref, Ref]) -> Ref | None:
-        for i in range(3):
-            candidate = children[i]
+        for i, candidate in enumerate(children):
             inner = self._children[candidate.node]
             if inner is None:
                 continue
-            others = {children[j] for j in range(3) if j != i}
-            inner_set = set(inner)
-            if others <= inner_set:
-                (z,) = inner_set - others
+            others = children[:i] + children[i + 1:]
+            if others[0] in inner and others[1] in inner:
+                (z,) = (ref for ref in inner if ref not in others)
                 if not candidate.negated:
                     return candidate
-                return self.maj(*sorted(others), ~z)
+                return self.maj(*others, ~z)
         return None
 
     def _lookup(self, children: tuple[Ref, Ref, Ref]) -> Ref:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from repro.dram.commands import CommandStats
 from repro.dram.energy import DramEnergy
 from repro.dram.geometry import DramGeometry
+from repro.dram.rows import b_row
 from repro.dram.timing import DramTiming
 from repro.errors import SchedulingError
 from repro.uprog.uops import MicroOp, Space, UAap, UAp, URow
@@ -47,6 +48,11 @@ class MicroProgram:
     #: Folded into :meth:`fingerprint`, so execution-plan cache keys
     #: distinguish fused kernels even across name collisions.
     source_hash: str | None = None
+    #: What the compiler did to arrive at this program — Step-1 graph
+    #: sizes, which node order won, pairs placed (``python -m repro
+    #: explain`` prints it).  About the program, not part of it: not
+    #: serialized, not compared, not in the fingerprint.
+    report: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -193,13 +199,22 @@ class MicroProgram:
         )
 
     def listing(self, max_ops: int | None = None) -> str:
-        """Human-readable assembly-style listing."""
+        """Human-readable assembly-style listing.  B-group operands are
+        shown by the wordlines their address raises (``B8(DCC0N+T0)``),
+        which ``str(uop)`` — the ledger's hash input — leaves as a bare
+        index."""
+        def show(row: URow) -> str:
+            return (str(b_row(row.index)) if row.space is Space.BGROUP
+                    else str(row))
+
         header = (f"; µProgram {self.op_name} ({self.backend}, "
                   f"{self.element_width}-bit): "
                   f"{self.n_aap} AAP + {self.n_ap} AP, "
                   f"{self.n_temp_rows} temp rows")
         shown = self.uops if max_ops is None else self.uops[:max_ops]
-        lines = [header] + [f"  {op}" for op in shown]
+        lines = [header] + [
+            f"  AP  {show(op.addr)}" if isinstance(op, UAp)
+            else f"  AAP {show(op.src)} -> {show(op.dst)}" for op in shown]
         if max_ops is not None and len(self.uops) > max_ops:
             lines.append(f"  ... ({len(self.uops) - max_ops} more)")
         return "\n".join(lines)

@@ -148,3 +148,21 @@ class TestObservabilityCommands:
         assert any(source.startswith("replica-")
                    for source in dump["segments"])
         assert any(e["kind"] == "replica.death" for e in dump["events"])
+
+
+class TestExplain:
+    def test_explain_fits_one_screen_and_names_every_stage(self, capsys):
+        assert main(["explain", "add", "8"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) <= 24
+        for needle in ("gates", "built", "optimized", "XOR3 pass-through",
+                       "topological", "<- kept", "sibling pairs: 8 placed",
+                       "two-wordline installs: 16", "DCC round trips",
+                       "temp-row high-water: 0", "in0 -> bg"):
+            assert needle in out, needle
+
+    def test_explain_ambit_backend_has_no_pairs(self, capsys):
+        assert main(["explain", "mul", "4", "--backend", "ambit"]) == 0
+        out = capsys.readouterr().out
+        assert "sibling pairs: 0 placed" in out
+        assert "XOR3 pass-through" not in out

@@ -119,16 +119,10 @@ def test_division_by_zero_end_to_end():
 def test_simdram_beats_ambit_on_command_counts():
     """The framework's core claim: MAJ/NOT lowers activation counts."""
     sim = make_sim()
-    wins = 0
     for op_name in PAPER_OPERATIONS:
         simdram = sim.compile(op_name, 8, backend="simdram").program
         ambit = sim.compile(op_name, 8, backend="ambit").program
-        assert simdram.n_commands <= ambit.n_commands, op_name
-        if simdram.n_commands < ambit.n_commands:
-            wins += 1
-    # Strictly better on (at least) 15 of 16; relu may tie because its
-    # single shared complement is re-materialized per TRA either way.
-    assert wins >= 15
+        assert simdram.n_commands < ambit.n_commands, op_name
 
 
 def test_chained_operations_share_memory():

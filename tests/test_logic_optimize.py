@@ -122,3 +122,75 @@ class TestOptimize:
         m.set_output("y", x)
         optimized, stats = optimize(m)
         assert optimized.n_nodes <= m.n_nodes
+
+
+class TestXor3Passthrough:
+    """Pass-through selection: ``x ^ y ^ z`` re-expressed around a leaf."""
+
+    @staticmethod
+    def _same_function(before, after, rng, lanes=64):
+        values = {name: rng.integers(0, 2, lanes).astype(bool)
+                  for name in before.input_names}
+        expected, got = before.evaluate(values), after.evaluate(values)
+        assert expected.keys() == got.keys()
+        return all(np.array_equal(expected[k], got[k]) for k in expected)
+
+    @pytest.mark.parametrize("op_name", PAPER_OPERATIONS)
+    def test_preserves_every_catalog_function_and_node_count(self, op_name):
+        from repro.core.compiler import build_mig
+        from repro.logic.optimize import xor3_passthrough
+        rng = np.random.default_rng(7)
+        for width in (4, 8):
+            mig = build_mig(get_operation(op_name), width)
+            out = xor3_passthrough(mig)
+            assert out.n_nodes <= mig.n_nodes
+            assert out.input_names == mig.input_names
+            assert self._same_function(mig, out, rng)
+
+    def test_ripple_carry_stops_being_read_a_third_time(self):
+        from repro.logic.optimize import xor3_passthrough, xor3_sites
+        mig, width = _adder_mig()
+        mig, _ = optimize(mig)
+        # Bit 0 adds into a constant carry: already a leaf pass-through.
+        assert len(xor3_sites(mig)) == width - 1
+        out = xor3_passthrough(mig)
+        assert out is not mig and out.n_nodes == mig.n_nodes
+        assert not xor3_sites(out)          # idempotent
+        # Every sum now reads a primary input where it read the carry.
+        for _, ref in out.outputs[1:]:
+            assert any(out.is_input(r.node)
+                       for r in out.children_of(ref.node))
+
+    def test_subtraction_keeps_its_complemented_carry_chain(self):
+        from repro.core.compiler import build_mig
+        from repro.logic.optimize import xor3_passthrough
+        mig = build_mig(get_operation("sub"), 8)
+        out = xor3_passthrough(mig)
+        assert out is not mig and out.n_nodes == mig.n_nodes
+        assert self._same_function(mig, out, np.random.default_rng(3))
+
+    def test_nothing_to_do_returns_the_graph_itself(self):
+        from repro.logic.optimize import xor3_passthrough
+        m = Mig()
+        a, b, c = m.input("a"), m.input("b"), m.input("c")
+        # Three leaves: whichever is the pass-through, it has a home row.
+        m.set_output("y", m.maj(~m.maj(a, b, c), m.maj(a, b, ~c), c))
+        assert xor3_passthrough(m) is m
+
+    def test_random_graphs_keep_their_function(self):
+        from repro.logic.optimize import xor3_passthrough
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m = Mig()
+            pool = [m.const0] + [m.input(f"a{i}") for i in range(4)]
+            for _ in range(int(rng.integers(3, 12))):
+                x, y, z = (pool[int(rng.integers(len(pool)))]
+                           for _ in range(3))
+                carry = m.maj(x, y, z)
+                pool.append(m.maj(~carry, m.maj(x, y, ~z), z))  # x^y^z
+                pool.append(carry)
+            for i, ref in enumerate(pool[-3:]):
+                m.set_output(f"y{i}", ref)
+            out = xor3_passthrough(m)
+            assert out.n_nodes <= m.n_nodes
+            assert self._same_function(m, out, rng)

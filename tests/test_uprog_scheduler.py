@@ -349,3 +349,43 @@ class TestScaling:
         m.set_output("y1", second)
         assert m.live_nodes() == [first.node, second.node]
         assert m.n_nodes == 2
+
+
+class TestSecondOrder:
+    """``schedule`` tries the cone order only when it can pay, and
+    drops it as soon as it cannot win."""
+
+    @staticmethod
+    def _scheduler(mig, order=None):
+        from repro.uprog.scheduler import Scheduler
+        rows = {f"a{i}": URow(Space.INPUT0, i) for i in range(N_INPUTS)}
+        rows |= {f"b{i}": URow(Space.INPUT1, i) for i in range(N_INPUTS)}
+        return Scheduler(mig, rows, {"y0": URow(Space.OUTPUT, 0)},
+                         order=order)
+
+    def test_run_gives_up_once_the_limit_is_out_of_reach(self):
+        mig = late_consumer_mig(40)
+        full, _ = self._scheduler(mig).run()
+        stopped = self._scheduler(mig)
+        assert stopped.run(limit=len(full) // 2) is None
+        assert len(stopped.fired) < mig.n_nodes
+        # It really was out of reach: what was emitted (the last AP may
+        # yet fold into a copy) plus one command per node still to come.
+        emitted = len(stopped._peephole(stopped.uops)) - 1
+        to_come = mig.n_nodes - len(stopped.fired)
+        assert emitted + to_come > len(full) // 2
+
+    def test_a_limit_the_program_meets_changes_nothing(self):
+        mig = late_consumer_mig(40)
+        full, n_temp = self._scheduler(mig).run()
+        assert self._scheduler(mig).run(limit=len(full)) == (full, n_temp)
+
+    def test_report_says_what_became_of_each_order(self):
+        from repro.core.compiler import compile_operation
+        from repro.core.operations import get_operation
+        add = compile_operation(get_operation("add"), 8).report
+        assert add["order_kept"] == "topological"
+        assert add["orders"]["cone"].startswith("not tried")
+        mul = compile_operation(get_operation("mul"), 8).report
+        assert mul["order_kept"] == "cone"
+        assert mul["orders"]["cone"] < mul["orders"]["topological"]

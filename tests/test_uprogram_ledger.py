@@ -3,16 +3,19 @@
 ``tests/data/uprogram_ledger.json`` holds one row per kernel — the
 sha256 of its µOps (one ``str(uop)`` per line) plus the AAP / AP / temp
 row counts (the per-operation activation column of the paper's Table 2
-comparison).  The test recompiles every kernel and compares, so any
-edit to Step 1 or Step 2 that changes a single emitted command — a
-different tie-break in the scheduler, a temp row handed out in another
-order — fails here by name.
+comparison), the live MAJ nodes of its MIG (``n_maj``) and the command
+count no schedule can go below (``bound``: one TRA per MAJ, one AAP per
+live-in bit row, one per output that is not a MAJ result).  The test
+recompiles every kernel and compares, so any edit to Step 1 or Step 2
+that changes a single emitted command — a different tie-break in the
+scheduler, a temp row handed out in another order — fails here by name.
 
 An *intended* change to the compiler's output regenerates the file::
 
     PYTHONPATH=src python tests/test_uprogram_ledger.py --regen
 
-and the diff of the JSON is the review artifact.
+and the diff of the JSON is the review artifact.  ``--slack`` prints the
+rows sorted by ``commands / bound`` — the work list for program quality.
 """
 
 from __future__ import annotations
@@ -90,9 +93,12 @@ def ledger_kernels() -> dict[str, Callable[[], MicroProgram]]:
 
 def ledger_row(program: MicroProgram) -> dict[str, object]:
     text = "\n".join(str(uop) for uop in program.uops)
+    report = program.report
+    n_maj = report.get("mig_passthrough", report["mig_optimized"])[0]
     return {"sha256": hashlib.sha256(text.encode()).hexdigest(),
             "n_aap": program.n_aap, "n_ap": program.n_ap,
-            "n_temp_rows": program.n_temp_rows}
+            "n_temp_rows": program.n_temp_rows,
+            "n_maj": n_maj, "bound": report["bound"]}
 
 
 _KERNELS = ledger_kernels()
@@ -130,7 +136,26 @@ def regenerate() -> None:
     print(f"wrote {len(rows)} rows to {LEDGER_PATH}")
 
 
+def slack_table() -> str:
+    """Ledger rows by ``commands / bound``, slackest first."""
+    rows = json.loads(LEDGER_PATH.read_text())
+    lines = [f"{'kernel':40s} {'commands':>8s} {'bound':>6s} {'slack':>6s} "
+             f"{'temps':>5s}"]
+    for key, row in sorted(
+            rows.items(), reverse=True,
+            key=lambda kv: (kv[1]["n_aap"] + kv[1]["n_ap"]) / kv[1]["bound"]):
+        commands = row["n_aap"] + row["n_ap"]
+        lines.append(f"{key:40s} {commands:8d} {row['bound']:6d} "
+                     f"{commands / row['bound']:6.2f} "
+                     f"{row['n_temp_rows']:5d}")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        sys.exit("usage: python tests/test_uprogram_ledger.py --regen")
-    regenerate()
+    if sys.argv[1:] == ["--regen"]:
+        regenerate()
+    elif sys.argv[1:] == ["--slack"]:
+        print(slack_table())
+    else:
+        sys.exit("usage: python tests/test_uprogram_ledger.py "
+                 "--regen | --slack")
