@@ -2,14 +2,16 @@
 
 Regenerates the paper's energy figure: nJ per element on CPU, GPU,
 Ambit and SIMDRAM, plus the efficiency ratios behind the abstract's
-claims (257x vs CPU, 31x vs GPU, up to 2.5x vs Ambit).
+claims (257x vs CPU, 31x vs GPU, up to 2.5x vs Ambit) and the
+per-operation SIMDRAM-over-Ambit efficiency ratio at 8 to 64 bits
+(reported, not gated).
 """
 
 from __future__ import annotations
 
 import statistics
 
-from conftest import emit
+from conftest import emit, simdram_over_ambit_table
 
 from repro.core.operations import PAPER_OPERATIONS
 from repro.perf.model import measure_all_platforms
@@ -50,6 +52,10 @@ def bench_e3_energy(benchmark):
             f"mean {statistics.mean(ratios['ambit']):.2f}x, "
             f"max {max(ratios['ambit']):.2f}x")
         sections.append(table + "\n" + summary)
+    sections.append(simdram_over_ambit_table(
+        "E3: SIMDRAM:1 over Ambit:1 energy efficiency, per operation",
+        lambda simdram, ambit: (ambit.energy_nj_per_element
+                                / simdram.energy_nj_per_element)))
     emit("e3_energy", "\n\n".join(sections))
 
     benchmark(lambda: measure_all_platforms("mul", 8))

@@ -6,8 +6,8 @@ operations at 8/16/32 bits, on both substrates.  The benchmark timing
 itself measures the Step-1+2 compiler (circuit -> MIG -> schedule).
 
 The 32-bit rows are affordable because the scheduler is linear in the
-size of the graph: the 96 compilations take about 8 s (``div@32``, the
-largest at 19 635 commands, about 1 s), where ``div@32`` and ``mul@32``
+size of the graph: the 96 compilations take about 4 s (``div@32``, the
+largest at 9 183 commands, about 0.4 s), where ``div@32`` and ``mul@32``
 alone used to take 20 s.
 """
 

@@ -41,9 +41,10 @@ run.  The report also carries ``gates.size`` — the non-blank,
 non-comment line count of ``src/repro`` — so the code-size trajectory
 travels in the same artifact as the gates (a plain number, not a
 ``measured_*`` key: ``bench_history`` reads those as higher-is-better)
-— and ``gates.uprog`` — total commands and temporary rows of the 48
-default ``simdram/*`` rows of ``tests/data/uprogram_ledger.json`` — so
-the quality of the compiled programs has a trajectory too.
+— and ``gates.uprog`` — total commands, MAJ nodes and temporary rows of
+the 48 default ``simdram/*`` rows of ``tests/data/uprogram_ledger.json``
+— so the quality of the compiled programs (``n_maj`` is Step 1's share
+of it, the rest Step 2's) has a trajectory too.
 
 Usage::
 
@@ -112,12 +113,14 @@ def uprogram_totals(ledger: Path = LEDGER_PATH) -> dict:
     rows = [row for key, row in json.loads(ledger.read_text()).items()
             if key.startswith("simdram/") and key.count("/") == 2]
     commands = sum(row["n_aap"] + row["n_ap"] for row in rows)
+    n_maj = sum(row["n_maj"] for row in rows)
     temp_rows = sum(row["n_temp_rows"] for row in rows)
-    return {"commands": commands, "temp_rows": temp_rows,
+    return {"commands": commands, "n_maj": n_maj, "temp_rows": temp_rows,
             "kernels": len(rows),
             "gate": {"pass": True,
-                     "detail": f"{commands} commands and {temp_rows} "
-                               f"temp rows over {len(rows)} kernels"}}
+                     "detail": f"{commands} commands, {n_maj} MAJ nodes "
+                               f"and {temp_rows} temp rows over "
+                               f"{len(rows)} kernels"}}
 
 
 def main(argv: list[str] | None = None) -> int:

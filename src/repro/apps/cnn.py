@@ -173,8 +173,11 @@ def madd_expr(weight: int) -> Expr:
     """The fused multiply-accumulate tap: ``x * weight + acc``.
 
     The tap weight is a compile-time :func:`~repro.core.expr.const`, so
-    the multiplier folds into the MIG (shift-adds of a known constant)
-    instead of replaying the full generic multiplier µProgram.
+    the multiplier folds into the MIG instead of replaying the full
+    generic multiplier µProgram: :func:`~repro.logic.library.multiply`
+    emits one adder row per nonzero *signed* digit of the weight, so a
+    negative weight costs what its magnitude does (``x * -3`` is
+    ``x - 4x``, not fifteen rows of two's-complement ones).
     """
     return expr.add(expr.mul(expr.inp("x"), expr.const(weight)),
                     expr.inp("acc"))

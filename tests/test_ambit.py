@@ -79,20 +79,32 @@ class TestClassicLowering:
         assert ambit.n_commands > simdram.n_commands
 
     def test_pure_bitwise_ops_tie_under_equal_scheduling(self):
-        """XOR/AND/OR-only operations lower identically on both
+        """AND/OR-only operations lower identically on both
         substrates: every MAJ already has a constant third operand.
         Ambit's gap on these ops comes purely from its fixed per-gate
-        command sequences (no reuse scheduling)."""
+        command sequences (no reuse scheduling).  XOR does not tie: a
+        three-input XOR is three MAJs (the full adder's sum), which
+        2-input gates cannot express, so SIMDRAM is strictly cheaper
+        even against an Ambit given the same scheduler."""
         from repro.core.compiler import compile_operation
         from repro.core.operations import get_operation
         from repro.uprog.scheduler import ScheduleOptions
-        spec = get_operation("xor_red")
-        ambit_reuse = compile_operation(spec, 8, backend="ambit",
-                                        options=ScheduleOptions(reuse=True))
-        simdram = compile_operation(spec, 8, backend="simdram")
-        assert ambit_reuse.n_commands == simdram.n_commands
-        # With its real (fixed-sequence) scheduling, Ambit needs more.
-        assert compile_ambit(spec, 8).n_commands > simdram.n_commands
+
+        def both(op_name):
+            spec = get_operation(op_name)
+            ambit_reuse = compile_operation(
+                spec, 8, backend="ambit",
+                options=ScheduleOptions(reuse=True))
+            simdram = compile_operation(spec, 8, backend="simdram")
+            # With its real (fixed-sequence) scheduling, Ambit needs more.
+            assert compile_ambit(spec, 8).n_commands > simdram.n_commands
+            return ambit_reuse.n_commands, simdram.n_commands
+
+        for op_name in ("and_red", "or_red"):
+            ambit_reuse, simdram = both(op_name)
+            assert ambit_reuse == simdram
+        ambit_reuse, simdram = both("xor_red")
+        assert simdram < ambit_reuse
 
     def test_compile_ambit_accepts_names(self):
         program = compile_ambit("add", 8)

@@ -246,11 +246,12 @@ def test_every_paper_operation_beats_its_ambit_baseline_at_every_width():
 def test_passthrough_selection_pays_in_the_scheduled_programs(monkeypatch):
     """The rewrite is accepted on node count alone (pricing it with a
     schedule of either graph would double Step 2); this is the check
-    that Step 2 agrees: no paper operation grows, and over the fused
+    that Step 2 agrees: no paper operation grows and together they
+    shrink by at least 3 % (a relative floor: what the rewrite saves in
+    ``div`` scales with the divider Step 1 emits), and over the fused
     kernels the benchmark compiles (ledger constants) the total falls
     with no kernel more than 5 % longer (``affine_relu_step`` moves by a
-    few per cent either way with the constant, ``madd_relu`` loses
-    two or three commands in 1150)."""
+    few per cent either way with the constant)."""
     from repro.apps.brightness import brightness_expr
     from repro.apps.cnn import madd_expr, madd_relu_expr
     from repro.core import fuse
@@ -270,5 +271,5 @@ def test_passthrough_selection_pays_in_the_scheduled_programs(monkeypatch):
                for new, old in zip(rewritten[:n_ops], plain[:n_ops]))
     assert all(new <= 1.05 * old
                for new, old in zip(rewritten[n_ops:], plain[n_ops:]))
-    assert sum(rewritten[:n_ops]) < sum(plain[:n_ops]) - 100
+    assert sum(rewritten[:n_ops]) <= 0.97 * sum(plain[:n_ops])
     assert sum(rewritten[n_ops:]) < sum(plain[n_ops:])

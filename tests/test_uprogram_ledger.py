@@ -14,8 +14,14 @@ An *intended* change to the compiler's output regenerates the file::
 
     PYTHONPATH=src python tests/test_uprogram_ledger.py --regen
 
-and the diff of the JSON is the review artifact.  ``--slack`` prints the
-rows sorted by ``commands / bound`` — the work list for program quality.
+and the diff of the JSON is the review artifact: ``--diff <old.json>``
+prints it as a table (commands / ``n_maj`` / temp rows before -> after
+of every row whose hash changed, and the totals).  ``--slack`` prints
+the rows sorted by ``commands / bound`` — the work list for Step 2 —
+with ``n_maj`` and ``commands / n_maj`` beside it: ``bound`` is computed
+from our own MIG, so it cannot see a MIG that is too big; Step 1's size
+is pinned separately, as closed forms in the width, in
+``tests/test_logic_closed_forms.py``.
 """
 
 from __future__ import annotations
@@ -136,18 +142,58 @@ def regenerate() -> None:
     print(f"wrote {len(rows)} rows to {LEDGER_PATH}")
 
 
+def _commands(row: dict[str, int]) -> int:
+    return row["n_aap"] + row["n_ap"]
+
+
 def slack_table() -> str:
     """Ledger rows by ``commands / bound``, slackest first."""
     rows = json.loads(LEDGER_PATH.read_text())
     lines = [f"{'kernel':40s} {'commands':>8s} {'bound':>6s} {'slack':>6s} "
-             f"{'temps':>5s}"]
-    for key, row in sorted(
-            rows.items(), reverse=True,
-            key=lambda kv: (kv[1]["n_aap"] + kv[1]["n_ap"]) / kv[1]["bound"]):
-        commands = row["n_aap"] + row["n_ap"]
+             f"{'n_maj':>6s} {'cmd/maj':>7s} {'temps':>5s}"]
+    for key, row in sorted(rows.items(), reverse=True,
+                           key=lambda kv: _commands(kv[1]) / kv[1]["bound"]):
+        commands = _commands(row)
         lines.append(f"{key:40s} {commands:8d} {row['bound']:6d} "
-                     f"{commands / row['bound']:6.2f} "
+                     f"{commands / row['bound']:6.2f} {row['n_maj']:6d} "
+                     f"{commands / row['n_maj']:7.2f} "
                      f"{row['n_temp_rows']:5d}")
+    return "\n".join(lines)
+
+
+def diff_table(old_path: str) -> str:
+    """What a regen changed against the ledger saved at ``old_path``:
+    one line per row whose hash differs, then the totals of the 48
+    default ``simdram/*`` rows, of ``ambit/*`` and of all rows."""
+    old, new = json.loads(Path(old_path).read_text()), json.loads(
+        LEDGER_PATH.read_text())
+
+    def triple(row: dict[str, int]) -> tuple[int, int, int]:
+        return _commands(row), row["n_maj"], row["n_temp_rows"]
+
+    def before_after(before, after) -> str:
+        return "  ".join(f"{b:6d} -> {a:6d}" for b, a in zip(before, after))
+
+    lines = [f"{'kernel':40s} {'commands':>16s}  {'n_maj':>16s}  "
+             f"{'temp rows':>16s}"]
+    shared = [key for key in new if key in old]
+    for key in shared:
+        if old[key]["sha256"] != new[key]["sha256"]:
+            lines.append(f"{key:40s} "
+                         f"{before_after(triple(old[key]), triple(new[key]))}")
+    changed = len(lines) - 1
+    for label, member in (
+            ("total simdram/* (default options)",
+             lambda key: key.startswith("simdram/") and key.count("/") == 2),
+            ("total ambit/*", lambda key: key.startswith("ambit/")),
+            ("total (all rows)", lambda key: True)):
+        keys = [key for key in shared if member(key)]
+        sums = [[sum(triple(rows[key])[i] for key in keys) for i in range(3)]
+                for rows in (old, new)]
+        lines.append(f"{label:40s} {before_after(*sums)}")
+    lines.append(f"{changed} of {len(shared)} rows changed; "
+                 f"{len(new) - len(shared)} added, "
+                 f"{len(old) - len(shared)} removed")
     return "\n".join(lines)
 
 
@@ -156,6 +202,8 @@ if __name__ == "__main__":
         regenerate()
     elif sys.argv[1:] == ["--slack"]:
         print(slack_table())
+    elif len(sys.argv) == 3 and sys.argv[1] == "--diff":
+        print(diff_table(sys.argv[2]))
     else:
         sys.exit("usage: python tests/test_uprogram_ledger.py "
-                 "--regen | --slack")
+                 "--regen | --slack | --diff <old.json>")
