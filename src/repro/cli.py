@@ -29,6 +29,7 @@ from repro.core.framework import Simdram, SimdramConfig
 from repro.core.operations import CATALOG, PAPER_OPERATIONS
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTiming
+from repro.obs import clock
 from repro.perf.model import measure_all_platforms
 from repro.util.tables import format_table
 
@@ -329,8 +330,8 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
                    for op, a, b in requests]
         if args.kill_one and args.replicas > 1:
             victim = 0
-            deadline = time.monotonic() + 30
-            while (time.monotonic() < deadline
+            deadline = clock.now() + 30
+            while (clock.now() < deadline
                    and router.replicas.n_inflight(victim) == 0
                    and not all(h.done() for h in handles)):
                 time.sleep(0)  # yield, do not nap: a pack is in flight ~1 ms
@@ -581,7 +582,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
                                 drain_between_steps=drain) as server:
             service.warmup([(step, width)])
             service.metrics.reset()
-            t0 = time.monotonic()
+            t0 = clock.now()
 
             def start(x0, w, server=server):
                 return server.submit(
@@ -592,15 +593,15 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
             # Stagger: the second wave arrives while the first is
             # mid-sequence — continuous batching packs it straight
             # into the in-flight streams' next step.
-            limit = time.monotonic() + 30
-            while (time.monotonic() < limit
+            limit = clock.now() + 30
+            while (clock.now() < limit
                    and not all(h.steps_done >= 2 or h.done()
                                for h in wave1)):
                 time.sleep(0.0005)
             wave2 = [start(x0, w) for x0, w in spec[args.streams:]]
             streams = wave1 + wave2
             server.drain(120)
-            wall_ms = (time.monotonic() - t0) * 1e3
+            wall_ms = (clock.now() - t0) * 1e3
 
             n_ok = sum(
                 bool(np.array_equal(

@@ -231,6 +231,11 @@ class Simdram:
         return sorted(CATALOG)
 
     @property
+    def lanes(self) -> int:
+        """SIMD lanes of the module (one element per bitline)."""
+        return self.module.lanes
+
+    @property
     def kernel_cache_size(self) -> int:
         """Compiled kernels cached on this module plus the compiled
         executors engines have memoized on cached execution plans —
@@ -286,6 +291,11 @@ class Simdram:
         with self._bound_rows(kernel) as (_, _, layout):
             self.control.warm_plan(kernel.program, layout,
                                    self.module.geometry, engine)
+
+    def warm(self, op: KernelSource, width: int,
+             engine: "str | ExecutionEngine" = "auto") -> None:
+        """:meth:`compile` plus :meth:`warm_executor` (as the cluster's)."""
+        self.warm_executor(self.compile(op, width), engine)
 
     # ------------------------------------------------------------------
     # data movement

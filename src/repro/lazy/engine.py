@@ -80,85 +80,13 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------------------
-# backends: the two dispatch targets behind one tiny interface
-# ---------------------------------------------------------------------------
-class _ModuleBackend:
-    """Dispatch on a single :class:`~repro.Simdram` module (synchronous)."""
-
-    is_cluster = False
-
-    def __init__(self, sim) -> None:
-        self.sim = sim
-
-    def transfer(self, values: np.ndarray, width: int, signed: bool):
-        return self.sim.array(values, width, signed=signed)
-
-    def run_segment(self, root: Expr, feeds: dict, width: int,
-                    engine: ExecutionEngine):
-        return self.sim.run_expr(root, feeds, width=width, engine=engine)
-
-    def run_batch(self, roots: dict[str, Expr], feeds: dict, width: int,
-                  engine: ExecutionEngine) -> dict[str, np.ndarray]:
-        return self.sim.run_multi(roots, feeds, width=width,
-                                  engine=engine)
-
-    def read(self, handle) -> np.ndarray:
-        return handle.to_numpy()
-
-    def free(self, handle) -> None:
-        handle.free()
-
-    def is_live(self, handle) -> bool:
-        return handle.status == "live"
-
-    def kernel_cache_size(self) -> int:
-        return self.sim.kernel_cache_size
-
-
-class _ClusterBackend:
-    """Dispatch on a :class:`~repro.SimdramCluster` (sharded + async).
-
-    Segments are *submitted*, not run: the returned
-    :class:`~repro.runtime.DeviceTensor` handles are usable operands
-    immediately and the job scheduler serializes dependent segments per
-    module while independent ones overlap.  Only multi-output batches
-    (which must return host values) and reads block.
-    """
-
-    is_cluster = True
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-
-    def transfer(self, values: np.ndarray, width: int, signed: bool):
-        return self.cluster.tensor(values, width, signed=signed)
-
-    def run_segment(self, root: Expr, feeds: dict, width: int,
-                    engine: ExecutionEngine):
-        return self.cluster.submit(root, feeds=feeds, width=width,
-                                   engine=engine).tensor
-
-    def run_batch(self, roots: dict[str, Expr], feeds: dict, width: int,
-                  engine: ExecutionEngine) -> dict[str, np.ndarray]:
-        return self.cluster.run_multi(roots, feeds, width=width,
-                                      engine=engine)
-
-    def read(self, handle) -> np.ndarray:
-        return handle.to_numpy()
-
-    def free(self, handle) -> None:
-        handle.free()
-
-    def is_live(self, handle) -> bool:
-        return handle.status == "live"
-
-    def kernel_cache_size(self) -> int:
-        return self.cluster.kernel_cache_size
-
-
-# ---------------------------------------------------------------------------
 # DAG walking helpers
 # ---------------------------------------------------------------------------
+def _live(handle) -> bool:
+    """Whether a device handle (or ``None``) still owns its rows."""
+    return handle is not None and handle.status == "live"
+
+
 def _build_expr(root: LazyTensor, is_leaf, names: dict[int, str],
                 leaves: dict[str, LazyTensor]) -> Expr:
     """Translate a lazy (sub)graph into a :class:`~repro.core.expr.Expr`.
@@ -270,6 +198,9 @@ class LazyDevice:
     device and evaluation dispatches on it.  ``last_report`` records
     what the most recent evaluation actually did (width groups,
     partition segments, batched dispatches, transfers).
+    ``run_multi``, ``kernel_cache_size`` and the handles' ``to_numpy``
+    / ``free`` / ``status`` are the same on both targets; host->device
+    transfer and running a segment differ and are picked here, once.
     """
 
     def __init__(self, target) -> None:
@@ -278,9 +209,18 @@ class LazyDevice:
         from repro.core.framework import Simdram
         from repro.runtime.cluster import SimdramCluster
         if isinstance(target, Simdram):
-            self.backend = _ModuleBackend(target)
+            self._transfer = target.array
+            self._run_segment = target.run_expr
         elif isinstance(target, SimdramCluster):
-            self.backend = _ClusterBackend(target)
+            self._transfer = target.tensor
+
+            # Submitted, not run: the tensor is a usable operand at once;
+            # the job scheduler orders dependent segments per module and
+            # overlaps independent ones.
+            def submit_segment(root, feeds, **options):
+                return target.submit(root, feeds=feeds, **options).tensor
+
+            self._run_segment = submit_segment
         else:
             raise OperationError(
                 f"a lazy device wraps a Simdram or SimdramCluster, "
@@ -296,7 +236,7 @@ class LazyDevice:
         before/after identical evaluations to prove cache hits; note
         that an interleaved first-time *eager* catalog op also grows
         the counter."""
-        return self.backend.kernel_cache_size()
+        return self.target.kernel_cache_size
 
     # ------------------------------------------------------------------
     # sources
@@ -345,11 +285,11 @@ class LazyDevice:
         device handle on first need)."""
         if node.host is None:
             handle = node._handles.get(("s", node.width))
-            if handle is None or not self.backend.is_live(handle):
+            if not _live(handle):
                 raise OperationError(
                     "the device handle behind this lazy source was "
                     "freed; its values are unrecoverable")
-            node.host = self.backend.read(handle)
+            node.host = handle.to_numpy()
         return node.host
 
     # ------------------------------------------------------------------
@@ -477,8 +417,8 @@ class LazyDevice:
     def _gather(self, node: LazyTensor) -> None:
         """Resolve an async submission into cached host values."""
         w, handle = node._pending
-        node._results[w] = self.backend.read(handle)
-        self.backend.free(handle)
+        node._results[w] = handle.to_numpy()
+        handle.free()
         node._handles.pop(("o", w), None)
         node._pending = None
 
@@ -488,8 +428,6 @@ class LazyDevice:
     def _evaluate_group(self, roots: list[LazyTensor], w: int,
                         wait: bool,
                         engine: ExecutionEngine) -> GroupReport:
-        backend = self.backend
-
         def is_leaf(node: LazyTensor) -> bool:
             if node.kind == KIND_SOURCE:
                 return True
@@ -497,8 +435,7 @@ class LazyDevice:
                 return False
             if w in node._results:
                 return True
-            handle = node._handles.get(("o", w))
-            return handle is not None and backend.is_live(handle)
+            return _live(node._handles.get(("o", w)))
 
         order = _topo_ops(roots, is_leaf)
         cut_ids, leafset = _plan_cuts(order, is_leaf)
@@ -527,8 +464,7 @@ class LazyDevice:
                     # The root was materialized as another root's
                     # interior cut (or was already device-resident):
                     # read its handle instead of recomputing.
-                    root._results[w] = backend.read(
-                        root._handles[("o", w)])
+                    root._results[w] = root._handles[("o", w)].to_numpy()
                 n_batches = len(batches)
             else:
                 for root in remaining:
@@ -549,8 +485,7 @@ class LazyDevice:
             for node, key, handle in created:
                 if id(handle) in keep:
                     continue
-                if backend.is_live(handle):
-                    backend.free(handle)
+                handle.free()
                 if node._handles.get(key) is handle:
                     del node._handles[key]
         return GroupReport(width=w, n_nodes=len(order),
@@ -566,21 +501,20 @@ class LazyDevice:
         evaluated op nodes re-transfer their cached values; both are
         reused for the rest of the evaluation.
         """
-        backend = self.backend
         if leaf.kind == KIND_SOURCE:
             key = ("s", needed)
             handle = leaf._handles.get(key)
-            if handle is not None and backend.is_live(handle):
+            if _live(handle):
                 return handle
-            handle = backend.transfer(self._host_values(leaf), needed,
-                                      leaf.signed)
+            handle = self._transfer(self._host_values(leaf), needed,
+                                    leaf.signed)
         else:
             key = ("o", w)
             handle = leaf._handles.get(key)
-            if handle is not None and backend.is_live(handle):
+            if _live(handle):
                 return handle
-            handle = backend.transfer(leaf._results[w], needed,
-                                      get_operation(leaf.op).signed)
+            handle = self._transfer(leaf._results[w], needed,
+                                    get_operation(leaf.op).signed)
         leaf._handles[key] = handle
         created.append((leaf, key, handle))
         return handle
@@ -608,7 +542,7 @@ class LazyDevice:
         leaves: dict[str, LazyTensor] = {}
         built = _build_expr(node, is_leaf, names, leaves)
         feeds = self._segment_feeds([built], w, leaves, created)
-        handle = self.backend.run_segment(built, feeds, w, engine)
+        handle = self._run_segment(built, feeds, width=w, engine=engine)
         key = ("o", w)
         node._handles[key] = handle
         created.append((node, key, handle))
@@ -669,7 +603,8 @@ class LazyDevice:
         }
         feeds = self._segment_feeds(list(named_roots.values()), w,
                                     leaves, created)
-        results = self.backend.run_batch(named_roots, feeds, w, engine)
+        results = self.target.run_multi(named_roots, feeds, width=w,
+                                        engine=engine)
         for i, root in enumerate(batch):
             root._results[w] = results[f"r{i}"]
 

@@ -188,10 +188,6 @@ class LanePacker:
     def pending_requests(self) -> int:
         return sum(len(g.requests) for g in self._groups.values())
 
-    @property
-    def pending_lanes(self) -> int:
-        return sum(g.total_lanes for g in self._groups.values())
-
     def add(self, request: PreparedRequest,
             now: float | None = None) -> PackGroup | None:
         """Admit one prepared request; returns the group if it is now

@@ -45,10 +45,11 @@ plain ``dict`` suitable for logging or JSON export.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 
 import numpy as np
+
+from repro.obs import clock
 
 #: Latency samples kept for the percentile estimates.  Old samples
 #: fall off, so long-running services report *recent* tail latency.
@@ -151,7 +152,7 @@ class ServeMetrics:
         #: falling out of the bounded reservoir never lower it.
         self._lifetime_max_s = 0.0
         #: Goodput denominator: service lifetime (reset() restarts it).
-        self._started_at = time.monotonic()
+        self._started_at = clock.now()
 
     def _tenant(self, tenant: str) -> _TenantCounters:
         counters = self._tenants.get(tenant)
@@ -272,7 +273,7 @@ class ServeMetrics:
             self.n_energy_metered = 0
             self._latencies.clear()
             self._lifetime_max_s = 0.0
-            self._started_at = time.monotonic()
+            self._started_at = clock.now()
 
     # ------------------------------------------------------------------
     # reading
@@ -283,7 +284,7 @@ class ServeMetrics:
             samples = list(self._latencies)
             dispatches = self.n_dispatches
             packed = self.n_dispatched_requests
-            elapsed_s = max(1e-9, time.monotonic() - self._started_at)
+            elapsed_s = max(1e-9, clock.now() - self._started_at)
             metered = self.n_energy_metered
             return {
                 "requests": {

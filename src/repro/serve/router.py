@@ -28,9 +28,9 @@ replica crashes:
   when no replica survives does the handle fail, with
   :class:`~repro.errors.ReplicaError`.
 
-The router implements the service's asynchronous dispatch-target
-protocol (``submit_pack`` + completion callback + ``ready`` +
-``barrier``), so
+The router implements the dispatch-target protocol stated once in
+:mod:`repro.serve.service` — asynchronously: ``submit_pack`` returns
+at once and ``on_done`` fires later from a router/replica thread — so
 ``SimdramService(ReplicaRouter(4))`` is a drop-in scale-out of
 ``SimdramService(cluster)``.
 """
@@ -102,9 +102,6 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     # dispatch-target protocol (what SimdramService talks to)
     # ------------------------------------------------------------------
-    is_cluster = True
-    is_async = True
-
     @property
     def lanes(self) -> int:
         """Lane capacity of ONE dispatch: a packed group runs on a
@@ -137,14 +134,11 @@ class ReplicaRouter:
             self._outstanding += 1
 
         def _resolved(future) -> None:
-            try:
-                values, info = future.result()
-            except BaseException as error:  # noqa: BLE001 - relayed
-                self._settle()
-                on_done(None, error, None)
-            else:
-                self._settle()
-                on_done(values, None, info.get("replica_id"))
+            self._settle()
+            error = future.exception()
+            values, info = ((None, {}) if error is not None
+                            else future.result())
+            on_done(values, error, info.get("replica_id"))
 
         try:
             future = self._submit_with_retry(request.key, desc,

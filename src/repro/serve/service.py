@@ -33,14 +33,28 @@ Around the packer sits the production machinery:
   single decision point).  :meth:`SimdramService.hold` corks the
   queues so that a burst packs deterministically;
 * **failure isolation** — a request that fails validation fails its
-  own handle only; if a *packed* dispatch raises, the group is retried
-  sequentially so one poisoned request cannot corrupt co-packed
-  results;
+  own handle only; if a *packed* dispatch (or its packing) fails, the
+  group is retried one request at a time so one poisoned request
+  cannot corrupt co-packed results;
 * **warmup** — :meth:`SimdramService.warmup` precompiles a declared
   op manifest so the first real request never pays Steps 1+2;
 * **telemetry** — :meth:`SimdramService.stats` snapshots p50/p99
   latency, lanes-per-dispatch occupancy, packing efficiency and the
   paging layer's spill counters (:mod:`repro.serve.metrics`).
+
+**The target protocol.**  The service talks to every target through
+one asynchronous door — :class:`~repro.serve.router.ReplicaRouter`
+implements it, :class:`_InProcessTarget` answers it inline for a
+module or a cluster: ``lanes`` (one dispatch's capacity), ``backend``,
+``ready()`` (a dispatch sent now would start, not queue),
+``submit_pack(request, vectors, lanes, on_done)`` whose
+``on_done(values, error, replica_id)`` fires exactly once per call —
+inline or later from another thread — ``barrier()`` (every submitted
+pack has called back), ``program(op, width)`` (the µProgram the
+energy model prices), ``warm(op, width, engine)``, and the telemetry
+``kernel_cache_size()``, ``paging_stats()``, ``busy_ns()``.  Nothing
+checks it at run time; ``attach_metrics`` and ``replica_stats`` are
+used when a target has them.
 
 Typical use::
 
@@ -58,7 +72,6 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -112,7 +125,7 @@ class ServeConfig:
     #: A pack group flushes when its lanes reach this many; ``None``
     #: defaults to the target's total SIMD lane capacity.
     max_lanes: int | None = None
-    #: Admission bound: requests accepted but not yet resolved.
+    #: Admission bound (>= 1): requests accepted but not yet resolved.
     max_queue: int = 1024
     #: Retry a failed packed dispatch one request at a time, so a
     #: poisoned request fails alone instead of failing the pack.
@@ -227,77 +240,64 @@ class _RawRequest:
 
 
 # ---------------------------------------------------------------------------
-# dispatch targets: one tiny interface over module and cluster
+# dispatch targets (the protocol is in the module docstring)
 # ---------------------------------------------------------------------------
 class _InProcessTarget:
-    """What the module and cluster targets share: the worker thread
-    *is* the executor, so a dispatch runs to completion inside ``map``
-    and the target can always take the next; and the wrapped system
-    holds every kernel it runs, so ``program`` is a cache hit on any
-    kernel that has been warmed or dispatched."""
-
-    is_async = False
+    """A module or a cluster behind the target protocol.  The worker
+    thread *is* the executor: ``submit_pack`` runs the dispatch and
+    calls back inline, so the target is always ready; the system holds
+    every kernel it ran or warmed, so ``program`` is a cache hit."""
 
     def __init__(self, system) -> None:
         self.system = system
+        self.lanes: int = system.lanes
+        self.backend: str = system.config.backend
 
     def ready(self) -> bool:
         return True
 
-    @property
-    def backend(self) -> str:
-        return self.system.config.backend
+    def barrier(self, timeout: float | None = None) -> bool:
+        return True
 
     def map(self, op: "str | Expr", vectors: list[np.ndarray],
             width: int, engine: ExecutionEngine) -> np.ndarray:
+        # Looked up per call: a profiler wrapping ``Simdram.map`` or
+        # ``SimdramCluster.map`` sees every serve dispatch.
         return self.system.map(op, *vectors, width=width, engine=engine)
+
+    def submit_pack(self, request: PreparedRequest, vectors: list[np.ndarray],
+                    lanes: int, on_done) -> None:
+        values = error = None
+        try:
+            values = self.map(request.op, vectors, request.width,
+                              request.engine)
+        except BaseException as caught:  # noqa: BLE001 - via on_done
+            error = caught
+        # Outside the try: a callback that raises is the caller's
+        # failure, never reported back to it as a dispatch failure.
+        on_done(values, error, None)
+        if error is not None and not isinstance(error, Exception):
+            raise error  # KeyboardInterrupt & co. still stop the worker
 
     def program(self, op: "str | Expr", width: int) -> MicroProgram:
         return self.system.compile(op, width).program
-
-    def kernel_cache_size(self) -> int:
-        return self.system.kernel_cache_size
-
-
-class _ModuleTarget(_InProcessTarget):
-    """Serve on a single :class:`~repro.Simdram` module."""
-
-    is_cluster = False
-
-    @property
-    def lanes(self) -> int:
-        return self.system.module.lanes
-
-    def warm(self, op: "str | Expr", width: int,
-             engine: ExecutionEngine) -> None:
-        self.system.warm_executor(self.system.compile(op, width), engine)
-
-    def paging_stats(self) -> CommandStats:
-        return CommandStats()
-
-    def busy_ns(self) -> float | None:
-        return None
-
-
-class _ClusterTarget(_InProcessTarget):
-    """Serve on a :class:`~repro.SimdramCluster` (sharded dispatch
-    through the runtime's job scheduler, paging included)."""
-
-    is_cluster = True
-
-    @property
-    def lanes(self) -> int:
-        return self.system.lanes
 
     def warm(self, op: "str | Expr", width: int,
              engine: ExecutionEngine) -> None:
         self.system.warm(op, width, engine)
 
+    def kernel_cache_size(self) -> int:
+        return self.system.kernel_cache_size
+
+    # Only a cluster pages and models busy time; a module answers
+    # zero paging and ``None``.
     def paging_stats(self) -> CommandStats:
-        return self.system.paging_stats()
+        paging = getattr(self.system, "paging_stats", None)
+        return CommandStats() if paging is None else paging()
 
     def busy_ns(self) -> float | None:
-        return self.system.makespan_ns()
+        makespan = getattr(self.system, "makespan_ns", None)
+        return None if makespan is None else makespan()
 
 
 def _wrap_target(target):
@@ -305,13 +305,9 @@ def _wrap_target(target):
     from repro.runtime.cluster import SimdramCluster
     from repro.runtime.replica import ReplicaSet
     from repro.serve.router import ReplicaRouter
-    if isinstance(target, Simdram):
-        return _ModuleTarget(target)
-    if isinstance(target, SimdramCluster):
-        return _ClusterTarget(target)
+    if isinstance(target, (Simdram, SimdramCluster)):
+        return _InProcessTarget(target)
     if isinstance(target, ReplicaRouter):
-        # The router implements the dispatch-target protocol itself
-        # (asynchronously: submit_pack + callback + barrier).
         return target
     if isinstance(target, ReplicaSet):
         return ReplicaRouter(target)
@@ -331,14 +327,23 @@ class SimdramService:
                  tenants: dict[str, float] | None = None,
                  tracer: "Tracer | None" = None,
                  registry: "MetricsRegistry | None" = None) -> None:
+        # Everything that can reject the construction comes before the
+        # first registration in the process-global registry.
+        self.config = config or ServeConfig()
+        if self.config.max_queue < 1:
+            raise OperationError(
+                f"max_queue must be >= 1, got {self.config.max_queue}")
+        self._weights: dict[str, float] = dict(tenants or {})
+        for name, weight in self._weights.items():
+            self._check_weight(name, weight)
         self._target = _wrap_target(target)
         self.target = target
-        self.config = config or ServeConfig()
         #: Lanes one dispatch may carry before it must flush (also the
         #: occupancy denominator in the metrics).
         self.capacity = (self.config.max_lanes
                          if self.config.max_lanes is not None
                          else self._target.lanes)
+        self._packer = LanePacker(self.capacity, self.config.max_wait_s)
         self.metrics = ServeMetrics()
         #: Trace collection (process-global tracer unless injected).
         #: Disabled tracers cost one flag check per request.
@@ -371,13 +376,9 @@ class SimdramService:
         attach = getattr(self._target, "attach_metrics", None)
         if attach is not None:
             attach(self.metrics)
-        self._packer = LanePacker(self.capacity, self.config.max_wait_s)
 
         self._cond = threading.Condition()
         self._queues: dict[str, deque[_RawRequest]] = {}
-        self._weights: dict[str, float] = dict(tenants or {})
-        for name, weight in self._weights.items():
-            self._check_weight(name, weight)
         self._vtime: dict[str, float] = {}
         self._vfloor = 0.0
         #: Request ids accepted but not yet resolved — the
@@ -495,7 +496,7 @@ class SimdramService:
                             else engine)
         lanes = self._lane_estimate(op, operands, feeds)
         handle = ServeHandle(next(self._ids), tenant, lanes)
-        now = time.monotonic()
+        now = clock.now()
         slo_deadline = None if deadline_s is None else now + deadline_s
         handle.deadline = slo_deadline
         # One trace root per request; its serve.admit child stays open
@@ -513,8 +514,7 @@ class SimdramService:
                           submitted_at=now, lanes=lanes,
                           admit_span=admit_span, deadline=slo_deadline)
 
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
+        deadline = None if timeout is None else clock.now() + timeout
         with self._cond:
             while True:
                 if self._closing or self._closed:
@@ -529,7 +529,7 @@ class SimdramService:
                         f"queue full ({self.config.max_queue} "
                         f"requests waiting); retry later"))
                 remaining = (None if deadline is None
-                             else deadline - time.monotonic())
+                             else deadline - clock.now())
                 if remaining is not None and remaining <= 0:
                     self.metrics.record_reject(tenant)
                     raise self._reject(handle, admit_span, AdmissionError(
@@ -708,7 +708,7 @@ class SimdramService:
         on the dispatch or on the completion path.  Returns a summary
         dict.
         """
-        start = time.perf_counter()
+        start = clock.now()
         engine = get_engine(self.config.engine)
         kernels: list[list] = []
         for op, width in manifest:
@@ -722,7 +722,7 @@ class SimdramService:
             kernels.append([identity[0], width])
         return {"kernels": kernels,
                 "n_kernels": len(kernels),
-                "seconds": time.perf_counter() - start}
+                "seconds": clock.now() - start}
 
     # ------------------------------------------------------------------
     # telemetry
@@ -914,7 +914,7 @@ class SimdramService:
         if len(queue) == 1:
             return queue.popleft()
         inf = float("inf")
-        now = (None if self.config.shed_lapsed else time.monotonic())
+        now = None if self.config.shed_lapsed else clock.now()
         best_i = 0
         best_key = None
         for i, raw in enumerate(queue):
@@ -1007,11 +1007,10 @@ class SimdramService:
                 group, reason = flush
                 self.metrics.record_flush(reason)
                 self._dispatch(group)
-        if self._target.is_async:
-            # Replica dispatches resolve on router threads; close()
-            # promises every accepted request resolves before the
-            # worker is joined.
-            self._target.barrier()
+        # A target may resolve dispatches on its own threads; close()
+        # promises every accepted request resolves before the worker
+        # is joined.
+        self._target.barrier()
 
     def _next_flush(self, now: float, full: PackGroup | None = None
                     ) -> "tuple[PackGroup, str] | None":
@@ -1067,7 +1066,7 @@ class SimdramService:
         raw.admit_span.finish()  # queue wait ends here
         if (self.config.slo_aware and self.config.shed_lapsed
                 and raw.deadline is not None
-                and time.monotonic() >= raw.deadline):
+                and clock.now() >= raw.deadline):
             # Shed: the deadline lapsed in the queue; executing now
             # can only produce a late answer while displacing lanes
             # from requests that can still make theirs.
@@ -1099,87 +1098,96 @@ class SimdramService:
         return self._packer.add(request)
 
     # ------------------------------------------------------------------
-    # dispatch and scatter
+    # dispatch and scatter: one path, in callback form, for every target
     # ------------------------------------------------------------------
-    def _execute(self, request: PreparedRequest,
-                 vectors: list[np.ndarray]) -> np.ndarray:
-        return self._target.map(request.op, vectors, request.width,
-                                request.engine)
-
     def _dispatch(self, group: PackGroup) -> None:
-        """One shared wide dispatch; scatter slices to the handles.
-
-        A failing packed dispatch falls back to sequential per-request
-        execution (when configured), so only the genuinely poisoned
-        request fails its handle.  No exit path — not even a
-        ``KeyboardInterrupt`` mid-pack — may leave a co-packed handle
-        unresolved: a caller blocked on :meth:`ServeHandle.result`
-        would never wake.
-        """
-        if self._target.is_async:
-            self._dispatch_async(group)
-            return
+        """Hand one packed group to the target; its ``on_done`` (inline,
+        or from a router thread after any failover) scatters the slices
+        to the handles.  A failing pack or dispatch falls back to
+        per-request execution (when configured), so only the poisoned
+        request fails.  No exit path — not even a ``KeyboardInterrupt``
+        mid-pack — may leave a co-packed handle unresolved: a caller
+        blocked on :meth:`ServeHandle.result` would never wake."""
         requests = group.requests
         dispatch_span = self._open_dispatch(group)
         try:
-            packed, slices = group.pack()
+            try:
+                packed, slices = group.pack()
+            except Exception as error:  # noqa: BLE001 - retried alone
+                self._dispatch_failed(requests, dispatch_span, error)
+                return
+
+            def on_done(out, error, replica_id) -> None:
+                if error is not None:
+                    self._dispatch_failed(requests, dispatch_span, error)
+                    return
+                dispatch_span.finish()
+                self._scatter(requests, slices, out, dispatch_span,
+                              replica_id)
+
+            # Ambient during the dispatch: engine, router.place and
+            # replica.transport spans attach under the dispatch span.
             with use_span(dispatch_span):
-                out = self._execute(requests[0], packed)
-            dispatch_span.finish()
-            self._scatter(group, slices, out, dispatch_span)
+                self._target.submit_pack(requests[0], packed,
+                                         group.total_lanes, on_done)
         except BaseException as error:  # noqa: BLE001 - see docstring
             dispatch_span.finish(error)
-            self._graft_failure(requests, dispatch_span)
-            if (isinstance(error, Exception)
-                    and self.config.fallback_sequential
-                    and len(requests) > 1):
-                self.metrics.record_fallback()
-                self._dispatch_sequentially(requests)
-            else:
-                # Already-resolved handles are skipped (done() guard).
-                for request in requests:
-                    self._fail_request(request.handle, request.tenant,
-                                       error)
-                if not isinstance(error, Exception):
-                    raise
+            # Already-resolved handles are skipped (done() guard).
+            for request in requests:
+                self._fail_request(request.handle, request.tenant, error)
+            raise
 
-    def _scatter(self, group: PackGroup, slices, out: np.ndarray,
-                 dispatch_span, replica: int | None = None) -> None:
-        """Account one finished pack and resolve each of its requests
-        with its slice of the one result array (no copy per request)."""
-        self.metrics.record_dispatch(len(group.requests), group.total_lanes,
+    def _dispatch_failed(self, requests: list[PreparedRequest],
+                         dispatch_span, error: BaseException) -> None:
+        """Keep a failed shared attempt in every pending traced request
+        (next to whatever the fallback records), then retry each
+        request alone — or fail them all."""
+        dispatch_span.finish(error)
+        if dispatch_span.recording:
+            for request in requests:
+                if request.span.recording:
+                    request.span.adopt(dispatch_span.copy_tree())
+        if (isinstance(error, Exception)
+                and self.config.fallback_sequential
+                and len(requests) > 1):
+            self.metrics.record_fallback()
+            for request in requests:
+                self._dispatch_one(request)
+        else:
+            for request in requests:
+                self._fail_request(request.handle, request.tenant, error)
+
+    def _dispatch_one(self, request: PreparedRequest) -> None:
+        """Fallback unit: one request alone, so only a poisoned one fails."""
+        retry_span = (request.span.child("serve.dispatch", fallback=True)
+                      if request.span.recording else NOOP_SPAN)
+
+        def on_done(out, error, replica_id) -> None:
+            retry_span.finish(error)
+            if error is not None:
+                self._fail_request(request.handle, request.tenant, error)
+            else:
+                self._scatter([request], [(0, request.n_elements)], out,
+                              NOOP_SPAN, replica_id)
+
+        with use_span(retry_span):
+            self._target.submit_pack(request, request.vectors,
+                                     request.n_elements, on_done)
+
+    def _scatter(self, requests: list[PreparedRequest], slices, out,
+                 dispatch_span, replica: int | None) -> None:
+        """Account one finished dispatch and resolve each of its
+        requests with its ``[lo, hi)`` slice of the one result array
+        (no copy per request)."""
+        self.metrics.record_dispatch(len(requests), slices[-1][1],
                                      self.capacity, replica=replica)
-        for request, (lo, hi) in zip(group.requests, slices):
+        for request, (lo, hi) in zip(requests, slices):
             if request.span.recording:
                 if dispatch_span.recording:
                     request.span.adopt(dispatch_span.copy_tree())
                 request.span.child("serve.scatter", lo=lo, hi=hi).finish()
             self._finish_request(request, out[lo:hi])
 
-    def _dispatch_sequentially(self,
-                               requests: list[PreparedRequest]) -> None:
-        for request in requests:
-            retry_span = (request.span.child("serve.dispatch",
-                                             fallback=True)
-                          if request.span.recording else NOOP_SPAN)
-            try:
-                with use_span(retry_span):
-                    out = self._execute(request, request.vectors)
-            except Exception as error:  # noqa: BLE001
-                retry_span.finish(error)
-                self._fail_request(request.handle, request.tenant,
-                                   error)
-            else:
-                retry_span.finish()
-                self.metrics.record_dispatch(1, request.n_elements,
-                                             self.capacity)
-                if request.span.recording:
-                    request.span.child("serve.scatter").finish()
-                self._finish_request(request, out)
-
-    # ------------------------------------------------------------------
-    # trace plumbing around dispatch
-    # ------------------------------------------------------------------
     def _open_dispatch(self, group: PackGroup):
         """Close the group's pack spans and open one *detached*
         ``serve.dispatch`` span shared by every request in the group.
@@ -1202,90 +1210,11 @@ class SimdramService:
             "serve.dispatch", kernel=key[0][0], engine=key[1],
             n_requests=len(requests), lanes=group.total_lanes)
 
-    def _graft_failure(self, requests: list[PreparedRequest],
-                       dispatch_span) -> None:
-        """Preserve a *failed* shared dispatch in every still-pending
-        traced request, so post-mortems see the failed attempt next to
-        whatever the fallback recorded."""
-        if not dispatch_span.recording:
-            return
-        for request in requests:
-            if (request.span.recording
-                    and not request.handle._future.done()):
-                request.span.adopt(dispatch_span.copy_tree())
-
-    # ------------------------------------------------------------------
-    # asynchronous dispatch (replica-router targets)
-    # ------------------------------------------------------------------
-    def _dispatch_async(self, group: PackGroup) -> None:
-        """Hand one packed group to the async target and return; the
-        target's completion callback — fired from a router/replica
-        thread, possibly after a transparent failover — scatters the
-        slices.  Handle-resolution helpers are already thread-safe."""
-        requests = group.requests
-        dispatch_span = self._open_dispatch(group)
-        try:
-            packed, slices = group.pack()
-        except Exception as error:  # noqa: BLE001 - fails the group only
-            dispatch_span.finish(error)
-            self._graft_failure(requests, dispatch_span)
-            for request in requests:
-                self._fail_request(request.handle, request.tenant,
-                                   error)
-            return
-
-        def on_done(out, error, replica_id) -> None:
-            dispatch_span.finish(error)
-            if error is not None:
-                self._graft_failure(requests, dispatch_span)
-                if (isinstance(error, Exception)
-                        and self.config.fallback_sequential
-                        and len(requests) > 1):
-                    self.metrics.record_fallback()
-                    for request in requests:
-                        self._submit_single_async(request)
-                else:
-                    for request in requests:
-                        self._fail_request(request.handle,
-                                           request.tenant, error)
-                return
-            self._scatter(group, slices, out, dispatch_span, replica_id)
-
-        # Ambient during placement/transport: router.place and
-        # replica.transport spans attach under the dispatch span.
-        with use_span(dispatch_span):
-            self._target.submit_pack(requests[0], packed,
-                                     group.total_lanes, on_done)
-
-    def _submit_single_async(self, request: PreparedRequest) -> None:
-        """Sequential-fallback unit: one request, alone, so a poisoned
-        request fails its own handle and the rest still complete."""
-        retry_span = (request.span.child("serve.dispatch",
-                                         fallback=True)
-                      if request.span.recording else NOOP_SPAN)
-
-        def on_done(out, error, replica_id) -> None:
-            retry_span.finish(error)
-            if error is not None:
-                self._fail_request(request.handle, request.tenant,
-                                   error)
-                return
-            self.metrics.record_dispatch(
-                1, request.n_elements, self.capacity,
-                replica=replica_id)
-            if request.span.recording:
-                request.span.child("serve.scatter").finish()
-            self._finish_request(request, out)
-
-        with use_span(retry_span):
-            self._target.submit_pack(request, request.vectors,
-                                     request.n_elements, on_done)
-
     def _finish_request(self, request: PreparedRequest,
                         values: np.ndarray) -> None:
         if request.handle._future.done():
             return
-        now = time.monotonic()
+        now = clock.now()
         on_time = (None if request.deadline is None
                    else now <= request.deadline)
         # The target prices the kernel it ran: in-process targets hold

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-import time
 from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -58,6 +57,7 @@ import numpy as np
 from repro.core import expr
 from repro.core.expr import Expr
 from repro.errors import DeadlineExceeded, OperationError
+from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.tracing import NOOP_SPAN
 
@@ -202,7 +202,7 @@ class StreamingServer:
         if missing:
             raise OperationError(
                 f"step kernel leaves {sorted(missing)} have no feed")
-        now = time.monotonic()
+        now = clock.now()
         deadline = None if deadline_s is None else now + deadline_s
         stream = StreamHandle(next(self._ids), tenant, step, x0,
                               n_steps, feeds, width, deadline)
@@ -331,7 +331,7 @@ class StreamingServer:
         failed) and returns ``False`` when nothing was submitted."""
         remaining = None
         if stream.deadline is not None:
-            remaining = stream.deadline - time.monotonic()
+            remaining = stream.deadline - clock.now()
             if remaining <= 0:
                 self._resolve(stream, error=DeadlineExceeded(
                     f"stream #{stream.stream_id} shed at step "
@@ -365,7 +365,7 @@ class StreamingServer:
             return
         if stream.deadline is not None:
             stream.on_time = (error is None
-                              and time.monotonic() <= stream.deadline)
+                              and clock.now() <= stream.deadline)
         if error is not None:
             stream._future.set_exception(error)
             stream.span.finish(error)

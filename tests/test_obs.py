@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,24 @@ class TestClock:
 
     def test_wall_is_epoch_seconds(self):
         assert abs(clock.wall() - time.time()) < 5.0
+
+    def test_library_reads_time_only_through_the_clock(self):
+        """The ruff TID251 ban, enforced where ruff is not installed:
+        no raw ``time.time(``/``time.monotonic(``/``time.perf_counter(``
+        call under ``src/repro`` outside ``obs/clock.py``'s noqa'd
+        source lines (backticked mentions in prose are fine)."""
+        pattern = re.compile(
+            r"(?<!`)time\.(time|monotonic|perf_counter)\(")
+        root = Path(clock.__file__).resolve().parents[1]
+        offenders = [
+            f"{path.relative_to(root)}:{number}: {line.strip()}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+            and not (path.name == "clock.py"
+                     and "noqa: TID251" in line)]
+        assert offenders == []
 
 
 class TestSpan:

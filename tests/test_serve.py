@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from repro.core.fuse import kernel_identity
 from repro.core.operations import get_operation
 from repro.dram.geometry import DramGeometry
 from repro.errors import AdmissionError, OperationError
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import SimdramCluster
 from repro.serve import ServeConfig, SimdramService
-from repro.serve.batcher import LanePacker, prepare
+from repro.serve.batcher import LanePacker, PackGroup, prepare
 from repro.serve.metrics import ServeMetrics, percentile
+from repro.serve.router import ReplicaRouter
+from repro.serve.service import _InProcessTarget
 
 WIDTHS = (4, 8, 16)
 
@@ -293,14 +297,51 @@ class TestServeDifferential:
 # ---------------------------------------------------------------------------
 # failure isolation beyond prepare: the sequential fallback
 # ---------------------------------------------------------------------------
+#: The kinds of target the one dispatch path must serve alike: completion
+#: inline on the worker (a module, a cluster) or deferred to another
+#: thread (a hand-driven target, the way a replica router completes).
+TARGETS = ("module", "cluster", "deferred")
+
+
+@contextlib.contextmanager
+def _serving(kind: str, config: ServeConfig | None = None):
+    """A service on one kind of :data:`TARGETS`; yields it with the
+    in-process adapter whose ``map`` a test may patch.  A ``deferred``
+    target is completed by a pump thread, one pack at a time."""
+    system = (SimdramCluster(2, config=small_config(), seed=2)
+              if kind == "cluster" else Simdram(small_config(), seed=2))
+    service = SimdramService(system, config)
+    adapter = service._target
+    stop = threading.Event()
+    pump = None
+    if kind == "deferred":
+        target = service._target = _HandDrivenTarget(adapter)
+
+        def complete_packs() -> None:
+            while not stop.is_set():
+                if target.accepted.acquire(timeout=0.01):
+                    target.complete_one()
+
+        pump = threading.Thread(target=complete_packs)
+        pump.start()
+    try:
+        yield service, adapter
+    finally:
+        service.close()
+        stop.set()
+        if pump is not None:
+            pump.join(60)
+        if kind == "cluster":
+            system.close()
+
+
 class TestSequentialFallback:
-    def test_packed_failure_retries_per_request(self):
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_packed_failure_retries_per_request(self, kind):
         """A packed dispatch that raises falls back to per-request
         execution: only the poisoned request fails its handle."""
-        sim = Simdram(small_config(), seed=2)
-        with SimdramService(sim) as service:
-            target = service._target
-            real_map = target.map
+        with _serving(kind) as (service, adapter):
+            real_map = adapter.map
             poison_n = 3   # the only request with 3 lanes
 
             def flaky_map(op_name, vectors, width, engine):
@@ -308,7 +349,7 @@ class TestSequentialFallback:
                     raise OperationError("injected device fault")
                 return real_map(op_name, vectors, width, engine)
 
-            target.map = flaky_map
+            adapter.map = flaky_map
             with service.hold():   # all three in one pack
                 good_a = service.submit("add", [1], [2], width=8)
                 bad = service.submit("add", [1, 2, 3], [4, 5, 6],
@@ -325,6 +366,24 @@ class TestSequentialFallback:
             assert stats["packing"]["sequential_fallbacks"] == 1
             assert stats["requests"]["failed"] == 1
             assert stats["requests"]["completed"] == 2
+
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_pack_failure_retries_per_request(self, kind, monkeypatch):
+        """A group whose *packing* raises goes out one request at a
+        time, like a failed dispatch — every handle still completes."""
+        def broken_pack(group):
+            raise ValueError("injected pack fault")
+
+        monkeypatch.setattr(PackGroup, "pack", broken_pack)
+        with _serving(kind) as (service, _):
+            with service.hold():
+                handles = [service.submit("add", [i], [1], width=8)
+                           for i in range(3)]
+            for i, handle in enumerate(handles):
+                assert np.array_equal(handle.result(60), [i + 1])
+            packing = service.stats()["packing"]
+            assert packing["sequential_fallbacks"] == 1
+            assert packing["dispatches"] == 3
 
     def test_worker_crash_fails_pending_handles(self, monkeypatch):
         """An unexpected batcher failure must fail pending handles
@@ -350,17 +409,39 @@ class TestSequentialFallback:
         assert crash.thread is service._worker
         assert "batcher bug" in str(crash.exc_value)
 
-    def test_fallback_disabled_fails_whole_group(self):
-        sim = Simdram(small_config(), seed=2)
-        with SimdramService(
-                sim,
-                ServeConfig(fallback_sequential=False)) as service:
-            target = service._target
+    def test_interrupt_resolves_co_packed_handles(self, monkeypatch):
+        """A ``KeyboardInterrupt`` inside an in-process dispatch fails
+        every co-packed handle (no caller is left blocked) and still
+        stops the worker through its crash guard."""
+        surfaced = []
+        monkeypatch.setattr(threading, "excepthook", surfaced.append)
+        service = SimdramService(Simdram(small_config(), seed=2))
+        try:
+            def interrupted_map(*args):
+                raise KeyboardInterrupt
 
+            service._target.map = interrupted_map
+            with service.hold():
+                handles = [service.submit("add", [i], [1], width=8)
+                           for i in range(3)]
+            for handle in handles:
+                assert isinstance(handle.exception(60), KeyboardInterrupt)
+            service.flush()   # must not hang on a dead worker
+        finally:
+            service.close()
+        (crash,) = surfaced
+        assert crash.thread is service._worker
+        assert crash.exc_type is KeyboardInterrupt
+        assert service.stats()["requests"]["failed"] == 3
+
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_fallback_disabled_fails_whole_group(self, kind):
+        with _serving(kind, ServeConfig(fallback_sequential=False)) as (
+                service, adapter):
             def broken_map(op_name, vectors, width, engine):
                 raise OperationError("device down")
 
-            target.map = broken_map
+            adapter.map = broken_map
             with service.hold():
                 handles = [service.submit("add", [i], [i], width=8)
                            for i in range(3)]
@@ -369,6 +450,81 @@ class TestSequentialFallback:
             for handle in handles:
                 with pytest.raises(OperationError, match="device down"):
                     handle.result(60)
+
+
+# ---------------------------------------------------------------------------
+# the target protocol: on_done fires exactly once per submit_pack
+# ---------------------------------------------------------------------------
+class _FutureReplicas:
+    """A replica set with no processes: each submit hands back a
+    future the test resolves."""
+
+    lanes = 64
+    backend = "simdram"
+
+    def __init__(self) -> None:
+        self.futures: list[Future] = []
+
+    def set_death_handler(self, handler) -> None:
+        pass
+
+    def alive_ids(self) -> list[int]:
+        return [0]
+
+    def n_inflight(self, replica_id: int) -> int:
+        return 0
+
+    def submit(self, replica_id, desc, vectors, lanes) -> Future:
+        self.futures.append(Future())
+        return self.futures[-1]
+
+
+class TestTargetProtocol:
+    @pytest.mark.parametrize("outcome",
+                             ("values", "error", "callback raises"))
+    @pytest.mark.parametrize("kind", ("in-process", "router"))
+    def test_on_done_fires_exactly_once(self, kind, outcome):
+        """With the values, with the dispatch's error, and when the
+        callback itself raises — which is the caller's failure, never
+        reported back to it as a second, failed completion."""
+        request = prepare(_DummyHandle(), "add", ([1, 2], [3, 4]), None,
+                          8, "t", "auto", "simdram", 0.0)
+        fault = OperationError("device down")
+        calls = []
+
+        def on_done(values, error, replica_id) -> None:
+            calls.append((values, error))
+            if outcome == "callback raises":
+                raise RuntimeError("callback bug")
+
+        if kind == "in-process":
+            target = _InProcessTarget(Simdram(small_config(), seed=1))
+            if outcome == "error":
+                def broken_map(*args):
+                    raise fault
+
+                target.map = broken_map
+            raises = (pytest.raises(RuntimeError, match="callback bug")
+                      if outcome == "callback raises"
+                      else contextlib.nullcontext())
+            with raises:
+                target.submit_pack(request, request.vectors, 2, on_done)
+        else:
+            replicas = _FutureReplicas()
+            target = ReplicaRouter(replicas)
+            target.submit_pack(request, request.vectors, 2, on_done)
+            assert calls == []            # deferred to the completion
+            (future,) = replicas.futures
+            if outcome == "error":
+                future.set_exception(fault)
+            else:
+                future.set_result((np.array([4, 6]), {"replica_id": 0}))
+        ((values, error),) = calls
+        if outcome == "error":
+            assert values is None and error is fault
+        else:
+            assert error is None and np.array_equal(values, [4, 6])
+        assert target.barrier(0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +577,26 @@ class TestAdmission:
             finally:
                 release.set()
             assert np.array_equal(first.result(60), [3])
+
+    @pytest.mark.parametrize("config", (ServeConfig(max_wait_s=-1),
+                                        ServeConfig(max_lanes=0)),
+                             ids=("max_wait_s", "max_lanes"))
+    def test_rejected_construction_registers_nothing(self, config):
+        """A construction the config rejects leaves no half-built
+        service in the registry (whose every later scrape would report
+        a collector error)."""
+        registry = MetricsRegistry()
+        with pytest.raises(OperationError):
+            SimdramService(Simdram(small_config(), seed=1), config,
+                           registry=registry)
+        assert registry.collect() == []
+
+    def test_max_queue_below_one_rejected(self):
+        """A zero-slot admission queue refuses every submit — and a
+        default blocking submit would wait forever."""
+        with pytest.raises(OperationError, match="max_queue"):
+            SimdramService(Simdram(small_config(), seed=1),
+                           ServeConfig(max_queue=0))
 
     def test_submit_after_close_rejected(self):
         sim = Simdram(small_config(), seed=1)
@@ -549,14 +725,12 @@ def _count_resolutions(handles) -> list[int]:
 
 
 class _HandDrivenTarget:
-    """An asynchronous dispatch target the test completes by hand.
+    """A dispatch target the test completes by hand.
 
     Takes one pack at a time (``ready()`` is false while one is
     outstanding); :meth:`complete_one` runs the oldest outstanding pack
-    on the wrapped in-process target and fires its callback from the
-    calling thread, the way a router thread would."""
-
-    is_async = True
+    on the wrapped in-process target, whose callback then fires from
+    the calling thread, the way a router thread's would."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -573,14 +747,11 @@ class _HandDrivenTarget:
         return not self._packs
 
     def submit_pack(self, request, vectors, lanes, on_done) -> None:
-        self._packs.append((request, vectors, on_done))
+        self._packs.append((request, vectors, lanes, on_done))
         self.accepted.release()
 
     def complete_one(self) -> None:
-        request, vectors, on_done = self._packs.pop(0)
-        out = self._inner.map(request.op, vectors,
-                              request.width, request.engine)
-        on_done(out, None, None)
+        self._inner.submit_pack(*self._packs.pop(0))
         with self._idle:
             self._idle.notify_all()
 
