@@ -16,7 +16,7 @@ per-request time:
   per-request tax to stay under ``--max-off-overhead`` (default 2%).
 * **enabled** — full recording.  A microbenchmark replays the exact
   span work one traced request performs end to end (root + stage
-  children, the detached dispatch subtree, the ``copy_tree`` graft,
+  children, the detached dispatch subtree, its adoption by reference,
   buffered finish) and requires it under ``--max-on-overhead``
   (default 10%) of the per-request time.
 * **always-on PMU + flight recorder** — these two cannot be turned
@@ -120,8 +120,8 @@ def time_noop_site() -> float:
 def time_traced_request() -> float:
     """Seconds of span work one fully-traced request adds: the root
     and its stage children, the shared dispatch subtree recorded under
-    ``use_span``, the per-request ``copy_tree`` graft, and the
-    buffered root finish — the same operations the service performs
+    ``use_span``, the request's adoption of that subtree (by reference,
+    as the service does), and the buffered root finish — the same operations the service performs
     per request when tracing is on."""
     tracer = Tracer(enabled=True, max_traces=256)
 
@@ -141,7 +141,7 @@ def time_traced_request() -> float:
                               width=GATE_WIDTH, engine="v"):
                         pass
             dispatch.finish()
-            root.adopt(dispatch.copy_tree())
+            root.adopt(dispatch)
             root.child("serve.scatter", lo=0,
                        hi=LANES_PER_REQUEST).finish()
             root.finish()

@@ -15,8 +15,9 @@ twice:
 
 * **packed** — the default lane-packing batcher; the pack group fills
   at 64 lanes and goes out as one wide dispatch;
-* **unpacked baseline** — ``ServeConfig(pack=False)``: every request
-  dispatches alone, the pre-serving execution model.
+* **unpacked baseline** — ``ServeConfig(max_lanes=1)``: a pack group
+  is full at one lane, so every request dispatches alone, the
+  pre-serving execution model.
 
 Both modes verify every request's result and report the *modeled*
 makespan (simulated DRAM command latency plus channel I/O, the same
@@ -80,7 +81,7 @@ def serve_requests(pack: bool) -> dict:
                 for _ in range(N_REQUESTS)]
 
     with SimdramCluster(1, config=module_config()) as cluster:
-        config = ServeConfig(pack=pack)
+        config = ServeConfig() if pack else ServeConfig(max_lanes=1)
         with SimdramService(cluster, config=config) as service:
             service.warmup([(GATE_OP, GATE_WIDTH)])
             start = time.perf_counter()

@@ -1,33 +1,39 @@
 #!/usr/bin/env python
-"""CI benchmark: SLO-aware admission and continuous batching.
+"""CI benchmark: deadline admission and continuous batching.
 
 Two regression gates over the streaming/SLO serving layer, published
-as the ``"slo"`` section of ``bench_ci.json``:
+as the ``"slo"`` section of ``bench_ci.json``.  Each baseline lives
+here, in the benchmark that measures it; the library has one policy.
 
-1. **SLO-aware admission vs FIFO under 2x overload.**  A single-lane
+1. **Deadline admission vs FIFO under 2x overload.**  A single-lane
    request stream carrying staggered deadlines is drowned in twice as
    many already-lapsed requests (offered load ~3x what deadlines
-   allow).  FIFO admission (``slo_aware=False``) burns dispatches on
-   requests that can only finish late; SLO-aware admission
-   (``slo_aware=True``) sheds lapsed requests at the queue head and
-   serves the live ones earliest-deadline-first.  The gate requires
-   the SLO-aware goodput (completions-within-deadline per second,
-   straight from ``ServeMetrics``) to reach ``--min-goodput-ratio``
-   (default 1.5x) the FIFO goodput.  p99-under-load and modeled
-   joules-per-request are reported for both modes.
+   allow).  The FIFO baseline submits the very same requests *without*
+   ``deadline_s``, so the service serves them in arrival order and
+   burns dispatches on requests that can only finish late; with the
+   deadlines attached the service sheds lapsed requests at the queue
+   head and serves the live ones earliest-deadline-first.  Both runs
+   judge the live requests with the same code: a request is on time
+   when its done callback fires, successfully, before the deadline
+   this benchmark gave it.  The gate requires the goodput with
+   deadlines (on-time completions per second) to reach
+   ``--min-goodput-ratio`` (default 1.5x) the FIFO goodput.
+   p99-under-load and modeled joules-per-request are reported for both.
 
-2. **Continuous batching vs drain-between-steps.**  Two waves of
+2. **Continuous batching vs lockstep generations.**  Two waves of
    multi-step streams (shared step kernel, so steps lane-pack across
    streams *and* step indices) arrive staggered: the second wave is
    submitted while the first is mid-sequence (each wave under
    ``server.hold()``, so its first steps share one dispatch on every
-   run).  Continuous batching lets the late wave run between — and,
-   whenever both wait at once, inside — the in-flight wave's packs
-   (8 to 12 dispatches); the drain baseline holds it until the
-   earlier generations fully finish (18 dispatches).  The gate
-   requires the continuous mode's modeled throughput (sequences per
-   simulated second) to reach ``--min-batching-ratio`` (default 1.3x)
-   the drain baseline's.
+   run).  Continuous batching (:class:`StreamingServer`) lets the late
+   wave run between — and, whenever both wait at once, inside — the
+   in-flight wave's packs (8 to 12 dispatches).  The lockstep baseline
+   is driven from here, generation by generation, one
+   ``service.submit`` per stream per step: a generation runs every
+   step before the streams that arrived meanwhile start (18
+   dispatches).  The gate requires the continuous mode's modeled
+   throughput (sequences per simulated second) to reach
+   ``--min-batching-ratio`` (default 1.3x) the lockstep baseline's.
 
 Deadlines are derived from a measured per-dispatch calibration, not
 wall-clock constants, so the gate is stable across machine speeds.
@@ -87,7 +93,7 @@ def module_config() -> SimdramConfig:
 
 
 # ---------------------------------------------------------------------------
-# gate 1: SLO-aware admission vs FIFO under overload
+# gate 1: deadline admission vs FIFO under overload
 # ---------------------------------------------------------------------------
 def _calibrate_dispatch_s(service: SimdramService,
                           n: int = 6) -> float:
@@ -104,54 +110,65 @@ def _calibrate_dispatch_s(service: SimdramService,
     return max((time.perf_counter() - start) / n, 2e-4)
 
 
-def serve_overload(slo_aware: bool, dispatch_s: float,
+def serve_overload(deadlines: bool, dispatch_s: float,
                    cluster) -> dict:
-    """One overloaded run; returns goodput/p99/energy measurements."""
-    config = ServeConfig(pack=False, max_wait_s=0.001,
-                         slo_aware=slo_aware)
+    """One overloaded run, one dispatch per request; the requests carry
+    their deadlines to the service only when ``deadlines`` is set."""
+    config = ServeConfig(max_lanes=1, max_wait_s=0.001)
     rng = np.random.default_rng(47)
+    done_at: dict[int, float] = {}
+
+    def stamp(handle) -> None:
+        done_at[handle.request_id] = time.monotonic()
+
     with SimdramService(cluster, config=config) as service:
         service.warmup([(GATE_OP, GATE_WIDTH)])
-        service.metrics.reset()  # goodput clock starts here
+        service.metrics.reset()
+        start = time.monotonic()
         live = []
         # Anti-EDF submission order (most generous deadline first),
         # each live request preceded by two lapsed ones — FIFO serves
-        # in exactly this order, SLO-aware re-sorts and sheds.
+        # in exactly this order, EDF re-sorts and sheds.
         for k in range(N_LIVE):
             rank = N_LIVE - 1 - k
             for _ in range(2):
                 a = rng.integers(0, 256, 1)
                 service.submit(GATE_OP, a, a, width=GATE_WIDTH,
-                               deadline_s=0.0)
+                               deadline_s=0.0 if deadlines else None)
             deadline_s = ((rank + DEADLINE_BASE) * DEADLINE_MARGIN
                           * dispatch_s)
             a = rng.integers(0, 256, 1)
             b = rng.integers(0, 256, 1)
-            live.append((a, b, service.submit(
+            deadline = time.monotonic() + deadline_s
+            handle = service.submit(
                 GATE_OP, a, b, width=GATE_WIDTH,
-                deadline_s=deadline_s)))
+                deadline_s=deadline_s if deadlines else None)
+            handle.add_done_callback(stamp)
+            live.append((a, b, deadline, handle))
         service.drain()
-        n_correct = 0
-        n_live_shed = 0
-        for a, b, handle in live:
+        elapsed_s = time.monotonic() - start
+        n_correct = n_on_time = n_live_shed = 0
+        for a, b, deadline, handle in live:
             try:
                 n_correct += bool(np.array_equal(
                     handle.result(60), (a + b) % 256))
             except DeadlineExceeded:
                 n_live_shed += 1
+                continue
+            n_on_time += done_at[handle.request_id] <= deadline
         stats = service.stats()
 
-    mode = "slo_aware" if slo_aware else "fifo"
+    mode = "deadline" if deadlines else "fifo"
     entry = {
         "mode": mode,
         "live_requests": N_LIVE,
         "overload_requests": N_OVERLOAD,
         "correct": n_correct,
         "live_shed": n_live_shed,
-        "on_time": stats["slo"]["on_time"],
-        "late": stats["slo"]["late"],
-        "shed": stats["slo"]["shed"],
-        "goodput_rps": stats["slo"]["goodput_rps"],
+        "on_time": n_on_time,
+        "late": n_correct - n_on_time,
+        "shed": stats["requests"]["shed"],
+        "goodput_rps": n_on_time / elapsed_s,
         "latency_p99_ms": stats["latency_ms"]["p99"],
         "joules_per_request":
             stats["energy"]["nj_per_request_mean"] * 1e-9,
@@ -165,9 +182,58 @@ def serve_overload(slo_aware: bool, dispatch_s: float,
 
 
 # ---------------------------------------------------------------------------
-# gate 2: continuous batching vs drain-between-steps
+# gate 2: continuous batching vs lockstep generations
 # ---------------------------------------------------------------------------
-def serve_streams(drain_between_steps: bool) -> dict:
+def _continuous(service: SimdramService, step, weights,
+                inputs: list) -> list:
+    """Both waves through a :class:`StreamingServer`; final outputs."""
+    with StreamingServer(service) as server:
+        def start(wave) -> list:
+            # Each wave arrives as one corked batch, so its first
+            # steps pack the same way every run (hold(), not a timer).
+            with server.hold():
+                return [server.submit(step, x0, n_steps=N_STEPS,
+                                      width=GATE_WIDTH,
+                                      feeds={"w": weights},
+                                      deadline_s=60.0)
+                        for x0 in wave]
+
+        wave1 = start(inputs[:N_STREAMS_PER_WAVE])
+        # The second wave arrives mid-sequence: continuous batching
+        # lets it join wave 1's remaining steps.
+        deadline = time.monotonic() + 60.0
+        while (any(s.steps_done < 2 for s in wave1)
+               and time.monotonic() < deadline):
+            time.sleep(0.0005)
+        streams = wave1 + start(inputs[N_STREAMS_PER_WAVE:])
+        return [stream.result(120) for stream in streams]
+
+
+def _lockstep(service: SimdramService, step, weights,
+              inputs: list) -> list:
+    """The lockstep baseline, driven from here: a generation runs all
+    its steps, one ``service.submit`` per stream per step (each step
+    corked, so it is one dispatch), before the next generation starts.
+    The generations are the ones a lockstep server forms from these
+    arrivals: wave 1's first stream finds the server idle and starts
+    alone, the rest of wave 1 waits for it, and wave 2 — arriving
+    while they are mid-sequence — waits for them."""
+    first, rest = inputs[:N_STREAMS_PER_WAVE], inputs[N_STREAMS_PER_WAVE:]
+    outputs = []
+    for generation in (first[:1], first[1:], rest):
+        xs = list(generation)
+        for _ in range(N_STEPS):
+            with service.hold():
+                handles = [service.submit(step, feeds={"x": x,
+                                                       "w": weights},
+                                          width=GATE_WIDTH)
+                           for x in xs]
+            xs = [handle.result(120) for handle in handles]
+        outputs += xs
+    return outputs
+
+
+def serve_streams(continuous: bool) -> dict:
     """Two staggered waves of shared-kernel streams; modeled makespan."""
     step = affine_relu_step(1)
     weights = np.ones(STREAM_LANES, dtype=np.int64)
@@ -176,43 +242,18 @@ def serve_streams(drain_between_steps: bool) -> dict:
               for _ in range(2 * N_STREAMS_PER_WAVE)]
 
     with SimdramCluster(1, config=module_config()) as cluster:
-        with SimdramService(cluster) as service, \
-                StreamingServer(
-                    service,
-                    drain_between_steps=drain_between_steps) as server:
+        with SimdramService(cluster) as service:
             service.warmup([(step, GATE_WIDTH)])
-
-            def start(x0):
-                return server.submit(step, x0, n_steps=N_STEPS,
-                                     width=GATE_WIDTH,
-                                     feeds={"w": weights},
-                                     deadline_s=60.0)
-
-            # Each wave arrives as one corked batch, so its first
-            # steps pack the same way every run (hold(), not a timer).
-            with server.hold():
-                wave1 = [start(x) for x in
-                         inputs[:N_STREAMS_PER_WAVE]]
-            # The second wave arrives mid-sequence: continuous
-            # batching lets it join wave 1's remaining steps.
-            deadline = time.monotonic() + 60.0
-            while (any(s.steps_done < 2 for s in wave1)
-                   and time.monotonic() < deadline):
-                time.sleep(0.0005)
-            with server.hold():
-                wave2 = [start(x) for x in
-                         inputs[N_STREAMS_PER_WAVE:]]
-            streams = wave1 + wave2
+            drive = _continuous if continuous else _lockstep
+            outputs = drive(service, step, weights, inputs)
             n_correct = sum(
-                bool(np.array_equal(
-                    stream.result(120),
-                    stream_golden(step, x0, N_STEPS, {"w": weights},
-                                  GATE_WIDTH)))
-                for stream, x0 in zip(streams, inputs))
+                bool(np.array_equal(out, stream_golden(
+                    step, x0, N_STEPS, {"w": weights}, GATE_WIDTH)))
+                for out, x0 in zip(outputs, inputs))
             stats = service.stats()
             makespan_ns = cluster.makespan_ns()
 
-    mode = "drain" if drain_between_steps else "continuous"
+    mode = "continuous" if continuous else "lockstep"
     n_streams = len(inputs)
     entry = {
         "mode": mode,
@@ -224,7 +265,6 @@ def serve_streams(drain_between_steps: bool) -> dict:
         "makespan_ns": makespan_ns,
         # Modeled throughput: sequences per simulated millisecond.
         "streams_per_ms": n_streams / (makespan_ns / 1e6),
-        "on_time": stats["slo"]["on_time"],
         "joules_per_request":
             stats["energy"]["nj_per_request_mean"] * 1e-9,
     }
@@ -241,52 +281,52 @@ def run_gate(min_goodput_ratio: float = 1.5,
     """Run both scenarios; returns the section for bench_ci.json."""
     with SimdramCluster(1, config=module_config()) as cluster:
         with SimdramService(cluster,
-                            ServeConfig(pack=False)) as service:
+                            ServeConfig(max_lanes=1)) as service:
             service.warmup([(GATE_OP, GATE_WIDTH)])
             dispatch_s = _calibrate_dispatch_s(service)
         print(f"calibrated dispatch: {dispatch_s * 1e3:.2f} ms")
         fifo = serve_overload(False, dispatch_s, cluster)
-        slo = serve_overload(True, dispatch_s, cluster)
+        edf = serve_overload(True, dispatch_s, cluster)
 
-    continuous = serve_streams(drain_between_steps=False)
-    drain = serve_streams(drain_between_steps=True)
+    continuous = serve_streams(continuous=True)
+    lockstep = serve_streams(continuous=False)
 
-    goodput_ratio = (slo["goodput_rps"]
+    goodput_ratio = (edf["goodput_rps"]
                      / max(fifo["goodput_rps"], 1e-9))
     batching_ratio = (continuous["streams_per_ms"]
-                      / max(drain["streams_per_ms"], 1e-9))
-    # FIFO never sheds (every live request completes, correct);
-    # SLO-aware may shed a live straggler, which is accounted, not
+                      / max(lockstep["streams_per_ms"], 1e-9))
+    # FIFO never sheds (every live request completes, correct); with
+    # deadlines a live straggler may be shed, which is accounted, not
     # wrong — but every *executed* result must be bit-exact.
     correct = (fifo["correct"] == N_LIVE
-               and slo["correct"] + slo["live_shed"] == N_LIVE
+               and edf["correct"] + edf["live_shed"] == N_LIVE
                and continuous["correct"] == continuous["streams"]
-               and drain["correct"] == drain["streams"])
+               and lockstep["correct"] == lockstep["streams"])
     gate_pass = (goodput_ratio >= min_goodput_ratio
                  and batching_ratio >= min_batching_ratio
                  and correct)
     return {
         "kernel": GATE_OP,
         "element_width": GATE_WIDTH,
-        "admission": {"fifo": fifo, "slo_aware": slo},
-        "streaming": {"continuous": continuous, "drain": drain},
+        "admission": {"fifo": fifo, "deadline": edf},
+        "streaming": {"continuous": continuous, "lockstep": lockstep},
         "gate": {
             "kernel": GATE_OP,
             "required_goodput_ratio": min_goodput_ratio,
             "measured_goodput_ratio": goodput_ratio,
             "required_batching_ratio": min_batching_ratio,
             "measured_batching_ratio": batching_ratio,
-            "goodput_rps": slo["goodput_rps"],
-            "latency_p99_ms": slo["latency_p99_ms"],
-            "joules_per_request": slo["joules_per_request"],
+            "goodput_rps": edf["goodput_rps"],
+            "latency_p99_ms": edf["latency_p99_ms"],
+            "joules_per_request": edf["joules_per_request"],
             "correct": correct,
             "pass": gate_pass,
-            "detail": (f"SLO-aware admission reaches "
+            "detail": (f"deadline admission reaches "
                        f"{goodput_ratio:.1f}x FIFO goodput under 2x "
                        f"overload (required: "
                        f"{min_goodput_ratio:.1f}x); continuous "
                        f"batching reaches {batching_ratio:.2f}x the "
-                       f"drain-between-steps modeled throughput "
+                       f"lockstep modeled throughput "
                        f"(required: {min_batching_ratio:.2f}x)"),
         },
     }
@@ -297,11 +337,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="bench_ci.json",
                         help="shared gate report to merge into")
     parser.add_argument("--min-goodput-ratio", type=float, default=1.5,
-                        help="required SLO-aware / FIFO goodput ratio "
+                        help="required deadline / FIFO goodput ratio "
                              "under overload")
     parser.add_argument("--min-batching-ratio", type=float,
                         default=1.3,
-                        help="required continuous / drain modeled "
+                        help="required continuous / lockstep modeled "
                              "throughput ratio")
     args = parser.parse_args(argv)
     return publish(args.output, GATE_NAME,

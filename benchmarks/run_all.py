@@ -18,17 +18,18 @@ regression gates —
   commands than per-op eager execution, with kernel-cache hits on
   repeat (``bench_lazy``);
 * ``serve`` — lane-packed serving of 64 concurrent single-lane
-  requests >= 3x the one-dispatch-per-request modeled throughput at
-  >= 50% lane occupancy (``bench_serve``);
+  requests >= 3x the modeled throughput at ``max_lanes=1`` (one
+  dispatch per request) at >= 50% lane occupancy (``bench_serve``);
 * ``scale_out`` — 4 replica processes >= 2.5x 1-replica modeled
   serving throughput, plus the kill-one-replica failover drill with
   every in-flight request bit-exact (``bench_scale_out``);
 * ``obs`` — tracing instrumentation costs <= 2% per served request
   when disabled (no-op fast path) and <= 10% when recording
   (``bench_obs``);
-* ``slo`` — SLO-aware admission >= 1.5x FIFO goodput under 2x
+* ``slo`` — deadline admission >= 1.5x FIFO goodput under 2x
   overload, and continuous batching of staggered multi-step streams
-  >= 1.3x the drain-between-steps modeled throughput (``bench_slo``);
+  >= 1.3x a lockstep-generation baseline's modeled throughput
+  (``bench_slo``);
 * ``compile`` — host time per emitted µOp of ``div@32`` <= 1.3x that
   of ``div@8``, and of ``mul@32`` <= 1.4x that of ``mul@8``: Step 2
   is linear in the operation's size (``bench_compile``);

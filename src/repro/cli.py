@@ -9,10 +9,10 @@ Examples::
     python -m repro compare add 32             # all platforms, one op
     python -m repro demo                       # end-to-end functional run
     python -m repro cluster --modules 4 --op add --n 4096
-    python -m repro serve-demo --requests 96   # multi-tenant serving demo
-    python -m repro serve-cluster --replicas 4 --kill-one
-    python -m repro serve-cluster --trace-out trace.json   # Perfetto
-    python -m repro serve-stream --streams 4 --steps 6     # streaming
+    python -m repro serve --requests 96        # multi-tenant serving
+    python -m repro serve --backend replicas --kill-one    # failover
+    python -m repro serve --trace-out trace.json           # Perfetto
+    python -m repro serve --stream --steps 6   # streaming inference
     python -m repro stats                      # Prometheus exposition
 """
 
@@ -200,183 +200,178 @@ def _write_trace(tracer, path: str | None) -> list[tuple[str, str]]:
     return [("trace", f"{n_traces} request trees -> {path}")]
 
 
-def _cmd_serve_demo(args: argparse.Namespace) -> int:
-    """Load-generator demo of the multi-tenant serving layer: many
-    small requests from weighted tenants lane-pack into shared wide
-    dispatches; every result is verified against numpy."""
-    from repro.core import expr
-    from repro.core.operations import get_operation
-    from repro.runtime import SimdramCluster
-    from repro.serve import ServeConfig, SimdramService
-    from repro.util.bitops import to_unsigned
-
-    width = args.width
-    geometry = DramGeometry.sim_small(
-        cols=args.cols, data_rows=args.data_rows, banks=args.banks)
-    config = SimdramConfig(geometry=geometry)
-    rng = np.random.default_rng(args.seed)
-    brighten = expr.relu(expr.sub(expr.inp("px"), expr.const(40)))
-    catalog_ops = ("add", "mul", "min")
-    tenants = {"free": 1.0, "pro": 4.0, "batch": 2.0}
-
-    tracer, trace_path = _make_tracer(args)
-    with SimdramCluster(args.modules, config=config) as cluster, \
-            SimdramService(
-                cluster,
-                ServeConfig(max_wait_s=args.max_wait_ms / 1e3),
-                tenants=tenants, tracer=tracer) as service:
-        warm = service.warmup(
-            [(op, width) for op in catalog_ops] + [(brighten, width)])
-
-        handles = []
-        # The burst arrives corked, as if from concurrent clients:
-        # it packs the same way on every run.
-        with service.hold():
-            for i in range(args.requests):
-                tenant = list(tenants)[i % len(tenants)]
-                n = int(rng.integers(1, args.max_request_lanes + 1))
-                if i % 4 == 3:
-                    px = rng.integers(0, 1 << width, n)
-                    golden = np.asarray(expr.golden(
-                        brighten, {"px": px}, width))
-                    handle = service.submit(brighten, feeds={"px": px},
-                                            width=width, tenant=tenant)
-                else:
-                    op = catalog_ops[i % len(catalog_ops)]
-                    spec = get_operation(op)
-                    vecs = [rng.integers(0, 1 << w, n)
-                            for w in spec.in_widths(width)]
-                    golden = np.asarray(spec.golden(vecs, width))
-                    handle = service.submit(op, *vecs, width=width,
-                                            tenant=tenant)
-                handles.append((handle, golden))
-
-        n_ok = 0
-        for handle, golden in handles:
-            out_width = width  # every demo op is width-preserving
-            got = to_unsigned(handle.result(120), out_width)
-            n_ok += bool(np.array_equal(got, golden))
-        stats = service.stats()
-
-    packing = stats["packing"]
-    latency = stats["latency_ms"]
-    rows = [
-        ("requests verified", f"{n_ok} / {args.requests}"),
-        ("kernels warmed", warm["n_kernels"]),
-        ("dispatches", packing["dispatches"]),
-        ("requests / dispatch",
-         round(packing["requests_per_dispatch"], 2)),
-        ("lane occupancy", f"{packing['lane_occupancy']:.0%}"),
-        ("packing efficiency",
-         f"{packing['packing_efficiency']:.0%} dispatches saved"),
-        ("flushes", ", ".join(f"{reason} {count}" for reason, count
-                              in packing["flushes"].items())),
-        ("latency p50 / p99 (ms)",
-         f"{latency['p50']:.2f} / {latency['p99']:.2f}"),
-        ("spills / fills",
-         f"{stats['paging']['n_spills']} / "
-         f"{stats['paging']['n_fills']}"),
-        ("modeled busy (us)",
-         round(stats["modeled_busy_ns"] / 1e3, 2)),
-    ]
-    for tenant, counters in stats["tenants"].items():
-        rows.append((f"tenant {tenant!r}",
-                     f"{counters['completed']} requests, "
-                     f"{counters['lanes']} lanes"))
-    rows.extend(_write_trace(tracer, trace_path))
-    print(format_table(
-        ["metric", "value"], rows,
-        title=f"{args.requests} requests from {len(tenants)} tenants "
-              f"on a {args.modules}-module cluster"))
-    return 0 if n_ok == args.requests else 1
+#: Weighted tenants of the ``serve`` load generator.
+_SERVE_TENANTS = {"free": 1.0, "pro": 4.0, "batch": 2.0}
 
 
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    """Serve mixed traffic over N replica *processes* behind the
-    consistent-hash router; optionally SIGKILL one replica mid-flight
-    to demonstrate failover.  Every result is verified against numpy."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Serve verified traffic through one ``SimdramService``: mixed
+    requests from weighted tenants (catalog ops and a fused ``Expr``)
+    lane-pack into shared dispatches, or with ``--stream`` two staggered
+    waves of multi-step streams batch continuously.  The target is a
+    module cluster or replica processes behind the consistent-hash
+    router, where ``--kill-one`` SIGKILLs a replica mid-flight.  Every
+    result is verified against numpy."""
     import time
 
-    from repro.serve import ServeConfig, SimdramService
-    from repro.serve.router import ReplicaRouter
+    from repro.core import expr
+    from repro.core.operations import get_operation
+    from repro.serve import (
+        SimdramService,
+        StreamingServer,
+        affine_relu_step,
+        stream_golden,
+    )
+    from repro.util.bitops import to_unsigned
 
+    if args.kill_one and (args.backend != "replicas" or args.replicas < 2):
+        print("serve: --kill-one needs --backend replicas and at least "
+              "two replicas", file=sys.stderr)
+        return 2
     width = args.width
-    mask = (1 << width) - 1
-    geometry = DramGeometry.sim_small(
-        cols=args.cols, data_rows=args.data_rows, banks=args.banks)
-    config = SimdramConfig(geometry=geometry)
+    tenants = list(_SERVE_TENANTS)
+    config = SimdramConfig(geometry=DramGeometry.sim_small(
+        cols=32, data_rows=256, banks=2))
+    if args.backend == "cluster":
+        from repro.runtime import SimdramCluster
+        target = SimdramCluster(args.modules, config=config)
+        where = f"a {args.modules}-module cluster"
+    else:
+        from repro.serve.router import ReplicaRouter
+        target = ReplicaRouter(args.replicas, config=config)
+        where = f"{args.replicas} replica processes"
     rng = np.random.default_rng(args.seed)
-    ops = ("add", "sub", "min", "max")
-    goldens = {"add": lambda a, b: (a + b) & mask,
-               "sub": lambda a, b: (a - b) & mask,
-               "min": np.minimum, "max": np.maximum}
-
-    requests = []
-    for i in range(args.requests):
-        op = ops[i % len(ops)]
-        a = rng.integers(0, 1 << (width - 1), args.lanes)
-        b = rng.integers(0, 1 << (width - 1), args.lanes)
-        requests.append((op, a, b))
-
-    manifest = [(op, width) for op in ops]
     tracer, trace_path = _make_tracer(args)
-    with ReplicaRouter(args.replicas, config=config,
-                       manifest=manifest) as router, \
-            SimdramService(
-                router,
-                ServeConfig(max_wait_s=args.max_wait_ms / 1e3),
-                tracer=tracer) as service:
-        handles = [service.submit(op, a, b, width=width)
-                   for op, a, b in requests]
-        if args.kill_one and args.replicas > 1:
-            victim = 0
-            deadline = clock.now() + 30
-            while (clock.now() < deadline
-                   and router.replicas.n_inflight(victim) == 0
-                   and not all(h.done() for h in handles)):
-                time.sleep(0)  # yield, do not nap: a pack is in flight ~1 ms
-            router.kill(victim)
-        n_ok = sum(
-            bool(np.array_equal(handle.result(300) & mask,
-                                goldens[op](a, b)))
-            for handle, (op, a, b) in zip(handles, requests))
+
+    def kill_mid_flight(handles) -> None:
+        deadline = clock.now() + 30
+        while (clock.now() < deadline
+               and target.replicas.n_inflight(0) == 0
+               and not all(h.done() for h in handles)):
+            time.sleep(0)  # yield, do not nap: a pack is in flight ~1 ms
+        target.kill(0)
+
+    with target, SimdramService(target, tenants=_SERVE_TENANTS,
+                                tracer=tracer) as service:
+        if args.stream:
+            step = affine_relu_step()
+            service.warmup([(step, width)])
+            cases = [(rng.integers(1, 1 << (width - 1), args.lanes),
+                      rng.integers(0, 4, args.lanes))
+                     for _ in range(args.requests)]
+            goldens = [stream_golden(step, x0, args.steps, {"w": w}, width)
+                       for x0, w in cases]
+            with StreamingServer(service) as server:
+                def start(wave, first: int) -> list:
+                    with server.hold():   # a wave's first steps pack
+                        return [server.submit(
+                            step, x0, n_steps=args.steps, width=width,
+                            feeds={"w": w},
+                            tenant=tenants[(first + i) % len(tenants)])
+                            for i, (x0, w) in enumerate(wave)]
+
+                half = (len(cases) + 1) // 2
+                handles = start(cases[:half], 0)
+                # The second wave arrives mid-sequence and joins the
+                # first wave's remaining steps.
+                limit = clock.now() + 30
+                while (clock.now() < limit
+                       and not all(h.steps_done >= 2 or h.done()
+                                   for h in handles)):
+                    time.sleep(0.0005)
+                handles += start(cases[half:], half)
+                if args.kill_one:
+                    kill_mid_flight(handles)
+                results = [h.result(300) for h in handles]
+        else:
+            ops = ("add", "mul", "min")
+            brighten = expr.relu(expr.sub(expr.inp("px"), expr.const(40)))
+            service.warmup([(op, width) for op in ops] + [(brighten, width)])
+            handles, goldens = [], []
+            # The burst arrives corked, as if from concurrent clients:
+            # it packs the same way on every run.
+            with service.hold():
+                for i in range(args.requests):
+                    tenant = tenants[i % len(tenants)]
+                    n = int(rng.integers(1, args.lanes + 1))
+                    if i % 4 == 3:
+                        px = rng.integers(0, 1 << width, n)
+                        goldens.append(expr.golden(brighten, {"px": px},
+                                                   width))
+                        handles.append(service.submit(
+                            brighten, feeds={"px": px}, width=width,
+                            tenant=tenant))
+                    else:
+                        op = ops[i % len(ops)]
+                        spec = get_operation(op)
+                        vecs = [rng.integers(0, 1 << w, n)
+                                for w in spec.in_widths(width)]
+                        goldens.append(spec.golden(vecs, width))
+                        handles.append(service.submit(
+                            op, *vecs, width=width, tenant=tenant))
+            if args.kill_one:
+                kill_mid_flight(handles)
+            results = [h.result(300) for h in handles]
+        # Every op here is width-preserving.
+        n_ok = sum(bool(np.array_equal(to_unsigned(got, width),
+                                       np.asarray(golden)))
+                   for got, golden in zip(results, goldens))
         stats = service.stats()
 
     postmortem_path = None
     if args.postmortem:
         # Dumped after close(): cleanly-stopped replicas shipped their
         # rings home, a killed one was recovered from its spill file —
-        # the merged JSON is the drill's black box.
+        # the merged JSON is the run's black box.
         from repro.obs.flightrec import get_flight_recorder
         postmortem_path = get_flight_recorder().dump_to(
-            args.postmortem, reason="serve-cluster drill")
+            args.postmortem, reason="serve drill")
 
-    tier = stats["replica_tier"]
+    packing, latency = stats["packing"], stats["latency_ms"]
     rows = [
-        ("replicas (alive at end)",
-         f"{args.replicas} ({len(tier['alive'])})"),
-        ("requests verified", f"{n_ok} / {args.requests}"),
-        ("dispatches", stats["packing"]["dispatches"]),
-        ("replica deaths", stats["failover"]["replica_deaths"]),
-        ("requeued requests", stats["failover"]["requeued_requests"]),
-        ("router rebalances", tier["router"]["rebalanced"]),
-        ("modeled makespan (us)",
-         round(max((info.get("busy_ns", 0) for info in
-                    tier["replicas"].values()), default=0) / 1e3, 2)),
+        (("streams" if args.stream else "requests") + " verified",
+         f"{n_ok} / {len(handles)}"),
+        ("dispatches", packing["dispatches"]),
+        ("requests / dispatch",
+         round(packing["requests_per_dispatch"], 2)),
+        ("lane occupancy", f"{packing['lane_occupancy']:.0%}"),
+        ("flushes", ", ".join(f"{reason} {count}" for reason, count
+                              in packing["flushes"].items())),
+        ("latency p50 / p99 (ms)",
+         f"{latency['p50']:.2f} / {latency['p99']:.2f}"),
+        ("spills / fills",
+         f"{stats['paging']['n_spills']} / {stats['paging']['n_fills']}"),
+        ("modeled busy (us)", round(stats["modeled_busy_ns"] / 1e3, 2)),
     ]
-    for rid, counters in sorted(stats["replicas"].items()):
-        rows.append((f"replica {rid}",
-                     f"{counters['dispatches']} dispatches, "
-                     f"{counters['requests']} requests"))
+    for tenant, counters in stats["tenants"].items():
+        rows.append((f"tenant {tenant!r}",
+                     f"{counters['completed']} requests, "
+                     f"{counters['lanes']} lanes"))
+    if "replica_tier" in stats:
+        rows += [
+            ("replicas alive at end",
+             len(stats["replica_tier"]["alive"])),
+            ("replica deaths", stats["failover"]["replica_deaths"]),
+            ("requeued requests",
+             stats["failover"]["requeued_requests"]),
+            ("router rebalances",
+             stats["replica_tier"]["router"]["rebalanced"]),
+        ]
+        for rid, counters in sorted(stats["replicas"].items()):
+            rows.append((f"replica {rid}",
+                         f"{counters['dispatches']} dispatches, "
+                         f"{counters['requests']} requests"))
     rows.extend(_write_trace(tracer, trace_path))
     if postmortem_path:
         rows.append(("flight-recorder postmortem", postmortem_path))
+    title = (f"{len(handles)} staggered streams x {args.steps} steps of "
+             f"relu((x + w) - 1)" if args.stream
+             else f"{len(handles)} requests from {len(tenants)} tenants")
     print(format_table(
         ["metric", "value"], rows,
-        title=f"{args.requests} requests over {args.replicas} replica "
-              f"processes"
+        title=f"{title} on {where}"
               + (" (one killed mid-flight)" if args.kill_one else "")))
-    return 0 if n_ok == args.requests else 1
+    return 0 if n_ok == len(handles) else 1
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -408,7 +403,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()   # private: one run, one namespace
     with SimdramCluster(2, config=config) as cluster, \
             SimdramService(cluster,
-                           ServeConfig(max_wait_s=0.002, slo_aware=True),
+                           ServeConfig(max_wait_s=0.002),
                            tenants={"alpha": 2.0, "beta": 1.0},
                            tracer=tracer, registry=registry) as service:
         handles = []
@@ -495,7 +490,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     ops = ("add", "sub", "min")
     with SimdramCluster(2, config=config) as cluster, \
             SimdramService(cluster,
-                           ServeConfig(max_wait_s=0.002, slo_aware=True),
+                           ServeConfig(max_wait_s=0.002),
                            tenants={"alpha": 2.0, "beta": 1.0},
                            registry=registry) as service:
 
@@ -538,109 +533,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
                        for e in manager.events)
         return 0 if fired and resolved else 1
     return 0
-
-
-def _cmd_serve_stream(args: argparse.Namespace) -> int:
-    """Streaming-inference demo: staggered multi-step streams served
-    with continuous batching, side by side with the
-    drain-between-steps baseline.  Every stream's final activation is
-    verified against the numpy fold; the table shows why re-packing
-    between steps wins (fewer, fuller dispatches)."""
-    import time
-
-    from repro.runtime import SimdramCluster
-    from repro.serve import (
-        ServeConfig,
-        SimdramService,
-        StreamingServer,
-        affine_relu_step,
-        stream_golden,
-    )
-
-    width = args.width
-    geometry = DramGeometry.sim_small(
-        cols=args.cols, data_rows=256, banks=args.banks)
-    config = SimdramConfig(geometry=geometry)
-    step = affine_relu_step()
-    rng = np.random.default_rng(args.seed)
-    spec = [(rng.integers(1, 1 << (width - 1), args.lanes),
-             rng.integers(0, 4, args.lanes))
-            for _ in range(2 * args.streams)]
-
-    modes = {}
-    for mode, drain in (("continuous", False), ("drain", True)):
-        # The Perfetto trace (one serve.stream tree per stream, with
-        # serve.step children) only covers the continuous run.
-        tracer, trace_path = (_make_tracer(args) if not drain
-                              else (None, None))
-        with SimdramCluster(args.modules, config=config) as cluster, \
-                SimdramService(
-                    cluster,
-                    ServeConfig(max_wait_s=0.002, slo_aware=True),
-                    tracer=tracer) as service, \
-                StreamingServer(service,
-                                drain_between_steps=drain) as server:
-            service.warmup([(step, width)])
-            service.metrics.reset()
-            t0 = clock.now()
-
-            def start(x0, w, server=server):
-                return server.submit(
-                    step, x0, n_steps=args.steps, width=width,
-                    feeds={"w": w}, deadline_s=args.deadline_s)
-
-            wave1 = [start(x0, w) for x0, w in spec[:args.streams]]
-            # Stagger: the second wave arrives while the first is
-            # mid-sequence — continuous batching packs it straight
-            # into the in-flight streams' next step.
-            limit = clock.now() + 30
-            while (clock.now() < limit
-                   and not all(h.steps_done >= 2 or h.done()
-                               for h in wave1)):
-                time.sleep(0.0005)
-            wave2 = [start(x0, w) for x0, w in spec[args.streams:]]
-            streams = wave1 + wave2
-            server.drain(120)
-            wall_ms = (clock.now() - t0) * 1e3
-
-            n_ok = sum(
-                bool(np.array_equal(
-                    h.result(120),
-                    stream_golden(step, x0, args.steps, {"w": w},
-                                  width)))
-                for h, (x0, w) in zip(streams, spec))
-            stats = service.stats()
-            energies = [h.energy_nj for h in streams
-                        if h.energy_nj is not None]
-            modes[mode] = {
-                "verified": f"{n_ok} / {len(streams)}",
-                "dispatches": stats["packing"]["dispatches"],
-                "lane occupancy":
-                    f"{stats['packing']['lane_occupancy']:.0%}",
-                "on-time streams":
-                    sum(bool(h.on_time) for h in streams),
-                "mean energy (nJ/stream)":
-                    round(float(np.mean(energies)), 2)
-                    if energies else "n/a",
-                "goodput (req/s)":
-                    round(stats["slo"]["goodput_rps"], 1),
-                "wall (ms)": round(wall_ms, 1),
-            }
-            if mode == "continuous":
-                trace_rows = _write_trace(tracer, trace_path)
-                all_ok = n_ok == len(streams)
-            else:
-                all_ok = all_ok and n_ok == len(streams)
-
-    rows = [(metric, modes["continuous"][metric],
-             modes["drain"][metric])
-            for metric in modes["continuous"]]
-    rows.extend((label, detail, "") for label, detail in trace_rows)
-    print(format_table(
-        ["metric", "continuous", "drain-between-steps"], rows,
-        title=f"{2 * args.streams} staggered streams x {args.steps} "
-              f"steps of relu((x + w) - 1)"))
-    return 0 if all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -695,78 +587,45 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--seed", type=int, default=0)
 
     serve_parser = sub.add_parser(
-        "serve-demo",
-        help="run a multi-tenant lane-packing serving demo")
-    serve_parser.add_argument("--requests", type=int, default=96,
-                              help="requests to generate")
-    serve_parser.add_argument("--max-request-lanes", type=int, default=8,
-                              help="largest per-request vector")
-    serve_parser.add_argument("--modules", type=int, default=2)
+        "serve",
+        help="serve verified multi-tenant traffic (or multi-step "
+             "streams) over a cluster or replica processes")
+    serve_parser.add_argument("--backend", default="cluster",
+                              choices=("cluster", "replicas"),
+                              help="a module cluster in this process, or "
+                                   "replica processes behind the "
+                                   "consistent-hash router")
+    serve_parser.add_argument("--stream", action="store_true",
+                              help="serve multi-step streams with "
+                                   "continuous batching instead of "
+                                   "one-shot requests")
+    serve_parser.add_argument("--requests", type=int, default=32,
+                              help="requests (with --stream: streams, "
+                                   "in two staggered waves) to generate")
+    serve_parser.add_argument("--lanes", type=int, default=8,
+                              help="elements per request (at most) or "
+                                   "per stream (exactly)")
+    serve_parser.add_argument("--steps", type=int, default=6,
+                              help="with --stream: dependent steps per "
+                                   "stream")
     serve_parser.add_argument("--width", type=int, default=8)
-    serve_parser.add_argument("--max-wait-ms", type=float, default=20.0,
-                              help="upper bound on a partial pack "
-                                   "group's wait while the target is "
-                                   "busy (a group normally flushes as "
-                                   "soon as the queues are empty and "
-                                   "the target is ready)")
-    serve_parser.add_argument("--cols", type=int, default=64)
-    serve_parser.add_argument("--data-rows", type=int, default=256)
-    serve_parser.add_argument("--banks", type=int, default=2)
+    serve_parser.add_argument("--modules", type=int, default=2,
+                              help="cluster modules (--backend cluster)")
+    serve_parser.add_argument("--replicas", type=int, default=2,
+                              help="replica processes "
+                                   "(--backend replicas)")
+    serve_parser.add_argument("--kill-one", action="store_true",
+                              help="SIGKILL one replica mid-flight to "
+                                   "demonstrate failover")
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument("--trace-out", metavar="PATH",
                               help="write a Chrome/Perfetto trace of "
-                                   "every request to PATH")
-
-    sc_parser = sub.add_parser(
-        "serve-cluster",
-        help="serve over N replica processes with failover")
-    sc_parser.add_argument("--replicas", type=int, default=2,
-                           help="replica processes to spawn")
-    sc_parser.add_argument("--requests", type=int, default=32)
-    sc_parser.add_argument("--lanes", type=int, default=256,
-                           help="elements per request vector")
-    sc_parser.add_argument("--width", type=int, default=8)
-    sc_parser.add_argument("--kill-one", action="store_true",
-                           help="SIGKILL one replica mid-flight to "
-                                "demonstrate failover")
-    sc_parser.add_argument("--max-wait-ms", type=float, default=1.0,
-                           help="upper bound on a partial pack group's "
-                                "wait while every replica is busy")
-    sc_parser.add_argument("--cols", type=int, default=32)
-    sc_parser.add_argument("--data-rows", type=int, default=256)
-    sc_parser.add_argument("--banks", type=int, default=2)
-    sc_parser.add_argument("--seed", type=int, default=0)
-    sc_parser.add_argument("--trace-out", metavar="PATH",
-                           help="write a Chrome/Perfetto trace of "
-                                "every request to PATH (tracks per "
-                                "replica process)")
-    sc_parser.add_argument("--postmortem", metavar="PATH",
-                           help="write the merged flight-recorder dump "
-                                "(all replica black boxes) to PATH "
-                                "after the run")
-
-    ss_parser = sub.add_parser(
-        "serve-stream",
-        help="serve multi-step streams with continuous batching vs "
-             "the drain-between-steps baseline")
-    ss_parser.add_argument("--streams", type=int, default=4,
-                           help="streams per wave (two staggered "
-                                "waves are submitted)")
-    ss_parser.add_argument("--steps", type=int, default=6,
-                           help="dependent steps per stream")
-    ss_parser.add_argument("--lanes", type=int, default=8,
-                           help="elements per stream vector")
-    ss_parser.add_argument("--width", type=int, default=8)
-    ss_parser.add_argument("--deadline-s", type=float, default=60.0,
-                           help="SLO for each whole sequence")
-    ss_parser.add_argument("--modules", type=int, default=1)
-    ss_parser.add_argument("--cols", type=int, default=32)
-    ss_parser.add_argument("--banks", type=int, default=2)
-    ss_parser.add_argument("--seed", type=int, default=0)
-    ss_parser.add_argument("--trace-out", metavar="PATH",
-                           help="write a Chrome/Perfetto trace of the "
-                                "continuous run (serve.stream trees "
-                                "with serve.step children)")
+                                   "every request to PATH (tracks per "
+                                   "replica process)")
+    serve_parser.add_argument("--postmortem", metavar="PATH",
+                              help="write the merged flight-recorder dump "
+                                   "(all replica black boxes) to PATH "
+                                   "after the run")
 
     stats_parser = sub.add_parser(
         "stats",
@@ -823,9 +682,7 @@ _HANDLERS = {
     "compare": _cmd_compare,
     "demo": _cmd_demo,
     "cluster": _cmd_cluster,
-    "serve-demo": _cmd_serve_demo,
-    "serve-cluster": _cmd_serve_cluster,
-    "serve-stream": _cmd_serve_stream,
+    "serve": _cmd_serve,
     "stats": _cmd_stats,
     "top": _cmd_top,
 }

@@ -69,7 +69,7 @@ class AdmissionError(SimdramError):
 
 class DeadlineExceeded(SimdramError):
     """A request's SLO deadline lapsed before it could be served, so
-    the SLO-aware scheduler shed it without executing — or a failover
+    the serving scheduler shed it without executing — or a failover
     found the request's remaining budget already spent.  Distinct from
     :class:`AdmissionError` (never admitted) and from execution
     failures (ran and broke): a shed request consumed no lanes."""

@@ -87,7 +87,9 @@ class Span:
 
     def adopt(self, child: "Span") -> "Span":
         """Attach an externally-built subtree (e.g. deserialized from a
-        replica child process) under this span."""
+        replica child process, or the packed dispatch every co-packed
+        request shares by reference — whose ``parent`` is then the last
+        adopter) under this span."""
         child.parent = self
         if len(self.children) >= MAX_CHILDREN:
             self.n_dropped += 1
@@ -161,12 +163,6 @@ class Span:
         for child in span.children:
             child.parent = span
         return span
-
-    def copy_tree(self) -> "Span":
-        """Deep copy of this subtree, detached from any parent.  Used to
-        graft one shared packed-dispatch trace into the tree of every
-        request that rode in the pack."""
-        return Span.from_dict(self.to_dict())
 
     # -- queries (tests / exporters) ---------------------------------------
     def walk(self) -> "Iterator[Span]":

@@ -21,8 +21,8 @@ collects everything an operator watches on a serving box:
   request / lane counters plus failover events (replica deaths seen
   and requests re-queued onto survivors);
 * **SLO accounting** — requests carrying a deadline are classified at
-  resolution into *on-time* / *late* / *shed* (shed = the SLO-aware
-  scheduler dropped a lapsed request without executing it,
+  resolution into *on-time* / *late* / *shed* (shed = the scheduler
+  dropped a lapsed request without executing it,
   :class:`~repro.errors.DeadlineExceeded`), per tenant and in total,
   with **goodput** (on-time completions per second of service
   lifetime) derived in :meth:`ServeMetrics.snapshot`;

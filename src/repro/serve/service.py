@@ -22,6 +22,10 @@ Around the packer sits the production machinery:
   tenant cannot starve the rest; on a cluster the dispatches then flow
   through the runtime's :class:`~repro.runtime.scheduler.JobScheduler`
   like any other job;
+* **deadlines** — within the tenant fair scheduling picked, requests
+  pop earliest-deadline-first (deadline-less ones last, FIFO among
+  themselves), and one whose deadline lapsed in the queue is *shed*:
+  failed with :class:`~repro.errors.DeadlineExceeded`, never executed;
 * **flush policy** — work-conserving, like the paper's control unit
   that starts a ``bbop`` the moment it is issued: a group dispatches
   when it reaches ``max_lanes``, and otherwise the oldest open group
@@ -127,28 +131,6 @@ class ServeConfig:
     max_lanes: int | None = None
     #: Admission bound (>= 1): requests accepted but not yet resolved.
     max_queue: int = 1024
-    #: Retry a failed packed dispatch one request at a time, so a
-    #: poisoned request fails alone instead of failing the pack.
-    fallback_sequential: bool = True
-    #: Lane-pack compatible requests (``False`` = one dispatch per
-    #: request; the serving benchmark's baseline).
-    pack: bool = True
-    #: Default execution engine for requests that don't choose one —
-    #: a registry name or an :class:`~repro.exec.engines.ExecutionEngine`.
-    engine: "str | ExecutionEngine" = "auto"
-    #: SLO-aware admission: within a tenant's virtual-time budget the
-    #: worker pops requests earliest-deadline-first instead of FIFO
-    #: (deadline-less requests sort last, preserving FIFO among
-    #: themselves).  Cross-tenant fairness is untouched — EDF reorders
-    #: only *inside* the tenant WFQ already chose.
-    slo_aware: bool = False
-    #: With ``slo_aware``: a request whose deadline has already lapsed
-    #: when the worker pops it is **shed** — failed with
-    #: :class:`~repro.errors.DeadlineExceeded` without executing,
-    #: freeing its lanes for requests that can still make their SLO.
-    #: ``False`` deprioritizes lapsed requests instead (they run after
-    #: every request that can still be on time, and complete late).
-    shed_lapsed: bool = True
 
 
 class ServeHandle:
@@ -397,6 +379,9 @@ class SimdramService:
         self._flush_cutoffs: list[int] = []
         #: Depth of open :meth:`hold` blocks (the cork).
         self._held = 0
+        #: Queued requests that carry a deadline: while there are none,
+        #: a tenant queue pops its head without an EDF scan.
+        self._deadlines_queued = 0
         #: Requests that were queued when the worker last took stock
         #: and are not admitted yet (worker-thread confined).  The
         #: ``max_wait_s`` timer is consulted only at zero: a request
@@ -441,7 +426,7 @@ class SimdramService:
     # ------------------------------------------------------------------
     def submit(self, op, *operands, feeds: dict | None = None,
                width: int = 8, tenant: str = "default",
-               engine: "str | ExecutionEngine | None" = None,
+               engine: "str | ExecutionEngine" = "auto",
                block: bool = True,
                timeout: float | None = None,
                deadline_s: float | None = None) -> ServeHandle:
@@ -461,12 +446,11 @@ class SimdramService:
 
         ``deadline_s`` declares the request's SLO: it should resolve
         within that many seconds of this call.  The verdict lands on
-        ``handle.on_time`` and in the goodput metric; with
-        ``ServeConfig.slo_aware`` the scheduler additionally serves
-        the tenant's queue earliest-deadline-first and sheds (or
-        deprioritizes, per ``shed_lapsed``) requests whose deadline
-        lapsed before they reached the packer — a shed handle raises
-        :class:`~repro.errors.DeadlineExceeded` and never executes.
+        ``handle.on_time`` and in the goodput metric; the scheduler
+        serves the tenant's queue earliest-deadline-first and sheds a
+        request whose deadline lapsed before it reached the packer — a
+        shed handle raises :class:`~repro.errors.DeadlineExceeded` and
+        never executes.
 
         Semantic validation of op/``Expr`` requests happens on the
         worker thread, so a malformed request fails *its own handle*,
@@ -492,8 +476,7 @@ class SimdramService:
             op, feeds, width = op.device.export(op)
         # Resolved once, here: an unknown name raises on the caller's
         # thread; the resolved instance rides the request object.
-        engine = get_engine(self.config.engine if engine is None
-                            else engine)
+        engine = get_engine(engine)
         lanes = self._lane_estimate(op, operands, feeds)
         handle = ServeHandle(next(self._ids), tenant, lanes)
         now = clock.now()
@@ -551,6 +534,8 @@ class SimdramService:
                 self._vtime[tenant] = max(
                     self._vtime.get(tenant, 0.0), self._vfloor)
             queue.append(raw)
+            if slo_deadline is not None:
+                self._deadlines_queued += 1
             self._unresolved.add(handle.request_id)
             # max(): ids are handed out before this lock, so two
             # submitters may enqueue in the opposite order.
@@ -700,8 +685,8 @@ class SimdramService:
 
         ``manifest`` entries are ``(op_name_or_expr, width)``.  Each
         kernel compiles into the target's caches (on a cluster, every
-        module adopts it), *and* its execution plan plus the service's
-        configured engine's compiled executor are warmed against the
+        module adopts it), *and* its execution plan plus the default
+        (``auto``) engine's compiled executor are warmed against the
         row layout a packed dispatch will bind, *and* its modeled
         energy is priced — so the first real request replays a fully
         warm pipeline instead of paying Steps 1+2 or codegen inline,
@@ -709,7 +694,7 @@ class SimdramService:
         dict.
         """
         start = clock.now()
-        engine = get_engine(self.config.engine)
+        engine = get_engine("auto")
         kernels: list[list] = []
         for op, width in manifest:
             self._target.warm(op, width, engine)
@@ -808,7 +793,7 @@ class SimdramService:
         out.append(Sample("repro_failover_requeued_total",
                           fo["requeued_requests"], (), "counter",
                           "in-flight requests re-homed to survivors"))
-        slo, energy = snap["slo"], snap["energy"]
+        slo = snap["slo"]
         out.append(Sample("repro_serve_goodput",
                           slo["goodput_rps"], (), "gauge",
                           "completions within deadline per second"))
@@ -831,11 +816,6 @@ class SimdramService:
                               (), "counter",
                               "requests shed on a lapsed deadline, "
                               "per tenant"))
-        out.append(Sample("repro_request_energy_nj_total",
-                          energy["modeled_request_nj_total"], (),
-                          "counter",
-                          "modeled DRAM energy over completed "
-                          "requests (nJ)"))
         for tenant, counters in tenants.items():
             for state in ("submitted", "completed", "failed",
                           "rejected", "shed"):
@@ -883,8 +863,10 @@ class SimdramService:
         tenant = min(self._queues,
                      key=lambda t: self._vtime.get(t, 0.0))
         queue = self._queues[tenant]
-        raw = (self._pop_edf(queue) if self.config.slo_aware
+        raw = (self._pop_edf(queue) if self._deadlines_queued
                else queue.popleft())
+        if raw.deadline is not None:
+            self._deadlines_queued -= 1
         vtime = self._vtime.get(tenant, 0.0)
         self._vfloor = max(self._vfloor, vtime)
         charged = vtime + raw.lanes / self._weights.get(tenant, 1.0)
@@ -898,36 +880,21 @@ class SimdramService:
             self._vfloor = max(self._vfloor, charged)
         return raw
 
-    def _pop_edf(self, queue: "deque[_RawRequest]") -> _RawRequest:
-        """EDF-biased pop within one tenant's queue (``slo_aware``).
+    @staticmethod
+    def _pop_edf(queue: "deque[_RawRequest]") -> _RawRequest:
+        """Earliest-deadline-first pop within one tenant's queue.
 
-        Earliest deadline first; deadline-less requests sort last and
-        stay FIFO among themselves (the queue index tiebreaks).  With
-        ``shed_lapsed`` a lapsed request keeps its earliest-first rank
-        — it pops *soonest* so :meth:`_admit` sheds it immediately,
-        costing the scan one entry instead of lanes.  Without it,
-        lapsed requests sort behind every request that can still make
-        its deadline, and execute (late) only once nothing else waits.
-
-        O(queue) scan per pop; queues are bounded by ``max_queue``.
+        Deadline-less requests sort last and stay FIFO among themselves
+        (``min`` keeps the first of equal keys).  A lapsed request keeps
+        its earliest-first rank, so it pops *soonest* and :meth:`_admit`
+        sheds it, costing the scan one entry instead of lanes.  O(queue)
+        per pop; queues are bounded by ``max_queue``, and a service with
+        no deadline queued never scans (:meth:`_pop_locked`).
         """
-        if len(queue) == 1:
-            return queue.popleft()
         inf = float("inf")
-        now = None if self.config.shed_lapsed else clock.now()
-        best_i = 0
-        best_key = None
-        for i, raw in enumerate(queue):
-            d = inf if raw.deadline is None else raw.deadline
-            if now is None:
-                key = (d, i)
-            else:
-                lapsed = raw.deadline is not None and now >= raw.deadline
-                key = (1 if lapsed else 0, d, i)
-            if best_key is None or key < best_key:
-                best_i, best_key = i, key
-        raw = queue[best_i]
-        del queue[best_i]
+        index, raw = min(enumerate(queue), key=lambda item: (
+            inf if item[1].deadline is None else item[1].deadline))
+        del queue[index]
         return raw
 
     def _run_worker(self) -> None:
@@ -1061,12 +1028,10 @@ class SimdramService:
         return self._packer.take_oldest(), reason
 
     def _admit(self, raw: _RawRequest) -> PackGroup | None:
-        """Prepare one raw request and pack (or, with ``pack=False``,
-        directly dispatch) it; returns the group it filled, if any."""
+        """Prepare one raw request and pack it; returns the group it
+        filled, if any."""
         raw.admit_span.finish()  # queue wait ends here
-        if (self.config.slo_aware and self.config.shed_lapsed
-                and raw.deadline is not None
-                and clock.now() >= raw.deadline):
+        if raw.deadline is not None and clock.now() >= raw.deadline:
             # Shed: the deadline lapsed in the queue; executing now
             # can only produce a late answer while displacing lanes
             # from requests that can still make theirs.
@@ -1090,11 +1055,6 @@ class SimdramService:
                 "serve.pack", kernel=request.key[0][0],
                 engine=request.key[1])
         raw.handle.n_elements = request.n_elements
-        if not self.config.pack:
-            group = PackGroup(key=request.key, created_at=clock.now())
-            group.add(request)
-            self._dispatch(group)
-            return None
         return self._packer.add(request)
 
     # ------------------------------------------------------------------
@@ -1104,10 +1064,10 @@ class SimdramService:
         """Hand one packed group to the target; its ``on_done`` (inline,
         or from a router thread after any failover) scatters the slices
         to the handles.  A failing pack or dispatch falls back to
-        per-request execution (when configured), so only the poisoned
-        request fails.  No exit path — not even a ``KeyboardInterrupt``
-        mid-pack — may leave a co-packed handle unresolved: a caller
-        blocked on :meth:`ServeHandle.result` would never wake."""
+        per-request execution, so only the poisoned request fails.  No
+        exit path — not even a ``KeyboardInterrupt`` mid-pack — may
+        leave a co-packed handle unresolved: a caller blocked on
+        :meth:`ServeHandle.result` would never wake."""
         requests = group.requests
         dispatch_span = self._open_dispatch(group)
         try:
@@ -1146,10 +1106,8 @@ class SimdramService:
         if dispatch_span.recording:
             for request in requests:
                 if request.span.recording:
-                    request.span.adopt(dispatch_span.copy_tree())
-        if (isinstance(error, Exception)
-                and self.config.fallback_sequential
-                and len(requests) > 1):
+                    request.span.adopt(dispatch_span)
+        if isinstance(error, Exception) and len(requests) > 1:
             self.metrics.record_fallback()
             for request in requests:
                 self._dispatch_one(request)
@@ -1184,7 +1142,7 @@ class SimdramService:
         for request, (lo, hi) in zip(requests, slices):
             if request.span.recording:
                 if dispatch_span.recording:
-                    request.span.adopt(dispatch_span.copy_tree())
+                    request.span.adopt(dispatch_span)
                 request.span.child("serve.scatter", lo=lo, hi=hi).finish()
             self._finish_request(request, out[lo:hi])
 
@@ -1193,10 +1151,10 @@ class SimdramService:
         ``serve.dispatch`` span shared by every request in the group.
 
         Detached because the packed execution belongs to N request
-        trees at once; at scatter time a deep copy of the finished
-        dispatch subtree is grafted into each traced request
-        (:meth:`_scatter`), so every request still reads as
-        one self-contained tree."""
+        trees at once; at scatter time the finished dispatch subtree
+        itself is adopted by each traced request (:meth:`_scatter`), so
+        every request reads as one complete tree and the N trees share
+        that subtree by reference."""
         requests = group.requests
         for request in requests:
             request.pack_span.finish()

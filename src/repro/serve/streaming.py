@@ -16,15 +16,10 @@ such sequences on top of :class:`~repro.serve.SimdramService`:
   batching**: a stream admitted mid-flight joins the in-flight
   streams' next step instead of waiting for a full drain, and the
   subarray stays wide even as streams start and finish at different
-  times;
-* the baseline it beats is **drain-between-steps**
-  (``drain_between_steps=True``): streams advance in lockstep
-  generations and newly submitted streams wait until the whole active
-  generation has finished every step — each generation's partial
-  waves dispatch at whatever width the generation happens to have.
+  times.
 
 Deadlines compose: a stream's ``deadline_s`` rides every step (the
-remaining budget is re-computed per step), so the service's SLO-aware
+remaining budget is re-computed per step), so the service's deadline
 admission can shed a lapsed stream's next step, and the stream itself
 is failed with :class:`~repro.errors.DeadlineExceeded` the moment its
 budget runs out between steps.  Each step is recorded as a
@@ -48,7 +43,6 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-from collections import deque
 from concurrent.futures import Future
 from contextlib import contextmanager
 
@@ -148,29 +142,19 @@ class StreamHandle:
 
 
 class StreamingServer:
-    """Serve multi-step streams over one :class:`SimdramService`.
-
-    ``drain_between_steps=False`` (the default) is continuous
-    batching; ``True`` is the lockstep-generation baseline (see
-    module docstring).  The server owns a pump thread and is a
-    context manager; closing it drains outstanding streams first.
-    It does not close the wrapped service.
+    """Serve multi-step streams over one :class:`SimdramService` with
+    continuous batching (see module docstring).  The server owns a
+    pump thread and is a context manager; closing it drains
+    outstanding streams first.  It does not close the wrapped service.
     """
 
-    def __init__(self, service, *,
-                 drain_between_steps: bool = False) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.drain_between_steps = drain_between_steps
         self._events: "queue.Queue" = queue.Queue()
         self._cond = threading.Condition()
         self._outstanding = 0
         self._closing = False
         self._ids = itertools.count()
-        #: Drain mode: the active lockstep generation and the streams
-        #: waiting for it to fully finish.
-        self._active: "list[StreamHandle]" = []
-        self._waiting: "deque[StreamHandle]" = deque()
-        self._barrier_left = 0
         self._pump = threading.Thread(target=self._run,
                                       name="simdram-stream",
                                       daemon=True)
@@ -289,21 +273,13 @@ class StreamingServer:
             return
         try:
             if kind == "start":
-                self._on_start(stream)
+                self._submit_step(stream)
             else:
                 self._on_step_done(stream, handle)
         except BaseException as error:  # noqa: BLE001 - never hang
             # A pump failure must not strand callers blocked on
             # stream handles: the stream that triggered it fails.
             self._resolve(stream, error=error)
-
-    def _on_start(self, stream: StreamHandle) -> None:
-        if not self.drain_between_steps:
-            self._submit_step(stream)
-            return
-        self._waiting.append(stream)
-        if not self._active:
-            self._launch_wave()
 
     def _on_step_done(self, stream: StreamHandle, handle) -> None:
         error = handle.exception()
@@ -315,9 +291,6 @@ class StreamingServer:
                                     + handle.energy_nj)
             stream._x = handle.result()
             stream.steps_done += 1
-        if self.drain_between_steps:
-            self._barrier_step(stream, error)
-            return
         if error is not None:
             self._resolve(stream, error=error)
         elif stream.steps_done >= stream.n_steps:
@@ -325,10 +298,9 @@ class StreamingServer:
         else:
             self._submit_step(stream)
 
-    # -- continuous / shared -----------------------------------------------
-    def _submit_step(self, stream: StreamHandle) -> bool:
-        """Submit the stream's next step; resolves the stream (shed or
-        failed) and returns ``False`` when nothing was submitted."""
+    def _submit_step(self, stream: StreamHandle) -> None:
+        """Submit the stream's next step, or resolve the stream (shed
+        or failed) when it cannot be submitted."""
         remaining = None
         if stream.deadline is not None:
             remaining = stream.deadline - clock.now()
@@ -337,7 +309,7 @@ class StreamingServer:
                     f"stream #{stream.stream_id} shed at step "
                     f"{stream.steps_done}/{stream.n_steps}: sequence "
                     f"deadline lapsed"))
-                return False
+                return
         stream._step_span = (
             stream.span.child("serve.step", step=stream.steps_done,
                               n_steps=stream.n_steps)
@@ -350,14 +322,13 @@ class StreamingServer:
                 deadline_s=remaining)
         except Exception as error:  # noqa: BLE001 - fails this stream
             self._resolve(stream, error=error)
-            return False
+            return
         if stream._step_span.recording:
             stream._step_span.set(request_id=handle.request_id)
         # The callback fires on whatever thread resolves the handle;
         # it only enqueues — the pump does the next submit.
         handle.add_done_callback(
             lambda h, s=stream: self._events.put(("step", s, h)))
-        return True
 
     def _resolve(self, stream: StreamHandle, value=None,
                  error: "BaseException | None" = None) -> None:
@@ -384,38 +355,3 @@ class StreamingServer:
         with self._cond:
             self._outstanding -= 1
             self._cond.notify_all()
-
-    # -- drain-between-steps baseline --------------------------------------
-    def _barrier_step(self, stream: StreamHandle,
-                      error: "BaseException | None") -> None:
-        """One step of the active generation came back; advance the
-        lockstep barrier and, once the wave is complete, either launch
-        the generation's next step or (generation fully done) promote
-        the waiting streams."""
-        if error is not None:
-            self._resolve(stream, error=error)
-        elif stream.steps_done >= stream.n_steps:
-            self._resolve(stream, value=stream._x)
-        self._barrier_left -= 1
-        if self._barrier_left == 0:
-            self._launch_wave()
-
-    def _launch_wave(self) -> None:
-        """Drain mode: submit the next step for every live stream of
-        the active generation; when the generation is exhausted, the
-        waiting streams become the next one (a full drain between
-        admissions — the baseline continuous batching removes)."""
-        while True:
-            self._active = [s for s in self._active if not s.done()]
-            if not self._active:
-                if not self._waiting:
-                    return
-                self._active = list(self._waiting)
-                self._waiting.clear()
-            launched = sum(1 for s in list(self._active)
-                           if self._submit_step(s))
-            if launched:
-                self._barrier_left = launched
-                return
-            # Every stream of the wave shed at submission (deadline
-            # lapsed during the previous generation); try the next.

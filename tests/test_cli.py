@@ -1,8 +1,33 @@
 """Tests for the command-line interface."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+#: The documents whose ``python -m repro ...`` lines must stay runnable.
+DOCS = (ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+COMMAND = "python -m repro "
+
+
+def documented_commands(text: str) -> list[str]:
+    """The argument string of every ``python -m repro ...`` command in
+    a markdown text: one per line of a fenced block (up to a ``#``
+    comment), one per inline code span (which may wrap lines)."""
+    commands = []
+    for index, chunk in enumerate(text.split("```")):
+        if index % 2:   # inside a fence
+            lines = chunk.splitlines()
+        else:
+            lines = (" ".join(span.split())
+                     for span in re.findall(r"`([^`]+)`", chunk))
+        commands += [line.split(COMMAND, 1)[1].split(" #")[0]
+                     for line in lines if COMMAND in line]
+    return commands
 
 
 class TestParser:
@@ -18,6 +43,20 @@ class TestParser:
         args = build_parser().parse_args(
             ["compile", "add", "8", "--backend", "ambit"])
         assert args.backend == "ambit"
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize("doc", DOCS, ids=lambda path: path.name)
+    def test_every_documented_command_parses(self, doc):
+        """Docs cannot cite a verb or flag the CLI no longer has."""
+        commands = documented_commands(doc.read_text())
+        assert commands
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command))
+            except SystemExit:
+                pytest.fail(f"{doc.name}: `python -m repro {command}` "
+                            f"does not parse")
 
 
 class TestCommands:
@@ -66,23 +105,25 @@ class TestCommands:
 
     def test_serve_demo_runs_green(self, capsys):
         """The serving load generator verifies every request."""
-        assert main(["serve-demo", "--requests", "24",
-                     "--modules", "2", "--cols", "32",
-                     "--max-request-lanes", "4"]) == 0
+        assert main(["serve", "--requests", "24", "--modules", "2",
+                     "--lanes", "4"]) == 0
         out = capsys.readouterr().out
         assert "24 / 24" in out
         assert "lane occupancy" in out
         assert "tenant 'pro'" in out
 
     def test_serve_stream_runs_green(self, capsys):
-        """Both scheduling modes verify every stream against the
-        numpy fold, and the comparison table shows both columns."""
-        assert main(["serve-stream", "--streams", "2", "--steps", "3",
-                     "--lanes", "4"]) == 0
+        """Two staggered waves of streams, each verified against the
+        numpy fold, share dispatches across streams."""
+        assert main(["serve", "--stream", "--requests", "4",
+                     "--steps", "3", "--lanes", "4"]) == 0
         out = capsys.readouterr().out
-        assert "4 / 4" in out
-        assert "continuous" in out and "drain-between-steps" in out
-        assert "goodput" in out
+        assert "streams verified" in out and "4 / 4" in out
+        assert "4 staggered streams x 3 steps" in out
+
+    def test_kill_one_needs_replicas(self, capsys):
+        assert main(["serve", "--kill-one"]) == 2
+        assert "--backend replicas" in capsys.readouterr().err
 
     def test_stats_zero_traffic_scrape_is_schema_stable(self, capsys):
         """``stats --requests 0`` runs no traffic at all, yet the
@@ -139,12 +180,13 @@ class TestObservabilityCommands:
     def test_serve_cluster_postmortem_dump(self, capsys, tmp_path):
         import json
         path = tmp_path / "postmortem.json"
-        assert main(["serve-cluster", "--replicas", "2", "--requests",
-                     "6", "--lanes", "8", "--kill-one",
+        assert main(["serve", "--backend", "replicas", "--replicas", "2",
+                     "--requests", "6", "--lanes", "8", "--kill-one",
                      "--postmortem", str(path)]) == 0
-        assert str(path) in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert str(path) in out and "6 / 6" in out
         dump = json.loads(path.read_text())
-        assert dump["reason"] == "serve-cluster drill"
+        assert dump["reason"] == "serve drill"
         assert any(source.startswith("replica-")
                    for source in dump["segments"])
         assert any(e["kind"] == "replica.death" for e in dump["events"])

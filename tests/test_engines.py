@@ -377,11 +377,15 @@ class TestServeEngines:
             assert np.array_equal(handle.result(60), (a + b) % 256)
 
     def test_serve_accepts_engine_instance_and_config_default(self):
+        """An engine instance rides its request; a request that names
+        none runs on ``auto``."""
         sim = _make_sim()
-        config = ServeConfig(engine=CompiledEngine())
-        with SimdramService(sim, config) as service:
-            handle = service.submit("mul", [3, 4], [5, 6], width=8)
+        with SimdramService(sim) as service:
+            handle = service.submit("mul", [3, 4], [5, 6], width=8,
+                                    engine=CompiledEngine())
             assert np.array_equal(handle.result(60), [15, 24])
+            default = service.submit("sub", [9], [4], width=8)
+            assert np.array_equal(default.result(60), [5])
             explicit = service.submit("add", [1], [2], width=8,
                                       engine=VectorizedEngine())
             assert np.array_equal(explicit.result(60), [3])

@@ -349,8 +349,7 @@ class TestServeEvents:
         mark = recorder.n_recorded
         with SimdramCluster(1, config=small_config()) as cluster, \
                 SimdramService(cluster,
-                               ServeConfig(max_wait_s=0.001,
-                                           slo_aware=True)) as service:
+                               ServeConfig(max_wait_s=0.001)) as service:
             a = np.arange(8)
             service.submit("add", a, a, width=8,
                            deadline_s=30.0).result(60)

@@ -146,14 +146,6 @@ class TestSpan:
         assert leaf.parent.name == "stage"
         assert clone.find("stage").duration == pytest.approx(0.5)
 
-    def test_copy_tree_is_independent(self):
-        root = Span("root")
-        root.child("stage").finish()
-        root.finish()
-        clone = root.copy_tree()
-        clone.children[0].name = "mutated"
-        assert root.children[0].name == "stage"
-
     def test_walk_and_find_all(self):
         root = Span("root")
         root.child("x").finish()
@@ -485,6 +477,23 @@ class TestServiceTracing:
             assert all(s.finished for s in root.walk())
             assert root.find("serve.scatter").t1 <= root.t1
 
+    def test_co_packed_requests_share_one_dispatch_subtree(self):
+        """The packed dispatch is recorded once and adopted by every
+        request that rode in it, not copied into each tree."""
+        tracer = Tracer(enabled=True)
+        with SimdramCluster(1, config=small_config()) as cluster, \
+                SimdramService(cluster, tracer=tracer) as service:
+            with service.hold():
+                handles = [service.submit("add", [i], [1], width=8)
+                           for i in range(3)]
+            for i, handle in enumerate(handles):
+                assert np.array_equal(handle.result(120), [i + 1])
+        roots = tracer.drain()
+        assert len(roots) == 3
+        (dispatch,) = {id(root.find("serve.dispatch")) for root in roots}
+        assert all(root.find("engine.execute") is not None
+                   for root in roots)
+
     def test_failed_request_traced_as_error(self):
         tracer = Tracer(enabled=True)
         with SimdramCluster(1, config=small_config()) as cluster, \
@@ -613,7 +622,7 @@ class TestCliObservability:
     def test_serve_demo_trace_out(self, capsys, tmp_path):
         from repro.cli import main
         path = tmp_path / "trace.json"
-        assert main(["serve-demo", "--requests", "8",
+        assert main(["serve", "--requests", "8",
                      "--trace-out", str(path)]) == 0
         assert "request trees" in capsys.readouterr().out
         doc = json.loads(path.read_text())

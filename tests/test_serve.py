@@ -304,13 +304,13 @@ TARGETS = ("module", "cluster", "deferred")
 
 
 @contextlib.contextmanager
-def _serving(kind: str, config: ServeConfig | None = None):
+def _serving(kind: str):
     """A service on one kind of :data:`TARGETS`; yields it with the
     in-process adapter whose ``map`` a test may patch.  A ``deferred``
     target is completed by a pump thread, one pack at a time."""
     system = (SimdramCluster(2, config=small_config(), seed=2)
               if kind == "cluster" else Simdram(small_config(), seed=2))
-    service = SimdramService(system, config)
+    service = SimdramService(system)
     adapter = service._target
     stop = threading.Event()
     pump = None
@@ -433,23 +433,6 @@ class TestSequentialFallback:
         assert crash.thread is service._worker
         assert crash.exc_type is KeyboardInterrupt
         assert service.stats()["requests"]["failed"] == 3
-
-    @pytest.mark.parametrize("kind", TARGETS)
-    def test_fallback_disabled_fails_whole_group(self, kind):
-        with _serving(kind, ServeConfig(fallback_sequential=False)) as (
-                service, adapter):
-            def broken_map(op_name, vectors, width, engine):
-                raise OperationError("device down")
-
-            adapter.map = broken_map
-            with service.hold():
-                handles = [service.submit("add", [i], [i], width=8)
-                           for i in range(3)]
-            service.drain(60)
-            assert service.stats()["packing"]["sequential_fallbacks"] == 0
-            for handle in handles:
-                with pytest.raises(OperationError, match="device down"):
-                    handle.result(60)
 
 
 # ---------------------------------------------------------------------------
@@ -1303,7 +1286,7 @@ class TestWarmupAndMetrics:
 
 
 # ---------------------------------------------------------------------------
-# handle conveniences (serve-demo logging)
+# handle conveniences (load-generator logging)
 # ---------------------------------------------------------------------------
 class TestHandleConveniences:
     def test_handle_repr_and_shape(self):

@@ -1,8 +1,8 @@
-"""SLO-aware admission: EDF ordering, deadline shedding, goodput and
-modeled energy accounting (``ServeConfig.slo_aware``).
+"""Deadline admission: EDF ordering, deadline shedding, goodput and
+modeled energy accounting.
 
-The load-bearing property (hypothesis-driven): under ``slo_aware``
-admission a request whose deadline lapsed is shed with
+The load-bearing property (hypothesis-driven): a request whose
+deadline lapsed is shed with
 :class:`~repro.errors.DeadlineExceeded` and **never executes** — its
 id never reaches a dispatch — while every request that can still make
 its deadline resolves bit-exact versus numpy.
@@ -45,9 +45,10 @@ def cluster():
         yield c
 
 
-def slo_service(cluster, **overrides) -> SimdramService:
-    config = ServeConfig(max_wait_s=0.001, slo_aware=True, **overrides)
-    return SimdramService(cluster, config, registry=MetricsRegistry())
+def slo_service(cluster, config: ServeConfig | None = None
+                ) -> SimdramService:
+    return SimdramService(cluster, config or ServeConfig(max_wait_s=0.001),
+                          registry=MetricsRegistry())
 
 
 # ---------------------------------------------------------------------------
@@ -103,59 +104,66 @@ class TestShedNeverExecutes:
 
 
 # ---------------------------------------------------------------------------
-# EDF pop order (no service thread: the method only reads config)
+# EDF pop order
 # ---------------------------------------------------------------------------
 class TestEdfPop:
     @staticmethod
-    def _pop_order(deadlines, *, shed_lapsed):
-        svc = SimpleNamespace(config=ServeConfig(
-            slo_aware=True, shed_lapsed=shed_lapsed))
+    def _pop_order(deadlines):
         raws = [SimpleNamespace(deadline=d, tag=i)
                 for i, d in enumerate(deadlines)]
         queue = deque(raws)
         out = []
         while queue:
-            out.append(SimdramService._pop_edf(svc, queue).tag)
+            out.append(SimdramService._pop_edf(queue).tag)
         return out
 
     def test_earliest_deadline_first_none_last(self):
-        order = self._pop_order([5.0, None, 1.0, 3.0, None],
-                                shed_lapsed=True)
+        order = self._pop_order([5.0, None, 1.0, 3.0, None])
         # Deadlines ascending, deadline-less FIFO at the back.
         assert order == [2, 3, 0, 1, 4]
 
     def test_lapsed_pop_first_when_shedding(self):
-        # shed_lapsed keeps pure earliest-first rank, so an already
-        # lapsed request pops soonest (to be shed cheaply by _admit).
+        # A lapsed request keeps its earliest-first rank, so it pops
+        # soonest (to be shed cheaply by _admit).
         now = time.monotonic()
-        order = self._pop_order([now + 50, now - 1, now + 10],
-                                shed_lapsed=True)
+        order = self._pop_order([now + 50, now - 1, now + 10])
         assert order == [1, 2, 0]
 
-    def test_lapsed_sort_behind_live_when_deprioritizing(self):
-        now = time.monotonic()
-        order = self._pop_order([now - 1, now + 50, now + 10, None],
-                                shed_lapsed=False)
-        # Live EDF first, then deadline-less, lapsed dead last.
-        assert order == [2, 1, 3, 0]
+    def test_deadline_less_burst_dispatches_in_submission_order(
+            self, cluster):
+        """No request carries a deadline: every tenant's requests
+        dispatch in the order they were submitted, and the worker
+        never scans a queue."""
+        order: list[tuple[str, int]] = []
+        with slo_service(cluster, ServeConfig(max_lanes=1)) as service:
+            real_dispatch = service._dispatch
+
+            def spying_dispatch(group):
+                order.extend((r.tenant, r.handle.request_id)
+                             for r in group.requests)
+                real_dispatch(group)
+
+            def no_scan(queue):
+                raise AssertionError("EDF scan without a deadline queued")
+
+            service._dispatch = spying_dispatch
+            service._pop_edf = no_scan
+            with service.hold():
+                handles = [service.submit("add", [i], [1], width=WIDTH,
+                                          tenant=f"t{i % 3}")
+                           for i in range(12)]
+            for i, handle in enumerate(handles):
+                assert np.array_equal(handle.result(120), [i + 1])
+        assert len(order) == len(handles)
+        for tenant in ("t0", "t1", "t2"):
+            ids = [rid for t, rid in order if t == tenant]
+            assert ids == sorted(ids) and len(ids) == 4
 
 
 # ---------------------------------------------------------------------------
-# deprioritize mode, per-tenant accounting, exposition
+# per-tenant accounting, exposition
 # ---------------------------------------------------------------------------
 class TestSloAccounting:
-    def test_deprioritized_lapsed_request_completes_late(self, cluster):
-        with slo_service(cluster, shed_lapsed=False) as service:
-            a = np.arange(8)
-            b = np.arange(8) + 3
-            handle = service.submit("add", a, b, width=WIDTH,
-                                    deadline_s=0.0)
-            assert np.array_equal(handle.result(120), (a + b) % 256)
-            assert handle.on_time is False
-            stats = service.stats()
-        assert stats["slo"]["late"] == 1
-        assert stats["requests"]["shed"] == 0
-
     def test_shed_counted_per_tenant_and_exported(self, cluster):
         with slo_service(cluster) as service:
             shed = [service.submit("add", [1], [2], width=WIDTH,
