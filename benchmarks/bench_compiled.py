@@ -130,7 +130,7 @@ def time_engine(sim: Simdram, program, layout, engine: str) -> float:
 
 def run_suite() -> dict:
     root = madd_relu_expr(TAP_WEIGHT)
-    engines = [name for name in list_engines(available_only=True)
+    engines = [name for name in list_engines()
                if name != "per_bank"]
 
     sim = build_system()

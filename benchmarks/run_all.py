@@ -39,7 +39,8 @@ regression gates —
 **every** failed gate, not just the first.  A gate that crashes is
 recorded as failed with the exception, and the remaining gates still
 run.  The report also carries ``gates.size`` — the non-blank,
-non-comment line count of ``src/repro`` — so the code-size trajectory
+non-comment line count of ``src/repro``, in all and per file — so the
+code-size trajectory
 travels in the same artifact as the gates (a plain number, not a
 ``measured_*`` key: ``bench_history`` reads those as higher-is-better)
 — and ``gates.uprog`` — total commands, MAJ nodes and temporary rows of
@@ -93,14 +94,18 @@ SOURCE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 def source_size(root: Path = SOURCE_ROOT) -> dict:
     """The ``size`` section: lines of library code that are neither
-    blank nor a comment, and the files holding them."""
-    files = sorted(root.rglob("*.py"))
-    lines = sum(
-        1 for path in files for line in path.read_text().splitlines()
-        if line.strip() and not line.lstrip().startswith("#"))
-    return {"src_lines": lines, "src_files": len(files),
+    blank nor a comment, in all and per file (``per_file``, keyed by
+    the path under ``root``), and the number of files holding them."""
+    per_file = {
+        path.relative_to(root).as_posix(): sum(
+            1 for line in path.read_text().splitlines()
+            if line.strip() and not line.lstrip().startswith("#"))
+        for path in sorted(root.rglob("*.py"))}
+    lines = sum(per_file.values())
+    return {"src_lines": lines, "src_files": len(per_file),
+            "per_file": per_file,
             "gate": {"pass": True,
-                     "detail": f"{lines} lines in {len(files)} files"}}
+                     "detail": f"{lines} lines in {len(per_file)} files"}}
 
 
 LEDGER_PATH = (Path(__file__).resolve().parent.parent

@@ -43,12 +43,7 @@ from repro.core.operations import CATALOG, PAPER_OPERATIONS, get_operation
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DramTiming
 from repro.errors import SimdramError
-from repro.exec.engines import (
-    ExecutionEngine,
-    get_engine,
-    list_engines,
-    register_engine,
-)
+from repro.exec.engines import ExecutionEngine, get_engine, list_engines
 from repro.runtime import DeviceTensor, SimdramCluster
 from repro.serve import ServeConfig, SimdramService
 
@@ -63,7 +58,6 @@ __all__ = [
     "ServeConfig",
     "DeviceTensor",
     "ExecutionEngine",
-    "register_engine",
     "get_engine",
     "list_engines",
     "CATALOG",

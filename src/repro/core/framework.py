@@ -289,8 +289,8 @@ class Simdram:
         serve layer's manifest warmup relies on this.
         """
         with self._bound_rows(kernel) as (_, _, layout):
-            self.control.warm_plan(kernel.program, layout,
-                                   self.module.geometry, engine)
+            self.control.warm_plan(kernel.program, layout, self.module,
+                                   engine)
 
     def warm(self, op: KernelSource, width: int,
              engine: "str | ExecutionEngine" = "auto") -> None:
@@ -524,11 +524,11 @@ class Simdram:
         The pipeline width defaults to the one the operands imply
         (:func:`~repro.core.fuse.resident_width`).
 
-        ``engine`` is an execution-engine registry name or an
+        ``engine`` is an execution-engine name or an
         :class:`~repro.exec.engines.ExecutionEngine` instance (see
-        :func:`repro.exec.engines.list_engines`); ``"auto"`` picks the
-        best available plan-based engine unless tracing or fault
-        injection forces the per-bank slow path.
+        :func:`repro.exec.engines.list_engines`); ``"auto"`` runs
+        ``compiled`` unless tracing or fault injection forces the
+        per-bank slow path.
         """
         return self._run(op, operands, feeds, width, backend, engine)[1]
 

@@ -11,7 +11,6 @@ from repro.exec.engines import (
     VectorizedEngine,
     get_engine,
     list_engines,
-    register_engine,
     resolve_engine,
 )
 from repro.exec.layout import RowLayout
@@ -28,7 +27,6 @@ __all__ = [
     "PerBankEngine",
     "VectorizedEngine",
     "CompiledEngine",
-    "register_engine",
     "get_engine",
     "list_engines",
     "resolve_engine",

@@ -6,17 +6,16 @@ every ``bbop`` instruction it replays the matching µProgram as a stream
 of AAP/AP commands to the participating banks, transparently to the
 user (paper §3, step 3).
 
-Replay goes through the engine registry
-(:mod:`repro.exec.engines`): plan-based engines (``vectorized``,
-``compiled``) compile the µProgram + row layout into an
-:class:`~repro.exec.plan.ExecutionPlan` (cached here) and run an
-executor over the module's stacked cell state, all banks at once — the
-paper's lockstep broadcast.  The ``per_bank`` engine replays the
-symbolic µOps bank by bank through each :class:`Subarray` — the traced
-/ fault-injection slow path, bit-identical to the fast paths on
-success.  ``"auto"`` resolves per dispatch: the best available
-plan-based engine when the module supports stacked execution, else
-``per_bank``.
+Replay goes through one of the engines of :mod:`repro.exec.engines`:
+plan-based engines (``vectorized``, ``compiled``) compile the µProgram
++ row layout into an :class:`~repro.exec.plan.ExecutionPlan` (cached
+here, with each engine's executor memoized on it) and run that executor
+over the module's stacked cell state, all banks at once — the paper's
+lockstep broadcast.  The ``per_bank`` engine replays the symbolic µOps
+bank by bank through each :class:`Subarray` — the traced /
+fault-injection slow path, bit-identical to the fast paths on success.
+``"auto"`` resolves per dispatch: ``compiled`` when the module supports
+stacked execution, else ``per_bank``.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from repro.dram.commands import CommandStats
 from repro.dram.energy import DramEnergy
 from repro.dram.subarray import Subarray
 from repro.dram.timing import DramTiming
-from repro.errors import EngineError, ExecutionError
-from repro.exec.engines import ExecutionEngine, get_engine, resolve_engine
+from repro.errors import ExecutionError
+from repro.exec.engines import ExecutionEngine, resolve_engine
 from repro.exec.layout import RowLayout
 from repro.exec.plan import ExecutionPlan, compile_plan
 from repro.obs.pmu import get_pmu
@@ -170,28 +169,31 @@ class ControlUnit:
 
     def executor_for(self, plan: ExecutionPlan,
                      engine: ExecutionEngine):
-        """Fetch (or compile and memoize) ``engine``'s executor for a
-        cached plan.  Compilation happens under the control unit's lock
-        so scheduler worker threads replaying the same plan never
-        duplicate codegen work."""
+        """Fetch (or compile and memoize on the plan) ``engine``'s
+        executor for a cached plan.  Compilation happens under the
+        control unit's lock so scheduler worker threads replaying the
+        same plan never duplicate codegen work."""
         executor = plan.executors.get(engine.name)
         if executor is not None:
             return executor
         with self._lock:
-            return plan.executor_for(engine)
+            executor = plan.executors.get(engine.name)
+            if executor is None:
+                executor = engine.compile(plan)
+                plan.executors[engine.name] = executor
+            return executor
 
     def warm_plan(self, program: MicroProgram, layout: RowLayout,
-                  geometry, engine: "str | ExecutionEngine" = "auto",
-                  ) -> ExecutionPlan:
-        """Precompile the plan — and, for plan-based engines, the
-        compiled executor — without touching DRAM state.  The serve
-        layer's manifest warmup uses this so the first real dispatch
-        hits a fully warm cache."""
-        plan = self.plan_for(program, layout, geometry)
-        resolved = resolve_engine(engine, vectorizable=True)
+                  module: DramModule,
+                  engine: "str | ExecutionEngine" = "auto") -> None:
+        """Precompile what a dispatch on ``module`` with ``engine`` will
+        run — for plan-based engines the plan and its executor —
+        without touching DRAM state.  The serve layer's manifest warmup
+        uses this so the first real dispatch hits a fully warm cache."""
+        resolved = resolve_engine(engine, module.supports_vectorized())
         if resolved.executes_plans:
-            self.executor_for(plan, resolved)
-        return plan
+            self.executor_for(
+                self.plan_for(program, layout, module.geometry), resolved)
 
     def execute_on_module(self, program: MicroProgram, module: DramModule,
                           layout: RowLayout,
@@ -200,31 +202,23 @@ class ControlUnit:
                           ) -> CommandStats:
         """Broadcast a µProgram to ``n_banks`` banks in lockstep.
 
-        ``engine`` is a registry name or :class:`ExecutionEngine`
+        ``engine`` is an engine name or :class:`ExecutionEngine`
         instance.  Plan-based engines (``vectorized``, ``compiled``)
         run a compiled :class:`ExecutionPlan` over the stacked cell
         state of all participating banks at once;
         ``per_bank`` replays the µOps through each subarray in turn;
-        ``"auto"`` (default) picks the best available plan-based
-        engine whenever it is equivalent — i.e. no selected bank
-        traces commands or injects TRA faults — and silently falls
-        back to ``per_bank`` otherwise.  Explicitly requesting a
-        ``vectorizable_only`` engine on a module that cannot run the
-        stacked path raises :class:`~repro.errors.EngineError`.
+        ``"auto"`` (default) runs ``compiled`` whenever it is
+        equivalent — i.e. no selected bank traces commands or injects
+        TRA faults — and silently falls back to ``per_bank``
+        otherwise.  Explicitly requesting a ``vectorizable_only``
+        engine on a module that cannot run the stacked path raises
+        :class:`~repro.errors.EngineError`.
         """
-        resolved = get_engine(engine)  # fail fast on unknown names
         banks = module.banks if n_banks is None else module.banks[:n_banks]
         if not banks:
             raise ExecutionError("no banks selected for execution")
-
-        vectorizable = module.supports_vectorized(len(banks))
-        if resolved.vectorizable_only and not vectorizable:
-            raise EngineError(
-                f"engine {resolved.name!r} requested, but a selected "
-                "bank is traced, fault-injected, or detached from the "
-                "module's stacked state; use engine='per_bank' (or "
-                "'auto', which falls back silently)")
-        resolved = resolve_engine(resolved, vectorizable=vectorizable)
+        resolved = resolve_engine(
+            engine, module.supports_vectorized(len(banks)))
         if not resolved.executes_plans:
             stats = CommandStats()
             first = None

@@ -1,30 +1,22 @@
-"""First-class execution engines behind one registry.
+"""The three execution engines of the control unit, in a fixed table.
 
-Historically ``engine`` was a string (``"auto"`` / ``"vectorized"`` /
-``"per_bank"``) threaded as a parameter through every layer of the
-stack, and the control unit hard-coded what each string meant.  Adding
-a backend meant touching every layer.  This module makes engines
-**objects** behind a small registry instead:
+An engine is how the host *simulates* Step 3's lockstep replay of a
+µProgram.  :class:`ExecutionEngine` is the base every engine extends:
+a ``name``, two capability flags (``vectorizable_only``,
+``executes_plans``) and :meth:`~ExecutionEngine.compile`, which lowers
+a cached :class:`~repro.exec.plan.ExecutionPlan` to a callable executor
+over the module's stacked cell state.
 
-* :class:`ExecutionEngine` — the protocol: a ``name``, an
-  :meth:`~ExecutionEngine.available` probe, capability flags
-  (``vectorizable_only``, ``executes_plans``) and
-  :meth:`~ExecutionEngine.compile`, which lowers a cached
-  :class:`~repro.exec.plan.ExecutionPlan` to a callable executor over
-  the module's stacked cell state.
-* :func:`register_engine` / :func:`get_engine` / :func:`list_engines`
-  — the registry.  Every public entry point (``Simdram.run/map``,
+* :func:`get_engine` / :func:`list_engines` — the name → instance
+  table, fastest first.  Every public entry point (``Simdram.run/map``,
   ``SimdramCluster.*``, ``LazyTensor.evaluate``, ``SimdramService``)
-  accepts either a registry name or an engine instance; the old
-  strings resolve through the registry, so existing callers keep
-  working.
-* :func:`resolve_engine` — the ``"auto"`` policy: pick the best
-  available engine per plan (compiled > vectorized > per_bank),
-  silently falling back to ``per_bank`` when the module cannot run the
-  stacked fast path (tracing / fault injection).
+  accepts either an engine name or an engine instance.
+* :func:`resolve_engine` — the ``"auto"`` policy: ``compiled`` when
+  the selected banks can run the stacked fast path, ``per_bank`` when
+  they cannot (tracing / fault injection).
 
-Built-in engines
-----------------
+Engines
+-------
 
 ``per_bank``
     The traced / fault-injection slow path: replays symbolic µOps bank
@@ -47,17 +39,16 @@ Built-in engines
     all disappear.  Bit-identical to ``vectorized`` on success (proven
     by the differential suites); portable, no dependencies.
 
-Compiled executors are cached *on the plan* (`ExecutionPlan.executors`,
-keyed by engine name), which the control unit's plan cache keys by
-µProgram fingerprint (folding ``source_hash``) + row layout — so a
-fused kernel replayed on the same layout compiles exactly once, and
-eviction of a plan drops its executors with it.
+Executors are memoized by the control unit on the plan
+(`ExecutionPlan.executors`, keyed by engine name), which its plan cache
+keys by µProgram fingerprint (folding ``source_hash``) + row layout —
+so a fused kernel replayed on the same layout compiles exactly once,
+and eviction of a plan drops its executors with it.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -73,7 +64,6 @@ __all__ = [
     "PerBankEngine",
     "VectorizedEngine",
     "CompiledEngine",
-    "register_engine",
     "get_engine",
     "list_engines",
     "resolve_engine",
@@ -84,36 +74,33 @@ __all__ = [
 Executor = Callable[[np.ndarray, np.ndarray], None]
 
 
-@runtime_checkable
-class ExecutionEngine(Protocol):
-    """The engine protocol every registered backend satisfies.
+class ExecutionEngine:
+    """The base of every engine.
 
-    Implementations are stateless-after-construction: :meth:`compile`
-    must be a pure function of the plan, so one engine instance may be
-    shared freely across scheduler worker threads (the cluster carries
-    the resolved instance on each job).
+    Engines are stateless after construction: :meth:`compile` is a
+    pure function of the plan, so one instance may be shared freely
+    across scheduler worker threads (the cluster carries the resolved
+    instance on each job).
     """
 
-    #: Registry name (also the legacy string that resolves to it).
+    #: Table name (what ``engine="..."`` resolves).
     name: str
     #: Requires the module's stacked cell state: the engine executes
     #: compiled plans over all banks at once and cannot model per-bank
     #: behaviours (command tracing, TRA fault injection).
-    vectorizable_only: bool
-    #: Whether :meth:`compile` produces plan executors.  ``False`` only
-    #: for ``per_bank``, which the control unit routes through the
-    #: symbolic per-subarray replay loop instead.
-    executes_plans: bool
-    #: ``"auto"`` preference; higher wins among available engines.
-    priority: int
-
-    def available(self) -> bool:
-        """Whether the engine can run in this process (deps present)."""
-        ...
+    vectorizable_only = True
+    #: Whether :meth:`compile` produces plan executors.  ``False`` for
+    #: ``per_bank``, which the control unit routes through the symbolic
+    #: per-subarray replay loop instead, and for ``"auto"``.
+    executes_plans = True
 
     def compile(self, plan: "ExecutionPlan") -> Executor:
         """Lower a compiled plan to an executor callable."""
-        ...
+        raise EngineError(f"engine {self.name!r} has no plan executor "
+                          "to compile")
+
+    def __repr__(self) -> str:
+        return f"<engine {self.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -150,53 +137,31 @@ def _store_rows(state: np.ndarray, rows: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# built-in engines
+# the engines
 # ---------------------------------------------------------------------------
-class PerBankEngine:
+class PerBankEngine(ExecutionEngine):
     """The symbolic per-subarray replay path (tracing, fault injection).
 
     It does not compile plans at all — the control unit walks the
     µProgram through each bank's :class:`Subarray` — so its
-    :meth:`compile` raises.  It exists in the registry so "per_bank" is
-    a first-class, introspectable engine like every other.
+    :meth:`compile` raises.
     """
 
     name = "per_bank"
     vectorizable_only = False
     executes_plans = False
-    priority = 0
-
-    def available(self) -> bool:
-        return True
-
-    def compile(self, plan: "ExecutionPlan") -> Executor:
-        raise EngineError(
-            "per_bank replays symbolic µOps through each subarray; it "
-            "has no plan executor to compile")
-
-    def __repr__(self) -> str:
-        return f"<engine {self.name}>"
 
 
-class VectorizedEngine:
-    """Interpret plan steps over the stacked state (the PR-1 engine)."""
+class VectorizedEngine(ExecutionEngine):
+    """Interpret plan steps over the stacked state."""
 
     name = "vectorized"
-    vectorizable_only = True
-    executes_plans = True
-    priority = 10
-
-    def available(self) -> bool:
-        return True
 
     def compile(self, plan: "ExecutionPlan") -> Executor:
         return plan.execute
 
-    def __repr__(self) -> str:
-        return f"<engine {self.name}>"
 
-
-class CompiledEngine:
+class CompiledEngine(ExecutionEngine):
     """Generate and ``exec`` specialized Python source per plan.
 
     Every data row and B-group plane the plan touches becomes a local
@@ -209,12 +174,6 @@ class CompiledEngine:
     """
 
     name = "compiled"
-    vectorizable_only = True
-    executes_plans = True
-    priority = 30
-
-    def available(self) -> bool:
-        return True
 
     def compile(self, plan: "ExecutionPlan") -> Executor:
         with obs_span("engine.compile", engine=self.name,
@@ -230,9 +189,6 @@ class CompiledEngine:
             executor = namespace["_executor"]
             executor.__source__ = source  # introspection / tests
             return executor
-
-    def __repr__(self) -> str:
-        return f"<engine {self.name}>"
 
 
 # ---------------------------------------------------------------------------
@@ -359,137 +315,68 @@ def generate_source(plan: "ExecutionPlan") -> str:
 
 
 # ---------------------------------------------------------------------------
-# the registry
+# the table
 # ---------------------------------------------------------------------------
-_REGISTRY: dict[str, ExecutionEngine] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-class _AutoEngine:
+class _AutoEngine(ExecutionEngine):
     """The ``"auto"`` selector: not a real engine, but carrying it on a
     request/job object is well-defined — it resolves per dispatch via
-    :func:`resolve_engine`, so a traced module still falls back to
-    ``per_bank`` while everything else gets the best compiled path."""
+    :func:`resolve_engine`."""
 
     name = "auto"
     vectorizable_only = False
     executes_plans = False
-    priority = -1
-
-    def available(self) -> bool:
-        return True
-
-    def compile(self, plan: "ExecutionPlan") -> Executor:
-        raise EngineError("'auto' resolves to a concrete engine per "
-                          "dispatch; it cannot compile plans itself")
-
-    def __repr__(self) -> str:
-        return "<engine auto>"
 
 
 #: The singleton ``"auto"`` selector every layer may carry.
 AUTO = _AutoEngine()
 
-
-def register_engine(engine: ExecutionEngine,
-                    replace: bool = False) -> ExecutionEngine:
-    """Register an engine under ``engine.name``.
-
-    Raises :class:`~repro.errors.EngineError` on a duplicate name
-    unless ``replace=True`` (the escape hatch for tests and for
-    swapping in an instrumented engine).  Returns the engine for
-    decorator-ish chaining.
-    """
-    name = getattr(engine, "name", None)
-    if not name or not isinstance(name, str):
-        raise EngineError(f"engine {engine!r} has no usable .name")
-    if name == AUTO.name:
-        raise EngineError("'auto' is the resolver, not a registrable "
-                          "engine name")
-    with _REGISTRY_LOCK:
-        if not replace and name in _REGISTRY:
-            raise EngineError(
-                f"engine {name!r} is already registered; pass "
-                "replace=True to substitute it")
-        _REGISTRY[name] = engine
-    return engine
-
-
-def unregister_engine(name: str) -> None:
-    """Remove an engine (tests); unknown names are a no-op."""
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(name, None)
+#: Every engine by name, fastest first.
+_ENGINES: dict[str, ExecutionEngine] = {
+    engine.name: engine
+    for engine in (CompiledEngine(), VectorizedEngine(), PerBankEngine())}
 
 
 def list_engines(available_only: bool = False) -> list[str]:
-    """Registered engine names, highest ``"auto"`` preference first."""
-    with _REGISTRY_LOCK:
-        engines = sorted(_REGISTRY.values(),
-                         key=lambda e: -e.priority)
-    return [e.name for e in engines
-            if not available_only or e.available()]
+    """Engine names, fastest first.  Every engine runs in any process,
+    so ``available_only`` (read by the benchmark harness) drops none."""
+    return list(_ENGINES)
 
 
 def get_engine(spec: "str | ExecutionEngine") -> ExecutionEngine:
-    """Resolve a registry name — or pass an engine instance through.
+    """Look an engine name up — or pass an engine instance through.
 
-    ``"auto"`` returns the :data:`AUTO` selector.  An unknown string
-    raises :class:`~repro.errors.EngineError` naming
-    :func:`list_engines`.
+    ``"auto"`` returns the :data:`AUTO` selector.  Anything else that
+    is not a table name raises :class:`~repro.errors.EngineError`.
     """
-    if not isinstance(spec, str):
-        # A registered instance needs no structural check — the
-        # Protocol isinstance costs more than a small dispatch.
-        if (spec is AUTO or _REGISTRY.get(getattr(spec, "name", None))
-                is spec or isinstance(spec, ExecutionEngine)):
-            return spec
-        raise EngineError(
-            f"engine must be a registry name or an ExecutionEngine, "
-            f"got {type(spec).__name__}")
-    if spec == AUTO.name:
-        return AUTO
-    with _REGISTRY_LOCK:
-        engine = _REGISTRY.get(spec)
-    if engine is None:
-        raise EngineError(
-            f"unknown engine {spec!r}; registered engines: "
-            f"{list_engines()}")
-    return engine
+    if isinstance(spec, ExecutionEngine):
+        return spec
+    if isinstance(spec, str):
+        if spec == AUTO.name:
+            return AUTO
+        if spec in _ENGINES:
+            return _ENGINES[spec]
+    raise EngineError(f"unknown engine {spec!r}; engines: 'auto', "
+                      f"{', '.join(map(repr, _ENGINES))}")
 
 
 def resolve_engine(spec: "str | ExecutionEngine",
-                   vectorizable: bool = True) -> ExecutionEngine:
-    """Resolve ``spec`` to the concrete engine a dispatch will use.
+                   vectorizable: bool) -> ExecutionEngine:
+    """The concrete engine a dispatch runs, given whether its banks
+    can run the stacked fast path (``vectorizable``: no bank traced,
+    fault-injected or detached).
 
-    ``"auto"`` (or :data:`AUTO`) picks the highest-priority available
-    engine — compiled > vectorized > per_bank — restricted to engines
-    whose requirements the module meets: when ``vectorizable`` is
-    false (a bank is traced, fault-injected or detached) every
-    ``vectorizable_only`` engine is skipped, which is exactly the old
-    silent per-bank fallback.  A concrete engine resolves to itself
-    but must be available.
+    ``"auto"`` is ``compiled`` when they can and ``per_bank`` when they
+    cannot.  A ``vectorizable_only`` engine named on banks that cannot
+    raises :class:`~repro.errors.EngineError` rather than silently
+    diverging.
     """
     engine = get_engine(spec)
     if engine is AUTO:
-        with _REGISTRY_LOCK:
-            candidates = sorted(_REGISTRY.values(),
-                                key=lambda e: -e.priority)
-        for candidate in candidates:
-            if candidate.vectorizable_only and not vectorizable:
-                continue
-            if candidate.available():
-                return candidate
+        return _ENGINES["compiled" if vectorizable else "per_bank"]
+    if engine.vectorizable_only and not vectorizable:
         raise EngineError(
-            f"no registered engine can execute here; registered: "
-            f"{list_engines()}")
-    if not engine.available():
-        raise EngineError(
-            f"engine {engine.name!r} is unavailable in this process; "
-            f"available engines: {list_engines(available_only=True)}")
+            f"engine {engine.name!r} requested, but a selected bank is "
+            "traced, fault-injected, or detached from the module's "
+            "stacked state; use engine='per_bank' (or 'auto', which "
+            "falls back silently)")
     return engine
-
-
-# Built-ins register at import; user engines join via register_engine.
-register_engine(PerBankEngine())
-register_engine(VectorizedEngine())
-register_engine(CompiledEngine())

@@ -156,25 +156,18 @@ class ExecutionPlan:
     #: One bank's packed row with every lane set and zero padding: the
     #: value of ``C1``, and the XOR operand that is NOT on packed rows.
     row_ones: np.ndarray = field(compare=False, repr=False)
-    #: Compiled executors keyed by engine name.  Engines lower the plan
-    #: once and memoize here, so the callable lives and dies with the
-    #: plan's cache entry (the control unit's plan cache already keys by
-    #: µProgram fingerprint — folding ``source_hash`` — plus layout).
+    #: Compiled executors keyed by engine name.  The control unit
+    #: memoizes each engine's executor here
+    #: (:meth:`~repro.exec.control_unit.ControlUnit.executor_for`), so
+    #: the callable lives and dies with the plan's cache entry (the plan
+    #: cache already keys by µProgram fingerprint — folding
+    #: ``source_hash`` — plus layout).
     executors: dict[str, Callable[[np.ndarray, np.ndarray], None]] = \
         field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    def executor_for(self, engine) -> Callable[[np.ndarray, np.ndarray],
-                                               None]:
-        """The memoized executor this engine compiled for this plan."""
-        executor = self.executors.get(engine.name)
-        if executor is None:
-            executor = engine.compile(self)
-            self.executors[engine.name] = executor
-        return executor
 
     # ------------------------------------------------------------------
     # hot loop

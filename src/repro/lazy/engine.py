@@ -309,7 +309,7 @@ class LazyDevice:
         results are submitted asynchronously and the returned entries
         are ``None``; a later :meth:`LazyTensor.numpy` gathers them.
 
-        ``engine`` (a registry name or an
+        ``engine`` (an engine name or an
         :class:`~repro.exec.engines.ExecutionEngine`) is resolved once
         here and the instance threaded through every segment dispatch.
         """

@@ -137,7 +137,7 @@ class LazyTensor:
         *submitted* (the async job scheduler orders it against every
         other outstanding job) and this call returns immediately;
         :meth:`numpy` later gathers the finished result.  ``engine``
-        is an execution-engine registry name or
+        is an execution-engine name or
         :class:`~repro.exec.engines.ExecutionEngine` instance,
         resolved by the device.
         """

@@ -373,7 +373,7 @@ class SimdramCluster:
         serializes dependent jobs and runs independent ones
         concurrently across modules.
 
-        ``engine`` (a registry name or an
+        ``engine`` (an engine name or an
         :class:`~repro.exec.engines.ExecutionEngine`) is resolved once
         here; the resolved instance rides on the :class:`JobHandle` and
         every shard closure.

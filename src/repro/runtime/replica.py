@@ -10,8 +10,8 @@ process**, and gives the parent a thread-safe transport to them:
 * **work descriptors** travel over a duplex pipe as pickled
   :class:`WorkDescriptor` objects — a catalog op name or a whole
   :class:`~repro.core.expr.Expr` DAG, the pipeline width and the
-  execution-engine registry name (engine *instances* never cross the
-  boundary; each replica resolves the name against its own registry);
+  execution-engine name (engine *instances* never cross the
+  boundary; each replica resolves the name locally);
 * **tensor payloads** travel through POSIX shared memory: one
   long-lived :class:`Slab` per replica, created by the parent at spawn
   — the parent writes a dispatch's operand vectors into a free slot of
@@ -69,8 +69,8 @@ class WorkDescriptor:
     (a catalog operation) or ``"expr"`` + ``root`` (a fused DAG) —
     read it through :attr:`op` — and binds the payload vectors by leaf
     name when ``slot_names`` is given, positionally (operand-slot
-    order) otherwise.  ``engine`` is an execution-engine *registry
-    name* — the replica resolves it locally.
+    order) otherwise.  ``engine`` is an execution-engine *name* —
+    the replica resolves it locally.
     """
 
     kind: str

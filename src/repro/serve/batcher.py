@@ -99,7 +99,7 @@ def prepare(handle: "ServeHandle", op: "str | Expr",
     service calls this on its worker thread so a bad request fails
     *its own handle* and never poisons a co-packed dispatch.
 
-    ``engine`` may be a registry name (resolved here) or an already
+    ``engine`` may be an engine name (resolved here) or an already
     resolved :class:`~repro.exec.engines.ExecutionEngine` instance
     (the service resolves at submission and passes the instance).
     """

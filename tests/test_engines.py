@@ -1,12 +1,12 @@
-"""The execution-engine registry and the compiled backends.
+"""The execution-engine table and the compiled backends.
 
-Covers the registry contract (duplicate names, unknown strings,
-``available()`` gating, the ``"auto"`` resolver), the typed
+Covers the table contract (what the benchmark harness reads, unknown
+and non-string specs, the ``"auto"`` resolver), the typed
 :class:`~repro.errors.EngineError` paths in the control unit, engine
 instances riding through the cluster's :class:`JobScheduler` worker
 threads, compiled-callable cache accounting, and bit-exactness of
-every registered engine on the cluster and serve paths (the module
-path is swept exhaustively in ``test_exec_plan.py``).
+every engine on the cluster and serve paths (the module path is swept
+exhaustively in ``test_exec_plan.py``).
 """
 
 import threading
@@ -22,12 +22,11 @@ from repro.errors import EngineError, ExecutionError
 from repro.exec.engines import (
     AUTO,
     CompiledEngine,
+    PerBankEngine,
     VectorizedEngine,
     get_engine,
     list_engines,
-    register_engine,
     resolve_engine,
-    unregister_engine,
 )
 from repro.lazy import LazyDevice
 from repro.runtime.cluster import SimdramCluster
@@ -35,8 +34,7 @@ from repro.serve import ServeConfig, SimdramService
 
 GEOMETRY = DramGeometry.sim_small(cols=32, data_rows=512, banks=2)
 
-#: Engines runnable in this process.
-AVAILABLE = tuple(list_engines(available_only=True))
+ENGINES = tuple(list_engines())
 
 
 def _make_sim(trace: bool = False) -> Simdram:
@@ -44,45 +42,8 @@ def _make_sim(trace: bool = False) -> Simdram:
                    seed=9)
 
 
-class _FakeEngine:
-    """A registrable test double."""
-
-    vectorizable_only = True
-    executes_plans = True
-
-    def __init__(self, name: str, priority: int = 99,
-                 is_available: bool = True) -> None:
-        self.name = name
-        self.priority = priority
-        self.is_available = is_available
-        self.compiled: list = []
-
-    def available(self) -> bool:
-        return self.is_available
-
-    def compile(self, plan):
-        self.compiled.append(plan)
-        return plan.execute
-
-
-@pytest.fixture
-def fake_engine():
-    """Register a throwaway engine; always unregistered afterwards."""
-    registered: list[str] = []
-
-    def factory(name: str, **kwargs) -> _FakeEngine:
-        engine = _FakeEngine(name, **kwargs)
-        register_engine(engine)
-        registered.append(name)
-        return engine
-
-    yield factory
-    for name in registered:
-        unregister_engine(name)
-
-
 # ---------------------------------------------------------------------------
-# the registry contract
+# the table contract
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
@@ -96,52 +57,54 @@ class TestRegistry:
         assert names.index("compiled") < names.index("vectorized")
         assert names.index("vectorized") < names.index("per_bank")
 
-    def test_duplicate_name_raises(self, fake_engine):
-        fake_engine("dup-engine")
-        with pytest.raises(EngineError, match="already registered"):
-            register_engine(_FakeEngine("dup-engine"))
-
-    def test_replace_substitutes(self, fake_engine):
-        fake_engine("swap-engine")
-        replacement = _FakeEngine("swap-engine")
-        register_engine(replacement, replace=True)
-        assert get_engine("swap-engine") is replacement
-
-    def test_auto_name_not_registrable(self):
-        with pytest.raises(EngineError):
-            register_engine(_FakeEngine("auto"))
-
     def test_get_engine_passes_instances_through(self):
         engine = CompiledEngine()
         assert get_engine(engine) is engine
         assert get_engine("auto") is AUTO
 
     def test_unknown_string_raises_typed_error(self):
-        with pytest.raises(EngineError, match="registered engines"):
+        with pytest.raises(EngineError, match="unknown engine 'warp'"):
             get_engine("warp")
 
     def test_unknown_string_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EngineError, match="registered engines"):
+            with pytest.raises(EngineError, match="unknown engine"):
                 get_engine("warp")
 
-    def test_auto_skips_unavailable(self, fake_engine):
-        fake_engine("ghost-engine", priority=999, is_available=False)
-        assert resolve_engine("auto").name != "ghost-engine"
+    @pytest.mark.parametrize("spec", [42, None, ["compiled"]])
+    def test_non_string_spec_raises_typed_error(self, spec):
+        with pytest.raises(EngineError, match="unknown engine"):
+            get_engine(spec)
 
-    def test_auto_prefers_highest_available_priority(self, fake_engine):
-        engine = fake_engine("eager-engine", priority=999)
-        assert resolve_engine("auto") is engine
+    def test_auto_is_compiled_on_vectorizable_banks(self):
+        assert resolve_engine("auto", vectorizable=True) \
+            is get_engine("compiled")
 
     def test_auto_nonvectorizable_falls_to_per_bank(self):
         assert resolve_engine("auto", vectorizable=False).name \
             == "per_bank"
 
-    def test_explicit_unavailable_engine_raises(self, fake_engine):
-        fake_engine("ghost-engine", is_available=False)
-        with pytest.raises(EngineError, match="unavailable"):
-            resolve_engine("ghost-engine")
+
+class TestFrozenByBenchmark:
+    """What ``benchmarks/e2e`` reads from this module: ``run.py``
+    records ``list_engines(available_only=True)`` in its ``env`` block
+    and ``compare.py`` refuses files whose lists differ; ``spans.py``
+    wraps ``compile`` on the type of every engine that
+    ``executes_plans``.  (``get_engine("auto") is AUTO`` is pinned in
+    ``TestRegistry``.)"""
+
+    def test_available_engine_list(self):
+        assert list_engines(available_only=True) \
+            == ["compiled", "vectorized", "per_bank"]
+
+    def test_executes_plans_per_engine_type(self):
+        assert {name: type(get_engine(name)).executes_plans
+                for name in list_engines()} \
+            == {"compiled": True, "vectorized": True, "per_bank": False}
+        assert type(get_engine("compiled")) is CompiledEngine
+        assert type(get_engine("vectorized")) is VectorizedEngine
+        assert type(get_engine("per_bank")) is PerBankEngine
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +208,7 @@ class TestClusterEngines:
             assert auto_job.engine is AUTO
             auto_job.result()
 
-    @pytest.mark.parametrize("engine", AVAILABLE)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_cluster_bit_exact_per_engine(self, engine):
         rng = np.random.default_rng(17)
         a = rng.integers(0, 200, 100)
@@ -360,12 +323,23 @@ class TestCompiledCacheAccounting:
                 engine="compiled")
         assert sim.control.compiled_cache_size() == before + 1
 
+    @pytest.mark.parametrize("slow_path", ["trace", "faults"])
+    def test_warm_compiles_nothing_auto_never_runs(self, slow_path):
+        """``auto`` replays per bank on a traced or fault-injected
+        module, so warming it must compile no executor."""
+        sim = _make_sim(trace=slow_path == "trace")
+        if slow_path == "faults":
+            sim.module.banks[1].subarray.tra_fault_rate = 0.01
+        sim.warm("add", 8)
+        assert sim.control.compiled_cache_size() == 0
+        assert sim.kernel_cache_size == 1
+
 
 # ---------------------------------------------------------------------------
 # serve path: every engine bit-exact end to end
 # ---------------------------------------------------------------------------
 class TestServeEngines:
-    @pytest.mark.parametrize("engine", AVAILABLE)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_serve_bit_exact_per_engine(self, engine):
         rng = np.random.default_rng(31)
         a = rng.integers(0, 200, 48)

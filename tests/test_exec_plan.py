@@ -34,7 +34,7 @@ WIDTHS = (4, 8, 16)
 BACKENDS = ("simdram", "ambit")
 #: Every registered plan-based engine that can run in this process —
 #: each is sweep-verified against the per-bank baseline.
-FAST_ENGINES = tuple(name for name in list_engines(available_only=True)
+FAST_ENGINES = tuple(name for name in list_engines()
                      if name != "per_bank")
 
 #: Compiled kernels shared across both engines' systems (compilation

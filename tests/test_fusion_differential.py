@@ -40,7 +40,7 @@ from repro.uprog.uops import INPUT_SPACES, Space
 from repro.exec.engines import list_engines
 
 #: Every engine available in this process, per-bank baseline included.
-ALL_ENGINES = tuple(list_engines(available_only=True))
+ALL_ENGINES = tuple(list_engines())
 
 WIDTHS = (4, 8, 16)
 LEAF_NAMES = ("x", "y", "z")
