@@ -35,7 +35,14 @@ cluster.  The median served latency may be at most
 ``--max-lone-latency-ratio`` (default 3x) the median direct latency —
 a same-run A/B, so the bound does not depend on the machine.  A
 service that parks lone requests behind a timer fails it (the 5 ms
-timer-first policy measured about 9.5x).
+timer-first policy measured about 9.5x).  The same requests on the
+cluster's member module (``Simdram.map``) are timed in the same loop
+and published, not gated: ``module_median_ms`` and ``hop_ms``, what
+the cluster adds over its one module.  A direct dispatch runs on the
+calling thread and a served one on the service's thread, so the A/B
+pins the process to one CPU where it can: otherwise a neighbour busy
+on one CPU slows one side only (on a 2-CPU box forty unpinned runs
+spread from 1.4x to 3.1x, forty pinned ones from 1.45x to 1.65x).
 
 Results publish under the ``"serve"`` gate of the shared
 ``bench_ci.json`` (see :mod:`gate_utils`).
@@ -48,6 +55,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
@@ -124,10 +133,26 @@ def serve_requests(pack: bool) -> dict:
     return entry
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """Pin the calling thread — and the threads it starts meanwhile,
+    which inherit its affinity — to one CPU, where the OS allows it."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
 def lone_requests() -> dict:
     """Wall A/B: lone requests through the service vs the same
-    requests dispatched directly on the cluster, interleaved so that
-    machine noise lands on both sides alike."""
+    requests dispatched directly on the cluster, and on its member
+    module, interleaved so that machine noise lands on every side
+    alike."""
     rng = np.random.default_rng(37)
     operands = [(rng.integers(0, 256, 1), rng.integers(0, 256, 1))
                 for _ in range(N_LONE)]
@@ -137,9 +162,10 @@ def lone_requests() -> dict:
         call()
         return time.perf_counter() - start
 
-    with SimdramCluster(1, config=module_config()) as cluster, \
+    with one_cpu(), SimdramCluster(1, config=module_config()) as cluster, \
             SimdramService(cluster) as service:
         service.warmup([(GATE_OP, GATE_WIDTH)])
+        module = cluster.modules[0]
 
         def served(a, b):
             service.submit(GATE_OP, a, b,
@@ -148,26 +174,34 @@ def lone_requests() -> dict:
         def direct(a, b):
             cluster.map(GATE_OP, a, b, width=GATE_WIDTH)
 
-        for a, b in operands[:5]:   # both paths warm
-            served(a, b)
-            direct(a, b)
-        served_s, direct_s = [], []
+        def on_module(a, b):
+            module.map(GATE_OP, a, b, width=GATE_WIDTH)
+
+        for a, b in operands[:5]:   # every path warm
+            for path in (served, direct, on_module):
+                path(a, b)
+        served_s, direct_s, module_s = [], [], []
         for a, b in operands:
             served_s.append(timed(lambda: served(a, b)))
             direct_s.append(timed(lambda: direct(a, b)))
+            module_s.append(timed(lambda: on_module(a, b)))
         flushes = service.stats()["packing"]["flushes"]
 
     entry = {
         "requests": N_LONE,
         "served_median_ms": float(np.median(served_s)) * 1e3,
         "direct_median_ms": float(np.median(direct_s)) * 1e3,
+        "module_median_ms": float(np.median(module_s)) * 1e3,
         "flushes": flushes,
     }
     entry["ratio"] = (entry["served_median_ms"]
                       / entry["direct_median_ms"])
+    entry["hop_ms"] = (entry["direct_median_ms"]
+                       - entry["module_median_ms"])
     print(f"lone    : served {entry['served_median_ms']:.3f} ms vs "
           f"direct {entry['direct_median_ms']:.3f} ms median "
-          f"({entry['ratio']:.2f}x), flushes {flushes}")
+          f"({entry['ratio']:.2f}x; module {entry['module_median_ms']:.3f}"
+          f" ms, hop {entry['hop_ms']:.3f} ms), flushes {flushes}")
     return entry
 
 

@@ -67,7 +67,12 @@ from repro.exec.layout import RowLayout
 from repro.exec.memory import RowBlock, VerticalAllocator
 from repro.exec.tracker import ObjectTracker
 from repro.exec.transposition import TranspositionUnit
-from repro.isa.instructions import BbopInstruction, bbop, bbop_trsp_init
+from repro.isa.instructions import (
+    BbopInstruction,
+    bbop,
+    bbop_trsp_init,
+    round_trip,
+)
 from repro.obs.tracing import span as obs_span
 from repro.uprog.scheduler import ScheduleOptions
 from repro.uprog.uops import INPUT_SPACES, Space
@@ -329,9 +334,8 @@ class Simdram:
                   width: int) -> None:
         """Issue bbop_trsp_init so the transposition unit tracks the
         object (paper §4)."""
-        instruction = BbopInstruction.decode(
-            bbop_trsp_init(block.base, n_elements, width).encode())
-        self._log(instruction)
+        self._log(round_trip(bbop_trsp_init, block.base, n_elements,
+                             width))
         self.tracker.register(block.base, n_elements, width)
 
     def read(self, array: SimdramArray) -> np.ndarray:
@@ -471,14 +475,13 @@ class Simdram:
                engine: "str | ExecutionEngine") -> None:
         """One ``bbop``: form the instruction, round-trip it through
         the binary ISA encoding (as the memory controller would receive
-        it), and replay the kernel's installed µProgram on every bank
-        in lockstep."""
+        it; memoized per distinct instruction), and replay the kernel's
+        installed µProgram on every bank in lockstep."""
         program = kernel.program
-        self._log(BbopInstruction.decode(bbop(
-            program.op_name, dst=out_block.base,
-            srcs=[block.base for block in in_blocks],
-            n_elements=n_elements,
-            element_width=program.element_width).encode()))
+        self._log(round_trip(
+            bbop, program.op_name, out_block.base,
+            tuple(block.base for block in in_blocks), n_elements,
+            program.element_width))
         with obs_span("engine.execute", op=program.op_name,
                       width=program.element_width, n_elements=n_elements,
                       engine=str(getattr(engine, "name", engine))):

@@ -16,8 +16,10 @@ round-trip them exactly as a real controller queue would see them.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import IsaError
 
@@ -140,3 +142,17 @@ def bbop(op: str, dst: int, srcs: list[int], n_elements: int,
     return BbopInstruction(op=op, kind=kind, element_width=element_width,
                            dst=dst, src0=padded[0], src1=padded[1],
                            src2=padded[2], n_elements=n_elements)
+
+
+@functools.lru_cache(maxsize=4096)
+def round_trip(build: Callable[..., BbopInstruction],
+               *args) -> BbopInstruction:
+    """``build(*args)`` encoded to its instruction word and decoded
+    back — what the memory controller receives — memoized per distinct
+    instruction (the arguments are hashable: sources as a tuple).
+
+    The round trip is a pure function of the fields, and a dispatch
+    loop issues the same few instructions over and over.  An invalid
+    instruction raises on every call: exceptions are not cached.
+    """
+    return BbopInstruction.decode(build(*args).encode())

@@ -94,7 +94,8 @@ class SimdramCluster:
         #: for every member module.
         self._kernels: dict[tuple[str, int, str], Kernel] = {}
         #: Modeled busy time per module, simulated nanoseconds.  Only
-        #: the module's own worker thread writes its entry.
+        #: a subtask holding the module's scheduler lock writes its
+        #: entry.
         self.busy_ns = [0.0] * n_modules
 
     # ------------------------------------------------------------------
@@ -142,15 +143,26 @@ class SimdramCluster:
         compiled executor against the row layout a batched dispatch
         binds — the serving layer's manifest warmup, and the replica
         tier's spawn-time cache fill, both go through here.
+
+        Each module warms in a subtask of one job, under its module's
+        lock like any dispatch: binding the layout allocates and frees
+        rows, which must not interleave with a dispatch in flight.
         """
         engine = get_engine(engine)
         kernel = self.compile(op, width)
-        for sim in self.modules:
+
+        def warm_module(module_index: int) -> None:
+            sim = self.modules[module_index]
             sim.adopt(kernel)
             sim.warm_executor(kernel, engine)
 
+        self.scheduler.run(
+            [(m, (lambda i=m: warm_module(i)))
+             for m in range(self.n_modules)],
+            label=f"warm:{kernel.op_name}@{width}")
+
     # ------------------------------------------------------------------
-    # modeled time accounting (worker-thread confined per module)
+    # modeled time accounting (confined per module by its lock)
     # ------------------------------------------------------------------
     def _account(self, module_index: int,
                  before: CommandStats) -> None:
@@ -256,10 +268,9 @@ class SimdramCluster:
             (shard.module_index, (lambda s=shard: gather(s)))
             for shard in tensor.shards
         ]
-        future = self.scheduler.submit(
+        return self.scheduler.run(
             subtasks, reads=[tensor], finalizer=np.concatenate,
             label=f"gather[{tensor.n_elements}]")
-        return future.result()
 
     def free_tensor(self, tensor: DeviceTensor) -> None:
         """Release a tensor's shards, ordered after every outstanding
@@ -296,11 +307,12 @@ class SimdramCluster:
 
         Each shard job faults its operands in, pins everything the
         dispatch touches, has the module adopt the kernel and runs it
-        there.  By default the packed result stays resident as the
-        shards of a new output tensor and ``(future, tensor)`` is
-        returned; with ``gather`` every output's slice is read back
-        per shard instead and the future resolves to ``{output name:
-        host vector}``.
+        there.  By default the job is queued, the packed result stays
+        resident as the shards of a new output tensor and ``(future,
+        tensor)`` is returned; with ``gather`` every output's slice is
+        read back per shard instead and the call waits (through
+        :meth:`JobScheduler.run`), returning ``({output name: host
+        vector}, None)``.
         """
         if width is None:
             width = resident_width(tensors, feeds)
@@ -355,10 +367,11 @@ class SimdramCluster:
         ]
         # Operands may repeat (e.g. run("add", a, a)); dedupe reads.
         reads = list({id(t): t for t in operands}.values())
-        future = self.scheduler.submit(
-            subtasks, reads=reads, writes=[] if gather else [out],
-            finalizer=merge if gather else None, label=label)
-        return future, out
+        if gather:
+            return self.scheduler.run(subtasks, reads=reads,
+                                      finalizer=merge, label=label), None
+        return self.scheduler.submit(subtasks, reads=reads, writes=[out],
+                                     label=label), out
 
     def submit(self, op: "str | Expr", *tensors: DeviceTensor,
                feeds: dict[str, DeviceTensor] | None = None,
@@ -407,9 +420,8 @@ class SimdramCluster:
         """Sharded :meth:`Simdram.run_multi`: one multi-output fused
         dispatch per shard, each root's slices gathered back to host.
         Returns root name -> host vector."""
-        future, _ = self._submit(roots, (), feeds, width, backend,
-                                 get_engine(engine), gather=True)
-        return future.result()
+        return self._submit(roots, (), feeds, width, backend,
+                            get_engine(engine), gather=True)[0]
 
     # ------------------------------------------------------------------
     # streaming execution over host vectors of any length
@@ -451,10 +463,8 @@ class SimdramCluster:
             for m in range(self.n_modules)
             if bounds[m + 1] > bounds[m]
         ]
-        future = self.scheduler.submit(subtasks,
-                                       finalizer=np.concatenate,
-                                       label=label)
-        return future.result()
+        return self.scheduler.run(subtasks, finalizer=np.concatenate,
+                                  label=label)
 
     def map(self, op: "str | Expr", *host_operands,
             feeds: "dict | None" = None, width: int = 8,

@@ -34,8 +34,9 @@ if TYPE_CHECKING:
 class PagingManager:
     """LRU eviction of device-resident tensor shards for one module.
 
-    Not thread-safe by itself: the cluster confines each manager (and
-    its module) to that module's single scheduler worker thread.
+    Not thread-safe by itself: the cluster touches each manager (and
+    its module) only from subtasks holding that module's scheduler
+    lock.
     """
 
     def __init__(self, sim: "Simdram") -> None:

@@ -1,13 +1,24 @@
-"""Async job scheduler: per-tensor dependency tracking, per-module workers.
+"""Async job scheduler: per-tensor dependency tracking, one lock per module.
 
 A *job* is one cluster-level operation (load a tensor, run an op or a
 fused expression, gather, free).  It fans out into per-shard *subtasks*,
-each bound to the module holding that shard.  Every module has exactly
-one worker thread, which serializes all mutation of that module's state
-(cell arrays, allocator, paging manager, control unit) — so subtasks of
-*different* modules run concurrently (numpy releases the GIL in its
-inner loops, so on a multi-core host this is real parallelism), while
-everything touching one module is totally ordered.
+each bound to the module holding that shard.  A module is owned by a
+lock, not by a thread: every subtask runs under its module's lock,
+which serializes all mutation of that module's state (cell arrays,
+allocator, paging manager, control unit) — so subtasks of *different*
+modules run concurrently (numpy releases the GIL in its inner loops,
+so on a multi-core host this is real parallelism), while everything
+touching one module is totally ordered.
+
+Each module has a worker thread (started on its first queued subtask)
+and a count of its queued-or-running subtasks.  :meth:`JobScheduler.submit`
+queues every subtask to its module's worker.  :meth:`JobScheduler.run`
+— submit, then wait — lets the caller, who would only block, run its
+own work instead: when the job's dependencies are already settled, each
+subtask whose module is idle (nothing queued or running, lock free)
+runs on the calling thread, after every other subtask has been queued.
+A subtask runs there only when nothing is ahead of it on its module,
+so each module sees its subtasks in the order its worker would have.
 
 Ordering between jobs is derived from the tensors they touch:
 
@@ -34,7 +45,7 @@ from repro.obs.tracing import current_span, use_span
 if TYPE_CHECKING:
     from repro.runtime.tensor import DeviceTensor
 
-#: A subtask: (module index, thunk to run on that module's worker).
+#: A subtask: (module index, thunk to run under that module's lock).
 Subtask = tuple[int, Callable[[], Any]]
 
 
@@ -56,6 +67,9 @@ class _Job:
         # cluster.dispatch/engine.execute spans attached to the
         # request tree that queued the job.
         self.ctx_span = current_span()
+        #: Whether the dispatching thread may run subtasks on idle
+        #: modules itself (a waiting caller whose dependencies settled).
+        self.caller_runs = False
         self._lock = threading.Lock()
         self._pending_deps = 0
         self._remaining = len(self.subtasks)
@@ -90,9 +104,9 @@ class _Job:
         if not self.subtasks:
             self._finish()
             return
-        for index, (module_index, thunk) in enumerate(self.subtasks):
-            self.scheduler._executor(module_index).submit(
-                self._run_subtask, index, thunk)
+        for index, module_index, thunk in self.scheduler._place(self):
+            self.scheduler._run_held(module_index, self._run_subtask,
+                                     index, thunk)
 
     def _run_subtask(self, index: int, thunk: Callable[[], Any]) -> None:
         with self._lock:
@@ -131,21 +145,63 @@ class _Job:
 
 
 class JobScheduler:
-    """Owns the per-module workers and the tensor dependency graph."""
+    """Owns the per-module locks and workers and the tensor dependency
+    graph."""
 
     def __init__(self, n_modules: int) -> None:
+        # A ThreadPoolExecutor starts its thread on the first submit, so
+        # a module only ever driven by waiting callers never gets one.
         self._executors = [
             ThreadPoolExecutor(max_workers=1,
                                thread_name_prefix=f"simdram-mod{i}")
             for i in range(n_modules)
         ]
+        self._module_locks = [threading.Lock() for _ in range(n_modules)]
+        #: Subtasks queued or running per module (under ``_lock``).
+        self._busy = [0] * n_modules
         self._lock = threading.Lock()
         self._outstanding: set[Future] = set()
         self._ids = itertools.count()
         self._closed = False
 
-    def _executor(self, module_index: int) -> ThreadPoolExecutor:
-        return self._executors[module_index]
+    # ------------------------------------------------------------------
+    # module ownership
+    # ------------------------------------------------------------------
+    def _place(self, job: _Job) -> list[tuple[int, int, Callable[[], Any]]]:
+        """Queue ``job``'s subtasks to their workers, except — when the
+        job lets its caller run — those whose module is idle: those
+        modules are claimed (lock held) and ``(index, module, thunk)``
+        is returned for the caller to run with :meth:`_run_held`."""
+        here = []
+        with self._lock:
+            for index, (module_index, thunk) in enumerate(job.subtasks):
+                idle = (job.caller_runs and self._busy[module_index] == 0
+                        and self._module_locks[module_index].acquire(
+                            blocking=False))
+                self._busy[module_index] += 1
+                if idle:
+                    here.append((index, module_index, thunk))
+                else:
+                    self._executors[module_index].submit(
+                        self._run_queued, module_index, job._run_subtask,
+                        index, thunk)
+        return here
+
+    def _run_queued(self, module_index: int, run: Callable[..., None],
+                    *args) -> None:
+        self._module_locks[module_index].acquire()
+        self._run_held(module_index, run, *args)
+
+    def _run_held(self, module_index: int, run: Callable[..., None],
+                  *args) -> None:
+        """Run one subtask under its (already held) module lock, then
+        hand the module on."""
+        try:
+            run(*args)
+        finally:
+            with self._lock:
+                self._busy[module_index] -= 1
+            self._module_locks[module_index].release()
 
     # ------------------------------------------------------------------
     # submission
@@ -157,6 +213,30 @@ class JobScheduler:
                label: str = "") -> Future:
         """Queue one job; returns its future (result = finalizer output,
         or the list of per-subtask results)."""
+        return self._submit(subtasks, reads, writes, finalizer, label,
+                            caller_runs=False)
+
+    def run(self, subtasks: Sequence[Subtask],
+            reads: Sequence["DeviceTensor"] = (),
+            writes: Sequence["DeviceTensor"] = (),
+            finalizer: Callable[[list], Any] | None = None,
+            label: str = "") -> Any:
+        """:meth:`submit`, then wait: returns the job's result,
+        re-raising its failure.
+
+        When the job's dependencies are already settled, every subtask
+        whose module is idle runs on the calling thread (the others are
+        queued to their workers first) instead of costing two thread
+        hops; otherwise the job takes the worker path like any other.
+        """
+        return self._submit(subtasks, reads, writes, finalizer, label,
+                            caller_runs=True).result()
+
+    def _submit(self, subtasks: Sequence[Subtask],
+                reads: Sequence["DeviceTensor"],
+                writes: Sequence["DeviceTensor"],
+                finalizer: Callable[[list], Any] | None, label: str,
+                caller_runs: bool) -> Future:
         job = _Job(self, next(self._ids), label, subtasks, finalizer)
         with self._lock:
             if self._closed:
@@ -181,7 +261,10 @@ class JobScheduler:
                 tensor.reader_futures = []
             self._outstanding.add(job.future)
         # Arm outside the lock: already-done dependencies run their
-        # callbacks inline, which may dispatch (and even finish) the job.
+        # callbacks inline, which may dispatch (and even finish) the job
+        # — on this thread, so with every dependency settled the caller
+        # is the dispatcher and may run subtasks itself.
+        job.caller_runs = caller_runs and all(dep.done() for dep in deps)
         job.wait_for(deps)
         return job.future
 

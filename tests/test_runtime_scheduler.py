@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -37,22 +38,33 @@ class TestRawScheduler:
         scheduler.close()
 
     def test_same_module_subtasks_serialize(self):
-        """Two jobs on one module must never interleave."""
+        """Jobs on one module never interleave and run in the order
+        they were issued, whether queued (``submit``) or waited for by
+        a caller that may run them itself (``run``)."""
         scheduler = JobScheduler(1)
         active = []
         overlaps = []
+        order = []
 
         def body(tag):
             active.append(tag)
             if len(active) > 1:
                 overlaps.append(list(active))
+            order.append(tag)
             time.sleep(0.01)
             active.remove(tag)
             return tag
 
-        futures = [scheduler.submit([(0, (lambda t=t: body(t)))])
-                   for t in range(4)]
-        assert [f.result() for f in futures] == [[0], [1], [2], [3]]
+        def job(tag):
+            return [(0, (lambda: body(tag)))]
+
+        futures = [scheduler.submit(job(t)) for t in range(2)]
+        assert scheduler.run(job(2)) == [2]      # queued behind 0 and 1
+        futures.append(scheduler.submit(job(3)))
+        assert scheduler.run(job(4)) == [4]      # queued behind 3
+        assert scheduler.run(job(5)) == [5]      # idle: runs inline
+        assert [f.result() for f in futures] == [[0], [1], [3]]
+        assert order == [0, 1, 2, 3, 4, 5]
         assert overlaps == []
         scheduler.close()
 
@@ -92,6 +104,166 @@ class TestRawScheduler:
         scheduler.close()
         with pytest.raises(ExecutionError, match="closed"):
             scheduler.submit([(0, lambda: None)])
+
+
+class TestCallerRuns:
+    """A waiting caller runs its own subtask on an idle module."""
+
+    @staticmethod
+    def module_threads(before: set[int]) -> list[str]:
+        """Names of module worker threads started since ``before``."""
+        return [t.name for t in threading.enumerate()
+                if t.name.startswith("simdram-mod")
+                and t.ident not in before]
+
+    def test_map_only_cluster_starts_no_worker_thread(self):
+        before = {t.ident for t in threading.enumerate()}
+        with small_cluster(1) as cluster:
+            for n in (3, 16, 40):   # 40 > 16 lanes: several batches
+                host = np.arange(n)
+                assert np.array_equal(cluster.map("add", host, host),
+                                      (2 * host) % 256)
+            cluster.warm("add", 8)
+            assert self.module_threads(before) == []
+
+    def test_run_executes_on_the_calling_thread(self):
+        scheduler = JobScheduler(2)
+        caller = threading.get_ident()
+        assert scheduler.run([(m, threading.get_ident)
+                              for m in range(2)]) == [caller, caller]
+        scheduler.close()
+
+    def test_unsettled_dependency_takes_the_worker_path(self):
+        with small_cluster(1) as cluster:
+            release = threading.Event()
+            tensor = cluster.tensor([1, 2, 3], 8)
+            cluster.scheduler.submit([(0, release.wait)], writes=[tensor])
+            reader = threading.Thread(target=tensor.to_numpy)
+            reader.start()
+            time.sleep(0.05)
+            assert reader.is_alive()    # waits behind the writer
+            release.set()
+            reader.join(timeout=5)
+            assert not reader.is_alive()
+            assert list(tensor.to_numpy()) == [1, 2, 3]
+
+    def test_map_waits_behind_a_queued_async_job(self):
+        with small_cluster(1) as cluster:
+            release = threading.Event()
+            order = []
+
+            def blocker():
+                release.wait(timeout=5)
+                order.append("async")
+
+            cluster.scheduler.submit([(0, blocker)])
+            module = cluster.modules[0]
+            real_map = module.map
+
+            def traced_map(*args, **kwargs):
+                order.append("map")
+                return real_map(*args, **kwargs)
+
+            module.map = traced_map
+            host = np.arange(5)
+            results = []
+            caller = threading.Thread(
+                target=lambda: results.append(cluster.map("add", host,
+                                                          host)))
+            caller.start()
+            time.sleep(0.05)
+            assert caller.is_alive() and order == []
+            release.set()
+            caller.join(timeout=5)
+            assert order == ["async", "map"]
+            assert np.array_equal(results[0], 2 * host)
+
+    def test_inline_exception_keeps_its_type_and_frees_the_module(self):
+        class Injected(Exception):
+            pass
+
+        with small_cluster(1) as cluster:
+            module = cluster.modules[0]
+            real_map = module.map
+
+            def failing(*args, **kwargs):
+                raise Injected("inline failure")
+
+            module.map = failing
+            host = np.arange(4)
+            with pytest.raises(Injected, match="inline failure"):
+                cluster.map("add", host, host)
+            assert not cluster.scheduler._module_locks[0].locked()
+            module.map = real_map
+            assert np.array_equal(cluster.map("add", host, host), 2 * host)
+
+    def test_mixed_callers_never_share_a_module(self):
+        """Stress: more threads than cores mixing ``run`` and ``submit``
+        on two modules, with a short switch interval.  Each subtask does
+        an unlocked read-modify-write of its module's counter; a
+        subtask that ran beside another on its module would lose an
+        update."""
+        scheduler = JobScheduler(2)
+        counters = [0, 0]
+        per_thread, n_threads = 60, 6
+        tallies = [[0, 0] for _ in range(n_threads)]
+
+        def bump(module_index: int) -> None:
+            value = counters[module_index]
+            time.sleep(0)   # invite a switch inside the update
+            counters[module_index] = value + 1
+
+        def caller(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            futures = []
+            for _ in range(per_thread):
+                modules = [m for m in range(2) if rng.random() < 0.7] or [0]
+                for m in modules:
+                    tallies[seed][m] += 1
+                job = [(m, (lambda m=m: bump(m))) for m in modules]
+                if rng.random() < 0.5:
+                    scheduler.run(job)
+                else:
+                    futures.append(scheduler.submit(job))
+            for future in futures:
+                future.result(timeout=10)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,))
+                       for seed in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        scheduler.barrier()
+        assert counters == [sum(t[m] for t in tallies) for m in range(2)]
+        assert scheduler._busy == [0, 0]
+        scheduler.close()
+
+    def test_warm_waits_for_a_busy_module(self):
+        """``cluster.warm`` binds (allocates and frees) rows, so it runs
+        under the module's lock, never beside a dispatch in flight."""
+        with small_cluster(2) as cluster:
+            release = threading.Event()
+            cluster.scheduler.submit([(0, lambda: release.wait(timeout=5))])
+            warmer = threading.Thread(target=cluster.warm, args=("add", 8))
+            warmer.start()
+            time.sleep(0.05)
+            assert warmer.is_alive()
+            release.set()
+            warmer.join(timeout=5)
+            assert not warmer.is_alive()
+            misses = [sim.control.plan_cache_misses
+                      for sim in cluster.modules]
+            host = np.arange(3)
+            cluster.map("add", host, host)
+            assert [sim.control.plan_cache_misses
+                    for sim in cluster.modules] == misses
 
 
 class TestSchedulerLifecycle:
