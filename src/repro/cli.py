@@ -250,6 +250,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                and not all(h.done() for h in handles)):
             time.sleep(0)  # yield, do not nap: a pack is in flight ~1 ms
         target.kill(0)
+        # Wait until the death is buried: when every pack finished
+        # before the kill, closing first would leave it unrecorded.
+        while clock.now() < deadline and target.replicas.replicas[0].alive:
+            time.sleep(0.001)
 
     with target, SimdramService(target, tenants=_SERVE_TENANTS,
                                 tracer=tracer) as service:

@@ -82,10 +82,10 @@ class DramModule:
                            data_storage=self._data_state[:, i],
                            b_storage=self._b_state[:, i])
                       for i in range(geometry.banks)]
-        #: Device-PMU registration: per-bank counter rows for this
-        #: module live under this id (see :mod:`repro.obs.pmu`).
-        self.pmu_id = get_pmu().register_module(
-            geometry.banks, self.lanes)
+        #: Device-PMU registration: the PMU reads this module's banks
+        #: at scrape and tallies its dispatches under this id (see
+        #: :mod:`repro.obs.pmu`).
+        self.pmu_id = get_pmu().register_module(self)
 
     @property
     def lanes(self) -> int:
@@ -165,7 +165,6 @@ class DramModule:
                 f"striped row must have {self.lanes} bits, got {bits.shape}")
         for i, bank in enumerate(self.banks):
             bank.subarray.write_row(address, bits[i * cols:(i + 1) * cols])
-        get_pmu().record_transposition(self.pmu_id, self.lanes)
 
     def read_striped(self, address: RowAddress) -> np.ndarray:
         """Read a logical row of ``lanes`` bits, striped across banks."""
@@ -173,7 +172,6 @@ class DramModule:
         out = np.empty(self.lanes, dtype=bool)
         for i, bank in enumerate(self.banks):
             out[i * cols:(i + 1) * cols] = bank.subarray.read_row(address)
-        get_pmu().record_transposition(self.pmu_id, self.lanes)
         return out
 
     # ------------------------------------------------------------------
@@ -200,7 +198,6 @@ class DramModule:
             if subarray._data.base is not self._data_state:  # swapped
                 subarray._data[base:base + n_rows] = block[:, i]
             subarray.stats.host_bits_written += n_rows * self.geometry.cols
-        get_pmu().record_transposition(self.pmu_id, n_rows * self.lanes)
 
     def read_rows(self, base: int, n_rows: int) -> np.ndarray:
         """Read packed D-group rows ``base..`` of every bank at once, as
@@ -214,5 +211,4 @@ class DramModule:
             if subarray._data.base is not self._data_state:  # swapped
                 block[:, i] = subarray._data[base:base + n_rows]
             subarray.stats.host_bits_read += n_rows * self.geometry.cols
-        get_pmu().record_transposition(self.pmu_id, n_rows * self.lanes)
         return block

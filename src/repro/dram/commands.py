@@ -76,17 +76,22 @@ class CommandStats:
         """Serial latency of the recorded command stream in one bank."""
         return self.n_ap * timing.ap_ns + self.n_aap * timing.aap_ns
 
-    def energy_nj(self, timing: DramTiming, geometry: DramGeometry,
-                  energy: DramEnergy) -> float:
-        """Energy of the recorded commands plus host I/O."""
+    def command_energy_nj(self, timing: DramTiming, geometry: DramGeometry,
+                          energy: DramEnergy) -> float:
+        """Energy of the recorded AP/AAP commands alone."""
         base = energy.act_pre_nj_chip(timing) * geometry.chips_per_rank
         extra = energy.extra_wordline_factor
         ap_nj = self.n_ap * base + extra * base * (
             self.ap_wordlines - self.n_ap)
         aap_nj = 2 * self.n_aap * base + extra * base * (
             self.aap_src_wordlines + self.aap_dst_wordlines - 2 * self.n_aap)
+        return ap_nj + aap_nj
+
+    def energy_nj(self, timing: DramTiming, geometry: DramGeometry,
+                  energy: DramEnergy) -> float:
+        """Energy of the recorded commands plus host I/O."""
         io_nj = energy.io_nj(self.host_bits_read + self.host_bits_written)
-        return ap_nj + aap_nj + io_nj
+        return self.command_energy_nj(timing, geometry, energy) + io_nj
 
     def accumulate(self, other: "CommandStats") -> None:
         """Add ``other``'s counters into this object in place.

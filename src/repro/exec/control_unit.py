@@ -16,6 +16,12 @@ bank by bank through each :class:`Subarray` — the traced /
 fault-injection slow path, bit-identical to the fast paths on success.
 ``"auto"`` resolves per dispatch: ``compiled`` when the module supports
 stacked execution, else ``per_bank``.
+
+Commands are counted once, where they are issued: every engine leaves
+the same per-bank :class:`CommandStats`, and the device PMU
+(:mod:`repro.obs.pmu`) reads those at scrape.  A dispatch adds only
+what the banks cannot know — participating banks and kernel identity —
+as one O(1) PMU tally.
 """
 
 from __future__ import annotations
@@ -26,9 +32,7 @@ from dataclasses import dataclass
 
 from repro.dram.bank import DramModule
 from repro.dram.commands import CommandStats
-from repro.dram.energy import DramEnergy
 from repro.dram.subarray import Subarray
-from repro.dram.timing import DramTiming
 from repro.errors import ExecutionError
 from repro.exec.engines import ExecutionEngine, resolve_engine
 from repro.exec.layout import RowLayout
@@ -36,12 +40,6 @@ from repro.exec.plan import ExecutionPlan, compile_plan
 from repro.obs.pmu import get_pmu
 from repro.uprog.program import MicroProgram
 from repro.uprog.uops import UAap, UAp
-
-#: Reference timing/energy model for the PMU's latency/nJ samples —
-#: fixed (DDR4-2400) so counters stay comparable across dispatch
-#: paths that carry no timing config of their own.
-_PMU_TIMING = DramTiming.ddr4_2400()
-_PMU_ENERGY = DramEnergy.ddr4()
 
 #: Default scratchpad capacity in µOps.  The paper stores each operation's
 #: µProgram in a small memory inside the controller; we size it generously
@@ -221,39 +219,22 @@ class ControlUnit:
             engine, module.supports_vectorized(len(banks)))
         if not resolved.executes_plans:
             stats = CommandStats()
-            first = None
             for bank in banks:
                 delta = self.execute(program, bank.subarray, layout)
-                if first is None:
-                    first = delta
                 stats = stats.merged_with(delta)
-            self._note_dispatch(module, len(banks), first, program)
-            return stats
-
-        plan = self.plan_for(program, layout, module.geometry)
-        executor = self.executor_for(plan, resolved)
-        data, b_planes = module.vector_state(len(banks))
-        executor(data, b_planes)
-        # Fold the per-bank stats into each bank so every engine
-        # leaves identical accounting state.
-        for bank in banks:
-            bank.subarray.stats.accumulate(plan.per_bank_stats)
-        self._note_dispatch(module, len(banks), plan.per_bank_stats,
-                            program)
-        return plan.per_bank_stats.scaled(len(banks))
-
-    @staticmethod
-    def _note_dispatch(module: DramModule, n_banks: int,
-                       per_bank: "CommandStats | None",
-                       program: MicroProgram) -> None:
-        """Device-PMU dispatch sample: banks run in lockstep, so one
-        bank's delta describes every participant."""
-        pmu_id = getattr(module, "pmu_id", None)
-        if pmu_id is None or per_bank is None:
-            return
+        else:
+            plan = self.plan_for(program, layout, module.geometry)
+            executor = self.executor_for(plan, resolved)
+            data, b_planes = module.vector_state(len(banks))
+            executor(data, b_planes)
+            # Fold the per-bank stats into each bank so every engine
+            # leaves identical accounting state.
+            delta = plan.per_bank_stats
+            for bank in banks:
+                bank.subarray.stats.accumulate(delta)
+            stats = delta.scaled(len(banks))
+        # Lockstep: one bank's delta is every participant's.
         get_pmu().record_dispatch(
-            pmu_id, n_banks, per_bank,
-            kernel=f"{program.op_name}@{program.element_width}",
-            latency_ns=per_bank.latency_ns(_PMU_TIMING),
-            energy_nj=n_banks * per_bank.energy_nj(
-                _PMU_TIMING, module.geometry, _PMU_ENERGY))
+            module.pmu_id, len(banks),
+            (program.op_name, program.element_width), delta.n_activations)
+        return stats

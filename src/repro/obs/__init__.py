@@ -16,8 +16,9 @@ The subsystem has four small parts:
   surfaces;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and,
   via the registry, Prometheus text exposition;
-* :mod:`repro.obs.pmu` — the device PMU: per-bank counter banks fed
-  at dispatch boundaries, exported as ``repro_pmu_*``;
+* :mod:`repro.obs.pmu` — the device PMU: per-bank counters read at
+  scrape from the banks' own command stats, plus O(1) dispatch and
+  utilization tallies, exported as ``repro_pmu_*``;
 * :mod:`repro.obs.flightrec` — the always-on flight recorder (bounded
   event ring, crash spill files, merged postmortem dumps);
 * :mod:`repro.obs.alerts` — SLO burn-rate rules over the registry;

@@ -5,43 +5,39 @@ memory device itself, not just the serving pipeline: row activations,
 the ACT/PRE vs AAP command mix, per-bank occupancy, transposition
 traffic and modeled energy.  This module is that counter file.
 
-Three hook sites feed it, all on dispatch boundaries (never inside the
-bit-serial inner loops):
+A command is counted once, where it is issued: every bank's
+:class:`~repro.dram.commands.CommandStats` is exact on every engine,
+RowClone included, and counts the host bits through the transposition
+unit's port.  The PMU holds each registered module weakly (a dropped
+module's row goes with it) and reads those at scrape: per-bank AP/AAP
+counts, activations and busy time, transposition bits, and command
+energy at a fixed DDR4-2400 reference (host I/O excluded).  It tallies
+only what banks cannot know, at three hook sites:
 
-* :meth:`DramModule.__init__ <repro.dram.bank.DramModule>` registers
-  each module with the process-global PMU and tags it with a
-  ``pmu_id``; the module's host-I/O paths (``write_rows`` /
-  ``read_rows`` — the transposition unit's data port — and the
-  row-at-a-time ``write_striped`` / ``read_striped``) record
-  transposition traffic.
-* :meth:`ControlUnit.execute_on_module
-  <repro.exec.control_unit.ControlUnit>` records one *dispatch
-  sample* per µProgram execution: the per-bank command-stream delta,
-  how many banks participated, and the kernel identity.  Banks run in
-  lockstep, so one bank's delta describes every participating bank.
-* :meth:`SimdramCluster._account <repro.runtime.cluster.SimdramCluster>`
-  records the modeled busy-time delta of each dispatch boundary into a
-  windowed utilization timeline (the heatmap source) and emits a
-  ``pmu.delta`` flight-recorder event.
+* ``DramModule.__init__`` registers the module (its ``pmu_id``);
+* ``ControlUnit.execute_on_module`` tallies one µProgram dispatch —
+  participating banks and kernel identity, O(1);
+* ``SimdramCluster._account`` folds each dispatch boundary's modeled
+  busy time into a windowed utilization timeline (the heatmap source)
+  and emits a ``pmu.delta`` flight-recorder event.
 
-The serve layer attributes device work to tenants and kernel
-identities via :meth:`DevicePmu.attribute` when a request finishes.
-
-Everything is exported through a registry collector named ``"pmu"``
-(``repro_pmu_*`` series) — call :meth:`DevicePmu.register` to attach
-it to any :class:`~repro.obs.metrics.MetricsRegistry`.
-
-One compute subarray is modeled per bank, so the per-bank counter rows
-double as per-subarray rows.
+The serve layer attributes finished requests to tenants and kernels
+(:meth:`DevicePmu.attribute`).  Everything exports through a registry
+collector named ``"pmu"`` (``repro_pmu_*``; :meth:`DevicePmu.register`).
+One compute subarray is modeled per bank, so bank rows double as
+subarray rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.dram.energy import DramEnergy
+from repro.dram.timing import DramTiming
 from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.metrics import MetricsRegistry, Sample, get_registry
@@ -50,49 +46,89 @@ from repro.obs.metrics import MetricsRegistry, Sample, get_registry
 #: build several DevicePmu instances.
 _module_ids = itertools.count()
 
+#: Reference timing/energy model for busy time and energy — fixed
+#: (DDR4-2400) so counters stay comparable across modules whatever
+#: timing config their owners carry.
+_TIMING = DramTiming.ddr4_2400()
+_ENERGY = DramEnergy.ddr4()
+
 #: Default size of the utilization timeline: 240 windows of 250 ms
 #: covers the last minute of device activity.
 DEFAULT_WINDOW_S = 0.25
 DEFAULT_N_WINDOWS = 240
 
 
-@dataclass
-class BankCounters:
-    """One bank's (== one compute subarray's) counter row."""
-
-    n_ap: float = 0.0
-    n_aap: float = 0.0
-    activations: float = 0.0
-    busy_ns: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"n_ap": self.n_ap, "n_aap": self.n_aap,
-                "activations": self.activations, "busy_ns": self.busy_ns}
+#: The exported series per scope: (name, counter field, extra labels,
+#: kind, help).
+_MODULE_SERIES = (
+    ("repro_pmu_dispatches_total", "dispatches", (), "counter",
+     "uProgram dispatches sampled by the device PMU"),
+    ("repro_pmu_transposition_bits_total", "transposition_bits", (),
+     "counter", "bits moved through the transposition unit's striped "
+     "I/O port"),
+    ("repro_pmu_energy_nj_total", "energy_nj", (), "counter",
+     "modeled device command energy"),
+    ("repro_pmu_lane_duty_cycle", "duty_cycle", (), "gauge",
+     "mean fraction of banks participating per dispatch"),
+    ("repro_pmu_window_utilization", "utilization", (), "gauge",
+     "modeled busy fraction over the recent utilization windows"),
+)
+_BANK_SERIES = (
+    ("repro_pmu_row_activations_total", "activations", (), "counter",
+     "row activations (ACT/PRE pairs) per bank"),
+    ("repro_pmu_commands_total", "n_ap", (("kind", "ap"),), "counter",
+     "AP / AAP commands issued per bank"),
+    ("repro_pmu_commands_total", "n_aap", (("kind", "aap"),), "counter",
+     "AP / AAP commands issued per bank"),
+)
+_KERNEL_SERIES = (
+    ("repro_pmu_kernel_dispatches_total", "dispatches", (), "counter",
+     "device dispatches per kernel identity"),
+    ("repro_pmu_kernel_activations_total", "activations", (), "counter",
+     "row activations per kernel identity"),
+)
+_TENANT_SERIES = (
+    ("repro_pmu_tenant_requests_total", "requests", (), "counter",
+     "finished requests attributed per tenant/kernel"),
+    ("repro_pmu_tenant_lanes_total", "lanes", (), "counter",
+     "device lanes attributed per tenant/kernel"),
+    ("repro_pmu_tenant_energy_nj_total", "energy_nj", (), "counter",
+     "modeled energy attributed per tenant/kernel"),
+)
 
 
 @dataclass
 class ModuleCounters:
-    """Counter bank for one registered :class:`DramModule`."""
+    """What the PMU tallies for one registered module: only what its
+    banks cannot count themselves."""
 
-    module_id: int
-    n_banks: int
-    lanes: int
-    banks: "list[BankCounters]" = field(default_factory=list)
+    module: weakref.ref
     dispatches: float = 0.0
     #: Sum over dispatches of participating-bank count — the
     #: numerator of the lane-occupancy duty cycle.
     bank_dispatches: float = 0.0
-    transposition_bits: float = 0.0
-    energy_nj: float = 0.0
-    busy_ns: float = 0.0
     #: Utilization timeline: (window index, modeled busy ns) pairs.
     windows: deque = field(default_factory=deque)
 
-    def duty_cycle(self) -> float:
-        """Mean fraction of banks participating per dispatch."""
-        if not self.dispatches:
-            return 0.0
-        return self.bank_dispatches / (self.dispatches * self.n_banks)
+
+def _read_banks(module) -> dict:
+    """A module's counter row, read from its banks' command stats."""
+    banks = []
+    bits = energy_nj = 0.0
+    for bank in module.banks:
+        stats = bank.stats
+        banks.append({"n_ap": stats.n_ap, "n_aap": stats.n_aap,
+                      "activations": stats.n_activations,
+                      "busy_ns": stats.latency_ns(_TIMING)})
+        bits += stats.host_bits_read + stats.host_bits_written
+        energy_nj += stats.command_energy_nj(_TIMING, module.geometry,
+                                             _ENERGY)
+    # Lockstep: the module is busy as long as its busiest bank (bank 0,
+    # which joins every broadcast).
+    return {"n_banks": len(banks), "lanes": module.lanes,
+            "transposition_bits": bits, "energy_nj": energy_nj,
+            "busy_ns": max(bank["busy_ns"] for bank in banks),
+            "banks": banks}
 
 
 class DevicePmu:
@@ -109,57 +145,41 @@ class DevicePmu:
         self.n_windows = int(n_windows)
         self._lock = threading.Lock()
         self._modules: "dict[int, ModuleCounters]" = {}
-        #: Device-level per-kernel counts (control-unit attribution).
-        self._kernels: "dict[str, dict]" = {}
+        #: Device-level per-(op, width) counts (control-unit attribution).
+        self._kernels: "dict[tuple, dict]" = {}
         #: Serve-level per-(tenant, kernel) attribution.
         self._tenants: "dict[tuple, dict]" = {}
 
     # ------------------------------------------------------------------
     # recording (the hook API)
     # ------------------------------------------------------------------
-    def register_module(self, n_banks: int, lanes: int) -> int:
-        """Register a DRAM module; returns its ``pmu_id``."""
+    def register_module(self, module) -> int:
+        """Register a :class:`~repro.dram.bank.DramModule` (held
+        weakly); returns its ``pmu_id``."""
         module_id = next(_module_ids)
-        row = ModuleCounters(module_id=module_id, n_banks=int(n_banks),
-                             lanes=int(lanes),
-                             banks=[BankCounters()
-                                    for _ in range(int(n_banks))])
         with self._lock:
-            self._modules[module_id] = row
+            self._live()
+            self._modules[module_id] = ModuleCounters(weakref.ref(module))
         return module_id
 
-    def record_dispatch(self, module_id: int, n_banks: int, per_bank,
-                        *, kernel: "str | None" = None,
-                        latency_ns: float = 0.0,
-                        energy_nj: float = 0.0) -> None:
-        """One µProgram dispatch: ``per_bank`` is a single bank's
-        :class:`~repro.dram.commands.CommandStats` delta (banks run
-        in lockstep, so it describes all ``n_banks`` participants)."""
+    def record_dispatch(self, module_id: int, n_banks: int,
+                        kernel: "tuple[str, int]",
+                        activations: int) -> None:
+        """One µProgram dispatch of ``kernel`` (``(op, width)``) on
+        ``n_banks`` banks; ``activations`` is one bank's share (banks
+        run in lockstep)."""
         with self._lock:
             row = self._modules.get(module_id)
             if row is None:
                 return
             row.dispatches += 1
             row.bank_dispatches += n_banks
-            row.energy_nj += energy_nj
-            row.busy_ns += latency_ns * 1.0
-            for bank in row.banks[:n_banks]:
-                bank.n_ap += per_bank.n_ap
-                bank.n_aap += per_bank.n_aap
-                bank.activations += per_bank.n_activations
-                bank.busy_ns += latency_ns
-            if kernel is not None:
-                cell = self._kernels.setdefault(
-                    kernel, {"dispatches": 0.0, "activations": 0.0})
-                cell["dispatches"] += 1
-                cell["activations"] += per_bank.n_activations * n_banks
-
-    def record_transposition(self, module_id: int, bits: int) -> None:
-        """Striped-I/O traffic through the transposition unit."""
-        with self._lock:
-            row = self._modules.get(module_id)
-            if row is not None:
-                row.transposition_bits += bits
+            cell = self._kernels.get(kernel)
+            if cell is None:
+                cell = self._kernels[kernel] = {"dispatches": 0.0,
+                                                "activations": 0.0}
+            cell["dispatches"] += 1
+            cell["activations"] += activations * n_banks
 
     def record_boundary(self, module_id: int, busy_ns: float,
                         io_bits: int = 0) -> None:
@@ -197,6 +217,18 @@ class DevicePmu:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
+    def _live(self) -> "list[tuple]":
+        """``(module_id, tally, module)`` for every live module,
+        forgetting the dropped ones.  Caller holds the lock."""
+        live = []
+        for module_id, row in list(self._modules.items()):
+            module = row.module()
+            if module is None:
+                del self._modules[module_id]
+            else:
+                live.append((module_id, row, module))
+        return live
+
     def utilization(self, lookback: int = 4) -> "dict[int, float]":
         """Recent modeled utilization per module: busy-ns over the
         last ``lookback`` wall windows / that much wall time."""
@@ -204,7 +236,7 @@ class DevicePmu:
         span_ns = lookback * self.window_s * 1e9
         out: "dict[int, float]" = {}
         with self._lock:
-            for module_id, row in self._modules.items():
+            for module_id, row, _ in self._live():
                 busy = sum(ns for bucket, ns in row.windows
                            if bucket > horizon)
                 out[module_id] = min(1.0, busy / span_ns)
@@ -215,7 +247,7 @@ class DevicePmu:
         with the window's start time and modeled busy ns."""
         out = []
         with self._lock:
-            for module_id, row in self._modules.items():
+            for module_id, row, _ in self._live():
                 for bucket, ns in row.windows:
                     out.append({"module": module_id,
                                 "t0": bucket * self.window_s,
@@ -223,100 +255,57 @@ class DevicePmu:
         out.sort(key=lambda e: (e["t0"], e["module"]))
         return out
 
-    def snapshot(self) -> dict:
-        """Structured copy of every counter (dashboard / JSON food)."""
+    def _read(self) -> "tuple[dict, dict, dict]":
+        """``(modules, kernels, tenants)``: the tallies joined with
+        what the live banks say, tenants keyed ``(tenant, kernel)``."""
         util = self.utilization()
         with self._lock:
-            modules = {}
-            for module_id, row in self._modules.items():
-                modules[module_id] = {
-                    "n_banks": row.n_banks,
-                    "lanes": row.lanes,
-                    "dispatches": row.dispatches,
-                    "duty_cycle": row.duty_cycle(),
-                    "utilization": util.get(module_id, 0.0),
-                    "transposition_bits": row.transposition_bits,
-                    "energy_nj": row.energy_nj,
-                    "busy_ns": row.busy_ns,
-                    "banks": [bank.as_dict() for bank in row.banks],
-                }
-            kernels = {k: dict(v) for k, v in self._kernels.items()}
-            tenants = {f"{t}/{k}": dict(v)
-                       for (t, k), v in self._tenants.items()}
+            live = [(module_id, module, row.dispatches,
+                     row.bank_dispatches)
+                    for module_id, row, module in self._live()]
+            kernels = {f"{op}@{width}": dict(cell)
+                       for (op, width), cell in self._kernels.items()}
+            tenants = {key: dict(cell)
+                       for key, cell in self._tenants.items()}
+        modules = {}
+        for module_id, module, dispatches, bank_dispatches in live:
+            row = modules[module_id] = _read_banks(module)
+            row["dispatches"] = dispatches
+            row["duty_cycle"] = (bank_dispatches
+                                 / (dispatches * row["n_banks"])
+                                 if dispatches else 0.0)
+            row["utilization"] = util.get(module_id, 0.0)
+        return modules, kernels, tenants
+
+    def snapshot(self) -> dict:
+        """Structured copy of every counter (dashboard / JSON food)."""
+        modules, kernels, tenants = self._read()
         return {"modules": modules, "kernels": kernels,
-                "tenants": tenants}
+                "tenants": {f"{t}/{k}": cell
+                            for (t, k), cell in tenants.items()}}
 
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
     def samples(self) -> "list[Sample]":
         """Registry-collector payload (``repro_pmu_*`` series)."""
-        util = self.utilization()
+        modules, kernels, tenants = self._read()
         out: "list[Sample]" = []
-        with self._lock:
-            for module_id, row in self._modules.items():
-                mod = str(module_id)
-                out.append(Sample(
-                    "repro_pmu_dispatches_total", row.dispatches,
-                    (("module", mod),), "counter",
-                    "uProgram dispatches sampled by the device PMU"))
-                out.append(Sample(
-                    "repro_pmu_transposition_bits_total",
-                    row.transposition_bits, (("module", mod),),
-                    "counter", "bits moved through the transposition "
-                    "unit's striped I/O port"))
-                out.append(Sample(
-                    "repro_pmu_energy_nj_total", row.energy_nj,
-                    (("module", mod),), "counter",
-                    "modeled device energy sampled at dispatch"))
-                out.append(Sample(
-                    "repro_pmu_lane_duty_cycle", row.duty_cycle(),
-                    (("module", mod),), "gauge",
-                    "mean fraction of banks participating per "
-                    "dispatch"))
-                out.append(Sample(
-                    "repro_pmu_window_utilization",
-                    util.get(module_id, 0.0), (("module", mod),),
-                    "gauge", "modeled busy fraction over the recent "
-                    "utilization windows"))
-                for index, bank in enumerate(row.banks):
-                    labels = (("module", mod), ("bank", str(index)))
-                    out.append(Sample(
-                        "repro_pmu_row_activations_total",
-                        bank.activations, labels, "counter",
-                        "row activations (ACT/PRE pairs) per bank"))
-                    out.append(Sample(
-                        "repro_pmu_commands_total", bank.n_ap,
-                        labels + (("kind", "ap"),), "counter",
-                        "AP / AAP commands issued per bank"))
-                    out.append(Sample(
-                        "repro_pmu_commands_total", bank.n_aap,
-                        labels + (("kind", "aap"),), "counter",
-                        "AP / AAP commands issued per bank"))
-            for kernel, cell in self._kernels.items():
-                labels = (("kernel", kernel),)
-                out.append(Sample(
-                    "repro_pmu_kernel_dispatches_total",
-                    cell["dispatches"], labels, "counter",
-                    "device dispatches per kernel identity"))
-                out.append(Sample(
-                    "repro_pmu_kernel_activations_total",
-                    cell["activations"], labels, "counter",
-                    "row activations per kernel identity"))
-            for (tenant, kernel), cell in self._tenants.items():
-                labels = (("tenant", tenant), ("kernel", kernel))
-                out.append(Sample(
-                    "repro_pmu_tenant_requests_total",
-                    cell["requests"], labels, "counter",
-                    "finished requests attributed per tenant/kernel"))
-                out.append(Sample(
-                    "repro_pmu_tenant_lanes_total", cell["lanes"],
-                    labels, "counter",
-                    "device lanes attributed per tenant/kernel"))
-                out.append(Sample(
-                    "repro_pmu_tenant_energy_nj_total",
-                    cell["energy_nj"], labels, "counter",
-                    "modeled energy attributed per tenant/kernel"))
+
+        def emit(series, cell: dict, labels: tuple) -> None:
+            out.extend(Sample(name, cell[key], labels + extra, kind, text)
+                       for name, key, extra, kind, text in series)
+
+        for module_id, row in modules.items():
+            labels = (("module", str(module_id)),)
+            emit(_MODULE_SERIES, row, labels)
+            for index, bank in enumerate(row["banks"]):
+                emit(_BANK_SERIES, bank, labels + (("bank", str(index)),))
+        for kernel, cell in kernels.items():
+            emit(_KERNEL_SERIES, cell, (("kernel", kernel),))
+        for (tenant, kernel), cell in tenants.items():
+            emit(_TENANT_SERIES, cell,
+                 (("tenant", tenant), ("kernel", kernel)))
         return out
 
     def register(self, registry: "MetricsRegistry | None" = None
@@ -325,22 +314,6 @@ class DevicePmu:
         registration replaces rather than stacks)."""
         (registry or get_registry()).register_collector(
             self.samples, name="pmu")
-
-    def reset(self) -> None:
-        """Zero every counter but keep module registrations."""
-        with self._lock:
-            for row in self._modules.values():
-                row.dispatches = 0.0
-                row.bank_dispatches = 0.0
-                row.transposition_bits = 0.0
-                row.energy_nj = 0.0
-                row.busy_ns = 0.0
-                row.windows.clear()
-                for bank in row.banks:
-                    bank.n_ap = bank.n_aap = 0.0
-                    bank.activations = bank.busy_ns = 0.0
-            self._kernels.clear()
-            self._tenants.clear()
 
 
 _GLOBAL_PMU = DevicePmu()
