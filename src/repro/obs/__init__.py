@@ -11,9 +11,11 @@ The subsystem has four small parts:
   fast path when tracing is off and dict serialization so replica
   child processes can ship their subtrees home over the result pipe;
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and exponential-bucket histograms, plus scrape-time
-  collectors that adapt the legacy ``ServeMetrics``/``CommandStats``
-  surfaces;
+  gauges and exponential-bucket histograms (a service records its
+  serving facts on instruments of its own, in
+  :class:`~repro.serve.metrics.ServeMetrics`), plus scrape-time
+  collectors that read state other components own (the banks'
+  ``CommandStats``, the pager, the replica tier);
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and,
   via the registry, Prometheus text exposition;
 * :mod:`repro.obs.pmu` — the device PMU: per-bank counters read at

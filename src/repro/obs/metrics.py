@@ -2,11 +2,12 @@
 
 One :class:`MetricsRegistry` unifies every telemetry surface in the
 repo.  Hot paths mutate native :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments; pre-existing surfaces that keep their
-own state (``ServeMetrics``, ``CommandStats``, replica/router
-counters) plug in as *collectors* — callables invoked at scrape time
-that return :class:`Sample` rows — so nothing is double-accounted and
-legacy snapshots stay authoritative.
+:class:`Histogram` instruments; a serving fact is recorded on one, in
+the service's own store (:class:`~repro.serve.metrics.ServeMetrics`).
+Surfaces another component owns — the banks' ``CommandStats`` behind
+the device PMU, the pager, the replica/router counters — plug in as
+*collectors*: callables invoked at scrape time that read that state
+and return :class:`Sample` rows, so nothing is counted twice.
 
 Two read paths: :meth:`MetricsRegistry.snapshot` (JSON-friendly dict)
 and :meth:`MetricsRegistry.prometheus_text` (Prometheus text
@@ -29,6 +30,8 @@ LabelDict = "dict[str, str]"
 
 
 def _label_key(labels: "dict[str, str]") -> "tuple[tuple[str, str], ...]":
+    if not labels:  # the hot path of every unlabelled instrument
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -261,8 +264,8 @@ class MetricsRegistry:
     # -- collectors --------------------------------------------------------
     def register_collector(self, fn: "Callable[[], Iterable[Sample]]",
                            name: str = "") -> None:
-        """Add a scrape-time sample source (adapter over a legacy
-        surface).  Re-registering the same non-empty ``name`` replaces
+        """Add a scrape-time sample source (a reader of state another
+        component owns).  Re-registering the same non-empty ``name`` replaces
         the previous collector, so re-created services do not stack."""
         with self._lock:
             if name:
@@ -322,6 +325,13 @@ class MetricsRegistry:
             lines.append(f"{s.name}{_format_labels(s.labels)} "
                          f"{_format_value(s.value)}")
         return "\n".join(lines) + "\n"
+
+    def reset(self) -> None:
+        """Zero every instrument; instruments and collectors stay."""
+        with self._lock:
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            metric.reset()
 
     def clear(self) -> None:
         """Drop every instrument and collector (bench/test reuse)."""

@@ -1,45 +1,41 @@
 """Telemetry for the serving layer.
 
-One :class:`ServeMetrics` instance per :class:`~repro.serve.SimdramService`
-collects everything an operator watches on a serving box:
+One :class:`ServeMetrics` per :class:`~repro.serve.SimdramService` is
+the service's one store of serving facts.  Each fact is recorded once,
+on a :class:`~repro.obs.metrics.Counter` or
+:class:`~repro.obs.metrics.Histogram` of the ``ServeMetrics``' own
+:class:`~repro.obs.metrics.MetricsRegistry`, and both read paths read
+those instruments: :meth:`ServeMetrics.snapshot` (``service.stats()``)
+and :meth:`ServeMetrics.samples` (the service's scrape collector), so
+the two cannot disagree.  The store is per service: two services on one
+shared registry never mix their counts.
 
-* **request counters** — submitted / completed / failed / rejected, in
-  total and per tenant;
-* **latency** — wall time from ``submit`` to handle resolution, kept in
-  a bounded reservoir so ``p50``/``p99`` stay cheap under sustained
-  load;
-* **packing** — how well the lane packer amortizes dispatches:
-  requests per dispatch, *lane occupancy* (lanes carried per dispatch
-  over the lanes it could have carried) and *packing efficiency*
-  (fraction of dispatches saved versus one-dispatch-per-request),
-  and what decided each flush (``flushes``: full / ready / timer /
-  explicit);
-* **spill counts** — paging traffic observed under the serving path
-  (filled in by ``service.stats()`` from the cluster's pagers);
-* **replicas** — when the service dispatches through a
-  :class:`~repro.serve.router.ReplicaRouter`, per-replica dispatch /
-  request / lane counters plus failover events (replica deaths seen
-  and requests re-queued onto survivors);
-* **SLO accounting** — requests carrying a deadline are classified at
-  resolution into *on-time* / *late* / *shed* (shed = the scheduler
-  dropped a lapsed request without executing it,
-  :class:`~repro.errors.DeadlineExceeded`), per tenant and in total,
-  with **goodput** (on-time completions per second of service
-  lifetime) derived in :meth:`ServeMetrics.snapshot`;
-* **modeled energy** — :class:`RequestEnergyModel` folds the perf
-  layer's DRAM energy model (:class:`~repro.perf.model.PimSystemModel`)
-  into the serving path: each completed request is charged the modeled
-  nanojoules of its kernel's µProgram times the lanes it occupied, so
-  the service reports *joules per request*, not just latency.
+* **requests** — one per-tenant counter by outcome,
+  ``repro_serve_tenant_requests_total{state,tenant}``; the totals
+  ``repro_serve_requests_total{state}``, ``in_flight`` and
+  ``repro_serve_deadline_shed_total{tenant}`` are its sums and slices;
+* **latency** — ``repro_serve_request_latency_seconds``, plus a bounded
+  **reservoir** of the most recent :data:`RESERVOIR` completions for
+  ``p50``/``p99`` (``latency_ms.max`` is the lifetime maximum, never
+  evicted; ``window_max`` the maximum inside the window);
+* **packing** — ``repro_serve_pack_*`` totals, labelled ``replica=``
+  when a :class:`~repro.serve.router.ReplicaRouter` replica ran the
+  dispatch (``stats()["replicas"]`` is that slice), and
+  ``repro_serve_flushes_total{reason}``; *lane occupancy* and *packing
+  efficiency* are derived;
+* **failover** — replica deaths the router reported with work in
+  flight, and the dispatches it re-queued onto survivors;
+* **SLO** — ``repro_serve_slo_requests_total{state}`` (with a deadline,
+  on time, late; *shed* is the request counter's state) and the
+  derived **goodput** (on-time completions per second of lifetime);
+* **modeled energy** — ``repro_request_energy_joules``: each completed
+  request is charged its kernel's µProgram nanojoules
+  (:class:`RequestEnergyModel`) times the lanes it occupied.
 
-Latency percentiles are computed over a bounded sliding **reservoir**
-of the most recent :data:`RESERVOIR` completions, so a long-running
-service reports *recent* tail latency; ``latency_ms.max`` is the true
-lifetime maximum (never evicted), and ``latency_ms.window_max`` is the
-maximum within the current reservoir window.
-
-All recording methods are thread-safe; :meth:`snapshot` returns one
-plain ``dict`` suitable for logging or JSON export.
+Every family is present from the first scrape, zero-valued until
+traffic arrives.  All methods are thread-safe; one lock makes each
+recording and each read atomic, so a snapshot never shows a request
+completed before it was submitted.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ from collections import deque
 import numpy as np
 
 from repro.obs import clock
+from repro.obs.metrics import MetricsRegistry, Sample
 
 #: Latency samples kept for the percentile estimates.  Old samples
 #: fall off, so long-running services report *recent* tail latency.
@@ -58,6 +55,20 @@ RESERVOIR = 8192
 #: Why a pack group was flushed; the label set of
 #: ``repro_serve_flushes_total`` (every reason is always present).
 FLUSH_REASONS = ("full", "ready", "timer", "explicit")
+
+#: Request outcomes, the ``state`` label of the request counters.
+REQUEST_STATES = ("submitted", "completed", "failed", "rejected", "shed")
+
+#: Deadline verdicts, the ``state`` label of
+#: ``repro_serve_slo_requests_total`` (every state is always present).
+SLO_STATES = ("with_deadline", "on_time", "late")
+
+#: Buckets of the per-request energy histogram: ~0.1 nJ to ~100 mJ in
+#: powers of four — kernels cost nanojoules per element, requests
+#: carry up to thousands of lanes.
+ENERGY_BUCKETS = tuple(1e-10 * 4.0 ** i for i in range(16))
+
+_PACK_HELP = "lane-packer dispatch totals"
 
 
 def percentile(samples: list[float], q: float,
@@ -75,140 +86,125 @@ def percentile(samples: list[float], q: float,
     return float(np.percentile(samples, q, method=method))
 
 
-class _TenantCounters:
-    __slots__ = ("submitted", "completed", "failed", "rejected",
-                 "shed", "lanes")
-
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.rejected = 0
-        self.shed = 0
-        self.lanes = 0
-
-    def as_dict(self) -> dict:
-        return {"submitted": self.submitted, "completed": self.completed,
-                "failed": self.failed, "rejected": self.rejected,
-                "shed": self.shed, "lanes": self.lanes}
-
-
-class _ReplicaCounters:
-    __slots__ = ("dispatches", "requests", "lanes")
-
-    def __init__(self) -> None:
-        self.dispatches = 0
-        self.requests = 0
-        self.lanes = 0
-
-    def as_dict(self) -> dict:
-        return {"dispatches": self.dispatches,
-                "requests": self.requests, "lanes": self.lanes}
+def _by_replica(series: dict) -> "tuple[int, dict[int, int]]":
+    """A pack counter's total over every series, and its per-replica
+    slice (the series labelled ``replica=``)."""
+    total, per_replica = 0, {}
+    for key, value in series.items():
+        total += int(value)
+        if key:
+            per_replica[int(dict(key)["replica"])] = int(value)
+    return total, per_replica
 
 
 class ServeMetrics:
-    """Thread-safe counters and latency reservoir for one service."""
+    """One service's serving facts, each on one registry instrument
+    (see module docstring)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tenants: dict[str, _TenantCounters] = {}
-        self._replicas: dict[int, _ReplicaCounters] = {}
-        self.n_submitted = 0
-        self.n_completed = 0
-        self.n_failed = 0
-        self.n_rejected = 0
-        #: Packed dispatches issued (each runs one µProgram stream).
-        self.n_dispatches = 0
-        #: Requests carried by those dispatches.
-        self.n_dispatched_requests = 0
-        #: Total SIMD lanes carried by those dispatches.
-        self.lanes_dispatched = 0
-        #: Sum over dispatches of lanes / flush capacity (for the mean).
-        self._occupancy_sum = 0.0
-        #: Packed dispatches that failed and were retried sequentially.
-        self.n_sequential_fallbacks = 0
-        #: Pack-group flushes by what decided them (the service's one
-        #: flush decision point): the group filled, the queues were
-        #: empty and the target ready, ``max_wait_s`` ran out, or a
-        #: ``flush()``/``close()`` forced it.
-        self._flushes = dict.fromkeys(FLUSH_REASONS, 0)
-        #: Replica deaths observed / requests re-queued onto survivors.
-        self.n_replica_deaths = 0
-        self.n_failover_requeues = 0
-        #: SLO accounting: requests submitted with a deadline, and how
-        #: they resolved — completed within it, completed late, or
-        #: shed (dropped un-executed with ``DeadlineExceeded``).
-        self.n_with_deadline = 0
-        self.n_on_time = 0
-        self.n_late = 0
-        self.n_shed = 0
-        #: Modeled DRAM energy charged to completed requests (nJ), and
-        #: how many requests were metered (the energy model can decline
-        #: a request it cannot price without failing it).
-        self.energy_nj_total = 0.0
-        self.n_energy_metered = 0
-        self._latencies: deque[float] = deque(maxlen=RESERVOIR)
-        #: True maximum over the service's whole lifetime — samples
-        #: falling out of the bounded reservoir never lower it.
-        self._lifetime_max_s = 0.0
-        #: Goodput denominator: service lifetime (reset() restarts it).
-        self._started_at = clock.now()
+        #: The store: instruments of a registry private to this
+        #: service, exported through :meth:`samples`.
+        self.registry = MetricsRegistry()
+        counter = self.registry.counter
+        self._requests = counter("repro_serve_tenant_requests_total",
+                                 "per-tenant requests by outcome")
+        self._slo = counter("repro_serve_slo_requests_total",
+                            "deadline-carrying requests by verdict")
+        self._dispatches = counter("repro_serve_pack_dispatches",
+                                   _PACK_HELP)
+        self._packed = counter("repro_serve_pack_packed_requests",
+                               _PACK_HELP)
+        self._lanes = counter("repro_serve_pack_lanes", _PACK_HELP)
+        self._fallbacks = counter("repro_serve_pack_sequential_fallbacks",
+                                  _PACK_HELP)
+        self._flushes = counter("repro_serve_flushes_total",
+                                "pack-group flushes by what decided them")
+        self._deaths = counter("repro_failover_replica_deaths_total",
+                               "replica deaths the service observed")
+        self._requeued = counter("repro_failover_requeued_total",
+                                 "in-flight requests re-homed to survivors")
+        self._latency = self.registry.histogram(
+            "repro_serve_request_latency_seconds",
+            "submit-to-resolution latency of completed requests")
+        self._energy = self.registry.histogram(
+            "repro_request_energy_joules",
+            "modeled DRAM energy per completed request (J)",
+            buckets=ENERGY_BUCKETS)
+        self.reset()
 
-    def _tenant(self, tenant: str) -> _TenantCounters:
-        counters = self._tenants.get(tenant)
-        if counters is None:
-            counters = self._tenants[tenant] = _TenantCounters()
-        return counters
+    def reset(self) -> None:
+        """Zero every instrument and side table, and the latency
+        reservoir (including the lifetime max) — so one bench harness
+        can reuse a warm service across measured phases without
+        earlier phases polluting the numbers."""
+        with self._lock:
+            self.registry.reset()
+            for reason in FLUSH_REASONS:
+                self._flushes.inc(0, reason=reason)
+            for state in SLO_STATES:
+                self._slo.inc(0, state=state)
+            #: Lanes submitted per tenant (``stats()`` only; also the
+            #: set of tenants whose request series are seeded).
+            self._tenant_lanes: dict[str, int] = {}
+            #: Sum over dispatches of lanes / flush capacity (for the
+            #: mean; ``stats()`` and the occupancy gauge only).
+            self._occupancy_sum = 0.0
+            self._latencies: deque[float] = deque(maxlen=RESERVOIR)
+            self._lifetime_max_s = 0.0
+            #: Goodput denominator: service lifetime.
+            self._started_at = clock.now()
+
+    def _see_tenant(self, tenant: str) -> None:
+        """First sight of a tenant seeds its five request series at
+        zero, so its exposition rows exist before its first outcome
+        (call under ``_lock``)."""
+        if tenant not in self._tenant_lanes:
+            self._tenant_lanes[tenant] = 0
+            for state in REQUEST_STATES:
+                self._requests.inc(0, state=state, tenant=tenant)
 
     # ------------------------------------------------------------------
-    # recording (called from submitter and worker threads)
+    # recording (called from submitter, worker and router threads)
     # ------------------------------------------------------------------
     def record_submit(self, tenant: str, lanes: int,
                       has_deadline: bool = False) -> None:
         with self._lock:
-            self.n_submitted += 1
+            self._see_tenant(tenant)
+            self._tenant_lanes[tenant] += lanes
+            self._requests.inc(state="submitted", tenant=tenant)
             if has_deadline:
-                self.n_with_deadline += 1
-            counters = self._tenant(tenant)
-            counters.submitted += 1
-            counters.lanes += lanes
+                self._slo.inc(state="with_deadline")
 
     def record_reject(self, tenant: str) -> None:
         with self._lock:
-            self.n_rejected += 1
-            self._tenant(tenant).rejected += 1
+            self._see_tenant(tenant)
+            self._requests.inc(state="rejected", tenant=tenant)
 
     def record_dispatch(self, n_requests: int, lanes: int,
                         capacity: int,
                         replica: int | None = None) -> None:
+        labels = {} if replica is None else {"replica": str(replica)}
         with self._lock:
-            self.n_dispatches += 1
-            self.n_dispatched_requests += n_requests
-            self.lanes_dispatched += lanes
+            self._dispatches.inc(**labels)
+            self._packed.inc(n_requests, **labels)
+            self._lanes.inc(lanes, **labels)
             self._occupancy_sum += min(1.0, lanes / max(1, capacity))
-            if replica is not None:
-                counters = self._replicas.get(replica)
-                if counters is None:
-                    counters = self._replicas[replica] = \
-                        _ReplicaCounters()
-                counters.dispatches += 1
-                counters.requests += n_requests
-                counters.lanes += lanes
 
     def record_fallback(self) -> None:
         with self._lock:
-            self.n_sequential_fallbacks += 1
+            self._fallbacks.inc()
 
     def record_flush(self, reason: str) -> None:
         with self._lock:
-            self._flushes[reason] += 1
+            self._flushes.inc(reason=reason)
 
     def record_failover(self, replica: int, n_requeued: int) -> None:
         """One replica died with ``n_requeued`` dispatches in flight
         (each re-submitted to a survivor by the router)."""
         with self._lock:
-            self.n_replica_deaths += 1
-            self.n_failover_requeues += n_requeued
+            self._deaths.inc()
+            self._requeued.inc(n_requeued)
 
     def record_completion(self, tenant: str, latency_s: float,
                           on_time: "bool | None" = None,
@@ -218,62 +214,26 @@ class ServeMetrics:
         ``energy_nj`` is the modeled DRAM energy charged to it (absent
         when the energy model could not price the kernel)."""
         with self._lock:
-            self.n_completed += 1
-            self._tenant(tenant).completed += 1
+            self._requests.inc(state="completed", tenant=tenant)
             if on_time is not None:
-                if on_time:
-                    self.n_on_time += 1
-                else:
-                    self.n_late += 1
+                self._slo.inc(state="on_time" if on_time else "late")
             if energy_nj is not None:
-                self.energy_nj_total += energy_nj
-                self.n_energy_metered += 1
+                self._energy.observe(energy_nj * 1e-9)
+            self._latency.observe(latency_s)
             self._latencies.append(latency_s)
             if latency_s > self._lifetime_max_s:
                 self._lifetime_max_s = latency_s
 
     def record_failure(self, tenant: str) -> None:
         with self._lock:
-            self.n_failed += 1
-            self._tenant(tenant).failed += 1
+            self._requests.inc(state="failed", tenant=tenant)
 
     def record_shed(self, tenant: str) -> None:
         """One request dropped un-executed because its deadline lapsed
         (``DeadlineExceeded``) — counted apart from failures so goodput
         math and load-shedding visibility don't blur into errors."""
         with self._lock:
-            self.n_shed += 1
-            self._tenant(tenant).shed += 1
-
-    def reset(self) -> None:
-        """Zero every counter, tenant/replica table and the latency
-        reservoir (including the lifetime max) — so one bench harness
-        can reuse a warm service across measured phases without
-        earlier phases polluting the numbers."""
-        with self._lock:
-            self._tenants.clear()
-            self._replicas.clear()
-            self.n_submitted = 0
-            self.n_completed = 0
-            self.n_failed = 0
-            self.n_rejected = 0
-            self.n_dispatches = 0
-            self.n_dispatched_requests = 0
-            self.lanes_dispatched = 0
-            self._occupancy_sum = 0.0
-            self.n_sequential_fallbacks = 0
-            self._flushes = dict.fromkeys(FLUSH_REASONS, 0)
-            self.n_replica_deaths = 0
-            self.n_failover_requeues = 0
-            self.n_with_deadline = 0
-            self.n_on_time = 0
-            self.n_late = 0
-            self.n_shed = 0
-            self.energy_nj_total = 0.0
-            self.n_energy_metered = 0
-            self._latencies.clear()
-            self._lifetime_max_s = 0.0
-            self._started_at = clock.now()
+            self._requests.inc(state="shed", tenant=tenant)
 
     # ------------------------------------------------------------------
     # reading
@@ -281,85 +241,136 @@ class ServeMetrics:
     def snapshot(self) -> dict:
         """Everything, as one plain dict (see module docstring)."""
         with self._lock:
-            samples = list(self._latencies)
-            dispatches = self.n_dispatches
-            packed = self.n_dispatched_requests
-            elapsed_s = max(1e-9, clock.now() - self._started_at)
-            metered = self.n_energy_metered
-            return {
-                "requests": {
-                    "submitted": self.n_submitted,
-                    "completed": self.n_completed,
-                    "failed": self.n_failed,
-                    "rejected": self.n_rejected,
-                    "shed": self.n_shed,
-                    "in_flight": (self.n_submitted - self.n_completed
-                                  - self.n_failed - self.n_shed),
-                },
-                "slo": {
-                    "with_deadline": self.n_with_deadline,
-                    "on_time": self.n_on_time,
-                    "late": self.n_late,
-                    "shed": self.n_shed,
-                    # Goodput = deadline-meeting completions per second
-                    # of service lifetime (reset() restarts the clock).
-                    "goodput_rps": self.n_on_time / elapsed_s,
-                    "elapsed_s": elapsed_s,
-                },
-                "energy": {
-                    "modeled_request_nj_total": self.energy_nj_total,
-                    "requests_metered": metered,
-                    "nj_per_request_mean": (
-                        self.energy_nj_total / metered if metered
-                        else 0.0),
-                },
-                "latency_ms": {
-                    # p50/p99/window_max are computed over the bounded
-                    # reservoir (recent window); max is lifetime-true.
-                    # Nearest-rank ("higher"), not linear interpolation:
-                    # with fewer samples than the reservoir holds —
-                    # above all, fewer than 100 — an interpolated p99
-                    # sits strictly *below* window_max even though the
-                    # window's 99th percentile is its largest sample.
-                    # Nearest-rank keeps p99 <= window_max an equality
-                    # whenever the window is small, so the two figures
-                    # never contradict each other.
-                    "p50": percentile(samples, 50, method="higher") * 1e3,
-                    "p99": percentile(samples, 99, method="higher") * 1e3,
-                    "max": self._lifetime_max_s * 1e3,
-                    "window_max": max(samples, default=0.0) * 1e3,
-                    "samples": len(samples),
-                    "window": RESERVOIR,
-                },
-                "packing": {
-                    "dispatches": dispatches,
-                    "packed_requests": packed,
-                    "requests_per_dispatch": (
-                        packed / dispatches if dispatches else 0.0),
-                    "lanes_dispatched": self.lanes_dispatched,
-                    # Mean over dispatches of lanes carried / lanes the
-                    # flush policy would have allowed.
-                    "lane_occupancy": (
-                        self._occupancy_sum / dispatches
-                        if dispatches else 0.0),
-                    # Fraction of dispatches lane-packing saved versus
-                    # one dispatch per request.
-                    "packing_efficiency": (
-                        1.0 - dispatches / packed if packed else 0.0),
-                    "sequential_fallbacks": self.n_sequential_fallbacks,
-                    "flushes": dict(self._flushes),
-                },
-                "failover": {
-                    "replica_deaths": self.n_replica_deaths,
-                    "requeued_requests": self.n_failover_requeues,
-                },
-                "replicas": {rid: counters.as_dict()
-                             for rid, counters
-                             in sorted(self._replicas.items())},
-                "tenants": {name: counters.as_dict()
-                            for name, counters
-                            in sorted(self._tenants.items())},
-            }
+            return self._snapshot()
+
+    def samples(self) -> "list[Sample]":
+        """The scrape rows: every instrument as recorded, then the
+        series read off them (request totals and in-flight, per-tenant
+        shed, reservoir percentiles, occupancy, packing efficiency,
+        goodput)."""
+        with self._lock:
+            out = self.registry.collect()
+            snap = self._snapshot()
+        req, lat, pack = snap["requests"], snap["latency_ms"], snap["packing"]
+        for state in REQUEST_STATES:
+            out.append(Sample("repro_serve_requests_total", req[state],
+                              (("state", state),), "counter",
+                              "requests by outcome"))
+        out.append(Sample("repro_serve_requests_in_flight",
+                          req["in_flight"], (), "gauge",
+                          "accepted requests not yet resolved"))
+        shed_help = "requests shed on a lapsed deadline, per tenant"
+        out.extend(Sample("repro_serve_deadline_shed_total", row["shed"],
+                          (("tenant", tenant),), "counter", shed_help)
+                   for tenant, row in snap["tenants"].items())
+        if not snap["tenants"]:
+            # Schema stability: the family exists from process start.
+            out.append(Sample("repro_serve_deadline_shed_total", 0.0, (),
+                              "counter", shed_help))
+        for q in ("p50", "p99", "max", "window_max"):
+            out.append(Sample("repro_serve_latency_ms", lat[q],
+                              (("quantile", q),), "gauge",
+                              "reservoir latency percentiles (ms)"))
+        out.append(Sample("repro_serve_lane_occupancy",
+                          pack["lane_occupancy"], (), "gauge",
+                          "mean lanes carried / flush capacity"))
+        out.append(Sample("repro_serve_packing_efficiency",
+                          pack["packing_efficiency"], (), "gauge",
+                          "dispatches saved vs one per request"))
+        out.append(Sample("repro_serve_goodput",
+                          snap["slo"]["goodput_rps"], (), "gauge",
+                          "completions within deadline per second"))
+        return out
+
+    def _snapshot(self) -> dict:
+        """:meth:`snapshot` under the caller's ``_lock``."""
+        tenants = {}
+        for key, value in self._requests.series().items():
+            labels = dict(key)
+            row = tenants.setdefault(labels["tenant"],
+                                     dict.fromkeys(REQUEST_STATES, 0))
+            row[labels["state"]] = int(value)
+        for tenant in tenants:
+            tenants[tenant]["lanes"] = self._tenant_lanes.get(tenant, 0)
+        totals = {state: sum(row[state] for row in tenants.values())
+                  for state in REQUEST_STATES}
+        samples = list(self._latencies)
+        dispatches, per_dispatches = _by_replica(self._dispatches.series())
+        packed, per_packed = _by_replica(self._packed.series())
+        lanes, per_lanes = _by_replica(self._lanes.series())
+        elapsed_s = max(1e-9, clock.now() - self._started_at)
+        on_time = int(self._slo.value(state="on_time"))
+        metered = self._energy.count()
+        energy_nj = self._energy.sum() * 1e9
+        return {
+            "requests": {
+                **totals,
+                "in_flight": (totals["submitted"] - totals["completed"]
+                              - totals["failed"] - totals["shed"]),
+            },
+            "slo": {
+                "with_deadline": int(self._slo.value(state="with_deadline")),
+                "on_time": on_time,
+                "late": int(self._slo.value(state="late")),
+                "shed": totals["shed"],
+                # Goodput = deadline-meeting completions per second
+                # of service lifetime (reset() restarts the clock).
+                "goodput_rps": on_time / elapsed_s,
+                "elapsed_s": elapsed_s,
+            },
+            "energy": {
+                "modeled_request_nj_total": energy_nj,
+                "requests_metered": metered,
+                "nj_per_request_mean": (
+                    energy_nj / metered if metered else 0.0),
+            },
+            "latency_ms": {
+                # p50/p99/window_max are computed over the bounded
+                # reservoir (recent window); max is lifetime-true.
+                # Nearest-rank ("higher"), not linear interpolation:
+                # with fewer samples than the reservoir holds —
+                # above all, fewer than 100 — an interpolated p99
+                # sits strictly *below* window_max even though the
+                # window's 99th percentile is its largest sample.
+                # Nearest-rank keeps p99 <= window_max an equality
+                # whenever the window is small, so the two figures
+                # never contradict each other.
+                "p50": percentile(samples, 50, method="higher") * 1e3,
+                "p99": percentile(samples, 99, method="higher") * 1e3,
+                "max": self._lifetime_max_s * 1e3,
+                "window_max": max(samples, default=0.0) * 1e3,
+                "samples": len(samples),
+                "window": RESERVOIR,
+            },
+            "packing": {
+                "dispatches": dispatches,
+                "packed_requests": packed,
+                "requests_per_dispatch": (
+                    packed / dispatches if dispatches else 0.0),
+                "lanes_dispatched": lanes,
+                # Mean over dispatches of lanes carried / lanes the
+                # flush policy would have allowed.
+                "lane_occupancy": (
+                    self._occupancy_sum / dispatches
+                    if dispatches else 0.0),
+                # Fraction of dispatches lane-packing saved versus
+                # one dispatch per request.
+                "packing_efficiency": (
+                    1.0 - dispatches / packed if packed else 0.0),
+                "sequential_fallbacks": int(self._fallbacks.value()),
+                "flushes": {reason: int(self._flushes.value(reason=reason))
+                            for reason in FLUSH_REASONS},
+            },
+            "failover": {
+                "replica_deaths": int(self._deaths.value()),
+                "requeued_requests": int(self._requeued.value()),
+            },
+            "replicas": {rid: {"dispatches": count,
+                               "requests": per_packed.get(rid, 0),
+                               "lanes": per_lanes.get(rid, 0)}
+                         for rid, count in sorted(per_dispatches.items())},
+            "tenants": dict(sorted(tenants.items())),
+        }
 
 
 class RequestEnergyModel:

@@ -42,9 +42,11 @@ Around the packer sits the production machinery:
   cannot corrupt co-packed results;
 * **warmup** — :meth:`SimdramService.warmup` precompiles a declared
   op manifest so the first real request never pays Steps 1+2;
-* **telemetry** — :meth:`SimdramService.stats` snapshots p50/p99
-  latency, lanes-per-dispatch occupancy, packing efficiency and the
-  paging layer's spill counters (:mod:`repro.serve.metrics`).
+* **telemetry** — every serving fact is recorded once, on the
+  registry instruments of the service's :class:`~repro.serve.metrics
+  .ServeMetrics`; :meth:`SimdramService.stats` (p50/p99 latency,
+  lanes-per-dispatch occupancy, packing efficiency, the paging layer's
+  spill counters) and the registry scrape both read that one store.
 
 **The target protocol.**  The service talks to every target through
 one asynchronous door — :class:`~repro.serve.router.ReplicaRouter`
@@ -112,6 +114,11 @@ from repro.serve.batcher import (
 )
 from repro.serve.metrics import RequestEnergyModel, ServeMetrics
 from repro.uprog.program import MicroProgram
+
+
+#: The pager's counters a service reports (``stats()["paging"]``,
+#: ``repro_paging_*``).
+PAGING = ("n_spills", "n_fills", "spill_bits", "fill_bits")
 
 
 @dataclass(frozen=True)
@@ -326,14 +333,15 @@ class SimdramService:
                          if self.config.max_lanes is not None
                          else self._target.lanes)
         self._packer = LanePacker(self.capacity, self.config.max_wait_s)
+        #: The service's one store of serving facts (registry
+        #: instruments of its own; see :mod:`repro.serve.metrics`).
         self.metrics = ServeMetrics()
         #: Trace collection (process-global tracer unless injected).
         #: Disabled tracers cost one flag check per request.
         self.tracer = tracer if tracer is not None else get_tracer()
-        #: Unified metrics: the legacy ``ServeMetrics``/paging/replica
-        #: surfaces are adapted into the registry as a scrape-time
-        #: collector, and request latency additionally feeds a native
-        #: histogram (quantiles without a reservoir).
+        #: The registry this service exports into: one collector reads
+        #: the ``ServeMetrics`` instruments, plus the queue and the
+        #: target surfaces the service does not own.
         self.registry = (registry if registry is not None
                          else get_registry())
         self._collector_name = f"serve:{id(self):x}"
@@ -343,17 +351,6 @@ class SimdramService:
         # service built on a private registry still exports
         # ``repro_pmu_*`` next to its serving metrics.
         get_pmu().register(self.registry)
-        self._latency_hist = self.registry.histogram(
-            "repro_serve_request_latency_seconds",
-            "submit-to-resolution latency of completed requests")
-        #: Modeled joules per completed request (perf's energy model
-        #: folded into the serving path).  Buckets span ~0.1 nJ to
-        #: ~100 mJ in powers of four — kernels cost nanojoules per
-        #: element, requests carry up to thousands of lanes.
-        self._energy_hist = self.registry.histogram(
-            "repro_request_energy_joules",
-            "modeled DRAM energy per completed request (J)",
-            buckets=tuple(1e-10 * 4.0 ** i for i in range(16)))
         self._energy = RequestEnergyModel()
         attach = getattr(self._target, "attach_metrics", None)
         if attach is not None:
@@ -715,121 +712,55 @@ class SimdramService:
     def stats(self) -> dict:
         """One snapshot of the service's telemetry (see
         :mod:`repro.serve.metrics` for the schema)."""
-        snap = self.metrics.snapshot()
+        return {**self.metrics.snapshot(), **self._surfaces()}
+
+    def _surfaces(self) -> dict:
+        """What the service reads but does not record: its queues, and
+        the target's paging, busy time, kernel cache and replica tier."""
         with self._cond:
-            snap["queue"] = {
+            queue = {
                 "queued": sum(len(q) for q in self._queues.values()),
                 "in_flight": len(self._unresolved),
                 "max_queue": self.config.max_queue,
                 "capacity_lanes": self.capacity,
             }
         paging = self._target.paging_stats()
-        snap["paging"] = {
-            "n_spills": paging.n_spills,
-            "n_fills": paging.n_fills,
-            "spill_bits": paging.spill_bits,
-            "fill_bits": paging.fill_bits,
+        out = {
+            "queue": queue,
+            "paging": {name: getattr(paging, name) for name in PAGING},
+            "modeled_busy_ns": self._target.busy_ns(),
+            "kernels_cached": self._target.kernel_cache_size(),
         }
-        snap["modeled_busy_ns"] = self._target.busy_ns()
-        snap["kernels_cached"] = self._target.kernel_cache_size()
         replica_stats = getattr(self._target, "replica_stats", None)
         if replica_stats is not None:
-            snap["replica_tier"] = replica_stats()
-        return snap
+            out["replica_tier"] = replica_stats()
+        return out
 
     def prometheus(self) -> str:
         """The unified registry's Prometheus text exposition — this
-        service's adapted counters plus every other instrument and
+        service's serving metrics plus every other instrument and
         collector registered in the same registry."""
         return self.registry.prometheus_text()
 
     def _metric_samples(self) -> "list[Sample]":
-        """Scrape-time adapter: project :meth:`stats` into registry
-        samples so the legacy surfaces stay authoritative (no double
-        accounting) while Prometheus sees one namespace."""
-        snap = self.stats()
-        req, lat = snap["requests"], snap["latency_ms"]
-        pack, paging = snap["packing"], snap["paging"]
-        out: list[Sample] = []
-        for state in ("submitted", "completed", "failed", "rejected",
-                      "shed"):
-            out.append(Sample("repro_serve_requests_total", req[state],
-                              (("state", state),), "counter",
-                              "requests by outcome"))
-        out.append(Sample("repro_serve_requests_in_flight",
-                          req["in_flight"], (), "gauge",
-                          "accepted requests not yet resolved"))
-        for q in ("p50", "p99", "max", "window_max"):
-            out.append(Sample("repro_serve_latency_ms", lat[q],
-                              (("quantile", q),), "gauge",
-                              "reservoir latency percentiles (ms)"))
-        for name, value in (
-                ("dispatches", pack["dispatches"]),
-                ("packed_requests", pack["packed_requests"]),
-                ("lanes", pack["lanes_dispatched"]),
-                ("sequential_fallbacks", pack["sequential_fallbacks"])):
-            out.append(Sample("repro_serve_pack_" + name, value, (),
-                              "counter", "lane-packer dispatch totals"))
-        for reason, count in pack["flushes"].items():
-            out.append(Sample("repro_serve_flushes_total", count,
-                              (("reason", reason),), "counter",
-                              "pack-group flushes by what decided them"))
-        out.append(Sample("repro_serve_lane_occupancy",
-                          pack["lane_occupancy"], (), "gauge",
-                          "mean lanes carried / flush capacity"))
-        out.append(Sample("repro_serve_packing_efficiency",
-                          pack["packing_efficiency"], (), "gauge",
-                          "dispatches saved vs one per request"))
+        """The service's scrape collector: the ``ServeMetrics``
+        instruments and the series read off them, then the surfaces the
+        service only reads (:meth:`_surfaces`) and the tracer's loss
+        counters."""
+        out = self.metrics.samples()
+        view = self._surfaces()
         out.append(Sample("repro_serve_queue_depth",
-                          snap["queue"]["queued"], (), "gauge",
+                          view["queue"]["queued"], (), "gauge",
                           "requests waiting in tenant queues"))
-        for name in ("n_spills", "n_fills", "spill_bits", "fill_bits"):
-            out.append(Sample("repro_paging_" + name, paging[name], (),
-                              "counter", "paging traffic under serve"))
-        fo = snap["failover"]
-        out.append(Sample("repro_failover_replica_deaths_total",
-                          fo["replica_deaths"], (), "counter",
-                          "replica deaths the service observed"))
-        out.append(Sample("repro_failover_requeued_total",
-                          fo["requeued_requests"], (), "counter",
-                          "in-flight requests re-homed to survivors"))
-        slo = snap["slo"]
-        out.append(Sample("repro_serve_goodput",
-                          slo["goodput_rps"], (), "gauge",
-                          "completions within deadline per second"))
-        for name, value in (("with_deadline", slo["with_deadline"]),
-                            ("on_time", slo["on_time"]),
-                            ("late", slo["late"])):
-            out.append(Sample("repro_serve_slo_requests_total", value,
-                              (("state", name),), "counter",
-                              "deadline-carrying requests by verdict"))
-        tenants = snap["tenants"]
-        if tenants:
-            for tenant, counters in tenants.items():
-                out.append(Sample(
-                    "repro_serve_deadline_shed_total",
-                    counters["shed"], (("tenant", tenant),), "counter",
-                    "requests shed on a lapsed deadline, per tenant"))
-        else:
-            # Schema stability: the family exists from process start.
-            out.append(Sample("repro_serve_deadline_shed_total", 0.0,
-                              (), "counter",
-                              "requests shed on a lapsed deadline, "
-                              "per tenant"))
-        for tenant, counters in tenants.items():
-            for state in ("submitted", "completed", "failed",
-                          "rejected", "shed"):
-                out.append(Sample(
-                    "repro_serve_tenant_requests_total",
-                    counters[state],
-                    (("state", state), ("tenant", tenant)), "counter",
-                    "per-tenant requests by outcome"))
-        if snap.get("modeled_busy_ns") is not None:
+        for name in PAGING:
+            out.append(Sample("repro_paging_" + name, view["paging"][name],
+                              (), "counter", "paging traffic under serve"))
+        if view["modeled_busy_ns"] is not None:
             out.append(Sample("repro_modeled_busy_ns",
-                              snap["modeled_busy_ns"], (), "gauge",
+                              view["modeled_busy_ns"], (), "gauge",
                               "modeled DRAM busy time (ns)"))
         out.append(Sample("repro_kernels_cached",
-                          snap["kernels_cached"], (), "gauge",
+                          view["kernels_cached"], (), "gauge",
                           "kernels resident in the target's caches"))
         for reason, dropped in self.tracer.drop_stats().items():
             out.append(Sample(
@@ -837,7 +768,7 @@ class SimdramService:
                 (("reason", reason),), "counter",
                 "trace data lost silently: finished roots evicted "
                 "from the buffer, children past MAX_CHILDREN"))
-        tier = snap.get("replica_tier")
+        tier = view.get("replica_tier")
         if tier is not None:
             from repro.serve.router import replica_tier_samples
             out.extend(replica_tier_samples(tier))
@@ -1186,13 +1117,10 @@ class SimdramService:
         request.handle.on_time = on_time
         request.handle.energy_nj = energy_nj
         request.handle._future.set_result(values)
-        latency_s = now - request.submitted_at
-        self.metrics.record_completion(request.tenant, latency_s,
+        self.metrics.record_completion(request.tenant,
+                                       now - request.submitted_at,
                                        on_time=on_time,
                                        energy_nj=energy_nj)
-        self._latency_hist.observe(latency_s)
-        if energy_nj is not None:
-            self._energy_hist.observe(energy_nj * 1e-9)
         # Device-PMU attribution: bill the finished request's lanes
         # (and modeled energy) to its tenant and kernel identity.
         get_pmu().attribute(request.tenant, str(request.key[0][0]),

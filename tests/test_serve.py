@@ -11,6 +11,7 @@ own handle without corrupting any co-packed result.
 from __future__ import annotations
 
 import contextlib
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -1236,21 +1237,42 @@ class TestWarmupAndMetrics:
         assert snap["failover"]["replica_deaths"] == 0
 
     def test_metrics_thread_safety_smoke(self):
+        """Writers on more threads than cores, a fine switch interval,
+        and a reader that must never see a request completed before it
+        was submitted; no update may be lost."""
         metrics = ServeMetrics()
+        in_flight = []
 
         def hammer():
             for _ in range(200):
                 metrics.record_submit("t", 1)
+                metrics.record_dispatch(1, 1, 8)
                 metrics.record_completion("t", 0.001)
 
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        def read():
+            for _ in range(50):
+                in_flight.append(metrics.snapshot()["requests"]["in_flight"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(4)]
+            threads.append(threading.Thread(target=read))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert min(in_flight) >= 0
         snap = metrics.snapshot()
         assert snap["requests"]["submitted"] == 800
         assert snap["requests"]["completed"] == 800
+        assert snap["tenants"]["t"]["lanes"] == 800
+        assert snap["packing"]["dispatches"] == 800
+        assert snap["packing"]["lane_occupancy"] == pytest.approx(1 / 8)
+        assert snap["latency_ms"]["samples"] == 800
 
     def test_latency_max_survives_reservoir_eviction(self):
         """Regression (ISSUE 7): ``latency_ms.max`` is the *lifetime*
@@ -1283,6 +1305,143 @@ class TestWarmupAndMetrics:
         assert snap["packing"]["dispatches"] == 4
         assert snap["failover"] == {"replica_deaths": 1,
                                     "requeued_requests": 2}
+
+
+def _scrape_value(scrape: dict, name: str, **labels) -> float:
+    """The one series of ``name`` carrying exactly ``labels``."""
+    (value,) = [row["value"] for row in scrape[name]["series"]
+                if row["labels"] == labels]
+    return value
+
+
+class TestOneServeStore:
+    """Each serving fact is recorded once, on a registry instrument of
+    the service's ``ServeMetrics``; ``stats()`` and the scrape both read
+    it."""
+
+    def test_stats_and_scrape_read_one_store(self):
+        registry = MetricsRegistry()
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim, ServeConfig(max_queue=2),
+                            registry=registry) as service:
+            entered, release = _block_dispatches(service)
+            first = service.submit("add", [1, 2], [3, 4], width=8,
+                                   tenant="a", deadline_s=60.0)
+            assert entered.wait(60)
+            bad = service.submit("add", [1, 2], [3], width=8, tenant="b")
+            with pytest.raises(AdmissionError):
+                service.submit("add", [1], [2], width=8, tenant="b",
+                               block=False)
+            release.set()
+            assert np.array_equal(first.result(60), [4, 6])
+            assert bad.exception(60) is not None
+            shed = service.submit("add", [1], [2], width=8, tenant="a",
+                                  deadline_s=0.0)
+            assert shed.exception(60) is not None
+            stats = service.stats()
+            scrape = registry.snapshot()
+        requests = stats["requests"]
+        assert requests == {"submitted": 3, "completed": 1, "failed": 1,
+                            "rejected": 1, "shed": 1, "in_flight": 0}
+        for state in ("submitted", "completed", "failed", "rejected",
+                      "shed"):
+            assert _scrape_value(scrape, "repro_serve_requests_total",
+                                 state=state) == requests[state]
+            for tenant, row in stats["tenants"].items():
+                assert _scrape_value(
+                    scrape, "repro_serve_tenant_requests_total",
+                    state=state, tenant=tenant) == row[state]
+        for tenant, row in stats["tenants"].items():
+            assert _scrape_value(scrape, "repro_serve_deadline_shed_total",
+                                 tenant=tenant) == row["shed"]
+        for state in ("with_deadline", "on_time", "late"):
+            assert _scrape_value(scrape, "repro_serve_slo_requests_total",
+                                 state=state) == stats["slo"][state]
+        packing = stats["packing"]
+        for name, key in (("dispatches", "dispatches"),
+                          ("packed_requests", "packed_requests"),
+                          ("lanes", "lanes_dispatched"),
+                          ("sequential_fallbacks", "sequential_fallbacks")):
+            assert _scrape_value(scrape, "repro_serve_pack_" + name) \
+                == packing[key]
+        for reason, count in packing["flushes"].items():
+            assert _scrape_value(scrape, "repro_serve_flushes_total",
+                                 reason=reason) == count
+        assert _scrape_value(
+            scrape, "repro_serve_request_latency_seconds_count") \
+            == requests["completed"]
+        assert _scrape_value(scrape, "repro_request_energy_joules_count") \
+            == stats["energy"]["requests_metered"] == 1
+        assert _scrape_value(
+            scrape, "repro_request_energy_joules_sum") == pytest.approx(
+            stats["energy"]["modeled_request_nj_total"] * 1e-9)
+
+    def test_services_on_one_registry_keep_their_own_counts(self):
+        """Two services exporting into one registry never mix counts,
+        histograms included, and a closed service's rows leave it."""
+        registry = MetricsRegistry()
+
+        def latency_counts() -> list[float]:
+            family = registry.snapshot().get(
+                "repro_serve_request_latency_seconds_count")
+            return sorted(row["value"] for row in family["series"]) \
+                if family else []
+
+        one = SimdramService(Simdram(small_config(), seed=1),
+                             registry=registry)
+        with SimdramService(Simdram(small_config(), seed=2),
+                            registry=registry) as two:
+            try:
+                for i in range(2):
+                    one.submit("add", [i], [1], width=8).result(60)
+                for i in range(3):
+                    two.submit("add", [i], [1], width=8).result(60)
+                assert one.stats()["requests"]["completed"] == 2
+                assert two.stats()["requests"]["completed"] == 3
+                assert latency_counts() == [2, 3]
+            finally:
+                one.close()
+            assert latency_counts() == [3]
+        assert latency_counts() == []
+
+    def test_replica_block_is_the_pack_counters_slice(self):
+        metrics = ServeMetrics()
+        metrics.record_dispatch(3, 24, 32, replica=0)
+        metrics.record_dispatch(2, 16, 32, replica=1)
+        metrics.record_dispatch(5, 40, 32)
+        rows = {(s.name, s.labels): s.value for s in metrics.samples()}
+        assert rows[("repro_serve_pack_dispatches",
+                     (("replica", "0"),))] == 1
+        assert rows[("repro_serve_pack_lanes", (("replica", "1"),))] == 16
+        assert rows[("repro_serve_pack_packed_requests", ())] == 5
+        snap = metrics.snapshot()
+        assert snap["packing"]["packed_requests"] == 10
+        assert snap["packing"]["lanes_dispatched"] == 80
+        assert snap["replicas"] == {
+            0: {"dispatches": 1, "requests": 3, "lanes": 24},
+            1: {"dispatches": 1, "requests": 2, "lanes": 16}}
+
+    def test_every_series_scraped_before_traffic_and_after_reset(self):
+        metrics = ServeMetrics()
+        empty = sorted((s.name, s.labels) for s in metrics.samples())
+        metrics.record_submit("t", 4, has_deadline=True)
+        metrics.record_completion("t", 0.5, on_time=True, energy_nj=3.0)
+        metrics.record_flush("full")
+        metrics.record_dispatch(1, 4, 8)
+        metrics.reset()
+        rows = metrics.samples()
+        assert sorted((s.name, s.labels) for s in rows) == empty
+        assert all(s.value == 0 for s in rows)
+        names = {s.name for s in rows}
+        assert {"repro_serve_requests_total", "repro_serve_flushes_total",
+                "repro_serve_slo_requests_total",
+                "repro_serve_deadline_shed_total",
+                "repro_serve_request_latency_seconds_count",
+                "repro_request_energy_joules_count"} <= names
+        labels = {s.labels for s in rows
+                  if s.name == "repro_serve_flushes_total"}
+        assert labels == {(("reason", r),)
+                          for r in ("full", "ready", "timer", "explicit")}
 
 
 # ---------------------------------------------------------------------------

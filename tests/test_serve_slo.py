@@ -202,6 +202,7 @@ class TestSloAccounting:
             for handle in (small, large, fused):
                 handle.result(120)
             stats = service.stats()
+            scrape = registry.snapshot()
         # The bill is modeled nJ/element x lanes: double the lanes of
         # the same kernel costs exactly double.
         assert small.energy_nj and small.energy_nj > 0
@@ -211,9 +212,11 @@ class TestSloAccounting:
         assert stats["energy"]["requests_metered"] == 3
         assert stats["energy"]["nj_per_request_mean"] > 0
         assert stats["slo"]["goodput_rps"] > 0
-        hist = registry.histogram("repro_request_energy_joules")
-        assert hist.count() == 3
-        assert hist.sum() == pytest.approx(
+        # The scrape reads the same histogram the stats() block reads.
+        (count,) = scrape["repro_request_energy_joules_count"]["series"]
+        (total,) = scrape["repro_request_energy_joules_sum"]["series"]
+        assert count["value"] == 3
+        assert total["value"] == pytest.approx(
             stats["energy"]["modeled_request_nj_total"] * 1e-9)
 
 
