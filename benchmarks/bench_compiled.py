@@ -24,7 +24,11 @@ absolute microseconds per dispatch of both engines at the gate size
 and at the 32 768 lanes of the e2e ``bulk_map`` workload
 (``us_per_dispatch``) — on packed device state the two engines meet at
 bulk sizes, and that pair of numbers is what the ``vectorized`` vs
-``compiled`` decision (ROADMAP) needs.
+``compiled`` decision (ROADMAP) needs.  Beside it, ``row_traffic``
+publishes the rows one successful ``compiled`` dispatch converts
+between numpy bytes and Python ints (``rows_loaded``: data rows and B
+planes read before they are written; ``rows_stored``: those written),
+the cost that bounds that engine at 4 KiB rows.
 
 Usage::
 
@@ -37,6 +41,8 @@ Importable so ``run_all.py`` (and the test suite) can call
 from __future__ import annotations
 
 import argparse
+import ast
+import re
 import sys
 import time
 
@@ -48,7 +54,7 @@ from repro.apps.cnn import madd_relu_expr
 from repro.core import expr as E
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.geometry import DramGeometry
-from repro.exec.engines import list_engines
+from repro.exec.engines import get_engine, list_engines
 from repro.exec.layout import RowLayout
 from repro.uprog.uops import INPUT_SPACES, Space
 
@@ -128,6 +134,20 @@ def time_engine(sim: Simdram, program, layout, engine: str) -> float:
     return best
 
 
+def row_traffic(sim: Simdram, program, layout) -> dict:
+    """Rows one successful ``compiled`` dispatch loads and stores, read
+    off its generated source: the prologue's ``_load_rows`` and the
+    epilogue's ``_store_rows`` tuples (a raise site's writeback is
+    indented deeper, inside its ``if``, and not counted)."""
+    plan = sim.control.plan_for(program, layout, sim.module.geometry)
+    source = sim.control.executor_for(plan, get_engine(CANDIDATE)).__source__
+    return {
+        key: sum(len(ast.literal_eval(rows)) for rows in re.findall(
+            rf"^    (?! ).*{call}\(\w+, (\([^)]*\))", source, re.MULTILINE))
+        for key, call in (("rows_loaded", "_load_rows"),
+                          ("rows_stored", "_store_rows"))}
+
+
 def run_suite() -> dict:
     root = madd_relu_expr(TAP_WEIGHT)
     engines = [name for name in list_engines()
@@ -181,15 +201,21 @@ def run_suite() -> dict:
                                 engine) * 1e6
             for engine in engines},
     }
+    traffic = {str(lanes): row_traffic(sim, program, layout),
+               str(bulk.module.lanes): row_traffic(bulk, bulk_program,
+                                                   bulk_layout)}
     for size, row in us_per_dispatch.items():
         print(f"{size:>8} lanes: " + ", ".join(
-            f"{engine} {us:.1f} us" for engine, us in row.items()))
+            f"{engine} {us:.1f} us" for engine, us in row.items())
+            + f"; {CANDIDATE} loads {traffic[size]['rows_loaded']}, "
+            f"stores {traffic[size]['rows_stored']} rows")
     return {"config": {"banks": BANKS, "cols": COLS,
                        "python": sys.version.split()[0],
                        "engines": engines},
             "kernels": [entry],
             #: Published, not gated: absolute cost per dispatch.
-            "us_per_dispatch": us_per_dispatch}
+            "us_per_dispatch": us_per_dispatch,
+            "row_traffic": traffic}
 
 
 def run_gate(min_speedup: float = 5.0) -> dict:

@@ -36,8 +36,12 @@ Engines
     across all banks, no pack stage — so a µOp is one or two native
     bigint operations instead of an interpreted numpy dispatch — the
     loop, the ``isinstance``/enum tests and the numpy call overhead
-    all disappear.  Bit-identical to ``vectorized`` on success (proven
-    by the differential suites); portable, no dependencies.
+    all disappear.  Row conversion is what remains at 4 KiB rows, so a
+    liveness pass over the straight-line steps loads only the rows and
+    planes read before they are written and stores only those written.
+    Bit-identical to ``vectorized``, on success and on a failing pair
+    activation (proven by the differential suites); portable, no
+    dependencies.
 
 Executors are memoized by the control unit on the plan
 (`ExecutionPlan.executors`, keyed by engine name), which its plan cache
@@ -52,7 +56,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.dram.subarray import N_B_PLANES
 from repro.errors import EngineError
 from repro.obs.tracing import span as obs_span
 
@@ -164,12 +167,14 @@ class VectorizedEngine(ExecutionEngine):
 class CompiledEngine(ExecutionEngine):
     """Generate and ``exec`` specialized Python source per plan.
 
-    Every data row and B-group plane the plan touches becomes a local
-    variable holding one arbitrary-precision integer (the row's packed
-    bytes over the participating banks, little-endian, padding bits
-    zero); the unrolled step sequence is emitted
-    as straight-line bigint expressions.  A try/finally writes the
-    (partial) state back even when a step raises, mirroring the
+    Each data row and B-group plane the plan uses is a local variable
+    holding one arbitrary-precision integer (the row's packed bytes
+    over the participating banks, little-endian, padding bits zero);
+    the unrolled step sequence is emitted as straight-line bigint
+    expressions.  The prologue loads only the rows and planes read
+    before they are written; the epilogue stores only those written.
+    The one step that can raise, a pair activation over disagreeing
+    cells, first stores what was written so far, mirroring the
     vectorized engine's advance-all-banks-step-by-step failure shape.
     """
 
@@ -183,6 +188,7 @@ class CompiledEngine(ExecutionEngine):
                 "_load_rows": _load_rows,
                 "_store_rows": _store_rows,
                 "_ROW_ONES": plan.row_ones.tobytes(),
+                "_ONES": {},   # the all-lanes mask, per bank count
             }
             code = compile(source, f"<plan:{plan.op_name}>", "exec")
             exec(code, namespace)  # noqa: S102 - our own generated source
@@ -194,22 +200,6 @@ class CompiledEngine(ExecutionEngine):
 # ---------------------------------------------------------------------------
 # code generation
 # ---------------------------------------------------------------------------
-def _plan_data_rows(plan: "ExecutionPlan") -> tuple[list[int], set[int]]:
-    """All data-row indices a plan touches, and the written subset."""
-    from repro.exec.plan import StepKind
-    K = StepKind
-    touched: set[int] = set()
-    written: set[int] = set()
-    for step in plan.steps:
-        if step.kind in (K.COPY_DATA, K.DATA_TO_B):
-            touched.add(step.src)
-        if step.kind in (K.COPY_DATA, K.FILL_DATA, K.B_TO_DATA,
-                         K.PAIR_TO_DATA, K.TRA_TO_DATA):
-            touched.add(step.dst)
-            written.add(step.dst)
-    return sorted(touched), written
-
-
 def _d(row: int) -> str:
     return f"_d{row}"
 
@@ -218,100 +208,128 @@ def _b(plane: int) -> str:
     return f"_b{plane}"
 
 
-def _emit_steps(plan: "ExecutionPlan") -> list[str]:
-    """Emit one line-sequence per plan step, over the row variables
-    ``_d<row>`` / ``_b<plane>`` and the all-lanes mask ``_ones``."""
-    from repro.exec.plan import StepKind
-    K = StepKind
-    indent = "        "
-    lines: list[str] = []
+def _transfer(rows: set[int], planes: set[int], indent: str,
+              load: bool = False) -> list[str]:
+    """The ``_store_rows`` (or ``_load_rows``) lines moving the given
+    data rows and B planes between the state arrays and the locals."""
+    lines = []
+    for state, name, keys in (("data", _d, rows), ("b_planes", _b, planes)):
+        if keys:
+            keys = tuple(sorted(keys))
+            names = ", ".join(map(name, keys))
+            lines.append(f"{indent}{names}, = _load_rows({state}, {keys!r})"
+                         if load else
+                         f"{indent}_store_rows({state}, {keys!r}, ({names},))")
+    return lines
 
-    def read_ref(ref) -> str:
+
+class _Emitted:
+    """The unrolled body of one plan and its exact liveness.
+
+    One forward pass over the straight-line steps: a row or plane read
+    before any step writes it is live-in (the prologue loads it), and
+    every row or plane a step writes is stored by the epilogue — or,
+    when a pair check raises, by the writeback emitted at that site,
+    which stores exactly what was assigned so far.
+    """
+
+    def __init__(self, plan: "ExecutionPlan") -> None:
+        self.lines: list[str] = []
+        #: Data rows / B planes read before they are written.
+        self.live_rows: set[int] = set()
+        self.live_planes: set[int] = set()
+        #: Data rows / B planes written.
+        self.rows: set[int] = set()
+        self.planes: set[int] = set()
+        for step in plan.steps:
+            self._step(step)
+
+    def _emit(self, line: str) -> None:
+        self.lines.append("    " + line)
+
+    def _data(self, row: int) -> str:
+        if row not in self.rows:
+            self.live_rows.add(row)
+        return _d(row)
+
+    def _plane(self, ref) -> str:
         plane, positive = ref
+        if plane not in self.planes:
+            self.live_planes.add(plane)
         return _b(plane) if positive else f"({_b(plane)} ^ _ones)"
 
-    def write_refs(refs, value: str) -> None:
-        for plane, positive in refs:
-            lines.append(f"{indent}{_b(plane)} = "
-                         + (value if positive else f"{value} ^ _ones"))
+    def _set_data(self, row: int, value: str) -> None:
+        self._emit(f"{_d(row)} = {value}")
+        self.rows.add(row)
 
-    for step in plan.steps:
+    def _set_plane(self, plane: int, value: str) -> None:
+        self._emit(f"{_b(plane)} = {value}")
+        self.planes.add(plane)
+
+    def _set_planes(self, refs, value: str) -> None:
+        for plane, positive in refs:
+            self._set_plane(plane,
+                            value if positive else f"{value} ^ _ones")
+
+    def _step(self, step) -> None:
+        from repro.exec.plan import StepKind as K
         kind, src, dst = step.kind, step.src, step.dst
         if kind == K.COPY_DATA:
-            lines.append(f"{indent}{_d(dst)} = {_d(src)}")
+            self._set_data(dst, self._data(src))
         elif kind == K.FILL_DATA:
-            lines.append(f"{indent}{_d(dst)} = "
-                         f"{'_ones' if src else '_zero'}")
+            self._set_data(dst, "_ones" if src else "0")
         elif kind == K.DATA_TO_B:
-            write_refs(dst, _d(src))
+            self._set_planes(dst, self._data(src))
         elif kind == K.FILL_B:
             for plane, positive in dst:
-                value = "_ones" if (src == positive) else "_zero"
-                lines.append(f"{indent}{_b(plane)} = {value}")
+                self._set_plane(plane, "_ones" if src == positive else "0")
         elif kind == K.B_TO_DATA:
-            lines.append(f"{indent}{_d(dst)} = {read_ref(src)}")
+            self._set_data(dst, self._plane(src))
         elif kind == K.B_TO_B:
             # Ints are immutable: snapshot once, no aliasing hazards.
-            lines.append(f"{indent}_v = {read_ref(src)}")
-            write_refs(dst, "_v")
+            self._emit(f"_v = {self._plane(src)}")
+            self._set_planes(dst, "_v")
         elif kind in (K.PAIR_TO_DATA, K.PAIR_TO_B):
             message = (f"activating {step.src_addr} would charge-share "
                        "two unequal rows; the sensed value is "
                        "nondeterministic")
-            lines.append(f"{indent}_v = {read_ref(src[0])}")
-            lines.append(f"{indent}if _v != {read_ref(src[1])}:")
-            lines.append(f"{indent}    raise _CommandError({message!r})")
+            self._emit(f"_v = {self._plane(src[0])}")
+            self._emit(f"if _v != {self._plane(src[1])}:")
+            self.lines += _transfer(self.rows, self.planes, " " * 8)
+            self._emit(f"    raise _CommandError({message!r})")
             if kind == K.PAIR_TO_DATA:
-                lines.append(f"{indent}{_d(dst)} = _v")
+                self._set_data(dst, "_v")
             else:
-                write_refs(dst, "_v")
+                self._set_planes(dst, "_v")
         else:  # TRA variants: majority of three, destructive restore
-            a0, a1, a2 = (read_ref(ref) for ref in src)
-            lines.append(f"{indent}_v = ({a0} & {a1}) | ({a1} & {a2}) "
-                         f"| ({a0} & {a2})")
-            write_refs(src, "_v")
+            # Triples list a negated DCC port first: it is read once.
+            a, b, c = (self._plane(ref) for ref in src)
+            self._emit(f"_v = ({a} & ({b} | {c})) | ({b} & {c})")
+            self._set_planes(src, "_v")
             if kind == K.TRA_TO_DATA:
-                lines.append(f"{indent}{_d(dst)} = _v")
+                self._set_data(dst, "_v")
             elif kind == K.TRA_TO_B:
-                write_refs(dst, "_v")
-    return lines
+                self._set_planes(dst, "_v")
 
 
 def generate_source(plan: "ExecutionPlan") -> str:
     """Emit the bigint executor source for :class:`CompiledEngine`; it
     defines ``_executor(data, b_planes)``."""
-    rows, written = _plan_data_rows(plan)
-    planes = tuple(range(N_B_PLANES))
-    plane_names = ", ".join(_b(p) for p in planes)
-
+    body = _Emitted(plan)
     head = [
         f"# generated executor: {plan.op_name} "
         f"({plan.backend}, w{plan.element_width}, "
         f"{plan.n_steps} steps)",
         "from repro.errors import CommandError as _CommandError",
         "def _executor(data, b_planes):",
-        "    _ones = int.from_bytes(_ROW_ONES * data.shape[1], 'little')",
-        "    _zero = 0",
+        "    _ones = _ONES.get(data.shape[1])",
+        "    if _ones is None:",
+        "        _ones = _ONES[data.shape[1]] = int.from_bytes(",
+        "            _ROW_ONES * data.shape[1], 'little')",
+        *_transfer(body.live_rows, body.live_planes, "    ", load=True),
     ]
-    if rows:
-        names = ", ".join(_d(r) for r in rows)
-        trailing = "," if len(rows) == 1 else ""
-        head.append(f"    {names}{trailing} = "
-                    f"_load_rows(data, {tuple(rows)!r})")
-    head.append(f"    {plane_names} = _load_rows(b_planes, {planes!r})")
-    head.append("    try:")
-
-    body = _emit_steps(plan) or ["        pass"]
-
-    tail = ["    finally:"]
-    written_rows = tuple(sorted(written))
-    if written_rows:
-        values = ", ".join(_d(r) for r in written_rows)
-        tail.append(f"        _store_rows(data, "
-                    f"{written_rows!r}, ({values},))")
-    tail.append(f"        _store_rows(b_planes, "
-                f"{planes!r}, ({plane_names},))")
-    return "\n".join(head + body + tail) + "\n"
+    tail = _transfer(body.rows, body.planes, "    ")
+    return "\n".join(head + body.lines + tail) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ and allocator balance on failing executions.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from repro.dram.bank import DramModule
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import b_row, data_row
 from repro.errors import CommandError, ExecutionError
-from repro.exec.engines import list_engines
+from repro.exec.control_unit import ControlUnit
+from repro.exec.engines import get_engine, list_engines
 from repro.exec.layout import RowLayout
 from repro.exec.plan import StepKind, compile_plan
 from repro.uprog.program import MicroProgram, OperandSpec
@@ -221,6 +223,68 @@ class TestPlanCompilation:
         plan.execute(data, b_planes)
         for bank in module.banks:
             assert bank.subarray.peek(data_row(1)).all()
+
+    def test_failing_pair_leaves_same_state_on_every_engine(self):
+        """A pair check that raises mid-program leaves what the steps
+        before it wrote, and only that, on every plan engine — the
+        compiled executor stores its written rows at the raise site."""
+        layout = RowLayout({Space.INPUT0: 0, Space.OUTPUT: 1})
+        program = MicroProgram(
+            op_name="t3", backend="simdram", element_width=2,
+            inputs=[OperandSpec(Space.INPUT0, 1)],
+            output=OperandSpec(Space.OUTPUT, 2),
+            uops=[UAap(URow(Space.INPUT0, 0), URow(Space.OUTPUT, 0)),
+                  UAap(URow(Space.INPUT0, 0), URow(Space.BGROUP, 0)),
+                  # T1 is read before any step writes it.
+                  UAap(URow(Space.BGROUP, 1), URow(Space.BGROUP, 2)),
+                  # DCC0N + T0: T0 holds the input, DCC0N its negation.
+                  UAap(URow(Space.BGROUP, 8), URow(Space.OUTPUT, 1))])
+        plan = compile_plan(program, layout, GEOMETRY)
+        ones = np.ones(GEOMETRY.cols, dtype=bool)
+        states = []
+        for engine in FAST_ENGINES:
+            module = DramModule(GEOMETRY, seed=5)
+            for bank in module.banks:
+                bank.subarray.poke(data_row(0), ones)
+                bank.subarray.poke(b_row(6), ones)   # DCC0 = 1
+            data, b_planes = module.vector_state()
+            before = data.copy(), b_planes.copy()
+            with pytest.raises(CommandError):
+                ControlUnit().executor_for(plan, get_engine(engine))(
+                    data, b_planes)
+            assert np.array_equal(data[1], data[0])      # output row 0
+            assert np.array_equal(b_planes[0], data[0])  # T0
+            assert np.array_equal(b_planes[2], before[1][1])  # T2 = T1
+            assert np.array_equal(data[2], before[0][2])  # not written
+            states.append((data.copy(), b_planes.copy()))
+        for data, b_planes in states[1:]:
+            assert np.array_equal(data, states[0][0])
+            assert np.array_equal(b_planes, states[0][1])
+
+    def _compiled_source(self, op_name: str, width: int) -> str:
+        from repro.core.compiler import compile_operation
+        program = compile_operation(get_operation(op_name), width)
+        bases = {Space.INPUT0: 0, Space.INPUT1: width,
+                 Space.OUTPUT: 2 * width, Space.TEMP: 4 * width}
+        plan = compile_plan(program, RowLayout(bases),
+                            dataclasses.replace(GEOMETRY, banks=16))
+        ControlUnit().executor_for(plan, get_engine("compiled"))
+        return plan.executors["compiled"].__source__
+
+    def test_compiled_loads_only_live_in_rows(self):
+        """``add@8`` reads its 16 operand rows and no B plane before it
+        writes it: the executor loads exactly those rows."""
+        source = self._compiled_source("add", 8)
+        loads = re.findall(r"_load_rows\(data, (\([^)]*\))\)", source)
+        assert [eval(rows) for rows in loads] == [tuple(range(16))]
+        assert "_load_rows(b_planes" not in source
+
+    def test_compiled_stores_only_written_planes(self):
+        """``ge@16`` writes 3 of the 6 B planes; only those are stored."""
+        source = self._compiled_source("ge", 16)
+        stores = re.findall(r"^    _store_rows\(b_planes, (\([^)]*\)),",
+                            source, re.MULTILINE)
+        assert len(stores) == 1 and len(eval(stores[0])) == 3
 
 
 class TestPlanCache:
