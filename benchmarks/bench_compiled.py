@@ -28,7 +28,13 @@ bulk sizes, and that pair of numbers is what the ``vectorized`` vs
 publishes the rows one successful ``compiled`` dispatch converts
 between numpy bytes and Python ints (``rows_loaded``: data rows and B
 planes read before they are written; ``rows_stored``: those written),
-the cost that bounds that engine at 4 KiB rows.
+the cost that bounds that engine at 4 KiB rows.  ``us_per_dispatch``
+also has a 64-lane row, the module size of the serve tiers (2 banks of
+32 columns), where the dispatch floor rather than row width decides.
+``codegen`` publishes what building one ``compiled`` executor costs —
+``source_lines`` of the generated source and ``codegen_ms`` (generate
+plus ``compile()``) — for the CNN tap and for ``div@16``, the largest
+paper kernel.
 
 Usage::
 
@@ -65,15 +71,16 @@ WIDTH = 8
 BANKS = 16
 COLS = 64
 BULK_COLS = 2048    # x BANKS = the 32 768 lanes of the e2e bulk_map
+SERVE_COLS, SERVE_BANKS = 32, 2   # the e2e serve tiers' 64-lane module
 BASELINE = "vectorized"
 CANDIDATE = "compiled"
 MIN_SECONDS = 0.2   # measure each engine for at least this long
 REPEATS = 3         # best-of; absorbs CI runner noise
 
 
-def build_system(cols: int = COLS) -> Simdram:
+def build_system(cols: int = COLS, banks: int = BANKS) -> Simdram:
     geometry = DramGeometry.sim_small(cols=cols, data_rows=768,
-                                      banks=BANKS)
+                                      banks=banks)
     return Simdram(SimdramConfig(geometry=geometry), seed=13)
 
 
@@ -99,10 +106,10 @@ def check_bit_exact(sim: Simdram, root, engines: list[str]) -> None:
     acc.free()
 
 
-def prepare(sim: Simdram, root):
-    """Compile the fused kernel and bind a row layout, exactly as a
-    batched dispatch would; returns (program, layout)."""
-    kernel = sim.compile(root, WIDTH)
+def prepare(sim: Simdram, root, width: int = WIDTH):
+    """Compile the kernel and bind a row layout, exactly as a batched
+    dispatch would; returns (program, layout)."""
+    kernel = sim.compile(root, width)
     rng = np.random.default_rng(99)
     operands = [
         sim.array(rng.integers(0, 1 << w, sim.module.lanes), w)
@@ -146,6 +153,20 @@ def row_traffic(sim: Simdram, program, layout) -> dict:
             rf"^    (?! ).*{call}\(\w+, (\([^)]*\))", source, re.MULTILINE))
         for key, call in (("rows_loaded", "_load_rows"),
                           ("rows_stored", "_store_rows"))}
+
+
+def codegen_cost(sim: Simdram, program, layout) -> dict:
+    """Lines and best-of-``REPEATS`` milliseconds of building one
+    ``compiled`` executor (generate the source, ``compile()`` it)."""
+    plan = sim.control.plan_for(program, layout, sim.module.geometry)
+    engine = get_engine(CANDIDATE)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        executor = engine.compile(plan)
+        best = min(best, time.perf_counter() - start)
+    return {"source_lines": executor.__source__.count("\n"),
+            "codegen_ms": best * 1e3}
 
 
 def run_suite() -> dict:
@@ -193,7 +214,13 @@ def run_suite() -> dict:
 
     bulk = build_system(BULK_COLS)
     bulk_program, bulk_layout = prepare(bulk, root)
+    serve = build_system(SERVE_COLS, SERVE_BANKS)
+    serve_program, serve_layout = prepare(serve, root)
     us_per_dispatch = {
+        str(serve.module.lanes): {
+            engine: time_engine(serve, serve_program, serve_layout,
+                                engine) * 1e6
+            for engine in engines},
         str(lanes): {engine: entry[engine]["seconds_per_execution"] * 1e6
                      for engine in engines},
         str(bulk.module.lanes): {
@@ -201,7 +228,9 @@ def run_suite() -> dict:
                                 engine) * 1e6
             for engine in engines},
     }
-    traffic = {str(lanes): row_traffic(sim, program, layout),
+    traffic = {str(serve.module.lanes): row_traffic(serve, serve_program,
+                                                    serve_layout),
+               str(lanes): row_traffic(sim, program, layout),
                str(bulk.module.lanes): row_traffic(bulk, bulk_program,
                                                    bulk_layout)}
     for size, row in us_per_dispatch.items():
@@ -209,13 +238,19 @@ def run_suite() -> dict:
             f"{engine} {us:.1f} us" for engine, us in row.items())
             + f"; {CANDIDATE} loads {traffic[size]['rows_loaded']}, "
             f"stores {traffic[size]['rows_stored']} rows")
+    codegen = {f"{GATE_KERNEL}@{WIDTH}": codegen_cost(sim, program, layout),
+               "div@16": codegen_cost(sim, *prepare(sim, "div", 16))}
+    for name, cost in codegen.items():
+        print(f"codegen {name}: {cost['source_lines']} lines, "
+              f"{cost['codegen_ms']:.1f} ms")
     return {"config": {"banks": BANKS, "cols": COLS,
                        "python": sys.version.split()[0],
                        "engines": engines},
             "kernels": [entry],
             #: Published, not gated: absolute cost per dispatch.
             "us_per_dispatch": us_per_dispatch,
-            "row_traffic": traffic}
+            "row_traffic": traffic,
+            "codegen": codegen}
 
 
 def run_gate(min_speedup: float = 5.0) -> dict:

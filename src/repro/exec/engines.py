@@ -29,19 +29,19 @@ Engines
 ``compiled``
     The codegen backend (the assassyn approach: frontend IR → generated
     simulator code).  :meth:`~CompiledEngine.compile` emits specialized
-    Python source with the µOp loop fully unrolled and every row /
+    Python source for the plan's straight-line steps, with every row /
     plane index baked in, then runs it through ``compile()``/``exec``.
-    Each DRAM row becomes a *local variable holding an arbitrary-width
-    Python integer* — ``int.from_bytes`` of the row's packed bytes
-    across all banks, no pack stage — so a µOp is one or two native
-    bigint operations instead of an interpreted numpy dispatch — the
-    loop, the ``isinstance``/enum tests and the numpy call overhead
-    all disappear.  Row conversion is what remains at 4 KiB rows, so a
-    liveness pass over the straight-line steps loads only the rows and
-    planes read before they are written and stores only those written.
-    Bit-identical to ``vectorized``, on success and on a failing pair
-    activation (proven by the differential suites); portable, no
-    dependencies.
+    A DRAM row's contents are an *arbitrary-width Python integer* —
+    ``int.from_bytes`` of the row's packed bytes across all banks, no
+    pack stage.  The generator value-numbers the steps: an AAP (copy,
+    fill, wordline move) only renames a value and emits no code, and a
+    TRA is one bigint expression, folded where an exact identity holds
+    (``MAJ(x, x, y) = x``, ``MAJ(x, ~x, y) = y``, a constant operand
+    makes it ``&`` or ``|``).  Locals are recycled once their value is
+    dead.  The prologue loads only the rows and planes read before they
+    are written; the epilogue stores only those written.  Bit-identical
+    to ``vectorized``, on success and on a failing pair activation
+    (proven by the differential suites); portable, no dependencies.
 
 Executors are memoized by the control unit on the plan
 (`ExecutionPlan.executors`, keyed by engine name), which its plan cache
@@ -52,15 +52,15 @@ and eviction of a plan drops its executors with it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+import itertools
+from collections import Counter
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import EngineError
+from repro.exec.plan import ExecutionPlan, StepKind as K
 from repro.obs.tracing import span as obs_span
-
-if TYPE_CHECKING:
-    from repro.exec.plan import ExecutionPlan
 
 __all__ = [
     "ExecutionEngine",
@@ -97,7 +97,7 @@ class ExecutionEngine:
     #: per-subarray replay loop instead, and for ``"auto"``.
     executes_plans = True
 
-    def compile(self, plan: "ExecutionPlan") -> Executor:
+    def compile(self, plan: ExecutionPlan) -> Executor:
         """Lower a compiled plan to an executor callable."""
         raise EngineError(f"engine {self.name!r} has no plan executor "
                           "to compile")
@@ -160,27 +160,27 @@ class VectorizedEngine(ExecutionEngine):
 
     name = "vectorized"
 
-    def compile(self, plan: "ExecutionPlan") -> Executor:
+    def compile(self, plan: ExecutionPlan) -> Executor:
         return plan.execute
 
 
 class CompiledEngine(ExecutionEngine):
     """Generate and ``exec`` specialized Python source per plan.
 
-    Each data row and B-group plane the plan uses is a local variable
-    holding one arbitrary-precision integer (the row's packed bytes
-    over the participating banks, little-endian, padding bits zero);
-    the unrolled step sequence is emitted as straight-line bigint
-    expressions.  The prologue loads only the rows and planes read
-    before they are written; the epilogue stores only those written.
-    The one step that can raise, a pair activation over disagreeing
-    cells, first stores what was written so far, mirroring the
-    vectorized engine's advance-all-banks-step-by-step failure shape.
+    Each value a data row or B-group plane holds is one
+    arbitrary-precision integer (the row's packed bytes over the
+    participating banks, little-endian, padding bits zero) in a
+    recycled local.  The steps are value-numbered (:class:`_Emitted`):
+    only a TRA computes, and a complement is computed at most once per
+    value.  The one step that can raise, a pair activation over
+    disagreeing cells, first stores what was written so far, mirroring
+    the vectorized engine's advance-all-banks-step-by-step failure
+    shape.
     """
 
     name = "compiled"
 
-    def compile(self, plan: "ExecutionPlan") -> Executor:
+    def compile(self, plan: ExecutionPlan) -> Executor:
         with obs_span("engine.compile", engine=self.name,
                       op=plan.op_name):
             source = generate_source(plan)
@@ -200,123 +200,222 @@ class CompiledEngine(ExecutionEngine):
 # ---------------------------------------------------------------------------
 # code generation
 # ---------------------------------------------------------------------------
-def _d(row: int) -> str:
-    return f"_d{row}"
+#: A symbolic value: ``(value id, complemented?)``.  Value 0 is the
+#: all-zero row, so ``C0`` is ``(0, False)`` and ``C1`` is ``(0, True)``;
+#: every other id is a row loaded by the prologue or a computed value.
+Ref = tuple[int, bool]
+
+_NOT = "{0} ^ _ones"
+_AND = "{0} & {1}"
+_OR = "{0} | {1}"
+_MAJ = "({0} & ({1} | {2})) | ({1} & {2})"
+#: Self-duality: ``op(~x, ~y, ...) == ~dual(x, y, ...)``.
+_DUAL = {_AND: _OR, _OR: _AND, _MAJ: _MAJ}
+
+#: Step kinds by what they read and where they write.
+_FROM_DATA = frozenset({K.COPY_DATA, K.DATA_TO_B})
+_FILLS = frozenset({K.FILL_DATA, K.FILL_B})
+_FROM_WORDLINE = frozenset({K.B_TO_DATA, K.B_TO_B})
+_FROM_PAIR = frozenset({K.PAIR_TO_DATA, K.PAIR_TO_B})
+_TO_DATA = frozenset({K.COPY_DATA, K.FILL_DATA, K.B_TO_DATA,
+                      K.PAIR_TO_DATA, K.TRA_TO_DATA})
 
 
-def _b(plane: int) -> str:
-    return f"_b{plane}"
-
-
-def _transfer(rows: set[int], planes: set[int], indent: str,
-              load: bool = False) -> list[str]:
-    """The ``_store_rows`` (or ``_load_rows``) lines moving the given
-    data rows and B planes between the state arrays and the locals."""
-    lines = []
-    for state, name, keys in (("data", _d, rows), ("b_planes", _b, planes)):
-        if keys:
-            keys = tuple(sorted(keys))
-            names = ", ".join(map(name, keys))
-            lines.append(f"{indent}{names}, = _load_rows({state}, {keys!r})"
-                         if load else
-                         f"{indent}_store_rows({state}, {keys!r}, ({names},))")
-    return lines
+def _flip(ref: Ref) -> Ref:
+    return ref[0], not ref[1]
 
 
 class _Emitted:
-    """The unrolled body of one plan and its exact liveness.
+    """Pass 1: value numbering over one plan's straight-line steps.
 
-    One forward pass over the straight-line steps: a row or plane read
-    before any step writes it is live-in (the prologue loads it), and
-    every row or plane a step writes is stored by the epilogue — or,
-    when a pair check raises, by the writeback emitted at that site,
-    which stores exactly what was assigned so far.
+    Every data row and B plane holds a symbolic :data:`Ref`; one read
+    before any step writes it is live-in, a fresh value the prologue
+    loads.  Copies, fills, wordline moves and pair activations only
+    rebind refs.  A TRA is folded by exact identities (padding bits are
+    zero) — ``MAJ(x, x, y) = x``, ``MAJ(x, ~x, y) = y``, ``MAJ(C0, x,
+    y) = x & y``, ``MAJ(C1, x, y) = x | y`` — else flipped by
+    self-duality so at most one operand is complemented.  A pair check
+    over one value twice can never fire and is dropped.
+
+    ``code`` is the result: ``(defined value id or None, format
+    template, operand refs)`` in program order; the last entry is the
+    epilogue, which stores every written row and plane.
     """
 
-    def __init__(self, plan: "ExecutionPlan") -> None:
-        self.lines: list[str] = []
-        #: Data rows / B planes read before they are written.
-        self.live_rows: set[int] = set()
-        self.live_planes: set[int] = set()
+    def __init__(self, plan: ExecutionPlan) -> None:
+        self.code: list[tuple[int | None, str, tuple[Ref, ...]]] = []
+        self._ids = itertools.count(1)
+        #: Current value of each data row / B plane read or written.
+        self.rows: dict[int, Ref] = {}
+        self.planes: dict[int, Ref] = {}
+        #: Live-in data rows / B planes -> the value the prologue loads.
+        self.live_rows: dict[int, int] = {}
+        self.live_planes: dict[int, int] = {}
         #: Data rows / B planes written.
-        self.rows: set[int] = set()
-        self.planes: set[int] = set()
+        self.written_rows: set[int] = set()
+        self.written_planes: set[int] = set()
+        self._complement: dict[int, int] = {}
         for step in plan.steps:
             self._step(step)
+        lines, operands = self._writeback("    ")
+        self.code.append((None, "\n".join(lines), operands))
 
-    def _emit(self, line: str) -> None:
-        self.lines.append("    " + line)
+    def _define(self, template: str, operands: tuple[Ref, ...]) -> int:
+        value = next(self._ids)
+        self.code.append((value, template, operands))
+        return value
 
-    def _data(self, row: int) -> str:
+    def _operand(self, ref: Ref) -> Ref:
+        """``ref`` as computed code reads it: a complement is a value of
+        its own, defined at its first use."""
+        value, negated = ref
+        if not (value and negated):
+            return ref
+        if value not in self._complement:
+            self._complement[value] = self._define(_NOT, ((value, False),))
+        return self._complement[value], False
+
+    def _stored(self, ref: Ref) -> Ref:
+        """``ref`` as a store reads it: an uncomputed complement is
+        rendered inline."""
+        value, negated = ref
+        if value and negated and value in self._complement:
+            return self._complement[value], False
+        return ref
+
+    def _row(self, row: int) -> Ref:
         if row not in self.rows:
-            self.live_rows.add(row)
-        return _d(row)
+            self.live_rows[row] = next(self._ids)
+            self.rows[row] = self.live_rows[row], False
+        return self.rows[row]
 
-    def _plane(self, ref) -> str:
-        plane, positive = ref
+    def _plane(self, port) -> Ref:
+        plane, positive = port
         if plane not in self.planes:
-            self.live_planes.add(plane)
-        return _b(plane) if positive else f"({_b(plane)} ^ _ones)"
+            self.live_planes[plane] = next(self._ids)
+            self.planes[plane] = self.live_planes[plane], False
+        ref = self.planes[plane]
+        return ref if positive else _flip(ref)
 
-    def _set_data(self, row: int, value: str) -> None:
-        self._emit(f"{_d(row)} = {value}")
-        self.rows.add(row)
+    def _set_row(self, row: int, ref: Ref) -> None:
+        self.rows[row] = ref
+        self.written_rows.add(row)
 
-    def _set_plane(self, plane: int, value: str) -> None:
-        self._emit(f"{_b(plane)} = {value}")
-        self.planes.add(plane)
+    def _set_planes(self, ports, ref: Ref) -> None:
+        for plane, positive in ports:
+            self.planes[plane] = ref if positive else _flip(ref)
+            self.written_planes.add(plane)
 
-    def _set_planes(self, refs, value: str) -> None:
-        for plane, positive in refs:
-            self._set_plane(plane,
-                            value if positive else f"{value} ^ _ones")
+    def _majority(self, a: Ref, b: Ref, c: Ref) -> Ref:
+        if a[0] == b[0]:
+            return a if a == b else c
+        if a[0] == c[0]:
+            return a if a == c else b
+        if b[0] == c[0]:
+            return b if b == c else a
+        # At most one operand is a constant now (C0 and C1 are one value).
+        for constant, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            if not constant[0]:
+                return self._compute(_OR if constant[1] else _AND, (x, y))
+        return self._compute(_MAJ, (a, b, c))
 
-    def _step(self, step) -> None:
-        from repro.exec.plan import StepKind as K
-        kind, src, dst = step.kind, step.src, step.dst
-        if kind == K.COPY_DATA:
-            self._set_data(dst, self._data(src))
-        elif kind == K.FILL_DATA:
-            self._set_data(dst, "_ones" if src else "0")
-        elif kind == K.DATA_TO_B:
-            self._set_planes(dst, self._data(src))
-        elif kind == K.FILL_B:
-            for plane, positive in dst:
-                self._set_plane(plane, "_ones" if src == positive else "0")
-        elif kind == K.B_TO_DATA:
-            self._set_data(dst, self._plane(src))
-        elif kind == K.B_TO_B:
-            # Ints are immutable: snapshot once, no aliasing hazards.
-            self._emit(f"_v = {self._plane(src)}")
-            self._set_planes(dst, "_v")
-        elif kind in (K.PAIR_TO_DATA, K.PAIR_TO_B):
+    def _compute(self, template: str, operands: tuple[Ref, ...]) -> Ref:
+        flip = 2 * sum(negated for _, negated in operands) > len(operands)
+        if flip:
+            template = _DUAL[template]
+            operands = tuple(map(_flip, operands))
+        operands = tuple(map(self._operand, operands))
+        return self._define(template, operands), flip
+
+    def _writeback(self, indent: str) -> tuple[list[str], tuple[Ref, ...]]:
+        """The ``_store_rows`` lines of every row and plane written so
+        far, and the refs they store."""
+        lines, operands = [], []
+        for state, keys, refs in (("data", self.written_rows, self.rows),
+                                  ("b_planes", self.written_planes,
+                                   self.planes)):
+            if keys:
+                keys = tuple(sorted(keys))
+                operands += [self._stored(refs[key]) for key in keys]
+                lines.append(f"{indent}_store_rows({state}, {keys!r}, "
+                             f"({', '.join(['{}'] * len(keys))},))")
+        return lines, tuple(operands)
+
+    def _pair(self, step) -> Ref:
+        """A double-wordline activation: both reads must agree.  A check
+        that can fire stores what was written so far, then raises."""
+        ref, other = map(self._plane, step.src)
+        if ref != other:
             message = (f"activating {step.src_addr} would charge-share "
                        "two unequal rows; the sensed value is "
                        "nondeterministic")
-            self._emit(f"_v = {self._plane(src[0])}")
-            self._emit(f"if _v != {self._plane(src[1])}:")
-            self.lines += _transfer(self.rows, self.planes, " " * 8)
-            self._emit(f"    raise _CommandError({message!r})")
-            if kind == K.PAIR_TO_DATA:
-                self._set_data(dst, "_v")
-            else:
-                self._set_planes(dst, "_v")
+            lines, operands = self._writeback(" " * 8)
+            lines = ["    if {} != {}:", *lines,
+                     f"        raise _CommandError({message!r})"
+                     .replace("{", "{{").replace("}", "}}")]
+            self.code.append((None, "\n".join(lines), (
+                self._operand(ref), self._operand(other), *operands)))
+        return ref
+
+    def _step(self, step) -> None:
+        kind, src = step.kind, step.src
+        if kind in _FROM_DATA:
+            ref = self._row(src)
+        elif kind in _FILLS:
+            ref = 0, src
+        elif kind in _FROM_WORDLINE:
+            ref = self._plane(src)
+        elif kind in _FROM_PAIR:
+            ref = self._pair(step)
         else:  # TRA variants: majority of three, destructive restore
-            # Triples list a negated DCC port first: it is read once.
-            a, b, c = (self._plane(ref) for ref in src)
-            self._emit(f"_v = ({a} & ({b} | {c})) | ({b} & {c})")
-            self._set_planes(src, "_v")
-            if kind == K.TRA_TO_DATA:
-                self._set_data(dst, "_v")
-            elif kind == K.TRA_TO_B:
-                self._set_planes(dst, "_v")
+            ref = self._majority(*map(self._plane, src))
+            self._set_planes(src, ref)
+            if kind == K.TRA:
+                return
+        if kind in _TO_DATA:
+            self._set_row(step.dst, ref)
+        else:
+            self._set_planes(step.dst, ref)
 
 
-def generate_source(plan: "ExecutionPlan") -> str:
+def _render(ref: Ref, names: dict[int, str]) -> str:
+    value, negated = ref
+    if not value:
+        return "_ones" if negated else "0"
+    return f"({names[value]} ^ _ones)" if negated else names[value]
+
+
+def generate_source(plan: ExecutionPlan) -> str:
     """Emit the bigint executor source for :class:`CompiledEngine`; it
-    defines ``_executor(data, b_planes)``."""
+    defines ``_executor(data, b_planes)``.
+
+    Pass 2 names the values of :class:`_Emitted`: a value nothing reads
+    is dropped, and a local returns to a free list once the last reader
+    of its value has run, so the executor holds about as many bigints
+    as the plan has live rows.
+    """
     body = _Emitted(plan)
-    head = [
+    readers = Counter(value for _, _, operands in body.code
+                      for value, _ in operands)
+    code = []
+    for defined, template, operands in reversed(body.code):
+        if defined is not None and not readers[defined]:
+            for value, _ in operands:
+                readers[value] -= 1
+            continue
+        code.append((defined, template, operands))
+
+    names: dict[int, str] = {}
+    free: list[str] = []
+    fresh = (f"_v{n}" for n in itertools.count())
+
+    def local(value: int) -> str:
+        if not readers[value]:
+            return "_"
+        names[value] = free.pop() if free else next(fresh)
+        return names[value]
+
+    lines = [
         f"# generated executor: {plan.op_name} "
         f"({plan.backend}, w{plan.element_width}, "
         f"{plan.n_steps} steps)",
@@ -326,10 +425,22 @@ def generate_source(plan: "ExecutionPlan") -> str:
         "    if _ones is None:",
         "        _ones = _ONES[data.shape[1]] = int.from_bytes(",
         "            _ROW_ONES * data.shape[1], 'little')",
-        *_transfer(body.live_rows, body.live_planes, "    ", load=True),
     ]
-    tail = _transfer(body.rows, body.planes, "    ")
-    return "\n".join(head + body.lines + tail) + "\n"
+    for state, live in (("data", body.live_rows),
+                        ("b_planes", body.live_planes)):
+        if live:
+            keys = tuple(sorted(live))
+            targets = ", ".join(local(live[key]) for key in keys)
+            lines.append(f"    {targets}, = _load_rows({state}, {keys!r})")
+    for defined, template, operands in reversed(code):
+        text = template.format(*(_render(ref, names) for ref in operands))
+        for value, _ in operands:
+            readers[value] -= 1
+            if value and not readers[value]:
+                free.append(names[value])
+        lines.append(text if defined is None
+                     else f"    {local(defined)} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,161 @@ class TestPlanCompilation:
         assert len(stores) == 1 and len(eval(stores[0])) == 3
 
 
+def _b(index: int) -> URow:
+    return URow(Space.BGROUP, index)
+
+
+def _in0(row: int) -> URow:
+    return URow(Space.INPUT0, row)
+
+
+def _in1(row: int) -> URow:
+    return URow(Space.INPUT1, row)
+
+
+def _out(row: int) -> URow:
+    return URow(Space.OUTPUT, row)
+
+
+C0, C1 = URow(Space.CTRL, 0), URow(Space.CTRL, 1)
+
+
+class TestValueNumberedCodegen:
+    """The compiled executor is value numbering over the plan: an AAP
+    only renames, a TRA is the one step that computes, folded by exact
+    identities, and locals are recycled once their value is dead.
+    Every program here starts from one random power-up state on both
+    plan engines and must end in the same state."""
+
+    LAYOUT = RowLayout({Space.INPUT0: 0, Space.INPUT1: 4,
+                        Space.OUTPUT: 8})
+
+    def _compiled_source(self, uops) -> str:
+        """Run ``uops`` on ``vectorized`` and ``compiled`` from the same
+        random power-up state; assert equal post-states; return the
+        compiled executor's source."""
+        program = MicroProgram(
+            op_name="vn", backend="simdram", element_width=4,
+            inputs=[OperandSpec(Space.INPUT0, 4),
+                    OperandSpec(Space.INPUT1, 4)],
+            output=OperandSpec(Space.OUTPUT, 4), uops=uops)
+        plan = compile_plan(program, self.LAYOUT, GEOMETRY)
+        states = []
+        for engine in ("vectorized", "compiled"):
+            module = DramModule(GEOMETRY, seed=23)
+            data, b_planes = module.vector_state()
+            ControlUnit().executor_for(plan, get_engine(engine))(
+                data, b_planes)
+            states.append((data.copy(), b_planes.copy()))
+        (data, b_planes), (data_c, b_planes_c) = states
+        assert np.array_equal(data_c, data)
+        assert np.array_equal(b_planes_c, b_planes)
+        return plan.executors["compiled"].__source__
+
+    @staticmethod
+    def _expressions(source: str) -> list[str]:
+        """The right-hand sides of the executor body's assignments."""
+        return re.findall(r"^    (?!_ones )\w+ = (.*)$", source,
+                          re.MULTILINE)
+
+    def test_constant_operand_folds_to_and_or(self):
+        source = self._compiled_source([
+            UAap(C0, _b(0)), UAap(_in0(0), _b(1)), UAap(_in1(0), _b(2)),
+            UAp(_b(12)),                      # MAJ(C0, x, y) = x & y
+            UAap(_b(0), _out(0)),
+            UAap(C1, _b(0)), UAap(_in0(1), _b(1)), UAap(_in1(1), _b(2)),
+            UAp(_b(12)),                      # MAJ(C1, x, y) = x | y
+            UAap(_b(0), _out(1))])
+        expressions = self._expressions(source)
+        assert len(expressions) == 2
+        assert "&" in expressions[0] and "|" in expressions[1]
+
+    def test_one_value_on_two_wordlines_is_the_majority(self):
+        source = self._compiled_source([
+            UAap(_in0(0), _b(10)),            # x on T2 and T3
+            UAap(_in1(0), _b(1)),
+            UAp(_b(13)),                      # MAJ(y, x, x) = x
+            UAap(_b(1), _out(0))])
+        assert self._expressions(source) == []
+
+    def test_value_beside_its_dcc_complement_cancels(self):
+        source = self._compiled_source([
+            UAap(_in0(0), _b(6)),             # DCC0 = x: DCC0N reads ~x
+            UAap(_in0(0), _b(1)), UAap(_in1(0), _b(2)),
+            UAp(_b(14)),                      # MAJ(~x, x, y) = y
+            UAap(_b(1), _out(0))])
+        assert self._expressions(source) == []
+
+    def test_all_complemented_triple_flips_by_duality(self):
+        source = self._compiled_source([
+            UAap(_in0(0), _b(6)),             # DCC0N reads ~x
+            UAap(_in1(0), _b(7)), UAap(_b(5), _b(1)),   # T1 = ~y
+            UAap(_in1(1), _b(7)), UAap(_b(5), _b(2)),   # T2 = ~z
+            UAp(_b(14)),                      # ~MAJ(x, y, z)
+            UAap(_b(1), _out(0))])
+        expressions = self._expressions(source)
+        assert len(expressions) == 1 and "_ones" not in expressions[0]
+
+    def test_complement_is_computed_once_per_value(self):
+        uops = []
+        for row in range(2):                  # MAJ(~x, y_row, z_row)
+            uops += [UAap(_in0(0), _b(6)), UAap(_in1(row), _b(1)),
+                     UAap(_in1(row + 2), _b(2)), UAp(_b(14)),
+                     UAap(_b(1), _out(row))]
+        expressions = self._expressions(self._compiled_source(uops))
+        assert len(expressions) == 3
+        assert sum("_ones" in text for text in expressions) == 1
+
+    def test_copies_fills_and_dcc_moves_emit_no_code(self):
+        """An AAP is a rename: a program of only data copies, constant
+        fills and B-group moves through both DCC ports computes
+        nothing between its load and its stores."""
+        source = self._compiled_source([
+            UAap(_in0(0), _out(0)), UAap(C1, _out(1)), UAap(C0, _b(3)),
+            UAap(_in0(1), _b(4)), UAap(_b(6), _out(2)),    # ~x via DCC0N
+            UAap(_in1(0), _b(7)), UAap(_b(5), _b(0)),      # ~y via DCC1N
+            UAap(_b(0), _out(3)), UAap(C1, _b(8)), UAap(_b(3), _b(11))])
+        lines = source.splitlines()
+        load = next(i for i, line in enumerate(lines)
+                    if "_load_rows(" in line)
+        assert "_store_rows(" in lines[load + 1]
+        assert all("_store_rows(" in line for line in lines[load + 1:])
+
+    def test_same_value_pair_check_is_dropped(self):
+        """A pair activation over one value on both wordlines can never
+        fire: no check, no raise site."""
+        source = self._compiled_source([
+            UAap(_in0(0), _b(10)),            # x on T2 and T3
+            UAap(_b(10), _out(0))])
+        assert "raise" not in source
+
+    def test_div16_recycles_locals(self):
+        """``div@16`` is a 2 287-step plan; its values share 75 locals,
+        fewer than the rows and planes it touches."""
+        from repro.core.compiler import compile_operation
+        program = compile_operation(get_operation("div"), 16)
+        plan = compile_plan(
+            program, RowLayout({Space.INPUT0: 0, Space.INPUT1: 16,
+                                Space.OUTPUT: 32, Space.TEMP: 64}),
+            GEOMETRY)
+        source = ControlUnit().executor_for(
+            plan, get_engine("compiled")).__source__
+        rows, planes = set(), set()
+        for step in plan.steps:
+            for operand in (step.src, step.dst):
+                if isinstance(operand, bool) or operand is None:
+                    continue
+                if isinstance(operand, int):
+                    rows.add(operand)
+                elif isinstance(operand[0], int):
+                    planes.add(operand[0])
+                else:
+                    planes.update(plane for plane, _ in operand)
+        n_locals = len(set(re.findall(r"\b_v\d+\b", source)))
+        assert n_locals == 75
+        assert n_locals <= len(rows) + len(planes)
+
+
 class TestPlanCache:
     def test_cache_hit_on_repeated_layout(self):
         sim = _make_sim()
