@@ -214,9 +214,10 @@ class LazyDevice:
         elif isinstance(target, SimdramCluster):
             self._transfer = target.tensor
 
-            # Submitted, not run: the tensor is a usable operand at once;
-            # the job scheduler orders dependent segments per module and
-            # overlaps independent ones.
+            # Submitted: on idle modules with settled operands the
+            # segment runs before submit returns, else it is queued; the
+            # tensor is a usable operand either way, and the job
+            # scheduler orders dependent segments per module.
             def submit_segment(root, feeds, **options):
                 return target.submit(root, feeds=feeds, **options).tensor
 

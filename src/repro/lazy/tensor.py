@@ -135,8 +135,9 @@ class LazyTensor:
 
         With ``wait=False`` on a cluster device the computation is
         *submitted* (the async job scheduler orders it against every
-        other outstanding job) and this call returns immediately;
-        :meth:`numpy` later gathers the finished result.  ``engine``
+        other outstanding job; on idle modules it runs before this
+        returns) and nothing is gathered; :meth:`numpy` later gathers
+        the result.  ``engine``
         is an execution-engine name or
         :class:`~repro.exec.engines.ExecutionEngine` instance,
         resolved by the device.

@@ -13,6 +13,9 @@ shard goes through the :class:`~repro.runtime.scheduler.JobScheduler`
 to the module already holding the shard, which *adopts* the kernel
 into its control unit and dispatches it exactly as the single-module
 system would.  ``submit`` gives the same semantics asynchronously.
+Every verb runs where it is submitted when the job's dependencies are
+settled and its modules idle, and queues to the module workers
+otherwise (see :mod:`repro.runtime.scheduler`).
 
 Each module also keeps a modeled busy-time clock (command latency plus
 channel I/O for transposition and paging, in simulated nanoseconds).
@@ -208,8 +211,11 @@ class SimdramCluster:
     # ------------------------------------------------------------------
     def tensor(self, values, width: int,
                signed: bool = False) -> DeviceTensor:
-        """Shard a host vector across the cluster and load it into DRAM
-        (asynchronously; the returned handle is usable immediately)."""
+        """Shard a host vector across the cluster and load it into DRAM.
+
+        The load is a job: on idle modules it runs before this returns,
+        on a busy module it queues; the returned handle is usable as an
+        operand either way."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise OperationError(
@@ -230,9 +236,9 @@ class SimdramCluster:
             pager.register(shard)
             self._account(shard.module_index, before)
 
-        # Snapshot each chunk now: the load runs asynchronously, and a
-        # caller mutating its array after tensor() returns must not
-        # race with the deferred transpose-in.
+        # Snapshot each chunk now: on a busy module the load is queued,
+        # and a caller mutating its array after tensor() returns must
+        # not race with the deferred transpose-in.
         subtasks: list[Subtask] = [
             (shard.module_index,
              (lambda s=shard,
@@ -242,7 +248,8 @@ class SimdramCluster:
             for shard in shards
         ]
         self.scheduler.submit(subtasks, writes=[tensor],
-                              label=f"load[{len(values)}]")
+                              label=f"load[{len(values)}]",
+                              caller_runs=True)
         return tensor
 
     def read_tensor(self, tensor: DeviceTensor) -> np.ndarray:
@@ -274,7 +281,8 @@ class SimdramCluster:
 
     def free_tensor(self, tensor: DeviceTensor) -> None:
         """Release a tensor's shards, ordered after every outstanding
-        job that touches it (idempotent)."""
+        job that touches it (idempotent): at once when those jobs have
+        settled and the modules are idle, else queued behind them."""
         if tensor.status != "live":
             return
         tensor.status = "freed"
@@ -292,7 +300,8 @@ class SimdramCluster:
             for shard in tensor.shards
         ]
         self.scheduler.submit(subtasks, writes=[tensor],
-                              label=f"free[{tensor.n_elements}]")
+                              label=f"free[{tensor.n_elements}]",
+                              caller_runs=True)
 
     # ------------------------------------------------------------------
     # execution
@@ -302,15 +311,15 @@ class SimdramCluster:
                 width: int | None, backend: str | None,
                 engine: ExecutionEngine, gather: bool = False):
         """The one resident-operand path: compile (or look up) the
-        kernel, bind and check the operand tensors, and queue one job
-        per shard on the module holding it.
+        kernel, bind and check the operand tensors, and submit one job
+        with a subtask per shard on the module holding it.
 
         Each shard job faults its operands in, pins everything the
         dispatch touches, has the module adopt the kernel and runs it
-        there.  By default the job is queued, the packed result stays
-        resident as the shards of a new output tensor and ``(future,
-        tensor)`` is returned; with ``gather`` every output's slice is
-        read back per shard instead and the call waits (through
+        there.  By default the packed result stays resident as the
+        shards of a new output tensor and ``(future, tensor)`` is
+        returned; with ``gather`` every output's slice is read back per
+        shard instead and the call waits (through
         :meth:`JobScheduler.run`), returning ``({output name: host
         vector}, None)``.
         """
@@ -371,20 +380,23 @@ class SimdramCluster:
             return self.scheduler.run(subtasks, reads=reads,
                                       finalizer=merge, label=label), None
         return self.scheduler.submit(subtasks, reads=reads, writes=[out],
-                                     label=label), out
+                                     label=label, caller_runs=True), out
 
     def submit(self, op: "str | Expr", *tensors: DeviceTensor,
                feeds: dict[str, DeviceTensor] | None = None,
                width: int | None = None, backend: str | None = None,
                engine: "str | ExecutionEngine" = "auto") -> JobHandle:
-        """Queue a kernel; returns immediately with a handle.
+        """Submit a kernel; returns a handle.
 
         ``op`` is a catalog operation name or an :class:`Expr` DAG;
         operands are positional ``tensors`` in operand-slot order or a
-        leaf-name ``feeds`` binding.  The output tensor is usable as an
-        operand of further submissions right away — the scheduler
-        serializes dependent jobs and runs independent ones
-        concurrently across modules.
+        leaf-name ``feeds`` binding.  When the operands' producers have
+        settled and the shards' modules are idle, the job runs on the
+        calling thread and the handle is done on return; otherwise it
+        is queued and this returns at once.  Either way the output
+        tensor is usable as an operand of further submissions right
+        away — the scheduler serializes dependent jobs and runs
+        independent ones concurrently across modules.
 
         ``engine`` (an engine name or an
         :class:`~repro.exec.engines.ExecutionEngine`) is resolved once

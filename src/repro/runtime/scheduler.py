@@ -11,14 +11,17 @@ so on a multi-core host this is real parallelism), while everything
 touching one module is totally ordered.
 
 Each module has a worker thread (started on its first queued subtask)
-and a count of its queued-or-running subtasks.  :meth:`JobScheduler.submit`
-queues every subtask to its module's worker.  :meth:`JobScheduler.run`
-— submit, then wait — lets the caller, who would only block, run its
-own work instead: when the job's dependencies are already settled, each
-subtask whose module is idle (nothing queued or running, lock free)
-runs on the calling thread, after every other subtask has been queued.
-A subtask runs there only when nothing is ahead of it on its module,
-so each module sees its subtasks in the order its worker would have.
+and a count of its queued-or-running subtasks.  A job runs where it is
+submitted when it can: with ``caller_runs`` (every cluster verb, and
+:meth:`JobScheduler.run`) and the job's dependencies already settled,
+each module that is idle (nothing queued or running, lock free) at the
+job's first subtask there is claimed by the submitting thread, which
+runs *all* of the job's subtasks on it, in order, under that one claim
+— after every subtask bound to a busy module has been queued to its
+worker.  So a module sees its subtasks in the order its worker would
+have, and a settled job on idle modules costs no thread hop.  Raw
+:meth:`JobScheduler.submit` (``caller_runs=False``), an unsettled
+dependency or a busy module takes the worker path.
 
 Ordering between jobs is derived from the tensors they touch:
 
@@ -68,7 +71,7 @@ class _Job:
         # request tree that queued the job.
         self.ctx_span = current_span()
         #: Whether the dispatching thread may run subtasks on idle
-        #: modules itself (a waiting caller whose dependencies settled).
+        #: modules itself (``caller_runs`` with every dependency settled).
         self.caller_runs = False
         self._lock = threading.Lock()
         self._pending_deps = 0
@@ -104,9 +107,9 @@ class _Job:
         if not self.subtasks:
             self._finish()
             return
-        for index, module_index, thunk in self.scheduler._place(self):
+        for module_index, subtasks in self.scheduler._place(self).items():
             self.scheduler._run_held(module_index, self._run_subtask,
-                                     index, thunk)
+                                     subtasks)
 
     def _run_subtask(self, index: int, thunk: Callable[[], Any]) -> None:
         with self._lock:
@@ -159,6 +162,9 @@ class JobScheduler:
         self._module_locks = [threading.Lock() for _ in range(n_modules)]
         #: Subtasks queued or running per module (under ``_lock``).
         self._busy = [0] * n_modules
+        #: Subtasks handed to a worker / run by the submitting thread.
+        self.subtasks_queued = 0
+        self.subtasks_inline = 0
         self._lock = threading.Lock()
         self._outstanding: set[Future] = set()
         self._ids = itertools.count()
@@ -167,40 +173,49 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # module ownership
     # ------------------------------------------------------------------
-    def _place(self, job: _Job) -> list[tuple[int, int, Callable[[], Any]]]:
+    def _place(self, job: _Job
+               ) -> dict[int, list[tuple[int, Callable[[], Any]]]]:
         """Queue ``job``'s subtasks to their workers, except — when the
-        job lets its caller run — those whose module is idle: those
-        modules are claimed (lock held) and ``(index, module, thunk)``
-        is returned for the caller to run with :meth:`_run_held`."""
-        here = []
+        job lets its caller run — those on a module that is idle at the
+        job's first subtask there: such a module is claimed (lock held)
+        and the job's ``(index, thunk)`` subtasks on it are returned
+        under its index, in order, for the caller to run with
+        :meth:`_run_held`."""
+        here: dict[int, list[tuple[int, Callable[[], Any]]]] = {}
         with self._lock:
             for index, (module_index, thunk) in enumerate(job.subtasks):
-                idle = (job.caller_runs and self._busy[module_index] == 0
+                claimed = here.get(module_index)
+                if (claimed is None and job.caller_runs
+                        and self._busy[module_index] == 0
                         and self._module_locks[module_index].acquire(
-                            blocking=False))
+                            blocking=False)):
+                    claimed = here[module_index] = []
                 self._busy[module_index] += 1
-                if idle:
-                    here.append((index, module_index, thunk))
+                if claimed is not None:
+                    claimed.append((index, thunk))
+                    self.subtasks_inline += 1
                 else:
+                    self.subtasks_queued += 1
                     self._executors[module_index].submit(
                         self._run_queued, module_index, job._run_subtask,
-                        index, thunk)
+                        [(index, thunk)])
         return here
 
     def _run_queued(self, module_index: int, run: Callable[..., None],
-                    *args) -> None:
+                    subtasks: list[tuple[int, Callable[[], Any]]]) -> None:
         self._module_locks[module_index].acquire()
-        self._run_held(module_index, run, *args)
+        self._run_held(module_index, run, subtasks)
 
     def _run_held(self, module_index: int, run: Callable[..., None],
-                  *args) -> None:
-        """Run one subtask under its (already held) module lock, then
-        hand the module on."""
+                  subtasks: list[tuple[int, Callable[[], Any]]]) -> None:
+        """Run subtasks in order under their (already held) module
+        lock, then hand the module on."""
         try:
-            run(*args)
+            for index, thunk in subtasks:
+                run(index, thunk)
         finally:
             with self._lock:
-                self._busy[module_index] -= 1
+                self._busy[module_index] -= len(subtasks)
             self._module_locks[module_index].release()
 
     # ------------------------------------------------------------------
@@ -210,33 +225,16 @@ class JobScheduler:
                reads: Sequence["DeviceTensor"] = (),
                writes: Sequence["DeviceTensor"] = (),
                finalizer: Callable[[list], Any] | None = None,
-               label: str = "") -> Future:
-        """Queue one job; returns its future (result = finalizer output,
-        or the list of per-subtask results)."""
-        return self._submit(subtasks, reads, writes, finalizer, label,
-                            caller_runs=False)
+               label: str = "", *, caller_runs: bool = False) -> Future:
+        """Submit one job; returns its future (result = finalizer output,
+        or the list of per-subtask results).
 
-    def run(self, subtasks: Sequence[Subtask],
-            reads: Sequence["DeviceTensor"] = (),
-            writes: Sequence["DeviceTensor"] = (),
-            finalizer: Callable[[list], Any] | None = None,
-            label: str = "") -> Any:
-        """:meth:`submit`, then wait: returns the job's result,
-        re-raising its failure.
-
-        When the job's dependencies are already settled, every subtask
-        whose module is idle runs on the calling thread (the others are
-        queued to their workers first) instead of costing two thread
-        hops; otherwise the job takes the worker path like any other.
+        With ``caller_runs`` and the job's dependencies already settled,
+        the subtasks bound to idle modules run on the calling thread
+        before this returns (see the module docstring); every other
+        subtask, and every subtask without ``caller_runs``, is queued to
+        its module's worker.
         """
-        return self._submit(subtasks, reads, writes, finalizer, label,
-                            caller_runs=True).result()
-
-    def _submit(self, subtasks: Sequence[Subtask],
-                reads: Sequence["DeviceTensor"],
-                writes: Sequence["DeviceTensor"],
-                finalizer: Callable[[list], Any] | None, label: str,
-                caller_runs: bool) -> Future:
         job = _Job(self, next(self._ids), label, subtasks, finalizer)
         with self._lock:
             if self._closed:
@@ -267,6 +265,16 @@ class JobScheduler:
         job.caller_runs = caller_runs and all(dep.done() for dep in deps)
         job.wait_for(deps)
         return job.future
+
+    def run(self, subtasks: Sequence[Subtask],
+            reads: Sequence["DeviceTensor"] = (),
+            writes: Sequence["DeviceTensor"] = (),
+            finalizer: Callable[[list], Any] | None = None,
+            label: str = "") -> Any:
+        """:meth:`submit` with ``caller_runs``, then wait: returns the
+        job's result, re-raising its failure."""
+        return self.submit(subtasks, reads, writes, finalizer, label,
+                           caller_runs=True).result()
 
     def _job_done(self, future: Future) -> None:
         with self._lock:

@@ -82,8 +82,9 @@ class TensorShard:
 class DeviceTensor:
     """A host vector resident in a cluster's DRAM, sharded over modules.
 
-    Handles are returned immediately by cluster operations; the values
-    materialize asynchronously as the scheduler runs the producing job.
+    Handles are returned by cluster operations before their values need
+    exist: the values materialize when the scheduler runs the producing
+    job, on the submitting thread or, behind a busy module, a worker.
     :meth:`to_numpy` and :meth:`free` are themselves scheduled jobs, so
     they observe every previously submitted operation on this tensor.
     """

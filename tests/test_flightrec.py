@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -320,6 +321,10 @@ class TestReplicaBlackBox:
             replicas.submit(0, add_desc(), [a, a], lanes=8).result(60)
             spill = os.path.join(replicas.spool_dir, "replica-0.json")
             assert os.path.exists(spill)   # continuously rewritten
+            # Stop the child first, so the job is provably still in
+            # flight when the kill lands (an 8-lane add can otherwise
+            # finish before the SIGKILL does).
+            os.kill(replicas.replicas[0].process.pid, signal.SIGSTOP)
             future = replicas.submit(0, add_desc(), [a, a], lanes=8)
             replicas.kill(0)
             with pytest.raises(ReplicaError):

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from repro import lazy
+from repro.core import expr as E
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import ExecutionError, OperationError
@@ -125,6 +127,121 @@ class TestCallerRuns:
                                       (2 * host) % 256)
             cluster.warm("add", 8)
             assert self.module_threads(before) == []
+
+    def test_warm_cluster_verbs_queue_nothing(self):
+        """Loads, async runs, frees, a lazy evaluation and a tensor with
+        more shards than modules all run where they are submitted on a
+        warmed cluster: no subtask is queued, no worker starts."""
+        before = {t.ident for t in threading.enumerate()}
+        rng = np.random.default_rng(5)
+        image = rng.integers(0, 64, 40)           # 3 shards on 4 modules
+        wide = rng.integers(0, 256, 100)          # 7 shards on 4 modules
+        tap = E.op("add", E.inp("acc"), E.op("mul", E.inp("x"), 3))
+        with small_cluster(4) as cluster:
+            device = lazy.device(cluster)
+
+            def pipelines():
+                acc = cluster.tensor(np.zeros(40, dtype=np.int64), 8)
+                for shift in range(2):
+                    pixels = cluster.tensor((image + shift) % 256, 8)
+                    new_acc = cluster.run_expr(
+                        tap, {"x": pixels, "acc": acc}, width=8)
+                    pixels.free()
+                    acc.free()
+                    acc = new_acc
+                assert np.array_equal(acc.to_numpy(),
+                                      (3 * (2 * image + 1)) % 256)
+                acc.free()
+                x = lazy.array(image, width=8, device=device)
+                assert np.array_equal(((x * 3) + 1).numpy(),
+                                      (3 * image + 1) % 256)
+                tensor = cluster.tensor(wide, 8)
+                doubled = cluster.run("add", tensor, tensor)
+                assert np.array_equal(doubled.to_numpy(), (2 * wide) % 256)
+                tensor.free()
+                doubled.free()
+
+            pipelines()                              # warm-up
+            inline = cluster.scheduler.subtasks_inline
+            pipelines()
+            assert cluster.scheduler.subtasks_queued == 0
+            assert cluster.scheduler.subtasks_inline > inline
+            assert self.module_threads(before) == []
+
+    def test_held_module_queues_while_idle_modules_run_inline(self):
+        """A module another caller holds gets the job's subtasks on its
+        worker; the idle module runs all of its subtasks on the
+        submitting thread before ``submit`` returns.  Each module sees
+        its subtasks in submission order."""
+        scheduler = JobScheduler(2)
+        started, release = threading.Event(), threading.Event()
+
+        def hold():
+            started.set()
+            release.wait(timeout=5)
+
+        holder = threading.Thread(target=scheduler.run, args=([(0, hold)],))
+        holder.start()
+        assert started.wait(timeout=5)
+        seen: list[tuple[int, str, int]] = []
+
+        def record(module_index, tag):
+            return lambda: seen.append((module_index, tag,
+                                        threading.get_ident()))
+
+        caller = threading.get_ident()
+        future = scheduler.submit(
+            [(0, record(0, "a0")), (1, record(1, "b0")),
+             (0, record(0, "a1")), (1, record(1, "b1"))],
+            caller_runs=True)
+        assert seen == [(1, "b0", caller), (1, "b1", caller)]
+        assert not future.done()
+        release.set()
+        future.result(timeout=5)
+        holder.join(timeout=5)
+        assert [tag for m, tag, _ in seen if m == 0] == ["a0", "a1"]
+        assert all(ident != caller for m, _, ident in seen if m == 0)
+        assert (scheduler.subtasks_queued, scheduler.subtasks_inline) \
+            == (2, 3)
+        assert scheduler._busy == [0, 0]
+        scheduler.close()
+
+    @pytest.mark.parametrize("n_elements", [3, 70])
+    def test_inline_async_failure_surfaces_through_the_future(
+            self, n_elements):
+        """A shard that raises inside an inline ``submit`` fails the
+        handle and its dependents, not the submitting call, and leaves
+        every module free — also when the failing module held several
+        of the job's shards (70 elements: 5 shards on 2 modules)."""
+        class Injected(Exception):
+            pass
+
+        with small_cluster(2) as cluster:
+            host = np.arange(n_elements) % 256
+            tensor = cluster.tensor(host, 8)
+            module = cluster.modules[0]
+            real_run_expr = module.run_expr
+            calls = []
+
+            def failing(*args, **kwargs):
+                calls.append(args)
+                raise Injected("inline failure")
+
+            module.run_expr = failing
+            handle = cluster.submit("add", tensor, tensor)
+            assert handle.done()
+            assert len(calls) == 1          # later shards were skipped
+            with pytest.raises(Injected, match="inline failure"):
+                handle.result()
+            with pytest.raises(ExecutionError, match="dependency failed"):
+                handle.tensor.to_numpy()
+            assert not any(lock.locked()
+                           for lock in cluster.scheduler._module_locks)
+            assert cluster.scheduler._busy == [0, 0]
+            assert cluster.scheduler.subtasks_queued == 0
+            module.run_expr = real_run_expr
+            out = cluster.run("add", tensor, tensor)
+            assert np.array_equal(out.to_numpy(), (2 * host) % 256)
 
     def test_run_executes_on_the_calling_thread(self):
         scheduler = JobScheduler(2)
