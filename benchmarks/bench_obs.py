@@ -24,12 +24,12 @@ request in the gate's own serve runs* — no fixed hook mix:
   ``--max-on-overhead`` (default 10%).
 * **always-on PMU + flight recorder** — these two cannot be turned
   off, so their combined per-request tax gates separately.  Each
-  device-PMU hook (``record_dispatch``, ``record_boundary``,
-  ``attribute``) is timed on its own and charged as often as one
-  untraced serve run calls it (counted by wrapping the global PMU's
-  methods); flight-recorder events are charged from that run's
-  ``n_recorded`` delta, less the ``pmu.delta`` events already inside
-  the timed ``record_boundary``.  The sum must stay under
+  device-PMU hook (``record_dispatch``, ``record_boundary``) is timed
+  on its own and charged as often as one untraced serve run calls it
+  (counted by wrapping the global PMU's methods); flight-recorder
+  events are charged from that run's ``n_recorded`` delta, less the
+  ``pmu.delta`` events already inside the timed ``record_boundary``.
+  The sum must stay under
   ``--max-pmu-flight-overhead`` (default 5%).
   A replica child additionally spills every event to its black-box
   file; that ``record`` is timed on a full and on a nearly empty ring
@@ -82,7 +82,7 @@ GATE_WIDTH = 16
 N_REQUESTS = 96
 LANES_PER_REQUEST = 32
 #: The device-PMU methods a served request can reach.
-PMU_HOOKS = ("record_dispatch", "record_boundary", "attribute")
+PMU_HOOKS = ("record_dispatch", "record_boundary")
 NOOP_ITERS = 200_000
 TREE_ITERS = 5_000
 PMU_ITERS = 20_000
@@ -166,8 +166,6 @@ def time_pmu_hooks() -> "dict[str, float]":
             module_id, 2, (GATE_OP, GATE_WIDTH), 100),
         "record_boundary": lambda: pmu.record_boundary(
             module_id, 1800.0, io_bits=LANES_PER_REQUEST),
-        "attribute": lambda: pmu.attribute(
-            "bench", GATE_OP, lanes=LANES_PER_REQUEST, energy_nj=95.0),
     }
 
     def timed(call):

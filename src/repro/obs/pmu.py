@@ -21,9 +21,10 @@ only what banks cannot know, at three hook sites:
   busy time into a windowed utilization timeline (the heatmap source)
   and emits a ``pmu.delta`` flight-recorder event.
 
-The serve layer attributes finished requests to tenants and kernels
-(:meth:`DevicePmu.attribute`).  Everything exports through a registry
-collector named ``"pmu"`` (``repro_pmu_*``; :meth:`DevicePmu.register`).
+The PMU sees only the device: tenants, requests and failovers belong
+to the serve store (:class:`~repro.serve.metrics.ServeMetrics`).
+Everything exports through a registry collector named ``"pmu"``
+(``repro_pmu_*``; :meth:`DevicePmu.register`).
 One compute subarray is modeled per bank, so bank rows double as
 subarray rows.
 """
@@ -87,14 +88,6 @@ _KERNEL_SERIES = (
     ("repro_pmu_kernel_activations_total", "activations", (), "counter",
      "row activations per kernel identity"),
 )
-_TENANT_SERIES = (
-    ("repro_pmu_tenant_requests_total", "requests", (), "counter",
-     "finished requests attributed per tenant/kernel"),
-    ("repro_pmu_tenant_lanes_total", "lanes", (), "counter",
-     "device lanes attributed per tenant/kernel"),
-    ("repro_pmu_tenant_energy_nj_total", "energy_nj", (), "counter",
-     "modeled energy attributed per tenant/kernel"),
-)
 
 
 @dataclass
@@ -147,8 +140,6 @@ class DevicePmu:
         self._modules: "dict[int, ModuleCounters]" = {}
         #: Device-level per-(op, width) counts (control-unit attribution).
         self._kernels: "dict[tuple, dict]" = {}
-        #: Serve-level per-(tenant, kernel) attribution.
-        self._tenants: "dict[tuple, dict]" = {}
 
     # ------------------------------------------------------------------
     # recording (the hook API)
@@ -200,20 +191,6 @@ class DevicePmu:
             "pmu.delta", module=module_id, busy_ns=busy_ns,
             io_bits=io_bits)
 
-    def attribute(self, tenant: str, kernel: str, *, lanes: int = 0,
-                  energy_nj: "float | None" = None,
-                  requests: int = 1) -> None:
-        """Serve-layer attribution of device work to a tenant and a
-        kernel identity (called once per finished request)."""
-        with self._lock:
-            cell = self._tenants.setdefault(
-                (tenant, kernel),
-                {"requests": 0.0, "lanes": 0.0, "energy_nj": 0.0})
-            cell["requests"] += requests
-            cell["lanes"] += lanes
-            if energy_nj:
-                cell["energy_nj"] += energy_nj
-
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
@@ -255,9 +232,9 @@ class DevicePmu:
         out.sort(key=lambda e: (e["t0"], e["module"]))
         return out
 
-    def _read(self) -> "tuple[dict, dict, dict]":
-        """``(modules, kernels, tenants)``: the tallies joined with
-        what the live banks say, tenants keyed ``(tenant, kernel)``."""
+    def _read(self) -> "tuple[dict, dict]":
+        """``(modules, kernels)``: the tallies joined with what the
+        live banks say."""
         util = self.utilization()
         with self._lock:
             live = [(module_id, module, row.dispatches,
@@ -265,8 +242,6 @@ class DevicePmu:
                     for module_id, row, module in self._live()]
             kernels = {f"{op}@{width}": dict(cell)
                        for (op, width), cell in self._kernels.items()}
-            tenants = {key: dict(cell)
-                       for key, cell in self._tenants.items()}
         modules = {}
         for module_id, module, dispatches, bank_dispatches in live:
             row = modules[module_id] = _read_banks(module)
@@ -275,21 +250,19 @@ class DevicePmu:
                                  / (dispatches * row["n_banks"])
                                  if dispatches else 0.0)
             row["utilization"] = util.get(module_id, 0.0)
-        return modules, kernels, tenants
+        return modules, kernels
 
     def snapshot(self) -> dict:
         """Structured copy of every counter (dashboard / JSON food)."""
-        modules, kernels, tenants = self._read()
-        return {"modules": modules, "kernels": kernels,
-                "tenants": {f"{t}/{k}": cell
-                            for (t, k), cell in tenants.items()}}
+        modules, kernels = self._read()
+        return {"modules": modules, "kernels": kernels}
 
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
     def samples(self) -> "list[Sample]":
         """Registry-collector payload (``repro_pmu_*`` series)."""
-        modules, kernels, tenants = self._read()
+        modules, kernels = self._read()
         out: "list[Sample]" = []
 
         def emit(series, cell: dict, labels: tuple) -> None:
@@ -303,9 +276,6 @@ class DevicePmu:
                 emit(_BANK_SERIES, bank, labels + (("bank", str(index)),))
         for kernel, cell in kernels.items():
             emit(_KERNEL_SERIES, cell, (("kernel", kernel),))
-        for (tenant, kernel), cell in tenants.items():
-            emit(_TENANT_SERIES, cell,
-                 (("tenant", tenant), ("kernel", kernel)))
         return out
 
     def register(self, registry: "MetricsRegistry | None" = None

@@ -17,12 +17,14 @@ process**, and gives the parent a thread-safe transport to them:
   — the parent writes a dispatch's operand vectors into a free slot of
   it, the replica maps them as ndarrays with zero deserialization cost
   and writes the result into the same slot (protocol above the class);
-* **health** is a heartbeat loop: a monitor thread pings every replica
-  and watches process liveness; a broken pipe, a dead process or (when
-  ``max_silent_s`` is set) a prolonged silence marks the replica dead,
-  fails nothing silently, and hands its in-flight jobs to a death
-  handler — the serving router's failover hook — or, absent one, fails
-  their futures with :class:`~repro.errors.ReplicaError`;
+* **health** is a heartbeat loop: every :data:`HEARTBEAT_S` a monitor
+  thread pings every replica and checks its process; a broken pipe, a
+  dead process or (when ``max_silent_s`` is set) a prolonged silence
+  marks the replica dead, fails nothing silently, and hands its
+  in-flight jobs (none for an idle death) to a death handler — the
+  serving router's failover hook, which reports every death to the
+  service's failover count — or, absent one, fails their futures with
+  :class:`~repro.errors.ReplicaError`;
 * **warmup**: each replica fills its kernel caches from a declared
   manifest at spawn (and on demand via :meth:`ReplicaSet.warm`), so a
   fresh replica's first dispatch replays a warm pipeline.
@@ -460,23 +462,31 @@ class ReplicaHandle:
                 f"pid={self.process.pid}, {state})")
 
 
+#: Seconds between two health rounds of the monitor thread (a ping to
+#: every live replica, a liveness check of its process).
+HEARTBEAT_S = 0.25
+#: Seconds every replica of a new set gets to report ready.
+SPAWN_TIMEOUT_S = 120.0
+#: How replica processes start: ``fork``, the Linux default on every
+#: supported Python, named here so the transport runs one way
+#: everywhere.
+START_METHOD = "fork"
+
+
 class ReplicaSet:
     """N ``SimdramCluster`` replicas in separate processes (see the
     module docstring for the transport protocol)."""
 
     def __init__(self, n_replicas: int, n_modules: int = 1,
                  config=None, manifest: Sequence[tuple] | None = None,
-                 seed: int | None = 1, heartbeat_s: float = 0.25,
-                 max_silent_s: float | None = None,
-                 spawn_timeout_s: float = 120.0,
-                 start_method: str | None = None) -> None:
+                 seed: int | None = 1,
+                 max_silent_s: float | None = None) -> None:
         if n_replicas < 1:
             raise OperationError(
                 f"a replica set needs >= 1 replica, got {n_replicas}")
         from repro.core.framework import SimdramConfig
         self.config = config or SimdramConfig()
         self.n_modules = n_modules
-        self.heartbeat_s = heartbeat_s
         self.max_silent_s = max_silent_s
         self.manifest = list(manifest or ())
         self._lock = threading.Lock()
@@ -487,14 +497,13 @@ class ReplicaSet:
         self._tokens = itertools.count()
         self._death_handler: "Callable[[int, list[PendingJob]], None] | None" = None
         self._closing = False
-        self.deaths = 0
 
         #: Spool directory the children spill their flight-recorder
         #: rings into; a crashed replica's leftover spill file is its
         #: black box (adopted in :meth:`_mark_dead`).
         self.spool_dir = tempfile.mkdtemp(prefix="repro-flightrec-")
 
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context(START_METHOD)
         self.replicas: list[ReplicaHandle] = []
         # One slot carries a full-width dispatch of a three-operand
         # kernel on 64-bit host vectors; anything larger grows the slab.
@@ -518,7 +527,7 @@ class ReplicaSet:
             self._jobs[i] = {}
 
         # All replicas boot concurrently; collect readiness afterwards.
-        deadline = clock.now() + spawn_timeout_s
+        deadline = clock.now() + SPAWN_TIMEOUT_S
         for replica in self.replicas:
             self._await_ready(replica, deadline)
 
@@ -612,7 +621,8 @@ class ReplicaSet:
             self, handler: "Callable[[int, list[PendingJob]], None]"
     ) -> None:
         """Install the failover hook: called with ``(replica_id,
-        in_flight_jobs)`` when a replica dies.  The handler owns those
+        in_flight_jobs)`` on every death outside :meth:`close`, with an
+        empty list when the replica died idle.  The handler owns those
         jobs' futures (typically re-submitting them to survivors);
         without a handler they fail with :class:`ReplicaError`."""
         self._death_handler = handler
@@ -778,7 +788,7 @@ class ReplicaSet:
 
     def _monitor_loop(self) -> None:
         while True:
-            time.sleep(self.heartbeat_s)
+            time.sleep(HEARTBEAT_S)
             with self._lock:
                 if self._closing:
                     return
@@ -812,7 +822,6 @@ class ReplicaSet:
             if not replica.alive:
                 return
             replica.alive = False
-            self.deaths += 1
             jobs = list(self._jobs[replica.replica_id].values())
             self._jobs[replica.replica_id].clear()
             controls = [key for key in self._controls
@@ -863,12 +872,13 @@ class ReplicaSet:
             job.span.finish(error)
         for future in control_futures:
             future.set_exception(error)
-        if jobs:
-            if self._death_handler is not None and not closing:
-                self._death_handler(replica.replica_id, jobs)
-            else:
-                for job in jobs:
-                    job.future.set_exception(error)
+        # The handler hears every death outside close(), idle ones
+        # (no jobs) included, so the service counts each death once.
+        if self._death_handler is not None and not closing:
+            self._death_handler(replica.replica_id, jobs)
+        else:
+            for job in jobs:
+                job.future.set_exception(error)
 
     # ------------------------------------------------------------------
     # warmup / drills / lifecycle

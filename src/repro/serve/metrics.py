@@ -11,9 +11,11 @@ the two cannot disagree.  The store is per service: two services on one
 shared registry never mix their counts.
 
 * **requests** — one per-tenant counter by outcome,
-  ``repro_serve_tenant_requests_total{state,tenant}``; the totals
-  ``repro_serve_requests_total{state}``, ``in_flight`` and
-  ``repro_serve_deadline_shed_total{tenant}`` are its sums and slices;
+  ``repro_serve_tenant_requests_total{state,tenant}`` (``state="shed"``
+  is the per-tenant shed count); the totals
+  ``repro_serve_requests_total{state}`` and ``in_flight`` are its sums,
+  and ``stats()["tenants"]`` adds each tenant's lanes submitted and
+  modeled energy completed;
 * **latency** — ``repro_serve_request_latency_seconds``, plus a bounded
   **reservoir** of the most recent :data:`RESERVOIR` completions for
   ``p50``/``p99`` (``latency_ms.max`` is the lifetime maximum, never
@@ -23,8 +25,8 @@ shared registry never mix their counts.
   dispatch (``stats()["replicas"]`` is that slice), and
   ``repro_serve_flushes_total{reason}``; *lane occupancy* and *packing
   efficiency* are derived;
-* **failover** — replica deaths the router reported with work in
-  flight, and the dispatches it re-queued onto survivors;
+* **failover** — every replica death the router reported, and the
+  dispatches it re-queued onto survivors (the one count of either);
 * **SLO** — ``repro_serve_slo_requests_total{state}`` (with a deadline,
   on time, late; *shed* is the request counter's state) and the
   derived **goodput** (on-time completions per second of lifetime);
@@ -147,6 +149,9 @@ class ServeMetrics:
             #: Lanes submitted per tenant (``stats()`` only; also the
             #: set of tenants whose request series are seeded).
             self._tenant_lanes: dict[str, int] = {}
+            #: Modeled energy (nJ) of completed requests per tenant
+            #: (``stats()`` only).
+            self._tenant_energy_nj: dict[str, float] = {}
             #: Sum over dispatches of lanes / flush capacity (for the
             #: mean; ``stats()`` and the occupancy gauge only).
             self._occupancy_sum = 0.0
@@ -201,7 +206,8 @@ class ServeMetrics:
 
     def record_failover(self, replica: int, n_requeued: int) -> None:
         """One replica died with ``n_requeued`` dispatches in flight
-        (each re-submitted to a survivor by the router)."""
+        (each re-submitted to a survivor by the router; 0 when it died
+        idle)."""
         with self._lock:
             self._deaths.inc()
             self._requeued.inc(n_requeued)
@@ -219,6 +225,8 @@ class ServeMetrics:
                 self._slo.inc(state="on_time" if on_time else "late")
             if energy_nj is not None:
                 self._energy.observe(energy_nj * 1e-9)
+                self._tenant_energy_nj[tenant] = (
+                    self._tenant_energy_nj.get(tenant, 0.0) + energy_nj)
             self._latency.observe(latency_s)
             self._latencies.append(latency_s)
             if latency_s > self._lifetime_max_s:
@@ -245,9 +253,8 @@ class ServeMetrics:
 
     def samples(self) -> "list[Sample]":
         """The scrape rows: every instrument as recorded, then the
-        series read off them (request totals and in-flight, per-tenant
-        shed, reservoir percentiles, occupancy, packing efficiency,
-        goodput)."""
+        series read off them (request totals and in-flight, reservoir
+        percentiles, occupancy, packing efficiency, goodput)."""
         with self._lock:
             out = self.registry.collect()
             snap = self._snapshot()
@@ -259,14 +266,6 @@ class ServeMetrics:
         out.append(Sample("repro_serve_requests_in_flight",
                           req["in_flight"], (), "gauge",
                           "accepted requests not yet resolved"))
-        shed_help = "requests shed on a lapsed deadline, per tenant"
-        out.extend(Sample("repro_serve_deadline_shed_total", row["shed"],
-                          (("tenant", tenant),), "counter", shed_help)
-                   for tenant, row in snap["tenants"].items())
-        if not snap["tenants"]:
-            # Schema stability: the family exists from process start.
-            out.append(Sample("repro_serve_deadline_shed_total", 0.0, (),
-                              "counter", shed_help))
         for q in ("p50", "p99", "max", "window_max"):
             out.append(Sample("repro_serve_latency_ms", lat[q],
                               (("quantile", q),), "gauge",
@@ -290,8 +289,9 @@ class ServeMetrics:
             row = tenants.setdefault(labels["tenant"],
                                      dict.fromkeys(REQUEST_STATES, 0))
             row[labels["state"]] = int(value)
-        for tenant in tenants:
-            tenants[tenant]["lanes"] = self._tenant_lanes.get(tenant, 0)
+        for tenant, row in tenants.items():
+            row["lanes"] = self._tenant_lanes.get(tenant, 0)
+            row["energy_nj"] = self._tenant_energy_nj.get(tenant, 0.0)
         totals = {state: sum(row[state] for row in tenants.values())
                   for state in REQUEST_STATES}
         samples = list(self._latencies)

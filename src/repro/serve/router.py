@@ -14,7 +14,7 @@ replica crashes:
   arc;
 * **least-loaded fallback** — a skewed workload (one hot kernel) would
   pin all traffic to one replica; when the hash-preferred replica has
-  more than ``fallback_depth`` in-flight dispatches above the least
+  more than :data:`FALLBACK_DEPTH` in-flight dispatches above the least
   loaded live replica, the dispatch overflows to the least loaded one;
 * **warmup** — the serve manifest passed at construction warms every
   replica's kernel cache at spawn (`ReplicaSet` replays it inside each
@@ -26,7 +26,10 @@ replica crashes:
   reusing the *same* future, so the ``ServeHandle`` a user holds
   resolves normally with no visible difference beyond latency.  Only
   when no replica survives does the handle fail, with
-  :class:`~repro.errors.ReplicaError`.
+  :class:`~repro.errors.ReplicaError`.  Each death and its re-homed
+  jobs are reported to the owning service's
+  :class:`~repro.serve.metrics.ServeMetrics` (``stats()["failover"]``,
+  ``repro_failover_*``), which counts both.
 
 The router implements the dispatch-target protocol stated once in
 :mod:`repro.serve.service` — asynchronously: ``submit_pack`` returns
@@ -58,6 +61,10 @@ from repro.runtime.replica import PendingJob, ReplicaSet, WorkDescriptor
 #: uniform; cheap to rebuild (rings are cached per live set).
 VNODES = 64
 
+#: In-flight dispatches the hash owner may run above the least loaded
+#: live replica before a dispatch overflows to the least loaded one.
+FALLBACK_DEPTH = 1
+
 
 def _stable_hash(value) -> int:
     """Position a key on the ring — stable across processes and runs
@@ -73,9 +80,7 @@ class ReplicaRouter:
     def __init__(self, replicas: "ReplicaSet | int", *,
                  n_modules: int = 1, config=None,
                  manifest: Sequence[tuple] | None = None,
-                 seed: int | None = 1,
-                 fallback_depth: int = 1,
-                 vnodes: int = VNODES, **replica_kwargs) -> None:
+                 seed: int | None = 1, **replica_kwargs) -> None:
         if isinstance(replicas, int):
             replicas = ReplicaSet(replicas, n_modules=n_modules,
                                   config=config, manifest=manifest,
@@ -84,16 +89,12 @@ class ReplicaRouter:
         else:
             self._owns_replicas = False
         self.replicas = replicas
-        self.fallback_depth = fallback_depth
-        self.vnodes = vnodes
         self._rings: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
         #: Packed dispatches re-homed by the fallback policy.
         self.n_rebalanced = 0
-        #: In-flight jobs re-submitted to a survivor after a death.
-        self.n_requeued = 0
         #: Jobs that failed because no replica survived.
         self.n_orphaned = 0
         self._metrics = None
@@ -193,14 +194,14 @@ class ReplicaRouter:
         if ring is None:
             points = sorted(
                 (_stable_hash(("replica", rid, v)), rid)
-                for rid in alive for v in range(self.vnodes))
+                for rid in alive for v in range(VNODES))
             ring = ([h for h, _ in points], [r for _, r in points])
             self._rings[alive] = ring
         return ring
 
     def place(self, key) -> int:
         """Choose a live replica for a pack key: the consistent-hash
-        owner, unless it is running ``fallback_depth`` more in-flight
+        owner, unless it is running :data:`FALLBACK_DEPTH` more in-flight
         dispatches than the least loaded replica (then the least
         loaded).  Raises :class:`ReplicaError` with no live replica."""
         alive = tuple(self.replicas.alive_ids())
@@ -211,7 +212,7 @@ class ReplicaRouter:
         preferred = owners[index]
         loads = {rid: self.replicas.n_inflight(rid) for rid in alive}
         least = min(loads.values())
-        if loads[preferred] - least > self.fallback_depth:
+        if loads[preferred] - least > FALLBACK_DEPTH:
             preferred = min(alive, key=lambda rid: (loads[rid], rid))
             with self._lock:
                 self.n_rebalanced += 1
@@ -250,9 +251,6 @@ class ReplicaRouter:
         reusing each job's original future so callers never notice."""
         if self._metrics is not None:
             self._metrics.record_failover(replica_id, len(jobs))
-        get_flight_recorder().record(
-            "router.failover", replica=replica_id,
-            in_flight=len(jobs))
         for job in jobs:
             self._requeue(job)
 
@@ -323,8 +321,6 @@ class ReplicaRouter:
                                          job.lanes, future=job.future)
             except ReplicaError:
                 continue  # that one died too; scan again
-            with self._lock:
-                self.n_requeued += 1
             get_flight_recorder().record(
                 "router.requeue", job_id=job.job_id, target=target)
             return
@@ -355,12 +351,10 @@ class ReplicaRouter:
         """Per-replica health plus the router's placement counters."""
         with self._lock:
             router = {"rebalanced": self.n_rebalanced,
-                      "requeued": self.n_requeued,
                       "orphaned": self.n_orphaned,
                       "outstanding": self._outstanding}
         return {"replicas": self.replicas.stats(),
                 "alive": self.replicas.alive_ids(),
-                "deaths": self.replicas.deaths,
                 "router": router}
 
     def prometheus(self) -> str:
@@ -397,16 +391,12 @@ def replica_tier_samples(tier: dict) -> "list[Sample]":
     router = tier.get("router", {})
     for key, help_text in (
             ("rebalanced", "packs re-homed by the load fallback"),
-            ("requeued", "in-flight jobs re-homed after a death"),
             ("orphaned", "jobs lost because no replica survived")):
         out.append(Sample(f"repro_router_{key}_total",
                           router.get(key, 0), (), "counter", help_text))
     out.append(Sample("repro_router_outstanding_packs",
                       router.get("outstanding", 0), (), "gauge",
                       "packs placed but not yet called back"))
-    out.append(Sample("repro_replica_deaths_total",
-                      tier.get("deaths", 0), (), "counter",
-                      "replica processes declared dead"))
     for rid, stats in sorted(tier.get("replicas", {}).items()):
         labels = (("replica", str(rid)),)
         out.append(Sample("repro_replica_alive",

@@ -1121,11 +1121,6 @@ class SimdramService:
                                        now - request.submitted_at,
                                        on_time=on_time,
                                        energy_nj=energy_nj)
-        # Device-PMU attribution: bill the finished request's lanes
-        # (and modeled energy) to its tenant and kernel identity.
-        get_pmu().attribute(request.tenant, str(request.key[0][0]),
-                            lanes=request.n_elements,
-                            energy_nj=energy_nj)
         request.handle.span.finish()
         self._release_inflight(request.handle)
 

@@ -133,7 +133,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert 'repro_serve_requests_total{state="submitted"} 0' in out
         assert "repro_serve_goodput 0" in out
-        assert "repro_serve_deadline_shed_total 0" in out
+        assert 'repro_serve_requests_total{state="shed"} 0' in out
         assert "repro_request_energy_joules_count 0" in out
         assert "repro_serve_request_latency_seconds_count 0" in out
 

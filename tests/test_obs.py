@@ -576,11 +576,14 @@ class TestCrossProcessTracing:
             # the router's own Prometheus rendering covers the tier
             text = router.prometheus()
             assert "repro_replica_alive" in text
-            assert "repro_router_requeued_total" in text
+            assert "repro_router_orphaned_total" in text
+            requeued = service.stats()["failover"]["requeued_requests"]
+            assert (f"repro_failover_requeued_total {requeued}"
+                    in service.prometheus())
 
             retried = [root for root in tracer.drain()
                        if root.find("retry") is not None]
-            if router.n_requeued == 0:
+            if requeued == 0:
                 pytest.skip("victim drained before the kill landed")
             assert retried, "re-homed requests produced no retry span"
             for root in retried:

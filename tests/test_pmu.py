@@ -167,19 +167,11 @@ class TestDevicePmuUnits:
         (entry,) = [e for e in pmu.timeline() if e["module"] == mid]
         assert entry["busy_ns"] == 250.0
 
-    def test_tenant_attribution(self):
-        pmu = DevicePmu()
-        pmu.attribute("alpha", "add", lanes=32, energy_nj=5.0)
-        pmu.attribute("alpha", "add", lanes=16)
-        cell = pmu.snapshot()["tenants"]["alpha/add"]
-        assert cell == {"requests": 2.0, "lanes": 48.0, "energy_nj": 5.0}
-
     def test_samples_export_all_series(self):
         pmu = DevicePmu()
         module = small_module(2)
         mid = pmu.register_module(module)
         pmu.record_dispatch(mid, 2, ("add", 8), 9)
-        pmu.attribute("alpha", "add", lanes=8)
         names = {s.name for s in pmu.samples()}
         assert names == {
             "repro_pmu_dispatches_total",
@@ -191,9 +183,6 @@ class TestDevicePmuUnits:
             "repro_pmu_commands_total",
             "repro_pmu_kernel_dispatches_total",
             "repro_pmu_kernel_activations_total",
-            "repro_pmu_tenant_requests_total",
-            "repro_pmu_tenant_lanes_total",
-            "repro_pmu_tenant_energy_nj_total",
         }
         kinds = {dict(s.labels).get("kind") for s in pmu.samples()
                  if s.name == "repro_pmu_commands_total"}

@@ -7,7 +7,10 @@ tested against a fake replica set (no processes at all).
 
 from __future__ import annotations
 
+import contextlib
 import os
+import re
+import signal
 import threading
 import time
 from concurrent.futures import Future
@@ -22,6 +25,7 @@ from repro.errors import ReplicaError
 from repro.runtime.replica import (_TAG_BYTES, PendingJob, ReplicaSet,
                                    WorkDescriptor)
 from repro.serve import ServeConfig, SimdramService
+from repro.serve.metrics import ServeMetrics
 from repro.serve.router import ReplicaRouter, _stable_hash
 
 
@@ -118,7 +122,6 @@ class TestReplicaDeath:
                 with pytest.raises(ReplicaError):
                     future.result(60)
             assert replicas.alive_ids() == []
-            assert replicas.deaths == 1
 
     def test_death_handler_receives_inflight_jobs(self):
         collected: list = []
@@ -426,7 +429,6 @@ class TestSlabTransport:
 class _FakeReplicas:
     lanes = 64
     backend = "simdram"
-    deaths = 0
 
     def __init__(self, alive, loads) -> None:
         self._alive = list(alive)
@@ -481,10 +483,10 @@ class TestRouterPlacement:
 
     def test_least_loaded_fallback(self):
         fake = _FakeReplicas([0, 1], {0: 0, 1: 0})
-        router = ReplicaRouter(fake, fallback_depth=1)
+        router = ReplicaRouter(fake)
         preferred = router.place(self.KEY_A)
         other = 1 - preferred
-        # Within fallback_depth: stay on the hash owner.
+        # Within FALLBACK_DEPTH (1): stay on the hash owner.
         fake.loads = {preferred: 1, other: 0}
         assert router.place(self.KEY_A) == preferred
         # Beyond it: overflow to the least loaded replica.
@@ -531,6 +533,8 @@ class TestRouterPlacement:
 
         fake = _Replicas([1], {1: 0})
         router = ReplicaRouter(fake)
+        metrics = ServeMetrics()
+        router.attach_metrics(metrics)
         future: Future = Future()
         job = PendingJob(job_id=1, desc=add_desc(),
                          vectors=[np.array([1])], lanes=1,
@@ -538,7 +542,8 @@ class TestRouterPlacement:
         fake.handler(0, [job])
         (rid, desc, handed), = submitted
         assert rid == 1 and handed is future
-        assert router.n_requeued == 1
+        assert metrics.snapshot()["failover"] == {"replica_deaths": 1,
+                                                  "requeued_requests": 1}
 
     def test_requeue_with_no_survivor_fails_future(self):
         fake = _FakeReplicas([], {})
@@ -646,3 +651,118 @@ class TestKillDrill:
             stats = service.stats()
             assert stats["requests"]["failed"] == 0
             assert stats["replica_tier"]["alive"] == [1]
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.005)
+    return predicate()
+
+
+def _stop_holder(router: ReplicaRouter, service: SimdramService, a, b):
+    """Freeze both replicas, submit one request and return ``(handle,
+    holder)``: the replica the request is provably in flight on, still
+    stopped; the other one is resumed."""
+    pids = [replica.process.pid for replica in router.replicas.replicas]
+    for pid in pids:
+        os.kill(pid, signal.SIGSTOP)
+    handle = service.submit("add", a, b, width=8)
+    assert _wait_for(lambda: any(router.replicas.n_inflight(rid)
+                                 for rid in (0, 1)))
+    holder = 0 if router.replicas.n_inflight(0) else 1
+    os.kill(pids[1 - holder], signal.SIGCONT)
+    return handle, holder
+
+
+class TestOneDeathOneCount:
+    """A replica death is counted once, by the service, whether the
+    replica held work or not; per-tenant energy is the tenant's
+    bills."""
+
+    def test_idle_death_counts_once(self):
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8)]) as router, \
+                SimdramService(router) as service:
+            router.kill(0)
+            assert _wait_for(lambda: service.stats()["failover"]
+                             ["replica_deaths"] == 1)
+            assert router.replicas.alive_ids() == [1]
+            assert np.array_equal(
+                service.submit("add", [1], [2], width=8).result(120),
+                [3])
+            stats = service.stats()
+            scrape = service.prometheus()
+        assert stats["failover"] == {"replica_deaths": 1,
+                                     "requeued_requests": 0}
+        deaths = [name for name in
+                  re.findall(r"^# TYPE (\S+) ", scrape, re.MULTILINE)
+                  if "death" in name]
+        assert deaths == ["repro_failover_replica_deaths_total"]
+        assert "repro_failover_replica_deaths_total 1" in scrape
+
+    def test_busy_death_counts_once_and_stays_bit_exact(self):
+        rng = np.random.default_rng(17)
+        a, b = rng.integers(0, 128, 64), rng.integers(0, 128, 64)
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8)]) as router, \
+                SimdramService(router) as service:
+            held, holder = _stop_holder(router, service, a, b)
+            router.kill(holder)
+            assert np.array_equal(held.result(120), (a + b) % 256)
+            cases = [(rng.integers(0, 128, 64),
+                      rng.integers(0, 128, 64)) for _ in range(4)]
+            handles = [service.submit("add", x, y, width=8)
+                       for x, y in cases]
+            for (x, y), handle in zip(cases, handles):
+                assert np.array_equal(handle.result(120), (x + y) % 256)
+            assert router.replicas.alive_ids() == [1 - holder]
+            stats = service.stats()
+        assert stats["failover"] == {"replica_deaths": 1,
+                                     "requeued_requests": 1}
+        assert stats["requests"]["failed"] == 0
+
+    def test_tenant_energy_is_the_sum_of_its_bills(self, served_router):
+        rng = np.random.default_rng(19)
+        with SimdramService(served_router) as service:
+            handles = [(f"t{i % 3}", service.submit(
+                ("add", "sub")[i % 2], rng.integers(0, 128, 8 + i),
+                rng.integers(0, 128, 8 + i), width=8,
+                tenant=f"t{i % 3}")) for i in range(12)]
+            for _, handle in handles:
+                handle.result(120)
+            tenants = service.stats()["tenants"]
+        for tenant in ("t0", "t1", "t2"):
+            bills = [h.energy_nj for t, h in handles if t == tenant]
+            assert all(bill and bill > 0 for bill in bills)
+            assert tenants[tenant]["energy_nj"] == pytest.approx(
+                sum(bills))
+
+
+class TestHungReplica:
+    def test_silent_replica_is_declared_dead_and_fails_over(self):
+        """``max_silent_s``: a replica that stops answering while it
+        holds a request is put down, and the request completes on the
+        survivor."""
+        rng = np.random.default_rng(23)
+        a, b = rng.integers(0, 128, 64), rng.integers(0, 128, 64)
+        with ReplicaRouter(2, config=small_config(), manifest=[("add", 8)],
+                           max_silent_s=0.5) as router, \
+                SimdramService(router) as service:
+            pids = [r.process.pid for r in router.replicas.replicas]
+            try:
+                held, holder = _stop_holder(router, service, a, b)
+                assert np.array_equal(held.result(120), (a + b) % 256)
+                assert router.replicas.alive_ids() == [1 - holder]
+                assert _wait_for(lambda: service.stats()["failover"]
+                                 ["replica_deaths"] == 1)
+                stats = service.stats()
+            finally:
+                for pid in pids:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGCONT)
+        assert stats["failover"] == {"replica_deaths": 1,
+                                     "requeued_requests": 1}
+        assert stats["requests"]["failed"] == 0

@@ -1351,9 +1351,9 @@ class TestOneServeStore:
                 assert _scrape_value(
                     scrape, "repro_serve_tenant_requests_total",
                     state=state, tenant=tenant) == row[state]
-        for tenant, row in stats["tenants"].items():
-            assert _scrape_value(scrape, "repro_serve_deadline_shed_total",
-                                 tenant=tenant) == row["shed"]
+        # Per-tenant energy is the completions' bills, nothing else.
+        assert sum(row["energy_nj"] for row in stats["tenants"].values()) \
+            == pytest.approx(stats["energy"]["modeled_request_nj_total"])
         for state in ("with_deadline", "on_time", "late"):
             assert _scrape_value(scrape, "repro_serve_slo_requests_total",
                                  state=state) == stats["slo"][state]
@@ -1435,9 +1435,10 @@ class TestOneServeStore:
         names = {s.name for s in rows}
         assert {"repro_serve_requests_total", "repro_serve_flushes_total",
                 "repro_serve_slo_requests_total",
-                "repro_serve_deadline_shed_total",
                 "repro_serve_request_latency_seconds_count",
                 "repro_request_energy_joules_count"} <= names
+        assert ("repro_serve_requests_total", (("state", "shed"),)) \
+            in empty
         labels = {s.labels for s in rows
                   if s.name == "repro_serve_flushes_total"}
         assert labels == {(("reason", r),)

@@ -46,8 +46,9 @@ STATS_KEYS = {
     "requests.submitted",
     "slo", "slo.elapsed_s", "slo.goodput_rps", "slo.late", "slo.on_time",
     "slo.shed", "slo.with_deadline",
-    "tenants", "tenants.*", "tenants.*.completed", "tenants.*.failed",
-    "tenants.*.lanes", "tenants.*.rejected", "tenants.*.shed",
+    "tenants", "tenants.*", "tenants.*.completed", "tenants.*.energy_nj",
+    "tenants.*.failed", "tenants.*.lanes", "tenants.*.rejected",
+    "tenants.*.shed",
     "tenants.*.submitted",
 }
 
@@ -56,8 +57,8 @@ STATS_KEYS = {
 ROUTER_STATS_KEYS = {
     "replicas.*", "replicas.*.dispatches", "replicas.*.lanes",
     "replicas.*.requests",
-    "replica_tier", "replica_tier.alive", "replica_tier.deaths",
-    "replica_tier.replicas", "replica_tier.replicas.*",
+    "replica_tier", "replica_tier.alive", "replica_tier.replicas",
+    "replica_tier.replicas.*",
     *(f"replica_tier.replicas.*.{key}" for key in (
         "alive", "busy_ns", "in_flight", "jobs_done", "kernels_cached",
         "paging", "paging.fill_bits", "paging.n_fills",
@@ -65,7 +66,6 @@ ROUTER_STATS_KEYS = {
         "pongs_received", "rtt_avg_s", "rtt_last_s")),
     "replica_tier.router", "replica_tier.router.orphaned",
     "replica_tier.router.outstanding", "replica_tier.router.rebalanced",
-    "replica_tier.router.requeued",
 }
 
 FAMILIES = {
@@ -76,11 +76,10 @@ FAMILIES = {
     "repro_pmu_commands_total", "repro_pmu_dispatches_total",
     "repro_pmu_energy_nj_total", "repro_pmu_kernel_activations_total",
     "repro_pmu_kernel_dispatches_total", "repro_pmu_lane_duty_cycle",
-    "repro_pmu_row_activations_total", "repro_pmu_tenant_energy_nj_total",
-    "repro_pmu_tenant_lanes_total", "repro_pmu_tenant_requests_total",
+    "repro_pmu_row_activations_total",
     "repro_pmu_transposition_bits_total", "repro_pmu_window_utilization",
-    "repro_request_energy_joules", "repro_serve_deadline_shed_total",
-    "repro_serve_flushes_total", "repro_serve_goodput",
+    "repro_request_energy_joules", "repro_serve_flushes_total",
+    "repro_serve_goodput",
     "repro_serve_lane_occupancy", "repro_serve_latency_ms",
     "repro_serve_pack_dispatches", "repro_serve_pack_lanes",
     "repro_serve_pack_packed_requests",
@@ -93,10 +92,9 @@ FAMILIES = {
 }
 
 ROUTER_FAMILIES = {
-    "repro_replica_alive", "repro_replica_deaths_total",
-    "repro_replica_in_flight", "repro_replica_jobs_done_total",
-    "repro_router_orphaned_total", "repro_router_outstanding_packs",
-    "repro_router_rebalanced_total", "repro_router_requeued_total",
+    "repro_replica_alive", "repro_replica_in_flight",
+    "repro_replica_jobs_done_total", "repro_router_orphaned_total",
+    "repro_router_outstanding_packs", "repro_router_rebalanced_total",
 }
 
 #: Exported once a heartbeat has answered, so a scrape may lack them.

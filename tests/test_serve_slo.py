@@ -179,8 +179,10 @@ class TestSloAccounting:
             text = service.prometheus()
         assert stats["tenants"]["a"]["shed"] == 2
         assert stats["tenants"]["b"]["shed"] == 1
-        assert 'repro_serve_deadline_shed_total{tenant="a"} 2' in text
-        assert 'repro_serve_deadline_shed_total{tenant="b"} 1' in text
+        assert ('repro_serve_tenant_requests_total'
+                '{state="shed",tenant="a"} 2') in text
+        assert ('repro_serve_tenant_requests_total'
+                '{state="shed",tenant="b"} 1') in text
         assert 'repro_serve_requests_total{state="shed"} 3' in text
         assert "repro_serve_goodput" in text
         assert 'repro_serve_slo_requests_total{state="on_time"} 1' \
@@ -228,7 +230,6 @@ class _FakeReplicas:
 
     lanes = 64
     backend = "simdram"
-    deaths = 0
 
     def __init__(self, alive) -> None:
         self._alive = list(alive)
