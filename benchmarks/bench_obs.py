@@ -23,12 +23,11 @@ request in the gate's own serve runs* — no fixed hook mix:
   dispatch, not once per request).  Required under
   ``--max-on-overhead`` (default 10%).
 * **always-on PMU + flight recorder** — these two cannot be turned
-  off, so their combined per-request tax gates separately.  Each
-  device-PMU hook (``record_dispatch``, ``record_boundary``) is timed
-  on its own and charged as often as one untraced serve run calls it
-  (counted by wrapping the global PMU's methods); flight-recorder
-  events are charged from that run's ``n_recorded`` delta, less the
-  ``pmu.delta`` events already inside the timed ``record_boundary``.
+  off, so their combined per-request tax gates separately.  The
+  device-PMU dispatch hook (``record_dispatch``) is timed on its own
+  and charged as often as one untraced serve run calls it (counted by
+  wrapping the global PMU's method); flight-recorder events are
+  charged from that run's ``n_recorded`` delta.
   The sum must stay under
   ``--max-pmu-flight-overhead`` (default 5%).
   A replica child additionally spills every event to its black-box
@@ -69,6 +68,7 @@ from gate_utils import publish
 
 from repro.core.framework import SimdramConfig
 from repro.dram.bank import DramModule
+from repro.dram.commands import CommandStats
 from repro.dram.geometry import DramGeometry
 from repro.obs.flightrec import FlightRecorder, get_flight_recorder
 from repro.obs.pmu import DevicePmu, get_pmu
@@ -82,7 +82,7 @@ GATE_WIDTH = 16
 N_REQUESTS = 96
 LANES_PER_REQUEST = 32
 #: The device-PMU methods a served request can reach.
-PMU_HOOKS = ("record_dispatch", "record_boundary")
+PMU_HOOKS = ("record_dispatch",)
 NOOP_ITERS = 200_000
 TREE_ITERS = 5_000
 PMU_ITERS = 20_000
@@ -161,11 +161,10 @@ def time_pmu_hooks() -> "dict[str, float]":
     pmu = DevicePmu()
     module = DramModule(module_config().geometry)
     module_id = pmu.register_module(module)
+    delta = CommandStats(n_ap=20, n_aap=40)
     calls = {
         "record_dispatch": lambda: pmu.record_dispatch(
-            module_id, 2, (GATE_OP, GATE_WIDTH), 100),
-        "record_boundary": lambda: pmu.record_boundary(
-            module_id, 1800.0, io_bits=LANES_PER_REQUEST),
+            module_id, 2, (GATE_OP, GATE_WIDTH), delta),
     }
 
     def timed(call):
@@ -248,8 +247,7 @@ def count_always_on() -> "dict[str, float]":
     finally:
         for name in PMU_HOOKS:
             delattr(pmu, name)
-    # Each record_boundary's pmu.delta event is in its own timed cost.
-    events = recorder.n_recorded - recorded - counts["record_boundary"]
+    events = recorder.n_recorded - recorded
     per_request = {name: n / N_REQUESTS for name, n in counts.items()}
     per_request["flight_events"] = events / N_REQUESTS
     return per_request

@@ -649,6 +649,11 @@ class Simdram:
     # ------------------------------------------------------------------
     # measurement helpers
     # ------------------------------------------------------------------
+    def makespan_ns(self) -> float:
+        """Modeled busy time so far (commands plus channel I/O), read
+        from the banks (:meth:`~repro.dram.bank.DramModule.busy_ns`)."""
+        return self.module.busy_ns(self.config.timing)
+
     def last_latency_ns(self) -> float:
         """Latency of the last run (banks operate in parallel)."""
         if self.last_stats is None:

@@ -15,6 +15,7 @@ from repro.dram.commands import CommandStats
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import RowAddress
 from repro.dram.subarray import N_B_PLANES, Subarray
+from repro.dram.timing import DramTiming
 from repro.errors import AddressError, GeometryError
 from repro.obs.pmu import get_pmu
 
@@ -152,6 +153,16 @@ class DramModule:
         for bank in self.banks:
             total = total.merged_with(bank.stats)
         return total
+
+    def busy_ns(self, timing: DramTiming) -> float:
+        """Modeled busy time so far, read from the banks' counters:
+        banks compute in lockstep, so the busiest bank's command
+        latency, plus the channel time of every host bit the banks
+        moved (transposition and paging)."""
+        bits = sum(bank.stats.host_bits_read + bank.stats.host_bits_written
+                   for bank in self.banks)
+        return (max(bank.stats.latency_ns(timing) for bank in self.banks)
+                + ((bits + 7) // 8) * timing.io_ns_per_byte())
 
     # ------------------------------------------------------------------
     # striped row access: logical rows spanning all banks

@@ -236,5 +236,5 @@ class ControlUnit:
         # Lockstep: one bank's delta is every participant's.
         get_pmu().record_dispatch(
             module.pmu_id, len(banks),
-            (program.op_name, program.element_width), delta.n_activations)
+            (program.op_name, program.element_width), delta)
         return stats

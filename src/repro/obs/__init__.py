@@ -19,8 +19,9 @@ The subsystem has four small parts:
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and,
   via the registry, Prometheus text exposition;
 * :mod:`repro.obs.pmu` — the device PMU: per-bank counters read at
-  scrape from the banks' own command stats, plus O(1) dispatch and
-  utilization tallies, exported as ``repro_pmu_*``;
+  scrape from the banks' own command stats, plus one O(1) tally per
+  control-unit dispatch (kernel identity and a command-time
+  utilization timeline), exported as ``repro_pmu_*``;
 * :mod:`repro.obs.flightrec` — the always-on flight recorder (bounded
   event ring, crash spill files, merged postmortem dumps);
 * :mod:`repro.obs.alerts` — SLO burn-rate rules over the registry;

@@ -2,8 +2,8 @@
 
 Every process keeps a lock-cheap ring buffer of the last few thousand
 structured events — admissions, dispatches, shed decisions, failovers,
-PMU deltas, span edges.  In steady state it costs one dict build and a
-deque append per event; when something dies the ring is the black box.
+span edges.  In steady state it costs one dict build and a deque
+append per event; when something dies the ring is the black box.
 
 Cross-process story (the replica tier):
 

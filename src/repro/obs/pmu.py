@@ -12,14 +12,14 @@ unit's port.  The PMU holds each registered module weakly (a dropped
 module's row goes with it) and reads those at scrape: per-bank AP/AAP
 counts, activations and busy time, transposition bits, and command
 energy at a fixed DDR4-2400 reference (host I/O excluded).  It tallies
-only what banks cannot know, at three hook sites:
+only what banks cannot know, at two hook sites:
 
 * ``DramModule.__init__`` registers the module (its ``pmu_id``);
 * ``ControlUnit.execute_on_module`` tallies one µProgram dispatch —
-  participating banks and kernel identity, O(1);
-* ``SimdramCluster._account`` folds each dispatch boundary's modeled
-  busy time into a windowed utilization timeline (the heatmap source)
-  and emits a ``pmu.delta`` flight-recorder event.
+  participating banks and kernel identity — and folds one bank's
+  command latency at the reference timing into a windowed utilization
+  timeline (the heatmap source), O(1).  Channel time is not
+  utilization; a facade's ``makespan_ns()`` carries it.
 
 The PMU sees only the device: tenants, requests and failovers belong
 to the serve store (:class:`~repro.serve.metrics.ServeMetrics`).
@@ -37,10 +37,10 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.dram.commands import CommandStats
 from repro.dram.energy import DramEnergy
 from repro.dram.timing import DramTiming
 from repro.obs import clock
-from repro.obs.flightrec import get_flight_recorder
 from repro.obs.metrics import MetricsRegistry, Sample, get_registry
 
 #: Process-wide module id source: ids stay unique even when tests
@@ -155,41 +155,30 @@ class DevicePmu:
 
     def record_dispatch(self, module_id: int, n_banks: int,
                         kernel: "tuple[str, int]",
-                        activations: int) -> None:
+                        delta: CommandStats) -> None:
         """One µProgram dispatch of ``kernel`` (``(op, width)``) on
-        ``n_banks`` banks; ``activations`` is one bank's share (banks
-        run in lockstep)."""
+        ``n_banks`` banks; ``delta`` is one bank's commands (banks run
+        in lockstep), whose latency lands in the current window."""
+        busy_ns = delta.latency_ns(_TIMING)
+        bucket = int(clock.now() / self.window_s)
         with self._lock:
             row = self._modules.get(module_id)
             if row is None:
                 return
             row.dispatches += 1
             row.bank_dispatches += n_banks
-            cell = self._kernels.get(kernel)
-            if cell is None:
-                cell = self._kernels[kernel] = {"dispatches": 0.0,
-                                                "activations": 0.0}
-            cell["dispatches"] += 1
-            cell["activations"] += activations * n_banks
-
-    def record_boundary(self, module_id: int, busy_ns: float,
-                        io_bits: int = 0) -> None:
-        """Cluster dispatch boundary: fold the modeled busy-time delta
-        into the utilization timeline and flight-record the delta."""
-        bucket = int(clock.now() / self.window_s)
-        with self._lock:
-            row = self._modules.get(module_id)
-            if row is None:
-                return
             if row.windows and row.windows[-1][0] == bucket:
                 row.windows[-1][1] += busy_ns
             else:
                 row.windows.append([bucket, busy_ns])
                 while len(row.windows) > self.n_windows:
                     row.windows.popleft()
-        get_flight_recorder().record(
-            "pmu.delta", module=module_id, busy_ns=busy_ns,
-            io_bits=io_bits)
+            cell = self._kernels.get(kernel)
+            if cell is None:
+                cell = self._kernels[kernel] = {"dispatches": 0.0,
+                                                "activations": 0.0}
+            cell["dispatches"] += 1
+            cell["activations"] += delta.n_activations * n_banks
 
     # ------------------------------------------------------------------
     # reading

@@ -17,11 +17,11 @@ Every verb runs where it is submitted when the job's dependencies are
 settled and its modules idle, and queues to the module workers
 otherwise (see :mod:`repro.runtime.scheduler`).
 
-Each module also keeps a modeled busy-time clock (command latency plus
-channel I/O for transposition and paging, in simulated nanoseconds).
-Modules are independent channels, so the cluster's modeled makespan is
-the *maximum* per-module busy time — the quantity the scaling
-benchmarks gate on.
+Each module's modeled busy time (command latency plus channel I/O for
+transposition and paging, in simulated nanoseconds) is read from its
+banks' counters.  Modules are independent channels, so the cluster's
+modeled makespan is the *maximum* per-module busy time — the quantity
+the scaling benchmarks gate on.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.core.fuse import (
 from repro.dram.commands import CommandStats
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
-from repro.obs.pmu import get_pmu
 from repro.obs.tracing import span as obs_span
 from repro.runtime.paging import PagingManager
 from repro.runtime.scheduler import JobScheduler, Subtask
@@ -96,10 +95,6 @@ class SimdramCluster:
         #: The kernel cache: ``kernel_identity`` -> Kernel, compiled once
         #: for every member module.
         self._kernels: dict[tuple[str, int, str], Kernel] = {}
-        #: Modeled busy time per module, simulated nanoseconds.  Only
-        #: a subtask holding the module's scheduler lock writes its
-        #: entry.
-        self.busy_ns = [0.0] * n_modules
 
     # ------------------------------------------------------------------
     # geometry
@@ -165,32 +160,12 @@ class SimdramCluster:
             label=f"warm:{kernel.op_name}@{width}")
 
     # ------------------------------------------------------------------
-    # modeled time accounting (confined per module by its lock)
+    # modeled time and traffic
     # ------------------------------------------------------------------
-    def _account(self, module_index: int,
-                 before: CommandStats) -> None:
-        sim = self.modules[module_index]
-        after = sim.module.total_stats()
-        timing = self.config.timing
-        banks = sim.config.geometry.banks
-        # Banks execute in lockstep: latency is the per-bank stream.
-        compute_ns = (((after.n_ap - before.n_ap) // banks)
-                      * timing.ap_ns
-                      + ((after.n_aap - before.n_aap) // banks)
-                      * timing.aap_ns)
-        bits = ((after.host_bits_read - before.host_bits_read)
-                + (after.host_bits_written - before.host_bits_written))
-        io_ns = ((bits + 7) // 8) * timing.io_ns_per_byte()
-        self.busy_ns[module_index] += compute_ns + io_ns
-        pmu_id = getattr(sim.module, "pmu_id", None)
-        if pmu_id is not None and (compute_ns or io_ns):
-            get_pmu().record_boundary(pmu_id, compute_ns + io_ns,
-                                      io_bits=bits)
-
     def makespan_ns(self) -> float:
         """Modeled wall time so far: modules are independent channels,
         so the cluster finishes when its busiest module does."""
-        return max(self.busy_ns)
+        return max(sim.makespan_ns() for sim in self.modules)
 
     def paging_stats(self) -> CommandStats:
         """Merged spill/fill accounting across all modules."""
@@ -230,11 +205,9 @@ class SimdramCluster:
                  chunk: np.ndarray) -> None:
             sim = self.modules[shard.module_index]
             pager = self.pagers[shard.module_index]
-            before = sim.module.total_stats()
             shard.array = sim.array(chunk, shard.width,
                                     signed=shard.signed)
             pager.register(shard)
-            self._account(shard.module_index, before)
 
         # Snapshot each chunk now: on a busy module the load is queued,
         # and a caller mutating its array after tensor() returns must
@@ -260,11 +233,7 @@ class SimdramCluster:
             pager = self.pagers[shard.module_index]
             if shard.resident:
                 pager.touch(shard)
-                sim = self.modules[shard.module_index]
-                before = sim.module.total_stats()
-                chunk = sim.read(shard.array)
-                self._account(shard.module_index, before)
-                return chunk
+                return self.modules[shard.module_index].read(shard.array)
             if shard.host is None:
                 # A producing job failed before materializing this
                 # shard; surface it through the dependency chain.
@@ -345,7 +314,6 @@ class SimdramCluster:
             out_shard = None if gather else out.shards[index]
             module_index = in_shards[0].module_index
             sim, pager = self.modules[module_index], self.pagers[module_index]
-            before = sim.module.total_stats()
             with obs_span("cluster.dispatch", module=module_index,
                           label=label), \
                     pager.pinning(in_shards if gather
@@ -361,7 +329,6 @@ class SimdramCluster:
                 if not gather:
                     out_shard.array = result
                     pager.register(out_shard)
-            self._account(module_index, before)
             return result if gather else None
 
         def merge(parts: list[dict[str, np.ndarray]]
@@ -461,14 +428,11 @@ class SimdramCluster:
             lo, hi = bounds[module_index], bounds[module_index + 1]
             sim = self.modules[module_index]
             sim.adopt(kernel)
-            before = sim.module.total_stats()
             with obs_span("cluster.dispatch", module=module_index,
                           label=label, n_elements=hi - lo):
-                chunk = sim.map(op, *(v[lo:hi] for v in vectors),
-                                width=width, backend=kernel.backend,
-                                engine=engine)
-            self._account(module_index, before)
-            return chunk
+                return sim.map(op, *(v[lo:hi] for v in vectors),
+                               width=width, backend=kernel.backend,
+                               engine=engine)
 
         subtasks: list[Subtask] = [
             (m, (lambda i=m: run_module(i)))

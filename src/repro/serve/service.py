@@ -58,9 +58,11 @@ module or a cluster: ``lanes`` (one dispatch's capacity), ``backend``,
 inline or later from another thread — ``barrier()`` (every submitted
 pack has called back), ``program(op, width)`` (the µProgram the
 energy model prices), ``warm(op, width, engine)``, and the telemetry
-``kernel_cache_size()``, ``paging_stats()``, ``busy_ns()``.  Nothing
-checks it at run time; ``attach_metrics`` and ``replica_stats`` are
-used when a target has them.
+``kernel_cache_size()``, ``paging_stats()``, ``busy_ns()`` (modeled
+busy ns, always a number: a module's or a cluster's ``makespan_ns()``,
+read from its banks).  Nothing checks it at run time;
+``attach_metrics`` and ``replica_stats`` are used when a target has
+them.
 
 Typical use::
 
@@ -278,15 +280,13 @@ class _InProcessTarget:
     def kernel_cache_size(self) -> int:
         return self.system.kernel_cache_size
 
-    # Only a cluster pages and models busy time; a module answers
-    # zero paging and ``None``.
+    # Only a cluster pages; a module answers zero paging.
     def paging_stats(self) -> CommandStats:
         paging = getattr(self.system, "paging_stats", None)
         return CommandStats() if paging is None else paging()
 
-    def busy_ns(self) -> float | None:
-        makespan = getattr(self.system, "makespan_ns", None)
-        return None if makespan is None else makespan()
+    def busy_ns(self) -> float:
+        return self.system.makespan_ns()
 
 
 def _wrap_target(target):
@@ -755,10 +755,9 @@ class SimdramService:
         for name in PAGING:
             out.append(Sample("repro_paging_" + name, view["paging"][name],
                               (), "counter", "paging traffic under serve"))
-        if view["modeled_busy_ns"] is not None:
-            out.append(Sample("repro_modeled_busy_ns",
-                              view["modeled_busy_ns"], (), "gauge",
-                              "modeled DRAM busy time (ns)"))
+        out.append(Sample("repro_modeled_busy_ns",
+                          view["modeled_busy_ns"], (), "gauge",
+                          "modeled DRAM busy time (ns)"))
         out.append(Sample("repro_kernels_cached",
                           view["kernels_cached"], (), "gauge",
                           "kernels resident in the target's caches"))

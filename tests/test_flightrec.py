@@ -361,5 +361,7 @@ class TestServeEvents:
         fresh = [e for e in recorder.events()
                  if e.get("kind", "").startswith(("serve.", "pmu."))]
         kinds = {e["kind"] for e in fresh}
-        assert {"serve.admit", "serve.dispatch", "pmu.delta"} <= kinds
+        assert {"serve.admit", "serve.dispatch"} <= kinds
+        # Busy time is read from the banks: no per-subtask PMU event.
+        assert "pmu.delta" not in kinds
         assert recorder.n_recorded > mark

@@ -1,5 +1,5 @@
 """Tests for the device PMU (per-bank counters, utilization timeline,
-tenant/kernel attribution and the ``repro_pmu_*`` registry export).
+kernel attribution and the ``repro_pmu_*`` registry export).
 
 Every case runs over real small ``DramModule`` objects: the PMU reads
 command counts, transposition bits and energy from the banks' own
@@ -20,6 +20,7 @@ import pytest
 from repro.core import expr as E
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.bank import DramModule
+from repro.dram.commands import CommandStats
 from repro.dram.energy import DramEnergy
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import data_row
@@ -35,6 +36,14 @@ from repro.uprog.uops import Space, UAap, UAp, URow
 #: One bank's commands for :func:`and_program`: 1 AP + 4 AAP.
 AND_AP, AND_AAP = 1, 4
 LAYOUT = RowLayout({Space.INPUT0: 0, Space.INPUT1: 1, Space.OUTPUT: 2})
+#: The PMU's reference timing (utilization is command time at it).
+TIMING = DramTiming.ddr4_2400()
+
+
+def bank_delta(n_ap: int = AND_AP, n_aap: int = AND_AAP) -> CommandStats:
+    """One bank's commands, as the control unit hands them to
+    ``record_dispatch``."""
+    return CommandStats(n_ap=n_ap, n_aap=n_aap)
 
 
 def and_program() -> MicroProgram:
@@ -130,8 +139,7 @@ class TestDevicePmuUnits:
 
     def test_unknown_module_is_ignored(self):
         pmu = DevicePmu()
-        pmu.record_dispatch(999, 2, ("add", 8), 9)
-        pmu.record_boundary(999, 100.0)
+        pmu.record_dispatch(999, 2, ("add", 8), bank_delta())
         snap = pmu.snapshot()
         assert snap["modules"] == {} and snap["kernels"] == {}
 
@@ -139,10 +147,11 @@ class TestDevicePmuUnits:
         pmu = DevicePmu(window_s=1.0, n_windows=8)
         module = small_module(2)
         mid = pmu.register_module(module)
-        # 0.5e9 busy ns inside the current 1 s window over a 4-window
-        # lookback = 12.5% utilization.
-        pmu.record_boundary(mid, 0.5e9)
-        assert pmu.utilization(lookback=4)[mid] == pytest.approx(0.125)
+        # One bank's 5e6 AAPs (~0.39e9 busy ns) inside the current 1 s
+        # window over a 4-window lookback: busy / 4e9 ns.
+        pmu.record_dispatch(mid, 2, ("add", 8), bank_delta(0, 5_000_000))
+        assert pmu.utilization(lookback=4)[mid] == pytest.approx(
+            5_000_000 * TIMING.aap_ns / 4e9)
         # Ancient windows age out of the lookback.
         fake_clock(10.0)
         assert pmu.utilization(lookback=4)[mid] == 0.0
@@ -152,7 +161,7 @@ class TestDevicePmuUnits:
         module = small_module(1)
         mid = pmu.register_module(module)
         for _ in range(6):
-            pmu.record_boundary(mid, 1000.0)
+            pmu.record_dispatch(mid, 1, ("add", 8), bank_delta())
             fake_clock(1.0)
         timeline = [e for e in pmu.timeline() if e["module"] == mid]
         assert len(timeline) == 3            # oldest windows evicted
@@ -162,16 +171,17 @@ class TestDevicePmuUnits:
         pmu = DevicePmu(window_s=1.0)
         module = small_module(1)
         mid = pmu.register_module(module)
-        pmu.record_boundary(mid, 100.0)
-        pmu.record_boundary(mid, 150.0)
+        pmu.record_dispatch(mid, 1, ("add", 8), bank_delta(1, 0))
+        pmu.record_dispatch(mid, 1, ("add", 8), bank_delta(0, 2))
         (entry,) = [e for e in pmu.timeline() if e["module"] == mid]
-        assert entry["busy_ns"] == 250.0
+        assert entry["busy_ns"] == pytest.approx(
+            TIMING.ap_ns + 2 * TIMING.aap_ns)
 
     def test_samples_export_all_series(self):
         pmu = DevicePmu()
         module = small_module(2)
         mid = pmu.register_module(module)
-        pmu.record_dispatch(mid, 2, ("add", 8), 9)
+        pmu.record_dispatch(mid, 2, ("add", 8), bank_delta())
         names = {s.name for s in pmu.samples()}
         assert names == {
             "repro_pmu_dispatches_total",
@@ -196,7 +206,7 @@ class TestDevicePmuUnits:
         pmu = DevicePmu()
         module = small_module(1)
         mid = pmu.register_module(module)
-        pmu.record_dispatch(mid, 1, ("add", 8), 9)
+        pmu.record_dispatch(mid, 1, ("add", 8), bank_delta())
         pmu.register(registry)
         pmu.register(registry)   # named: replaces, does not stack
         text = registry.prometheus_text()
@@ -260,6 +270,12 @@ class TestPmuHooks:
             timeline_modules = {e["module"] for e in get_pmu().timeline()}
             assert set(pmu_ids) <= timeline_modules
 
+    def test_module_map_feeds_timeline(self):
+        sim = self.make_sim()
+        sim.map("add", np.arange(8), np.arange(8), width=8)
+        assert sim.module.pmu_id in {e["module"]
+                                     for e in get_pmu().timeline()}
+
     def test_dropped_modules_leave_the_snapshot(self):
         gc.collect()
         baseline = len(get_pmu().snapshot()["modules"])
@@ -309,7 +325,9 @@ class TestPmuHooks:
                 "kernels": {k: cell for k, cell in kernels.items()
                             if any(cell.values())}}
 
-    def test_counters_identical_across_engines(self):
+    def test_counters_identical_across_engines(self, fake_clock):
+        # Frozen clock: every dispatch lands in one utilization window,
+        # so the wall-clock utilization compares equal too.
         per_bank = self._sequence(self.make_sim(trace=True), "auto")
         vectorized = self._sequence(self.make_sim(), "vectorized")
         compiled = self._sequence(self.make_sim(), "compiled")

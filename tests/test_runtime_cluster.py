@@ -90,6 +90,34 @@ def test_catalog_op_matches_under_eviction(op_name, width):
             tensor.free()
 
 
+def test_makespan_is_read_from_the_banks_under_paging():
+    """Busy time is the banks' commands plus every host bit they moved:
+    paging traffic is inside it, with no ledger beside the counters."""
+    config = SimdramConfig(geometry=DramGeometry.sim_small(
+        cols=16, data_rows=72, banks=2))
+    rng = np.random.default_rng(3)
+    with SimdramCluster(2, config=config) as cluster:
+        n = cluster.lanes
+        tensors = [cluster.tensor(rng.integers(0, 1 << 16, n), 16)
+                   for _ in range(4)]
+        # Each add's output evicts an operand the other add needs.
+        for _ in range(2):
+            cluster.run("add", tensors[0], tensors[1]).free()
+            cluster.run("add", tensors[2], tensors[3]).free()
+        paging = cluster.paging_stats()
+        assert paging.n_spills > 0 and paging.n_fills > 0
+        timing, banks = config.timing, config.geometry.banks
+        expected = []
+        for sim in cluster.modules:
+            stats = sim.module.total_stats()
+            host_bits = stats.host_bits_read + stats.host_bits_written
+            expected.append(
+                (stats.n_ap * timing.ap_ns + stats.n_aap * timing.aap_ns)
+                / banks
+                + -(-host_bits // 8) * timing.io_ns_per_byte())
+        assert cluster.makespan_ns() == pytest.approx(max(expected))
+
+
 @pytest.mark.parametrize("width", WIDTHS)
 def test_fused_expression_matches_single_module(width):
     """run_expr/map_expr across shards == single-module map_expr."""

@@ -507,4 +507,4 @@ class TestTensorDependencies:
             assert cluster.run("add", a, a) is not None
             cluster.synchronize()
             assert cluster.makespan_ns() > 0
-            assert all(ns > 0 for ns in cluster.busy_ns)
+            assert all(sim.makespan_ns() > 0 for sim in cluster.modules)

@@ -1180,6 +1180,17 @@ class TestWarmupAndMetrics:
             service.submit("add", [1], [2], width=8).result(60)
             assert service._target.kernel_cache_size() == after_warm
 
+    def test_module_reports_modeled_busy_time(self):
+        """A bare module models busy time like a cluster: read from its
+        banks, in ``stats()`` and the scrape alike."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim) as service:
+            service.submit("add", [1], [2], width=8).result(60)
+            busy = service.stats()["modeled_busy_ns"]
+            assert busy == sim.makespan_ns() > 0
+            assert "# TYPE repro_modeled_busy_ns gauge" in \
+                service.prometheus()
+
     def test_full_group_metrics(self):
         """8 single-lane requests into an 8-lane service: exactly one
         dispatch at 100% occupancy."""
