@@ -36,6 +36,12 @@ request in the gate's own serve runs* — no fixed hook mix:
   replaced cost 300x more on a full ring and the 5% gate, which times
   the unspilled case, never saw it.
 
+Published ungated beside the PMU's ``pmu_request_us``: the serve
+store's per-request recording cost, ``serve_store_request_us`` —
+``ServeMetrics.record_submit`` and ``record_completion`` (a seen
+tenant, the steady state) each timed alone, times the calls per
+request the same untraced counting run makes.
+
 Component-level numerators against an in-situ denominator, rather
 than two wall-clock serve runs diffed against each other: the serve
 wall bounces tens of percent run-to-run on a shared runner (thread
@@ -61,6 +67,7 @@ import sys
 import tempfile
 import threading
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -75,6 +82,7 @@ from repro.obs.pmu import DevicePmu, get_pmu
 from repro.obs.tracing import Tracer, span, use_span
 from repro.runtime import SimdramCluster
 from repro.serve import ServeConfig, SimdramService
+from repro.serve.metrics import ServeMetrics
 
 GATE_NAME = "obs"
 GATE_OP = "mul"     # O(width^2) bit-serial: compute-heavy requests
@@ -83,6 +91,8 @@ N_REQUESTS = 96
 LANES_PER_REQUEST = 32
 #: The device-PMU methods a served request can reach.
 PMU_HOOKS = ("record_dispatch",)
+#: The serve store's per-request recorders.
+STORE_HOOKS = ("record_submit", "record_completion")
 NOOP_ITERS = 200_000
 TREE_ITERS = 5_000
 PMU_ITERS = 20_000
@@ -162,11 +172,28 @@ def time_pmu_hooks() -> "dict[str, float]":
     module = DramModule(module_config().geometry)
     module_id = pmu.register_module(module)
     delta = CommandStats(n_ap=20, n_aap=40)
-    calls = {
+    return _time_calls({
         "record_dispatch": lambda: pmu.record_dispatch(
             module_id, 2, (GATE_OP, GATE_WIDTH), delta),
-    }
+    })
 
+
+def time_store_hooks() -> "dict[str, float]":
+    """Seconds per call of each serve-store recorder, on a private
+    :class:`ServeMetrics` whose tenant is already seen."""
+    metrics = ServeMetrics()
+    metrics.record_submit("bench", LANES_PER_REQUEST)
+    return _time_calls({
+        "record_submit": lambda: metrics.record_submit(
+            "bench", LANES_PER_REQUEST),
+        "record_completion": lambda: metrics.record_completion(
+            "bench", 1e-3, energy_nj=1.0),
+    })
+
+
+def _time_calls(calls: "dict[str, Callable[[], object]]"
+                ) -> "dict[str, float]":
+    """Seconds per call of each named zero-argument callable."""
     def timed(call):
         def loop(n: int) -> None:
             for _ in range(n):
@@ -224,29 +251,33 @@ def serve_once(tracer: Tracer) -> float:
 
 
 def count_always_on() -> "dict[str, float]":
-    """PMU hook calls and flight events per request, counted in one
-    untraced serve run (the global PMU's hook methods wrapped)."""
+    """PMU hook calls, serve-store recorder calls and flight events per
+    request, counted in one untraced serve run (the global PMU's hook
+    methods and :class:`ServeMetrics`' recorders wrapped)."""
     pmu, recorder = get_pmu(), get_flight_recorder()
-    counts = dict.fromkeys(PMU_HOOKS, 0)
+    counts = dict.fromkeys(PMU_HOOKS + STORE_HOOKS, 0)
     lock = threading.Lock()
 
-    def counting(name: str):
-        method = getattr(pmu, name)
-
+    def counting(name: str, method):
         def wrapper(*args, **kwargs):
             with lock:
                 counts[name] += 1
             return method(*args, **kwargs)
         return wrapper
 
+    store = {name: getattr(ServeMetrics, name) for name in STORE_HOOKS}
     for name in PMU_HOOKS:
-        setattr(pmu, name, counting(name))
+        setattr(pmu, name, counting(name, getattr(pmu, name)))
+    for name, method in store.items():
+        setattr(ServeMetrics, name, counting(name, method))
     recorded = recorder.n_recorded
     try:
         serve_once(Tracer(enabled=False))
     finally:
         for name in PMU_HOOKS:
             delattr(pmu, name)
+        for name, method in store.items():
+            setattr(ServeMetrics, name, method)
     events = recorder.n_recorded - recorded
     per_request = {name: n / N_REQUESTS for name, n in counts.items()}
     per_request["flight_events"] = events / N_REQUESTS
@@ -267,6 +298,7 @@ def run_gate(max_off_overhead: float = 0.02,
     noop_s = time_noop_site()
     span_s = time_span()
     hook_s = time_pmu_hooks()
+    store_s = time_store_hooks()
     flight_s = time_flight_event()
     # The replica children's configuration: the same event with a
     # spill file, which must cost the same whatever the ring holds.
@@ -292,6 +324,8 @@ def run_gate(max_off_overhead: float = 0.02,
     pmu_s = sum(per_request_calls[name] * hook_s[name]
                 for name in PMU_HOOKS)
     flight_request_s = per_request_calls["flight_events"] * flight_s
+    store_request_s = sum(per_request_calls[name] * store_s[name]
+                          for name in STORE_HOOKS)
     pmu_flight_overhead = (pmu_s + flight_request_s) / per_request_s
 
     gate_pass = (off_overhead <= max_off_overhead
@@ -311,6 +345,10 @@ def run_gate(max_off_overhead: float = 0.02,
           f"{per_request_calls['flight_events']:.2f} x "
           f"{flight_s * 1e9:.0f} ns -> {pmu_flight_overhead:.3%} of a "
           f"request (always on)")
+    print("serve store per request (ungated): " + ", ".join(
+        f"{per_request_calls[name]:.2f} {name} x "
+        f"{store_s[name] * 1e9:.0f} ns" for name in STORE_HOOKS)
+        + f" -> {store_request_s * 1e6:.2f} us")
     print(f"spilled flight event: {spilled_s * 1e9:.0f} ns on a full "
           f"ring, {spilled_low_s * 1e9:.0f} ns under "
           f"{SPILL_LOW_OCCUPANCY} events -> ratio {spill_ratio:.2f}")
@@ -329,6 +367,10 @@ def run_gate(max_off_overhead: float = 0.02,
         "pmu_calls_per_request": {name: per_request_calls[name]
                                   for name in PMU_HOOKS},
         "pmu_request_us": pmu_s * 1e6,
+        "serve_store_ns": {name: s * 1e9 for name, s in store_s.items()},
+        "serve_store_calls_per_request": {
+            name: per_request_calls[name] for name in STORE_HOOKS},
+        "serve_store_request_us": store_request_s * 1e6,
         "flight_event_ns": flight_s * 1e9,
         "flight_events_per_request": per_request_calls["flight_events"],
         "flight_event_spilled_ns": spilled_s * 1e9,

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -67,6 +69,14 @@ class Expr:
                            self.children))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __reduce__(self):
+        # Only the five fields cross a pickle boundary: the memos
+        # (``_hash``, ``_dag_hash``, ``_analyses``) are per process —
+        # a string's hash is salted per interpreter — and are rebuilt
+        # on first use by whoever unpickles the node.
+        return (Expr, (self.kind, self.op, self.name, self.value,
+                       self.children))
 
     # -- sugar ---------------------------------------------------------
     def __add__(self, other: "Expr | int") -> "Expr":
@@ -220,11 +230,12 @@ class ExprAnalysis:
 
     root: Expr
     width: int                       # pipeline element width
-    input_widths: dict[str, int]     # leaf name -> bit width
+    input_widths: Mapping[str, int]  # leaf name -> bit width (read-only)
     #: const leaf -> every width it is consumed at.  Constants are free
     #: (their bits fold into the MIG), so one value may legally feed
     #: consumers of different widths — it is encoded per consumer.
-    const_widths: dict[Expr, tuple[int, ...]]
+    #: Read-only, like ``input_widths``: every caller shares them.
+    const_widths: Mapping[Expr, tuple[int, ...]]
     out_width: int
     signed: bool                     # root operation's result signedness
 
@@ -236,9 +247,29 @@ def analyze(root: Expr, width: int) -> ExprAnalysis:
     sequence of :meth:`Simdram.run` calls at that width: a child
     operation's output width must equal the width its consumer expects,
     and an input leaf's width is set by its consumers (consistently).
+
+    Memoized on the root per width, like :func:`dag_hash`: a served
+    kernel is validated once, not on every request or stream step, and
+    every caller shares the one (read-only) result.  That is safe
+    because the analysis is a pure function of the frozen DAG and the
+    catalog specs it names, and a registered spec is never replaced in
+    place (``register_operation`` refuses an existing name).  Only
+    successes are kept: an invalid DAG raises on every call.
     """
     if not isinstance(root, Expr):
         raise OperationError(f"expected an Expr, got {type(root)}")
+    memo = root.__dict__.get("_analyses")
+    if memo is None:
+        memo = {}
+        object.__setattr__(root, "_analyses", memo)
+    analysis = memo.get(width)
+    if analysis is None:
+        analysis = memo[width] = _analyze(root, width)
+    return analysis
+
+
+def _analyze(root: Expr, width: int) -> ExprAnalysis:
+    """:func:`analyze` without the memo."""
     if root.kind != KIND_OP:
         raise OperationError(
             "the root of a fused expression must be an operation "
@@ -292,9 +323,11 @@ def analyze(root: Expr, width: int) -> ExprAnalysis:
 
     root_spec = get_operation(root.op)
     return ExprAnalysis(
-        root=root, width=width, input_widths=input_widths,
-        const_widths={node: tuple(sorted(widths))
-                      for node, widths in const_widths.items()},
+        root=root, width=width,
+        input_widths=MappingProxyType(input_widths),
+        const_widths=MappingProxyType(
+            {node: tuple(sorted(widths))
+             for node, widths in const_widths.items()}),
         out_width=root_spec.out_width(width),
         signed=root_spec.signed)
 

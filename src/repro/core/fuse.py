@@ -275,7 +275,9 @@ def kernel_inputs(op: KernelSource, width: int) -> dict[str, int]:
     """Leaf name -> operand bit width of the kernel ``op`` denotes at
     ``width``, in operand-slot order — its validated interface, without
     compiling it.  :func:`compile_kernel` builds the kernel's interface
-    from this, and the serving layer validates requests against it."""
+    from this, and the serving layer validates requests against it: an
+    ``Expr`` is read off its memoized :func:`~repro.core.expr.analyze`,
+    so a warm kernel source is not walked again per request."""
     if isinstance(op, (str, OperationSpec)):
         spec = op if isinstance(op, OperationSpec) else get_operation(op)
         if width < 1:

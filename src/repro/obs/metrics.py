@@ -9,6 +9,13 @@ the device PMU, the pager, the replica/router counters — plug in as
 *collectors*: callables invoked at scrape time that read that state
 and return :class:`Sample` rows, so nothing is counted twice.
 
+Every instrument records through one add-by-key: ``inc``/``add``/
+``observe`` resolve their ``**labels`` to a series key and call it.  A
+hot caller that records the same series over and over (the service's
+per-tenant request counters) resolves each key once and calls
+``Counter._add`` / ``Histogram._observe`` with it, which skips the
+per-call kwargs dict and sort; the recorded values are the same.
+
 Two read paths: :meth:`MetricsRegistry.snapshot` (JSON-friendly dict)
 and :meth:`MetricsRegistry.prometheus_text` (Prometheus text
 exposition format, consumable by ``promtool``/Grafana agents and the
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -88,6 +96,12 @@ class _Metric:
         with self._lock:
             self._series.clear()
 
+    def _add(self, key: "tuple[tuple[str, str], ...]",
+             amount: float) -> None:
+        """Add ``amount`` to the series ``key`` (a :func:`_label_key`)."""
+        with self._lock:
+            self._series[key] = self._series.get(key, 0.0) + amount
+
     def samples(self) -> "list[Sample]":
         series = self.series()
         if not series:
@@ -109,9 +123,7 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(_label_key(labels), amount)
 
 
 class Gauge(_Metric):
@@ -124,9 +136,7 @@ class Gauge(_Metric):
             self._series[_label_key(labels)] = float(value)
 
     def add(self, amount: float, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        self._add(_label_key(labels), amount)
 
 
 class Histogram:
@@ -148,19 +158,24 @@ class Histogram:
         self._series: "dict[tuple[tuple[str, str], ...], list]" = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        self._observe(_label_key(labels), value)
+
+    def _observe(self, key: "tuple[tuple[str, str], ...]",
+                 value: float) -> None:
+        """Record ``value`` in the series ``key`` (a :func:`_label_key`).
+
+        The bucket is the first bound ``>= value`` (bisection).  A NaN
+        compares false with every bound, so bisection alone would file
+        it under the first; it belongs in ``+Inf``.
+        """
+        slot = (bisect_left(self.bounds, value) if value == value
+                else len(self.bounds))
         with self._lock:
             row = self._series.get(key)
             if row is None:
                 row = [[0] * (len(self.bounds) + 1), 0.0]
                 self._series[key] = row
-            counts, _ = row
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
+            row[0][slot] += 1
             row[1] += value
 
     def count(self, **labels: str) -> int:

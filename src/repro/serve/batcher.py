@@ -97,7 +97,11 @@ def prepare(handle: "ServeHandle", op: "str | Expr",
     unknown operation, wrong arity, missing/extra feed names,
     inconsistent widths, mismatched lengths, empty vectors.  The
     service calls this on its worker thread so a bad request fails
-    *its own handle* and never poisons a co-packed dispatch.
+    *its own handle* and never poisons a co-packed dispatch.  What the
+    kernel source fixes — its identity and validated interface — is
+    memoized on the source (:func:`~repro.core.expr.dag_hash`,
+    :func:`~repro.core.expr.analyze`), so a warm request or stream step
+    pays only for binding and checking its own operands.
 
     ``engine`` may be an engine name (resolved here) or an already
     resolved :class:`~repro.exec.engines.ExecutionEngine` instance

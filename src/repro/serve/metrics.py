@@ -35,7 +35,12 @@ shared registry never mix their counts.
   (:class:`RequestEnergyModel`) times the lanes it occupied.
 
 Every family is present from the first scrape, zero-valued until
-traffic arrives.  All methods are thread-safe; one lock makes each
+traffic arrives.  The per-request recorders (``record_submit``,
+``record_completion``, ...) run on every request and stream step, so
+they build no label dicts: a tenant's five ``(state, tenant)`` series
+keys are resolved once, when the store first meets the tenant, and the
+SLO and unlabelled keys are constants; each fact is then one keyed add
+on its instrument.  All methods are thread-safe; one lock makes each
 recording and each read atomic, so a snapshot never shows a request
 completed before it was submitted.
 """
@@ -48,7 +53,7 @@ from collections import deque
 import numpy as np
 
 from repro.obs import clock
-from repro.obs.metrics import MetricsRegistry, Sample
+from repro.obs.metrics import MetricsRegistry, Sample, _label_key
 
 #: Latency samples kept for the percentile estimates.  Old samples
 #: fall off, so long-running services report *recent* tail latency.
@@ -64,6 +69,9 @@ REQUEST_STATES = ("submitted", "completed", "failed", "rejected", "shed")
 #: Deadline verdicts, the ``state`` label of
 #: ``repro_serve_slo_requests_total`` (every state is always present).
 SLO_STATES = ("with_deadline", "on_time", "late")
+
+#: Series key of each SLO state on ``repro_serve_slo_requests_total``.
+_SLO_KEYS = {state: _label_key({"state": state}) for state in SLO_STATES}
 
 #: Buckets of the per-request energy histogram: ~0.1 nJ to ~100 mJ in
 #: powers of four — kernels cost nanojoules per element, requests
@@ -144,10 +152,12 @@ class ServeMetrics:
             self.registry.reset()
             for reason in FLUSH_REASONS:
                 self._flushes.inc(0, reason=reason)
-            for state in SLO_STATES:
-                self._slo.inc(0, state=state)
-            #: Lanes submitted per tenant (``stats()`` only; also the
-            #: set of tenants whose request series are seeded).
+            for key in _SLO_KEYS.values():
+                self._slo._add(key, 0)
+            #: Each seen tenant's request series keys, by state (also
+            #: the set of tenants whose request series are seeded).
+            self._tenant_keys: dict[str, dict[str, tuple]] = {}
+            #: Lanes submitted per tenant (``stats()`` only).
             self._tenant_lanes: dict[str, int] = {}
             #: Modeled energy (nJ) of completed requests per tenant
             #: (``stats()`` only).
@@ -160,14 +170,21 @@ class ServeMetrics:
             #: Goodput denominator: service lifetime.
             self._started_at = clock.now()
 
-    def _see_tenant(self, tenant: str) -> None:
-        """First sight of a tenant seeds its five request series at
+    def _see_tenant(self, tenant: str) -> "dict[str, tuple]":
+        """The tenant's request series keys, by state.  First sight of
+        a tenant resolves them and seeds its five request series at
         zero, so its exposition rows exist before its first outcome
         (call under ``_lock``)."""
-        if tenant not in self._tenant_lanes:
+        keys = self._tenant_keys.get(tenant)
+        if keys is None:
+            keys = self._tenant_keys[tenant] = {
+                state: _label_key({"state": state, "tenant": tenant})
+                for state in REQUEST_STATES}
             self._tenant_lanes[tenant] = 0
-            for state in REQUEST_STATES:
-                self._requests.inc(0, state=state, tenant=tenant)
+            self._tenant_energy_nj[tenant] = 0.0
+            for key in keys.values():
+                self._requests._add(key, 0)
+        return keys
 
     # ------------------------------------------------------------------
     # recording (called from submitter, worker and router threads)
@@ -175,16 +192,14 @@ class ServeMetrics:
     def record_submit(self, tenant: str, lanes: int,
                       has_deadline: bool = False) -> None:
         with self._lock:
-            self._see_tenant(tenant)
+            self._requests._add(self._see_tenant(tenant)["submitted"], 1.0)
             self._tenant_lanes[tenant] += lanes
-            self._requests.inc(state="submitted", tenant=tenant)
             if has_deadline:
-                self._slo.inc(state="with_deadline")
+                self._slo._add(_SLO_KEYS["with_deadline"], 1.0)
 
     def record_reject(self, tenant: str) -> None:
         with self._lock:
-            self._see_tenant(tenant)
-            self._requests.inc(state="rejected", tenant=tenant)
+            self._requests._add(self._see_tenant(tenant)["rejected"], 1.0)
 
     def record_dispatch(self, n_requests: int, lanes: int,
                         capacity: int,
@@ -220,28 +235,28 @@ class ServeMetrics:
         ``energy_nj`` is the modeled DRAM energy charged to it (absent
         when the energy model could not price the kernel)."""
         with self._lock:
-            self._requests.inc(state="completed", tenant=tenant)
+            self._requests._add(self._see_tenant(tenant)["completed"], 1.0)
             if on_time is not None:
-                self._slo.inc(state="on_time" if on_time else "late")
+                self._slo._add(_SLO_KEYS["on_time" if on_time else "late"],
+                               1.0)
             if energy_nj is not None:
-                self._energy.observe(energy_nj * 1e-9)
-                self._tenant_energy_nj[tenant] = (
-                    self._tenant_energy_nj.get(tenant, 0.0) + energy_nj)
-            self._latency.observe(latency_s)
+                self._energy._observe((), energy_nj * 1e-9)
+                self._tenant_energy_nj[tenant] += energy_nj
+            self._latency._observe((), latency_s)
             self._latencies.append(latency_s)
             if latency_s > self._lifetime_max_s:
                 self._lifetime_max_s = latency_s
 
     def record_failure(self, tenant: str) -> None:
         with self._lock:
-            self._requests.inc(state="failed", tenant=tenant)
+            self._requests._add(self._see_tenant(tenant)["failed"], 1.0)
 
     def record_shed(self, tenant: str) -> None:
         """One request dropped un-executed because its deadline lapsed
         (``DeadlineExceeded``) — counted apart from failures so goodput
         math and load-shedding visibility don't blur into errors."""
         with self._lock:
-            self._requests.inc(state="shed", tenant=tenant)
+            self._requests._add(self._see_tenant(tenant)["shed"], 1.0)
 
     # ------------------------------------------------------------------
     # reading

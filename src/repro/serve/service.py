@@ -322,7 +322,8 @@ class SimdramService:
         if self.config.max_queue < 1:
             raise OperationError(
                 f"max_queue must be >= 1, got {self.config.max_queue}")
-        self._weights: dict[str, float] = dict(tenants or {})
+        self._weights = {str(tenant): weight
+                         for tenant, weight in (tenants or {}).items()}
         for name, weight in self._weights.items():
             self._check_weight(name, weight)
         self._target = _wrap_target(target)
@@ -414,6 +415,7 @@ class SimdramService:
         A tenant with weight 2 is admitted twice the lanes of a
         weight-1 tenant while both have requests queued.
         """
+        tenant = str(tenant)
         self._check_weight(tenant, weight)
         with self._cond:
             self._weights[tenant] = weight
@@ -457,7 +459,12 @@ class SimdramService:
         its sources must be read where the caller owns them), and an
         invalid graph — e.g. one drawing on more than three sources —
         raises here instead of failing the handle.
+
+        ``tenant`` is a label: it is normalized to ``str`` here, so
+        ``tenant=7`` and ``tenant="7"`` are one tenant everywhere —
+        queues, weights, ``stats()`` and the scrape.
         """
+        tenant = str(tenant)
         if isinstance(op, LazyTensor):
             if operands or feeds is not None:
                 raise OperationError(

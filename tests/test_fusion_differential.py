@@ -21,6 +21,12 @@ fused-input ISA limit.
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -38,6 +44,7 @@ from repro.exec.layout import RowLayout
 from repro.isa.instructions import BbopKind
 from repro.uprog.uops import INPUT_SPACES, Space
 from repro.exec.engines import list_engines
+from repro.serve.streaming import affine_relu_step
 
 #: Every engine available in this process, per-bank baseline included.
 ALL_ENGINES = tuple(list_engines())
@@ -380,6 +387,66 @@ class TestFusedKernelIdentity:
         assert np.array_equal(got, (values + 3) % 256)
         assert sim.control.plan_cache_misses == misses_before + 1
         assert sim.control.plan_cache_hits >= 2  # batches 2 and 3
+
+
+class TestAnalysisMemo:
+    """``analyze`` validates a DAG once per width and shares the
+    result; what is memoized never crosses a pickle boundary."""
+
+    def test_memoized_per_width(self):
+        root = E.add(E.mul(E.inp("x"), E.inp("w")), E.const(3))
+        at8, at16 = analyze(root, 8), analyze(root, 16)
+        assert dict(at8.input_widths) == {"x": 8, "w": 8}
+        assert dict(at16.input_widths) == {"x": 16, "w": 16}
+        assert (at8.out_width, at16.out_width) == (8, 16)
+        assert analyze(root, 8) is at8
+        assert analyze(root, 16) is at16
+
+    def test_invalid_dag_raises_on_every_call(self):
+        root = E.add(E.if_else(E.inp("x"), E.inp("y"), E.inp("z")),
+                     E.inp("x"))
+        for _ in range(3):
+            with pytest.raises(OperationError, match="widths"):
+                analyze(root, 8)
+
+    def test_memoized_mappings_are_read_only(self):
+        analysis = analyze(E.add(E.inp("x"), E.const(1)), 8)
+        with pytest.raises(TypeError):
+            analysis.input_widths["x"] = 4
+        with pytest.raises(TypeError):
+            analysis.const_widths[E.const(1)] = (4,)
+        assert analyze(analysis.root, 8).input_widths == {"x": 8}
+
+    def test_pickle_carries_only_the_fields(self):
+        root = affine_relu_step(3)
+        before = pickle.dumps(root)
+        analyze(root, 8)
+        dag_hash(root)
+        hash(root)
+        assert pickle.dumps(root) == before
+
+    def test_unpickled_root_hashes_in_another_process(self):
+        """A string's hash is salted per interpreter, so a memoized
+        ``_hash`` riding the pickle would leave the copy ``==`` to a
+        root built there but unfindable in a set."""
+        root = affine_relu_step(3)
+        hash(root)
+        dag_hash(root)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(E.__file__).resolve().parents[2])
+        script = ("import pickle, sys\n"
+                  "from repro.serve.streaming import affine_relu_step\n"
+                  "root = pickle.loads(sys.stdin.buffer.read())\n"
+                  "local = affine_relu_step(3)\n"
+                  "print(root == local, root in {local})\n")
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", script],
+                              input=pickle.dumps(root), env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().split() == ["True", "True"]
 
 
 class TestMultiOutputStitching:

@@ -287,6 +287,14 @@ class TestMetricsRegistry:
         assert rows[("repro_lat_seconds_count", None)] == 4
         assert rows[("repro_lat_seconds_sum", None)] \
             == pytest.approx(5.0555)
+        # A value on a bound lands in that ``le`` bucket; a NaN
+        # compares false with every bound and stays in ``+Inf``.
+        h.observe(0.01, case="edge")
+        h.observe(float("nan"), case="edge")
+        edge = {dict(s.labels)["le"]: s.value for s in h.samples()
+                if s.name == "repro_lat_seconds_bucket"
+                and ("case", "edge") in s.labels}
+        assert edge == {"0.001": 0, "0.01": 1, "0.1": 1, "+Inf": 2}
 
     def test_default_buckets_are_exponential(self):
         ratios = [b / a for a, b in zip(DEFAULT_BUCKETS,

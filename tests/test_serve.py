@@ -28,7 +28,12 @@ from repro.dram.geometry import DramGeometry
 from repro.errors import AdmissionError, OperationError
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import SimdramCluster
-from repro.serve import ServeConfig, SimdramService
+from repro.serve import (
+    ServeConfig,
+    SimdramService,
+    StreamingServer,
+    affine_relu_step,
+)
 from repro.serve.batcher import LanePacker, PackGroup, prepare
 from repro.serve.metrics import ServeMetrics, percentile
 from repro.serve.router import ReplicaRouter
@@ -1139,6 +1144,23 @@ class TestFairScheduling:
             with pytest.raises(OperationError, match="positive weight"):
                 service.register_tenant("bad", -1.0)
 
+    def test_non_str_tenant_is_one_tenant(self):
+        """A tenant is a label: ``tenant=7`` is the tenant ``"7"``
+        everywhere — its weight, its request counts, and the lanes and
+        energy side tables of ``stats()``."""
+        sim = Simdram(small_config(), seed=1)
+        with SimdramService(sim, tenants={7: 2.0}) as service:
+            handle = service.submit("add", [1, 2, 3, 4], [5, 6, 7, 8],
+                                    width=8, tenant=7)
+            assert np.array_equal(handle.result(60), [6, 8, 10, 12])
+            service.register_tenant(8, 3.0)
+            tenants = service.stats()["tenants"]
+            assert set(tenants) == {"7"}
+            assert tenants["7"]["completed"] == 1
+            assert tenants["7"]["lanes"] == 4
+            assert tenants["7"]["energy_nj"] > 0
+            assert service._weights == {"7": 2.0, "8": 3.0}
+
     def test_idle_tenant_earns_no_credit(self):
         """A tenant reactivating after idling rejoins at the virtual
         floor instead of draining everyone else first — and idle
@@ -1454,6 +1476,79 @@ class TestOneServeStore:
                   if s.name == "repro_serve_flushes_total"}
         assert labels == {(("reason", r),)
                           for r in ("full", "ready", "timer", "explicit")}
+
+
+# ---------------------------------------------------------------------------
+# per-request host work: what a kernel source and a tenant fix is
+# derived once, then read
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _calls_from_repro(monkeypatch, module, name: str):
+    """Count the calls ``repro`` code makes to ``module.name`` while the
+    block runs, through every ``repro`` module that imported the name.
+    Only calls whose caller is a ``repro`` frame count, so what the test
+    itself (or the interpreter's machinery) does never shows."""
+    original = getattr(module, name)
+    calls: list[str] = []
+
+    def spy(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("repro."):
+            calls.append(caller)
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        for loaded in list(sys.modules.values()):
+            if (getattr(loaded, "__name__", "").startswith("repro.")
+                    and getattr(loaded, name, None) is original):
+                patch.setattr(loaded, name, spy)
+        yield calls
+
+
+class TestPerRequestHostWork:
+    def test_warm_expr_request_walks_no_dag(self, monkeypatch):
+        root = affine_relu_step(3)
+        feeds = {"x": [1, 2, 3], "w": [4, 5, 6]}
+        with SimdramService(Simdram(small_config(), seed=1)) as service:
+            service.submit(root, feeds=feeds, width=8).result(60)
+            with _calls_from_repro(monkeypatch, expr,
+                                   "post_order") as calls:
+                out = service.submit(root, feeds=feeds,
+                                     width=8).result(60)
+        assert np.array_equal(out, [2, 4, 6])
+        assert calls == []
+
+    def test_warm_stream_walks_its_dag_once(self, monkeypatch):
+        """An 8-step stream walks its step kernel once: the leaf check
+        when it is submitted.  Its steps re-validate nothing."""
+        step = affine_relu_step(1)
+        one = np.ones(4, dtype=np.int64)
+        with SimdramCluster(1, config=small_config()) as cluster, \
+                SimdramService(cluster) as service, \
+                StreamingServer(service) as server:
+            server.submit(step, one, n_steps=1, width=8,
+                          feeds={"w": one}).result(60)
+            with _calls_from_repro(monkeypatch, expr,
+                                   "post_order") as calls:
+                out = server.submit(step, one, n_steps=8, width=8,
+                                    feeds={"w": one}).result(60)
+        assert np.array_equal(out, one)
+        assert calls == ["repro.core.expr"]
+
+    def test_seen_tenant_records_by_resolved_keys(self, monkeypatch):
+        from repro.obs import metrics as obs_metrics
+        metrics = ServeMetrics()
+        metrics.record_submit("t", 4)
+        with _calls_from_repro(monkeypatch, obs_metrics,
+                               "_label_key") as calls:
+            metrics.record_submit("t", 4, has_deadline=True)
+            metrics.record_completion("t", 0.5, on_time=True,
+                                      energy_nj=3.0)
+            metrics.record_completion("t", 0.25)
+        assert calls == []
+        row = metrics.snapshot()["tenants"]["t"]
+        assert (row["submitted"], row["completed"], row["lanes"],
+                row["energy_nj"]) == (2, 2, 8, 3.0)
 
 
 # ---------------------------------------------------------------------------
