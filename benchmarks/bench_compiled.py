@@ -31,6 +31,10 @@ planes read before they are written; ``rows_stored``: those written),
 the cost that bounds that engine at 4 KiB rows.  ``us_per_dispatch``
 also has a 64-lane row, the module size of the serve tiers (2 banks of
 32 columns), where the dispatch floor rather than row width decides.
+``us_per_map`` publishes the whole warm ``Simdram.map`` at 64 lanes
+— the floor under every serve request — split into transposing in,
+``execute_on_module``, transposing out and the remainder (kernel
+lookup, binding rows, announcing and releasing them).
 ``codegen`` publishes what building one ``compiled`` executor costs —
 ``source_lines`` of the generated source and ``codegen_ms`` (generate
 plus ``compile()``) — for the CNN tap and for ``div@16``, the largest
@@ -125,20 +129,58 @@ def prepare(sim: Simdram, root, width: int = WIDTH):
     return kernel.program, RowLayout(bases)
 
 
-def time_engine(sim: Simdram, program, layout, engine: str) -> float:
-    """Best-of-``REPEATS`` seconds per execution of ``program``."""
+def best_seconds(call) -> float:
+    """Best-of-``REPEATS`` seconds per ``call()``."""
     best = float("inf")
     for _ in range(REPEATS):
         reps = 0
         start = time.perf_counter()
         elapsed = 0.0
         while elapsed < MIN_SECONDS:
-            sim.control.execute_on_module(program, sim.module, layout,
-                                          engine=engine)
+            call()
             reps += 1
             elapsed = time.perf_counter() - start
         best = min(best, elapsed / reps)
     return best
+
+
+def time_engine(sim: Simdram, program, layout, engine: str) -> float:
+    """Best-of-``REPEATS`` seconds per execution of ``program``."""
+    return best_seconds(lambda: sim.control.execute_on_module(
+        program, sim.module, layout, engine=engine))
+
+
+def map_floor(sim: Simdram, root) -> dict:
+    """Microseconds of one warm one-batch ``Simdram.map_expr`` of
+    ``root`` over every lane, and its parts: each measured alone on the
+    rows the map binds — transposing the operands in, the control
+    unit's ``execute_on_module``, transposing the result out — and the
+    remainder (kernel lookup, binding, announce, release)."""
+    kernel = sim.compile(root, WIDTH)
+    rng = np.random.default_rng(5)
+    feeds = {name: rng.integers(0, 1 << WIDTH, sim.module.lanes)
+             for name in ("x", "acc")}
+    total = best_seconds(lambda: sim.map_expr(root, feeds, width=WIDTH))
+    in_blocks, out_block, layout, reserved = sim._bound_rows(kernel)
+    unit, module, n = sim.transposer, sim.module, sim.module.lanes
+    vectors = kernel.bind((), feeds)
+    try:
+        parts = {
+            "transpose_in": best_seconds(lambda: [
+                unit.host_to_vertical(module, block, values, block.width)
+                for values, block in zip(vectors, in_blocks)]),
+            "execute_on_module": best_seconds(
+                lambda: sim.control.execute_on_module(
+                    kernel.program, module, layout)),
+            "transpose_out": best_seconds(lambda: unit.vertical_to_host(
+                module, out_block, n, kernel.out_width)),
+        }
+    finally:
+        sim._release_rows(reserved)
+    row = {"map": total * 1e6,
+           **{part: seconds * 1e6 for part, seconds in parts.items()}}
+    row["remainder"] = row["map"] - sum(parts.values()) * 1e6
+    return row
 
 
 def row_traffic(sim: Simdram, program, layout) -> dict:
@@ -243,12 +285,20 @@ def run_suite() -> dict:
     for name, cost in codegen.items():
         print(f"codegen {name}: {cost['source_lines']} lines, "
               f"{cost['codegen_ms']:.1f} ms")
+    floor = map_floor(build_system(SERVE_COLS, SERVE_BANKS), root)
+    us_per_map = {str(serve.module.lanes): floor}
+    print(f"{serve.module.lanes:>8} lanes: map {floor['map']:.1f} us = "
+          + " + ".join(f"{part} {floor[part]:.1f}" for part in (
+              "transpose_in", "execute_on_module", "transpose_out",
+              "remainder")))
     return {"config": {"banks": BANKS, "cols": COLS,
                        "python": sys.version.split()[0],
                        "engines": engines},
             "kernels": [entry],
             #: Published, not gated: absolute cost per dispatch.
             "us_per_dispatch": us_per_dispatch,
+            #: Published, not gated: a warm one-batch map and its parts.
+            "us_per_map": us_per_map,
             "row_traffic": traffic,
             "codegen": codegen}
 

@@ -33,7 +33,6 @@ Typical use::
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -74,6 +73,7 @@ from repro.isa.instructions import (
     round_trip,
 )
 from repro.obs.tracing import span as obs_span
+from repro.uprog.program import MicroProgram
 from repro.uprog.scheduler import ScheduleOptions
 from repro.uprog.uops import INPUT_SPACES, Space
 
@@ -177,8 +177,8 @@ class Simdram:
         self._allocator = VerticalAllocator(self.config.geometry)
         #: The kernel cache: ``kernel_identity`` -> installed Kernel.
         self._kernels: dict[tuple[str, int, str], Kernel] = {}
-        #: Stats of the most recent :meth:`run` call.
-        self.last_stats: CommandStats | None = None
+        #: The µProgram of the most recent dispatch (:attr:`last_stats`).
+        self._last_program: MicroProgram | None = None
         #: Instruction log for tests/inspection: the last
         #: ``ISSUED_LOG`` bbops (a serving process issues four per map
         #: for as long as it lives), and how many were issued in all.
@@ -247,19 +247,20 @@ class Simdram:
         the telemetry the lazy engine and the serving layer report."""
         return len(self._kernels) + self.control.compiled_cache_size()
 
-    @contextlib.contextmanager
     def _bound_rows(self, kernel: Kernel,
                     in_blocks: "list[RowBlock] | None" = None,
-                    out_block: RowBlock | None = None):
+                    out_block: RowBlock | None = None) -> tuple:
         """Reserve the rows ``kernel`` needs and bind them to a
         :class:`RowLayout` — the one binding behind ``run``, ``map``
         and :meth:`warm_executor`.
 
         Blocks the caller already owns (resident operands, an output
         array) are bound as given; the rest are reserved first-fit in
-        the order operands, output, temporaries, and released on exit
-        — also when the body raises, so a failed execution never leaks
-        scratch rows.  Yields ``(in_blocks, out_block, layout)``.
+        the order operands, output, temporaries.  Returns ``(in_blocks,
+        out_block, layout, reserved)``; the caller hands ``reserved``
+        to :meth:`_release_rows` in a ``finally``, so a failed
+        execution never leaks scratch rows.  A reservation that fails
+        part-way releases what it took before raising.
         """
         reserved: list[RowBlock] = []
 
@@ -277,10 +278,15 @@ class Simdram:
                 bases[space] = block.base
             if kernel.program.n_temp_rows:
                 bases[Space.TEMP] = reserve(kernel.program.n_temp_rows).base
-            yield in_blocks, out_block, RowLayout(bases)
-        finally:
-            for block in reversed(reserved):
-                self._allocator.free(block)
+        except BaseException:
+            self._release_rows(reserved)
+            raise
+        return in_blocks, out_block, RowLayout(bases), reserved
+
+    def _release_rows(self, reserved: "list[RowBlock]") -> None:
+        """Return the blocks :meth:`_bound_rows` reserved, newest first."""
+        for block in reversed(reserved):
+            self._allocator.free(block)
 
     def warm_executor(self, kernel: Kernel,
                       engine: "str | ExecutionEngine" = "auto") -> None:
@@ -288,14 +294,18 @@ class Simdram:
         compiled executor for the row layout a batched dispatch will
         use, without touching DRAM state.
 
-        Binds rows exactly as :meth:`map` does, so a subsequent
-        ``map`` on an idle allocator binds the identical
-        :class:`RowLayout` and hits the warmed cache entries — the
-        serve layer's manifest warmup relies on this.
+        Binds rows exactly as :meth:`map` does (both go through
+        :meth:`_bound_rows`), so a subsequent ``map`` on an idle
+        allocator binds the identical :class:`RowLayout` and hits the
+        warmed cache entries — the serve layer's manifest warmup
+        relies on this.
         """
-        with self._bound_rows(kernel) as (_, _, layout):
+        _, _, layout, reserved = self._bound_rows(kernel)
+        try:
             self.control.warm_plan(kernel.program, layout, self.module,
                                    engine)
+        finally:
+            self._release_rows(reserved)
 
     def warm(self, op: KernelSource, width: int,
              engine: "str | ExecutionEngine" = "auto") -> None:
@@ -316,7 +326,13 @@ class Simdram:
                 f"{self.module.lanes} SIMD lanes")
         block = self._allocator.alloc(width)
         self._announce(block, len(values), width)
-        self.transposer.host_to_vertical(self.module, block, values, width)
+        try:
+            self.transposer.host_to_vertical(self.module, block, values,
+                                             width)
+        except BaseException:  # e.g. a non-integer dtype: no leaked rows
+            self.tracker.release(block.base)
+            self._allocator.free(block)
+            raise
         return SimdramArray(self, block, len(values), width, signed)
 
     def empty(self, n_elements: int, width: int,
@@ -485,8 +501,9 @@ class Simdram:
         with obs_span("engine.execute", op=program.op_name,
                       width=program.element_width, n_elements=n_elements,
                       engine=str(getattr(engine, "name", engine))):
-            self.last_stats = self.control.execute_on_module(
-                program, self.module, layout, engine=engine)
+            self.control.execute_on_module(program, self.module, layout,
+                                           engine=engine)
+        self._last_program = program
 
     def _run(self, op: KernelSource, positional: tuple,
              feeds: "dict[str, SimdramArray] | None", width: int | None,
@@ -510,9 +527,13 @@ class Simdram:
         out = self.empty(n_elements, kernel.out_width, signed=kernel.signed)
         try:
             blocks = [operand.block for operand in operands]
-            with self._bound_rows(kernel, blocks, out.block) as (_, _, layout):
+            _, _, layout, reserved = self._bound_rows(kernel, blocks,
+                                                      out.block)
+            try:
                 self._issue(kernel, blocks, out.block, layout, n_elements,
                             engine)
+            finally:
+                self._release_rows(reserved)
         except BaseException:
             out.free()
             raise
@@ -588,7 +609,10 @@ class Simdram:
         per-batch work is transpose-in, replay, transpose-out — no
         alloc/free churn, and the control unit's plan cache hits on
         every batch after the first because the row layout is stable.
-        All rows are released when the sweep finishes or fails.
+        Rows are reserved by :meth:`_bound_rows` and announced, then
+        released and dropped from the tracker in one ``finally`` when
+        the sweep finishes or fails.  A one-batch result is returned as
+        transposed out, not copied.
         """
         kernel = self.compile(op, width, backend)
         vectors = [np.asarray(values)
@@ -598,14 +622,14 @@ class Simdram:
         out_width = kernel.out_width
 
         chunks = []
-        with contextlib.ExitStack() as stack:
-            in_blocks, out_block, layout = stack.enter_context(
-                self._bound_rows(kernel))
+        in_blocks, out_block, layout, reserved = self._bound_rows(kernel)
+        announced: list[int] = []
+        try:
             # Announce each reused vertical object once (bbop_trsp_init),
             # not once per batch, and drop it from the tracker on exit.
             for block in (*in_blocks, out_block):
                 self._announce(block, min(lanes, n_total), block.width)
-                stack.callback(self.tracker.release, block.base)
+                announced.append(block.base)
 
             for start in range(0, n_total, lanes):
                 stop = min(start + lanes, n_total)
@@ -617,7 +641,12 @@ class Simdram:
                 chunks.append(self.transposer.vertical_to_host(
                     self.module, out_block, stop - start, out_width,
                     signed=kernel.signed))
-        return np.concatenate(chunks)
+        finally:
+            for base in announced:
+                self.tracker.release(base)
+            self._release_rows(reserved)
+        # One batch (every request of a lane-sized module) needs no copy.
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def map(self, op: "str | Expr", *host_operands,
             feeds: "dict | None" = None, width: int = 8,
@@ -653,6 +682,16 @@ class Simdram:
         """Modeled busy time so far (commands plus channel I/O), read
         from the banks (:meth:`~repro.dram.bank.DramModule.busy_ns`)."""
         return self.module.busy_ns(self.config.timing)
+
+    @property
+    def last_stats(self) -> CommandStats | None:
+        """Commands of the most recent dispatch over all banks (``None``
+        before the first): its µProgram's per-bank stream, which every
+        engine issues exactly, in each bank.  Built fresh on each read,
+        so no dispatch pays for it."""
+        if self._last_program is None:
+            return None
+        return self._last_program.stats().scaled(self.module.geometry.banks)
 
     def last_latency_ns(self) -> float:
         """Latency of the last run (banks operate in parallel)."""

@@ -141,10 +141,16 @@ class ControlUnit:
     def plan_for(self, program: MicroProgram, layout: RowLayout,
                  geometry) -> ExecutionPlan:
         """Fetch (or compile and cache) the execution plan for
-        ``program`` bound to ``layout`` under ``geometry``."""
-        key = (ProgramKey(program.op_name, program.element_width,
-                          program.backend),
-               program.fingerprint(), layout.cache_key(), geometry)
+        ``program`` bound to ``layout`` under ``geometry``.
+
+        The lookup builds nothing: the key is what the program fixes
+        (its :meth:`~repro.uprog.program.MicroProgram.fingerprint`,
+        computed once per program, which folds the name, width and
+        backend of its :class:`ProgramKey`), what the binding fixes
+        (:meth:`RowLayout.cache_key`, computed once per layout) and the
+        geometry.
+        """
+        key = (program.fingerprint(), layout.cache_key(), geometry)
         with self._lock:
             plan = self._plan_cache.get(key)
             if plan is not None:
@@ -197,7 +203,7 @@ class ControlUnit:
                           layout: RowLayout,
                           n_banks: int | None = None,
                           engine: "str | ExecutionEngine" = "auto",
-                          ) -> CommandStats:
+                          ) -> None:
         """Broadcast a µProgram to ``n_banks`` banks in lockstep.
 
         ``engine`` is an engine name or :class:`ExecutionEngine`
@@ -211,6 +217,10 @@ class ControlUnit:
         otherwise.  Explicitly requesting a ``vectorizable_only``
         engine on a module that cannot run the stacked path raises
         :class:`~repro.errors.EngineError`.
+
+        The commands land in each participating bank's
+        :class:`CommandStats` (every engine leaves the same counts);
+        nothing is returned, so no stats object leaves the plan.
         """
         banks = module.banks if n_banks is None else module.banks[:n_banks]
         if not banks:
@@ -218,10 +228,8 @@ class ControlUnit:
         resolved = resolve_engine(
             engine, module.supports_vectorized(len(banks)))
         if not resolved.executes_plans:
-            stats = CommandStats()
             for bank in banks:
                 delta = self.execute(program, bank.subarray, layout)
-                stats = stats.merged_with(delta)
         else:
             plan = self.plan_for(program, layout, module.geometry)
             executor = self.executor_for(plan, resolved)
@@ -232,9 +240,7 @@ class ControlUnit:
             delta = plan.per_bank_stats
             for bank in banks:
                 bank.subarray.stats.accumulate(delta)
-            stats = delta.scaled(len(banks))
         # Lockstep: one bank's delta is every participant's.
         get_pmu().record_dispatch(
             module.pmu_id, len(banks),
             (program.op_name, program.element_width), delta)
-        return stats

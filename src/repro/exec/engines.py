@@ -109,14 +109,27 @@ class ExecutionEngine:
 # ---------------------------------------------------------------------------
 # row <-> bigint movement of the codegen backend
 # ---------------------------------------------------------------------------
+def _rows_index(rows: tuple[int, ...]) -> "slice | tuple":
+    """How ``state`` is indexed for ``rows`` (sorted, distinct): one
+    slice when they are a single run — a view, no gather — else a
+    fancy index (``[rows, ]``: a bare tuple would index three axes)."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows,
+
+
 def _load_rows(state: np.ndarray, rows: tuple[int, ...]) -> list[int]:
-    """Read ``state[row]`` for each row as one Python int — one fused
-    gather; byte ``b * row_bytes + i`` of the int is bank ``b``, byte
-    ``i`` of the packed row."""
+    """Read ``state[row]`` for each of the sorted ``rows`` as one Python
+    int; byte ``b * row_bytes + i`` of the int is bank ``b``, byte ``i``
+    of the packed row.
+
+    One ``tobytes`` for the whole set: of a slice when the rows are one
+    run (a map's live-in operand rows and B planes usually are), else
+    of a fused gather.
+    """
     if not rows:
         return []
-    # ``[rows, ]``: a bare tuple would index three axes, not gather rows.
-    raw = state[rows, ].tobytes()
+    raw = state[_rows_index(rows)].tobytes()
     n_bytes = len(raw) // len(rows)
     return [int.from_bytes(raw[start:start + n_bytes], "little")
             for start in range(0, len(raw), n_bytes)]
@@ -124,19 +137,21 @@ def _load_rows(state: np.ndarray, rows: tuple[int, ...]) -> list[int]:
 
 def _store_rows(state: np.ndarray, rows: tuple[int, ...],
                 values: tuple[int, ...]) -> None:
-    """Write integers back into ``state[row]`` per row.
+    """Write integers back into ``state[row]`` for each of the sorted
+    ``rows``.
 
-    One fused scatter for the whole writeback set — the executor's
-    tail calls this once for data rows and once for B planes, keeping
-    the per-dispatch numpy call count independent of how many rows
-    the plan writes.
+    One assignment for the whole writeback set — a slice when the rows
+    are one run (a map's output and temporary rows usually are), else a
+    fused scatter — so the executor's tail costs one numpy call for
+    data rows and one for B planes, however many rows the plan writes.
     """
     if not rows:
         return
     shape = (len(rows), *state.shape[1:])
     n_bytes = shape[1] * shape[2]
     raw = b"".join([value.to_bytes(n_bytes, "little") for value in values])
-    state[rows, ] = np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+    state[_rows_index(rows)] = np.frombuffer(
+        raw, dtype=np.uint8).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,11 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.rows import RowAddress, b_row, ctrl_row, data_row
 from repro.errors import AllocationError
 from repro.uprog.program import MicroProgram
-from repro.uprog.uops import Space, URow
+from repro.uprog.uops import INPUT_SPACES, Space, URow
+
+
+#: Every space a layout can bind, in the order of :meth:`RowLayout.cache_key`.
+_BOUND_SPACES = (*INPUT_SPACES, Space.OUTPUT, Space.TEMP)
 
 
 @dataclass(frozen=True)
@@ -22,6 +26,12 @@ class RowLayout:
     """Concrete D-group base rows for each operand space of a µProgram."""
 
     bases: dict[Space, int]
+
+    def __post_init__(self) -> None:
+        # The binding is fixed at construction, so its cache key is too:
+        # computed once per layout, read on every dispatch.
+        object.__setattr__(self, "_key",
+                           tuple(map(self.bases.get, _BOUND_SPACES)))
 
     def base(self, space: Space) -> int:
         try:
@@ -31,15 +41,16 @@ class RowLayout:
                 f"layout does not bind space {space}") from None
 
     def cache_key(self) -> tuple:
-        """Hashable identity of this binding, for execution-plan caches.
+        """Hashable identity of this binding, for execution-plan caches:
+        the base row of each operand space in a fixed order (``None``
+        where unbound), built once when the layout is.
 
         Two layouts with equal keys resolve every symbolic row to the
         same address, so a plan compiled under one is valid under the
         other.  (``bases`` is a dict, so the dataclass itself is not
         hashable.)
         """
-        return tuple(sorted((space.value, base)
-                            for space, base in self.bases.items()))
+        return self._key
 
     def resolve(self, row: URow) -> RowAddress:
         """Translate a symbolic µProgram row into a subarray address."""

@@ -120,6 +120,8 @@ class TranspositionUnit:
         """Write integer ``values`` vertically into ``block``'s rows.
 
         Elements are striped across banks; unused columns are zero-padded.
+        Only integer and bool vectors are accepted: any other dtype
+        raises :class:`~repro.errors.OperationError` naming it.
         """
         if block.width < width:
             raise OperationError(
@@ -130,6 +132,11 @@ class TranspositionUnit:
         if len(values) > module.lanes:
             raise OperationError(
                 f"{len(values)} elements exceed {module.lanes} lanes")
+        # Every host vector enters here: a float or string element would
+        # be truncated or parsed.  (``[]`` is float64 and holds nothing.)
+        if values.dtype.kind not in "biu" and len(values):
+            raise OperationError(
+                f"SIMDRAM stores integer vectors, got dtype {values.dtype}")
         module.write_rows(block.base,
                           _to_vertical(values, width, module.geometry))
 

@@ -25,7 +25,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.rows import b_row, data_row
 from repro.errors import CommandError, ExecutionError
 from repro.exec.control_unit import ControlUnit
-from repro.exec.engines import get_engine, list_engines
+from repro.exec.engines import _rows_index, get_engine, list_engines
 from repro.exec.layout import RowLayout
 from repro.exec.plan import StepKind, compile_plan
 from repro.uprog.program import MicroProgram, OperandSpec
@@ -61,16 +61,25 @@ def _sim_with_program(op_name: str, width: int, backend: str) -> Simdram:
     return sim
 
 
-def _run_one(op_name: str, width: int, backend: str, engine: str):
-    """Execute one operation end to end; return everything observable."""
+def _run_one(op_name: str, width: int, backend: str, engine: str,
+             split: bool = False):
+    """Execute one operation end to end; return everything observable.
+
+    ``split`` leaves a freed one-row spacer after the first operand, so
+    the live-in rows are not one run.
+    """
     sim = _sim_with_program(op_name, width, backend)
     spec = get_operation(op_name)
     rng = np.random.default_rng(202)
-    operands = [
-        sim.array(edge_and_random_values(rng, in_width, sim.module.lanes)
-                  % (1 << in_width), in_width)
-        for in_width in spec.in_widths(width)
-    ]
+    operands, spacer = [], None
+    for in_width in spec.in_widths(width):
+        operands.append(sim.array(
+            edge_and_random_values(rng, in_width, sim.module.lanes)
+            % (1 << in_width), in_width))
+        if split and spacer is None:
+            spacer = sim._allocator.alloc(1)
+    if spacer is not None:
+        sim._allocator.free(spacer)
     out = sim.run(op_name, *operands, backend=backend, engine=engine)
     return {
         "output": out.to_numpy(),
@@ -78,20 +87,24 @@ def _run_one(op_name: str, width: int, backend: str, engine: str):
         "bank_stats": [bank.subarray.stats for bank in sim.module.banks],
         "data_state": sim.module.vector_state()[0].copy(),
         "b_state": sim.module.vector_state()[1].copy(),
+        "sources": [plan.executors[engine].__source__
+                    for plan in sim.control._plan_cache.values()
+                    if engine == "compiled"],
     }
 
 
-#: Per-bank baselines, computed once per (op, width, backend) and
-#: compared against every fast engine.
-_BASELINES: dict[tuple[str, int, str], dict] = {}
+#: Per-bank baselines, computed once per (op, width, backend, split)
+#: and compared against every fast engine.
+_BASELINES: dict[tuple[str, int, str, bool], dict] = {}
 
 
-def _baseline(op_name: str, width: int, backend: str) -> dict:
-    key = (op_name, width, backend)
+def _baseline(op_name: str, width: int, backend: str,
+              split: bool = False) -> dict:
+    key = (op_name, width, backend, split)
     result = _BASELINES.get(key)
     if result is None:
         result = _BASELINES[key] = _run_one(op_name, width, backend,
-                                            "per_bank")
+                                            "per_bank", split)
     return result
 
 
@@ -100,13 +113,30 @@ def _baseline(op_name: str, width: int, backend: str) -> dict:
 @pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("op_name", sorted(CATALOG))
 def test_engines_bit_identical(op_name, width, backend, engine):
-    fast = _run_one(op_name, width, backend, engine)
-    slow = _baseline(op_name, width, backend)
+    _assert_identical(_run_one(op_name, width, backend, engine),
+                      _baseline(op_name, width, backend))
+
+
+def _assert_identical(fast: dict, slow: dict) -> None:
     assert np.array_equal(fast["output"], slow["output"])
     assert fast["run_stats"] == slow["run_stats"]
     assert fast["bank_stats"] == slow["bank_stats"]
     assert np.array_equal(fast["data_state"], slow["data_state"])
     assert np.array_equal(fast["b_state"], slow["b_state"])
+
+
+@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("op_name", ["add", "mul", "ge", "if_else"])
+def test_engines_bit_identical_split_live_ins(op_name, backend, engine):
+    """The same identity when the operands' rows are not one run: the
+    compiled executor gathers its live-in rows instead of slicing."""
+    fast = _run_one(op_name, 8, backend, engine, split=True)
+    _assert_identical(fast, _baseline(op_name, 8, backend, split=True))
+    assert len(fast["sources"]) == (engine == "compiled")
+    for source in fast["sources"]:
+        loads = re.findall(r"_load_rows\(data, (\([^)]*\))\)", source)
+        assert isinstance(_rows_index(eval(loads[0])), tuple)
 
 
 @pytest.mark.parametrize("op_name", sorted(CATALOG))
@@ -278,6 +308,8 @@ class TestPlanCompilation:
         loads = re.findall(r"_load_rows\(data, (\([^)]*\))\)", source)
         assert [eval(rows) for rows in loads] == [tuple(range(16))]
         assert "_load_rows(b_planes" not in source
+        # One run of rows: loaded through a slice, not a gather.
+        assert _rows_index(tuple(range(16))) == slice(0, 16)
 
     def test_compiled_stores_only_written_planes(self):
         """``ge@16`` writes 3 of the 6 B planes; only those are stored."""

@@ -30,11 +30,15 @@ from repro.dram.rows import data_row
 from repro.errors import AddressError, OperationError
 from repro.exec.memory import RowBlock
 from repro.exec.transposition import TranspositionUnit
+from repro.runtime.cluster import SimdramCluster
+from repro.util import bitops
 from repro.util.bitops import (
+    TRANSPOSE_BIGINT_WORDS,
     bits_to_ints,
     ints_to_bits,
     mask_for_width,
     to_signed,
+    transpose8x8,
 )
 
 MAX_WIDTH = 16
@@ -205,6 +209,98 @@ class TestRoundTripErrors:
             with pytest.raises(OperationError, match="1-D"):
                 sim.transposer.host_to_vertical(
                     sim.module, block, np.zeros((2, 2)), 8)
+
+    @pytest.mark.parametrize("bad", [np.array([1.7, 2.9]),
+                                     np.array(["1", "2"])],
+                             ids=["float", "str"])
+    def test_non_integer_vector_rejected_at_every_door(self, bad):
+        """A float or string vector is neither truncated nor parsed:
+        module ``map``, cluster ``map`` and ``Simdram.array`` name its
+        dtype, and leave no rows or tracked objects behind."""
+        config = SimdramConfig(geometry=DramGeometry.sim_small(
+            cols=32, data_rows=64, banks=2))
+        sim = Simdram(config)
+        free_rows = sim._allocator.free_rows()
+        with pytest.raises(OperationError, match=str(bad.dtype)):
+            sim.map("add", bad, np.array([1, 1]))
+        with pytest.raises(OperationError, match=str(bad.dtype)):
+            sim.array(bad, 8)
+        assert sim._allocator.free_rows() == free_rows
+        assert not len(sim.tracker)
+        with SimdramCluster(2, config=config) as cluster:
+            with pytest.raises(OperationError, match=str(bad.dtype)):
+                cluster.map("add", bad, np.array([1, 1]))
+        # Integer and bool vectors are accepted as before.
+        assert sim.map("add", np.array([True, False]),
+                       np.array([1, 1], dtype=np.uint8)).tolist() == [2, 1]
+
+
+#: Word counts on both sides of :data:`TRANSPOSE_BIGINT_WORDS`, and
+#: ``bulk_map``'s 4 096 words per plane (16 banks x 2 048 columns).
+STRATEGY_WORDS = (TRANSPOSE_BIGINT_WORDS - 1, TRANSPOSE_BIGINT_WORDS,
+                  TRANSPOSE_BIGINT_WORDS + 1, 4096)
+
+
+def _words_geometry(words: int) -> tuple[DramGeometry, int]:
+    """A geometry and width whose block transposes ``words`` words at
+    once (``planes x banks x row_bytes``), varying the shape by size."""
+    width, banks = {TRANSPOSE_BIGINT_WORDS: (16, 2), 4096: (8, 16)}.get(
+        words, (7, 1))
+    planes = -(-width // 8)
+    # A last byte only partly made of lanes, except at bulk size.
+    cols = words // (planes * banks) * 8 - (3 if words != 4096 else 0)
+    geometry = DramGeometry.sim_small(cols=cols, data_rows=24, banks=banks)
+    assert planes * banks * geometry.row_bytes == words
+    return geometry, width
+
+
+@pytest.mark.parametrize("words", STRATEGY_WORDS)
+class TestBothTransposeStrategies:
+    """Blocks big enough to reach each of :func:`transpose8x8`'s two
+    strategies, against the specification and against each other."""
+
+    BASE = 3
+
+    def test_block_matches_specification(self, words):
+        geometry, width = _words_geometry(words)
+        module = DramModule(geometry, seed=words)  # stale bits
+        rng = np.random.default_rng(words)
+        n = module.lanes - 5                       # partial lanes
+        values = rng.integers(-(1 << 62), 1 << 62, n)
+        unit, block = TranspositionUnit(), RowBlock(self.BASE, width)
+        unit.host_to_vertical(module, block, values, width)
+        padded = np.zeros(module.lanes, dtype=np.int64)
+        padded[:n] = values
+        expected = ints_to_bits(padded, width)
+        for i in range(width):
+            assert np.array_equal(
+                module.read_striped(data_row(self.BASE + i)), expected[i])
+
+        bits = rng.integers(0, 2, (width, module.lanes)).astype(bool)
+        for i in range(width):
+            module.write_striped(data_row(self.BASE + i), bits[i])
+        assert np.array_equal(
+            unit.vertical_to_host(module, block, n, width, signed=True),
+            bits_to_ints(bits, signed=True)[:n])
+
+    def test_strategies_agree(self, words, monkeypatch):
+        """Forced to one strategy and then the other, the transpose is
+        the same, and both equal an 8x8 bit transpose of each word."""
+        rng = np.random.default_rng(words)
+        source = rng.integers(0, 1 << 64, words, dtype=np.uint64,
+                              endpoint=False)
+        bits = np.unpackbits(source.view(np.uint8).reshape(-1, 8, 1),
+                             axis=2, bitorder="little")
+        expected = np.packbits(bits.transpose(0, 2, 1), axis=2,
+                               bitorder="little").reshape(-1).view("<u8")
+        results = []
+        for threshold in (words, words - 1):   # one int, then numpy
+            monkeypatch.setattr(bitops, "TRANSPOSE_BIGINT_WORDS", threshold)
+            result = source.copy()
+            transpose8x8(result)
+            results.append(result)
+        assert np.array_equal(results[0], expected)
+        assert np.array_equal(results[1], expected)
 
 
 class TestCostModel:
