@@ -38,6 +38,12 @@ here, in the benchmark that measures it; the library has one policy.
 Deadlines are derived from a measured per-dispatch calibration, not
 wall-clock constants, so the gate is stable across machine speeds.
 
+Ungated, the section also publishes ``stream_step_us``: the host cost
+of one stream step — wall microseconds per step of warm 8-lane
+``affine_relu_step@16`` streams, 16 in flight on the same 64-lane
+cluster (closed loop, oldest first) — beside the steps each dispatch
+carried.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_slo.py [--output bench_ci.json]
@@ -48,6 +54,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import deque
 
 import numpy as np
 
@@ -276,6 +283,69 @@ def serve_streams(continuous: bool) -> dict:
     return entry
 
 
+# ---------------------------------------------------------------------------
+# ungated: the host cost of one stream step
+# ---------------------------------------------------------------------------
+HOST_WIDTH = 16
+HOST_STEPS = 8
+HOST_IN_FLIGHT = 16
+HOST_STREAMS = 96
+HOST_ROUNDS = 3
+
+
+def stream_step_cost() -> dict:
+    """Wall µs per step of warm streams, ``HOST_IN_FLIGHT`` in flight
+    (median of ``HOST_ROUNDS`` rounds), and steps per dispatch."""
+    step = affine_relu_step(1)
+    rng = np.random.default_rng(59)
+    cases = [(rng.integers(0, 1 << 12, STREAM_LANES),
+              rng.integers(0, 1 << 12, STREAM_LANES))
+             for _ in range(HOST_STREAMS)]
+    goldens = [stream_golden(step, x0, HOST_STEPS, {"w": w}, HOST_WIDTH)
+               for x0, w in cases]
+    rounds_us = []
+    n_correct = 0
+    with SimdramCluster(1, config=module_config()) as cluster, \
+            SimdramService(cluster) as service, \
+            StreamingServer(service) as server:
+        service.warmup([(step, HOST_WIDTH)])
+        one = np.ones(STREAM_LANES, dtype=np.int64)
+        server.submit(step, one, n_steps=HOST_STEPS, width=HOST_WIDTH,
+                      feeds={"w": one}).result(60)
+        service.metrics.reset()
+        for _ in range(HOST_ROUNDS):
+            window: deque = deque()
+            outputs = []
+            start = time.perf_counter()
+            for x0, w in cases:
+                if len(window) == HOST_IN_FLIGHT:
+                    outputs.append(window.popleft().result(60))
+                window.append(server.submit(
+                    step, x0, n_steps=HOST_STEPS, width=HOST_WIDTH,
+                    feeds={"w": w}))
+            outputs += [stream.result(60) for stream in window]
+            elapsed = time.perf_counter() - start
+            rounds_us.append(elapsed / (HOST_STREAMS * HOST_STEPS) * 1e6)
+            n_correct += sum(bool(np.array_equal(out, golden))
+                             for out, golden in zip(outputs, goldens))
+        packing = service.stats()["packing"]
+    entry = {
+        "kernel": f"affine_relu_step@{HOST_WIDTH}",
+        "lanes_per_stream": STREAM_LANES,
+        "steps": HOST_STEPS,
+        "in_flight": HOST_IN_FLIGHT,
+        "streams": HOST_STREAMS * HOST_ROUNDS,
+        "correct": n_correct,
+        "us_per_step": float(np.median(rounds_us)),
+        "us_per_step_rounds": rounds_us,
+        "steps_per_dispatch": packing["requests_per_dispatch"],
+    }
+    print(f"stream step: {entry['us_per_step']:7.1f} us/step wall, "
+          f"{entry['steps_per_dispatch']:.2f} steps/dispatch, "
+          f"{n_correct}/{entry['streams']} correct (ungated)")
+    return entry
+
+
 def run_gate(min_goodput_ratio: float = 1.5,
              min_batching_ratio: float = 1.3) -> dict:
     """Run both scenarios; returns the section for bench_ci.json."""
@@ -290,6 +360,7 @@ def run_gate(min_goodput_ratio: float = 1.5,
 
     continuous = serve_streams(continuous=True)
     lockstep = serve_streams(continuous=False)
+    step_cost = stream_step_cost()
 
     goodput_ratio = (edf["goodput_rps"]
                      / max(fifo["goodput_rps"], 1e-9))
@@ -310,6 +381,7 @@ def run_gate(min_goodput_ratio: float = 1.5,
         "element_width": GATE_WIDTH,
         "admission": {"fifo": fifo, "deadline": edf},
         "streaming": {"continuous": continuous, "lockstep": lockstep},
+        "stream_step_us": step_cost,
         "gate": {
             "kernel": GATE_OP,
             "required_goodput_ratio": min_goodput_ratio,

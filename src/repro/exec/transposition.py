@@ -30,6 +30,18 @@ from repro.exec.memory import RowBlock
 from repro.util.bitops import to_signed, transpose8x8
 
 
+def check_host_dtype(values: np.ndarray, what: str) -> None:
+    """The one dtype rule for host vectors, shared by every door and
+    the serving layer: integer and bool vectors are accepted; any other
+    dtype raises :class:`~repro.errors.OperationError` naming it (a
+    float or string element would be truncated or parsed).  ``[]`` is
+    float64 and holds nothing, so an empty vector passes."""
+    if values.dtype.kind not in "biu" and values.size:
+        raise OperationError(
+            f"{what}: SIMDRAM stores integer or bool vectors, "
+            f"got dtype {values.dtype}")
+
+
 @dataclass(frozen=True)
 class TranspositionCost:
     """Latency/energy of moving one operand through the controller."""
@@ -132,11 +144,7 @@ class TranspositionUnit:
         if len(values) > module.lanes:
             raise OperationError(
                 f"{len(values)} elements exceed {module.lanes} lanes")
-        # Every host vector enters here: a float or string element would
-        # be truncated or parsed.  (``[]`` is float64 and holds nothing.)
-        if values.dtype.kind not in "biu" and len(values):
-            raise OperationError(
-                f"SIMDRAM stores integer vectors, got dtype {values.dtype}")
+        check_host_dtype(values, "host vector")  # every door enters here
         module.write_rows(block.base,
                           _to_vertical(values, width, module.geometry))
 

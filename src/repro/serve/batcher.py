@@ -48,6 +48,7 @@ from repro.core.fuse import (
 )
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
+from repro.exec.transposition import check_host_dtype
 from repro.obs import clock
 from repro.obs.tracing import NOOP_SPAN
 
@@ -130,10 +131,7 @@ def _as_vector(value, what: str) -> np.ndarray:
                              f"got shape {vector.shape}")
     if len(vector) == 0:  # before the dtype check: ``[]`` is float64
         raise OperationError(f"{what} needs at least one element")
-    if not np.issubdtype(vector.dtype, np.integer):
-        raise OperationError(
-            f"{what}: SIMDRAM operates on integer vectors, "
-            f"got {vector.dtype}")
+    check_host_dtype(vector, what)
     return vector
 
 

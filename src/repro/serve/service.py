@@ -15,7 +15,9 @@ Around the packer sits the production machinery:
 
 * **admission control** — a bounded queue; ``submit`` blocks (or
   raises :class:`~repro.errors.AdmissionError` with ``block=False``)
-  while ``max_queue`` accepted requests are still unresolved;
+  while ``max_queue`` accepted requests are still unresolved; a
+  stream's next step takes its finished step's slot over where that
+  step resolved (:meth:`SimdramService._settle`);
 * **weighted fair scheduling** — requests queue per tenant and the
   worker admits them into pack groups in weighted-fair order (each
   tenant's virtual time advances by ``lanes / weight``), so one noisy
@@ -167,6 +169,9 @@ class ServeHandle:
         #: singleton when tracing is off/unsampled); finished — and
         #: thereby recorded — exactly when the handle resolves.
         self.span = NOOP_SPAN
+        #: The request's continuation, or ``None`` (see
+        #: :meth:`SimdramService._settle`).
+        self._then = None
         self._future: Future = Future()
 
     def result(self, timeout: float | None = None) -> np.ndarray:
@@ -176,10 +181,12 @@ class ServeHandle:
     def add_done_callback(self, fn) -> None:
         """Invoke ``fn(handle)`` once the handle resolves (success or
         failure) — immediately if it already has.  Runs on the thread
-        that resolves the handle, so keep it cheap and never submit
-        back into the service from it (enqueue and let another thread
-        submit); the streaming layer chains multi-step sequences this
-        way."""
+        that resolves the handle (the service's worker, or a router
+        thread), so keep it cheap and never block in it: a blocking
+        ``submit`` there may wait for an admission slot that only this
+        thread can free.  Streams do not chain through here — a step's
+        continuation runs inside the service, which hands the finished
+        step's slot to the next step (:mod:`repro.serve.streaming`)."""
         self._future.add_done_callback(lambda _: fn(self))
 
     def done(self) -> bool:
@@ -228,6 +235,9 @@ class _RawRequest:
     admit_span: object = NOOP_SPAN
     #: Absolute monotonic SLO deadline, or ``None`` (best effort).
     deadline: float | None = None
+    #: Set when the request arrives prepared (a stream's next step,
+    #: :meth:`SimdramService._settle`): the worker skips ``prepare``.
+    prepared: PreparedRequest | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +490,25 @@ class SimdramService:
             op, feeds, width = op.device.export(op)
         # Resolved once, here: an unknown name raises on the caller's
         # thread; the resolved instance rides the request object.
-        engine = get_engine(engine)
-        lanes = self._lane_estimate(op, operands, feeds)
+        raw = self._request(op, tuple(operands), feeds, width, tenant,
+                            get_engine(engine), deadline_s)
+        self._enqueue(raw, block, timeout)
+        return raw.handle
+
+    def _request(self, op, operands: tuple, feeds: dict | None,
+                 width: int, tenant: str, engine: ExecutionEngine,
+                 deadline_s: float | None, lanes: int | None = None,
+                 then=None) -> _RawRequest:
+        """A new request — handle, id, trace root and the open
+        ``serve.admit`` span — wrapped for its tenant queue, not yet
+        accepted (:meth:`_enqueue`).  ``then`` is its continuation
+        (:meth:`_settle`)."""
+        if lanes is None:
+            lanes = self._lane_estimate(op, operands, feeds)
         handle = ServeHandle(next(self._ids), tenant, lanes)
+        handle._then = then
         now = clock.now()
-        slo_deadline = None if deadline_s is None else now + deadline_s
-        handle.deadline = slo_deadline
+        handle.deadline = None if deadline_s is None else now + deadline_s
         # One trace root per request; its serve.admit child stays open
         # until the worker pops the request, so queue wait is visible.
         handle.span = self.tracer.trace(
@@ -495,14 +518,26 @@ class SimdramService:
             handle.span.set(deadline_s=deadline_s)
         admit_span = (handle.span.child("serve.admit")
                       if handle.span.recording else NOOP_SPAN)
-        raw = _RawRequest(handle=handle, op_or_root=op,
-                          operands=tuple(operands), feeds=feeds,
-                          width=width, tenant=tenant, engine=engine,
-                          submitted_at=now, lanes=lanes,
-                          admit_span=admit_span, deadline=slo_deadline)
+        return _RawRequest(handle, op, operands, feeds, width, tenant,
+                           engine, now, lanes, admit_span, handle.deadline)
 
+    def _enqueue(self, raw: _RawRequest, block: bool = True,
+                 timeout: float | None = None,
+                 handover: ServeHandle | None = None) -> None:
+        """Accept ``raw`` into its tenant queue — the one place a
+        request is accepted (queues, virtual time, admission slot,
+        ``record_submit``, wake-up, ``serve.admit`` event); raises
+        :class:`~repro.errors.AdmissionError` when closed, or when full
+        past ``block``/``timeout``.  ``raw`` takes over the slot of the
+        resolved ``handover`` in the same critical section, so the
+        resolving thread never waits on ``max_queue`` and :meth:`drain`
+        sees no gap between two steps of a stream."""
+        handle, tenant, admit_span = raw.handle, raw.tenant, raw.admit_span
         deadline = None if timeout is None else clock.now() + timeout
         with self._cond:
+            if handover is not None:
+                self._unresolved.discard(handover.request_id)
+                self._cond.notify_all()  # a flush() may wait on it
             while True:
                 if self._closing or self._closed:
                     self.metrics.record_reject(tenant)
@@ -538,7 +573,7 @@ class SimdramService:
                 self._vtime[tenant] = max(
                     self._vtime.get(tenant, 0.0), self._vfloor)
             queue.append(raw)
-            if slo_deadline is not None:
+            if raw.deadline is not None:
                 self._deadlines_queued += 1
             self._unresolved.add(handle.request_id)
             # max(): ids are handed out before this lock, so two
@@ -549,13 +584,14 @@ class SimdramService:
             # never record this request's completion first (metrics
             # would transiently show completed > submitted).
             self.metrics.record_submit(
-                tenant, lanes, has_deadline=slo_deadline is not None)
+                tenant, raw.lanes, has_deadline=raw.deadline is not None)
             if not self._corked():
                 self._cond.notify_all()
         get_flight_recorder().record(
             "serve.admit", request=handle.request_id, tenant=tenant,
-            lanes=lanes, deadline_s=deadline_s)
-        return handle
+            lanes=raw.lanes, deadline_s=(
+                None if raw.deadline is None
+                else raw.deadline - raw.submitted_at))
 
     @staticmethod
     def _reject(handle: ServeHandle, admit_span,
@@ -965,8 +1001,8 @@ class SimdramService:
         return self._packer.take_oldest(), reason
 
     def _admit(self, raw: _RawRequest) -> PackGroup | None:
-        """Prepare one raw request and pack it; returns the group it
-        filled, if any."""
+        """Prepare one raw request (unless it arrived prepared) and
+        pack it; returns the group it filled, if any."""
         raw.admit_span.finish()  # queue wait ends here
         if raw.deadline is not None and clock.now() >= raw.deadline:
             # Shed: the deadline lapsed in the queue; executing now
@@ -976,14 +1012,16 @@ class SimdramService:
                 f"request #{raw.handle.request_id} shed: deadline "
                 f"lapsed before admission"))
             return None
-        try:
-            request = prepare(
-                raw.handle, raw.op_or_root, raw.operands, raw.feeds,
-                raw.width, raw.tenant, raw.engine,
-                self._target.backend, raw.submitted_at)
-        except Exception as error:  # noqa: BLE001 - fails its handle only
-            self._fail_request(raw.handle, raw.tenant, error)
-            return None
+        request = raw.prepared
+        if request is None:
+            try:
+                request = prepare(
+                    raw.handle, raw.op_or_root, raw.operands, raw.feeds,
+                    raw.width, raw.tenant, raw.engine,
+                    self._target.backend, raw.submitted_at)
+            except Exception as error:  # noqa: BLE001 - fails its handle only
+                self._fail_request(raw.handle, raw.tenant, error)
+                return None
         request.span = raw.handle.span
         request.deadline = raw.deadline
         if request.span.recording:
@@ -1128,7 +1166,7 @@ class SimdramService:
                                        on_time=on_time,
                                        energy_nj=energy_nj)
         request.handle.span.finish()
-        self._release_inflight(request.handle)
+        self._settle(request.handle, request)
 
     def _fail_request(self, handle: ServeHandle, tenant: str,
                       error: BaseException) -> None:
@@ -1148,9 +1186,46 @@ class SimdramService:
                 "serve.fail", request=handle.request_id,
                 tenant=tenant, error=repr(error))
         handle.span.finish(error)
-        self._release_inflight(handle)
+        self._settle(handle)
 
-    def _release_inflight(self, handle: ServeHandle) -> None:
-        with self._cond:
-            self._unresolved.discard(handle.request_id)
-            self._cond.notify_all()
+    # ------------------------------------------------------------------
+    # continuations: a stream's next step, enqueued where the last resolved
+    # ------------------------------------------------------------------
+    def _settle(self, handle: ServeHandle,
+                request: PreparedRequest | None = None) -> None:
+        """Free a resolved request's admission slot, or hand it over.
+
+        The continuation ``handle._then(handle)`` runs on the thread
+        that resolved the handle and must not raise.  It returns
+        ``None`` when nothing follows, or ``(slot, values,
+        deadline_s)``: run ``request``'s kernel again with operand
+        ``slot`` re-bound to ``values`` (the service's own output for
+        the same lanes).  That request arrives prepared — the kernel,
+        width, engine, tenant and other operands were validated with
+        the chain's first request — and is only enqueued here, never
+        dispatched, so a continuation neither recurses nor blocks.  If
+        the closing service rejects it, its handle fails with the
+        :class:`~repro.errors.AdmissionError`, which the continuation
+        sees like any other failure."""
+        then = handle._then
+        step = None if then is None else then(handle)
+        if step is None:
+            with self._cond:
+                self._unresolved.discard(handle.request_id)
+                self._cond.notify_all()
+            return
+        slot, values, deadline_s = step
+        raw = self._request(request.op, (), None, request.width,
+                            request.tenant, request.engine, deadline_s,
+                            request.n_elements, then)
+        vectors = request.vectors.copy()
+        vectors[slot] = values
+        raw.prepared = PreparedRequest(
+            raw.handle, request.tenant, request.key, request.op, vectors,
+            request.n_elements, request.width, request.engine,
+            raw.submitted_at)
+        try:
+            self._enqueue(raw, handover=handle)
+        except AdmissionError as error:
+            raw.handle._future.set_exception(error)
+            then(raw.handle)

@@ -28,20 +28,24 @@ a multi-step request reads as one span tree in Perfetto; modeled
 energy accumulates over the steps into
 :attr:`StreamHandle.energy_nj`.
 
-All submissions into the service happen on one dedicated pump thread
-— never on the thread resolving a step's handle (a service worker or
-router thread), which must not block on admission control.  The pump
-corks the service (:meth:`SimdramService.hold`) around each burst of
-events it finds waiting, so the steps one dispatch resolved together
-re-enter the packer together instead of racing the worker one by one;
-:meth:`StreamingServer.hold` extends the same cork to a batch of new
-streams.
+A stream has no thread of its own.  :meth:`StreamingServer.submit`
+enqueues step 0 on the caller's thread, through the service's ordinary
+admission and validation.  Every later step continues where the last
+one resolved: the thread that resolves step *k* (the service's worker,
+or a router thread) runs the stream's continuation, and the service
+enqueues step *k+1* in the same critical section that frees step *k*'s
+admission slot (:meth:`SimdramService._settle`).  Nothing blocks there
+— the slot is handed over, never waited for — and nothing dispatches
+there: the step joins its tenant queue, prepared already (only ``x``
+is re-bound), and the worker packs it with whatever else is waiting.
+The steps one dispatch resolved therefore re-enter the packer together
+before the worker's next pop.  :meth:`StreamingServer.hold` is the
+service's cork, for a batch of new streams.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 from concurrent.futures import Future
 from contextlib import contextmanager
@@ -50,7 +54,9 @@ import numpy as np
 
 from repro.core import expr
 from repro.core.expr import Expr
+from repro.core.fuse import kernel_inputs
 from repro.errors import DeadlineExceeded, OperationError
+from repro.exec.engines import get_engine
 from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
 from repro.obs.tracing import NOOP_SPAN
@@ -93,7 +99,8 @@ class StreamHandle:
     completed; re-raises the stream's failure (a poisoned step, or
     :class:`~repro.errors.DeadlineExceeded` when the stream's budget
     lapsed).  Mutable progress fields (``steps_done``, ``energy_nj``)
-    are written by the pump thread and are safe to read at any time.
+    are written by the thread that resolved the stream's latest step
+    and are safe to read at any time.
     """
 
     def __init__(self, stream_id: int, tenant: str, step: Expr,
@@ -116,6 +123,9 @@ class StreamHandle:
         self._feeds = feeds
         self._width = width
         self._x = np.asarray(x0)
+        #: Operand slot of ``x`` in the step kernel, read once step 0
+        #: validated the kernel.
+        self._slot: int | None = None
         self._step_span = NOOP_SPAN
         self._future: Future = Future()
 
@@ -143,22 +153,18 @@ class StreamHandle:
 
 class StreamingServer:
     """Serve multi-step streams over one :class:`SimdramService` with
-    continuous batching (see module docstring).  The server owns a
-    pump thread and is a context manager; closing it drains
-    outstanding streams first.  It does not close the wrapped service.
+    continuous batching (see module docstring).  The server is a
+    context manager; closing it drains outstanding streams first.  It
+    starts no thread and does not close the wrapped service.
     """
 
     def __init__(self, service) -> None:
         self.service = service
-        self._events: "queue.Queue" = queue.Queue()
         self._cond = threading.Condition()
         self._outstanding = 0
         self._closing = False
         self._ids = itertools.count()
-        self._pump = threading.Thread(target=self._run,
-                                      name="simdram-stream",
-                                      daemon=True)
-        self._pump.start()
+        self._engine = get_engine("auto")
 
     # ------------------------------------------------------------------
     # submission
@@ -166,12 +172,18 @@ class StreamingServer:
     def submit(self, step: Expr, x0, *, n_steps: int, width: int = 8,
                feeds: "dict | None" = None, tenant: str = "default",
                deadline_s: "float | None" = None) -> StreamHandle:
-        """Queue one stream; returns its :class:`StreamHandle`.
+        """Start one stream; returns its :class:`StreamHandle`.
 
         ``step`` must draw on a leaf named ``"x"`` (the running
         activation — seeded with ``x0``, then each step's output);
         ``feeds`` binds the step's other leaves (static across steps).
         ``deadline_s`` is the SLO for the whole sequence.
+
+        Step 0 is admitted here, on the caller's thread, as by
+        :meth:`SimdramService.submit`: this call blocks while the
+        service's ``max_queue`` requests are unresolved.  A step that
+        fails validation, is shed or is rejected fails the stream's
+        handle, not this call.
         """
         if n_steps < 1:
             raise OperationError(f"n_steps must be >= 1, got {n_steps}")
@@ -203,22 +215,25 @@ class StreamingServer:
         get_flight_recorder().record(
             "stream.start", stream=stream.stream_id, tenant=tenant,
             n_steps=n_steps, deadline_s=deadline_s)
-        self._events.put(("start", stream, None))
+        service = self.service
+        try:
+            raw = service._request(
+                step, (), {**feeds, "x": stream._x}, width, str(tenant),
+                self._engine, self._open_step(stream),
+                then=lambda handle: self._continue(stream, handle))
+            service._enqueue(raw)
+        except Exception as error:  # noqa: BLE001 - fails this stream
+            self._resolve(stream, error=error)
         return stream
 
     @contextmanager
     def hold(self):
-        """Cork the wrapped service until the pump has submitted the
-        first step of every stream started inside the block, so those
-        steps pack the same way every time (the streaming counterpart
-        of :meth:`SimdramService.hold`)."""
+        """Cork the wrapped service (:meth:`SimdramService.hold`).
+        :meth:`submit` enqueues a stream's first step before it
+        returns, so the first steps of the streams started inside the
+        block pack the same way every time."""
         with self.service.hold():
             yield self
-            caught_up = threading.Event()
-            self._events.put(("sync", caught_up, None))
-            # A pump that close() already stopped will never answer.
-            while not caught_up.wait(0.05) and self._pump.is_alive():
-                pass
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -231,17 +246,10 @@ class StreamingServer:
                 lambda: self._outstanding == 0, timeout)
 
     def close(self) -> None:
-        """Drain outstanding streams, stop the pump (idempotent)."""
+        """Refuse new streams and drain outstanding ones (idempotent)."""
         with self._cond:
-            if self._closing:
-                already = True
-            else:
-                already = False
-                self._closing = True
+            self._closing = True
         self.drain()
-        if not already:
-            self._events.put(None)
-            self._pump.join()
 
     def __enter__(self) -> "StreamingServer":
         return self
@@ -250,90 +258,64 @@ class StreamingServer:
         self.close()
 
     # ------------------------------------------------------------------
-    # the pump: every service.submit happens here
+    # steps
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            event = self._events.get()
-            # One cork per burst: everything already waiting is
-            # submitted before the service's worker pops any of it.
-            with self.service.hold():
-                while event is not None:
-                    self._handle(*event)
-                    try:
-                        event = self._events.get_nowait()
-                    except queue.Empty:
-                        break
-            if event is None:
-                return
-
-    def _handle(self, kind: str, stream, handle) -> None:
-        if kind == "sync":
-            stream.set()  # a hold() waiting for the pump to catch up
-            return
+    def _continue(self, stream: StreamHandle, handle):
+        """The stream's continuation (:meth:`SimdramService._settle`):
+        step ``handle`` resolved.  Returns the next step —
+        ``(slot, x, deadline_s)`` — or ``None`` once the stream
+        resolved.  Runs on the thread that resolved the step; it never
+        raises (a failure here fails this stream)."""
         try:
-            if kind == "start":
-                self._submit_step(stream)
-            else:
-                self._on_step_done(stream, handle)
-        except BaseException as error:  # noqa: BLE001 - never hang
-            # A pump failure must not strand callers blocked on
-            # stream handles: the stream that triggered it fails.
-            self._resolve(stream, error=error)
-
-    def _on_step_done(self, stream: StreamHandle, handle) -> None:
-        error = handle.exception()
-        stream._step_span.finish(error)
-        stream._step_span = NOOP_SPAN
-        if error is None:
+            error = handle.exception()
+            if stream._step_span.recording:
+                stream._step_span.set(request_id=handle.request_id)
+            stream._step_span.finish(error)
+            stream._step_span = NOOP_SPAN
+            if error is not None:
+                self._resolve(stream, error=error)
+                return None
             if handle.energy_nj is not None:
                 stream.energy_nj = ((stream.energy_nj or 0.0)
                                     + handle.energy_nj)
             stream._x = handle.result()
             stream.steps_done += 1
-        if error is not None:
+            if stream.steps_done >= stream.n_steps:
+                self._resolve(stream, value=stream._x)
+                return None
+            if stream._slot is None:
+                stream._slot = list(kernel_inputs(
+                    stream._step, stream._width)).index("x")
+            return stream._slot, stream._x, self._open_step(stream)
+        except Exception as error:  # noqa: BLE001 - fails this stream, never hangs it
             self._resolve(stream, error=error)
-        elif stream.steps_done >= stream.n_steps:
-            self._resolve(stream, value=stream._x)
-        else:
-            self._submit_step(stream)
+            return None
 
-    def _submit_step(self, stream: StreamHandle) -> None:
-        """Submit the stream's next step, or resolve the stream (shed
-        or failed) when it cannot be submitted."""
+    @staticmethod
+    def _open_step(stream: StreamHandle) -> "float | None":
+        """Open the stream's next ``serve.step`` span; returns what is
+        left of the sequence's budget (raises
+        :class:`~repro.errors.DeadlineExceeded` once it lapsed)."""
         remaining = None
         if stream.deadline is not None:
             remaining = stream.deadline - clock.now()
             if remaining <= 0:
-                self._resolve(stream, error=DeadlineExceeded(
+                raise DeadlineExceeded(
                     f"stream #{stream.stream_id} shed at step "
                     f"{stream.steps_done}/{stream.n_steps}: sequence "
-                    f"deadline lapsed"))
-                return
+                    f"deadline lapsed")
         stream._step_span = (
             stream.span.child("serve.step", step=stream.steps_done,
                               n_steps=stream.n_steps)
             if stream.span.recording else NOOP_SPAN)
-        try:
-            handle = self.service.submit(
-                stream._step,
-                feeds={**stream._feeds, "x": stream._x},
-                width=stream._width, tenant=stream.tenant,
-                deadline_s=remaining)
-        except Exception as error:  # noqa: BLE001 - fails this stream
-            self._resolve(stream, error=error)
-            return
-        if stream._step_span.recording:
-            stream._step_span.set(request_id=handle.request_id)
-        # The callback fires on whatever thread resolves the handle;
-        # it only enqueues — the pump does the next submit.
-        handle.add_done_callback(
-            lambda h, s=stream: self._events.put(("step", s, h)))
+        return remaining
 
     def _resolve(self, stream: StreamHandle, value=None,
                  error: "BaseException | None" = None) -> None:
         if stream._future.done():
             return
+        stream._step_span.finish(error)
+        stream._step_span = NOOP_SPAN
         if stream.deadline is not None:
             stream.on_time = (error is None
                               and clock.now() <= stream.deadline)

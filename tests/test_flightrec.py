@@ -37,6 +37,21 @@ def add_desc(width: int = 8) -> WorkDescriptor:
                           slot_names=(), width=width, engine="auto")
 
 
+@pytest.fixture
+def spilling():
+    """Build recorders that spill; each one's spill file is closed (and
+    removed) at teardown, so no test leaves an open file to the GC."""
+    made: list[FlightRecorder] = []
+
+    def make(**kwargs) -> FlightRecorder:
+        made.append(FlightRecorder(**kwargs))
+        return made[-1]
+
+    yield make
+    for rec in made:
+        rec.remove_spill()
+
+
 class TestRing:
     def test_record_and_events(self):
         rec = FlightRecorder(capacity=8, source="t")
@@ -74,8 +89,8 @@ class TestRing:
 
 
 class TestSpill:
-    def test_spill_appended_every_event(self, tmp_path):
-        rec = FlightRecorder(capacity=8, source="child")
+    def test_spill_appended_every_event(self, tmp_path, spilling):
+        rec = spilling(capacity=8, source="child")
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rec.record("first")
@@ -93,8 +108,8 @@ class TestSpill:
         assert [json.loads(line)["kind"] for line in lines] == \
             ["first", "second"]
 
-    def test_spill_every_n(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
+    def test_spill_every_n(self, tmp_path, spilling):
+        rec = spilling(capacity=8)
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path), every=3)
         rec.record("a")
@@ -109,8 +124,8 @@ class TestSpill:
         assert [e["kind"] for e in read_spill(str(path))["events"]] \
             == list("abcdef")
 
-    def test_spill_now_and_remove(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
+    def test_spill_now_and_remove(self, tmp_path, spilling):
+        rec = spilling(capacity=8)
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path), every=1000)
         rec.record("a")
@@ -131,12 +146,12 @@ class TestSpill:
         rec.record("survives")
         assert rec.events()[-1]["kind"] == "survives"
 
-    def test_unserializable_field_never_raises(self, tmp_path):
+    def test_unserializable_field_never_raises(self, tmp_path, spilling):
         """``record`` promises "never raises": a field JSON cannot
         render goes through ``str``, and an event that defeats even
         that (a tuple-keyed dict) is treated like a broken disk — it
         stays in the ring and is missing from the file."""
-        rec = FlightRecorder(capacity=4)
+        rec = spilling(capacity=4)
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rec.record("numpy", lanes=np.int64(3), shape=np.arange(2))
@@ -151,8 +166,8 @@ class TestSpill:
             ["numpy", "after"]
         assert payload["n_recorded"] == 3 and payload["n_dropped"] == 1
 
-    def test_torn_last_line_is_dropped(self, tmp_path):
-        rec = FlightRecorder(capacity=8, source="child")
+    def test_torn_last_line_is_dropped(self, tmp_path, spilling):
+        rec = spilling(capacity=8, source="child")
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         for kind in ("a", "b", "c"):
@@ -172,11 +187,11 @@ class TestSpill:
         path.write_bytes(b'[1, 2]\n')
         assert read_spill(str(path)) is None
 
-    def test_compaction_bounds_the_file(self, tmp_path):
+    def test_compaction_bounds_the_file(self, tmp_path, spilling):
         """The file is rewritten from the ring before it passes
         2 x capacity event lines, and the counts survive it."""
         capacity = 8
-        rec = FlightRecorder(capacity=capacity, source="child")
+        rec = spilling(capacity=capacity, source="child")
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rewrites, longest = 0, 0
@@ -198,8 +213,8 @@ class TestSpill:
         assert rewrites <= 5
         assert not list(tmp_path.glob("*.tmp-*"))
 
-    def test_clear_starts_the_spill_over(self, tmp_path):
-        rec = FlightRecorder(capacity=8)
+    def test_clear_starts_the_spill_over(self, tmp_path, spilling):
+        rec = spilling(capacity=8)
         path = tmp_path / "spill.json"
         rec.configure_spill(str(path))
         rec.record("old")
@@ -209,7 +224,7 @@ class TestSpill:
         assert payload["n_recorded"] == 1
         assert [e["kind"] for e in payload["events"]] == ["new"]
 
-    def test_spilled_record_cost_is_flat_in_occupancy(self, tmp_path):
+    def test_spilled_record_cost_is_flat_in_occupancy(self, tmp_path, spilling):
         """The point of the append-only file: an event costs the same
         with 10 events in the ring as with a full one (the whole-ring
         rewrite it replaces cost 300x more at a full ring)."""
@@ -218,7 +233,7 @@ class TestSpill:
         def per_event(occupancy: int, n: int) -> float:
             best = float("inf")
             for attempt in range(3):
-                rec = FlightRecorder(capacity=4096)
+                rec = spilling(capacity=4096)
                 for i in range(occupancy):
                     rec.record("fill", i=i)
                 rec.configure_spill(
@@ -280,7 +295,8 @@ class TestAdoptionAndDump:
         rec = FlightRecorder(capacity=8, source="main")
         rec.record("e")
         path = rec.dump_to(str(tmp_path / "out.json"), reason="r")
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.loads(handle.read())
         assert payload["reason"] == "r" and payload["n_events"] == 1
 
     def test_dump_to_default_dir_env(self, tmp_path, monkeypatch):
@@ -294,7 +310,8 @@ class TestAdoptionAndDump:
     def test_postmortem_helper_uses_global_recorder(self, tmp_path):
         get_flight_recorder().record("postmortem.test.marker")
         path = postmortem("unit test", str(tmp_path / "pm.json"))
-        payload = json.loads(open(path).read())
+        with open(path) as handle:
+            payload = json.loads(handle.read())
         assert any(e["kind"] == "postmortem.test.marker"
                    for e in payload["events"])
 

@@ -300,6 +300,26 @@ class TestServeDifferential:
                 closer.close()
 
 
+class TestHostDtypes:
+    def test_bool_select_served_like_the_module(self):
+        """The service applies the module's dtype rule: a bool select
+        vector is served, and a float vector fails only its own
+        handle."""
+        sim = Simdram(small_config(), seed=1)
+        select = np.array([True, False, True])
+        b = np.array([1, 2, 3])
+        want = sim.map("if_else", select, b, 10 * b)
+        with SimdramService(sim, registry=MetricsRegistry()) as service:
+            with service.hold():
+                served = service.submit("if_else", select, b, 10 * b)
+                bad = service.submit("if_else", select.astype(float),
+                                     b, 10 * b)
+            assert np.array_equal(served.result(60), want)
+            with pytest.raises(OperationError, match="float64"):
+                bad.result(60)
+        assert want.tolist() == [1, 20, 3]
+
+
 # ---------------------------------------------------------------------------
 # failure isolation beyond prepare: the sequential fallback
 # ---------------------------------------------------------------------------
