@@ -59,11 +59,10 @@ def compile_cached(op: "str | Expr", width: int,
     """Memoized µProgram of a kernel compiled with default options.
 
     µProgram compilation is deterministic, so the evaluation harness,
-    the application models and the replica router's energy metering
-    (the one serving tier that holds no kernels of its own) share one
-    compiled program per (kernel, width, backend) — exactly like the
-    control unit's scratchpad at boot.  ``Simdram``/``SimdramCluster``
-    never consult it: their caches compile under their own
-    configuration.
+    the CLI and the application models share one compiled program per
+    (kernel, width, backend) — exactly like the control unit's
+    scratchpad at boot.  ``Simdram``, ``SimdramCluster`` and
+    ``ReplicaSet`` never consult it: their caches compile under their
+    own configuration.
     """
     return fuse.compile_kernel(op, width, backend).program

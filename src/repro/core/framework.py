@@ -70,6 +70,7 @@ from repro.isa.instructions import (
     BbopInstruction,
     bbop,
     bbop_trsp_init,
+    register_opcode,
     round_trip,
 )
 from repro.obs.tracing import span as obs_span
@@ -215,10 +216,13 @@ class Simdram:
 
         µPrograms are symbolic (geometry-independent), so a cluster
         compiles each kernel once and every member module adopts the
-        same record instead of re-running Steps 1+2.  No-op if this
-        very kernel is installed.
+        same record instead of re-running Steps 1+2 — as does a
+        replica, with a kernel its parent process compiled, whose
+        fused op then gets its bbop opcode here.  No-op if this very
+        kernel is installed.
         """
         if self._kernels.get(kernel.key) is not kernel:
+            register_opcode(kernel.op_name)
             self.control.install(kernel.program)
             self._kernels[kernel.key] = kernel
 

@@ -44,6 +44,7 @@ from repro.core.fuse import MAX_FUSED_INPUTS
 from repro.core.operations import get_operation
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
+from repro.exec.transposition import check_host_dtype
 from repro.lazy.tensor import (
     KIND_CONST,
     KIND_OP,
@@ -253,13 +254,11 @@ class LazyDevice:
         mixed-width pipelines widen narrow operands for free.
         """
         values = np.asarray(values)
+        check_host_dtype(values, "lazy source")
         if values.ndim != 1:
             raise OperationError("lazy sources are 1-D vectors")
         if values.size == 0:
             raise OperationError("lazy sources need at least one element")
-        if not np.issubdtype(values.dtype, np.integer):
-            raise OperationError(
-                f"SIMDRAM operates on integer vectors, got {values.dtype}")
         if signed is None:
             signed = bool(values.min() < 0)
         if width is None:

@@ -245,8 +245,9 @@ def _lift(operand, device: "LazyDevice") -> LazyTensor:
     """Coerce one operand of a captured operation to a lazy node.
 
     Python/numpy integer scalars become broadcast constants (folded
-    into the MIG, costing no rows); integer arrays become sources on
-    the same device at their minimal natural width.
+    into the MIG, costing no rows); integer and bool arrays become
+    sources on the same device at their minimal natural width (the
+    device applies the host dtype rule).
     """
     if isinstance(operand, LazyTensor):
         return operand
@@ -254,12 +255,7 @@ def _lift(operand, device: "LazyDevice") -> LazyTensor:
         operand = int(operand)
     if isinstance(operand, (int, np.integer)):
         return LazyTensor(device, KIND_CONST, value=int(operand))
-    values = np.asarray(operand)
-    if not np.issubdtype(values.dtype, np.integer):
-        raise OperationError(
-            f"SIMDRAM operates on integer vectors; cannot lift "
-            f"{values.dtype} operand into the lazy graph")
-    return device.array(values)
+    return device.array(np.asarray(operand))
 
 
 def apply(op_name: str, *operands, device: "LazyDevice | None" = None

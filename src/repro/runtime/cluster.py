@@ -132,22 +132,31 @@ class SimdramCluster:
                 self.config, op, width, backend)
         return kernel
 
+    def adopt(self, kernel: Kernel) -> Kernel:
+        """Take a kernel compiled elsewhere into the cluster's cache
+        (a replica adopts what its parent compiled); returns the cached
+        kernel of that identity, which stays if one is already held.
+        Member modules adopt it on dispatch."""
+        return self._kernels.setdefault(kernel.key, kernel)
+
     def warm(self, op: KernelSource, width: int,
              engine: "str | ExecutionEngine" = "auto") -> None:
-        """Precompile one kernel on every member module.
+        """:meth:`compile` plus :meth:`warm_executor` — the serving
+        layer's manifest warmup goes through here."""
+        self.warm_executor(self.compile(op, width), engine)
 
-        Compiles it once at the cluster level, has every module adopt
-        it, and warms each module's execution plan plus the engine's
-        compiled executor against the row layout a batched dispatch
-        binds — the serving layer's manifest warmup, and the replica
-        tier's spawn-time cache fill, both go through here.
+    def warm_executor(self, kernel: Kernel,
+                      engine: "str | ExecutionEngine" = "auto") -> None:
+        """Have every member module adopt ``kernel`` and warm its
+        execution plan plus the engine's compiled executor against the
+        row layout a batched dispatch binds (as
+        :meth:`Simdram.warm_executor`).
 
         Each module warms in a subtask of one job, under its module's
         lock like any dispatch: binding the layout allocates and frees
         rows, which must not interleave with a dispatch in flight.
         """
         engine = get_engine(engine)
-        kernel = self.compile(op, width)
 
         def warm_module(module_index: int) -> None:
             sim = self.modules[module_index]
@@ -157,7 +166,7 @@ class SimdramCluster:
         self.scheduler.run(
             [(m, (lambda i=m: warm_module(i)))
              for m in range(self.n_modules)],
-            label=f"warm:{kernel.op_name}@{width}")
+            label=f"warm:{kernel.op_name}@{kernel.width}")
 
     # ------------------------------------------------------------------
     # modeled time and traffic

@@ -25,9 +25,14 @@ process**, and gives the parent a thread-safe transport to them:
   serving router's failover hook, which reports every death to the
   service's failover count — or, absent one, fails their futures with
   :class:`~repro.errors.ReplicaError`;
-* **warmup**: each replica fills its kernel caches from a declared
-  manifest at spawn (and on demand via :meth:`ReplicaSet.warm`), so a
-  fresh replica's first dispatch replays a warm pipeline.
+* **warmup**: the parent runs Steps 1+2 once for every kernel of the
+  spawn manifest and of :meth:`ReplicaSet.warm`, keeping one table of
+  compiled :class:`~repro.core.fuse.Kernel` records; each replica
+  adopts those kernels (through the fork at spawn, pickled in a
+  ``warm`` message later) and builds only its own execution plans and
+  executors, so a fresh replica's first dispatch replays a warm
+  pipeline.  A kernel nobody warmed compiles in the replica on its
+  first dispatch.
 
 The parent keeps every in-flight job's descriptor *and* payload until
 it resolves, so a job lost to a dying replica can be re-sent to a
@@ -45,7 +50,6 @@ import shutil
 import signal
 import tempfile
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from multiprocessing.shared_memory import SharedMemory
@@ -54,6 +58,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.expr import Expr
+from repro.core.framework import SimdramConfig, compile_for
+from repro.core.fuse import Kernel, KernelSource, kernel_identity
 from repro.errors import OperationError, ReplicaError
 from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
@@ -252,16 +258,13 @@ def _sendable(error: BaseException) -> BaseException:
 # ---------------------------------------------------------------------------
 # the replica process
 # ---------------------------------------------------------------------------
-def _warm_manifest(cluster, manifest) -> int:
-    """Fill a replica's kernel caches from ``(op_or_root, width[,
-    engine])`` manifest entries; returns the kernel count."""
-    count = 0
-    for entry in manifest or ():
-        op_or_root, width = entry[0], entry[1]
-        engine = entry[2] if len(entry) > 2 else "auto"
-        cluster.warm(op_or_root, width, engine)
-        count += 1
-    return count
+def _warm_manifest(cluster, kernels: Sequence[tuple[Kernel, str]]) -> int:
+    """Fill a replica's caches from ``(kernel, engine)`` pairs the
+    parent compiled: adopt each kernel, warm each module's executor.
+    Returns the kernel count."""
+    for kernel, engine in kernels:
+        cluster.warm_executor(cluster.adopt(kernel), engine)
+    return len(kernels)
 
 
 def _replica_info(cluster) -> dict:
@@ -280,7 +283,7 @@ def _replica_info(cluster) -> dict:
 
 
 def _replica_main(replica_id: int, conn, n_modules: int, config,
-                  manifest, seed: int | None,
+                  kernels, seed: int | None,
                   spool_dir: "str | None" = None) -> None:
     """The child process: build a cluster, warm it, serve the pipe."""
     # The parent owns lifecycle; a ^C aimed at the parent's terminal
@@ -301,7 +304,7 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
     from repro.runtime.cluster import SimdramCluster
     try:
         cluster = SimdramCluster(n_modules, config=config, seed=seed)
-        warmed = _warm_manifest(cluster, manifest)
+        warmed = _warm_manifest(cluster, kernels)
         conn.send(("ready", replica_id,
                    {"lanes": cluster.lanes,
                     "backend": cluster.config.backend,
@@ -335,11 +338,11 @@ def _replica_main(replica_id: int, conn, n_modules: int, config,
             if tag == "ping":
                 conn.send(("pong", message[1], _replica_info(cluster)))
             elif tag == "warm":
-                token, entries = message[1], message[2]
+                token, kernels = message[1], message[2]
                 recorder.record("replica.warm", replica=replica_id,
-                                n_kernels=len(entries))
+                                n_kernels=len(kernels))
                 try:
-                    n = _warm_manifest(cluster, entries)
+                    n = _warm_manifest(cluster, kernels)
                     conn.send(("warmed", token, n))
                 except Exception as error:  # noqa: BLE001
                     conn.send(("warm-error", token, _sendable(error)))
@@ -484,11 +487,14 @@ class ReplicaSet:
         if n_replicas < 1:
             raise OperationError(
                 f"a replica set needs >= 1 replica, got {n_replicas}")
-        from repro.core.framework import SimdramConfig
         self.config = config or SimdramConfig()
         self.n_modules = n_modules
         self.max_silent_s = max_silent_s
-        self.manifest = list(manifest or ())
+        #: The set's one kernel table, ``kernel_identity`` -> Kernel:
+        #: Steps 1+2 run here, in the parent, once per kernel; the
+        #: replicas adopt these records (:meth:`kernel`).
+        self._kernels: dict[tuple[str, int, str], Kernel] = {}
+        kernels = self._compile(manifest or ())
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
         self._jobs: dict[int, dict[int, PendingJob]] = {}
@@ -497,6 +503,8 @@ class ReplicaSet:
         self._tokens = itertools.count()
         self._death_handler: "Callable[[int, list[PendingJob]], None] | None" = None
         self._closing = False
+        #: Set by :meth:`close`: ends the monitor's heartbeat wait.
+        self._stopped = threading.Event()
 
         #: Spool directory the children spill their flight-recorder
         #: rings into; a crashed replica's leftover spill file is its
@@ -516,7 +524,7 @@ class ReplicaSet:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_replica_main, name=f"simdram-replica-{i}",
-                args=(i, child_conn, n_modules, self.config, self.manifest,
+                args=(i, child_conn, n_modules, self.config, kernels,
                       None if seed is None else seed + 7919 * i,
                       self.spool_dir),
                 daemon=True)
@@ -568,6 +576,7 @@ class ReplicaSet:
                 replica.process.terminate()
             for slab in replica.slabs:
                 slab.close(unlink=True)
+        shutil.rmtree(self.spool_dir, ignore_errors=True)
         raise ReplicaError(reason)
 
     # ------------------------------------------------------------------
@@ -616,6 +625,26 @@ class ReplicaSet:
                 "paging": r.info.get("paging", {}),
             }
         return out
+
+    def kernel(self, op: KernelSource, width: int) -> Kernel:
+        """The kernel the replicas run for ``op`` at ``width``: compiled
+        once, here, under the set's configuration (a table hit for
+        every manifest or warmed kernel)."""
+        backend = self.config.backend
+        key = kernel_identity(op, width, backend)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels.setdefault(
+                key, compile_for(self.config, op, width, backend))
+        return kernel
+
+    def _compile(self, manifest: Sequence[tuple]
+                 ) -> list[tuple[Kernel, str]]:
+        """``(kernel, engine)`` for ``(op_or_root, width[, engine])``
+        manifest entries, each kernel from :meth:`kernel`."""
+        return [(self.kernel(entry[0], entry[1]),
+                 entry[2] if len(entry) > 2 else "auto")
+                for entry in manifest]
 
     def set_death_handler(
             self, handler: "Callable[[int, list[PendingJob]], None]"
@@ -787,11 +816,7 @@ class ReplicaSet:
             job.future.set_result((values, info))
 
     def _monitor_loop(self) -> None:
-        while True:
-            time.sleep(HEARTBEAT_S)
-            with self._lock:
-                if self._closing:
-                    return
+        while not self._stopped.wait(HEARTBEAT_S):
             now = clock.now()
             for replica in self.replicas:
                 if not replica.alive:
@@ -885,9 +910,10 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     def warm(self, manifest: Sequence[tuple],
              timeout: float | None = 120.0) -> dict:
-        """Broadcast a kernel manifest to every live replica and wait
-        for the acks; returns ``{replica_id: n_kernels}``."""
-        entries = list(manifest)
+        """Compile a kernel manifest here (:meth:`kernel`), broadcast
+        the kernels to every live replica and wait for the acks;
+        returns ``{replica_id: n_kernels}``."""
+        kernels = self._compile(manifest)
         futures: dict[int, Future] = {}
         for replica in self.replicas:
             if not replica.alive:
@@ -897,7 +923,7 @@ class ReplicaSet:
             with self._lock:
                 self._controls[(replica.replica_id, token)] = future
             try:
-                replica.send(("warm", token, entries))
+                replica.send(("warm", token, kernels))
             except ReplicaError as error:
                 with self._lock:
                     self._controls.pop((replica.replica_id, token), None)
@@ -931,6 +957,7 @@ class ReplicaSet:
             if self._closing:
                 return
             self._closing = True
+        self._stopped.set()
         for replica in self.replicas:
             if not replica.alive:
                 continue
@@ -944,7 +971,7 @@ class ReplicaSet:
                 replica.process.kill()
                 replica.process.join(timeout=10.0)
             self._mark_dead(replica)
-        for thread in self._receivers:
+        for thread in (*self._receivers, self._monitor):
             if thread is not threading.current_thread():
                 thread.join(timeout=10.0)
         # Every replica is buried (spills adopted where they existed);

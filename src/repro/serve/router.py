@@ -16,10 +16,10 @@ replica crashes:
   pin all traffic to one replica; when the hash-preferred replica has
   more than :data:`FALLBACK_DEPTH` in-flight dispatches above the least
   loaded live replica, the dispatch overflows to the least loaded one;
-* **warmup** — the serve manifest passed at construction warms every
-  replica's kernel cache at spawn (`ReplicaSet` replays it inside each
-  child before it reports ready), and :meth:`warm` broadcasts later
-  manifests to the live set;
+* **warmup** — the serve manifest passed at construction is compiled
+  once, in this process, and every replica adopts those kernels at
+  spawn and warms its executors before it reports ready; :meth:`warm`
+  does the same for later kernels on the live set;
 * **failover** — the replica set's death handler hands the router the
   dead replica's in-flight jobs (descriptor + payload + the caller's
   still-pending ``Future``); the router re-submits each to a survivor
@@ -47,7 +47,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.compiler import compile_cached
 from repro.errors import DeadlineExceeded, ReplicaError
 from repro.obs import clock
 from repro.obs.flightrec import get_flight_recorder
@@ -174,14 +173,14 @@ class ReplicaRouter:
                 lambda: self._outstanding == 0, timeout)
 
     def program(self, op, width: int):
-        """The µProgram the energy model prices for ``op``.  The parent
-        holds no kernels — they live in the replica processes — so it
-        compiles one, memoized process-wide, with default options."""
-        return compile_cached(op, width, self.backend)
+        """The µProgram the energy model prices for ``op``: the one the
+        replicas run, from the replica set's kernel table."""
+        return self.replicas.kernel(op, width).program
 
     def warm(self, op_or_root, width: int, engine) -> None:
-        """Broadcast one kernel to every live replica's caches (the
-        service's ``warmup`` target hook)."""
+        """Compile one kernel here and have every live replica adopt
+        it and warm its executors (the service's ``warmup`` target
+        hook)."""
         name = engine if isinstance(engine, str) else engine.name
         self.replicas.warm([(op_or_root, width, name)])
 

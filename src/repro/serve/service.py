@@ -1150,9 +1150,10 @@ class SimdramService:
         now = clock.now()
         on_time = (None if request.deadline is None
                    else now <= request.deadline)
-        # The target prices the kernel it ran: in-process targets hold
-        # it (a cache hit), only the replica router compiles — once per
-        # pack key, or never when warmup() already priced it.
+        # The target prices the kernel it ran, once per pack key (never
+        # when warmup() already priced it): in-process targets hold it,
+        # the replica router reads its set's kernel table, which
+        # compiles only a kernel nobody warmed.
         per_element = self._energy.nj_per_element(
             request.key,
             lambda: self._target.program(request.op, request.width))

@@ -10,9 +10,11 @@ and the merged postmortem contains the dead replica's final events.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import signal
+import tempfile
 
 import numpy as np
 import pytest
@@ -363,6 +365,16 @@ class TestReplicaBlackBox:
             spool = replicas.spool_dir
             assert os.path.isdir(spool)
         assert not os.path.exists(spool)
+
+    def test_spool_dir_removed_when_spawn_fails(self):
+        """A replica that cannot come up (here: a manifest engine it
+        cannot resolve) aborts the spawn and leaves no spool behind."""
+        pattern = os.path.join(tempfile.gettempdir(), "repro-flightrec-*")
+        before = set(glob.glob(pattern))
+        with pytest.raises(ReplicaError, match="failed to spawn"):
+            ReplicaSet(1, config=small_config(),
+                       manifest=[("add", 8, "no-such-engine")])
+        assert set(glob.glob(pattern)) == before
 
 
 class TestServeEvents:

@@ -534,6 +534,29 @@ class TestErrors:
             lazy.array(np.array([1.5, 2.5]),
                        device=lazy.device(shared_sim()))
 
+    def test_float_operands_rejected_when_lifted(self):
+        a = lazy.array([1, 2], width=8, device=lazy.device(shared_sim()))
+        with pytest.raises(OperationError, match="integer or bool"):
+            a + np.array([1.5, 2.5])
+
+    def test_bool_sources_match_the_module(self):
+        """The lazy frontend applies the host dtype rule of every other
+        door: a bool vector is a source, bit-exact to ``Simdram.map``."""
+        sim = shared_sim()
+        flags = np.array([True, False, True])
+        x = np.array([7, 200, 31])
+        source = lazy.array(flags, device=Simdram())
+        assert source.numpy().tolist() == [1, 0, 1]
+        device = lazy.device(sim)
+        summed = (lazy.array(flags, width=8, device=device)
+                  + lazy.array(x, width=8, device=device))
+        assert np.array_equal(summed.numpy(),
+                              sim.map("add", flags, x, width=8))
+        picked = lazy.where(flags, lazy.array(x, width=8, device=device),
+                            lazy.array(x // 2, width=8, device=device))
+        assert np.array_equal(picked.numpy(),
+                              sim.map("if_else", flags, x, x // 2, width=8))
+
     def test_non_1d_rejected(self):
         with pytest.raises(OperationError, match="1-D"):
             lazy.array(np.zeros((2, 2), dtype=np.int64),

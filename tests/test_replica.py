@@ -343,6 +343,8 @@ class TestSlabTransport:
                 future.result(0)
             assert replicas.n_inflight(0) == 0
             assert slot in slab.free
+            # Unstub the pipe, so that close() can still send ``stop``.
+            del replica.send
 
     def test_concurrent_submitters_share_the_slabs(self):
         """More submitter threads than cores, a tiny GIL switch
@@ -421,6 +423,95 @@ class TestSlabTransport:
             assert victim.slabs == []
             assert not victim_names & shm_entries()
         assert shm_entries() - before == set()
+
+
+# ---------------------------------------------------------------------------
+# compilation: Steps 1+2 run in the parent, replicas adopt the kernels
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def parent_only_compile(monkeypatch):
+    """``compile_for``, wherever it is bound, raising in any process
+    but this one; returns the list of compiles this process ran."""
+    from repro.core import framework
+    from repro.runtime import cluster, replica
+    real, parent, calls = framework.compile_for, os.getpid(), []
+
+    def guarded(config, op, width, backend):
+        if os.getpid() != parent:
+            raise AssertionError(f"pid {os.getpid()} ran Steps 1+2")
+        calls.append((op, width))
+        return real(config, op, width, backend)
+
+    for module in (framework, cluster, replica):
+        monkeypatch.setattr(module, "compile_for", guarded)
+    return calls
+
+
+def fused_root() -> expr.Expr:
+    return expr.relu(expr.sub(expr.inp("x"), expr.inp("y")))
+
+
+class TestParentCompiles:
+    def test_replicas_adopt_what_the_parent_compiled(
+            self, parent_only_compile):
+        """A spawn manifest kernel and a later warmed fused kernel both
+        run bit-exact on every replica, and no replica compiled."""
+        rng = np.random.default_rng(3)
+        x, y = rng.integers(0, 100, 32), rng.integers(0, 100, 32)
+        root = fused_root()
+        fused = WorkDescriptor(kind="expr", op_name=None, root=root,
+                               slot_names=("x", "y"), width=8,
+                               engine="auto")
+        with ReplicaSet(2, config=small_config(),
+                        manifest=[("add", 8)]) as replicas:
+            assert replicas.warm([(root, 8)]) == {0: 1, 1: 1}
+            for rid in (0, 1):
+                values, _ = replicas.submit(
+                    rid, add_desc(), [x, y], lanes=32).result(60)
+                assert np.array_equal(values, (x + y) % 256)
+                values, _ = replicas.submit(
+                    rid, fused, [x, y], lanes=32).result(60)
+                assert np.array_equal(values, np.maximum(x - y, 0))
+            assert replicas.alive_ids() == [0, 1]
+        # Once per kernel, all in this process.
+        assert [width for _, width in parent_only_compile] == [8, 8]
+        assert parent_only_compile[0][0] == "add"
+
+    def test_router_prices_the_program_the_replicas_run(
+            self, parent_only_compile):
+        """The router reads the set's kernel table — the very kernels
+        the replicas adopted — and never the process-wide catalog
+        memo."""
+        from repro.core.compiler import compile_cached
+        root = fused_root()
+        x, y = np.array([9, 2, 7]), np.array([4, 5, 7])
+        compile_cached.cache_clear()
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8)]) as router, \
+                SimdramService(router) as service:
+            service.warmup([(root, 8)])
+            handle = service.submit(root, feeds={"x": x, "y": y},
+                                    width=8)
+            assert np.array_equal(handle.result(60), [5, 0, 0])
+            assert handle.energy_nj > 0
+            # No replica compiles, so the table's kernel is the one
+            # they ran.
+            program = router.program(root, 8)
+            assert program is router.replicas.kernel(root, 8).program
+            assert program.source_hash is not None
+            assert router.program("add", 8) is router.replicas.kernel(
+                "add", 8).program
+        assert len(parent_only_compile) == 2
+        assert compile_cached.cache_info().currsize == 0
+
+    def test_close_joins_every_replica_thread(self):
+        """``close()`` returns with the receivers *and* the heartbeat
+        monitor gone — checked at once, with no patience."""
+        before = set(threading.enumerate())
+        ReplicaSet(1, config=small_config()).close()
+        assert [thread.name for thread in threading.enumerate()
+                if thread not in before
+                and thread.name.startswith("replica-")] == []
 
 
 # ---------------------------------------------------------------------------
