@@ -21,7 +21,8 @@ Two gates for the runtime subsystem (``repro.runtime``):
 Ungated, ``conv_hop`` publishes what the runtime costs the host: the
 wall time of the ``cluster_apps`` 3x3 convolution on a 4-module cluster
 beside the same taps on four standalone 256-lane modules, and how many
-of the conv's subtasks were queued to a module worker vs run inline.
+of the conv's subtasks waited for a held module vs ran on the
+dispatching thread.
 
 Numbers publish under the ``"cluster"`` gate of the shared
 ``bench_ci.json`` (see :mod:`gate_utils`) next to the other gates, so

@@ -70,9 +70,10 @@ class ControlUnit:
         self.plan_cache_size = plan_cache_size
         self._programs: dict[ProgramKey, MicroProgram] = {}
         self._plan_cache: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
-        # The runtime's async scheduler may install programs from the
-        # submitting thread while a module worker replays others; the
-        # scratchpad and plan cache are the only shared mutable state.
+        # The runtime's async scheduler may install programs from one
+        # caller's thread while another caller's thread holding the
+        # module replays others; the scratchpad and plan cache are the
+        # only shared mutable state.
         self._lock = threading.Lock()
         #: Plan-cache observability (tests, benchmarks).
         self.plan_cache_hits = 0
@@ -175,8 +176,8 @@ class ControlUnit:
                      engine: ExecutionEngine):
         """Fetch (or compile and memoize on the plan) ``engine``'s
         executor for a cached plan.  Compilation happens under the
-        control unit's lock so scheduler worker threads replaying the
-        same plan never duplicate codegen work."""
+        control unit's lock so callers' threads replaying the same plan
+        never duplicate codegen work."""
         executor = plan.executors.get(engine.name)
         if executor is not None:
             return executor

@@ -82,8 +82,8 @@ class ExecutionEngine:
 
     Engines are stateless after construction: :meth:`compile` is a
     pure function of the plan, so one instance may be shared freely
-    across scheduler worker threads (the cluster carries the resolved
-    instance on each job).
+    across the threads that run cluster subtasks (the cluster carries
+    the resolved instance on each job).
     """
 
     #: Table name (what ``engine="..."`` resolves).

@@ -258,7 +258,8 @@ def current_span() -> "Span | _NoopSpan":
 class use_span:
     """Context manager making ``span`` the ambient span without touching
     its lifetime — used to re-activate a captured span in a scheduler
-    worker thread or a packed-dispatch closure."""
+    subtask run on another caller's thread, or a packed-dispatch
+    closure."""
 
     __slots__ = ("_span", "_token")
 

@@ -13,9 +13,10 @@ shard goes through the :class:`~repro.runtime.scheduler.JobScheduler`
 to the module already holding the shard, which *adopts* the kernel
 into its control unit and dispatches it exactly as the single-module
 system would.  ``submit`` gives the same semantics asynchronously.
-Every verb runs where it is submitted when the job's dependencies are
-settled and its modules idle, and queues to the module workers
-otherwise (see :mod:`repro.runtime.scheduler`).
+The cluster starts no thread: every verb runs where it is submitted
+when the job's dependencies are settled and its modules idle, and
+otherwise waits in the busy module's FIFO for the thread holding that
+module (see :mod:`repro.runtime.scheduler`).
 
 Each module's modeled busy time (command latency plus channel I/O for
 transposition and paging, in simulated nanoseconds) is read from its
@@ -152,9 +153,9 @@ class SimdramCluster:
         row layout a batched dispatch binds (as
         :meth:`Simdram.warm_executor`).
 
-        Each module warms in a subtask of one job, under its module's
-        lock like any dispatch: binding the layout allocates and frees
-        rows, which must not interleave with a dispatch in flight.
+        Each module warms in a subtask of one job, holding its module
+        like any dispatch: binding the layout allocates and frees rows,
+        which must not interleave with a dispatch in flight.
         """
         engine = get_engine(engine)
 
@@ -198,8 +199,8 @@ class SimdramCluster:
         """Shard a host vector across the cluster and load it into DRAM.
 
         The load is a job: on idle modules it runs before this returns,
-        on a busy module it queues; the returned handle is usable as an
-        operand either way."""
+        on a busy module it waits in that module's FIFO; the returned
+        handle is usable as an operand either way."""
         values = np.asarray(values)
         if values.ndim != 1:
             raise OperationError(
@@ -218,8 +219,8 @@ class SimdramCluster:
                                     signed=shard.signed)
             pager.register(shard)
 
-        # Snapshot each chunk now: on a busy module the load is queued,
-        # and a caller mutating its array after tensor() returns must
+        # Snapshot each chunk now: on a busy module the load waits, and
+        # a caller mutating its array after tensor() returns must
         # not race with the deferred transpose-in.
         subtasks: list[Subtask] = [
             (shard.module_index,
@@ -230,8 +231,7 @@ class SimdramCluster:
             for shard in shards
         ]
         self.scheduler.submit(subtasks, writes=[tensor],
-                              label=f"load[{len(values)}]",
-                              caller_runs=True)
+                              label=f"load[{len(values)}]")
         return tensor
 
     def read_tensor(self, tensor: DeviceTensor) -> np.ndarray:
@@ -278,8 +278,7 @@ class SimdramCluster:
             for shard in tensor.shards
         ]
         self.scheduler.submit(subtasks, writes=[tensor],
-                              label=f"free[{tensor.n_elements}]",
-                              caller_runs=True)
+                              label=f"free[{tensor.n_elements}]")
 
     # ------------------------------------------------------------------
     # execution
@@ -356,7 +355,7 @@ class SimdramCluster:
             return self.scheduler.run(subtasks, reads=reads,
                                       finalizer=merge, label=label), None
         return self.scheduler.submit(subtasks, reads=reads, writes=[out],
-                                     label=label, caller_runs=True), out
+                                     label=label), out
 
     def submit(self, op: "str | Expr", *tensors: DeviceTensor,
                feeds: dict[str, DeviceTensor] | None = None,
@@ -472,7 +471,7 @@ class SimdramCluster:
         self.scheduler.barrier()
 
     def close(self) -> None:
-        """Drain the scheduler and stop the module workers."""
+        """Drain the scheduler: wait for every outstanding job."""
         self.scheduler.close()
 
     def __enter__(self) -> "SimdramCluster":

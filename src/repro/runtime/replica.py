@@ -1,11 +1,12 @@
 """Multi-process replication: N ``SimdramCluster`` replicas.
 
 Everything below the serving layer runs in one Python process, so
-worker threads only overlap the numpy portions of a dispatch — the
-Python fraction still serializes on the GIL.  This module is the
-scale-out answer: a :class:`ReplicaSet` spawns N replicas, each a full
-:class:`~repro.runtime.cluster.SimdramCluster` living in its **own
-process**, and gives the parent a thread-safe transport to them:
+callers' threads on different modules only overlap the numpy portions
+of a dispatch — the Python fraction still serializes on the GIL.  This
+module is the scale-out answer: a :class:`ReplicaSet` spawns N
+replicas, each a full :class:`~repro.runtime.cluster.SimdramCluster`
+living in its **own process**, and gives the parent a thread-safe
+transport to them:
 
 * **work descriptors** travel over a duplex pipe as pickled
   :class:`WorkDescriptor` objects — a catalog op name or a whole
@@ -29,10 +30,10 @@ process**, and gives the parent a thread-safe transport to them:
   spawn manifest and of :meth:`ReplicaSet.warm`, keeping one table of
   compiled :class:`~repro.core.fuse.Kernel` records; each replica
   adopts those kernels (through the fork at spawn, pickled in a
-  ``warm`` message later) and builds only its own execution plans and
-  executors, so a fresh replica's first dispatch replays a warm
-  pipeline.  A kernel nobody warmed compiles in the replica on its
-  first dispatch.
+  ``warm`` message later — only those it does not hold yet) and
+  builds only its own execution plans and executors, so a fresh
+  replica's first dispatch replays a warm pipeline.  A kernel nobody
+  warmed compiles in the replica on its first dispatch.
 
 The parent keeps every in-flight job's descriptor *and* payload until
 it resolves, so a job lost to a dying replica can be re-sent to a
@@ -425,6 +426,9 @@ class ReplicaHandle:
         self.rtt_avg_s: float | None = None
         #: Dispatches this replica completed (success or per-job error).
         self.jobs_done = 0
+        #: ``(kernel_identity, engine name)`` pairs this replica holds
+        #: warm: its spawn manifest plus every acknowledged ``warm``.
+        self.kernels: set[tuple[tuple[str, int, str], str]] = set()
         self._send_lock = threading.Lock()
 
     def note_ping(self, token: int) -> None:
@@ -530,8 +534,9 @@ class ReplicaSet:
                 daemon=True)
             process.start()
             child_conn.close()  # keep exactly one parent-side end open
-            self.replicas.append(
-                ReplicaHandle(i, process, parent_conn, [slab]))
+            replica = ReplicaHandle(i, process, parent_conn, [slab])
+            replica.kernels.update((k.key, e) for k, e in kernels)
+            self.replicas.append(replica)
             self._jobs[i] = {}
 
         # All replicas boot concurrently; collect readiness afterwards.
@@ -910,32 +915,41 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     def warm(self, manifest: Sequence[tuple],
              timeout: float | None = 120.0) -> dict:
-        """Compile a kernel manifest here (:meth:`kernel`), broadcast
-        the kernels to every live replica and wait for the acks;
-        returns ``{replica_id: n_kernels}``."""
+        """Compile a kernel manifest here (:meth:`kernel`), send every
+        live replica the kernels it does not hold yet and wait for the
+        acks; returns ``{replica_id: n_kernels sent}``.  A replica that
+        holds them all gets no message (replicas are never respawned,
+        so what one acknowledged stays warm)."""
         kernels = self._compile(manifest)
-        futures: dict[int, Future] = {}
+        pending: dict[int, tuple[Future, list[tuple[Kernel, str]]]] = {}
+        results = {}
         for replica in self.replicas:
             if not replica.alive:
+                continue
+            lacking = [(k, e) for k, e in kernels
+                       if (k.key, e) not in replica.kernels]
+            if not lacking:
+                results[replica.replica_id] = 0
                 continue
             token = next(self._tokens)
             future: Future = Future()
             with self._lock:
                 self._controls[(replica.replica_id, token)] = future
             try:
-                replica.send(("warm", token, kernels))
+                replica.send(("warm", token, lacking))
             except ReplicaError as error:
                 with self._lock:
                     self._controls.pop((replica.replica_id, token), None)
                 future.set_exception(error)
                 self._mark_dead(replica)
-            futures[replica.replica_id] = future
-        results = {}
-        for replica_id, future in futures.items():
+            pending[replica.replica_id] = (future, lacking)
+        for replica_id, (future, lacking) in pending.items():
             try:
                 results[replica_id] = future.result(timeout)
             except ReplicaError:
                 continue  # died mid-warm; failover covers its traffic
+            self.replicas[replica_id].kernels.update(
+                (k.key, e) for k, e in lacking)
         return results
 
     def kill(self, replica_id: int) -> None:

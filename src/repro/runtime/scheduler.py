@@ -1,27 +1,19 @@
-"""Async job scheduler: per-tensor dependency tracking, one lock per module.
+"""Async job scheduler: per-tensor dependency tracking, no threads.
 
 A *job* is one cluster-level operation (load a tensor, run an op or a
 fused expression, gather, free).  It fans out into per-shard *subtasks*,
-each bound to the module holding that shard.  A module is owned by a
-lock, not by a thread: every subtask runs under its module's lock,
-which serializes all mutation of that module's state (cell arrays,
-allocator, paging manager, control unit) — so subtasks of *different*
-modules run concurrently (numpy releases the GIL in its inner loops,
-so on a multi-core host this is real parallelism), while everything
-touching one module is totally ordered.
-
-Each module has a worker thread (started on its first queued subtask)
-and a count of its queued-or-running subtasks.  A job runs where it is
-submitted when it can: with ``caller_runs`` (every cluster verb, and
-:meth:`JobScheduler.run`) and the job's dependencies already settled,
-each module that is idle (nothing queued or running, lock free) at the
-job's first subtask there is claimed by the submitting thread, which
-runs *all* of the job's subtasks on it, in order, under that one claim
-— after every subtask bound to a busy module has been queued to its
-worker.  So a module sees its subtasks in the order its worker would
-have, and a settled job on idle modules costs no thread hop.  Raw
-:meth:`JobScheduler.submit` (``caller_runs=False``), an unsettled
-dependency or a busy module takes the worker path.
+each bound to the module holding that shard.  A module is a busy count
+plus a FIFO of waiting subtasks, both under the scheduler's one lock
+(flat combining: Hendler, Incze, Shavit and Tzafrir, SPAA 2010).  The
+thread dispatching a job claims every idle module the job touches and
+runs the job's subtasks there in order; a subtask for a busy module
+waits in its FIFO, and the thread holding the module runs it before
+letting the module go.  So one module's subtasks are totally ordered,
+different modules' may run at once on different callers' threads, and
+no thread is started.  A job with unsettled dependencies is dispatched
+by the thread that settles the last one.  A thread holding a module
+never blocks: the only waits are ``Future.result()`` in
+:meth:`JobScheduler.run` and :meth:`JobScheduler.barrier`.
 
 Ordering between jobs is derived from the tensors they touch:
 
@@ -39,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ExecutionError
@@ -48,8 +41,10 @@ from repro.obs.tracing import current_span, use_span
 if TYPE_CHECKING:
     from repro.runtime.tensor import DeviceTensor
 
-#: A subtask: (module index, thunk to run under that module's lock).
+#: A subtask: (module index, thunk to run while holding that module).
 Subtask = tuple[int, Callable[[], Any]]
+#: A placed subtask: (its job, its index in the job, its thunk).
+_Placed = tuple["_Job", int, Callable[[], Any]]
 
 
 class _Job:
@@ -64,15 +59,13 @@ class _Job:
         self.subtasks = list(subtasks)
         self.finalizer = finalizer
         self.future: Future = Future()
-        # The ambient trace span at submission time.  ContextVars do
-        # not cross ThreadPoolExecutor tasks, so each subtask
-        # re-activates this span on its worker thread — keeping
-        # cluster.dispatch/engine.execute spans attached to the
-        # request tree that queued the job.
+        # The ambient trace span at submission time.  A subtask may run
+        # on another caller's thread (the one holding its module, or the
+        # one settling the job's last dependency), so each subtask
+        # re-activates this span — keeping cluster.dispatch /
+        # engine.execute spans attached to the request tree that
+        # submitted the job.
         self.ctx_span = current_span()
-        #: Whether the dispatching thread may run subtasks on idle
-        #: modules itself (``caller_runs`` with every dependency settled).
-        self.caller_runs = False
         self._lock = threading.Lock()
         self._pending_deps = 0
         self._remaining = len(self.subtasks)
@@ -108,8 +101,7 @@ class _Job:
             self._finish()
             return
         for module_index, subtasks in self.scheduler._place(self).items():
-            self.scheduler._run_held(module_index, self._run_subtask,
-                                     subtasks)
+            self.scheduler._run_held(module_index, subtasks)
 
     def _run_subtask(self, index: int, thunk: Callable[[], Any]) -> None:
         with self._lock:
@@ -148,21 +140,19 @@ class _Job:
 
 
 class JobScheduler:
-    """Owns the per-module locks and workers and the tensor dependency
-    graph."""
+    """Owns the per-module busy counts and FIFOs and the tensor
+    dependency graph."""
 
     def __init__(self, n_modules: int) -> None:
-        # A ThreadPoolExecutor starts its thread on the first submit, so
-        # a module only ever driven by waiting callers never gets one.
-        self._executors = [
-            ThreadPoolExecutor(max_workers=1,
-                               thread_name_prefix=f"simdram-mod{i}")
-            for i in range(n_modules)
-        ]
-        self._module_locks = [threading.Lock() for _ in range(n_modules)]
-        #: Subtasks queued or running per module (under ``_lock``).
+        #: Subtasks waiting or running per module (under ``_lock``); a
+        #: module is held while its count is above zero.
         self._busy = [0] * n_modules
-        #: Subtasks handed to a worker / run by the submitting thread.
+        #: Subtasks waiting for a held module, per module (under
+        #: ``_lock``).
+        self._waiting: list[deque[_Placed]] = [
+            deque() for _ in range(n_modules)]
+        #: Subtasks that waited for a held module / ran on the thread
+        #: that dispatched their job.
         self.subtasks_queued = 0
         self.subtasks_inline = 0
         self._lock = threading.Lock()
@@ -173,50 +163,40 @@ class JobScheduler:
     # ------------------------------------------------------------------
     # module ownership
     # ------------------------------------------------------------------
-    def _place(self, job: _Job
-               ) -> dict[int, list[tuple[int, Callable[[], Any]]]]:
-        """Queue ``job``'s subtasks to their workers, except — when the
-        job lets its caller run — those on a module that is idle at the
-        job's first subtask there: such a module is claimed (lock held)
-        and the job's ``(index, thunk)`` subtasks on it are returned
-        under its index, in order, for the caller to run with
-        :meth:`_run_held`."""
-        here: dict[int, list[tuple[int, Callable[[], Any]]]] = {}
+    def _place(self, job: _Job) -> dict[int, list[_Placed]]:
+        """Append ``job``'s subtasks on busy modules to their FIFOs and
+        claim every idle module it touches: the job's subtasks on a
+        claimed module are returned under its index, in order, for the
+        dispatching thread to run with :meth:`_run_held`."""
+        here: dict[int, list[_Placed]] = {}
         with self._lock:
             for index, (module_index, thunk) in enumerate(job.subtasks):
                 claimed = here.get(module_index)
-                if (claimed is None and job.caller_runs
-                        and self._busy[module_index] == 0
-                        and self._module_locks[module_index].acquire(
-                            blocking=False)):
+                if claimed is None and self._busy[module_index] == 0:
                     claimed = here[module_index] = []
                 self._busy[module_index] += 1
                 if claimed is not None:
-                    claimed.append((index, thunk))
+                    claimed.append((job, index, thunk))
                     self.subtasks_inline += 1
                 else:
+                    self._waiting[module_index].append((job, index, thunk))
                     self.subtasks_queued += 1
-                    self._executors[module_index].submit(
-                        self._run_queued, module_index, job._run_subtask,
-                        [(index, thunk)])
         return here
 
-    def _run_queued(self, module_index: int, run: Callable[..., None],
-                    subtasks: list[tuple[int, Callable[[], Any]]]) -> None:
-        self._module_locks[module_index].acquire()
-        self._run_held(module_index, run, subtasks)
-
-    def _run_held(self, module_index: int, run: Callable[..., None],
-                  subtasks: list[tuple[int, Callable[[], Any]]]) -> None:
-        """Run subtasks in order under their (already held) module
-        lock, then hand the module on."""
-        try:
-            for index, thunk in subtasks:
-                run(index, thunk)
-        finally:
+    def _run_held(self, module_index: int,
+                  subtasks: list[_Placed]) -> None:
+        """Run subtasks in order on a module this thread holds, then
+        whatever waited for it meanwhile.  The count covers waiting and
+        running subtasks alike, so it reaches zero — the module is let
+        go — only in the same critical section that finds none waiting."""
+        waiting = self._waiting[module_index]
+        while subtasks:
+            for job, index, thunk in subtasks:
+                job._run_subtask(index, thunk)
             with self._lock:
                 self._busy[module_index] -= len(subtasks)
-            self._module_locks[module_index].release()
+                subtasks = list(waiting)
+                waiting.clear()
 
     # ------------------------------------------------------------------
     # submission
@@ -225,15 +205,14 @@ class JobScheduler:
                reads: Sequence["DeviceTensor"] = (),
                writes: Sequence["DeviceTensor"] = (),
                finalizer: Callable[[list], Any] | None = None,
-               label: str = "", *, caller_runs: bool = False) -> Future:
+               label: str = "") -> Future:
         """Submit one job; returns its future (result = finalizer output,
         or the list of per-subtask results).
 
-        With ``caller_runs`` and the job's dependencies already settled,
-        the subtasks bound to idle modules run on the calling thread
-        before this returns (see the module docstring); every other
-        subtask, and every subtask without ``caller_runs``, is queued to
-        its module's worker.
+        With the job's dependencies already settled, the subtasks bound
+        to idle modules run on the calling thread before this returns,
+        and every other subtask waits in its module's FIFO (see the
+        module docstring).
         """
         job = _Job(self, next(self._ids), label, subtasks, finalizer)
         with self._lock:
@@ -260,9 +239,7 @@ class JobScheduler:
             self._outstanding.add(job.future)
         # Arm outside the lock: already-done dependencies run their
         # callbacks inline, which may dispatch (and even finish) the job
-        # — on this thread, so with every dependency settled the caller
-        # is the dispatcher and may run subtasks itself.
-        job.caller_runs = caller_runs and all(dep.done() for dep in deps)
+        # on this thread.
         job.wait_for(deps)
         return job.future
 
@@ -271,10 +248,10 @@ class JobScheduler:
             writes: Sequence["DeviceTensor"] = (),
             finalizer: Callable[[list], Any] | None = None,
             label: str = "") -> Any:
-        """:meth:`submit` with ``caller_runs``, then wait: returns the
-        job's result, re-raising its failure."""
-        return self.submit(subtasks, reads, writes, finalizer, label,
-                           caller_runs=True).result()
+        """:meth:`submit`, then wait: returns the job's result,
+        re-raising its failure."""
+        return self.submit(subtasks, reads, writes, finalizer,
+                           label).result()
 
     def _job_done(self, future: Future) -> None:
         with self._lock:
@@ -305,22 +282,19 @@ class JobScheduler:
             return len(self._outstanding)
 
     def close(self) -> None:
-        """Drain outstanding jobs and stop the workers (idempotent).
+        """Drain outstanding jobs (idempotent).
 
         Safe to call repeatedly and from several threads at once: the
         first caller flips ``_closed`` (under the same lock ``submit``
-        takes, so no new job can slip in), drains what was already
-        queued, and shuts the worker executors down; every later call
-        returns immediately.  Submission after close raises
-        :class:`~repro.errors.ExecutionError`.
+        takes, so no new job can slip in) and drains what was already
+        submitted; every later call returns immediately.  Submission
+        after close raises :class:`~repro.errors.ExecutionError`.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self.barrier(raise_on_error=False)
-        for executor in self._executors:
-            executor.shutdown(wait=True)
 
     def __enter__(self) -> "JobScheduler":
         return self

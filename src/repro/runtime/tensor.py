@@ -84,7 +84,8 @@ class DeviceTensor:
 
     Handles are returned by cluster operations before their values need
     exist: the values materialize when the scheduler runs the producing
-    job, on the submitting thread or, behind a busy module, a worker.
+    job, on the submitting thread or, behind a busy module, on the
+    thread holding that module.
     :meth:`to_numpy` and :meth:`free` are themselves scheduled jobs, so
     they observe every previously submitted operation on this tensor.
     """

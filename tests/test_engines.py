@@ -3,8 +3,8 @@
 Covers the table contract (what the benchmark harness reads, unknown
 and non-string specs, the ``"auto"`` resolver), the typed
 :class:`~repro.errors.EngineError` paths in the control unit, engine
-instances riding through the cluster's :class:`JobScheduler` worker
-threads, compiled-callable cache accounting, and bit-exactness of
+instances riding through the cluster's :class:`JobScheduler` on the
+callers' threads, compiled-callable cache accounting, and bit-exactness of
 every engine on the cluster and serve paths (the module path is swept
 exhaustively in ``test_exec_plan.py``).
 """
@@ -192,7 +192,7 @@ class TestInstanceEntryPoints:
 
 
 # ---------------------------------------------------------------------------
-# cluster: resolved instance on the job, worker-thread safety
+# cluster: resolved instance on the job, thread safety
 # ---------------------------------------------------------------------------
 class TestClusterEngines:
     def test_job_handle_carries_resolved_engine(self):
@@ -226,8 +226,8 @@ class TestClusterEngines:
 
     def test_one_instance_shared_across_worker_threads(self):
         """One CompiledEngine instance serves concurrent jobs on every
-        scheduler worker; compiles happen under the per-module control
-        unit lock, so results stay bit-exact with no duplicated or
+        module; compiles happen under the per-module control unit
+        lock, so results stay bit-exact with no duplicated or
         torn codegen state."""
         engine = CompiledEngine()
         rng = np.random.default_rng(23)

@@ -504,6 +504,34 @@ class TestParentCompiles:
         assert len(parent_only_compile) == 2
         assert compile_cached.cache_info().currsize == 0
 
+    def test_warm_sends_only_what_a_replica_lacks(self):
+        """A manifest the replicas adopted at spawn is not shipped again
+        by ``warmup``; a new fused kernel goes once to each replica, and
+        warming it again sends nothing.  Answers stay bit-exact."""
+        root = fused_root()
+        x, y = np.array([9, 2, 7, 200]), np.array([4, 5, 7, 100])
+        with ReplicaRouter(2, config=small_config(),
+                           manifest=[("add", 8)]) as router, \
+                SimdramService(router) as service:
+            warms: list[tuple[int, int]] = []
+            for replica in router.replicas.replicas:
+                def send(message, _real=replica.send,
+                         _rid=replica.replica_id):
+                    if message[0] == "warm":
+                        warms.append((_rid, len(message[2])))
+                    _real(message)
+                replica.send = send
+            service.warmup([("add", 8)])
+            assert warms == []
+            service.warmup([(root, 8), ("add", 8)])
+            assert sorted(warms) == [(0, 1), (1, 1)]
+            assert router.replicas.warm([(root, 8)]) == {0: 0, 1: 0}
+            assert len(warms) == 2
+            add = service.submit("add", x, y, width=8)
+            fused = service.submit(root, feeds={"x": x, "y": y}, width=8)
+            assert np.array_equal(add.result(60), (x + y) % 256)
+            assert np.array_equal(fused.result(60), np.maximum(x - y, 0))
+
     def test_close_joins_every_replica_thread(self):
         """``close()`` returns with the receivers *and* the heartbeat
         monitor gone — checked at once, with no patience."""
