@@ -2,8 +2,15 @@
 
 Distance computation between the query and every reference vector is the
 PIM-friendly bulk of kNN: each reference is one SIMD lane, and the L1
-distance accumulates |x_d - q_d| over the feature dimensions using
-``sub``/``abs``/``add`` µPrograms.  The final top-k selection is a
+distance accumulates |x_d - q_d| over the feature dimensions.  The
+paper's op mix (:func:`knn_kernel`) is ``sub``/``abs``/``add`` at
+``DIST_BITS``.  On the simulator each (query, feature) step is one fused
+kernel, ``add(acc, abs(sub(x, q)))`` at ``DIST_BITS``
+(:func:`knn_step_expr`), whose feature leaves ``x`` and ``q`` declare
+their 8-bit unsigned data: they occupy 8 rows, are transposed at 8 bits,
+and are zero-extended inside the circuit, so the upper half of the
+subtractor computes nothing.  Each reference column is transposed once
+per call, not once per query.  The final top-k selection is a
 cross-lane operation done on the host after reading the distance vector
 back (charged as host work in the kernel model).
 """
@@ -13,8 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.common import KernelModel, OpInvocation
+from repro.core import expr
 from repro.core.framework import Simdram
 from repro.errors import OperationError
+from repro.exec.transposition import check_host_fits
 
 FEATURE_BITS = 8
 DIST_BITS = 16
@@ -39,6 +48,15 @@ def knn_kernel(n_references: int = 60_000, n_features: int = 64,
     )
 
 
+def knn_step_expr() -> expr.Expr:
+    """One accumulation step, ``acc + |x - q|`` at ``DIST_BITS``, with
+    the reference feature ``x`` and the broadcast query feature ``q``
+    declared ``FEATURE_BITS``-bit unsigned."""
+    x = expr.inp("x", width=FEATURE_BITS)
+    q = expr.inp("q", width=FEATURE_BITS)
+    return expr.add(expr.inp("acc"), expr.abs(expr.sub(x, q)))
+
+
 def knn_classify_simdram(sim: Simdram, references: np.ndarray,
                          labels: np.ndarray, queries: np.ndarray,
                          k: int = 3) -> np.ndarray:
@@ -46,7 +64,8 @@ def knn_classify_simdram(sim: Simdram, references: np.ndarray,
 
     ``references`` is (n_refs, n_features) uint8, ``queries`` is
     (n_queries, n_features) uint8.  Distances are computed lane-parallel
-    with SIMDRAM ops; the top-k vote happens on the host.
+    with one fused SIMDRAM kernel per (query, feature); the top-k vote
+    happens on the host.
     """
     references = np.asarray(references)
     queries = np.asarray(queries)
@@ -55,31 +74,35 @@ def knn_classify_simdram(sim: Simdram, references: np.ndarray,
         raise OperationError("references and queries must be 2-D")
     if len(labels) != len(references):
         raise OperationError("one label per reference required")
+    for name, values in (("references", references), ("queries", queries)):
+        check_host_fits(values, FEATURE_BITS, False, f"kNN {name}")
     n_refs, n_features = references.shape
+    step = knn_step_expr()
 
+    columns = [sim.array(references[:, d], FEATURE_BITS)
+               for d in range(n_features)]
     predictions = []
-    for query in queries:
-        distances = sim.array(np.zeros(n_refs, dtype=np.int64), DIST_BITS,
-                              signed=True)
-        for d in range(n_features):
-            column = sim.array(references[:, d].astype(np.int64),
-                               DIST_BITS, signed=True)
-            broadcast = sim.array(
-                np.full(n_refs, int(query[d]), dtype=np.int64),
-                DIST_BITS, signed=True)
-            diff = sim.run("sub", column, broadcast)
-            diff.signed = True
-            magnitude = sim.run("abs", diff)
-            new_distances = sim.run("add", distances, magnitude)
-            new_distances.signed = True
-            for stale in (column, broadcast, diff, magnitude, distances):
-                stale.free()
-            distances = new_distances
-        host_distances = distances.to_numpy()
-        distances.free()
-        nearest = np.argsort(host_distances, kind="stable")[:k]
-        votes = np.bincount(labels[nearest])
-        predictions.append(int(np.argmax(votes)))
+    try:
+        for query in queries:
+            distances = sim.array(np.zeros(n_refs, dtype=np.int64),
+                                  DIST_BITS)
+            for column, feature in zip(columns, query):
+                broadcast = sim.array(np.full(n_refs, feature),
+                                      FEATURE_BITS)
+                new_distances = sim.run(
+                    step, feeds={"x": column, "q": broadcast,
+                                 "acc": distances}, width=DIST_BITS)
+                broadcast.free()
+                distances.free()
+                distances = new_distances
+            host_distances = distances.to_numpy()
+            distances.free()
+            nearest = np.argsort(host_distances, kind="stable")[:k]
+            votes = np.bincount(labels[nearest])
+            predictions.append(int(np.argmax(votes)))
+    finally:
+        for column in columns:
+            column.free()
     return np.asarray(predictions)
 
 

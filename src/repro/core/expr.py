@@ -21,7 +21,11 @@ Leaves are either named inputs (:func:`inp`) — DRAM-resident operands
 bound at execution time, at most three per DAG because the ``bbop``
 instruction carries three source addresses — or broadcast constants
 (:func:`const`), which cost no rows at all: their bits fold into the
-MIG as C-group constants.
+MIG as C-group constants.  An input takes its consumer's width unless
+it declares the width of its data (``inp("x", width=8)``): a declared
+leaf occupies only its own rows and is extended to each consumer's
+width inside the circuit, by wires (constant-0 nets, or its MSB net
+when ``signed``), so narrow data costs no extension gate.
 
 Every catalog operation is exposed as a module-level builder
 (``expr.add(a, b)``, ``expr.relu(x)``, ...), including operations
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.core.operations import CATALOG, OperationSpec, get_operation
 from repro.errors import OperationError
-from repro.util.bitops import mask_for_width, to_unsigned
+from repro.util.bitops import mask_for_width, to_signed, to_unsigned
 
 #: Leaf kinds of an expression DAG.
 KIND_INPUT = "input"
@@ -57,6 +61,10 @@ class Expr:
     name: str | None = None               # leaf name (KIND_INPUT)
     value: int | None = None              # broadcast value (KIND_CONST)
     children: tuple["Expr", ...] = field(default=())
+    #: Declared data width and signedness of an input leaf (``None``:
+    #: the leaf takes its consumer's width; see :func:`inp`).
+    width: int | None = None
+    signed: bool | None = None
 
     def __hash__(self) -> int:
         # The generated dataclass hash recurses through ``children``
@@ -66,17 +74,17 @@ class Expr:
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.kind, self.op, self.name, self.value,
-                           self.children))
+                           self.children, self.width, self.signed))
             object.__setattr__(self, "_hash", cached)
         return cached
 
     def __reduce__(self):
-        # Only the five fields cross a pickle boundary: the memos
+        # Only the fields cross a pickle boundary: the memos
         # (``_hash``, ``_dag_hash``, ``_analyses``) are per process —
         # a string's hash is salted per interpreter — and are rebuilt
         # on first use by whoever unpickles the node.
         return (Expr, (self.kind, self.op, self.name, self.value,
-                       self.children))
+                       self.children, self.width, self.signed))
 
     # -- sugar ---------------------------------------------------------
     def __add__(self, other: "Expr | int") -> "Expr":
@@ -99,18 +107,43 @@ class Expr:
 
     def __repr__(self) -> str:
         if self.kind == KIND_INPUT:
-            return f"inp({self.name!r})"
+            if self.width is None:
+                return f"inp({self.name!r})"
+            sign = ", signed=True" if self.signed else ""
+            return f"inp({self.name!r}, width={self.width}{sign})"
         if self.kind == KIND_CONST:
             return f"const({self.value})"
         inner = ", ".join(repr(c) for c in self.children)
         return f"{self.op}({inner})"
 
 
-def inp(name: str) -> Expr:
-    """A named input leaf: a DRAM-resident operand bound at run time."""
+def inp(name: str, width: int | None = None,
+        signed: bool | None = None) -> Expr:
+    """A named input leaf: a DRAM-resident operand bound at run time.
+
+    By default the leaf takes the width of the operand slot it feeds.
+    ``width`` declares the width of its data instead (``signed``, default
+    unsigned, its encoding): the operand then occupies ``width`` rows
+    and is extended to each consumer's width inside the circuit, for
+    free.  A declared leaf is a different kernel input from a default
+    one of the same name, and every door rejects values that do not
+    fit it.
+    """
     if not name or not isinstance(name, str):
         raise OperationError("input leaves need a non-empty string name")
-    return Expr(KIND_INPUT, name=name)
+    if width is None:
+        if signed is not None:
+            raise OperationError(
+                f"input {name!r}: signed= describes declared data; "
+                f"give width= too")
+        return Expr(KIND_INPUT, name=name)
+    if isinstance(width, bool) or not isinstance(width, (int, np.integer)) \
+            or width < 1:
+        raise OperationError(
+            f"input {name!r}: width must be a positive integer, "
+            f"got {width!r}")
+    return Expr(KIND_INPUT, name=name, width=int(width),
+                signed=bool(signed))
 
 
 def const(value: int) -> Expr:
@@ -189,6 +222,18 @@ def input_names(root: Expr) -> list[str]:
     return names
 
 
+def input_leaves(root: Expr) -> dict[str, Expr]:
+    """Each input leaf by name, in operand-slot order: the input
+    children of every operation, operations in post order (the order
+    of :attr:`ExprAnalysis.input_widths`)."""
+    leaves: dict[str, Expr] = {}
+    for node in post_order(root):
+        for child in node.children:
+            if child.kind == KIND_INPUT:
+                leaves.setdefault(child.name, child)
+    return leaves
+
+
 def n_ops(root: Expr) -> int:
     """Number of catalog operations stitched into the DAG."""
     return sum(1 for node in post_order(root) if node.kind == KIND_OP)
@@ -207,8 +252,11 @@ def dag_hash(root: Expr) -> str:
     if cached is None:
         digest: dict[Expr, str] = {}
         for node in post_order(root):
-            if node.kind == KIND_INPUT:
+            if node.kind == KIND_INPUT and node.width is None:
                 token = f"i:{node.name}"
+            elif node.kind == KIND_INPUT:
+                sign = "s" if node.signed else "u"
+                token = f"i{node.width}{sign}:{node.name}"
             elif node.kind == KIND_CONST:
                 token = f"c:{node.value}"
             else:
@@ -231,6 +279,10 @@ class ExprAnalysis:
     root: Expr
     width: int                       # pipeline element width
     input_widths: Mapping[str, int]  # leaf name -> bit width (read-only)
+    #: Declared leaf name -> its signedness (leaves built with
+    #: ``inp(name, width=...)``; their ``input_widths`` entry is the
+    #: declared width).  Read-only.
+    declared: Mapping[str, bool]
     #: const leaf -> every width it is consumed at.  Constants are free
     #: (their bits fold into the MIG), so one value may legally feed
     #: consumers of different widths — it is encoded per consumer.
@@ -246,7 +298,9 @@ def analyze(root: Expr, width: int) -> ExprAnalysis:
     Each operation is instantiated at the pipeline width, exactly like a
     sequence of :meth:`Simdram.run` calls at that width: a child
     operation's output width must equal the width its consumer expects,
-    and an input leaf's width is set by its consumers (consistently).
+    and an input leaf's width is set by its consumers (consistently) —
+    or by its declaration, which may be narrower than a consumer's
+    width (the leaf is extended) but never wider.
 
     Memoized on the root per width, like :func:`dag_hash`: a served
     kernel is validated once, not on every request or stream step, and
@@ -277,16 +331,25 @@ def _analyze(root: Expr, width: int) -> ExprAnalysis:
     if width < 1:
         raise OperationError(f"width must be >= 1, got {width}")
 
+    leaves = input_leaves(root)
     input_widths: dict[str, int] = {}
     const_widths: dict[Expr, set[int]] = {}
 
     def require(child: Expr, needed: int, parent: OperationSpec,
                 slot: int) -> None:
         if child.kind == KIND_INPUT:
-            known = input_widths.get(child.name)
-            if known is None:
-                input_widths[child.name] = needed
-            elif known != needed:
+            if leaves[child.name] != child:
+                raise OperationError(
+                    f"input {child.name!r} is declared as both "
+                    f"{leaves[child.name]!r} and {child!r}")
+            if child.width is not None and child.width > needed:
+                raise OperationError(
+                    f"input {child.name!r} declares {child.width}-bit "
+                    f"data but feeds {parent.name} operand {slot}, "
+                    f"which is {needed}-bit")
+            have = needed if child.width is None else child.width
+            known = input_widths.setdefault(child.name, have)
+            if known != have:
                 raise OperationError(
                     f"input {child.name!r} is consumed at {known}-bit and "
                     f"{needed}-bit widths; a fused operand has one width")
@@ -302,7 +365,6 @@ def _analyze(root: Expr, width: int) -> ExprAnalysis:
                     f"but {child.op} produces {produced}-bit results "
                     f"at pipeline width {width}")
 
-    ordered_inputs: dict[str, int] = {}
     for node in post_order(root):
         if node.kind != KIND_OP:
             continue
@@ -310,12 +372,9 @@ def _analyze(root: Expr, width: int) -> ExprAnalysis:
         for slot, (child, needed) in enumerate(
                 zip(node.children, spec.in_widths(width))):
             require(child, needed, spec, slot)
-        for child in node.children:
-            if child.kind == KIND_INPUT and child.name not in ordered_inputs:
-                ordered_inputs[child.name] = input_widths[child.name]
 
     # Preserve first-use order in the mapping (drives operand slots).
-    input_widths = {name: input_widths[name] for name in ordered_inputs}
+    input_widths = {name: input_widths[name] for name in leaves}
     if not input_widths:
         raise OperationError(
             "a fused expression needs at least one input leaf "
@@ -325,6 +384,9 @@ def _analyze(root: Expr, width: int) -> ExprAnalysis:
     return ExprAnalysis(
         root=root, width=width,
         input_widths=MappingProxyType(input_widths),
+        declared=MappingProxyType(
+            {name: leaf.signed for name, leaf in leaves.items()
+             if leaf.width is not None}),
         const_widths=MappingProxyType(
             {node: tuple(sorted(widths))
              for node, widths in const_widths.items()}),
@@ -399,7 +461,8 @@ def golden(root: Expr, inputs: dict[str, np.ndarray],
 
     ``inputs`` maps leaf names to **unsigned-encoded** vectors (the same
     encoding the per-operation golden models use); the result is the
-    unsigned encoding of the root's output.
+    unsigned encoding of the root's output.  A declared leaf's value is
+    its low ``width`` bits, zero- or sign-extended to each consumer.
     """
     analysis = analyze(root, width)
     missing = set(analysis.input_widths) - set(inputs)
@@ -420,7 +483,10 @@ def golden(root: Expr, inputs: dict[str, np.ndarray],
     def value_of(child: Expr, needed_width: int) -> np.ndarray:
         if child.kind == KIND_INPUT:
             w = analysis.input_widths[child.name]
-            return np.asarray(inputs[child.name]) & mask_for_width(w)
+            value = np.asarray(inputs[child.name]) & mask_for_width(w)
+            if child.signed and needed_width > w:
+                value = to_unsigned(to_signed(value, w), needed_width)
+            return value
         if child.kind == KIND_CONST:
             # Encoded at the width this consumer expects (one const
             # value may feed consumers of different widths).

@@ -518,7 +518,7 @@ class Simdram:
         output, issue.  A failing execution releases its temporary
         block *and* the output allocation instead of leaking them."""
         if width is None:
-            width = resident_width(positional, feeds)
+            width = resident_width(op, positional, feeds)
         kernel = self.compile(op, width, backend)
         operands = kernel.bind(positional, feeds)
         for operand in operands:
@@ -622,6 +622,8 @@ class Simdram:
         vectors = [np.asarray(values)
                    for values in kernel.bind(positional, feeds)]
         n_total = same_length(kernel.op_name, [len(v) for v in vectors])
+        if kernel.declared_slots:
+            kernel.check_host(vectors)
         lanes = self.module.lanes
         out_width = kernel.out_width
 
@@ -665,8 +667,10 @@ class Simdram:
         sized per the operation's spec automatically.  Host values are
         encoded as two's complement at each slot's width on the way
         in, so negative inputs work with the signed operations
-        directly; the result's signedness follows the root operation's
-        spec.
+        directly — except at a leaf that declares its width
+        (``expr.inp(name, width=...)``), whose values must fit it
+        (:meth:`~repro.core.fuse.Kernel.check_host`).  The result's
+        signedness follows the root operation's spec.
         """
         return self._map(op, host_operands, feeds, width, backend, engine)
 

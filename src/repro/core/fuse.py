@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ from repro.core.expr import (
     analyze,
     dag_hash,
     inp,
+    input_leaves,
     post_order,
 )
 from repro.core.operations import (
@@ -60,6 +61,7 @@ from repro.core.operations import (
     get_operation,
 )
 from repro.errors import OperationError
+from repro.exec.transposition import check_host_fits
 from repro.isa.instructions import register_opcode
 from repro.logic.circuit import Circuit, Net
 from repro.logic.mig import Mig
@@ -95,9 +97,11 @@ class Kernel:
 
     ``input_names``/``input_widths`` give the operand slots in ``bbop``
     source order (for a catalog operation the leaves are ``a``, ``b``,
-    ``c``); ``outputs`` lists each result's slice of the OUTPUT block,
-    in the order the roots were given.  A catalog operation or a single
-    expression has one output named ``y``.
+    ``c``); ``input_signed`` is a declared leaf's signedness and
+    ``None`` for a leaf that takes its slot's width; ``outputs`` lists
+    each result's slice of the OUTPUT block, in the order the roots
+    were given.  A catalog operation or a single expression has one
+    output named ``y``.
     """
 
     program: MicroProgram
@@ -105,7 +109,19 @@ class Kernel:
     backend: str
     input_names: tuple[str, ...]
     input_widths: tuple[int, ...]
+    input_signed: tuple[bool | None, ...]
     outputs: tuple[Output, ...]
+
+    #: Slots bound to declared leaves (empty for every catalog
+    #: operation): a host door calls :meth:`check_host` only when there
+    #: are any.  Derived at construction, like every other attribute,
+    #: so that a dispatch reads it as a plain instance attribute.
+    declared_slots: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "declared_slots", tuple(
+            slot for slot, signed in enumerate(self.input_signed)
+            if signed is not None))
 
     @property
     def op_name(self) -> str:
@@ -135,17 +151,38 @@ class Kernel:
 
     def check_resident(self, operands: Sequence) -> int:
         """Validate DRAM-resident operands (arrays or tensors, in slot
-        order): live, of each slot's width, equally long.  Returns the
-        element count."""
-        for name, operand, expected in zip(self.input_names, operands,
-                                           self.input_widths):
+        order): live, of each slot's width — and of a declared slot's
+        signedness — equally long.  Returns the element count."""
+        for name, operand, expected, signed in zip(
+                self.input_names, operands, self.input_widths,
+                self.input_signed):
             operand.require_live()
             if operand.width != expected:
                 raise OperationError(
                     f"{self.op_name} input {name!r} must be "
                     f"{expected}-bit, got {operand.width}-bit")
+            if signed is not None and operand.signed != signed:
+                raise OperationError(
+                    f"{self.op_name} input {name!r} is declared "
+                    f"{_encoding(signed)}, got a {_encoding(operand.signed)}"
+                    f" operand")
         return same_length(self.op_name,
                            [operand.n_elements for operand in operands])
+
+    def check_host(self, vectors: Sequence[np.ndarray]) -> None:
+        """Validate host vectors (in slot order) against the declared
+        leaves (:func:`~repro.exec.transposition.check_host_fits`); a
+        default leaf takes any integer, encoded as two's complement at
+        its slot's width."""
+        for slot in self.declared_slots:
+            check_host_fits(vectors[slot], self.input_widths[slot],
+                            self.input_signed[slot],
+                            f"{self.op_name} input "
+                            f"{self.input_names[slot]!r}")
+
+
+def _encoding(signed: bool) -> str:
+    return "signed" if signed else "unsigned"
 
 
 def bind_operands(what: str, names: Sequence[str], positional: Sequence,
@@ -178,18 +215,39 @@ def bind_operands(what: str, names: Sequence[str], positional: Sequence,
     return tuple(feeds[name] for name in names)
 
 
-def resident_width(positional: Sequence, feeds: "dict | None") -> int:
+def resident_width(op: KernelSource, positional: Sequence,
+                   feeds: "dict | None") -> int:
     """The pipeline width DRAM-resident operands imply when the caller
     names none: the last positional operand's (an operation's fixed
     narrow slots, e.g. ``if_else``'s select, come first), or the widest
-    of a named binding (pass ``width`` explicitly for pipelines whose
-    operands are all narrower than the element width)."""
-    operands = positional if feeds is None else tuple(feeds.values())
-    if not operands:
+    of a named binding.  Operands bound to declared leaves of ``op``
+    say nothing about it and are passed over (pass ``width`` explicitly
+    for pipelines whose operands are all narrower than the element
+    width)."""
+    leaves = _input_leaves(op)
+    bound = (list(zip(leaves or [None] * len(positional), positional))
+             if feeds is None else list(feeds.items()))
+    if not bound:
         raise OperationError("an execution needs at least one operand")
-    if feeds is None:
-        return operands[-1].width
-    return max(operand.width for operand in operands)
+    widths = [operand.width for name, operand in bound
+              if name not in leaves or leaves[name].width is None]
+    if not widths:
+        raise OperationError(
+            "every operand is bound to a declared leaf, which does not "
+            "set the pipeline width; pass width=")
+    return widths[-1] if feeds is None else max(widths)
+
+
+def _input_leaves(op: KernelSource) -> dict[str, Expr]:
+    """The input leaves of an ``Expr`` or named-roots source by name,
+    in operand-slot order (empty for a catalog operation)."""
+    if isinstance(op, (str, OperationSpec)):
+        return {}
+    leaves: dict[str, Expr] = {}
+    for root in (op.values() if isinstance(op, dict) else (op,)):
+        for name, leaf in input_leaves(root).items():
+            leaves.setdefault(name, leaf)
+    return leaves
 
 
 def same_length(what: str, lengths: Sequence[int]) -> int:
@@ -226,6 +284,7 @@ def catalog_name(root: Expr) -> "str | None":
         return None
     leaves = root.children
     if any(leaf.kind != KIND_INPUT or leaf.name != prefix
+           or leaf.width is not None
            for leaf, prefix in zip(leaves, _SLOT_PREFIXES)):
         return None
     return root.op
@@ -283,14 +342,23 @@ def kernel_inputs(op: KernelSource, width: int) -> dict[str, int]:
         if width < 1:
             raise OperationError(f"width must be >= 1, got {width}")
         return dict(zip(spec.operand_names(), spec.in_widths(width)))
-    inputs: dict[str, int] = {}
-    for root in (op.values() if isinstance(op, dict) else (op,)):
-        for leaf, w in analyze(root, width).input_widths.items():
-            known = inputs.setdefault(leaf, w)
-            if known != w:
-                raise OperationError(
-                    f"input {leaf!r} is consumed at {known}-bit and "
-                    f"{w}-bit widths across roots")
+    if isinstance(op, Expr):
+        inputs = dict(analyze(op, width).input_widths)
+    else:
+        inputs, declared = {}, {}
+        for root in op.values():
+            analysis = analyze(root, width)
+            for leaf, w in analysis.input_widths.items():
+                known = inputs.setdefault(leaf, w)
+                if known != w:
+                    raise OperationError(
+                        f"input {leaf!r} is consumed at {known}-bit and "
+                        f"{w}-bit widths across roots")
+                signed = analysis.declared.get(leaf)
+                if declared.setdefault(leaf, signed) != signed:
+                    raise OperationError(
+                        f"input {leaf!r} is declared differently across "
+                        f"roots")
     if len(inputs) > MAX_FUSED_INPUTS:
         raise OperationError(
             f"fused expression binds {len(inputs)} distinct inputs "
@@ -311,7 +379,9 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     Each operation's circuit factory receives its children's *output
     nets* directly as operand bit lists — the wiring that makes
     intermediates free.  Input leaves become circuit inputs named by
-    their operand slot (``a0..``, ``b0..``, ``c0..``), constants become
+    their operand slot (``a0..``, ``b0..``, ``c0..``); a declared leaf
+    narrower than its consumer is extended by wires (the constant-0 net,
+    or its MSB net when signed), not gates.  Constants become
     constant nets encoded at the width each consumer expects (the same
     const value may feed consumers of different widths); the circuit's
     structural hashing dedups subgraphs shared between roots.
@@ -319,14 +389,15 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
     slot_of = {name: i for i, name in enumerate(inputs)}
     bits: dict[Expr, list[Net]] = {}
 
-    def bits_of(node: Expr) -> list[Net]:
-        cached = bits.get(node)
-        if cached is not None:
-            return cached
-        prefix = _SLOT_PREFIXES[slot_of[node.name]]
-        nets = [circuit.input(f"{prefix}{i}")
-                for i in range(inputs[node.name])]
-        bits[node] = nets
+    def bits_of(node: Expr, needed: int) -> list[Net]:
+        nets = bits.get(node)
+        if nets is None:
+            prefix = _SLOT_PREFIXES[slot_of[node.name]]
+            nets = bits[node] = [circuit.input(f"{prefix}{i}")
+                                 for i in range(inputs[node.name])]
+        if len(nets) < needed:
+            fill = nets[-1] if node.signed else circuit.const(False)
+            nets = nets + [fill] * (needed - len(nets))
         return nets
 
     def const_nets(value: int, w: int) -> list[Net]:
@@ -338,7 +409,7 @@ def _stitch_root(circuit: Circuit, root: Expr, width: int,
             continue
         spec = spec_of(node.op)
         args = [const_nets(child.value, w) if child.kind == KIND_CONST
-                else bits_of(child)
+                else bits_of(child, w)
                 for child, w in zip(node.children, spec.in_widths(width))]
         outputs = spec.build(circuit, args, style)
         expected = spec.out_width(width)
@@ -442,9 +513,12 @@ def compile_kernel(op: KernelSource, width: int, backend: str = "simdram",
         # Fused kernels are issued through the same bbop ISA as catalog
         # operations; give the kernel an opcode on first compilation.
         register_opcode(name)
+    leaves = _input_leaves(op)
     return Kernel(
         program=program, width=width, backend=backend,
         input_names=tuple(inputs), input_widths=tuple(inputs.values()),
+        input_signed=tuple(leaves[name].signed if name in leaves else None
+                           for name in inputs),
         outputs=tuple(
             Output(out_name, *slices[out_name], spec_of(root.op).signed)
             for out_name, root in roots.items()))

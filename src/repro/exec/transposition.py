@@ -42,6 +42,26 @@ def check_host_dtype(values: np.ndarray, what: str) -> None:
             f"got dtype {values.dtype}")
 
 
+def check_host_fits(values: np.ndarray, width: int, signed: bool,
+                    what: str) -> None:
+    """The one range rule for host vectors bound to a *declared* leaf
+    (``expr.inp(name, width=..., signed=...)``), shared by every door:
+    each element must be representable in ``width`` bits under the
+    declared encoding, else :class:`~repro.errors.OperationError`
+    names the range.  A default leaf has no such rule: its values are
+    re-encoded as two's complement at the slot's width."""
+    if not values.size:
+        return
+    low, high = ((-(1 << (width - 1)), (1 << (width - 1)) - 1) if signed
+                 else (0, (1 << width) - 1))
+    least, most = int(values.min()), int(values.max())
+    if least < low or most > high:
+        raise OperationError(
+            f"{what}: values {least}..{most} do not fit its declared "
+            f"{width}-bit {'signed' if signed else 'unsigned'} range "
+            f"{low}..{high}")
+
+
 @dataclass(frozen=True)
 class TranspositionCost:
     """Latency/energy of moving one operand through the controller."""

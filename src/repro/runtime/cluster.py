@@ -301,7 +301,7 @@ class SimdramCluster:
         vector}, None)``.
         """
         if width is None:
-            width = resident_width(tensors, feeds)
+            width = resident_width(op, tensors, feeds)
         kernel = self.compile(op, width, backend)
         operands = kernel.bind(tensors, feeds)
         kernel.check_resident(operands)
@@ -424,6 +424,8 @@ class SimdramCluster:
         kernel = self.compile(op, width, backend)
         vectors = [np.asarray(v) for v in kernel.bind(positional, feeds)]
         n_total = same_length(kernel.op_name, [len(v) for v in vectors])
+        if kernel.declared_slots:
+            kernel.check_host(vectors)
         label = f"map:{kernel.op_name}@{width}"
         # Contiguous split, one chunk per module, remainder spread over
         # the leading modules; empty chunks are skipped.

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.expr import Expr
+from repro.core.expr import Expr, analyze
 from repro.core.fuse import (
     bind_operands,
     kernel_identity,
@@ -48,7 +48,7 @@ from repro.core.fuse import (
 )
 from repro.errors import OperationError
 from repro.exec.engines import ExecutionEngine, get_engine
-from repro.exec.transposition import check_host_dtype
+from repro.exec.transposition import check_host_dtype, check_host_fits
 from repro.obs import clock
 from repro.obs.tracing import NOOP_SPAN
 
@@ -96,9 +96,10 @@ def prepare(handle: "ServeHandle", op: "str | Expr",
 
     Raises :class:`~repro.errors.OperationError` on anything invalid —
     unknown operation, wrong arity, missing/extra feed names,
-    inconsistent widths, mismatched lengths, empty vectors.  The
-    service calls this on its worker thread so a bad request fails
-    *its own handle* and never poisons a co-packed dispatch.  What the
+    inconsistent widths, mismatched lengths, empty vectors, values
+    outside a declared leaf's range.  The service calls this on its
+    worker thread so a bad request fails *its own handle* and never
+    poisons a co-packed dispatch.  What the
     kernel source fixes — its identity and validated interface — is
     memoized on the source (:func:`~repro.core.expr.dag_hash`,
     :func:`~repro.core.expr.analyze`), so a warm request or stream step
@@ -117,6 +118,13 @@ def prepare(handle: "ServeHandle", op: "str | Expr",
         _as_vector(value, f"{identity[0]} input {name!r}")
         for name, value in zip(
             names, bind_operands(identity[0], names, operands, feeds))]
+    analysis = analyze(op, width) if isinstance(op, Expr) else None
+    if analysis is not None and analysis.declared:
+        for name, vector in zip(names, vectors):
+            if name in analysis.declared:  # its values must fit it
+                check_host_fits(vector, analysis.input_widths[name],
+                                analysis.declared[name],
+                                f"{identity[0]} input {name!r}")
     return PreparedRequest(
         handle=handle, tenant=tenant, key=(identity, engine.name), op=op,
         vectors=vectors,

@@ -187,11 +187,17 @@ class StreamingServer:
         """
         if n_steps < 1:
             raise OperationError(f"n_steps must be >= 1, got {n_steps}")
-        names = expr.input_names(step)
+        names = expr.input_leaves(step)
         if "x" not in names:
             raise OperationError(
                 "a stream's step kernel must read the running "
                 "activation through a leaf named 'x'")
+        if names["x"].width is not None:
+            # Steps after the first are fed the previous step's output
+            # unchecked: it has the pipeline's width, not a narrower one.
+            raise OperationError(
+                "a stream's running activation 'x' is each step's own "
+                "output; it cannot be a declared leaf")
         feeds = dict(feeds or {})
         extra = set(feeds) | {"x"}
         missing = set(names) - extra

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import zlib
 
 import numpy as np
@@ -111,3 +112,25 @@ def edge_and_random_values(rng: np.random.Generator, width: int,
     random_part = rng.integers(0, 1 << width, max(0, n - len(edges)))
     values = np.concatenate([edges, random_part])[:n]
     return values.astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# replica tier: Steps 1+2 run only in the parent process
+# ----------------------------------------------------------------------
+@pytest.fixture
+def parent_only_compile(monkeypatch):
+    """``compile_for``, wherever it is bound, raising in any process
+    but this one; returns the list of compiles this process ran."""
+    from repro.core import framework
+    from repro.runtime import cluster, replica
+    real, parent, calls = framework.compile_for, os.getpid(), []
+
+    def guarded(config, op, width, backend):
+        if os.getpid() != parent:
+            raise AssertionError(f"pid {os.getpid()} ran Steps 1+2")
+        calls.append((op, width))
+        return real(config, op, width, backend)
+
+    for module in (framework, cluster, replica):
+        monkeypatch.setattr(module, "compile_for", guarded)
+    return calls

@@ -428,25 +428,6 @@ class TestSlabTransport:
 # ---------------------------------------------------------------------------
 # compilation: Steps 1+2 run in the parent, replicas adopt the kernels
 # ---------------------------------------------------------------------------
-@pytest.fixture
-def parent_only_compile(monkeypatch):
-    """``compile_for``, wherever it is bound, raising in any process
-    but this one; returns the list of compiles this process ran."""
-    from repro.core import framework
-    from repro.runtime import cluster, replica
-    real, parent, calls = framework.compile_for, os.getpid(), []
-
-    def guarded(config, op, width, backend):
-        if os.getpid() != parent:
-            raise AssertionError(f"pid {os.getpid()} ran Steps 1+2")
-        calls.append((op, width))
-        return real(config, op, width, backend)
-
-    for module in (framework, cluster, replica):
-        monkeypatch.setattr(module, "compile_for", guarded)
-    return calls
-
-
 def fused_root() -> expr.Expr:
     return expr.relu(expr.sub(expr.inp("x"), expr.inp("y")))
 

@@ -52,6 +52,16 @@ def brighten_expr() -> Expr:
     return expr.relu(expr.sub(expr.inp("x"), expr.inp("y")))
 
 
+@pytest.fixture
+def crash_dumps(monkeypatch, tmp_path):
+    """Where a crash drill's flight-recorder postmortem goes: the crash
+    guard dumps on every worker crash, and a drill's expected dump must
+    not land in the working tree's ``.flightrec/``, which holds the
+    dumps of real failures."""
+    monkeypatch.setenv("REPRO_FLIGHTREC_DIR", str(tmp_path))
+    return tmp_path
+
+
 # ---------------------------------------------------------------------------
 # batcher units
 # ---------------------------------------------------------------------------
@@ -411,7 +421,7 @@ class TestSequentialFallback:
             assert packing["sequential_fallbacks"] == 1
             assert packing["dispatches"] == 3
 
-    def test_worker_crash_fails_pending_handles(self, monkeypatch):
+    def test_worker_crash_fails_pending_handles(self, monkeypatch, crash_dumps):
         """An unexpected batcher failure must fail pending handles
         instead of stranding callers (and close must still work).  The
         crash guard re-raises on the worker thread so the failure is
@@ -434,8 +444,9 @@ class TestSequentialFallback:
         (crash,) = surfaced
         assert crash.thread is service._worker
         assert "batcher bug" in str(crash.exc_value)
+        assert len(list(crash_dumps.iterdir())) == 1
 
-    def test_interrupt_resolves_co_packed_handles(self, monkeypatch):
+    def test_interrupt_resolves_co_packed_handles(self, monkeypatch, crash_dumps):
         """A ``KeyboardInterrupt`` inside an in-process dispatch fails
         every co-packed handle (no caller is left blocked) and still
         stops the worker through its crash guard."""
@@ -459,6 +470,7 @@ class TestSequentialFallback:
         assert crash.thread is service._worker
         assert crash.exc_type is KeyboardInterrupt
         assert service.stats()["requests"]["failed"] == 3
+        assert len(list(crash_dumps.iterdir())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1103,7 @@ class TestFlushRule:
         assert counts == [1] * 7
         assert all(handle.exception(0) is None for handle in handles)
 
-    def test_crash_resolves_every_handle_exactly_once(self, monkeypatch):
+    def test_crash_resolves_every_handle_exactly_once(self, monkeypatch, crash_dumps):
         monkeypatch.setattr(threading, "excepthook", lambda args: None)
         sim = Simdram(small_config(), seed=1)
         service = SimdramService(sim, ServeConfig(max_wait_s=30.0))
@@ -1123,6 +1135,7 @@ class TestFlushRule:
         stats = service.stats()
         assert stats["requests"]["failed"] == 5
         assert stats["requests"]["in_flight"] == 0
+        assert len(list(crash_dumps.iterdir())) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import pytest
 
 from repro.apps.brightness import brightness_expr
 from repro.apps.cnn import madd_expr, madd_relu_expr
+from repro.apps.knn import knn_step_expr
 from repro.core import expr as E
 from repro.core.compiler import compile_operation
 from repro.core.framework import Simdram, SimdramConfig
@@ -52,6 +53,11 @@ _EXPRS = {
     "madd_expr(3)": madd_expr(3),
     "madd_relu_expr(-3)": madd_relu_expr(-3),
     "affine_relu_step(3)": affine_relu_step(3),
+    # Declared 8-bit leaves in a 16-bit pipeline (zero- and
+    # sign-extended by wires inside the circuit).
+    "knn_step_expr()": knn_step_expr(),
+    "mul(x:8u,y:8u)": E.mul(E.inp("x", width=8), E.inp("y", width=8)),
+    "add(x:8s,y)": E.add(E.inp("x", width=8, signed=True), E.inp("y")),
 }
 
 
