@@ -243,10 +243,9 @@ def dag_hash(root: Expr) -> str:
     """Stable content hash of the DAG (the fused-plan cache identity).
 
     Two structurally identical DAGs hash equally across processes, so
-    the framework's fused-kernel cache and the control unit's
-    execution-plan cache both key on it.  Memoized on the root (a
-    frozen value), so a request's kernel is hashed once however many
-    layers ask for its identity.
+    the framework's fused-kernel cache keys on it.  Memoized on the
+    root (a frozen value), so a request's kernel is hashed once however
+    many layers ask for its identity.
     """
     cached = root.__dict__.get("_dag_hash")
     if cached is None:

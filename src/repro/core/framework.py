@@ -199,7 +199,7 @@ class Simdram:
         :func:`~repro.core.fuse.kernel_identity` — a catalog name, or
         the DAG's stable content hash — plus the element width and
         backend, so structurally identical pipelines share one compiled
-        kernel and, downstream, one control-unit
+        kernel and, downstream, one
         :class:`~repro.exec.plan.ExecutionPlan` per row layout; a
         catalog operation reached by name and as the one-node ``Expr``
         over its canonical leaves is one entry.
@@ -247,8 +247,10 @@ class Simdram:
     @property
     def kernel_cache_size(self) -> int:
         """Compiled kernels cached on this module plus the compiled
-        executors engines have memoized on cached execution plans —
-        the telemetry the lazy engine and the serving layer report."""
+        executors engines have memoized on their execution plans — the
+        telemetry the lazy engine and the serving layer report.  Plans
+        live on the kernel's µProgram, so a cluster member also counts
+        executors a sibling built for the kernel they share."""
         return len(self._kernels) + self.control.compiled_cache_size()
 
     def _bound_rows(self, kernel: Kernel,
@@ -294,15 +296,16 @@ class Simdram:
 
     def warm_executor(self, kernel: Kernel,
                       engine: "str | ExecutionEngine" = "auto") -> None:
-        """Precompile the control unit's plan *and* the engine's
+        """Precompile the kernel's execution plan *and* the engine's
         compiled executor for the row layout a batched dispatch will
         use, without touching DRAM state.
 
         Binds rows exactly as :meth:`map` does (both go through
         :meth:`_bound_rows`), so a subsequent ``map`` on an idle
         allocator binds the identical :class:`RowLayout` and hits the
-        warmed cache entries — the serve layer's manifest warmup
-        relies on this.
+        warmed plan — the serve layer's manifest warmup relies on
+        this.  Plans are memoized on ``kernel.program``, so warming a
+        layout and geometry another module warmed builds nothing.
         """
         _, _, layout, reserved = self._bound_rows(kernel)
         try:
@@ -611,7 +614,7 @@ class Simdram:
         reserved *once* and reused across batches (each batch's
         transpose-in overwrites every row of every operand block), so
         per-batch work is transpose-in, replay, transpose-out — no
-        alloc/free churn, and the control unit's plan cache hits on
+        alloc/free churn, and the program's execution plan is hit on
         every batch after the first because the row layout is stable.
         Rows are reserved by :meth:`_bound_rows` and announced, then
         released and dropped from the tracker in one ``finally`` when

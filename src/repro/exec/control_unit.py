@@ -8,12 +8,16 @@ user (paper §3, step 3).
 
 Replay goes through one of the engines of :mod:`repro.exec.engines`:
 plan-based engines (``vectorized``, ``compiled``) compile the µProgram
-+ row layout into an :class:`~repro.exec.plan.ExecutionPlan` (cached
-here, with each engine's executor memoized on it) and run that executor
-over the module's stacked cell state, all banks at once — the paper's
-lockstep broadcast.  The ``per_bank`` engine replays the symbolic µOps
-bank by bank through each :class:`Subarray` — the traced /
-fault-injection slow path, bit-identical to the fast paths on success.
++ row layout into an :class:`~repro.exec.plan.ExecutionPlan` (memoized
+on the µProgram, with each engine's executor memoized on the plan) and
+run that executor over the module's stacked cell state, all banks at
+once — the paper's lockstep broadcast.  As the paper's one control
+unit broadcasts one copy of each µProgram, every module that installed
+a program shares its plans and executors: a cluster's members, a lazy
+device over the cluster and a replica's forked kernel build each once.
+The ``per_bank`` engine replays the symbolic µOps bank by bank through
+each :class:`Subarray` — the traced / fault-injection slow path,
+bit-identical to the fast paths on success.
 ``"auto"`` resolves per dispatch: ``compiled`` when the module supports
 stacked execution, else ``per_bank``.
 
@@ -26,8 +30,8 @@ as one O(1) PMU tally.
 
 from __future__ import annotations
 
+import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.dram.bank import DramModule
@@ -46,10 +50,28 @@ from repro.uprog.uops import UAap, UAp
 #: because our µPrograms are fully unrolled (no loop registers).
 DEFAULT_SCRATCHPAD_UOPS = 1 << 20
 
-#: Execution-plan cache entries kept per control unit (LRU).  A plan is
-#: (program, layout, geometry)-specific; steady-state workloads reuse a
-#: handful of layouts, so a small bound suffices.
-DEFAULT_PLAN_CACHE_SIZE = 256
+#: Execution plans kept per µProgram (LRU, in
+#: :attr:`MicroProgram.plans <repro.uprog.program.MicroProgram.plans>`).
+#: A plan is (layout, geometry)-specific; steady-state workloads bind a
+#: handful of layouts per program, so a small bound suffices.
+PLANS_PER_PROGRAM = 256
+
+
+#: Guards every µProgram's plan table and every plan's executors.  One
+#: lock, because the modules that installed a program share its plans:
+#: threads running different modules build a plan, and an engine's
+#: executor for it, at most once.
+_PLAN_LOCK = threading.Lock()
+
+
+def _reset_plan_lock() -> None:
+    """A replica forks with its parent's kernels (and their plans); a
+    lock some parent thread held at the fork would stay held in it."""
+    global _PLAN_LOCK
+    _PLAN_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_plan_lock)
 
 
 @dataclass(frozen=True)
@@ -64,18 +86,17 @@ class ProgramKey:
 class ControlUnit:
     """Holds installed µPrograms and replays them on DRAM banks."""
 
-    def __init__(self, scratchpad_uops: int = DEFAULT_SCRATCHPAD_UOPS,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+    def __init__(self, scratchpad_uops: int = DEFAULT_SCRATCHPAD_UOPS
+                 ) -> None:
         self.scratchpad_uops = scratchpad_uops
-        self.plan_cache_size = plan_cache_size
         self._programs: dict[ProgramKey, MicroProgram] = {}
-        self._plan_cache: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
         # The runtime's async scheduler may install programs from one
         # caller's thread while another caller's thread holding the
-        # module replays others; the scratchpad and plan cache are the
-        # only shared mutable state.
+        # module replays others.
         self._lock = threading.Lock()
-        #: Plan-cache observability (tests, benchmarks).
+        #: Plan-cache observability (tests, benchmarks): this module's
+        #: lookups.  The first module to ask for a plan counts the miss
+        #: (and builds it); every later ask, from any module, is a hit.
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -141,51 +162,52 @@ class ControlUnit:
 
     def plan_for(self, program: MicroProgram, layout: RowLayout,
                  geometry) -> ExecutionPlan:
-        """Fetch (or compile and cache) the execution plan for
-        ``program`` bound to ``layout`` under ``geometry``.
+        """Fetch (or compile and memoize on ``program``) the execution
+        plan for ``program`` bound to ``layout`` under ``geometry``.
 
-        The lookup builds nothing: the key is what the program fixes
-        (its :meth:`~repro.uprog.program.MicroProgram.fingerprint`,
-        computed once per program, which folds the name, width and
-        backend of its :class:`ProgramKey`), what the binding fixes
+        The lookup builds nothing: the table is the program's own
+        (:attr:`MicroProgram.plans`), keyed by what the binding fixes
         (:meth:`RowLayout.cache_key`, computed once per layout) and the
-        geometry.
+        geometry.  A plan is built under the one plan lock, so a module
+        asking while another builds waits for that plan.
         """
-        key = (program.fingerprint(), layout.cache_key(), geometry)
-        with self._lock:
-            plan = self._plan_cache.get(key)
+        key = (layout.cache_key(), geometry)
+        plans = program.plans
+        with _PLAN_LOCK:
+            plan = plans.get(key)
             if plan is not None:
-                self._plan_cache.move_to_end(key)
+                plans.move_to_end(key)
                 self.plan_cache_hits += 1
                 return plan
             self.plan_cache_misses += 1
-        plan = compile_plan(program, layout, geometry)
-        with self._lock:
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-        return plan
+            plan = plans[key] = compile_plan(program, layout, geometry)
+            if len(plans) > PLANS_PER_PROGRAM:
+                plans.popitem(last=False)
+            return plan
 
     def compiled_cache_size(self) -> int:
-        """Number of compiled executors memoized on cached plans."""
+        """Number of compiled executors memoized on the plans of the
+        installed programs (those another module built included)."""
         with self._lock:
-            return sum(len(plan.executors)
-                       for plan in self._plan_cache.values())
+            programs = list(self._programs.values())
+        with _PLAN_LOCK:
+            return sum(len(plan.executors) for program in programs
+                       for plan in program.plans.values())
 
     def executor_for(self, plan: ExecutionPlan,
                      engine: ExecutionEngine):
         """Fetch (or compile and memoize on the plan) ``engine``'s
-        executor for a cached plan.  Compilation happens under the
-        control unit's lock so callers' threads replaying the same plan
-        never duplicate codegen work."""
+        executor for a memoized plan.  Compilation happens under the
+        plan lock, so threads replaying the same plan — on one module
+        or several — never duplicate codegen work."""
         executor = plan.executors.get(engine.name)
         if executor is not None:
             return executor
-        with self._lock:
+        with _PLAN_LOCK:
             executor = plan.executors.get(engine.name)
             if executor is None:
-                executor = engine.compile(plan)
-                plan.executors[engine.name] = executor
+                executor = plan.executors[engine.name] = \
+                    engine.compile(plan)
             return executor
 
     def warm_plan(self, program: MicroProgram, layout: RowLayout,

@@ -44,9 +44,9 @@ Engines
     (proven by the differential suites); portable, no dependencies.
 
 Executors are memoized by the control unit on the plan
-(`ExecutionPlan.executors`, keyed by engine name), which its plan cache
-keys by µProgram fingerprint (folding ``source_hash``) + row layout —
-so a fused kernel replayed on the same layout compiles exactly once,
+(`ExecutionPlan.executors`, keyed by engine name), which is memoized on
+its µProgram by row layout and geometry — so a kernel replayed on the
+same layout compiles exactly once, on every module that installed it,
 and eviction of a plan drops its executors with it.
 """
 

@@ -159,9 +159,8 @@ class ExecutionPlan:
     #: Compiled executors keyed by engine name.  The control unit
     #: memoizes each engine's executor here
     #: (:meth:`~repro.exec.control_unit.ControlUnit.executor_for`), so
-    #: the callable lives and dies with the plan's cache entry (the plan
-    #: cache already keys by µProgram fingerprint — folding
-    #: ``source_hash`` — plus layout).
+    #: the callable lives and dies with the plan's entry in its
+    #: µProgram's plan table.
     executors: dict[str, Callable[[np.ndarray, np.ndarray], None]] = \
         field(default_factory=dict, compare=False, repr=False)
 

@@ -8,6 +8,7 @@ scratchpad and replays on every matching ``bbop`` instruction.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.dram.commands import CommandStats
@@ -45,14 +46,20 @@ class MicroProgram:
     n_temp_rows: int = 0
     #: Stable identity of the source the program was compiled from (the
     #: expression-DAG hash for fused kernels, ``None`` for catalog ops).
-    #: Folded into :meth:`fingerprint`, so execution-plan cache keys
-    #: distinguish fused kernels even across name collisions.
     source_hash: str | None = None
     #: What the compiler did to arrive at this program — Step-1 graph
     #: sizes, which node order won, pairs placed (``python -m repro
     #: explain`` prints it).  About the program, not part of it: not
-    #: serialized, not compared, not in the fingerprint.
+    #: serialized, not compared.
     report: dict = field(default_factory=dict, compare=False, repr=False)
+    #: The control unit's execution plans for this program, keyed by
+    #: ``(layout.cache_key(), geometry)``, least recently used first
+    #: (:meth:`~repro.exec.control_unit.ControlUnit.plan_for`).  One
+    #: table per program, so every module that installed it shares its
+    #: plans.  A memo, not part of the program: not serialized, not
+    #: compared, not pickled.
+    plans: OrderedDict = field(default_factory=OrderedDict, init=False,
+                               compare=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = set()
@@ -66,29 +73,11 @@ class MicroProgram:
             seen.add(spec.space)
         if self.output.space is not Space.OUTPUT:
             raise SchedulingError("output operand must use Space.OUTPUT")
-        self._fingerprint: int | None = None
 
-    def fingerprint(self) -> int:
-        """Stable content hash of the command stream and interface.
-
-        The control unit keys its execution-plan cache on this, so a
-        reinstalled µProgram with different contents never hits a stale
-        plan, while identical contents share one.  Cached: µPrograms are
-        immutable by convention once compiled.
-        """
-        if self._fingerprint is None:
-            uop_sig = tuple(
-                (op.addr.space.value, op.addr.index) if isinstance(op, UAp)
-                else (op.src.space.value, op.src.index,
-                      op.dst.space.value, op.dst.index)
-                for op in self.uops)
-            self._fingerprint = hash((
-                self.op_name, self.backend, self.element_width,
-                self.source_hash,
-                tuple((s.space.value, s.width) for s in self.inputs),
-                (self.output.space.value, self.output.width),
-                self.n_temp_rows, uop_sig))
-        return self._fingerprint
+    def __getstate__(self) -> dict:
+        # A warmed program pickles as an unwarmed one: plans (and their
+        # compiled executors) are rebuilt where the program runs.
+        return {**self.__dict__, "plans": OrderedDict()}
 
     # ------------------------------------------------------------------
     # cost metadata

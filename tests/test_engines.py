@@ -19,6 +19,7 @@ from repro.core.expr import inp, op
 from repro.core.framework import Simdram, SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import EngineError, ExecutionError
+from repro.exec import control_unit
 from repro.exec.engines import (
     AUTO,
     CompiledEngine,
@@ -254,7 +255,7 @@ class TestClusterEngines:
         a = sim.array([1, 2], width=8)
         b = sim.array([3, 4], width=8)
         sim.run("add", a, b, engine="compiled").free()
-        (plan,) = sim.control._plan_cache.values()
+        (plan,) = sim.compile("add", 8).program.plans.values()
         engine = CompiledEngine()
         first, second = engine.compile(plan), engine.compile(plan)
         assert first is not second
@@ -299,9 +300,9 @@ class TestCompiledCacheAccounting:
         assert sim.control.compiled_cache_size() == 2
         assert sim.kernel_cache_size == before + 3
 
-    def test_executors_evicted_with_their_plan(self):
+    def test_executors_evicted_with_their_plan(self, monkeypatch):
+        monkeypatch.setattr(control_unit, "PLANS_PER_PROGRAM", 1)
         sim = _make_sim()
-        sim.control.plan_cache_size = 1
         a = sim.array([1, 2], width=8)
         b = sim.array([3, 4], width=8)
         sim.run("add", a, b, engine="compiled").free()

@@ -24,6 +24,7 @@ from repro.dram.bank import DramModule
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import b_row, data_row
 from repro.errors import CommandError, ExecutionError
+from repro.exec import control_unit
 from repro.exec.control_unit import ControlUnit
 from repro.exec.engines import _rows_index, get_engine, list_engines
 from repro.exec.layout import RowLayout
@@ -87,8 +88,10 @@ def _run_one(op_name: str, width: int, backend: str, engine: str,
         "bank_stats": [bank.subarray.stats for bank in sim.module.banks],
         "data_state": sim.module.vector_state()[0].copy(),
         "b_state": sim.module.vector_state()[1].copy(),
+        # The plan this run replayed: its program's most recently used
+        # (the kernel, and so its plans, is shared across systems).
         "sources": [plan.executors[engine].__source__
-                    for plan in sim.control._plan_cache.values()
+                    for plan in list(sim._last_program.plans.values())[-1:]
                     if engine == "compiled"],
     }
 
@@ -497,9 +500,9 @@ class TestPlanCache:
         assert sim.control.plan_cache_misses == 1
         assert sim.control.plan_cache_hits == 2
 
-    def test_cache_bounded(self):
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(control_unit, "PLANS_PER_PROGRAM", 2)
         sim = _make_sim()
-        sim.control.plan_cache_size = 2
         a = sim.array([1], width=8)
         b = sim.array([2], width=8)
         for _ in range(3):
@@ -508,7 +511,7 @@ class TestPlanCache:
             a.free()
             a, c = c, None
             d.free()
-        assert len(sim.control._plan_cache) <= 2
+        assert len(sim.compile("add", 8).program.plans) <= 2
 
     def test_reinstalled_program_does_not_hit_stale_plan(self):
         """Same ProgramKey, different contents -> different plan."""

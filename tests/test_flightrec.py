@@ -10,6 +10,7 @@ and the merged postmortem contains the dead replica's final events.
 
 from __future__ import annotations
 
+import builtins
 import glob
 import json
 import os
@@ -22,6 +23,7 @@ import pytest
 from repro.core.framework import SimdramConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import ReplicaError
+from repro.obs import flightrec
 from repro.obs.flightrec import (FlightRecorder, get_flight_recorder,
                                  postmortem, read_spill)
 from repro.runtime import SimdramCluster
@@ -226,32 +228,49 @@ class TestSpill:
         assert payload["n_recorded"] == 1
         assert [e["kind"] for e in payload["events"]] == ["new"]
 
-    def test_spilled_record_cost_is_flat_in_occupancy(self, tmp_path, spilling):
-        """The point of the append-only file: an event costs the same
+    def test_spilled_record_cost_is_flat_in_occupancy(
+            self, tmp_path, spilling, monkeypatch):
+        """The point of the append-only file: an event writes as much
         with 10 events in the ring as with a full one (the whole-ring
-        rewrite it replaces cost 300x more at a full ring)."""
-        import time
+        rewrite it replaces wrote 4096 lines per event at a full ring).
+        Counted in lines written, so the box's load cannot move it."""
+        written = [0]
+
+        class Counting:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data: bytes) -> int:
+                written[0] += data.count(b"\n")
+                return self._handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            handle = builtins.open(file, mode, *args, **kwargs)
+            return Counting(handle) if mode == "wb" else handle
+
+        monkeypatch.setattr(flightrec, "open", counting_open,
+                            raising=False)
 
         def per_event(occupancy: int, n: int) -> float:
-            best = float("inf")
-            for attempt in range(3):
-                rec = spilling(capacity=4096)
-                for i in range(occupancy):
-                    rec.record("fill", i=i)
-                rec.configure_spill(
-                    str(tmp_path / f"spill-{occupancy}-{attempt}"))
-                rec.record("open")       # creates the file
-                start = time.perf_counter()
-                for i in range(n):
-                    rec.record("replica.job", replica=0, job_id=i,
-                               op="add", width=8)
-                best = min(best, time.perf_counter() - start)
-            return best / n
+            rec = spilling(capacity=4096)
+            for i in range(occupancy):
+                rec.record("fill", i=i)
+            rec.configure_spill(str(tmp_path / f"spill-{occupancy}"))
+            rec.record("open")       # creates the file
+            before = written[0]
+            for i in range(n):
+                rec.record("replica.job", replica=0, job_id=i, op="add",
+                           width=8)
+            return (written[0] - before) / n
 
         nearly_empty = per_event(10, 400)
         # Longer than the ring, so the full ring's share of
         # compactions is in the sample.
         full = per_event(4096, 4200)
+        assert nearly_empty == 1
         assert full <= 2 * nearly_empty
         assert nearly_empty <= 2 * full
 

@@ -355,8 +355,8 @@ def test_warmed_kernels_are_never_compiled_again(clustered, monkeypatch):
 
 
 def test_a_dag_is_hashed_once_per_request(monkeypatch):
-    """The kernel's identity is asked for at the cluster, on each member
-    module and by the plan cache; the digest is computed once."""
+    """The kernel's identity is asked for at the cluster and on each member
+    module; the digest is computed once."""
     root = E.relu(E.add(E.mul(E.inp("x"), E.inp("w")), E.const(3)))
     n_nodes = len(E.post_order(root))
     digests = []
