@@ -1,7 +1,7 @@
 """Shared plumbing for the CI benchmark gates.
 
-Every gate script (``bench_ci_smoke``, ``bench_compiled``,
-``bench_fusion``, ``bench_cluster``, ``bench_lazy``, ``bench_serve``)
+Every gate script (``bench_compiled``, ``bench_fusion``,
+``bench_cluster``, ``bench_lazy``, ``bench_serve``, ...)
 publishes its results as one *section* of a single schema-versioned
 ``bench_ci.json``::
 
@@ -9,8 +9,7 @@ publishes its results as one *section* of a single schema-versioned
       "schema_version": 2,
       "config": {"python": "3.12.1"},
       "gates": {
-        "vectorized": {..., "gate": {"pass": true, ...}},
-        "compiled":   {...},
+        "compiled":   {..., "gate": {"pass": true, ...}},
         "fusion":     {...},
         "cluster":    {...},
         "lazy":       {...},

@@ -1,14 +1,12 @@
 #!/usr/bin/env python
 """Run every CI benchmark gate and publish one unified report.
 
-The single entry point the CI benchmark job calls.  Executes all ten
+The single entry point the CI benchmark job calls.  Executes all nine
 regression gates —
 
-* ``vectorized`` — batched execution engine >= 5x the per-bank
-  interpreter on 8-bit add at 16 banks (``bench_ci_smoke``);
-* ``compiled`` — compiled executor >= 5x the vectorized engine on the
-  fused 8-bit CNN tap at 16 banks, bit-exact vs golden
-  (``bench_compiled``);
+* ``compiled`` — the compiled executor >= 5x the per-bank engine on
+  8-bit add at 16 banks, every engine bit-exact vs golden on the fused
+  8-bit CNN tap (``bench_compiled``);
 * ``fusion`` — fused cnn kernel >= 1.5x fewer DRAM commands than the
   unfused pipeline (``bench_fusion``);
 * ``cluster`` — 4-module sharded map >= 2.5x 1-module modeled
@@ -61,7 +59,6 @@ import sys
 import traceback
 from pathlib import Path
 
-import bench_ci_smoke
 import bench_cluster
 import bench_compile
 import bench_compiled
@@ -76,7 +73,6 @@ from gate_utils import merge_gate, publish
 #: (gate name, module) in execution order; each module's run_gate()
 #: carries its own default threshold.
 GATES = (
-    ("vectorized", bench_ci_smoke),
     ("compiled", bench_compiled),
     ("fusion", bench_fusion),
     ("cluster", bench_cluster),

@@ -247,7 +247,7 @@ class Simdram:
     @property
     def kernel_cache_size(self) -> int:
         """Compiled kernels cached on this module plus the compiled
-        executors engines have memoized on their execution plans — the
+        executors held by their execution plans (one per plan) — the
         telemetry the lazy engine and the serving layer report.  Plans
         live on the kernel's µProgram, so a cluster member also counts
         executors a sibling built for the kernel they share."""
@@ -296,8 +296,8 @@ class Simdram:
 
     def warm_executor(self, kernel: Kernel,
                       engine: "str | ExecutionEngine" = "auto") -> None:
-        """Precompile the kernel's execution plan *and* the engine's
-        compiled executor for the row layout a batched dispatch will
+        """Precompile the kernel's execution plan *and* its compiled
+        executor for the row layout a batched dispatch will
         use, without touching DRAM state.
 
         Binds rows exactly as :meth:`map` does (both go through

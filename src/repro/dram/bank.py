@@ -114,7 +114,7 @@ class DramModule:
         return self.banks[:n_banks]
 
     # ------------------------------------------------------------------
-    # vectorized execution support
+    # stacked execution support
     # ------------------------------------------------------------------
     def vector_state(self, n_banks: int | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:

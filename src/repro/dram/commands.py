@@ -96,7 +96,7 @@ class CommandStats:
     def accumulate(self, other: "CommandStats") -> None:
         """Add ``other``'s counters into this object in place.
 
-        The vectorized executor computes one per-bank :class:`CommandStats`
+        The stacked executor computes one per-bank :class:`CommandStats`
         for a whole µProgram and folds it into every participating bank's
         counters, so bank stats match the per-bank path exactly.
         """

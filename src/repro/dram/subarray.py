@@ -38,9 +38,9 @@ from repro.errors import AddressError, CommandError
 from repro.util.bitops import pack_bits, packed_ones, unpack_bits
 
 #: Map each B-group wordline to (storage plane, True if non-inverting port).
-#: Shared with the vectorized execution-plan compiler
+#: Shared with the execution-plan compiler
 #: (:mod:`repro.exec.plan`), which classifies µOps against the same
-#: storage model so both executors stay bit-identical.
+#: storage model so both engines stay bit-identical.
 WORDLINE_PLANE: dict[Wordline, tuple[int, bool]] = {
     Wordline.T0: (0, True),
     Wordline.T1: (1, True),

@@ -46,9 +46,9 @@ class ExecutionError(SimdramError):
 
 class EngineError(ExecutionError):
     """An execution engine is unknown, unavailable, or cannot run the
-    requested program (e.g. a vectorizable-only engine on a traced
-    module).  Subclasses :class:`ExecutionError` so legacy callers that
-    catch engine-selection failures keep working."""
+    requested program (e.g. ``compiled`` on a traced module).
+    Subclasses :class:`ExecutionError` so legacy callers that catch
+    engine-selection failures keep working."""
 
 
 class ReplicaError(ExecutionError):

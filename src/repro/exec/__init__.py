@@ -1,6 +1,7 @@
-"""Execution layer (Step 3): control unit, execution engines and
-compiled plans, row layout binding, vertical memory allocation and the
-transposition unit."""
+"""Execution layer (Step 3): the control unit and its two engines —
+``compiled`` (execution plans lowered to generated executors) and
+``per_bank`` (the executable specification) — row layout binding,
+vertical memory allocation and the transposition unit."""
 
 from repro.exec.control_unit import ControlUnit, ProgramKey
 from repro.exec.engines import (
@@ -8,7 +9,6 @@ from repro.exec.engines import (
     CompiledEngine,
     ExecutionEngine,
     PerBankEngine,
-    VectorizedEngine,
     get_engine,
     list_engines,
     resolve_engine,
@@ -25,7 +25,6 @@ __all__ = [
     "AUTO",
     "ExecutionEngine",
     "PerBankEngine",
-    "VectorizedEngine",
     "CompiledEngine",
     "get_engine",
     "list_engines",

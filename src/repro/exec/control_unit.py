@@ -6,22 +6,22 @@ every ``bbop`` instruction it replays the matching µProgram as a stream
 of AAP/AP commands to the participating banks, transparently to the
 user (paper §3, step 3).
 
-Replay goes through one of the engines of :mod:`repro.exec.engines`:
-plan-based engines (``vectorized``, ``compiled``) compile the µProgram
-+ row layout into an :class:`~repro.exec.plan.ExecutionPlan` (memoized
-on the µProgram, with each engine's executor memoized on the plan) and
-run that executor over the module's stacked cell state, all banks at
-once — the paper's lockstep broadcast.  As the paper's one control
-unit broadcasts one copy of each µProgram, every module that installed
-a program shares its plans and executors: a cluster's members, a lazy
-device over the cluster and a replica's forked kernel build each once.
-The ``per_bank`` engine replays the symbolic µOps bank by bank through
-each :class:`Subarray` — the traced / fault-injection slow path,
-bit-identical to the fast paths on success.
-``"auto"`` resolves per dispatch: ``compiled`` when the module supports
-stacked execution, else ``per_bank``.
+Replay goes through one of the two engines of :mod:`repro.exec.engines`.
+``compiled`` binds the µProgram to a row layout as an
+:class:`~repro.exec.plan.ExecutionPlan` (memoized on the µProgram),
+lowers the plan to one generated executor (kept in the plan's
+``executor`` slot) and runs it over the module's stacked cell state,
+all banks at once — the paper's lockstep broadcast.  As the paper's
+one control unit broadcasts one copy of each µProgram, every module
+that installed a program shares its plans and executors: a cluster's
+members, a lazy device over the cluster and a replica's forked kernel
+build each once.  ``per_bank`` replays the symbolic µOps bank by bank
+through each :class:`Subarray` — the executable specification and the
+traced / fault-injection path, bit-identical to ``compiled`` on
+success.  ``"auto"`` resolves per dispatch: ``compiled`` when the
+module supports stacked execution, else ``per_bank``.
 
-Commands are counted once, where they are issued: every engine leaves
+Commands are counted once, where they are issued: both engines leave
 the same per-bank :class:`CommandStats`, and the device PMU
 (:mod:`repro.obs.pmu`) reads those at scrape.  A dispatch adds only
 what the banks cannot know — participating banks and kernel identity —
@@ -38,7 +38,7 @@ from repro.dram.bank import DramModule
 from repro.dram.commands import CommandStats
 from repro.dram.subarray import Subarray
 from repro.errors import ExecutionError
-from repro.exec.engines import ExecutionEngine, resolve_engine
+from repro.exec.engines import ExecutionEngine, get_engine, resolve_engine
 from repro.exec.layout import RowLayout
 from repro.exec.plan import ExecutionPlan, compile_plan
 from repro.obs.pmu import get_pmu
@@ -57,10 +57,10 @@ DEFAULT_SCRATCHPAD_UOPS = 1 << 20
 PLANS_PER_PROGRAM = 256
 
 
-#: Guards every µProgram's plan table and every plan's executors.  One
+#: Guards every µProgram's plan table and every plan's executor.  One
 #: lock, because the modules that installed a program share its plans:
-#: threads running different modules build a plan, and an engine's
-#: executor for it, at most once.
+#: threads running different modules build a plan, and its executor,
+#: at most once.
 _PLAN_LOCK = threading.Lock()
 
 
@@ -186,41 +186,38 @@ class ControlUnit:
             return plan
 
     def compiled_cache_size(self) -> int:
-        """Number of compiled executors memoized on the plans of the
-        installed programs (those another module built included)."""
+        """Number of plans of the installed programs that hold a
+        compiled executor (those another module built included)."""
         with self._lock:
             programs = list(self._programs.values())
         with _PLAN_LOCK:
-            return sum(len(plan.executors) for program in programs
+            return sum(plan.executor is not None for program in programs
                        for plan in program.plans.values())
 
-    def executor_for(self, plan: ExecutionPlan,
-                     engine: ExecutionEngine):
-        """Fetch (or compile and memoize on the plan) ``engine``'s
-        executor for a memoized plan.  Compilation happens under the
-        plan lock, so threads replaying the same plan — on one module
-        or several — never duplicate codegen work."""
-        executor = plan.executors.get(engine.name)
+    def executor_for(self, plan: ExecutionPlan):
+        """Fetch (or compile with ``compiled`` and keep on the plan) a
+        memoized plan's executor.  Compilation happens under the plan
+        lock, so threads replaying the same plan — on one module or
+        several — never duplicate codegen work."""
+        executor = plan.executor
         if executor is not None:
             return executor
         with _PLAN_LOCK:
-            executor = plan.executors.get(engine.name)
-            if executor is None:
-                executor = plan.executors[engine.name] = \
-                    engine.compile(plan)
-            return executor
+            if plan.executor is None:
+                plan.executor = get_engine("compiled").compile(plan)
+            return plan.executor
 
     def warm_plan(self, program: MicroProgram, layout: RowLayout,
                   module: DramModule,
                   engine: "str | ExecutionEngine" = "auto") -> None:
         """Precompile what a dispatch on ``module`` with ``engine`` will
-        run — for plan-based engines the plan and its executor —
-        without touching DRAM state.  The serve layer's manifest warmup
-        uses this so the first real dispatch hits a fully warm cache."""
+        run — for ``compiled`` the plan and its executor — without
+        touching DRAM state.  The serve layer's manifest warmup uses
+        this so the first real dispatch hits a fully warm cache."""
         resolved = resolve_engine(engine, module.supports_vectorized())
         if resolved.executes_plans:
             self.executor_for(
-                self.plan_for(program, layout, module.geometry), resolved)
+                self.plan_for(program, layout, module.geometry))
 
     def execute_on_module(self, program: MicroProgram, module: DramModule,
                           layout: RowLayout,
@@ -230,19 +227,18 @@ class ControlUnit:
         """Broadcast a µProgram to ``n_banks`` banks in lockstep.
 
         ``engine`` is an engine name or :class:`ExecutionEngine`
-        instance.  Plan-based engines (``vectorized``, ``compiled``)
-        run a compiled :class:`ExecutionPlan` over the stacked cell
-        state of all participating banks at once;
+        instance.  ``compiled`` runs the plan's executor over the
+        stacked cell state of all participating banks at once;
         ``per_bank`` replays the µOps through each subarray in turn;
         ``"auto"`` (default) runs ``compiled`` whenever it is
         equivalent — i.e. no selected bank traces commands or injects
         TRA faults — and silently falls back to ``per_bank``
-        otherwise.  Explicitly requesting a ``vectorizable_only``
-        engine on a module that cannot run the stacked path raises
+        otherwise.  Explicitly requesting ``compiled`` on a module
+        that cannot run the stacked path raises
         :class:`~repro.errors.EngineError`.
 
         The commands land in each participating bank's
-        :class:`CommandStats` (every engine leaves the same counts);
+        :class:`CommandStats` (both engines leave the same counts);
         nothing is returned, so no stats object leaves the plan.
         """
         banks = module.banks if n_banks is None else module.banks[:n_banks]
@@ -255,11 +251,10 @@ class ControlUnit:
                 delta = self.execute(program, bank.subarray, layout)
         else:
             plan = self.plan_for(program, layout, module.geometry)
-            executor = self.executor_for(plan, resolved)
             data, b_planes = module.vector_state(len(banks))
-            executor(data, b_planes)
-            # Fold the per-bank stats into each bank so every engine
-            # leaves identical accounting state.
+            self.executor_for(plan)(data, b_planes)
+            # Fold the per-bank stats into each bank so both engines
+            # leave identical accounting state.
             delta = plan.per_bank_stats
             for bank in banks:
                 bank.subarray.stats.accumulate(delta)

@@ -1,11 +1,11 @@
-"""The three execution engines of the control unit, in a fixed table.
+"""The two execution engines of the control unit, in a fixed table.
 
 An engine is how the host *simulates* Step 3's lockstep replay of a
 µProgram.  :class:`ExecutionEngine` is the base every engine extends:
-a ``name``, two capability flags (``vectorizable_only``,
-``executes_plans``) and :meth:`~ExecutionEngine.compile`, which lowers
-a cached :class:`~repro.exec.plan.ExecutionPlan` to a callable executor
-over the module's stacked cell state.
+a ``name``, one capability flag (``executes_plans``) and
+:meth:`~ExecutionEngine.compile`, which lowers a cached
+:class:`~repro.exec.plan.ExecutionPlan` to a callable executor over the
+module's stacked cell state.
 
 * :func:`get_engine` / :func:`list_engines` — the name → instance
   table, fastest first.  Every public entry point (``Simdram.run/map``,
@@ -19,13 +19,10 @@ Engines
 -------
 
 ``per_bank``
-    The traced / fault-injection slow path: replays symbolic µOps bank
-    by bank through each :class:`~repro.dram.subarray.Subarray`.  The
-    only engine that is *not* ``vectorizable_only``.
-``vectorized``
-    Interprets the pre-classified :class:`ExecutionPlan` steps over the
-    stacked packed ``(rows, banks, row_bytes)`` state, one numpy
-    bitwise op per µOp.
+    The executable specification: replays symbolic µOps bank by bank
+    through each :class:`~repro.dram.subarray.Subarray`.  The traced /
+    fault-injection path, and the reference every test compares the
+    fast path against.  The only engine that does not ``executes_plans``.
 ``compiled``
     The codegen backend (the assassyn approach: frontend IR → generated
     simulator code).  :meth:`~CompiledEngine.compile` emits specialized
@@ -40,14 +37,14 @@ Engines
     makes it ``&`` or ``|``).  Locals are recycled once their value is
     dead.  The prologue loads only the rows and planes read before they
     are written; the epilogue stores only those written.  Bit-identical
-    to ``vectorized``, on success and on a failing pair activation
-    (proven by the differential suites); portable, no dependencies.
+    to ``per_bank`` on success (proven by the differential suites);
+    portable, no dependencies.
 
-Executors are memoized by the control unit on the plan
-(`ExecutionPlan.executors`, keyed by engine name), which is memoized on
-its µProgram by row layout and geometry — so a kernel replayed on the
-same layout compiles exactly once, on every module that installed it,
-and eviction of a plan drops its executors with it.
+The control unit keeps one executor per plan
+(`ExecutionPlan.executor`), and the plan is memoized on its µProgram by
+row layout and geometry — so a kernel replayed on the same layout
+compiles exactly once, on every module that installed it, and eviction
+of a plan drops its executor with it.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ from repro.obs.tracing import span as obs_span
 __all__ = [
     "ExecutionEngine",
     "PerBankEngine",
-    "VectorizedEngine",
     "CompiledEngine",
     "get_engine",
     "list_engines",
@@ -88,13 +84,12 @@ class ExecutionEngine:
 
     #: Table name (what ``engine="..."`` resolves).
     name: str
-    #: Requires the module's stacked cell state: the engine executes
-    #: compiled plans over all banks at once and cannot model per-bank
-    #: behaviours (command tracing, TRA fault injection).
-    vectorizable_only = True
-    #: Whether :meth:`compile` produces plan executors.  ``False`` for
-    #: ``per_bank``, which the control unit routes through the symbolic
-    #: per-subarray replay loop instead, and for ``"auto"``.
+    #: Whether :meth:`compile` produces plan executors.  Such an engine
+    #: runs over the module's stacked cell state, all banks at once, so
+    #: it cannot model per-bank behaviours (command tracing, TRA fault
+    #: injection).  ``False`` for ``per_bank``, which the control unit
+    #: routes through the symbolic per-subarray replay loop instead,
+    #: and for ``"auto"``.
     executes_plans = True
 
     def compile(self, plan: ExecutionPlan) -> Executor:
@@ -166,17 +161,7 @@ class PerBankEngine(ExecutionEngine):
     """
 
     name = "per_bank"
-    vectorizable_only = False
     executes_plans = False
-
-
-class VectorizedEngine(ExecutionEngine):
-    """Interpret plan steps over the stacked state."""
-
-    name = "vectorized"
-
-    def compile(self, plan: ExecutionPlan) -> Executor:
-        return plan.execute
 
 
 class CompiledEngine(ExecutionEngine):
@@ -188,9 +173,8 @@ class CompiledEngine(ExecutionEngine):
     recycled local.  The steps are value-numbered (:class:`_Emitted`):
     only a TRA computes, and a complement is computed at most once per
     value.  The one step that can raise, a pair activation over
-    disagreeing cells, first stores what was written so far, mirroring
-    the vectorized engine's advance-all-banks-step-by-step failure
-    shape.
+    disagreeing cells, first stores what was written so far: every
+    bank is left as the per-bank path leaves the bank that fails.
     """
 
     name = "compiled"
@@ -467,7 +451,6 @@ class _AutoEngine(ExecutionEngine):
     :func:`resolve_engine`."""
 
     name = "auto"
-    vectorizable_only = False
     executes_plans = False
 
 
@@ -477,7 +460,7 @@ AUTO = _AutoEngine()
 #: Every engine by name, fastest first.
 _ENGINES: dict[str, ExecutionEngine] = {
     engine.name: engine
-    for engine in (CompiledEngine(), VectorizedEngine(), PerBankEngine())}
+    for engine in (CompiledEngine(), PerBankEngine())}
 
 
 def list_engines(available_only: bool = False) -> list[str]:
@@ -510,14 +493,14 @@ def resolve_engine(spec: "str | ExecutionEngine",
     fault-injected or detached).
 
     ``"auto"`` is ``compiled`` when they can and ``per_bank`` when they
-    cannot.  A ``vectorizable_only`` engine named on banks that cannot
-    raises :class:`~repro.errors.EngineError` rather than silently
-    diverging.
+    cannot.  An engine that ``executes_plans`` named on banks that
+    cannot raises :class:`~repro.errors.EngineError` rather than
+    silently diverging.
     """
     engine = get_engine(spec)
     if engine is AUTO:
         return _ENGINES["compiled" if vectorizable else "per_bank"]
-    if engine.vectorizable_only and not vectorizable:
+    if engine.executes_plans and not vectorizable:
         raise EngineError(
             f"engine {engine.name!r} requested, but a selected bank is "
             "traced, fault-injected, or detached from the module's "

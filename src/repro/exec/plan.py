@@ -1,35 +1,36 @@
-"""Vectorized µProgram execution plans.
+"""µProgram execution plans: a µProgram bound to one row layout.
 
 The paper's execution model is lockstep: every participating bank
 replays the *same* µProgram on its own columns.  The per-subarray
 functional model (:class:`~repro.dram.subarray.Subarray`) simulates that
 as an outer Python loop over banks — faithful, traceable, but slow
-exactly where SIMDRAM scales.  This module removes the redundant work
-once per execution instead of once per (bank, µOp):
+exactly where SIMDRAM scales.  A plan front-loads what that loop
+repeats per (bank, µOp):
 
-* **Plan compilation** (:func:`compile_plan`) resolves every symbolic
-  row through the :class:`~repro.exec.layout.RowLayout` *once*,
-  classifies each µOp into a small opcode (data->data copy, constant
-  broadcast, wordline read/write, TRA, ...), performs the layout and
-  dual-contact-cell legality checks up front, and precomputes the
-  per-bank :class:`~repro.dram.commands.CommandStats` of one replay.
-* **Plan execution** (:meth:`ExecutionPlan.execute`) then runs the
-  pre-classified steps over the module's *stacked* cell state — packed
-  ``uint8`` arrays of shape ``(data_rows, banks, row_bytes)`` /
-  ``(planes, banks, row_bytes)`` — so each µOp is one numpy bitwise
-  operation across all banks at once.  No ``isinstance``, no address
-  resolution, no per-bank Python loop in the hot path.
+* :func:`compile_plan` resolves every symbolic row through the
+  :class:`~repro.exec.layout.RowLayout` *once*, classifies each µOp into
+  a small opcode (data->data copy, constant broadcast, wordline
+  read/write, TRA, ...), performs the layout and dual-contact-cell
+  legality checks up front, and precomputes the per-bank
+  :class:`~repro.dram.commands.CommandStats` of one replay.
+* The plan is data.  The ``compiled`` engine
+  (:mod:`repro.exec.engines`) lowers its steps to one generated Python
+  function over the module's *stacked* cell state — packed ``uint8``
+  arrays of shape ``(data_rows, banks, row_bytes)`` /
+  ``(planes, banks, row_bytes)`` — and the control unit keeps that
+  executor in the plan's one :attr:`ExecutionPlan.executor` slot.
 
-Both executors mutate the same memory (the subarrays hold views of the
-stacks), and the differential test suite asserts they produce identical
-outputs, stats and post-state for every catalog operation.  Tracing and
-TRA fault injection remain per-bank behaviours, so the control unit
-falls back to the per-subarray path whenever they are enabled.
+The executor and the per-bank path mutate the same memory (the
+subarrays hold views of the stacks), and the differential test suite
+asserts they produce identical outputs, stats and post-state for every
+catalog operation.  Tracing and TRA fault injection remain per-bank
+behaviours, so the control unit runs the per-subarray path whenever
+they are enabled.
 
 On *failure* (e.g. a µProgram activating two unequal wordlines) the two
 paths raise the same error but may leave different partial state: the
 per-bank path completes earlier banks before later ones start, while
-the vectorized path advances all banks µOp by µOp.
+the executor advances all banks µOp by µOp.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from repro.dram.commands import CommandStats
 from repro.dram.geometry import DramGeometry
 from repro.dram.rows import DCC_PAIRS, RowAddress, RowGroup
-from repro.dram.subarray import WORDLINE_PLANE, majority3
+from repro.dram.subarray import WORDLINE_PLANE
 from repro.errors import AddressError, CommandError, ExecutionError
 from repro.exec.layout import RowLayout
 from repro.uprog.program import MicroProgram
@@ -52,7 +53,7 @@ from repro.uprog.uops import UAap, UAp, URow
 
 
 class StepKind(enum.IntEnum):
-    """Pre-classified µOp opcodes of the vectorized executor."""
+    """Pre-classified µOp opcodes, the vocabulary of the codegen."""
 
     COPY_DATA = 0      # AAP D[src] -> D[dst]
     FILL_DATA = 1      # AAP C[const] -> D[dst]
@@ -156,95 +157,15 @@ class ExecutionPlan:
     #: One bank's packed row with every lane set and zero padding: the
     #: value of ``C1``, and the XOR operand that is NOT on packed rows.
     row_ones: np.ndarray = field(compare=False, repr=False)
-    #: Compiled executors keyed by engine name.  The control unit
-    #: memoizes each engine's executor here
-    #: (:meth:`~repro.exec.control_unit.ControlUnit.executor_for`), so
-    #: the callable lives and dies with the plan's entry in its
-    #: µProgram's plan table.
-    executors: dict[str, Callable[[np.ndarray, np.ndarray], None]] = \
-        field(default_factory=dict, compare=False, repr=False)
+    #: The compiled executor, once the control unit has built it
+    #: (:meth:`~repro.exec.control_unit.ControlUnit.executor_for`); it
+    #: lives and dies with the plan's entry in its µProgram's plan table.
+    executor: Callable[[np.ndarray, np.ndarray], None] | None = \
+        field(default=None, compare=False, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    # ------------------------------------------------------------------
-    # hot loop
-    # ------------------------------------------------------------------
-    def execute(self, data: np.ndarray, b_planes: np.ndarray) -> None:
-        """Replay the plan on stacked cell state, all banks at once.
-
-        Args:
-            data: ``(data_rows, banks, row_bytes)`` packed array.
-            b_planes: ``(N_B_PLANES, banks, row_bytes)`` packed array.
-        """
-        K = StepKind
-        ones = self.row_ones
-        for step in self.steps:
-            kind, src, dst = step.kind, step.src, step.dst
-            if kind == K.COPY_DATA:
-                data[dst] = data[src]
-            elif kind == K.FILL_DATA:
-                data[dst] = ones if src else 0
-            elif kind == K.DATA_TO_B:
-                self._write(b_planes, dst, data[src])
-            elif kind == K.FILL_B:
-                for plane, positive in dst:
-                    b_planes[plane] = ones if src == positive else 0
-            elif kind == K.B_TO_DATA:
-                data[dst] = self._read(b_planes, src)
-            elif kind == K.B_TO_B:
-                value = self._read(b_planes, src)
-                # The sense value must survive the writes, as the sense
-                # amplifiers do; copy when a destination wordline shares
-                # the source's storage plane (per-bank path always copies).
-                if any(plane == src[0] for plane, _ in dst):
-                    value = value.copy()
-                self._write(b_planes, dst, value)
-            elif kind in (K.PAIR_TO_DATA, K.PAIR_TO_B):
-                value = self._sense_pair(b_planes, step)
-                if kind == K.PAIR_TO_DATA:
-                    data[dst] = value
-                else:
-                    src_planes = {plane for plane, _ in src}
-                    if any(plane in src_planes for plane, _ in dst):
-                        value = value.copy()
-                    self._write(b_planes, dst, value)
-            else:  # TRA variants
-                result = self._tra(b_planes, src)
-                if kind == K.TRA_TO_DATA:
-                    data[dst] = result
-                elif kind == K.TRA_TO_B:
-                    self._write(b_planes, dst, result)
-
-    def _read(self, b_planes: np.ndarray, ref: PlaneRef) -> np.ndarray:
-        plane, positive = ref
-        value = b_planes[plane]
-        return value if positive else value ^ self.row_ones
-
-    def _write(self, b_planes: np.ndarray, refs: tuple[PlaneRef, ...],
-               value: np.ndarray) -> None:
-        for plane, positive in refs:
-            b_planes[plane] = value if positive else value ^ self.row_ones
-
-    def _sense_pair(self, b_planes: np.ndarray,
-                    step: PlanStep) -> np.ndarray:
-        a = self._read(b_planes, step.src[0])
-        b = self._read(b_planes, step.src[1])
-        if not np.array_equal(a, b):
-            raise CommandError(
-                f"activating {step.src_addr} would charge-share two "
-                "unequal rows; the sensed value is nondeterministic")
-        return a
-
-    def _tra(self, b_planes: np.ndarray,
-             refs: tuple[PlaneRef, ...]) -> np.ndarray:
-        """Triple-row activation: majority, restored destructively."""
-        result = majority3(self._read(b_planes, refs[0]),
-                           self._read(b_planes, refs[1]),
-                           self._read(b_planes, refs[2]))
-        self._write(b_planes, refs, result)
-        return result
 
 
 def compile_plan(program: MicroProgram, layout: RowLayout,

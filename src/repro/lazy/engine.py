@@ -7,6 +7,10 @@ turns the captured DAG into real SIMDRAM work:
    *scaling* source in the graph (:func:`repro.core.expr.infer_width`);
    narrower sources widen by two's-complement re-encoding at transfer
    time, fixed-width slots (a 1-bit ``if_else`` select) are validated.
+   An operation that reads its operands as two's complement
+   (:data:`SIGNED_READS`) widens the pipeline so that each unsigned
+   source and constant it reads keeps its value (one sign bit), and
+   refuses an unsigned arithmetic result (:func:`signed_read_width`).
 2. **Partitioning** — the ``bbop`` instruction carries at most three
    source addresses, so a graph drawing on more than three distinct
    leaves cannot be one fused kernel.  A greedy bottom-up pass walks
@@ -55,6 +59,12 @@ from repro.lazy.tensor import (
 )
 
 __all__ = ["LazyDevice", "EvalReport", "GroupReport"]
+
+#: Catalog operations that read their operands as two's complement: at
+#: the pipeline width an unsigned value with its top bit set reads as
+#: negative.
+SIGNED_READS = frozenset({"abs", "gt", "ge", "lt", "le", "max", "min",
+                          "relu"})
 
 
 @dataclass(frozen=True)
@@ -121,6 +131,54 @@ def _build_expr(root: LazyTensor, is_leaf, names: dict[int, str],
         return built
 
     return build(root)
+
+
+def _has_signed_source(root: LazyTensor) -> bool:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.kind == KIND_SOURCE and node.signed:
+            return True
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return False
+
+
+def signed_read_width(root: LazyTensor, width: int) -> int:
+    """The pipeline width ``root``'s graph needs, at least ``width``,
+    so that every :data:`SIGNED_READS` operation reads its operands'
+    values: an unsigned source gets one sign bit above its width, a
+    constant its two's-complement width.
+
+    An operand that is an unsigned arithmetic result at full width
+    (computed from unsigned sources only) raises
+    :class:`~repro.errors.OperationError`: it wraps at the pipeline
+    width, so no width reads it both as it wraps and as a signed value.
+    """
+    need, seen, stack = width, set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.kind != KIND_OP or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.children)
+        if node.op not in SIGNED_READS:
+            continue
+        for child in node.children:
+            if child.kind == KIND_CONST:
+                need = max(need, min_width(np.array([child.value]), True))
+            elif child.kind == KIND_SOURCE:
+                need = max(need, child.width + (not child.signed))
+            elif (not (spec := get_operation(child.op)).signed
+                  and spec.out_width(width) >= width
+                  and not _has_signed_source(child)):
+                raise OperationError(
+                    f"{node.op} reads its operand as signed, but "
+                    f"{child.op} of unsigned sources is an unsigned "
+                    f"{width}-bit result; declare the sources "
+                    "signed=True with a bit of headroom")
+    return need
 
 
 def _topo_ops(roots: list[LazyTensor], is_leaf) -> list[LazyTensor]:
@@ -305,7 +363,10 @@ class LazyDevice:
         pipeline requested alongside a 16-bit one keeps its own
         wrap-around semantics) and each group is partitioned, fused and
         dispatched together — roots sharing an input pool come back
-        from a single multi-output µProgram.  With ``wait=False``
+        from a single multi-output µProgram.  An explicit ``width``
+        replaces inference: every operation then has the catalog's
+        ``width``-bit semantics, as through ``run_expr`` (a signed read
+        of an unsigned value is not widened).  With ``wait=False``
         results are submitted asynchronously and the returned entries
         are ``None``; a later :meth:`LazyTensor.numpy` gathers them.
 
@@ -397,7 +458,8 @@ class LazyDevice:
 
         Always derived from the original *sources* (never from cached
         intermediate results), so caching can never change a
-        pipeline's wrap-around semantics.
+        pipeline's wrap-around semantics; widened where a signed read
+        needs it (:func:`signed_read_width`).
         """
         if root._inferred_width is None:
             names: dict[int, str] = {}
@@ -409,9 +471,9 @@ class LazyDevice:
                 raise OperationError(
                     "a lazy pipeline needs at least one source tensor "
                     "(all-constant graphs have nothing to stream)")
-            root._inferred_width = E.infer_width(
+            root._inferred_width = signed_read_width(root, E.infer_width(
                 built, {name: node.width
-                        for name, node in leaves.items()})
+                        for name, node in leaves.items()}))
         return root._inferred_width
 
     def _gather(self, node: LazyTensor) -> None:

@@ -24,7 +24,6 @@ from repro.exec.engines import (
     AUTO,
     CompiledEngine,
     PerBankEngine,
-    VectorizedEngine,
     get_engine,
     list_engines,
     resolve_engine,
@@ -47,16 +46,17 @@ def _make_sim(trace: bool = False) -> Simdram:
 # the table contract
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_builtins_registered(self):
-        names = list_engines()
-        for name in ("per_bank", "vectorized", "compiled"):
-            assert name in names
-        assert "auto" not in names  # the resolver, not an engine
+    def test_two_engines_fastest_first(self):
+        # "auto" is the resolver, not an engine.
+        assert list_engines() == ["compiled", "per_bank"]
 
-    def test_priority_order(self):
-        names = list_engines()
-        assert names.index("compiled") < names.index("vectorized")
-        assert names.index("vectorized") < names.index("per_bank")
+    def test_deleted_vectorized_engine_is_unknown(self):
+        with pytest.raises(EngineError, match="unknown engine"):
+            get_engine("vectorized")
+        sim = _make_sim()
+        a = sim.array([1, 2], width=8)
+        with pytest.raises(EngineError, match="unknown engine"):
+            sim.run("add", a, a, engine="vectorized")
 
     def test_get_engine_passes_instances_through(self):
         engine = CompiledEngine()
@@ -97,14 +97,13 @@ class TestFrozenByBenchmark:
 
     def test_available_engine_list(self):
         assert list_engines(available_only=True) \
-            == ["compiled", "vectorized", "per_bank"]
+            == ["compiled", "per_bank"]
 
     def test_executes_plans_per_engine_type(self):
         assert {name: type(get_engine(name)).executes_plans
                 for name in list_engines()} \
-            == {"compiled": True, "vectorized": True, "per_bank": False}
+            == {"compiled": True, "per_bank": False}
         assert type(get_engine("compiled")) is CompiledEngine
-        assert type(get_engine("vectorized")) is VectorizedEngine
         assert type(get_engine("per_bank")) is PerBankEngine
 
 
@@ -112,21 +111,19 @@ class TestFrozenByBenchmark:
 # control-unit error paths (satellite: typed EngineError + auto fallback)
 # ---------------------------------------------------------------------------
 class TestControlUnitErrorPaths:
-    @pytest.mark.parametrize("engine", ["vectorized", "compiled"])
-    def test_vectorizable_only_on_traced_module_raises_typed(
-            self, engine):
+    def test_compiled_on_traced_module_raises_typed(self):
         sim = _make_sim(trace=True)
         a = sim.array([1, 2], width=8)
         b = sim.array([3, 4], width=8)
         with pytest.raises(EngineError, match="traced"):
-            sim.run("add", a, b, engine=engine)
+            sim.run("add", a, b, engine="compiled")
 
     def test_engine_instance_on_traced_module_raises_typed(self):
         sim = _make_sim(trace=True)
         a = sim.array([1, 2], width=8)
         b = sim.array([3, 4], width=8)
         with pytest.raises(EngineError):
-            sim.run("add", a, b, engine=VectorizedEngine())
+            sim.run("add", a, b, engine=CompiledEngine())
 
     def test_engine_error_is_execution_error(self):
         # Legacy callers catch ExecutionError; the typed subclass must
@@ -295,10 +292,10 @@ class TestCompiledCacheAccounting:
         # Replaying hits both caches: nothing new is compiled.
         sim.run("add", a, b, engine="compiled").free()
         assert sim.kernel_cache_size == before + 2
-        # A second engine adds its own executor to the same plan.
-        sim.run("add", a, b, engine="vectorized").free()
-        assert sim.control.compiled_cache_size() == 2
-        assert sim.kernel_cache_size == before + 3
+        # A plan holds one executor: a per-bank replay adds none.
+        sim.run("add", a, b, engine="per_bank").free()
+        assert sim.control.compiled_cache_size() == 1
+        assert sim.kernel_cache_size == before + 2
 
     def test_executors_evicted_with_their_plan(self, monkeypatch):
         monkeypatch.setattr(control_unit, "PLANS_PER_PROGRAM", 1)
@@ -362,7 +359,7 @@ class TestServeEngines:
             default = service.submit("sub", [9], [4], width=8)
             assert np.array_equal(default.result(60), [5])
             explicit = service.submit("add", [1], [2], width=8,
-                                      engine=VectorizedEngine())
+                                      engine=PerBankEngine())
             assert np.array_equal(explicit.result(60), [3])
 
     def test_packing_keys_by_resolved_engine_name(self):
@@ -374,7 +371,7 @@ class TestServeEngines:
                 h1 = service.submit("add", [1], [2], width=8,
                                     engine="compiled")
                 h2 = service.submit("add", [3], [4], width=8,
-                                    engine="vectorized")
+                                    engine="per_bank")
             assert np.array_equal(h1.result(60), [3])
             assert np.array_equal(h2.result(60), [7])
             assert service.stats()["packing"]["dispatches"] == 2

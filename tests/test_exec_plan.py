@@ -1,8 +1,8 @@
-"""Differential tests: every registered execution engine must be
-bit-identical to the per-subarray slow path.
+"""Differential tests: the plan-executing engine must be bit-identical
+to the per-subarray slow path.
 
 Every catalog operation × element width {4, 8, 16} × both backends ×
-every available plan-based engine (vectorized, compiled) is run on
+every plan-executing engine (``compiled``) is run on
 identically-seeded systems against the per-bank baseline; outputs, aggregate
 :class:`CommandStats`, per-bank stats and the complete DRAM cell state
 (data rows *and* B-group planes) must match exactly.  The remaining
@@ -38,7 +38,7 @@ BACKENDS = ("simdram", "ambit")
 #: Every registered plan-based engine that can run in this process —
 #: each is sweep-verified against the per-bank baseline.
 FAST_ENGINES = tuple(name for name in list_engines()
-                     if name != "per_bank")
+                     if get_engine(name).executes_plans)
 
 #: Compiled kernels shared across both engines' systems (compilation
 #: is deterministic and by far the most expensive part of the sweep).
@@ -90,7 +90,7 @@ def _run_one(op_name: str, width: int, backend: str, engine: str,
         "b_state": sim.module.vector_state()[1].copy(),
         # The plan this run replayed: its program's most recently used
         # (the kernel, and so its plans, is shared across systems).
-        "sources": [plan.executors[engine].__source__
+        "sources": [plan.executor.__source__
                     for plan in list(sim._last_program.plans.values())[-1:]
                     if engine == "compiled"],
     }
@@ -143,7 +143,7 @@ def test_engines_bit_identical_split_live_ins(op_name, backend, engine):
 
 
 @pytest.mark.parametrize("op_name", sorted(CATALOG))
-def test_vectorized_matches_golden_model(op_name):
+def test_compiled_matches_golden_model(op_name):
     """The fast path agrees with the operation's golden model, not just
     with the slow path."""
     sim = _sim_with_program(op_name, 8, "simdram")
@@ -153,7 +153,7 @@ def test_vectorized_matches_golden_model(op_name):
            % (1 << in_width) for in_width in spec.in_widths(8)]
     operands = [sim.array(values, in_width)
                 for values, in_width in zip(raw, spec.in_widths(8))]
-    out = sim.run(op_name, *operands, engine="vectorized")
+    out = sim.run(op_name, *operands, engine="compiled")
     golden = spec.golden(raw, 8)
     if spec.signed:
         from repro.util.bitops import to_signed
@@ -248,19 +248,21 @@ class TestPlanCompilation:
             bank.subarray.poke(b_row(0), ones)  # T0 reads 1 ...
             # ... while DCC0 holds 1, so DCC0N (negated port) reads 0
             bank.subarray.poke(b_row(6), ones)
+        executor = ControlUnit().executor_for(plan)
         with pytest.raises(CommandError):
-            plan.execute(data, b_planes)
+            executor(data, b_planes)
         # When the two reads agree, the same plan executes fine.
         for bank in module.banks:
             bank.subarray.poke(b_row(6), ~ones)
-        plan.execute(data, b_planes)
+        executor(data, b_planes)
         for bank in module.banks:
             assert bank.subarray.peek(data_row(1)).all()
 
-    def test_failing_pair_leaves_same_state_on_every_engine(self):
+    def test_failing_pair_leaves_the_per_bank_state_in_every_bank(self):
         """A pair check that raises mid-program leaves what the steps
-        before it wrote, and only that, on every plan engine — the
-        compiled executor stores its written rows at the raise site."""
+        before it wrote, and only that — the compiled executor stores
+        its written rows at the raise site.  Every bank then holds what
+        a per-bank replay that raises in that bank leaves there."""
         layout = RowLayout({Space.INPUT0: 0, Space.OUTPUT: 1})
         program = MicroProgram(
             op_name="t3", backend="simdram", element_width=2,
@@ -275,24 +277,28 @@ class TestPlanCompilation:
         plan = compile_plan(program, layout, GEOMETRY)
         ones = np.ones(GEOMETRY.cols, dtype=bool)
         states = []
-        for engine in FAST_ENGINES:
+        for compiled in (True, False):
             module = DramModule(GEOMETRY, seed=5)
             for bank in module.banks:
                 bank.subarray.poke(data_row(0), ones)
                 bank.subarray.poke(b_row(6), ones)   # DCC0 = 1
             data, b_planes = module.vector_state()
             before = data.copy(), b_planes.copy()
-            with pytest.raises(CommandError):
-                ControlUnit().executor_for(plan, get_engine(engine))(
-                    data, b_planes)
+            if compiled:
+                with pytest.raises(CommandError):
+                    ControlUnit().executor_for(plan)(data, b_planes)
+            else:
+                for bank in module.banks:
+                    with pytest.raises(CommandError):
+                        ControlUnit().execute(program, bank.subarray, layout)
             assert np.array_equal(data[1], data[0])      # output row 0
             assert np.array_equal(b_planes[0], data[0])  # T0
             assert np.array_equal(b_planes[2], before[1][1])  # T2 = T1
             assert np.array_equal(data[2], before[0][2])  # not written
             states.append((data.copy(), b_planes.copy()))
-        for data, b_planes in states[1:]:
-            assert np.array_equal(data, states[0][0])
-            assert np.array_equal(b_planes, states[0][1])
+        (data, b_planes), (data_p, b_planes_p) = states
+        assert np.array_equal(data, data_p)
+        assert np.array_equal(b_planes, b_planes_p)
 
     def _compiled_source(self, op_name: str, width: int) -> str:
         from repro.core.compiler import compile_operation
@@ -301,8 +307,7 @@ class TestPlanCompilation:
                  Space.OUTPUT: 2 * width, Space.TEMP: 4 * width}
         plan = compile_plan(program, RowLayout(bases),
                             dataclasses.replace(GEOMETRY, banks=16))
-        ControlUnit().executor_for(plan, get_engine("compiled"))
-        return plan.executors["compiled"].__source__
+        return ControlUnit().executor_for(plan).__source__
 
     def test_compiled_loads_only_live_in_rows(self):
         """``add@8`` reads its 16 operand rows and no B plane before it
@@ -346,13 +351,13 @@ class TestValueNumberedCodegen:
     only renames, a TRA is the one step that computes, folded by exact
     identities, and locals are recycled once their value is dead.
     Every program here starts from one random power-up state on both
-    plan engines and must end in the same state."""
+    engines and must end in the same state."""
 
     LAYOUT = RowLayout({Space.INPUT0: 0, Space.INPUT1: 4,
                         Space.OUTPUT: 8})
 
     def _compiled_source(self, uops) -> str:
-        """Run ``uops`` on ``vectorized`` and ``compiled`` from the same
+        """Run ``uops`` on ``per_bank`` and ``compiled`` from the same
         random power-up state; assert equal post-states; return the
         compiled executor's source."""
         program = MicroProgram(
@@ -361,17 +366,17 @@ class TestValueNumberedCodegen:
                     OperandSpec(Space.INPUT1, 4)],
             output=OperandSpec(Space.OUTPUT, 4), uops=uops)
         plan = compile_plan(program, self.LAYOUT, GEOMETRY)
-        states = []
-        for engine in ("vectorized", "compiled"):
-            module = DramModule(GEOMETRY, seed=23)
-            data, b_planes = module.vector_state()
-            ControlUnit().executor_for(plan, get_engine(engine))(
-                data, b_planes)
-            states.append((data.copy(), b_planes.copy()))
-        (data, b_planes), (data_c, b_planes_c) = states
-        assert np.array_equal(data_c, data)
-        assert np.array_equal(b_planes_c, b_planes)
-        return plan.executors["compiled"].__source__
+        reference = DramModule(GEOMETRY, seed=23)
+        for bank in reference.banks:
+            ControlUnit().execute(program, bank.subarray, self.LAYOUT)
+        module = DramModule(GEOMETRY, seed=23)
+        data, b_planes = module.vector_state()
+        executor = ControlUnit().executor_for(plan)
+        executor(data, b_planes)
+        data_p, b_planes_p = reference.vector_state()
+        assert np.array_equal(data, data_p)
+        assert np.array_equal(b_planes, b_planes_p)
+        return executor.__source__
 
     @staticmethod
     def _expressions(source: str) -> list[str]:
@@ -459,8 +464,7 @@ class TestValueNumberedCodegen:
             program, RowLayout({Space.INPUT0: 0, Space.INPUT1: 16,
                                 Space.OUTPUT: 32, Space.TEMP: 64}),
             GEOMETRY)
-        source = ControlUnit().executor_for(
-            plan, get_engine("compiled")).__source__
+        source = ControlUnit().executor_for(plan).__source__
         rows, planes = set(), set()
         for step in plan.steps:
             for operand in (step.src, step.dst):
@@ -544,12 +548,12 @@ class TestEngineSelection:
         assert len(sim.module.banks[0].subarray.trace) > 0
         assert sim.control.plan_cache_misses == 0  # fast path never ran
 
-    def test_explicit_vectorized_on_traced_module_rejected(self):
+    def test_explicit_compiled_on_traced_module_rejected(self):
         sim = Simdram(SimdramConfig(geometry=GEOMETRY), trace=True, seed=11)
         a = sim.array([1, 2], width=4)
         b = sim.array([3, 4], width=4)
         with pytest.raises(ExecutionError):
-            sim.run("add", a, b, engine="vectorized")
+            sim.run("add", a, b, engine="compiled")
 
     def test_fault_injection_forces_per_bank_path(self):
         sim = _make_sim()
@@ -611,7 +615,7 @@ class TestAllocatorBalance:
         assert sim._allocator.free_rows() == free_before
         assert len(sim.tracker) == tracked_before
 
-    def test_traced_vectorized_request_releases_rows(self):
+    def test_traced_compiled_request_releases_rows(self):
         """Same property through a real (non-monkeypatched) failure."""
         sim = Simdram(SimdramConfig(geometry=GEOMETRY), trace=True, seed=11)
         sim.compile("mul", 8)
@@ -619,7 +623,7 @@ class TestAllocatorBalance:
         b = sim.array([3, 4], width=8)
         free_before = sim._allocator.free_rows()
         with pytest.raises(ExecutionError):
-            sim.run("mul", a, b, engine="vectorized")
+            sim.run("mul", a, b, engine="compiled")
         assert sim._allocator.free_rows() == free_before
 
     def test_failing_map_releases_all_blocks(self):

@@ -4,7 +4,7 @@ Hypothesis generates random expression DAGs (depth <= 4, operations
 drawn from the catalog) at widths {4, 8, 16} and checks, for every DAG:
 
 * the fused kernel's output is bit-identical on **both** execution
-  engines (vectorized and per-bank);
+  engines (compiled and per-bank);
 * both equal the step-by-step ``run()`` pipeline (one catalog µProgram
   per DAG node, intermediates materialized in named row blocks);
 * both equal the numpy golden model composed over the DAG;
@@ -231,11 +231,11 @@ def differential_check(sim: Simdram, root, width: int,
                 f"{fused_copies} !< unfused {unfused_copies}")
             # ... and strictly fewer transposition-unit announcements
             # (one output object vs. one per materialized intermediate).
-            assert fused_announces["vectorized"] < sequential_announces, (
+            assert fused_announces["compiled"] < sequential_announces, (
                 f"{root!r} @ {width}: fused announces "
-                f"{fused_announces['vectorized']} !< sequential "
+                f"{fused_announces['compiled']} !< sequential "
                 f"{sequential_announces}")
-        assert fused_announces["vectorized"] == 1  # the output, only
+        assert fused_announces["compiled"] == 1  # the output, only
     finally:
         for arr in arrays.values():
             arr.free()

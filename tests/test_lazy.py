@@ -427,6 +427,79 @@ class TestWidthInference:
         assert device.last_report.groups[0].width == 6
 
 
+class TestSignedReadsOfUnsignedData:
+    """Comparisons, ``minimum``/``maximum``/``clip``, ``relu`` and
+    ``abs`` read their operands as two's complement.  An unsigned source
+    whose values reach 2^(w-1) keeps its value: the pipeline gains a
+    sign bit; a bound gains the bits it needs; an unsigned sum has no
+    such width and raises."""
+
+    @pytest.mark.parametrize("values, width, natural", [
+        ([200, 10, 130, 255, 128], None, 8),
+        ([200, 10, 130, 255, 128], 8, 8),
+        ([8, 15, 3, 12, 7], 4, 4),
+        ([40000, 5, 32768, 65535, 100], None, 16),
+    ])
+    def test_top_bit_set_values_read_as_unsigned(self, values, width,
+                                                 natural):
+        device = lazy.device(shared_sim())
+        v = np.array(values)
+        half, top = 1 << (natural - 1), (1 << natural) - 1
+        lo, hi = half - half // 4, half + half // 4
+        a = lazy.array(v, width=width, device=device)
+        b = lazy.array(v[::-1].copy(), width=width, device=device)
+        cases = {
+            "gt": (a > lo, v > lo),
+            "lt": (a < half + 1, v < half + 1),
+            "ge": (a >= half, v >= half),
+            "le": (a <= hi, v <= hi),
+            "minimum": (a.minimum(lo), np.minimum(v, lo)),
+            "maximum": (a.maximum(hi), np.maximum(v, hi)),
+            "minimum_of_two": (a.minimum(b), np.minimum(v, v[::-1])),
+            "gt_of_two": (a > b, v > v[::-1]),
+            "clip": (a.clip(0, hi), np.clip(v, 0, hi)),
+            "clip_full_range": (a.clip(0, top), v),
+            "relu": (a.relu(), v),
+            "abs": (abs(a), v),
+        }
+        for name, (tensor, want) in cases.items():
+            assert np.array_equal(tensor.numpy(), want), name
+            assert device.last_report.groups[0].width == natural + 1, name
+
+    def test_signed_source_reads_a_bound_beyond_its_width(self):
+        device = lazy.device(shared_sim())
+        s = lazy.array(np.array([-5, 100, 127]), width=8, signed=True,
+                       device=device)
+        assert np.array_equal(s.minimum(200).numpy(), [-5, 100, 127])
+        assert device.last_report.groups[0].width == 9
+
+    def test_signed_pipeline_width_is_unchanged(self):
+        """The lazy apps declare signed sources with headroom: their
+        pipelines (and so their kernels) keep the width they had."""
+        device = lazy.device(shared_sim())
+        px = lazy.array(np.array([0, 200, 255]), width=10, signed=True,
+                        device=device)
+        got = (px + 70).clip(0, 255).numpy()
+        assert np.array_equal(got, [70, 255, 255])
+        assert device.last_report.groups[0].width == 10
+
+    def test_unsigned_sum_read_as_signed_raises(self):
+        device = lazy.device(shared_sim())
+        a = lazy.array(np.array([250, 10]), device=device)
+        with pytest.raises(OperationError, match="unsigned"):
+            (a + 9).clip(0, 255).numpy()
+        with pytest.raises(OperationError, match="unsigned"):
+            (abs(a - 3)).numpy()
+
+    def test_explicit_pipeline_width_keeps_catalog_semantics(self):
+        """``evaluate(width=...)`` is the catalog's w-bit semantics, as
+        ``run_expr``: nothing is widened."""
+        device = lazy.device(shared_sim())
+        a = lazy.array(np.array([200, 10]), device=device)
+        assert np.array_equal(device.evaluate([a > 100], width=8)[0],
+                              [0, 0])
+
+
 class TestFromDevice:
     def test_wrapped_handle_not_freed_by_engine(self):
         sim = shared_sim()

@@ -24,6 +24,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.rows import data_row
 from repro.dram.subarray import Subarray
 from repro.exec.control_unit import ControlUnit
+from repro.exec.engines import list_engines
 from repro.exec.layout import RowLayout
 from repro.exec.memory import RowBlock
 from repro.exec.transposition import TranspositionUnit
@@ -32,7 +33,7 @@ from repro.uprog.program import MicroProgram, OperandSpec
 from repro.uprog.uops import Space, UAap, UAp, URow
 from repro.util.bitops import bits_to_ints, ints_to_bits, packed_ones
 
-ENGINES = ("per_bank", "vectorized", "compiled")
+ENGINES = tuple(list_engines())
 
 #: B-group addresses by what they raise (``rows.B_ADDRESS_MAP``):
 #: 4/5 are the negated dual-contact ports, 8/9 pair one with a T row.
@@ -192,7 +193,7 @@ class TestHostIoAccounting:
 
 
 class TestNoPackStagePerDispatch:
-    @pytest.mark.parametrize("engine", ["auto", "vectorized", "compiled"])
+    @pytest.mark.parametrize("engine", ["auto", "compiled"])
     def test_warm_dispatch_never_packs_or_unpacks(self, sim, engine,
                                                   monkeypatch):
         rng = np.random.default_rng(1)

@@ -3,7 +3,7 @@
 Regression cover for the PR-1 temp-row-leak class, extended to the
 fused paths: after any ``run_expr``/``map_expr`` — successful, rejected
 up front (bad operand width, wrong feed names, mismatched lengths) or
-failing mid-pipeline (injected executor fault, traced-vectorized
+failing mid-pipeline (injected executor fault, traced-compiled
 conflict) — the allocator's free-row count and the tracker's announced
 object count must return exactly to their pre-call values.
 """
@@ -118,15 +118,15 @@ class TestRunExprLifecycle:
         for arr in feeds.values():
             arr.free()
 
-    def test_traced_vectorized_conflict_releases_rows(self):
+    def test_traced_compiled_conflict_releases_rows(self):
         """Same property through a real (non-monkeypatched) failure:
-        tracing forbids the vectorized engine."""
+        tracing forbids the compiled engine."""
         sim = make_sim(trace=True)
         arr = sim.array([1, 2, 3], 8)
         with Balance(sim):
             with pytest.raises(ExecutionError):
                 sim.run_expr(E.relu(E.inp("x")), {"x": arr}, width=8,
-                             engine="vectorized")
+                             engine="compiled")
         arr.free()
 
 

@@ -18,6 +18,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.rows import RowGroup, b_row, data_row
 from repro.dram.subarray import Subarray
 from repro.exec.control_unit import ControlUnit
+from repro.exec.engines import list_engines
 from repro.exec.layout import RowLayout
 from repro.exec.plan import _check_drive
 from repro.logic.mig import Mig
@@ -212,7 +213,7 @@ class TestTwoWordlineDestinations:
         assert not two_wordline_installs(program)
         assert program.report["pairs"] == 0
 
-    @pytest.mark.parametrize("engine", ["per_bank", "vectorized", "compiled"])
+    @pytest.mark.parametrize("engine", list_engines())
     def test_every_engine_executes_cross_installs(self, engine):
         sim = Simdram(SimdramConfig(
             geometry=DramGeometry.sim_small(cols=32, data_rows=128, banks=2)))
