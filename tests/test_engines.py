@@ -46,9 +46,14 @@ def _make_sim(trace: bool = False) -> Simdram:
 # the table contract
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_two_engines_fastest_first(self):
-        # "auto" is the resolver, not an engine.
-        assert list_engines() == ["compiled", "per_bank"]
+    def test_builtins_registered(self):
+        names = list_engines()
+        assert names == ["compiled", "per_bank"]
+        assert "auto" not in names  # the resolver, not an engine
+
+    def test_priority_order(self):
+        names = list_engines()
+        assert names.index("compiled") < names.index("per_bank")
 
     def test_deleted_vectorized_engine_is_unknown(self):
         with pytest.raises(EngineError, match="unknown engine"):
